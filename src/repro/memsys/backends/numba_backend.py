@@ -67,10 +67,10 @@ def _xor_popcount_rows(a8, b8, table, out):
 def _rebuild_class_maps(bits, rows, cols, nd, ng, class_idx, hist):
     """Fused whole-array rebuild: neighbor counts + class + histogram.
 
-    One pass over the grid replaces the reference's four vectorized
-    stages (pad/shift sums, class_index, astype, bincount) and all
-    their temporaries. Missing neighbors beyond the edge count as 0
-    (P) — the dummy-cell boundary convention.
+    One pass over the grid replaces the reference's three vectorized
+    stages (padded separable sums, class_index, byte-pair histogram)
+    and all their temporaries. Missing neighbors beyond the edge count
+    as 0 (P) — the dummy-cell boundary convention.
     """
     for k in range(hist.size):
         hist[k] = 0
@@ -250,7 +250,7 @@ class NumbaEngineBackend:
     """Compiled kernels for the binomial fast path.
 
     ``preferred_rebuild_fraction`` is raised well above the numpy
-    default (0.02): the compiled incremental walk costs ~9 scalar
+    default (0.001): the compiled incremental walk costs ~9 scalar
     updates per changed cell, so it beats a full rebuild up to far
     higher churn than scattered ``np.add.at`` does. The maps produced
     are identical either way — the threshold only picks which kernel

@@ -39,11 +39,12 @@ def pack_bits(bits):
         raise ParameterError(
             f"bits must be 2-D, got shape {bits.shape}")
     n, k = bits.shape
-    n_lanes = (k + 63) // 64
-    padded = np.zeros((n, n_lanes * 64), dtype=np.uint8)
-    padded[:, :k] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view(LANE_DTYPE)
+    lanes = np.zeros((n, (k + 63) // 64), dtype=LANE_DTYPE)
+    # packbits zero-fills the last partial byte; the zeroed lanes
+    # supply the rest of the padding.
+    lanes.view(np.uint8)[:, :(k + 7) // 8] = np.packbits(
+        bits, axis=1, bitorder="little")
+    return lanes
 
 
 def unpack_bits(lanes, code_bits):

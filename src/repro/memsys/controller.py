@@ -57,11 +57,13 @@ def neighborhood_class_map(bits):
     rows, cols = bits.shape
     padded = np.zeros((rows + 2, cols + 2), dtype=np.int8)
     padded[1:-1, 1:-1] = bits
-    n_direct = (padded[:-2, 1:-1] + padded[2:, 1:-1]
-                + padded[1:-1, :-2] + padded[1:-1, 2:])
-    n_diagonal = (padded[:-2, :-2] + padded[:-2, 2:]
-                  + padded[2:, :-2] + padded[2:, 2:])
-    return n_direct.astype(np.int8), n_diagonal.astype(np.int8)
+    # Separable sums: the left+right pair of every padded row serves
+    # both counts — direct = own row's pair + up + down, diagonal = the
+    # pairs of the rows above and below.
+    pair = padded[:, :-2] + padded[:, 2:]
+    n_direct = pair[1:-1] + padded[:-2, 1:-1]
+    n_direct += padded[2:, 1:-1]
+    return n_direct, pair[:-2] + pair[2:]
 
 
 class WordMap:

@@ -7,8 +7,11 @@ double-bit corruption is detected as uncorrectable.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.memsys.ecc import (
@@ -135,3 +138,58 @@ class TestClassification:
             data = random_words(rng, 5, k)
             cw = ecc.encode(data)
             assert np.array_equal(cw[:, ecc.data_positions], data)
+
+
+#: Data widths of the generator-matrix checks: both ends of the
+#: accepted range, the classic 64, and widths just past a power of two
+#: (one more parity bit) or just below one.
+ENCODE_WIDTHS = (1, 2, 4, 11, 26, 57, 64, 120, 247, 4096)
+
+
+@functools.lru_cache(maxsize=None)
+def _code(k):
+    return HammingSECDED(k)
+
+
+def _syndrome_encode(ecc, data):
+    """The syndrome-construction encode, kept as the oracle: place the
+    data, then set each parity bit to the syndrome bit it must zero."""
+    data = np.asarray(data, dtype=np.int8)
+    cw = np.zeros(data.shape[:-1] + (ecc.n_code,), dtype=np.int8)
+    cw[..., ecc._data_pos - 1] = data
+    syndrome = cw[..., :ecc._m].astype(np.int64) @ ecc._pos_code
+    cw[..., ecc._parity_pos - 1] = (syndrome & 1).astype(np.int8)
+    cw[..., ecc._m] = cw[..., :ecc._m].sum(axis=-1) % 2
+    return cw
+
+
+class TestGeneratorEncode:
+    @given(k=st.sampled_from(ENCODE_WIDTHS),
+           batch=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_syndrome_construction(self, k, batch, seed):
+        ecc = _code(k)
+        rng = np.random.default_rng(seed)
+        data = (rng.random(batch + (k,)) < rng.random()).astype(np.int8)
+        cw = ecc.encode(data)
+        assert cw.dtype == np.int8
+        assert cw.shape == batch + (ecc.n_code,)
+        assert np.array_equal(cw, _syndrome_encode(ecc, data))
+        syn, overall = ecc.syndrome(cw)
+        assert np.all(syn == 0) and np.all(overall == 0)
+
+    @pytest.mark.parametrize("k", ENCODE_WIDTHS)
+    def test_all_ones_and_unit_words(self, k):
+        """The densest word (largest product) and every unit word."""
+        ecc = _code(k)
+        words = np.concatenate([np.ones((1, k), np.int8),
+                                np.eye(k, dtype=np.int8)[:300]])
+        assert np.array_equal(ecc.encode(words),
+                              _syndrome_encode(ecc, words))
+
+    def test_single_word_and_bool_input(self):
+        ecc = _code(64)
+        word = np.random.default_rng(0).random(64) < 0.5
+        assert np.array_equal(ecc.encode(word),
+                              _syndrome_encode(ecc, word))

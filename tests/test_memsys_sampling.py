@@ -25,6 +25,7 @@ from repro.memsys.engine import _PackedState
 from repro.memsys.sampling import (
     IncrementalClassMaps,
     N_CLASSES,
+    class_histogram,
     class_index,
     sample_class_flips,
     sample_thinned_flips,
@@ -43,6 +44,21 @@ class TestBitPlane:
         rng = np.random.default_rng(0)
         bits = (rng.random((37, 72)) < 0.5).astype(np.int8)
         assert np.array_equal(unpack_bits(pack_bits(bits), 72), bits)
+
+    @pytest.mark.parametrize("k", range(1, 201))
+    def test_pack_unpack_round_trip_every_width(self, k):
+        """Every width packs into zero-padded lanes and back, including
+        empty batches and widths ending mid-byte or mid-lane."""
+        rng = np.random.default_rng(k)
+        for n in (0, 1, 5):
+            bits = (rng.random((n, k)) < 0.5).astype(np.int8)
+            lanes = pack_bits(bits)
+            assert lanes.dtype == np.dtype("<u8")
+            assert lanes.shape == (n, (k + 63) // 64)
+            assert np.array_equal(unpack_bits(lanes, k), bits)
+            # Padding bits past k stay zero: the popcount is the
+            # word's set-bit count.
+            assert np.array_equal(popcount_rows(lanes), bits.sum(axis=1))
 
     def test_from_to_bits_round_trip_with_tail(self):
         rng = np.random.default_rng(1)
@@ -217,6 +233,66 @@ class TestSamplers:
         assert out.size == 0
 
 
+def _reference_class_maps(bits2d):
+    """The 8-slice neighbor sum, int16 class index and ``np.bincount``
+    histogram the int8 / separable-sum / byte-pair code replaced —
+    kept as the oracle."""
+    rows, cols = bits2d.shape
+    padded = np.zeros((rows + 2, cols + 2), dtype=np.int8)
+    padded[1:-1, 1:-1] = bits2d
+    nd = (padded[:-2, 1:-1] + padded[2:, 1:-1]
+          + padded[1:-1, :-2] + padded[1:-1, 2:]).astype(np.int8)
+    ng = (padded[:-2, :-2] + padded[:-2, 2:]
+          + padded[2:, :-2] + padded[2:, 2:]).astype(np.int8)
+    ci = (bits2d.astype(np.int16) * 25 + nd.astype(np.int16) * 5
+          + ng.astype(np.int16)).astype(np.int8).reshape(-1)
+    return nd, ng, ci, np.bincount(ci, minlength=N_CLASSES)
+
+
+#: 1x1, single rows and columns, odd cell counts (a trailing unpaired
+#: byte in the histogram) and even ones.
+CLASS_MAP_SHAPES = ((1, 1), (1, 2), (1, 9), (1, 64), (2, 1), (9, 1),
+                    (64, 1), (7, 9), (9, 7), (3, 3), (5, 11), (8, 8),
+                    (24, 36), (33, 31))
+
+
+class TestClassMapsAgainstReference:
+    @pytest.mark.parametrize("shape", CLASS_MAP_SHAPES)
+    @pytest.mark.parametrize("density", (0.0, 0.3, 0.5, 1.0))
+    def test_maps_index_and_hist(self, shape, density):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        bits2d = (rng.random(shape) < density).astype(np.int8)
+        nd_ref, ng_ref, ci_ref, hist_ref = _reference_class_maps(bits2d)
+        nd, ng = neighborhood_class_map(bits2d)
+        assert nd.dtype == ng.dtype == np.int8
+        assert np.array_equal(nd, nd_ref) and np.array_equal(ng, ng_ref)
+        ci = class_index(bits2d.reshape(-1), nd.reshape(-1),
+                         ng.reshape(-1))
+        assert ci.dtype == np.int8
+        assert np.array_equal(ci, ci_ref)
+        hist = class_histogram(ci)
+        assert hist.dtype == hist_ref.dtype
+        assert np.array_equal(hist, hist_ref)
+        # The maps' rebuild (packed plane with an unmapped tail).
+        n_cells = shape[0] * shape[1]
+        plane = BitPlane.from_bits(bits2d.reshape(-1), n_cells // 5, 5)
+        maps = IncrementalClassMaps(shape[0], shape[1], plane)
+        assert np.array_equal(maps.nd, nd_ref.reshape(-1))
+        assert np.array_equal(maps.ng, ng_ref.reshape(-1))
+        assert np.array_equal(maps.class_idx, ci_ref)
+        assert np.array_equal(maps.hist, hist_ref)
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 4, 1001))
+    def test_histogram_every_class_and_odd_tail(self, n):
+        ci = (np.arange(n) * 7 % N_CLASSES).astype(np.int8)
+        assert np.array_equal(class_histogram(ci),
+                              np.bincount(ci, minlength=N_CLASSES))
+        # Unaligned and non-contiguous inputs are copied, not misread.
+        ci = np.arange(2 * n + 1, dtype=np.int8) % N_CLASSES
+        assert np.array_equal(class_histogram(ci[1::2]),
+                              np.bincount(ci[1::2], minlength=N_CLASSES))
+
+
 def _assert_maps_match_recompute(maps, plane, rows, cols):
     bits = plane.to_bits()
     nd2, ng2 = neighborhood_class_map(bits.reshape(rows, cols))
@@ -231,19 +307,21 @@ def _assert_maps_match_recompute(maps, plane, rows, cols):
 class TestIncrementalClassMaps:
     ROWS, COLS, CODE = 24, 36, 72
 
-    def _fresh(self, rng):
-        n_cells = self.ROWS * self.COLS
+    def _fresh(self, rng, rows=ROWS, cols=COLS, **kwargs):
+        n_cells = rows * cols
         bits = (rng.random(n_cells) < 0.5).astype(np.int8)
         plane = BitPlane.from_bits(bits, n_cells // self.CODE,
                                    self.CODE)
-        return plane, IncrementalClassMaps(self.ROWS, self.COLS, plane)
+        return plane, IncrementalClassMaps(rows, cols, plane, **kwargs)
 
     def test_incremental_matches_recompute(self):
         """Sparse toggles through both the scalar (<= 8 changes) and
         vectorized update paths stay exactly equal to a full
         recompute."""
         rng = np.random.default_rng(0)
-        plane, maps = self._fresh(rng)
+        # Force the incremental path: on an array this small the
+        # default threshold rebuilds on any change.
+        plane, maps = self._fresh(rng, full_rebuild_fraction=1.0)
         for k in (1, 2, 5, 8, 9, 13, 3, 11):
             idx = rng.choice(plane.n_cells, size=k, replace=False)
             plane.toggle_cells(idx)
@@ -263,6 +341,40 @@ class TestIncrementalClassMaps:
         assert maps.rebuilds == 2
         assert maps.incremental_refreshes == 0
         _assert_maps_match_recompute(maps, plane, self.ROWS, self.COLS)
+
+        # Churn just below / just above the default threshold and a
+        # dense change: the default maps take the incremental path only
+        # below it, and their nd / ng / class_idx / hist equal both the
+        # always-incremental and always-rebuild maps and the reference
+        # recompute.
+        rows, cols = 96, 96  # the threshold lands at ~9 cells
+        rng = np.random.default_rng(5)
+        plane, maps = self._fresh(rng, rows, cols)
+        always_incremental = IncrementalClassMaps(
+            rows, cols, plane, full_rebuild_fraction=1.0)
+        always_rebuild = IncrementalClassMaps(
+            rows, cols, plane, full_rebuild_fraction=0.0)
+        at = int(IncrementalClassMaps.full_rebuild_fraction
+                 * plane.n_cells)
+        assert at >= 1
+        for k, rebuilt in ((at, False), (at + 1, True),
+                           (plane.n_cells // 5, True), (1, False)):
+            before = maps.rebuilds
+            idx = rng.choice(plane.n_cells, size=k, replace=False)
+            plane.toggle_cells(idx)
+            for m in (maps, always_incremental, always_rebuild):
+                m.refresh(plane)
+            assert (maps.rebuilds == before + 1) == rebuilt, k
+            _, _, ci_ref, hist_ref = _reference_class_maps(
+                plane.to_bits().reshape(rows, cols))
+            for m in (maps, always_incremental, always_rebuild):
+                assert np.array_equal(m.nd, always_rebuild.nd)
+                assert np.array_equal(m.ng, always_rebuild.ng)
+                assert np.array_equal(m.class_idx, ci_ref)
+                assert np.array_equal(m.hist, hist_ref)
+            _assert_maps_match_recompute(maps, plane, rows, cols)
+        assert always_incremental.rebuilds == 1
+        assert always_rebuild.incremental_refreshes == 0
 
     def test_refresh_without_changes_is_noop(self):
         rng = np.random.default_rng(2)
