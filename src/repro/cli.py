@@ -163,7 +163,7 @@ MEMSYS_PRESETS = {
 _MEMSYS_DEFAULTS = dict(rows=64, cols=64, transactions=50_000,
                         nominal_wer=2e-3, sampler="bernoulli",
                         pattern="random", no_sweep=False,
-                        topology="flat", banks=1, subarrays=1)
+                        topology=None, banks=1, subarrays=1)
 
 
 def _apply_memsys_preset(args):
@@ -183,11 +183,10 @@ def _cmd_memsys(args):
     rng = _generator(args)
     scrub = (ScrubPolicy(args.scrub_interval)
              if args.scrub_interval else None)
-    topology_kwargs = {}
-    if args.topology != "flat" or args.banks != 1 or args.subarrays != 1:
-        topology_kwargs = dict(topology=args.topology,
-                               banks=args.banks,
-                               subarrays=args.subarrays)
+    # build_engine infers the organization when --topology is absent:
+    # flat for 1x1, banked when --banks/--subarrays shard the array.
+    topology_kwargs = dict(topology=args.topology, banks=args.banks,
+                           subarrays=args.subarrays)
     engine = build_engine(
         device, pitch=nm_to_m(args.pitch_nm), rows=args.rows,
         cols=args.cols, ecc=args.ecc, workload=args.pattern,
@@ -621,7 +620,9 @@ def build_parser():
     p.add_argument("--topology", default=None,
                    choices=("flat", "banked", "cross-point"),
                    help="array organization: one 'flat' mat "
-                        "(default), 'banked' banks x subarrays "
+                        "(default unless --banks/--subarrays shard "
+                        "the array, then 'banked'), 'banked' banks x "
+                        "subarrays "
                         "(each subarray an independent parallel "
                         "sub-run), or selector-less 'cross-point' "
                         "with the sneak-path half-select disturb "

@@ -13,7 +13,8 @@ mechanisms — write error, read disturb, retention — into one number.
 * :mod:`repro.memsys.ecc` — vectorized Hamming SEC-DED (72, 64 by
   default) plus a no-ECC baseline,
 * :mod:`repro.memsys.scrub` — periodic scrubbing policy,
-* :mod:`repro.memsys.engine` — vectorized Monte-Carlo engine plus a
+* :mod:`repro.memsys.engine` — vectorized Monte-Carlo engine (one
+  driver over a dense bernoulli or a packed binomial state) plus a
   noise-free expectation mode,
 * :mod:`repro.memsys.sampling` — rare-event fast path: class-grouped
   binomial flip draws and incrementally maintained coupling-class

@@ -218,22 +218,6 @@ class ArrayController:
                     (1.0 - self.disturb_table[bit])
                     * (1.0 - float(p_fail[bit])))
 
-    # -- vectorized per-cell probability maps -------------------------------
-
-    def class_maps(self, bits):
-        """Flat ``(n_direct, n_diagonal)`` maps of a (rows, cols) array."""
-        nd, ng = neighborhood_class_map(
-            np.asarray(bits).reshape(self.layout.rows, self.layout.cols))
-        return nd.reshape(-1), ng.reshape(-1)
-
-    def write_error_probability(self, new_bits, nd, ng):
-        """Per-cell write-error probability for writing ``new_bits``."""
-        return self.wer_table[np.asarray(new_bits), nd, ng]
-
-    def disturb_probability(self, stored_bits, nd, ng):
-        """Per-cell single-read disturb probability."""
-        return self.disturb_table[np.asarray(stored_bits), nd, ng]
-
     @cached_property
     def half_select_table(self):
         """(2, 5, 5) single half-select disturb probability per class.
@@ -256,32 +240,22 @@ class ArrayController:
                         hz)
         return table
 
-    def half_select_probability(self, stored_bits, nd, ng, exposures):
-        """Per-cell flip probability after ``exposures`` half-selects
-        (``exposures`` may be fractional: a mean exposure count)."""
-        require_non_negative(exposures, "exposures")
-        single = np.clip(
-            self.half_select_table[np.asarray(stored_bits), nd, ng],
-            0.0, 1.0 - 1e-15)
-        return 1.0 - (1.0 - single) ** exposures
+    # -- coupling-class maps ------------------------------------------------
 
-    def retention_flip_probability(self, stored_bits, nd, ng, interval):
-        """Per-cell retention-flip probability over ``interval`` [s].
-
-        ``interval == 0`` is a valid zero-dwell window (a scrub
-        immediately followed by an access) and yields probability 0.
-        """
-        require_non_negative(interval, "interval")
-        rate = self.retention_rate_table[np.asarray(stored_bits), nd, ng]
-        return -np.expm1(-rate * interval)
+    def class_maps(self, bits):
+        """Flat ``(n_direct, n_diagonal)`` maps of a (rows, cols) array."""
+        nd, ng = neighborhood_class_map(
+            np.asarray(bits).reshape(self.layout.rows, self.layout.cols))
+        return nd.reshape(-1), ng.reshape(-1)
 
     # -- flat per-class probability views -----------------------------------
     #
-    # The binomial fast path draws per *coupling class* rather than per
-    # cell; these views expose the tables in class_index order (bit
-    # major, then n_direct, then n_diagonal — the tables' memory
-    # layout), so ``flat[class_index(bit, nd, ng)] == table[bit, nd,
-    # ng]`` exactly.
+    # The engine prices every mechanism per *coupling class*; these
+    # views expose the tables in class_index order (bit major, then
+    # n_direct, then n_diagonal — the tables' memory layout), so
+    # ``flat[class_index(bit, nd, ng)] == table[bit, nd, ng]`` exactly
+    # and ``flat.reshape(2, 5, 5)[bits, nd, ng]`` prices cells
+    # directly.
 
     def wer_class_probability(self):
         """Flat (50,) per-class write-error probability."""

@@ -1,10 +1,11 @@
 """Vectorized Monte-Carlo reliability engine.
 
-Composes all three failure mechanisms — write error, read disturb,
-retention — into the number a memory designer asks for: the
-uncorrectable bit-error rate (UBER) of a coupled, dense array under real
-traffic. Every per-epoch step is a numpy array operation over the whole
-batch/array; there is no per-bit (or per-transaction) Python loop.
+Composes the failure mechanisms — write error, read disturb, retention
+and, on cross-point arrays, half-select sneak flips — into the number a
+memory designer asks for: the uncorrectable bit-error rate (UBER) of a
+coupled, dense array under real traffic. Every per-epoch step is a
+numpy array operation over the whole batch/array; there is no per-bit
+(or per-transaction) Python loop.
 
 Two evaluation modes:
 
@@ -18,17 +19,28 @@ Two evaluation modes:
   buried under Monte-Carlo noise. It draws nothing, so its output is
   bit-identical for every ``sampler``.
 
-Monte Carlo itself has two samplers (see :mod:`repro.memsys.sampling`):
+Monte Carlo is one driver (:meth:`ReliabilityEngine.run`) over two
+state classes; ``sampler`` picks the state (see
+:mod:`repro.memsys.sampling`):
 
-* ``sampler="bernoulli"`` — the reference path: one uniform per cell
-  per mechanism against dense int8 state. Cost O(cells) per batch.
-* ``sampler="binomial"`` — the rare-event fast path: flip *counts* are
-  drawn per coupling class (at most 50 distinct probabilities) and
-  placed by index choice; ``intended``/``actual`` live bit-packed in
-  uint64 lanes (:mod:`repro.memsys.bitplane`) with XOR + popcount
-  error counting; the class maps refresh incrementally around the
-  cells that actually changed. Cost O(classified + flips), which is
-  what makes nominal_wer <= 1e-6 scenarios reachable.
+* ``sampler="bernoulli"`` — the reference path, ``_DenseState``: one
+  uniform per cell per mechanism against dense int8 planes. Cost
+  O(cells) per batch.
+* ``sampler="binomial"`` — the rare-event fast path, ``_PackedState``:
+  flip *counts* are drawn per coupling class (at most 50 distinct
+  probabilities) and placed by index choice; ``intended``/``actual``
+  live bit-packed in uint64 lanes (:mod:`repro.memsys.bitplane`) with
+  exact per-word error counters; the class maps refresh incrementally
+  around the cells that actually changed. Cost O(classified + flips),
+  which is what makes nominal_wer <= 1e-6 scenarios reachable.
+
+The driver owns everything else once: restore or init, the batch loop
+(classify, whole-array terms, scrub, occurrence-rank rounds), ECC
+bookkeeping, checkpoints and progress. Every mechanism is one flat
+(50,) per-class table from the controller — write error and read
+disturb per access, retention and the cross-point half-select term as
+a list of whole-array ``(counter, table)`` terms the driver walks —
+and each state draws against the same tables.
 """
 
 from __future__ import annotations
@@ -363,7 +375,8 @@ class ReliabilityEngine:
         ``profile=True`` times the run's phases (classify / draw /
         place / ecc / scrub) and attaches the breakdown as
         ``result.extras["profile"]`` (seconds per phase, plus
-        ``other``/``total``), so backend wins are attributable. Timing
+        ``other``/``total``), so backend wins are attributable — also
+        when the answer comes from a finalized checkpoint. Timing
         never touches the draw stream: a profiled run is bit-identical
         to an unprofiled one.
 
@@ -385,6 +398,8 @@ class ReliabilityEngine:
         require_positive(n_transactions, "n_transactions")
         require_positive(batch_size, "batch_size")
         rng = np.random.default_rng(rng)
+        profiler = PhaseProfiler() if profile else None
+        t0 = time.perf_counter()
         ckpt = as_checkpointer(checkpoint, every=checkpoint_every)
         key = restored = identity = None
         if ckpt is not None:
@@ -405,41 +420,28 @@ class ReliabilityEngine:
             }
             if resume:
                 restored = ckpt.restore(key, identity=identity)
-                if restored is not None and restored.get("complete"):
-                    return restored["result"]
-        profiler = PhaseProfiler() if profile else None
-        t0 = time.perf_counter()
-        if self.sampler == "binomial":
-            result = self._run_binomial(int(n_transactions), rng,
-                                        int(batch_size), progress,
-                                        profiler, ckpt, key, restored,
-                                        identity)
+        if restored is not None and restored.get("complete"):
+            result = restored["result"]
         else:
-            result = self._run_bernoulli(int(n_transactions), rng,
-                                         int(batch_size), progress,
-                                         profiler, ckpt, key, restored,
-                                         identity)
+            result = self._drive(int(n_transactions), rng,
+                                 int(batch_size), progress, profiler,
+                                 ckpt, key, restored, identity)
         if profiler is not None:
             result.extras["profile"] = profiler.breakdown(
                 total=time.perf_counter() - t0)
         return result
 
-    # -- bernoulli reference path -------------------------------------------
-
-    def _run_bernoulli(self, n_transactions, rng, batch_size,
-                       progress=None, profiler=None, ckpt=None,
-                       key=None, restored=None, identity=None):
-        """One uniform per cell per mechanism over dense int8 state."""
-        ctl = self.controller
-        words = ctl.words
-        rows, cols = ctl.layout.rows, ctl.layout.cols
-
+    def _drive(self, n_transactions, rng, batch_size, progress,
+               profiler, ckpt, key, restored, identity):
+        """The batch loop of both samplers, over the sampler's state."""
+        words = self.controller.words
+        state_cls = (_PackedState if self.sampler == "binomial"
+                     else _DenseState)
         if restored is not None:
             # Resume mid-stream: the saved RNG state already accounts
             # for every draw up to the checkpointed boundary (including
             # initial_bits), so nothing is drawn here.
-            intended = np.asarray(restored["intended"], dtype=np.int8)
-            actual = np.asarray(restored["actual"], dtype=np.int8)
+            state = state_cls.restore(self, restored)
             self.workload = restored["workload"]
             self.scrub = restored["scrub"]
             self.workload.bind(words)
@@ -448,285 +450,49 @@ class ReliabilityEngine:
             remaining = int(restored["remaining"])
             rng.bit_generator.state = restored["rng_state"]
         else:
-            intended = np.zeros(rows * cols, dtype=np.int8)
-            initial = self.workload.initial_bits(rows, cols, rng)
-            intended[:] = np.asarray(initial,
-                                     dtype=np.int8).reshape(-1)
-            actual = intended.copy()
+            layout = self.controller.layout
+            initial = self.workload.initial_bits(layout.rows, layout.cols,
+                                                 rng)
+            state = state_cls.fresh(self, np.asarray(
+                initial, dtype=np.int8).reshape(-1))
             self.workload.bind(words)
             self.workload.reset()
             self.scrub.reset()
             result = MemsysResult(config=self._config())
             now = 0.0
-            remaining = int(n_transactions)
-        data_positions = ctl.ecc.data_positions
+            remaining = n_transactions
         while remaining > 0:
-            n = min(int(batch_size), remaining)
+            n = min(batch_size, remaining)
             remaining -= n
             batch = self.workload.batch(n, words.n_words, rng)
             with _prof(profiler, "classify"):
-                nd, ng = ctl.class_maps(actual)
+                state.classify()
 
-            # Retention exposure accrued over this batch's window; a
-            # due scrub repairs the accumulation *before* the window's
+            # Whole-array terms accrued over this batch's window; a due
+            # scrub repairs the accumulation *before* the window's
             # accesses observe it.
-            dt = n * self.cycle_time
-            now += dt
-            with _prof(profiler, "draw"):
-                p_ret = ctl.retention_flip_probability(actual, nd, ng,
-                                                       dt)
-                flips = (rng.random(actual.shape)
-                         < p_ret).astype(np.int8)
-            with _prof(profiler, "place"):
-                actual ^= flips
-            result.retention_flips += int(flips.sum())
-            if self.half_select_exposure > 0.0:
-                # Cross-point sneak term: every cell accrued ~exposure
-                # half-selects per transaction of this batch's window.
-                with _prof(profiler, "draw"):
-                    p_hs = ctl.half_select_probability(
-                        actual, nd, ng,
-                        n * self.half_select_exposure)
-                    sneak = (rng.random(actual.shape)
-                             < p_hs).astype(np.int8)
-                with _prof(profiler, "place"):
-                    actual ^= sneak
-                result.sneak_flips += int(sneak.sum())
+            now += n * self.cycle_time
+            for counter, table in self._drift_terms(n):
+                setattr(result, counter, getattr(result, counter)
+                        + state.drift(table, rng, profiler))
             if self.scrub.due(now):
                 with _prof(profiler, "scrub"):
-                    self._run_scrub(intended, actual, rng, result)
-                self.scrub.mark_done(now)
-
-            rank = _occurrence_rank(batch.word)
-            for r in range(int(rank.max()) + 1 if len(batch) else 0):
-                sel = rank == r
-                self._apply_round(
-                    batch.word[sel], batch.is_write[sel], intended,
-                    actual, nd, ng, data_positions, rng, result,
-                    profiler)
-
-            result.n_transactions += n
-            if ckpt is not None and remaining > 0:
-                ckpt.maybe_save(result.n_transactions, lambda: {
-                    "key": key, "identity": identity,
-                    "rng_state": rng.bit_generator.state,
-                    "intended": intended, "actual": actual,
-                    "workload": self.workload, "scrub": self.scrub,
-                    "result": result, "now": now,
-                    "remaining": remaining})
-            if progress is not None:
-                progress(result.n_transactions, n_transactions)
-
-        result.simulated_time = now
-        if ckpt is not None:
-            ckpt.finalize(key, result, identity=identity)
-        return result
-
-    def _apply_round(self, round_words, is_write, intended, actual,
-                     nd, ng, data_positions, rng, result,
-                     profiler=None):
-        """One round: every word in ``round_words`` is unique."""
-        ctl = self.controller
-        words = ctl.words
-        ecc = ctl.ecc
-
-        w_words = round_words[is_write]
-        result.n_writes += int(w_words.size)
-        if w_words.size:
-            data = self._write_data(w_words, words, data_positions, rng)
-            with _prof(profiler, "ecc"):
-                cw = ecc.encode(data)
-            cells = words.cells[w_words]
-            with _prof(profiler, "draw"):
-                p_wr = ctl.write_error_probability(cw, nd[cells],
-                                                   ng[cells])
-                errs = (rng.random(cw.shape) < p_wr).astype(np.int8)
-            with _prof(profiler, "place"):
-                intended[cells] = cw
-                actual[cells] = cw ^ errs
-            result.bits_written += int(cw.size)
-            result.write_errors += int(errs.sum())
-
-        # Reads: sense, classify via ECC, write back correctables, then
-        # apply the disturb of the read current to the stored state.
-        r_words = round_words[~is_write]
-        result.n_reads += int(r_words.size)
-        if r_words.size:
-            cells = words.cells[r_words]
-            with _prof(profiler, "ecc"):
-                wrong = actual[cells] != intended[cells]
-                n_err = wrong.sum(axis=1)
-                outcomes = ecc.classify_errors(n_err)
-                result.bits_read += int(cells.size)
-                result.raw_bit_errors += int(n_err.sum())
-                uncorr = outcomes >= DecodeOutcome.DETECTED
-                result.uncorrectable_bit_errors += int(
-                    n_err[uncorr].sum())
-                result.words_ok += int(
-                    (outcomes == DecodeOutcome.OK).sum())
-                corrected = outcomes == DecodeOutcome.CORRECTED
-                result.words_corrected += int(corrected.sum())
-                result.words_detected += int(
-                    (outcomes == DecodeOutcome.DETECTED).sum())
-                result.words_silent += int(
-                    (outcomes == DecodeOutcome.SILENT).sum())
-            if self.writeback and np.any(corrected):
-                with _prof(profiler, "place"):
-                    self._rewrite(cells[corrected], intended, actual,
-                                  nd, ng, rng, result)
-            with _prof(profiler, "draw"):
-                p_rd = ctl.disturb_probability(
-                    actual[cells], nd[cells], ng[cells])
-                flips = (rng.random(cells.shape) < p_rd).astype(np.int8)
-            with _prof(profiler, "place"):
-                actual[cells] ^= flips
-            result.disturb_flips += int(flips.sum())
-
-    def _write_data(self, uniq_words, word_map, data_positions, rng):
-        """Data stored by a batch of writes (pattern-aware)."""
-        if isinstance(self.workload, StressPatternWorkload):
-            return self.workload.background_data(
-                uniq_words, word_map, data_positions)
-        return self.workload.write_data(
-            uniq_words, self.controller.ecc.n_data, rng)
-
-    def _rewrite(self, cells, intended, actual, nd, ng, rng, result):
-        """Rewrite whole words through the (fallible) write path."""
-        cw = intended[cells]
-        p_wr = self.controller.write_error_probability(
-            cw, nd[cells], ng[cells])
-        errs = (rng.random(cw.shape) < p_wr).astype(np.int8)
-        actual[cells] = cw ^ errs
-        result.bits_written += int(cw.size)
-        result.write_errors += int(errs.sum())
-
-    def _run_scrub(self, intended, actual, rng, result):
-        """One scrub pass over every word."""
-        ctl = self.controller
-        cells = ctl.words.cells
-        nd, ng = ctl.class_maps(actual)
-        n_err = (actual[cells] != intended[cells]).sum(axis=1)
-        outcomes = ctl.ecc.classify_errors(n_err)
-        fixable = ((outcomes == DecodeOutcome.CORRECTED)
-                   | (outcomes == DecodeOutcome.OK)) & (n_err > 0)
-        result.n_scrubs += 1
-        result.scrub_corrected_words += int(fixable.sum())
-        result.scrub_uncorrectable_words += int(
-            (outcomes >= DecodeOutcome.DETECTED).sum())
-        if np.any(fixable):
-            self._rewrite(cells[fixable], intended, actual, nd, ng,
-                          rng, result)
-
-    # -- binomial fast path -------------------------------------------------
-    #
-    # Same batch/round structure as the reference, but flips are drawn
-    # per coupling class (50 binomials instead of one uniform per
-    # cell), state is bit-packed, class maps refresh incrementally, and
-    # an exact array-wide wrong-bit counter short-circuits the common
-    # all-clean read case. One deliberate second-order difference: the
-    # reference recomputes class maps inside a scrub pass for its
-    # rewrites, the fast path reuses the batch's maps — at rare-event
-    # rates the maps differ only at the handful of freshly flipped
-    # cells.
-
-    def _run_binomial(self, n_transactions, rng, batch_size,
-                      progress=None, profiler=None, ckpt=None,
-                      key=None, restored=None, identity=None):
-        """Class-grouped binomial draws over bit-packed planes."""
-        ctl = self.controller
-        words = ctl.words
-        rows, cols = ctl.layout.rows, ctl.layout.cols
-        backend = self.backend
-
-        if restored is not None:
-            # Resume mid-stream: planes and exact error counters come
-            # from the snapshot; the class maps are a pure function of
-            # the actual plane and rebuild from it (the loop refreshes
-            # them at the batch boundary anyway).
-            intended = restored["intended"]
-            actual = restored["actual"]
-            state = _PackedState(
-                intended, actual,
-                IncrementalClassMaps(rows, cols, actual,
-                                     backend=backend),
-                ctl, backend=backend)
-            state.err_count = np.asarray(restored["err_count"],
-                                         dtype=np.int16)
-            state.wrong_bits = int(restored["wrong_bits"])
-            self.workload = restored["workload"]
-            self.scrub = restored["scrub"]
-            self.workload.bind(words)
-            result = restored["result"]
-            now = float(restored["now"])
-            remaining = int(restored["remaining"])
-            rng.bit_generator.state = restored["rng_state"]
-        else:
-            initial = self.workload.initial_bits(rows, cols, rng)
-            flat = np.asarray(initial, dtype=np.int8).reshape(-1)
-            intended = BitPlane.from_bits(flat, words.n_words,
-                                          ctl.ecc.n_code)
-            state = _PackedState(intended, intended.copy(),
-                                 IncrementalClassMaps(rows, cols,
-                                                      intended,
-                                                      backend=backend),
-                                 ctl, backend=backend)
-            self.workload.bind(words)
-            self.workload.reset()
-            self.scrub.reset()
-            result = MemsysResult(config=self._config())
-            now = 0.0
-            remaining = int(n_transactions)
-        data_positions = ctl.ecc.data_positions
-        while remaining > 0:
-            n = min(int(batch_size), remaining)
-            remaining -= n
-            batch = self.workload.batch(n, words.n_words, rng)
-            with _prof(profiler, "classify"):
-                state.maps.refresh(state.actual)
-
-            dt = n * self.cycle_time
-            now += dt
-            with _prof(profiler, "draw"):
-                flips = sample_class_flips(
-                    state.maps.class_idx,
-                    ctl.retention_class_probability(dt), rng,
-                    hist=state.maps.hist, backend=backend)
-            if flips.size:
-                with _prof(profiler, "place"):
-                    state.toggle(flips)
-            result.retention_flips += int(flips.size)
-            if self.half_select_exposure > 0.0:
-                with _prof(profiler, "draw"):
-                    sneak = sample_class_flips(
-                        state.maps.class_idx,
-                        ctl.half_select_class_probability(
-                            n * self.half_select_exposure), rng,
-                        hist=state.maps.hist, backend=backend)
-                if sneak.size:
-                    with _prof(profiler, "place"):
-                        state.toggle(sneak)
-                result.sneak_flips += int(sneak.size)
-            if self.scrub.due(now):
-                with _prof(profiler, "scrub"):
-                    self._run_scrub_binomial(state, rng, result)
+                    self._run_scrub(state, rng, result)
                 self.scrub.mark_done(now)
 
             rank = _occurrence_rank(batch.word)
             for r in range(int(rank.max()) + 1 if len(batch) else 0):
                 sel = rank == r
                 self._apply_round_binomial(
-                    batch.word[sel], batch.is_write[sel], state,
-                    data_positions, rng, result, profiler)
+                    batch.word[sel], batch.is_write[sel], state, rng,
+                    result, profiler)
 
             result.n_transactions += n
             if ckpt is not None and remaining > 0:
                 ckpt.maybe_save(result.n_transactions, lambda: {
                     "key": key, "identity": identity,
                     "rng_state": rng.bit_generator.state,
-                    "intended": state.intended,
-                    "actual": state.actual,
-                    "err_count": state.err_count,
-                    "wrong_bits": state.wrong_bits,
+                    **state.snapshot(),
                     "workload": self.workload, "scrub": self.scrub,
                     "result": result, "now": now,
                     "remaining": remaining})
@@ -738,65 +504,66 @@ class ReliabilityEngine:
             ckpt.finalize(key, result, identity=identity)
         return result
 
-    def _apply_round_binomial(self, round_words, is_write, state,
-                              data_positions, rng, result,
-                              profiler=None):
-        """One unique-word round over the packed state."""
+    def _drift_terms(self, n):
+        """``(counter, flat class table)`` of every whole-array term
+        over an ``n``-transaction window, in draw order."""
         ctl = self.controller
-        words = ctl.words
-        ecc = ctl.ecc
-        maps = state.maps
+        terms = [("retention_flips",
+                  ctl.retention_class_probability(n * self.cycle_time))]
+        if self.half_select_exposure > 0.0:
+            # Cross-point sneak term: every cell accrued ~exposure
+            # half-selects per transaction of the window.
+            terms.append(("sneak_flips", ctl.half_select_class_probability(
+                n * self.half_select_exposure)))
+        return terms
+
+    def _apply_round_binomial(self, round_words, is_write, state, rng,
+                              result, profiler=None):
+        """One occurrence-rank round of either sampler: every word in
+        ``round_words`` is unique. (The name predates the shared
+        round; perfbench's trace hooks wrap it by name.)"""
+        ctl = self.controller
+        cells_of = ctl.words.cells
 
         w_words = round_words[is_write]
         result.n_writes += int(w_words.size)
         if w_words.size:
-            data = self._write_data(w_words, words, data_positions, rng)
+            data = self._write_data(w_words, rng)
             with _prof(profiler, "ecc"):
-                cw = ecc.encode(data)
-            cells = words.cells[w_words].reshape(-1)
-            cw_flat = cw.reshape(-1)
-            with _prof(profiler, "draw"):
-                flips = sample_thinned_flips(
-                    cells.size, state.wer_p,
-                    lambda cand: maps.cell_classes(cw_flat[cand],
-                                                   cells[cand]),
-                    rng, p_max=state.wer_pmax)
-            with _prof(profiler, "place"):
-                state.write_words(w_words, cw, cells[flips])
+                cw = ctl.ecc.encode(data)
             result.bits_written += int(cw.size)
-            result.write_errors += int(flips.size)
+            result.write_errors += state.write(
+                w_words, cells_of[w_words], cw, rng, profiler)
 
+        # Reads: sense, classify via ECC, write back correctables, then
+        # apply the disturb of the read current to the stored state.
         r_words = round_words[~is_write]
         result.n_reads += int(r_words.size)
         if r_words.size:
-            cells = words.cells[r_words].reshape(-1)
+            cells = cells_of[r_words]
             result.bits_read += int(cells.size)
             if state.wrong_bits:
                 with _prof(profiler, "ecc"):
-                    self._book_read_errors(r_words, state, rng, result)
+                    self._book_read_errors(r_words, cells, state, rng,
+                                           result)
             else:
                 # No mismatched bit anywhere in the array: every read
                 # is clean without touching any per-word array.
                 result.words_ok += int(r_words.size)
-            # Disturb of the read current: candidates are classified
-            # lazily, from the post-rewrite stored bits.
-            actual = state.actual
-            with _prof(profiler, "draw"):
-                flips = sample_thinned_flips(
-                    cells.size, state.disturb_p,
-                    lambda cand: maps.cell_classes(
-                        actual.get_cells(cells[cand]), cells[cand]),
-                    rng, p_max=state.disturb_pmax)
-            if flips.size:
-                with _prof(profiler, "place"):
-                    state.toggle(cells[flips])
-            result.disturb_flips += int(flips.size)
+            result.disturb_flips += state.disturb(cells, rng, profiler)
 
-    def _book_read_errors(self, r_words, state, rng, result):
+    def _write_data(self, w_words, rng):
+        """Data stored by a batch of writes (pattern-aware)."""
+        ctl = self.controller
+        if isinstance(self.workload, StressPatternWorkload):
+            return self.workload.background_data(
+                w_words, ctl.words, ctl.ecc.data_positions)
+        return self.workload.write_data(w_words, ctl.ecc.n_data, rng)
+
+    def _book_read_errors(self, r_words, cells, state, rng, result):
         """ECC bookkeeping for a read round with live errors present."""
-        ecc = self.controller.ecc
-        n_err = state.err_count[r_words]
-        outcomes = ecc.classify_errors(n_err)
+        n_err = state.error_counts(r_words, cells)
+        outcomes = self.controller.ecc.classify_errors(n_err)
         by_outcome = np.bincount(outcomes, minlength=4)
         result.raw_bit_errors += int(n_err.sum())
         result.words_ok += int(by_outcome[DecodeOutcome.OK])
@@ -810,29 +577,15 @@ class ReliabilityEngine:
             result.uncorrectable_bit_errors += int(n_err[uncorr].sum())
         if self.writeback and by_outcome[DecodeOutcome.CORRECTED]:
             corrected = outcomes == DecodeOutcome.CORRECTED
-            self._rewrite_binomial(r_words[corrected], state, rng,
-                                   result)
+            result.bits_written += int(cells[corrected].size)
+            result.write_errors += state.rewrite(
+                r_words[corrected], cells[corrected], rng)
 
-    def _rewrite_binomial(self, word_idx, state, rng, result):
-        """Rewrite whole words through the (fallible) write path."""
-        ctl = self.controller
-        cells = ctl.words.cells[word_idx].reshape(-1)
-        maps = state.maps
-        intended = state.intended
-        flips = sample_thinned_flips(
-            cells.size, state.wer_p,
-            lambda cand: maps.cell_classes(
-                intended.get_cells(cells[cand]), cells[cand]),
-            rng, p_max=state.wer_pmax)
-        state.restore_words(word_idx, cells[flips])
-        result.bits_written += int(cells.size)
-        result.write_errors += int(flips.size)
-
-    def _run_scrub_binomial(self, state, rng, result):
-        """One scrub pass over the maintained per-word error counts."""
-        ctl = self.controller
-        n_err = state.err_count
-        outcomes = ctl.ecc.classify_errors(n_err)
+    def _run_scrub(self, state, rng, result):
+        """One scrub pass over every word."""
+        cells = self.controller.words.cells
+        n_err = state.error_counts(slice(None), cells)
+        outcomes = self.controller.ecc.classify_errors(n_err)
         fixable = ((outcomes == DecodeOutcome.CORRECTED)
                    | (outcomes == DecodeOutcome.OK)) & (n_err > 0)
         result.n_scrubs += 1
@@ -840,8 +593,10 @@ class ReliabilityEngine:
         result.scrub_uncorrectable_words += int(
             (outcomes >= DecodeOutcome.DETECTED).sum())
         if np.any(fixable):
-            self._rewrite_binomial(np.flatnonzero(fixable), state, rng,
-                                   result)
+            fixed = np.flatnonzero(fixable)
+            result.bits_written += int(cells[fixed].size)
+            result.write_errors += state.rewrite(
+                fixed, cells[fixed], rng, reclassify=True)
 
     # -- expectation mode ---------------------------------------------------
 
@@ -864,18 +619,20 @@ class ReliabilityEngine:
         bits = np.asarray(self.workload.initial_bits(rows, cols, rng),
                           dtype=np.int8).reshape(-1)
         nd, ng = ctl.class_maps(bits)
-        cells = ctl.words.cells
-        b = bits[cells]
-        p_wr = ctl.write_error_probability(b, nd[cells], ng[cells])
-        p_rd = ctl.disturb_probability(b, nd[cells], ng[cells])
-        p_ret = ctl.retention_flip_probability(
-            b, nd[cells], ng[cells], self.cycle_time)
-        p = 1.0 - (1.0 - p_wr) * (1.0 - p_rd) * (1.0 - p_ret)
+        # Every mechanism combines per coupling class; one gather then
+        # prices every mapped cell.
+        table = 1.0 - ((1.0 - ctl.wer_class_probability())
+                       * (1.0 - ctl.disturb_class_probability())
+                       * (1.0 - ctl.retention_class_probability(
+                           self.cycle_time)))
         if self.half_select_exposure > 0.0:
-            p_hs = ctl.half_select_probability(
-                b, nd[cells], ng[cells], self.half_select_exposure)
-            p = 1.0 - (1.0 - p) * (1.0 - p_hs)
-        p = np.clip(p, 0.0, 1.0 - 1e-12)
+            table = 1.0 - (1.0 - table) * (
+                1.0 - ctl.half_select_class_probability(
+                    self.half_select_exposure))
+        cells = ctl.words.cells
+        p = np.clip(table.reshape(2, 5, 5)[bits[cells], nd[cells],
+                                           ng[cells]],
+                    0.0, 1.0 - 1e-12)
 
         p0 = np.prod(1.0 - p, axis=1)
         p1 = p0 * np.sum(p / (1.0 - p), axis=1)
@@ -896,8 +653,104 @@ class ReliabilityEngine:
         }
 
 
+# -- sampler states ------------------------------------------------------
+#
+# The driver talks to one of two state classes through the same verbs:
+# fresh/restore/snapshot (lifecycle and checkpoint payload), classify
+# (batch-boundary class maps), drift (a whole-array term from a flat
+# (50,) class table), write, error_counts, rewrite and disturb. Each
+# mutating verb draws its flips and returns how many it placed.
+
+
+class _DenseState:
+    """Dense int8 planes of the bernoulli reference path.
+
+    Every mechanism draws one uniform per exposed cell against its
+    class table gathered at ``(bit, nd, ng)``; ``nd``/``ng`` are the
+    batch's coupling-class maps, recomputed whole at every batch
+    boundary. Dense planes keep no running error total, so every read
+    books its errors (``wrong_bits`` is always true).
+    """
+
+    wrong_bits = True
+
+    def __init__(self, intended, actual, controller):
+        self.intended = intended
+        self.actual = actual
+        self.controller = controller
+        self.nd = self.ng = None
+        self.wer_p = controller.wer_class_probability().reshape(2, 5, 5)
+        self.disturb_p = controller.disturb_class_probability().reshape(
+            2, 5, 5)
+
+    @classmethod
+    def fresh(cls, engine, bits):
+        return cls(bits.copy(), bits.copy(), engine.controller)
+
+    @classmethod
+    def restore(cls, engine, saved):
+        return cls(np.asarray(saved["intended"], dtype=np.int8),
+                   np.asarray(saved["actual"], dtype=np.int8),
+                   engine.controller)
+
+    def snapshot(self):
+        return {"intended": self.intended, "actual": self.actual}
+
+    def classify(self):
+        self.nd, self.ng = self.controller.class_maps(self.actual)
+
+    def _draw(self, table, bits, cells, rng, profiler=None, maps=None):
+        """Boolean flip mask of ``cells`` holding ``bits``."""
+        nd, ng = (self.nd, self.ng) if maps is None else maps
+        with _prof(profiler, "draw"):
+            return rng.random(bits.shape) < table[bits, nd[cells],
+                                                  ng[cells]]
+
+    def drift(self, table, rng, profiler):
+        flips = self._draw(table.reshape(2, 5, 5), self.actual,
+                           slice(None), rng, profiler)
+        with _prof(profiler, "place"):
+            self.actual ^= flips
+        return int(flips.sum())
+
+    def write(self, word_idx, cells, cw, rng, profiler):
+        errs = self._draw(self.wer_p, cw, cells, rng, profiler)
+        with _prof(profiler, "place"):
+            self.intended[cells] = cw
+            self.actual[cells] = cw ^ errs
+        return int(errs.sum())
+
+    def error_counts(self, word_idx, cells):
+        return (self.actual[cells] != self.intended[cells]).sum(axis=1)
+
+    def rewrite(self, word_idx, cells, rng, reclassify=False):
+        """Restore whole words through the write path. A scrub
+        (``reclassify``) prices its rewrites against the array as it
+        stands rather than the batch's maps."""
+        maps = (self.controller.class_maps(self.actual) if reclassify
+                else None)
+        cw = self.intended[cells]
+        errs = self._draw(self.wer_p, cw, cells, rng, maps=maps)
+        self.actual[cells] = cw ^ errs
+        return int(errs.sum())
+
+    def disturb(self, cells, rng, profiler):
+        flips = self._draw(self.disturb_p, self.actual[cells], cells, rng,
+                           profiler)
+        with _prof(profiler, "place"):
+            self.actual[cells] ^= flips
+        return int(flips.sum())
+
+
 class _PackedState:
-    """Packed planes + class maps + exact per-word error counters.
+    """Packed planes + class maps + exact per-word error counters: the
+    binomial fast path's state.
+
+    Flips are drawn per coupling class (one binomial per class instead
+    of one uniform per cell, :func:`sample_class_flips`) or, for the
+    cells an access touches, by exact thinning
+    (:func:`sample_thinned_flips`); the class maps refresh
+    incrementally around the cells that actually changed.
 
     ``err_count[w]`` tracks, exactly, how many cells of word ``w``
     currently disagree with their intended value; ``wrong_bits`` is its
@@ -927,6 +780,96 @@ class _PackedState:
         self.disturb_p = np.clip(
             controller.disturb_class_probability(), 0.0, 1.0)
         self.disturb_pmax = float(self.disturb_p.max())
+
+    @classmethod
+    def fresh(cls, engine, bits):
+        ctl = engine.controller
+        intended = BitPlane.from_bits(bits, ctl.words.n_words,
+                                      ctl.ecc.n_code)
+        return cls._build(engine, intended, intended.copy())
+
+    @classmethod
+    def restore(cls, engine, saved):
+        # Planes and exact error counters come from the snapshot; the
+        # class maps are a pure function of the actual plane and
+        # rebuild from it.
+        state = cls._build(engine, saved["intended"], saved["actual"])
+        state.err_count = np.asarray(saved["err_count"], dtype=np.int16)
+        state.wrong_bits = int(saved["wrong_bits"])
+        return state
+
+    @classmethod
+    def _build(cls, engine, intended, actual):
+        ctl = engine.controller
+        maps = IncrementalClassMaps(ctl.layout.rows, ctl.layout.cols,
+                                    actual, backend=engine.backend)
+        return cls(intended, actual, maps, ctl, backend=engine.backend)
+
+    def snapshot(self):
+        return {"intended": self.intended, "actual": self.actual,
+                "err_count": self.err_count,
+                "wrong_bits": self.wrong_bits}
+
+    def classify(self):
+        self.maps.refresh(self.actual)
+
+    def drift(self, table, rng, profiler):
+        with _prof(profiler, "draw"):
+            flips = sample_class_flips(self.maps.class_idx, table, rng,
+                                       hist=self.maps.hist,
+                                       backend=self.backend)
+        if flips.size:
+            with _prof(profiler, "place"):
+                self.toggle(flips)
+        return int(flips.size)
+
+    def write(self, word_idx, cells, cw, rng, profiler):
+        cells = cells.reshape(-1)
+        cw_flat = cw.reshape(-1)
+        maps = self.maps
+        with _prof(profiler, "draw"):
+            flips = sample_thinned_flips(
+                cells.size, self.wer_p,
+                lambda cand: maps.cell_classes(cw_flat[cand], cells[cand]),
+                rng, p_max=self.wer_pmax)
+        with _prof(profiler, "place"):
+            self.write_words(word_idx, cw, cells[flips])
+        return int(flips.size)
+
+    def error_counts(self, word_idx, cells):
+        return self.err_count[word_idx]
+
+    def rewrite(self, word_idx, cells, rng, reclassify=False):
+        """Restore whole words through the write path. The maps refresh
+        at batch boundaries only, so a scrub's rewrites (``reclassify``)
+        reuse the batch's classes — unlike the dense reference, a
+        second-order difference at rare-event rates, where the maps
+        differ only at the handful of freshly flipped cells."""
+        cells = cells.reshape(-1)
+        maps, intended = self.maps, self.intended
+        flips = sample_thinned_flips(
+            cells.size, self.wer_p,
+            lambda cand: maps.cell_classes(intended.get_cells(cells[cand]),
+                                           cells[cand]),
+            rng, p_max=self.wer_pmax)
+        self.restore_words(word_idx, cells[flips])
+        return int(flips.size)
+
+    def disturb(self, cells, rng, profiler):
+        # Candidates are classified lazily, from the post-rewrite
+        # stored bits.
+        cells = cells.reshape(-1)
+        maps, actual = self.maps, self.actual
+        with _prof(profiler, "draw"):
+            flips = sample_thinned_flips(
+                cells.size, self.disturb_p,
+                lambda cand: maps.cell_classes(actual.get_cells(cells[cand]),
+                                               cells[cand]),
+                rng, p_max=self.disturb_pmax)
+        if flips.size:
+            with _prof(profiler, "place"):
+                self.toggle(cells[flips])
+        return int(flips.size)
 
     def toggle(self, flat_idx):
         """Flip ``actual`` at flat cells (duplicate-free indices)."""

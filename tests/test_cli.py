@@ -119,6 +119,33 @@ class TestCommands:
         assert "4 parallel sub-runs" in out
         assert "raw BER (pre-ECC)" in out
 
+    def test_memsys_banks_without_topology_infers_banked(self, capsys):
+        assert main(["memsys", "--seed", "2", "--rows", "32",
+                     "--cols", "32", "--transactions", "2000",
+                     "--banks", "2", "--subarrays", "2",
+                     "--no-sweep"]) == 0
+        out = capsys.readouterr().out
+        assert "topology: banked, 2 banks x 2 subarrays" in out
+
+    @pytest.mark.parametrize("topology", [[], ["--topology", "banked",
+                                                "--banks", "2"]])
+    def test_memsys_profile_on_completed_resume(self, capsys, tmp_path,
+                                                topology):
+        """A resume answered from a finalized checkpoint still prints
+        the requested profile."""
+        argv = ["memsys", "--seed", "4", "--rows", "32", "--cols",
+                "32", "--transactions", "2000", "--no-sweep",
+                "--checkpoint", str(tmp_path)] + topology
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--resume", "--profile"]) == 0
+        resumed = capsys.readouterr().out
+        assert "phase wall-time breakdown" in resumed
+        assert "post-ECC UBER" in resumed
+        # Same metric table as the original run.
+        table = first.split("metric", 1)[1].split("\n\n", 1)[0]
+        assert table in resumed
+
     def test_memsys_banked_1x1_matches_flat(self, capsys):
         argv = ["memsys", "--seed", "2", "--rows", "16", "--cols",
                 "16", "--transactions", "1000", "--no-sweep"]

@@ -99,43 +99,49 @@ class TestTables:
         assert np.all(np.diff(table, axis=1) < 0)
 
     def test_probability_lookups_vectorized(self, controller):
+        """A flat class view reshaped to (2, 5, 5) prices any-shape
+        per-cell (bit, nd, ng) arrays by one gather."""
         bits = np.array([[0, 1], [1, 0]])
         nd = np.array([[0, 1], [2, 3]])
         ng = np.array([[4, 3], [2, 1]])
-        p = controller.write_error_probability(bits, nd, ng)
+        p = controller.wer_class_probability().reshape(2, 5, 5)[
+            bits, nd, ng]
         assert p.shape == (2, 2)
         assert p[0, 0] == controller.wer_table[0, 0, 4]
         assert p[1, 1] == controller.wer_table[0, 3, 1]
 
     def test_retention_probability_scales_with_interval(self,
                                                         controller):
-        bits = np.zeros((2, 2), dtype=np.int8)
-        nd = np.full((2, 2), 2)
-        ng = np.full((2, 2), 2)
-        p_short = controller.retention_flip_probability(
-            bits, nd, ng, 1.0)
-        p_long = controller.retention_flip_probability(
-            bits, nd, ng, 1e6)
+        p_short = controller.retention_class_probability(1.0)
+        p_long = controller.retention_class_probability(1e6)
+        assert p_short.shape == (50,)
         assert np.all(p_long >= p_short)
 
     def test_retention_zero_interval_allowed(self, controller):
         """A zero-dwell window (scrub immediately before the access)
         is valid and yields flip probability exactly 0."""
-        bits = np.zeros((2, 2), dtype=np.int8)
-        nd = np.full((2, 2), 2)
-        ng = np.full((2, 2), 2)
-        p = controller.retention_flip_probability(bits, nd, ng, 0.0)
-        assert np.all(p == 0.0)
         assert np.all(controller.retention_class_probability(0.0)
                       == 0.0)
 
     def test_retention_negative_interval_rejected(self, controller):
-        bits = np.zeros((2, 2), dtype=np.int8)
-        nd = ng = np.full((2, 2), 2)
         with pytest.raises(ParameterError):
-            controller.retention_flip_probability(bits, nd, ng, -1.0)
+            controller.retention_class_probability(-1.0)
         with pytest.raises(ParameterError):
             controller.retention_class_probability(-1e-9)
+
+    def test_half_select_probability_compounds_exposures(self,
+                                                         controller):
+        single = np.clip(controller.half_select_table.reshape(-1), 0.0,
+                         1.0 - 1e-15)
+        assert np.allclose(
+            controller.half_select_class_probability(1.0), single,
+            rtol=0.0, atol=1e-15)
+        assert np.all(controller.half_select_class_probability(0.0)
+                      == 0.0)
+        assert np.all(controller.half_select_class_probability(3.0)
+                      >= controller.half_select_class_probability(1.0))
+        with pytest.raises(ParameterError):
+            controller.half_select_class_probability(-1.0)
 
     def test_class_probability_views_match_tables(self, controller):
         """Flat views follow the class_index memory layout exactly."""
@@ -150,9 +156,10 @@ class TestTables:
         assert np.array_equal(
             controller.disturb_class_probability()[ci],
             controller.disturb_table[bits, nd, ng])
-        assert np.allclose(
+        assert np.array_equal(
             controller.retention_class_probability(0.5)[ci],
-            controller.retention_flip_probability(bits, nd, ng, 0.5))
+            -np.expm1(-controller.retention_rate_table[bits, nd, ng]
+                      * 0.5))
 
     def test_describe(self, controller):
         info = controller.describe()

@@ -549,8 +549,4 @@ class TestEngineEquivalence:
         """interval == 0 is a valid zero-dwell window (satellite)."""
         engine = build_engine(device, pitch=70e-9, rows=16, cols=16)
         ctl = engine.controller
-        bits = np.zeros(4, dtype=np.int8)
-        nd = ng = np.zeros(4, dtype=np.int8)
-        p = ctl.retention_flip_probability(bits, nd, ng, 0.0)
-        assert np.all(p == 0.0)
         assert np.all(ctl.retention_class_probability(0.0) == 0.0)
