@@ -55,10 +55,11 @@ import contextlib
 import hashlib
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
+
+from ..integrity.manifest import atomic_write
 
 #: Version of the on-disk layout; bump to invalidate every existing file.
 SCHEMA_VERSION = 1
@@ -286,17 +287,7 @@ class DiskKernelCache:
             header = _HEADER.pack(_MAGIC, SCHEMA_VERSION, len(merged),
                                   zlib.crc32(payload) & 0xFFFFFFFF)
 
-            fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                       suffix=".bin.tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(header)
-                    fh.write(payload)
-                os.replace(tmp, self.data_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            atomic_write(self.data_path, header + payload)
         return len(merged)
 
     # -- maintenance --------------------------------------------------------
@@ -305,17 +296,18 @@ class DiskKernelCache:
         """Remove every cache file of *any* schema version.
 
         Returns the number of files removed. Stray temporary files from
-        interrupted writers (``mkstemp`` names ending ``.bin.tmp``) are
-        swept too. ``kernels.lock`` is deliberately left alone:
-        unlinking it while a writer holds (or waits on) its inode would
-        let two writers lock *different* inodes and merge concurrently,
-        breaking the no-lost-updates guarantee.
+        interrupted writers (``.tmp-*``, and the ``*.bin.tmp`` names of
+        older writers) are swept too. ``kernels.lock`` is deliberately
+        left alone: unlinking it while a writer holds (or waits on) its
+        inode would let two writers lock *different* inodes and merge
+        concurrently, breaking the no-lost-updates guarantee.
         """
         removed = 0
         if not os.path.isdir(self.directory):
             return removed
         for name in os.listdir(self.directory):
             if ((name.startswith("kernels.v") and name.endswith(".bin"))
+                    or name.startswith(".tmp-")
                     or name.endswith(".bin.tmp")):
                 try:
                     os.unlink(os.path.join(self.directory, name))

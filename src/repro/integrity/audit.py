@@ -41,6 +41,7 @@ from .manifest import (
     MANIFEST_NAME,
     RunManifest,
     blob_digest,
+    load_sealed,
     pickle_digest,
     record_digest,
     unpack_record,
@@ -230,12 +231,7 @@ def audit_spool_run(run_path, sample=4, seed=0):
 def audit_checkpoint_dir(directory):
     """Verify every ``.ckpt`` blob (framed checksum) and its sealed
     manifest sidecar in ``directory``."""
-    from ..resilience.checkpoint import (
-        _SIDECAR_SUFFIX,
-        _SUFFIX,
-        _decode,
-    )
-    from .manifest import load_sealed
+    from ..resilience.checkpoint import _SIDECAR_SUFFIX, _SUFFIX
 
     report = AuditReport(directory)
     try:
@@ -254,8 +250,8 @@ def audit_checkpoint_dir(directory):
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-            _decode(blob)
-        except (OSError, ValueError) as exc:
+            unpack_record(blob)
+        except (OSError, IntegrityError) as exc:
             report.add(f"{tag}/frame", "fail", str(exc))
             continue
         report.add(f"{tag}/frame", "pass", f"{len(blob)} bytes")
@@ -288,7 +284,8 @@ def audit_cache_dir(directory):
     report = AuditReport(directory)
     try:
         names = sorted(name for name in os.listdir(directory)
-                       if name.endswith(".json"))
+                       if name.endswith(".json")
+                       and not name.startswith("."))
     except OSError as exc:
         report.add("cache", "fail", f"directory unreadable: {exc}")
         return report

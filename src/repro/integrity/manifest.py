@@ -27,9 +27,14 @@ Three digest flavors, each matched to what it protects:
     strongest statement of determinism the audit can make.
 
 ``pack_record`` / ``unpack_record``
-    A self-verifying frame for pickled payloads on disk (magic, length,
-    sha256 — same shape as the checkpoint frame). A torn or truncated
-    spool write fails structurally, without guessing at pickle errors.
+    The one self-verifying frame for pickled payloads on disk (magic,
+    length, sha256), shared by spool results and engine checkpoints. A
+    torn or truncated write fails structurally, without guessing at
+    pickle errors.
+
+``atomic_write``
+    The one durable writer: a same-directory temp file ``replace``-d
+    into place, so a reader never observes a torn file.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "RunManifest",
+    "atomic_write",
     "blob_digest",
     "canonical",
     "canonical_scalar",
@@ -70,8 +76,6 @@ MANIFEST_VERSION = 1
 CHECK_FIELD = "check"
 
 # Framed pickled payloads: magic, payload length, payload sha256.
-# Deliberately the same frame shape as the checkpoint format
-# (``RCHKPT01``) so torn writes fail the same way everywhere.
 _MAGIC = b"RRECORD1"
 _HEADER = struct.Struct("<8sQ32s")
 
@@ -86,11 +90,19 @@ def canonical_scalar(value):
     The *same* collapse rule ``query_fingerprint`` applies per field:
     ints and floats unify (``70`` == ``70.0``), bools stay bools
     (``True`` is not ``1.0``), numpy scalars drop to native Python.
+    An int a float cannot hold exactly (a 128-bit generator state)
+    stays an exact int, so ``v`` and ``v + 1`` never collide.
     """
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, float):
         return float(value)
+    if isinstance(value, int):
+        try:
+            as_float = float(value)
+        except OverflowError:
+            return int(value)
+        return as_float if as_float == value else int(value)
     item = getattr(value, "item", None)
     if item is not None and getattr(value, "shape", None) == ():
         return canonical_scalar(value.item())
@@ -113,7 +125,7 @@ def canonical(value):
     if tolist is not None:
         return canonical(tolist())
     scalar = canonical_scalar(value)
-    if scalar is None or isinstance(scalar, (bool, float, str)):
+    if scalar is None or isinstance(scalar, (bool, int, float, str)):
         return scalar
     return repr(scalar)
 
@@ -174,7 +186,42 @@ def unpack_record(blob):
             f"record body length {len(body)} != header length {length}")
     if hashlib.sha256(body).digest() != digest:
         raise IntegrityError("record sha256 mismatch")
-    return pickle.loads(body)
+    try:
+        return pickle.loads(body)
+    except Exception as exc:
+        raise IntegrityError(
+            f"record payload undecodable: {exc!r}") from exc
+
+
+def atomic_write(path, data, fs=None):
+    """Atomically write ``data`` (bytes) to ``path``.
+
+    The bytes land in a same-directory temp file
+    (``.tmp-<hex8>-<basename>``) that is then ``replace``-d into place.
+    ``fs`` is a :class:`~repro.resilience.shims.FileSystem` (the fault
+    harness's seam); ``None`` writes through plain ``os``. On an
+    ``OSError`` the temp file is removed (best effort) and the error
+    re-raised.
+    """
+    directory = os.path.dirname(path) or "."
+    tmp = os.path.join(directory,
+                       f".tmp-{uuid.uuid4().hex[:8]}-{os.path.basename(path)}")
+    try:
+        if fs is None:
+            os.makedirs(directory, exist_ok=True)
+            with open(tmp, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        else:
+            fs.makedirs(directory)
+            fs.write_bytes(tmp, data)
+            fs.replace(tmp, path)
+    except OSError:
+        try:
+            (os.unlink if fs is None else fs.unlink)(tmp)
+        except OSError:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +245,8 @@ def verify_sealed(record):
 
 def write_sealed(path, record, fs=None):
     """Atomically write a sealed JSON record (temp file + rename)."""
-    data = json.dumps(seal_record(record), sort_keys=True,
-                      indent=2).encode("utf-8")
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory,
-                       f".tmp-{uuid.uuid4().hex[:8]}-{os.path.basename(path)}")
-    if fs is not None:
-        fs.makedirs(directory)
-        fs.write_bytes(tmp, data)
-        fs.replace(tmp, path)
-        return
-    os.makedirs(directory, exist_ok=True)
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(seal_record(record), sort_keys=True,
+                                  indent=2).encode("utf-8"), fs=fs)
 
 
 def load_sealed(path, fs=None):

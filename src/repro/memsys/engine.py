@@ -55,7 +55,8 @@ import numpy as np
 from ..device.mtj import MTJDevice
 from ..errors import ParameterError
 from ..experiments.base import ExperimentResult
-from ..resilience.checkpoint import as_checkpointer, checkpoint_key
+from ..integrity.manifest import record_digest
+from ..resilience.checkpoint import as_checkpointer
 from ..validation import require_non_negative, require_positive
 from .backends import resolve_backend
 from .bitplane import BitPlane
@@ -403,9 +404,8 @@ class ReliabilityEngine:
         ckpt = as_checkpointer(checkpoint, every=checkpoint_every)
         key = restored = identity = None
         if ckpt is not None:
-            key = checkpoint_key((self._config(),
-                                  int(n_transactions),
-                                  int(batch_size)))
+            key = record_digest((self._config(), int(n_transactions),
+                                 int(batch_size)))
             # The run's identity record: every config field flattened,
             # plus the shape and a digest of the generator's *initial*
             # state (the seed's footprint — deliberately outside the
@@ -415,7 +415,7 @@ class ReliabilityEngine:
             identity = {
                 "n_transactions": int(n_transactions),
                 "batch_size": int(batch_size),
-                "seed_state": checkpoint_key(rng.bit_generator.state),
+                "seed_state": record_digest(rng.bit_generator.state),
                 **{str(k): v for k, v in self._config().items()},
             }
             if resume:

@@ -39,7 +39,6 @@ from .checkpoint import (
     CheckpointManager,
     RunCheckpointer,
     as_checkpointer,
-    checkpoint_key,
     corrupt_checkpoint,
 )
 from .faults import (
@@ -79,7 +78,6 @@ __all__ = [
     "add_fleet_arguments",
     "as_checkpointer",
     "call_with_retry",
-    "checkpoint_key",
     "corrupt_checkpoint",
     "run_fleet",
 ]

@@ -13,16 +13,21 @@ banked topologies).
 
 Durability rules, in the same spirit as the kernel disk cache:
 
-* **Writes are atomic.** Payloads serialize to a temp file and
-  ``replace`` into place; a reader never observes a torn checkpoint.
-* **Checksums gate reads.** The header carries a SHA-256 of the
-  payload; any mismatch (truncation, bitrot, a fault plan's corruption)
-  is *detected*, counted, warned about — and survived: the caller falls
-  back to a clean restart, never to wrong numbers.
-* **Staleness is corruption's sibling.** Each checkpoint embeds a key
-  derived from the engine configuration and run shape; resuming against
-  a checkpoint written by a different run degrades to a clean restart
-  with a counted :class:`~repro.errors.ResilienceWarning`.
+* **Writes are atomic.** Payloads are framed by
+  :func:`~repro.integrity.manifest.pack_record` (the ``RRECORD1``
+  frame spool results use) and land through
+  :func:`~repro.integrity.manifest.atomic_write`; a reader never
+  observes a torn checkpoint.
+* **Checksums gate reads.** The frame carries a SHA-256 of the
+  payload; any mismatch (truncation, bitrot, a fault plan's corruption,
+  a file from the retired ``RCHKPT01`` frame) is *detected*, counted,
+  warned about — and survived: the caller falls back to a clean
+  restart, never to wrong numbers.
+* **Staleness is corruption's sibling.** Each checkpoint embeds a
+  :func:`~repro.integrity.manifest.record_digest` key of the engine
+  configuration and run shape; resuming against a checkpoint written
+  by a different run degrades to a clean restart with a counted
+  :class:`~repro.errors.ResilienceWarning`.
 * **Write failures never kill the run.** A checkpoint that cannot be
   written (disk full, EIO from the fault harness) costs future
   resumability, not the run in progress.
@@ -34,12 +39,8 @@ EIO-on-rename and corrupt-checkpoint scenarios deterministically.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
-import pickle
-import struct
-import uuid
 import warnings
 
 from ..errors import (
@@ -49,20 +50,17 @@ from ..errors import (
     RunIdentityError,
 )
 from ..integrity.manifest import (
+    atomic_write,
     blob_digest,
     canonical,
     identity_diff,
     load_sealed,
+    pack_record,
+    unpack_record,
     write_sealed,
 )
 from ..validation import require_positive
 from .shims import REAL_FS
-
-#: File-format sanity marker + version (bump to invalidate old files).
-_MAGIC = b"RCHKPT01"
-
-#: Header: magic, payload length (u64), SHA-256 digest (32 bytes).
-_HEADER = struct.Struct("<8sQ32s")
 
 _SUFFIX = ".ckpt"
 
@@ -73,44 +71,6 @@ _SIDECAR_SUFFIX = ".manifest.json"
 
 #: Per-batch digest history entries kept in a sidecar.
 _SIDECAR_HISTORY = 64
-
-
-def checkpoint_key(parts):
-    """Stable hex key of a run's identity (config + shape).
-
-    ``parts`` is any repr-deterministic structure (the engine hashes
-    its config dict plus the transaction/batch shape). A resumed run
-    whose key disagrees with the stored one is a *different* run and
-    must not inherit the state.
-    """
-    raw = repr(parts).encode("utf-8")
-    return hashlib.sha256(raw).hexdigest()[:32]
-
-
-def _encode(payload):
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(body).digest()
-    return _HEADER.pack(_MAGIC, len(body), digest) + body
-
-
-def _decode(blob):
-    """Payload of one checkpoint blob; raises ``ValueError`` when it
-    cannot be trusted (bad magic, truncation, checksum mismatch)."""
-    if len(blob) < _HEADER.size:
-        raise ValueError("checkpoint shorter than its header")
-    magic, length, digest = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise ValueError("checkpoint magic/version mismatch")
-    body = blob[_HEADER.size:]
-    if len(body) != length:
-        raise ValueError(
-            f"checkpoint truncated: {len(body)} of {length} bytes")
-    if hashlib.sha256(body).digest() != digest:
-        raise ValueError("checkpoint checksum mismatch")
-    try:
-        return pickle.loads(body)
-    except Exception as exc:
-        raise ValueError(f"checkpoint payload undecodable: {exc!r}")
 
 
 class CheckpointManager:
@@ -189,19 +149,11 @@ class CheckpointManager:
         the thing that kills it.
         """
         path = self._path(tag)
-        tmp = (f"{self.directory}/.tmp-{uuid.uuid4().hex[:8]}-"
-               f"{tag}{_SUFFIX}")
-        blob = _encode(payload)
+        blob = pack_record(payload)
         try:
-            self.fs.makedirs(self.directory)
-            self.fs.write_bytes(tmp, blob)
-            self.fs.replace(tmp, path)
+            atomic_write(path, blob, fs=self.fs)
         except OSError as exc:
             self.save_failures += 1
-            try:
-                self.fs.unlink(tmp)
-            except OSError:
-                pass
             warnings.warn(
                 f"checkpoint save failed for {path!r} ({exc}); the "
                 f"run continues without this snapshot",
@@ -215,7 +167,8 @@ class CheckpointManager:
         """The payload stored under ``tag``, or None with a counted
         warning when it is absent, corrupt, or stale.
 
-        ``expect_key`` (from :func:`checkpoint_key`) guards against
+        ``expect_key`` (a :func:`~repro.integrity.manifest
+        .record_digest` of the run's configuration) guards against
         resuming a different run's state: a mismatch is a *stale*
         fallback, distinct from corruption in the counters.
 
@@ -224,9 +177,8 @@ class CheckpointManager:
         .RunIdentityError` naming the differing fields: an explicit
         ``--resume`` against the wrong run's checkpoint is an operator
         error to surface, not a silent fresh start. It also catches
-        mismatches the key is blind to (the seed is not part of
-        :func:`checkpoint_key`, because resume restores the generator
-        mid-stream).
+        mismatches the key is blind to (the seed is not part of the
+        key, because resume restores the generator mid-stream).
         """
         path = self._path(tag)
         try:
@@ -241,8 +193,8 @@ class CheckpointManager:
                 stacklevel=2)
             return None
         try:
-            payload = _decode(blob)
-        except ValueError as exc:
+            payload = unpack_record(blob)
+        except IntegrityError as exc:
             self.corrupt_fallbacks += 1
             warnings.warn(
                 f"checkpoint {path!r} corrupt ({exc}); falling back "

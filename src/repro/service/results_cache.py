@@ -36,7 +36,7 @@ from collections import OrderedDict
 
 from ..arrays.kernel_disk import KERNEL_CACHE_ENV
 from ..errors import ParameterError
-from ..integrity.manifest import record_digest
+from ..integrity.manifest import atomic_write, record_digest
 from ..validation import require_int_in_range, require_positive
 
 #: Subdirectory of ``REPRO_KERNEL_CACHE`` holding service results.
@@ -161,12 +161,9 @@ class ResultsCache:
                     "stored_at": stored_at, "sha256": digest,
                     "payload": payload}
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            tmp = self._path(key) + f".tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, separators=(",", ":"),
-                          sort_keys=True)
-            os.replace(tmp, self._path(key))
+            atomic_write(self._path(key), json.dumps(
+                envelope, separators=(",", ":"),
+                sort_keys=True).encode("utf-8"))
         except (OSError, TypeError, ValueError):
             # Persistence is best-effort; the memory tier still serves.
             self._disk_write_failures += 1
@@ -276,7 +273,8 @@ class ResultsCache:
                 try:
                     disk_entries = sum(
                         1 for name in os.listdir(self.directory)
-                        if name.endswith(".json"))
+                        if name.endswith(".json")
+                        and not name.startswith("."))
                 except OSError:
                     disk_entries = 0
             return {

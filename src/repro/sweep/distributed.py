@@ -58,6 +58,7 @@ from ..errors import IntegrityError, ParameterError, ResilienceWarning
 from ..integrity.manifest import (
     MANIFEST_NAME,
     RunManifest,
+    atomic_write,
     blob_digest,
     pack_record,
     pickle_digest,
@@ -118,24 +119,6 @@ def _env_number(name, cast):
 _RUN_PREFIX = "run-"
 _JOB_SUFFIX = ".job"
 _CLAIM_SEP = "@"
-
-
-def _atomic_write(path, payload):
-    """Pickle ``payload`` to ``path`` via a same-directory atomic rename."""
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex[:8]}-{name}")
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path, record):
-    """JSON twin of :func:`_atomic_write` (quarantine records)."""
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex[:8]}-{name}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def _json_safe_point(point):
@@ -239,13 +222,16 @@ class SpoolRun:
         for directory in (run.queue_dir, run.claimed_dir,
                           run.results_dir, run.hb_dir):
             os.mkdir(directory)
-        _atomic_write(run._task_path, func)
+        atomic_write(run._task_path,
+                     pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL))
         return run
 
     def enqueue(self, chunk, points):
         """Queue one chunk job (atomically; claimable immediately)."""
-        _atomic_write(os.path.join(self.queue_dir, _job_name(chunk)),
-                      {"chunk": int(chunk), "points": list(points)})
+        atomic_write(os.path.join(self.queue_dir, _job_name(chunk)),
+                     pickle.dumps({"chunk": int(chunk),
+                                   "points": list(points)},
+                                  protocol=pickle.HIGHEST_PROTOCOL))
 
     def open(self):
         """Start accepting claims (written after every job is queued)."""
@@ -1064,17 +1050,16 @@ class DistributedBroker:
         survive JSON degrade to their ``repr`` too.
         """
         workers = sorted(str(w) for w in workers if w is not None)
-        record_dir = os.path.join(spool, QUARANTINE_DIR)
-        record_path = os.path.join(record_dir,
+        record_path = os.path.join(spool, QUARANTINE_DIR,
                                    f"chunk-{chunk:06d}.json")
         try:
-            os.makedirs(record_dir, exist_ok=True)
-            _atomic_write_json(record_path, {
+            atomic_write(record_path, json.dumps({
                 "chunk": int(chunk),
                 "points": [_json_safe_point(p) for p in points],
                 "error": repr(error),
                 "error_type": type(error).__name__,
-                "attempts": int(n_attempts), "workers": workers})
+                "attempts": int(n_attempts), "workers": workers},
+                indent=2, sort_keys=True).encode("utf-8"))
         except OSError:  # pragma: no cover - quarantine must not kill
             record_path = None
         self.stats["quarantined"].append(int(chunk))
@@ -1102,9 +1087,10 @@ class DistributedBroker:
         entries = {}
         for chunk in sorted(results):
             points = chunk_points[chunk]
-            _atomic_write(
+            atomic_write(
                 os.path.join(replay_dir, f"chunk-{chunk:06d}.pkl"),
-                list(points))
+                pickle.dumps(list(points),
+                             protocol=pickle.HIGHEST_PROTOCOL))
             payload = results[chunk]
             entry = {"n_points": len(points)}
             if payload.get("quarantined"):

@@ -17,12 +17,12 @@ import pytest
 
 from repro.errors import (ParameterError, ResilienceWarning,
                           RunAborted, RunIdentityError)
+from repro.integrity import record_digest
 from repro.memsys import build_engine
 from repro.resilience import (
     CheckpointManager,
     FaultyFileSystem,
     RunCheckpointer,
-    checkpoint_key,
     corrupt_checkpoint,
 )
 from repro.units import nm_to_m
@@ -137,11 +137,11 @@ class TestFallbacks:
 
     def test_stale_checkpoint_is_not_inherited(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save("run", {"key": checkpoint_key(("config-a", 1)),
+        manager.save("run", {"key": record_digest(("config-a", 1)),
                              "done": 10})
         with pytest.warns(ResilienceWarning, match="different run"):
             payload = manager.load(
-                "run", expect_key=checkpoint_key(("config-b", 1)))
+                "run", expect_key=record_digest(("config-b", 1)))
         assert payload is None
         assert manager.stale_fallbacks == 1
 
@@ -208,23 +208,23 @@ class TestRunIdentity:
         an explicit identity-bearing resume against the wrong key is
         still a refusal, not a silent fresh start."""
         manager = CheckpointManager(str(tmp_path))
-        manager.save("run", {"key": checkpoint_key(("config-a", 1)),
+        manager.save("run", {"key": record_digest(("config-a", 1)),
                              "done": 10})
         with pytest.raises(RunIdentityError,
                            match="predates identity records"):
             manager.load("run",
-                         expect_key=checkpoint_key(("config-b", 1)),
+                         expect_key=record_digest(("config-b", 1)),
                          identity={"rows": 16})
 
     def test_identity_less_callers_keep_the_warn_path(self, tmp_path):
         """Without an identity (pre-PR callers), a key mismatch stays
         a counted warning — no behavior change for old code."""
         manager = CheckpointManager(str(tmp_path))
-        manager.save("run", {"key": checkpoint_key(("config-a", 1)),
+        manager.save("run", {"key": record_digest(("config-a", 1)),
                              "done": 10})
         with pytest.warns(ResilienceWarning, match="different run"):
             payload = manager.load(
-                "run", expect_key=checkpoint_key(("config-b", 1)))
+                "run", expect_key=record_digest(("config-b", 1)))
         assert payload is None
         assert manager.stale_fallbacks == 1
 
@@ -265,9 +265,9 @@ class TestRunIdentity:
 
 class TestCheckpointPlumbing:
     def test_checkpoint_key_is_stable_and_discriminating(self):
-        assert checkpoint_key(("a", 1)) == checkpoint_key(("a", 1))
-        assert checkpoint_key(("a", 1)) != checkpoint_key(("a", 2))
-        assert len(checkpoint_key(("a", 1))) == 32
+        assert record_digest(("a", 1)) == record_digest(("a", 1))
+        assert record_digest(("a", 1)) != record_digest(("a", 2))
+        assert len(record_digest(("a", 1))) == 32
 
     def test_save_load_round_trip(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
