@@ -44,7 +44,9 @@ process and shares its kernel store; ``process``/``chunked`` fork;
 ``distributed`` ships chunks over a spool-directory job queue that
 ``repro worker`` processes — started on any host sharing the
 ``REPRO_SWEEP_SPOOL`` directory — serve, warm-started from a shared
-``REPRO_KERNEL_CACHE``).
+``REPRO_KERNEL_CACHE``). A banked ``memsys`` run is the exception for
+``serial`` and ``thread``: both advance every shard stacked in one
+run, which beats threads contending for the same cores.
 
 ``cache`` manages the persistent kernel cache that the
 ``REPRO_KERNEL_CACHE`` environment variable enables: ``info`` inspects
@@ -205,7 +207,7 @@ def _cmd_memsys(args):
         print(f"topology: {topo.kind}, {topo.banks} banks x "
               f"{topo.subarrays} subarrays "
               f"({topo.sub_rows}x{topo.sub_cols} cells per shard, "
-              f"{topo.n_shards} parallel sub-runs)")
+              f"{topo.n_shards} independent shards)")
     print()
     manager = None
     run_kwargs = {}
@@ -623,8 +625,9 @@ def build_parser():
                         "(default unless --banks/--subarrays shard "
                         "the array, then 'banked'), 'banked' banks x "
                         "subarrays "
-                        "(each subarray an independent parallel "
-                        "sub-run), or selector-less 'cross-point' "
+                        "(each subarray an independent shard, all "
+                        "stacked in one run), or selector-less "
+                        "'cross-point' "
                         "with the sneak-path half-select disturb "
                         "term")
     p.add_argument("--banks", type=int, default=None,

@@ -129,6 +129,22 @@ class BitPlane:
         other.tail[:] = self.tail
         return other
 
+    def split(self, n):
+        """``n`` equal shard planes sharing this plane's memory.
+
+        Shard ``s`` owns words ``[s * W, (s + 1) * W)`` and tail cells
+        ``[s * T, (s + 1) * T)`` of this plane (``W``/``T`` its share
+        of each), so writes through either side show in the other.
+        """
+        words, tail = self.n_words // n, self.tail.size // n
+        shards = []
+        for s in range(n):
+            shard = BitPlane(words, self.code_bits, self.n_cells // n)
+            shard.lanes = self.lanes[s * words:(s + 1) * words]
+            shard.tail = self.tail[s * tail:(s + 1) * tail]
+            shards.append(shard)
+        return shards
+
     def to_bits(self):
         """Unpack the whole plane to a flat (n_cells,) int8 array."""
         mapped = unpack_bits(self.lanes, self.code_bits).reshape(-1)

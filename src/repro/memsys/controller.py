@@ -44,26 +44,29 @@ from ..validation import (
 )
 
 
-def neighborhood_class_map(bits):
+def neighborhood_class_map(bits, out=None):
     """Vectorized ``(n_direct, n_diagonal)`` AP counts for every cell.
 
-    ``bits`` is a (rows, cols) 0/1 array; returns two int8 arrays of the
-    same shape. Missing neighbors beyond the array edge count as 0 (P) —
-    the dummy-cell boundary convention.
+    ``bits`` is a (rows, cols) 0/1 array, or a stack (..., rows, cols)
+    of independent arrays (subarray shards: coupling never crosses
+    their edges); returns two int8 arrays of the same shape, written
+    into ``out = (nd, ng)`` when given. Missing neighbors beyond an
+    array edge count as 0 (P) — the dummy-cell boundary convention.
     """
     bits = np.asarray(bits)
-    if bits.ndim != 2:
+    if bits.ndim < 2:
         raise ParameterError(f"bits must be 2-D, got shape {bits.shape}")
-    rows, cols = bits.shape
-    padded = np.zeros((rows + 2, cols + 2), dtype=np.int8)
-    padded[1:-1, 1:-1] = bits
+    *lead, rows, cols = bits.shape
+    padded = np.zeros((*lead, rows + 2, cols + 2), dtype=np.int8)
+    padded[..., 1:-1, 1:-1] = bits
     # Separable sums: the left+right pair of every padded row serves
     # both counts — direct = own row's pair + up + down, diagonal = the
     # pairs of the rows above and below.
-    pair = padded[:, :-2] + padded[:, 2:]
-    n_direct = pair[1:-1] + padded[:-2, 1:-1]
-    n_direct += padded[2:, 1:-1]
-    return n_direct, pair[:-2] + pair[2:]
+    pair = padded[..., :-2] + padded[..., 2:]
+    nd, ng = (None, None) if out is None else out
+    n_direct = np.add(pair[..., 1:-1, :], padded[..., :-2, 1:-1], out=nd)
+    n_direct += padded[..., 2:, 1:-1]
+    return n_direct, np.add(pair[..., :-2, :], pair[..., 2:, :], out=ng)
 
 
 class WordMap:

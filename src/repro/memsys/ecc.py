@@ -136,8 +136,9 @@ class HammingSECDED:
         the product on BLAS; mixed int8 @ float32 is ~50x slower.)
         """
         data = _as_bits(data, self.n_data, "data")
-        product = data.astype(np.float32) @ self._generator
-        return (product.astype(np.int32) & 1).astype(np.int8)
+        bits = (data.astype(np.float32) @ self._generator).astype(np.int32)
+        bits &= 1   # in place: one (n, k) int32 temp, not two
+        return bits.astype(np.int8)
 
     def syndrome(self, codewords):
         """(syndrome integer, overall parity) of received codewords."""

@@ -45,6 +45,8 @@ and each state draws against the same tables.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -60,12 +62,12 @@ from ..resilience.checkpoint import as_checkpointer
 from ..validation import require_non_negative, require_positive
 from .backends import resolve_backend
 from .bitplane import BitPlane
-from .controller import ArrayController
+from .controller import ArrayController, neighborhood_class_map
 from .ecc import DecodeOutcome, NoECC, make_ecc
 from .sampling import (
-    IncrementalClassMaps,
     sample_class_flips,
     sample_thinned_flips,
+    stacked_class_maps,
     validate_sampler,
 )
 from .scrub import no_scrub
@@ -119,10 +121,10 @@ class PhaseProfiler:
                 self._stack[-1][1] = now
 
     def breakdown(self, total=None):
-        """Ordered ``{phase: seconds}``; adds ``other``/``total`` rows
-        when the run's total wall-time is known."""
-        out = {name: self.seconds.get(name, 0.0)
-               for name in self.PHASES if name in self.seconds}
+        """Ordered ``{phase: seconds}`` with every canonical phase
+        (0.0 when it never ran); adds ``other``/``total`` rows when the
+        run's total wall-time is known."""
+        out = {name: self.seconds.get(name, 0.0) for name in self.PHASES}
         for name in self.seconds:
             if name not in out:
                 out[name] = self.seconds[name]
@@ -222,6 +224,15 @@ class MemsysResult:
         )
 
 
+#: Counter fields of :class:`MemsysResult` (everything but ``config``,
+#: ``simulated_time`` and ``extras``): what :func:`merge_results` sums
+#: and a stacked run tallies per shard.
+_COUNTERS = tuple(spec.name for spec in dataclass_fields(MemsysResult)
+                  if spec.name not in ("config", "simulated_time",
+                                       "extras"))
+_COLUMN = {name: column for column, name in enumerate(_COUNTERS)}
+
+
 def merge_results(results, config=None):
     """Merge per-shard (or per-chunk) results into one aggregate.
 
@@ -247,11 +258,8 @@ def merge_results(results, config=None):
                 f"results must be MemsysResult, got {type(result)!r}")
     merged = MemsysResult(config=dict(
         results[0].config if config is None else config))
-    for spec in dataclass_fields(MemsysResult):
-        if spec.name in ("config", "simulated_time", "extras"):
-            continue
-        setattr(merged, spec.name,
-                sum(getattr(r, spec.name) for r in results))
+    for name in _COUNTERS:
+        setattr(merged, name, sum(getattr(r, name) for r in results))
     merged.simulated_time = max(r.simulated_time for r in results)
     profiles = [r.extras.get("profile") for r in results]
     if all(profile is not None for profile in profiles):
@@ -395,114 +403,163 @@ class ReliabilityEngine:
         :class:`~repro.errors.ResilienceWarning`. Saving never changes
         the draw stream: a checkpointed run is bit-identical to an
         unprotected one.
+
+        A run is the one-shard case of :meth:`run_shards`.
         """
         require_positive(n_transactions, "n_transactions")
-        require_positive(batch_size, "batch_size")
-        rng = np.random.default_rng(rng)
-        profiler = PhaseProfiler() if profile else None
-        t0 = time.perf_counter()
-        ckpt = as_checkpointer(checkpoint, every=checkpoint_every)
-        key = restored = identity = None
-        if ckpt is not None:
-            key = record_digest((self._config(), int(n_transactions),
-                                 int(batch_size)))
-            # The run's identity record: every config field flattened,
-            # plus the shape and a digest of the generator's *initial*
-            # state (the seed's footprint — deliberately outside the
-            # key, since resume restores the generator mid-stream, but
-            # inside the identity so resuming with the wrong seed is a
-            # named error rather than a silent seed swap).
-            identity = {
-                "n_transactions": int(n_transactions),
-                "batch_size": int(batch_size),
-                "seed_state": record_digest(rng.bit_generator.state),
-                **{str(k): v for k, v in self._config().items()},
-            }
-            if resume:
-                restored = ckpt.restore(key, identity=identity)
-        if restored is not None and restored.get("complete"):
-            result = restored["result"]
-        else:
-            result = self._drive(int(n_transactions), rng,
-                                 int(batch_size), progress, profiler,
-                                 ckpt, key, restored, identity)
-        if profiler is not None:
-            result.extras["profile"] = profiler.breakdown(
-                total=time.perf_counter() - t0)
+        (result,), breakdown = self.run_shards(
+            [(n_transactions, rng,
+              as_checkpointer(checkpoint, every=checkpoint_every))],
+            batch_size=batch_size, progress=progress, profile=profile,
+            resume=resume)
+        if breakdown is not None:
+            result.extras["profile"] = breakdown
         return result
 
-    def _drive(self, n_transactions, rng, batch_size, progress,
-               profiler, ckpt, key, restored, identity):
-        """The batch loop of both samplers, over the sampler's state."""
-        words = self.controller.words
+    def run_shards(self, shards, batch_size=8192, progress=None,
+                   profile=False, resume=False):
+        """Simulate independent shards of this engine's array at once.
+
+        ``shards`` lists one ``(n_transactions, rng, checkpointer)``
+        per shard: each shard is a run of this engine's array with its
+        own generator (``rng`` as for :meth:`run`), its own copies of
+        the workload and scrub policy, its own clock and — given a
+        :class:`~repro.resilience.checkpoint.RunCheckpointer` rather
+        than None — its own checkpoint, resumed under ``resume`` as
+        :meth:`run` resumes. The shards advance in lockstep over one
+        stacked state (see :meth:`_drive`), and every shard's result
+        is byte-identical to :meth:`run` over that shard alone.
+
+        ``progress(done, total)`` follows the shards' summed
+        transactions, called after every shard's batch; ``profile``
+        times the stacked run as one phase breakdown. Returns
+        ``(results, breakdown)``: the shards' :class:`MemsysResult`
+        in order, and the breakdown (None unless ``profile``).
+        """
+        require_positive(batch_size, "batch_size")
+        profiler = PhaseProfiler() if profile else None
+        t0 = time.perf_counter()
+        lanes = [_Lane(self, n, rng, ckpt, int(batch_size), resume)
+                 for n, rng, ckpt in shards]
+        live = [lane for lane in lanes if lane.result is None]
+        if live:
+            self._drive(live, int(batch_size), progress, profiler,
+                        sum(lane.n_transactions for lane in lanes))
+        breakdown = (None if profiler is None else profiler.breakdown(
+            total=time.perf_counter() - t0))
+        return [lane.result for lane in lanes], breakdown
+
+    def _drive(self, lanes, batch_size, progress, profiler, total):
+        """The batch loop of both samplers, every shard in lockstep.
+
+        The shards share one stacked state: shard ``s`` owns the global
+        words ``s * W + local`` (``W`` words per shard, the
+        :class:`~repro.memsys.topology.HierarchicalAddressMap`
+        convention). Every draw stays on its shard's own generator, in
+        the order a lone run makes it — per batch traffic, drift and
+        scrub; per round write data, write flips, write-backs and
+        disturb — while the RNG-free work (SEC-DED encode, placement,
+        error counts, ECC classify, bookkeeping) runs once over all
+        shards. So each shard's counters are byte-identical to running
+        it alone, and a round's numpy dispatch is paid once, not once
+        per shard.
+        """
+        words_per_shard = self.controller.words.n_words
+        code_bits = self.controller.ecc.n_code
+        n_shards = len(lanes)
         state_cls = (_PackedState if self.sampler == "binomial"
                      else _DenseState)
-        if restored is not None:
-            # Resume mid-stream: the saved RNG state already accounts
-            # for every draw up to the checkpointed boundary (including
-            # initial_bits), so nothing is drawn here.
-            state = state_cls.restore(self, restored)
-            self.workload = restored["workload"]
-            self.scrub = restored["scrub"]
-            self.workload.bind(words)
-            result = restored["result"]
-            now = float(restored["now"])
-            remaining = int(restored["remaining"])
-            rng.bit_generator.state = restored["rng_state"]
-        else:
-            layout = self.controller.layout
-            initial = self.workload.initial_bits(layout.rows, layout.cols,
-                                                 rng)
-            state = state_cls.fresh(self, np.asarray(
-                initial, dtype=np.int8).reshape(-1))
-            self.workload.bind(words)
-            self.workload.reset()
-            self.scrub.reset()
-            result = MemsysResult(config=self._config())
-            now = 0.0
-            remaining = n_transactions
-        while remaining > 0:
-            n = min(batch_size, remaining)
-            remaining -= n
-            batch = self.workload.batch(n, words.n_words, rng)
+        state = state_cls.stacked(self, n_shards)
+        for shard, lane in enumerate(lanes):
+            lane.open(self, state, shard)
+        state.build()
+        tally = _Tally([lane.result for lane in lanes])
+        done = total - sum(lane.remaining for lane in lanes)
+        # The batches held for the rounds keep their global words as
+        # int32 below 2**31 cells (half the memory); each round widens
+        # its own slice back to intp for indexing.
+        index = (np.int32 if n_shards * self.controller.layout.n_cells
+                 < 2**31 else np.int64)
+        while True:
+            sizes = [min(batch_size, lane.remaining) for lane in lanes]
+            if not any(sizes):
+                break
+            # Each shard's batch, cut into rounds by one stable sort: by
+            # occurrence rank, writes before reads within a round, in
+            # batch order — so every round of a shard is a contiguous
+            # slice of ``ordered[shard]``.
+            ordered = [_NO_WORDS] * n_shards
+            per_key = [_NO_WORDS] * n_shards
+            for shard, (lane, n) in enumerate(zip(lanes, sizes)):
+                if n:
+                    lane.remaining -= n
+                    batch = lane.workload.batch(n, words_per_shard,
+                                                lane.rng)
+                    key = 2 * _occurrence_rank(batch.word, words_per_shard)
+                    key += ~batch.is_write
+                    order = np.argsort(key.astype(np.uint16)
+                                       if 2 * n <= 65536 else key,
+                                       kind="stable")
+                    ordered[shard] = (batch.word[order] + shard
+                                      * words_per_shard).astype(index)
+                    per_key[shard] = np.bincount(key)
             with _prof(profiler, "classify"):
                 state.classify()
 
-            # Whole-array terms accrued over this batch's window; a due
+            # Whole-array terms accrued over each batch's window; a due
             # scrub repairs the accumulation *before* the window's
             # accesses observe it.
-            now += n * self.cycle_time
-            for counter, table in self._drift_terms(n):
-                setattr(result, counter, getattr(result, counter)
-                        + state.drift(table, rng, profiler))
-            if self.scrub.due(now):
-                with _prof(profiler, "scrub"):
-                    self._run_scrub(state, rng, result)
-                self.scrub.mark_done(now)
+            for shard, (lane, n) in enumerate(zip(lanes, sizes)):
+                if not n:
+                    continue
+                lane.now += n * self.cycle_time
+                for counter, table in self._drift_terms(n):
+                    tally.add(counter, state.drift(shard, table,
+                                                   lane.rng, profiler),
+                              shard)
+                if lane.scrub.due(lane.now):
+                    with _prof(profiler, "scrub"):
+                        self._run_scrub(state, shard, lanes, tally)
+                    lane.scrub.mark_done(lane.now)
 
-            rank = _occurrence_rank(batch.word)
-            for r in range(int(rank.max()) + 1 if len(batch) else 0):
-                sel = rank == r
+            # Round r stacks every shard's writes of key 2r, then every
+            # shard's reads of key 2r + 1: one array, cut per shard by
+            # the round's write and read bounds.
+            n_keys = 2 * ((max(c.size for c in per_key) + 1) // 2)
+            counts = np.zeros((n_shards, n_keys), dtype=np.int64)
+            for shard, c in enumerate(per_key):
+                counts[shard, :c.size] = c
+            offsets = np.zeros((n_shards, n_keys + 1), dtype=np.int64)
+            np.cumsum(counts, axis=1, out=offsets[:, 1:])
+            bounds = np.zeros((n_keys, n_shards + 1), dtype=np.int64)
+            np.cumsum(counts.T, axis=1, out=bounds[:, 1:])
+            n_writes = counts[:, 0::2].sum(axis=1)
+            n_reads = counts[:, 1::2].sum(axis=1)
+            tally.add("n_transactions", sizes)
+            tally.add("n_writes", n_writes)
+            tally.add("bits_written", n_writes * code_bits)
+            tally.add("n_reads", n_reads)
+            tally.add("bits_read", n_reads * code_bits)
+            offsets, bounds = offsets.tolist(), bounds.tolist()
+            for key in range(0, n_keys, 2):
                 self._apply_round_binomial(
-                    batch.word[sel], batch.is_write[sel], state, rng,
-                    result, profiler)
+                    np.concatenate(
+                        [words[at[key]:at[key + 1]]
+                         for words, at in zip(ordered, offsets)]
+                        + [words[at[key + 1]:at[key + 2]]
+                           for words, at in zip(ordered, offsets)],
+                        dtype=np.intp),
+                    bounds[key], bounds[key + 1], state, lanes, tally,
+                    profiler)
 
-            result.n_transactions += n
-            if ckpt is not None and remaining > 0:
-                ckpt.maybe_save(result.n_transactions, lambda: {
-                    "key": key, "identity": identity,
-                    "rng_state": rng.bit_generator.state,
-                    **state.snapshot(),
-                    "workload": self.workload, "scrub": self.scrub,
-                    "result": result, "now": now,
-                    "remaining": remaining})
-            if progress is not None:
-                progress(result.n_transactions, n_transactions)
-
-        result.simulated_time = now
-        if ckpt is not None:
-            ckpt.finalize(key, result, identity=identity)
-        return result
+            for shard, (lane, n) in enumerate(zip(lanes, sizes)):
+                if not n:
+                    continue
+                tally.store(shard, lane.result)
+                lane.checkpoint(state, shard)
+                done += n
+                if progress is not None:
+                    progress(done, total)
 
     def _drift_terms(self, n):
         """``(counter, flat class table)`` of every whole-array term
@@ -517,86 +574,104 @@ class ReliabilityEngine:
                 n * self.half_select_exposure)))
         return terms
 
-    def _apply_round_binomial(self, round_words, is_write, state, rng,
-                              result, profiler=None):
-        """One occurrence-rank round of either sampler: every word in
-        ``round_words`` is unique. (The name predates the shared
-        round; perfbench's trace hooks wrap it by name.)"""
-        ctl = self.controller
-        cells_of = ctl.words.cells
+    def _apply_round_binomial(self, words, write_bounds, read_bounds,
+                              state, lanes, tally, profiler=None):
+        """One occurrence-rank round of every shard, either sampler.
 
-        w_words = round_words[is_write]
-        result.n_writes += int(w_words.size)
-        if w_words.size:
-            data = self._write_data(w_words, rng)
+        Every word in ``words`` is unique. The writes come first —
+        shard ``s``'s are ``write_bounds[s]:write_bounds[s + 1]`` —
+        then the reads, cut per shard by ``read_bounds`` alike. (The
+        name predates the shared round; perfbench's trace hooks wrap
+        it by name.)
+        """
+        ctl = self.controller
+        n_writes = write_bounds[-1]
+        if n_writes:
+            w_words = words[:n_writes]
+            words_per_shard = ctl.words.n_words
+            data = [self._write_data(lanes[shard], w_words[lo:hi]
+                                     - shard * words_per_shard)
+                    for shard, lo, hi in _segments(write_bounds)]
             with _prof(profiler, "ecc"):
-                cw = ctl.ecc.encode(data)
-            result.bits_written += int(cw.size)
-            result.write_errors += state.write(
-                w_words, cells_of[w_words], cw, rng, profiler)
+                cw = ctl.ecc.encode(data[0] if len(data) == 1
+                                    else np.concatenate(data))
+            tally.add("write_errors", state.write(
+                w_words, write_bounds, cw, lanes, profiler))
 
         # Reads: sense, classify via ECC, write back correctables, then
         # apply the disturb of the read current to the stored state.
-        r_words = round_words[~is_write]
-        result.n_reads += int(r_words.size)
+        r_words = words[n_writes:]
         if r_words.size:
-            cells = cells_of[r_words]
-            result.bits_read += int(cells.size)
             if state.wrong_bits:
                 with _prof(profiler, "ecc"):
-                    self._book_read_errors(r_words, cells, state, rng,
-                                           result)
+                    self._book_read_errors(r_words, read_bounds, state,
+                                           lanes, tally)
             else:
                 # No mismatched bit anywhere in the array: every read
                 # is clean without touching any per-word array.
-                result.words_ok += int(r_words.size)
-            result.disturb_flips += state.disturb(cells, rng, profiler)
+                tally.add("words_ok", _sizes(read_bounds))
+            tally.add("disturb_flips", state.disturb(
+                r_words, read_bounds, lanes, profiler))
 
-    def _write_data(self, w_words, rng):
-        """Data stored by a batch of writes (pattern-aware)."""
+    def _write_data(self, lane, local_words):
+        """Data stored by a shard's writes (pattern-aware)."""
         ctl = self.controller
-        if isinstance(self.workload, StressPatternWorkload):
-            return self.workload.background_data(
-                w_words, ctl.words, ctl.ecc.data_positions)
-        return self.workload.write_data(w_words, ctl.ecc.n_data, rng)
+        if isinstance(lane.workload, StressPatternWorkload):
+            return lane.workload.background_data(
+                local_words, ctl.words, ctl.ecc.data_positions)
+        return lane.workload.write_data(local_words, ctl.ecc.n_data,
+                                        lane.rng)
 
-    def _book_read_errors(self, r_words, cells, state, rng, result):
-        """ECC bookkeeping for a read round with live errors present."""
-        n_err = state.error_counts(r_words, cells)
+    def _book_read_errors(self, r_words, bounds, state, lanes, tally):
+        """ECC bookkeeping for a read round with live errors present:
+        one error-count gather and one classify over every shard,
+        booked per shard by one shard-offset bincount."""
+        n_err = state.error_counts(r_words)
         outcomes = self.controller.ecc.classify_errors(n_err)
-        by_outcome = np.bincount(outcomes, minlength=4)
-        result.raw_bit_errors += int(n_err.sum())
-        result.words_ok += int(by_outcome[DecodeOutcome.OK])
-        result.words_corrected += int(
-            by_outcome[DecodeOutcome.CORRECTED])
-        result.words_detected += int(by_outcome[DecodeOutcome.DETECTED])
-        result.words_silent += int(by_outcome[DecodeOutcome.SILENT])
-        if by_outcome[DecodeOutcome.DETECTED] or by_outcome[
-                DecodeOutcome.SILENT]:
+        n_shards = len(lanes)
+        shard = _shard_of(bounds)
+        by_outcome = np.bincount(
+            outcomes if shard is None else shard * 4 + outcomes,
+            minlength=4 * n_shards).reshape(-1, 4).tolist()
+        # words_ok .. words_silent are consecutive counters, in
+        # DecodeOutcome order.
+        tally.add("words_ok", by_outcome)
+        tally.add("raw_bit_errors", _shard_sums(shard, n_err, n_shards))
+        if any(row[DecodeOutcome.DETECTED] or row[DecodeOutcome.SILENT]
+               for row in by_outcome):
             uncorr = outcomes >= DecodeOutcome.DETECTED
-            result.uncorrectable_bit_errors += int(n_err[uncorr].sum())
-        if self.writeback and by_outcome[DecodeOutcome.CORRECTED]:
-            corrected = outcomes == DecodeOutcome.CORRECTED
-            result.bits_written += int(cells[corrected].size)
-            result.write_errors += state.rewrite(
-                r_words[corrected], cells[corrected], rng)
+            tally.add("uncorrectable_bit_errors", _shard_sums(
+                None if shard is None else shard[uncorr], n_err[uncorr],
+                n_shards))
+        corrected = [row[DecodeOutcome.CORRECTED] for row in by_outcome]
+        if self.writeback and any(corrected):
+            code_bits = self.controller.ecc.n_code
+            tally.add("bits_written", [n * code_bits for n in corrected])
+            tally.add("write_errors", state.rewrite(
+                r_words[outcomes == DecodeOutcome.CORRECTED],
+                [0, *itertools.accumulate(corrected)], lanes))
 
-    def _run_scrub(self, state, rng, result):
-        """One scrub pass over every word."""
-        cells = self.controller.words.cells
-        n_err = state.error_counts(slice(None), cells)
+    def _run_scrub(self, state, shard, lanes, tally):
+        """One scrub pass over every word of ``shard``."""
+        words_per_shard = self.controller.words.n_words
+        words = np.arange(shard * words_per_shard,
+                          (shard + 1) * words_per_shard)
+        n_err = state.error_counts(words)
         outcomes = self.controller.ecc.classify_errors(n_err)
         fixable = ((outcomes == DecodeOutcome.CORRECTED)
                    | (outcomes == DecodeOutcome.OK)) & (n_err > 0)
-        result.n_scrubs += 1
-        result.scrub_corrected_words += int(fixable.sum())
-        result.scrub_uncorrectable_words += int(
-            (outcomes >= DecodeOutcome.DETECTED).sum())
+        tally.add("n_scrubs", 1, shard)
+        tally.add("scrub_corrected_words", int(fixable.sum()), shard)
+        tally.add("scrub_uncorrectable_words",
+                  int((outcomes >= DecodeOutcome.DETECTED).sum()), shard)
         if np.any(fixable):
-            fixed = np.flatnonzero(fixable)
-            result.bits_written += int(cells[fixed].size)
-            result.write_errors += state.rewrite(
-                fixed, cells[fixed], rng, reclassify=True)
+            fixed = words[fixable]
+            tally.add("bits_written",
+                      fixed.size * self.controller.ecc.n_code, shard)
+            tally.add("write_errors", state.rewrite(
+                fixed, [0] * (shard + 1)
+                + [fixed.size] * (len(lanes) - shard), lanes,
+                reclassify=True))
 
     # -- expectation mode ---------------------------------------------------
 
@@ -653,13 +728,177 @@ class ReliabilityEngine:
         }
 
 
+# -- stacked runs --------------------------------------------------------
+
+#: An idle shard's batch: no words.
+_NO_WORDS = np.zeros(0, dtype=np.int32)
+
+
+def _segments(bounds):
+    """``(shard, lo, hi)`` of every non-empty shard segment of
+    ``bounds`` (shard ``s`` owns ``bounds[s]:bounds[s + 1]``)."""
+    return [(shard, lo, hi) for shard, (lo, hi)
+            in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+
+def _sizes(bounds):
+    """Per-shard segment sizes of ``bounds``."""
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _shard_of(bounds):
+    """Owning shard of every position of a ``bounds``-cut array, or
+    None when one shard owns them all."""
+    if len(bounds) == 2:
+        return None
+    return np.repeat(np.arange(len(bounds) - 1), _sizes(bounds))
+
+
+def _shard_sums(shard, values, n_shards):
+    """Per-shard integer sums of ``values``, ``shard`` as from
+    :func:`_shard_of`."""
+    if shard is None:
+        return [int(values.sum())]
+    return np.bincount(shard, weights=values,
+                       minlength=n_shards).astype(np.int64)
+
+
+def _flip_counts(flips, bounds):
+    """Per-shard totals of a ``(words, code_bits)`` flip mask."""
+    shard = _shard_of(bounds)
+    if shard is None:
+        return [int(np.count_nonzero(flips))]
+    return _shard_sums(shard, flips.sum(axis=1), len(bounds) - 1)
+
+
+class _Tally:
+    """Counters of a stacked run: one row of ints per shard, one column
+    per :data:`_COUNTERS` field. A round books all shards at once from
+    per-shard counts (a list or array, one entry per shard)."""
+
+    def __init__(self, results):
+        self.rows = [[getattr(result, name) for name in _COUNTERS]
+                     for result in results]
+
+    def add(self, counter, values, shard=None):
+        """Add per-shard ``values`` to ``counter`` — rows of several
+        consecutive counters from it, for a 2-D block — or one number
+        to ``shard``'s; None adds nothing."""
+        if values is None:
+            return
+        column = _COLUMN[counter]
+        if shard is not None:
+            self.rows[shard][column] += int(values)
+            return
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        for row, value in zip(self.rows, values):
+            if isinstance(value, list):
+                row[column:column + len(value)] = [
+                    a + b for a, b in zip(row[column:], value)]
+            else:
+                row[column] += value
+
+    def store(self, shard, result):
+        """Write ``shard``'s counters into its result."""
+        for name, value in zip(_COUNTERS, self.rows[shard]):
+            setattr(result, name, value)
+
+
+class _Lane:
+    """One shard's stream in a stacked run: its own generator, workload
+    and scrub copies, clock, transaction budget, checkpointer and
+    result."""
+
+    def __init__(self, engine, n_transactions, rng, ckpt, batch_size,
+                 resume):
+        require_positive(n_transactions, "n_transactions")
+        self.n_transactions = int(n_transactions)
+        self.rng = np.random.default_rng(rng)
+        self.ckpt = ckpt
+        self.key = self.identity = self.restored = self.result = None
+        self.workload = self.scrub = None
+        self.now = 0.0
+        self.remaining = 0
+        if ckpt is not None:
+            config = engine._config()
+            self.key = record_digest((config, self.n_transactions,
+                                      batch_size))
+            # The run's identity record: every config field flattened,
+            # plus the shape and a digest of the generator's *initial*
+            # state (the seed's footprint — deliberately outside the
+            # key, since resume restores the generator mid-stream, but
+            # inside the identity so resuming with the wrong seed is a
+            # named error rather than a silent seed swap).
+            self.identity = {
+                "n_transactions": self.n_transactions,
+                "batch_size": batch_size,
+                "seed_state": record_digest(self.rng.bit_generator.state),
+                **{str(k): v for k, v in config.items()},
+            }
+            if resume:
+                self.restored = ckpt.restore(self.key,
+                                             identity=self.identity)
+        if self.restored is not None and self.restored.get("complete"):
+            self.result = self.restored["result"]
+
+    def open(self, engine, state, shard):
+        """Load this stream into ``shard`` of the stacked state:
+        restored mid-stream from its checkpoint, or started fresh."""
+        ctl = engine.controller
+        saved = self.restored
+        if saved is not None:
+            # Resume mid-stream: the saved RNG state already accounts
+            # for every draw up to the checkpointed boundary (including
+            # initial_bits), so nothing is drawn here.
+            state.load(shard, saved)
+            self.workload = saved["workload"]
+            self.scrub = saved["scrub"]
+            self.workload.bind(ctl.words)
+            self.result = saved["result"]
+            self.now = float(saved["now"])
+            self.remaining = int(saved["remaining"])
+            self.rng.bit_generator.state = saved["rng_state"]
+            return
+        self.workload = copy.deepcopy(engine.workload)
+        self.scrub = copy.deepcopy(engine.scrub)
+        initial = self.workload.initial_bits(ctl.layout.rows,
+                                             ctl.layout.cols, self.rng)
+        state.fresh(shard, np.asarray(initial, dtype=np.int8).reshape(-1))
+        self.workload.bind(ctl.words)
+        self.workload.reset()
+        self.scrub.reset()
+        self.result = MemsysResult(config=engine._config())
+        self.remaining = self.n_transactions
+
+    def checkpoint(self, state, shard):
+        """At a batch boundary: snapshot on the checkpoint cadence, or
+        close the stream once its budget is spent."""
+        if self.remaining:
+            if self.ckpt is not None:
+                self.ckpt.maybe_save(self.result.n_transactions, lambda: {
+                    "key": self.key, "identity": self.identity,
+                    "rng_state": self.rng.bit_generator.state,
+                    **state.snapshot(shard),
+                    "workload": self.workload, "scrub": self.scrub,
+                    "result": self.result, "now": self.now,
+                    "remaining": self.remaining})
+            return
+        self.result.simulated_time = self.now
+        if self.ckpt is not None:
+            self.ckpt.finalize(self.key, self.result,
+                               identity=self.identity)
+
+
 # -- sampler states ------------------------------------------------------
 #
 # The driver talks to one of two state classes through the same verbs:
-# fresh/restore/snapshot (lifecycle and checkpoint payload), classify
-# (batch-boundary class maps), drift (a whole-array term from a flat
-# (50,) class table), write, error_counts, rewrite and disturb. Each
-# mutating verb draws its flips and returns how many it placed.
+# stacked/fresh/load/build/snapshot (lifecycle and per-shard checkpoint
+# payload), classify (batch-boundary class maps), drift (one shard's
+# whole-array term from a flat (50,) class table), write, error_counts,
+# rewrite and disturb. The access verbs take a round's global words
+# with per-shard ``bounds``, draw each shard's flips on that shard's
+# generator, place them all at once and return per-shard flip counts.
 
 
 class _DenseState:
@@ -668,8 +907,11 @@ class _DenseState:
     Every mechanism draws one uniform per exposed cell against its
     class table gathered at ``(bit, nd, ng)``; ``nd``/``ng`` are the
     batch's coupling-class maps, recomputed whole at every batch
-    boundary. Dense planes keep no running error total, so every read
-    books its errors (``wrong_bits`` is always true).
+    boundary. Shard ``s`` owns cells ``[s * C, (s + 1) * C)`` of each
+    plane (``C`` cells per shard, row-major), and word ``w`` of shard
+    ``s`` its ``[w * code_bits, (w + 1) * code_bits)`` cells there.
+    Dense planes keep no running error total, so every read books its
+    errors (``wrong_bits`` is always true).
     """
 
     wrong_bits = True
@@ -677,69 +919,107 @@ class _DenseState:
     def __init__(self, intended, actual, controller):
         self.intended = intended
         self.actual = actual
-        self.controller = controller
         self.nd = self.ng = None
         self.wer_p = controller.wer_class_probability().reshape(2, 5, 5)
         self.disturb_p = controller.disturb_class_probability().reshape(
             2, 5, 5)
+        layout = controller.layout
+        self.shape = (-1, layout.rows, layout.cols)
+        self.shard_cells = layout.n_cells
+        self.code_bits = controller.ecc.n_code
+        # (words, code_bits) cells of every global word: the word map's
+        # table, repeated at each shard's cell offset.
+        cells = controller.words.cells
+        n_shards = intended.size // self.shard_cells
+        self.cells = (cells if n_shards == 1 else (
+            cells + self.shard_cells * np.arange(n_shards)[:, None, None]
+        ).reshape(-1, self.code_bits))
 
     @classmethod
-    def fresh(cls, engine, bits):
-        return cls(bits.copy(), bits.copy(), engine.controller)
+    def stacked(cls, engine, n_shards):
+        """Zeroed planes for ``n_shards`` shards of ``engine``'s array."""
+        cells = n_shards * engine.controller.layout.n_cells
+        return cls(np.zeros(cells, dtype=np.int8),
+                   np.zeros(cells, dtype=np.int8), engine.controller)
 
-    @classmethod
-    def restore(cls, engine, saved):
-        return cls(np.asarray(saved["intended"], dtype=np.int8),
-                   np.asarray(saved["actual"], dtype=np.int8),
-                   engine.controller)
+    def _shard(self, shard):
+        return slice(shard * self.shard_cells,
+                     (shard + 1) * self.shard_cells)
 
-    def snapshot(self):
-        return {"intended": self.intended, "actual": self.actual}
+    def fresh(self, shard, bits):
+        self.intended[self._shard(shard)] = bits
+        self.actual[self._shard(shard)] = bits
+
+    def load(self, shard, saved):
+        self.intended[self._shard(shard)] = saved["intended"]
+        self.actual[self._shard(shard)] = saved["actual"]
+
+    def build(self):
+        """Nothing to build: the maps are recomputed every batch."""
+
+    def snapshot(self, shard):
+        return {"intended": self.intended[self._shard(shard)],
+                "actual": self.actual[self._shard(shard)]}
 
     def classify(self):
-        self.nd, self.ng = self.controller.class_maps(self.actual)
+        nd, ng = neighborhood_class_map(self.actual.reshape(self.shape))
+        self.nd, self.ng = nd.reshape(-1), ng.reshape(-1)
 
-    def _draw(self, table, bits, cells, rng, profiler=None, maps=None):
-        """Boolean flip mask of ``cells`` holding ``bits``."""
+    def _draw(self, table, bits, cells, bounds, lanes, profiler=None,
+              maps=None):
+        """Boolean flip mask of ``cells`` holding ``bits``, each
+        shard's uniforms from its own generator."""
         nd, ng = (self.nd, self.ng) if maps is None else maps
         with _prof(profiler, "draw"):
-            return rng.random(bits.shape) < table[bits, nd[cells],
-                                                  ng[cells]]
+            draws = [lanes[shard].rng.random((hi - lo, self.code_bits))
+                     for shard, lo, hi in _segments(bounds)]
+            return ((draws[0] if len(draws) == 1
+                     else np.concatenate(draws))
+                    < table[bits, nd[cells], ng[cells]])
 
-    def drift(self, table, rng, profiler):
-        flips = self._draw(table.reshape(2, 5, 5), self.actual,
-                           slice(None), rng, profiler)
-        with _prof(profiler, "place"):
-            self.actual ^= flips
-        return int(flips.sum())
-
-    def write(self, word_idx, cells, cw, rng, profiler):
-        errs = self._draw(self.wer_p, cw, cells, rng, profiler)
-        with _prof(profiler, "place"):
-            self.intended[cells] = cw
-            self.actual[cells] = cw ^ errs
-        return int(errs.sum())
-
-    def error_counts(self, word_idx, cells):
-        return (self.actual[cells] != self.intended[cells]).sum(axis=1)
-
-    def rewrite(self, word_idx, cells, rng, reclassify=False):
-        """Restore whole words through the write path. A scrub
-        (``reclassify``) prices its rewrites against the array as it
-        stands rather than the batch's maps."""
-        maps = (self.controller.class_maps(self.actual) if reclassify
-                else None)
-        cw = self.intended[cells]
-        errs = self._draw(self.wer_p, cw, cells, rng, maps=maps)
-        self.actual[cells] = cw ^ errs
-        return int(errs.sum())
-
-    def disturb(self, cells, rng, profiler):
-        flips = self._draw(self.disturb_p, self.actual[cells], cells, rng,
-                           profiler)
+    def drift(self, shard, table, rng, profiler):
+        cells = self._shard(shard)
+        with _prof(profiler, "draw"):
+            flips = rng.random(self.shard_cells) < table.reshape(
+                2, 5, 5)[self.actual[cells], self.nd[cells],
+                         self.ng[cells]]
         with _prof(profiler, "place"):
             self.actual[cells] ^= flips
         return int(flips.sum())
+
+    def write(self, words, bounds, cw, lanes, profiler):
+        cells = self.cells[words]
+        errs = self._draw(self.wer_p, cw, cells, bounds, lanes, profiler)
+        with _prof(profiler, "place"):
+            self.intended[cells] = cw
+            self.actual[cells] = cw ^ errs
+        return _flip_counts(errs, bounds)
+
+    def error_counts(self, words):
+        cells = self.cells[words]
+        return (self.actual[cells] != self.intended[cells]).sum(axis=1)
+
+    def rewrite(self, words, bounds, lanes, reclassify=False):
+        """Restore whole words through the write path. A scrub
+        (``reclassify``) prices its rewrites against the array as it
+        stands rather than the batch's maps."""
+        maps = None
+        if reclassify:
+            maps = [m.reshape(-1) for m in neighborhood_class_map(
+                self.actual.reshape(self.shape))]
+        cells = self.cells[words]
+        cw = self.intended[cells]
+        errs = self._draw(self.wer_p, cw, cells, bounds, lanes, maps=maps)
+        self.actual[cells] = cw ^ errs
+        return _flip_counts(errs, bounds)
+
+    def disturb(self, words, bounds, lanes, profiler):
+        cells = self.cells[words]
+        flips = self._draw(self.disturb_p, self.actual[cells], cells,
+                           bounds, lanes, profiler)
+        with _prof(profiler, "place"):
+            self.actual[cells] ^= flips
+        return _flip_counts(flips, bounds)
 
 
 class _PackedState:
@@ -761,6 +1041,15 @@ class _PackedState:
     planes stay the ground truth: ``BitPlane.diff_counts`` (XOR +
     popcount) must agree with ``err_count`` at any instant, which the
     equivalence tests assert.
+
+    Stacked (:meth:`stacked`), shard ``s`` owns the planes' words
+    ``[s * W, (s + 1) * W)`` and tail cells ``[s * T, (s + 1) * T)``
+    (:meth:`BitPlane.split`), so cell indices are plane indices:
+    ``word * code_bits + bit`` for mapped cells, the tail after every
+    mapped cell. Its class maps are the row-major ``rows x cols`` maps
+    at ``s * rows * cols`` of the stacked class array
+    (:func:`~repro.memsys.sampling.stacked_class_maps`); a mapped cell
+    ``c`` of shard ``s`` sits at ``c + s * T`` there.
     """
 
     def __init__(self, intended, actual, maps, controller,
@@ -782,94 +1071,149 @@ class _PackedState:
         self.disturb_pmax = float(self.disturb_p.max())
 
     @classmethod
-    def fresh(cls, engine, bits):
+    def stacked(cls, engine, n_shards):
+        """Zeroed planes for ``n_shards`` shards of ``engine``'s array;
+        :meth:`fresh`/:meth:`load` fill the shards, then :meth:`build`
+        builds the class maps."""
         ctl = engine.controller
-        intended = BitPlane.from_bits(bits, ctl.words.n_words,
-                                      ctl.ecc.n_code)
-        return cls._build(engine, intended, intended.copy())
+        state = cls(*(BitPlane(n_shards * ctl.words.n_words,
+                               ctl.ecc.n_code,
+                               n_shards * ctl.layout.n_cells)
+                      for _ in range(2)),
+                    None, ctl, backend=engine.backend)
+        state.layout = ctl.layout
+        state.shards = tuple(zip(state.intended.split(n_shards),
+                                 state.actual.split(n_shards)))
+        one = state.shards[0][1]
+        state.shard_words, state.shard_mapped = one.n_words, one.n_mapped
+        state.tail_cells = one.tail.size
+        return state
 
-    @classmethod
-    def restore(cls, engine, saved):
+    def _words(self, shard):
+        return slice(shard * self.shard_words,
+                     (shard + 1) * self.shard_words)
+
+    def fresh(self, shard, bits):
+        plane = BitPlane.from_bits(bits, self.shard_words,
+                                   self.actual.code_bits)
+        for view in self.shards[shard]:
+            view.lanes[:] = plane.lanes
+            view.tail[:] = plane.tail
+
+    def load(self, shard, saved):
         # Planes and exact error counters come from the snapshot; the
         # class maps are a pure function of the actual plane and
         # rebuild from it.
-        state = cls._build(engine, saved["intended"], saved["actual"])
-        state.err_count = np.asarray(saved["err_count"], dtype=np.int16)
-        state.wrong_bits = int(saved["wrong_bits"])
-        return state
+        for view, plane in zip(self.shards[shard],
+                               (saved["intended"], saved["actual"])):
+            view.lanes[:] = plane.lanes
+            view.tail[:] = plane.tail
+        self.err_count[self._words(shard)] = saved["err_count"]
+        self.wrong_bits += int(saved["wrong_bits"])
 
-    @classmethod
-    def _build(cls, engine, intended, actual):
-        ctl = engine.controller
-        maps = IncrementalClassMaps(ctl.layout.rows, ctl.layout.cols,
-                                    actual, backend=engine.backend)
-        return cls(intended, actual, maps, ctl, backend=engine.backend)
+    def build(self):
+        self.maps, self.class_idx = stacked_class_maps(
+            self.layout.rows, self.layout.cols,
+            [actual for _, actual in self.shards], backend=self.backend)
 
-    def snapshot(self):
-        return {"intended": self.intended, "actual": self.actual,
-                "err_count": self.err_count,
-                "wrong_bits": self.wrong_bits}
+    def snapshot(self, shard):
+        intended, actual = self.shards[shard]
+        err_count = self.err_count[self._words(shard)]
+        return {"intended": intended, "actual": actual,
+                "err_count": err_count,
+                "wrong_bits": int(err_count.sum())}
 
     def classify(self):
-        self.maps.refresh(self.actual)
+        for maps, (_, actual) in zip(self.maps, self.shards):
+            maps.refresh(actual)
 
-    def drift(self, table, rng, profiler):
+    def drift(self, shard, table, rng, profiler):
+        maps = self.maps[shard]
         with _prof(profiler, "draw"):
-            flips = sample_class_flips(self.maps.class_idx, table, rng,
-                                       hist=self.maps.hist,
+            flips = sample_class_flips(maps.class_idx, table, rng,
+                                       hist=maps.hist,
                                        backend=self.backend)
         if flips.size:
+            # Shard-local row-major cells to plane cells: mapped cells
+            # follow the shard's word block, tail cells its tail block.
+            mapped = self.shard_mapped
+            flips = np.where(flips < mapped, flips + shard * mapped,
+                             flips + (self.actual.n_mapped - mapped
+                                      + shard * self.tail_cells))
             with _prof(profiler, "place"):
                 self.toggle(flips)
         return int(flips.size)
 
-    def write(self, word_idx, cells, cw, rng, profiler):
-        cells = cells.reshape(-1)
+    def _cells(self, words, flat):
+        """Plane cells at word-major positions ``flat`` of ``words``."""
+        word, bit = np.divmod(flat, self.actual.code_bits)
+        return words[word] * self.actual.code_bits + bit
+
+    def _thinned(self, words, bounds, lanes, p_class, p_max, bits_of):
+        """One thinned draw over every shard's segment of ``words``,
+        each shard's candidates from its own generator. Candidates map
+        to plane cells arithmetically (no ``(n, code_bits)`` cell
+        gather) and take their class from the stacked maps. Returns
+        ``(flipped plane cells, per-shard flip counts)``, the counts
+        None when nothing flipped."""
+        code_bits = self.actual.code_bits
+
+        def class_of(flat):
+            cells = self._cells(words, flat)
+            at = cells
+            if len(lanes) > 1:
+                at = cells + cells // self.shard_mapped * self.tail_cells
+            return (np.asarray(bits_of(flat, cells), dtype=np.int8)
+                    * np.int8(25) + self.class_idx[at] % 25)
+
+        flat = sample_thinned_flips(
+            [size * code_bits for size in _sizes(bounds)], p_class,
+            class_of, [lane.rng for lane in lanes], p_max=p_max)
+        if not flat.size:
+            return flat, None
+        counts = [flat.size]
+        if len(lanes) > 1:
+            counts = np.bincount(np.searchsorted(
+                np.asarray(bounds) * code_bits, flat, side="right") - 1,
+                minlength=len(lanes))
+        return self._cells(words, flat), counts
+
+    def write(self, words, bounds, cw, lanes, profiler):
         cw_flat = cw.reshape(-1)
-        maps = self.maps
         with _prof(profiler, "draw"):
-            flips = sample_thinned_flips(
-                cells.size, self.wer_p,
-                lambda cand: maps.cell_classes(cw_flat[cand], cells[cand]),
-                rng, p_max=self.wer_pmax)
+            flips, counts = self._thinned(
+                words, bounds, lanes, self.wer_p, self.wer_pmax,
+                lambda flat, cells: cw_flat[flat])
         with _prof(profiler, "place"):
-            self.write_words(word_idx, cw, cells[flips])
-        return int(flips.size)
+            self.write_words(words, cw, flips)
+        return counts
 
-    def error_counts(self, word_idx, cells):
-        return self.err_count[word_idx]
+    def error_counts(self, words):
+        return self.err_count[words]
 
-    def rewrite(self, word_idx, cells, rng, reclassify=False):
+    def rewrite(self, words, bounds, lanes, reclassify=False):
         """Restore whole words through the write path. The maps refresh
         at batch boundaries only, so a scrub's rewrites (``reclassify``)
         reuse the batch's classes — unlike the dense reference, a
         second-order difference at rare-event rates, where the maps
         differ only at the handful of freshly flipped cells."""
-        cells = cells.reshape(-1)
-        maps, intended = self.maps, self.intended
-        flips = sample_thinned_flips(
-            cells.size, self.wer_p,
-            lambda cand: maps.cell_classes(intended.get_cells(cells[cand]),
-                                           cells[cand]),
-            rng, p_max=self.wer_pmax)
-        self.restore_words(word_idx, cells[flips])
-        return int(flips.size)
+        flips, counts = self._thinned(
+            words, bounds, lanes, self.wer_p, self.wer_pmax,
+            lambda flat, cells: self.intended.get_cells(cells))
+        self.restore_words(words, flips)
+        return counts
 
-    def disturb(self, cells, rng, profiler):
+    def disturb(self, words, bounds, lanes, profiler):
         # Candidates are classified lazily, from the post-rewrite
         # stored bits.
-        cells = cells.reshape(-1)
-        maps, actual = self.maps, self.actual
         with _prof(profiler, "draw"):
-            flips = sample_thinned_flips(
-                cells.size, self.disturb_p,
-                lambda cand: maps.cell_classes(actual.get_cells(cells[cand]),
-                                               cells[cand]),
-                rng, p_max=self.disturb_pmax)
+            flips, counts = self._thinned(
+                words, bounds, lanes, self.disturb_p, self.disturb_pmax,
+                lambda flat, cells: self.actual.get_cells(cells))
         if flips.size:
             with _prof(profiler, "place"):
-                self.toggle(cells[flips])
-        return int(flips.size)
+                self.toggle(flips)
+        return counts
 
     def toggle(self, flat_idx):
         """Flip ``actual`` at flat cells (duplicate-free indices)."""
@@ -981,17 +1325,25 @@ SAMPLERS` — use ``"binomial"`` for rare-event operating points);
                              half_select_exposure=half_select_exposure)
 
 
-def _occurrence_rank(words):
+def _occurrence_rank(words, n_words=None):
     """Occurrence index of every element within its equal-value group.
 
     ``_occurrence_rank([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]`` — the r-th
     access to each word lands in round ``r``, preserving the sequential
     semantics of repeated accesses without a per-transaction loop.
+
+    ``n_words`` bounds the addresses (default: the largest plus one).
+    Up to 65536 words the sort runs on ``uint16`` keys, where numpy's
+    stable sort is a radix sort (~8x faster than on int64 keys); the
+    order, and so the rank, is the same.
     """
     n = words.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(words, kind="stable")
+    if n_words is None:
+        n_words = int(words.max()) + 1
+    order = np.argsort(words.astype(np.uint16) if n_words <= 65536
+                       else words, kind="stable")
     sorted_words = words[order]
     new_group = np.empty(n, dtype=bool)
     new_group[0] = True

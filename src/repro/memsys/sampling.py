@@ -51,16 +51,17 @@ def validate_sampler(name):
     return name
 
 
-def class_index(bits, nd, ng):
+def class_index(bits, nd, ng, out=None):
     """Flat 0..49 coupling-class index: ``bit * 25 + nd * 5 + ng``.
 
     Matches the memory order of the controller's ``(2, 5, 5)``
     probability tables, so ``table.reshape(-1)[class_index(...)]``
-    equals ``table[bits, nd, ng]``. Computed in int8 throughout: the
-    largest class, 49, fits.
+    equals ``table[bits, nd, ng]``. Computed in int8 throughout (the
+    largest class, 49, fits), into ``out`` when given.
     """
-    idx = (np.asarray(bits, dtype=np.int8) * np.int8(25)
-           + np.asarray(nd, dtype=np.int8) * np.int8(5))
+    idx = np.multiply(np.asarray(bits, dtype=np.int8), np.int8(25),
+                      out=out)
+    idx += np.asarray(nd, dtype=np.int8) * np.int8(5)
     idx += np.asarray(ng, dtype=np.int8)
     return idx
 
@@ -104,21 +105,40 @@ def sample_thinned_flips(n, p_class, class_of, rng, p_max=None):
     (exchangeability), and independent acceptance with ``p_c / p_max``
     thins each candidate to ``Bernoulli(p_c)`` — the target field.
 
+    ``n`` may also be a sequence of population sizes with ``rng`` a
+    matching sequence of generators: consecutive populations (indices
+    run on across them), each drawing its candidates from its own
+    generator exactly as it would alone, and one ``class_of`` call
+    classifying every candidate.
+
     Callers on a hot loop may pass ``p_max`` (with ``p_class`` already
     clipped to [0, 1]) to skip the per-call table scan.
     """
     if p_max is None:
         p_class = np.clip(np.asarray(p_class, dtype=float), 0.0, 1.0)
         p_max = float(p_class.max())
-    p = p_class
-    if p_max <= 0.0 or n <= 0:
+    if p_max <= 0.0:
         return np.empty(0, dtype=np.intp)
-    k = int(rng.binomial(int(n), p_max))
-    if k == 0:
+    if not isinstance(n, (list, tuple)):
+        n, rng = (n,), (rng,)
+    candidates, uniforms = [], []
+    base = 0
+    for size, gen in zip(n, rng):
+        size = int(size)
+        if size > 0:
+            k = int(gen.binomial(size, p_max))
+            if k:
+                candidates.append(gen.choice(size, size=k, replace=False)
+                                  + base)
+                uniforms.append(gen.random(k))
+        base += size
+    if not candidates:
         return np.empty(0, dtype=np.intp)
-    candidates = rng.choice(int(n), size=k, replace=False)
-    accept = rng.random(k) * p_max < p[class_of(candidates)]
-    return candidates[accept]
+    if len(candidates) > 1:
+        candidates = [np.concatenate(candidates)]
+        uniforms = [np.concatenate(uniforms)]
+    accept = uniforms[0] * p_max < p_class[class_of(candidates[0])]
+    return candidates[0][accept]
 
 
 def sample_class_flips(class_idx, p_class, rng, hist=None,
@@ -195,6 +215,10 @@ class IncrementalClassMaps:
     backend may also retune :attr:`full_rebuild_fraction` through its
     ``preferred_rebuild_fraction`` (an explicit
     ``full_rebuild_fraction`` argument still wins).
+
+    ``out`` is optional ``(nd, ng, class_idx)`` int8 storage of
+    ``rows * cols`` cells each, which the maps are kept in, in place —
+    how :func:`stacked_class_maps` lays many shards' maps side by side.
     """
 
     #: Touched-cell fraction above which a full rebuild wins over
@@ -216,13 +240,16 @@ class IncrementalClassMaps:
     _DIAGONAL_OFFSETS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
     def __init__(self, rows, cols, plane, full_rebuild_fraction=None,
-                 backend=None):
+                 backend=None, out=None):
         self.rows = int(rows)
         self.cols = int(cols)
         if self.rows * self.cols != plane.n_cells:
             raise ParameterError(
                 f"plane has {plane.n_cells} cells, expected "
                 f"{rows} x {cols}")
+        self.nd, self.ng, self.class_idx = (
+            out if out is not None else
+            [np.empty(plane.n_cells, dtype=np.int8) for _ in range(3)])
         self.backend = backend
         if full_rebuild_fraction is not None:
             self.full_rebuild_fraction = float(full_rebuild_fraction)
@@ -285,13 +312,14 @@ class IncrementalClassMaps:
                                                    self.cols)
                    if self.backend is not None else None)
         if rebuilt is not None:
-            self.nd, self.ng, self.class_idx, self.hist = rebuilt
+            nd, ng, class_idx, self.hist = rebuilt
+            self.nd[:], self.ng[:], self.class_idx[:] = nd, ng, class_idx
         else:
-            nd2, ng2 = neighborhood_class_map(
-                bits.reshape(self.rows, self.cols))
-            self.nd = nd2.reshape(-1)
-            self.ng = ng2.reshape(-1)
-            self.class_idx = class_index(bits, self.nd, self.ng)
+            shape = (self.rows, self.cols)
+            neighborhood_class_map(bits.reshape(shape),
+                                   out=(self.nd.reshape(shape),
+                                        self.ng.reshape(shape)))
+            class_index(bits, self.nd, self.ng, out=self.class_idx)
             self.hist = class_histogram(self.class_idx)
         self._snapshot = plane.copy()
         self.rebuilds += 1
@@ -375,3 +403,24 @@ class IncrementalClassMaps:
         """
         neighbor_part = self.class_idx[cells] % 25
         return np.asarray(bits, dtype=np.int8) * np.int8(25) + neighbor_part
+
+
+def stacked_class_maps(rows, cols, planes, backend=None):
+    """Per-shard :class:`IncrementalClassMaps` over one stacked store.
+
+    ``planes`` are the shards' ``rows x cols`` packed planes (views of
+    one stacked plane). Shard ``s`` keeps its maps in row ``s`` of
+    shared ``(S, rows * cols)`` int8 arrays: a class lookup across
+    shards is one gather at ``s * rows * cols + local``, while every
+    refresh and rebuild stays shard-sized and no neighborhood crosses a
+    shard edge (the ``-1``-at-the-boundary neighbor table of a
+    multi-material mesh, here one table per subarray). Returns
+    ``(maps, class_idx)``, ``class_idx`` the flat stacked class array.
+    """
+    n = int(rows) * int(cols)
+    nd, ng, class_idx = (np.empty((len(planes), n), dtype=np.int8)
+                         for _ in range(3))
+    maps = [IncrementalClassMaps(rows, cols, plane, backend=backend,
+                                 out=(nd[s], ng[s], class_idx[s]))
+            for s, plane in enumerate(planes)]
+    return maps, class_idx.reshape(-1)

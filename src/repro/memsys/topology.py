@@ -11,17 +11,22 @@ an embarrassingly parallel Monte-Carlo axis.
 :class:`ArrayTopology` describes the decomposition (banks tile rows,
 subarrays tile columns) and :class:`HierarchicalAddressMap` carries a
 word address to ``(bank, subarray, local word)`` and back, round-trip
-exact. :class:`TopologyEngine` runs one
-:class:`~repro.memsys.engine.ReliabilityEngine` sub-run per shard —
-each with its own child RNG spawned from the run seed — and merges the
-per-shard error/ECC/scrub counters with
-:func:`~repro.memsys.engine.merge_results`. Shard sub-runs dispatch
-through the ordinary sweep executors (``executor="thread" | "process" |
-"distributed"``), so a chip-scale run scales across cores with the
-same determinism contract as every other sweep: seeded results are
-byte-identical for every executor, and a 1x1 banked run passes the
-parent generator through unspawned so it is byte-identical to the flat
-engine.
+exact. :class:`TopologyEngine` splits a run's transactions across the
+shards, gives every shard its own child RNG spawned from the run seed,
+and merges the per-shard error/ECC/scrub counters with
+:func:`~repro.memsys.engine.merge_results`.
+
+In process, the shards run *stacked*: one
+:meth:`~repro.memsys.engine.ReliabilityEngine.run_shards` call
+advances every subarray in lockstep over one stacked state (global
+word ``shard * words_per_shard + local``, the address map's
+convention), so each occurrence-rank round's numpy work is paid once
+for the whole chip instead of once per shard, while every shard still
+draws only from its own generator. The ``"process"`` / ``"chunked"``
+/ ``"distributed"`` sweep executors instead run one sub-run per shard
+across cores or hosts. Seeded results are byte-identical on every
+path, and a 1x1 banked run passes the parent generator through
+unspawned so it is byte-identical to the flat engine.
 
 Two non-flat topology kinds:
 
@@ -264,10 +269,12 @@ class TopologyEngine:
     *template* :class:`~repro.memsys.engine.ReliabilityEngine` (built
     lazily, sized ``sub_rows x sub_cols``) describes them all; a run
     splits the transaction budget across shards, gives each shard a
-    child generator spawned from the run seed, and merges the per-shard
-    results. With exactly one shard the parent generator passes through
-    unspawned — a seeded 1x1 banked run is byte-identical to the flat
-    engine, which the parity matrix asserts.
+    child generator spawned from the run seed, runs them all as one
+    stacked run of the template (or, on the process-level executors,
+    one sub-run per shard), and merges the per-shard results. With
+    exactly one shard the parent generator passes through unspawned — a
+    seeded 1x1 banked run is byte-identical to the flat engine, which
+    the parity matrix asserts.
 
     Accepts the same knobs as :func:`~repro.memsys.engine.build_engine`
     (ecc/workload/scrub/sampler/backend/sense/...); ``cross_point``
@@ -361,21 +368,31 @@ class TopologyEngine:
             resume=False):
         """Simulate ``n_transactions`` across the shards and merge.
 
-        ``executor``/``jobs``/``spool`` select how shard sub-runs
-        dispatch — any :data:`repro.sweep.runner.EXECUTORS` entry;
-        default is the small-sweep heuristic of
-        :func:`~repro.sweep.runner.executor_for_jobs` over ``n_shards``
-        points. Seeded results are byte-identical for every executor:
-        the child generators are spawned before dispatch and the merge
-        is shard-ordered.
+        In process (``executor="serial"``, and ``"thread"``, which
+        would only contend for the same cores) every shard advances in
+        lockstep inside one stacked run of the template
+        (:meth:`ReliabilityEngine.run_shards
+        <repro.memsys.engine.ReliabilityEngine.run_shards>`).
+        ``"process"``, ``"chunked"`` and ``"distributed"`` dispatch one
+        sub-run per shard through the sweep executors, with
+        ``jobs``/``spool``; the default is the small-sweep heuristic
+        of :func:`~repro.sweep.runner.executor_for_jobs` over the
+        shards. ``extras["topology"]["executor"]`` names the path that
+        ran. Seeded results are byte-identical on every path: the child
+        generators are spawned before dispatch, every shard draws only
+        from its own, and the merge is shard-ordered.
 
         ``checkpoint``/``checkpoint_every``/``resume`` arm per-shard
         crash tolerance (see :meth:`ReliabilityEngine.run
         <repro.memsys.engine.ReliabilityEngine.run>`): one checkpoint
         tag per shard in one directory, so a resumed run skips
         completed shards outright and continues interrupted ones
-        mid-stream — on any executor, since the directory travels as a
-        plain path.
+        mid-stream — on any executor, whichever one wrote them, since
+        the directory travels as a plain path.
+
+        ``profile=True`` attaches one phase breakdown: the stacked
+        run's, or on the dispatched paths the per-shard breakdowns
+        summed.
         """
         require_positive(n_transactions, "n_transactions")
         n = int(n_transactions)
@@ -388,54 +405,47 @@ class TopologyEngine:
                        if isinstance(checkpoint, CheckpointManager)
                        else CheckpointManager(str(checkpoint)))
         if topo.n_shards == 1:
-            result = self.template.run(
-                n, rng=gen, batch_size=batch_size, progress=progress,
-                profile=profile, checkpoint=manager,
-                checkpoint_every=checkpoint_every, resume=resume)
-            return self._finalize([result], executor="serial")
-        shares = self.transaction_shares(n)
-        children = _spawn_generators(gen, topo.n_shards)
-        active = [(shard, share, child) for shard, (share, child)
-                  in enumerate(zip(shares, children)) if share > 0]
-        executor = executor or executor_for_jobs(
-            jobs, n_points=len(active))
-        if executor == "serial":
-            results = []
-            done = 0
-            for shard, share, child in active:
-                sub_progress = None
-                if progress is not None:
-                    def sub_progress(d, _total, base=done):
-                        progress(base + d, n)
-                ckpt = None
-                if manager is not None:
-                    ckpt = RunCheckpointer(manager,
-                                           tag=f"shard-{shard}",
-                                           every=checkpoint_every)
-                results.append(self.template.run(
-                    share, rng=child, batch_size=batch_size,
-                    progress=sub_progress, profile=profile,
-                    checkpoint=ckpt, resume=resume))
-                done += share
+            # The parent generator passes through unspawned, under the
+            # flat run's checkpoint tag: byte-identical to flat.
+            active, tags = [(0, n, gen)], ["run"]
+            executor = "serial"
         else:
-            func = partial(_run_shard, self.device, topo.sub_rows,
-                           topo.sub_cols, self._engine_kwargs,
-                           int(batch_size), bool(profile),
-                           manager.directory if manager is not None
-                           else None, checkpoint_every, bool(resume))
-            spec = SweepSpec.zipped(
-                shard=[shard for shard, _, _ in active],
-                n_transactions=[share for _, share, _ in active],
-                rng=[child for _, _, child in active])
-            sweep_progress = None
-            if progress is not None:
-                def sweep_progress(done_shards, total_shards):
-                    progress(n * done_shards // total_shards, n)
-            runner = SweepRunner(func, executor=executor, jobs=jobs,
-                                 spool=spool,
-                                 progress=sweep_progress)
-            results = list(runner.run(spec).values)
-        return self._finalize(results, executor=executor)
+            shares = self.transaction_shares(n)
+            children = _spawn_generators(gen, topo.n_shards)
+            active = [(shard, share, child) for shard, (share, child)
+                      in enumerate(zip(shares, children)) if share > 0]
+            tags = [f"shard-{shard}" for shard, _, _ in active]
+            executor = executor or executor_for_jobs(
+                jobs, n_points=len(active))
+        if executor in ("serial", "thread"):
+            results, breakdown = self.template.run_shards(
+                [(share, child, None if manager is None else
+                  RunCheckpointer(manager, tag=tag,
+                                  every=checkpoint_every))
+                 for tag, (_, share, child) in zip(tags, active)],
+                batch_size=batch_size, progress=progress,
+                profile=profile, resume=resume)
+            merged = self._finalize(results, executor="serial")
+            if breakdown is not None:
+                merged.extras["profile"] = breakdown
+            return merged
+        func = partial(_run_shard, self.device, topo.sub_rows,
+                       topo.sub_cols, self._engine_kwargs,
+                       int(batch_size), bool(profile),
+                       manager.directory if manager is not None
+                       else None, checkpoint_every, bool(resume))
+        spec = SweepSpec.zipped(
+            shard=[shard for shard, _, _ in active],
+            n_transactions=[share for _, share, _ in active],
+            rng=[child for _, _, child in active])
+        sweep_progress = None
+        if progress is not None:
+            def sweep_progress(done_shards, total_shards):
+                progress(n * done_shards // total_shards, n)
+        runner = SweepRunner(func, executor=executor, jobs=jobs,
+                             spool=spool, progress=sweep_progress)
+        return self._finalize(list(runner.run(spec).values),
+                              executor=executor)
 
     def _finalize(self, results, executor):
         merged = merge_results(

@@ -116,7 +116,7 @@ class TestCommands:
                      "--subarrays", "2", "--no-sweep"]) == 0
         out = capsys.readouterr().out
         assert "topology: banked, 2 banks x 2 subarrays" in out
-        assert "4 parallel sub-runs" in out
+        assert "4 independent shards" in out
         assert "raw BER (pre-ECC)" in out
 
     def test_memsys_banks_without_topology_infers_banked(self, capsys):
