@@ -40,9 +40,10 @@ Sweep-shaped subcommands (``reproduce``, ``design``, ``memsys``) accept
 ``--jobs N`` to fan the underlying :mod:`repro.sweep` grid out over N
 workers; results are identical to the serial run. ``--executor`` picks
 the worker flavor explicitly (``thread`` parallelizes inside one
-process and shares its kernel store; ``process``/``chunked`` fork;
-``distributed`` ships chunks over a spool-directory job queue that
-``repro worker`` processes — started on any host sharing the
+process and shares its kernel store; ``process`` forks; both run
+contiguous chunks of points on one schedule; ``distributed`` ships the
+chunks over a spool-directory job queue that ``repro worker``
+processes — started on any host sharing the
 ``REPRO_SWEEP_SPOOL`` directory — serve, warm-started from a shared
 ``REPRO_KERNEL_CACHE``). A banked ``memsys`` run is the exception for
 ``serial`` and ``thread``: both advance every shard stacked in one

@@ -22,11 +22,12 @@ advances every subarray in lockstep over one stacked state (global
 word ``shard * words_per_shard + local``, the address map's
 convention), so each occurrence-rank round's numpy work is paid once
 for the whole chip instead of once per shard, while every shard still
-draws only from its own generator. The ``"process"`` / ``"chunked"``
-/ ``"distributed"`` sweep executors instead run one sub-run per shard
-across cores or hosts. Seeded results are byte-identical on every
-path, and a 1x1 banked run passes the parent generator through
-unspawned so it is byte-identical to the flat engine.
+draws only from its own generator. The ``"process"`` and
+``"distributed"`` sweep executors instead run one sub-run per shard
+across cores or hosts, on the sweep runner's one chunk schedule.
+Seeded results are byte-identical on every path, and a 1x1 banked run
+passes the parent generator through unspawned so it is byte-identical
+to the flat engine.
 
 Two non-flat topology kinds:
 
@@ -49,7 +50,11 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..resilience.checkpoint import CheckpointManager, RunCheckpointer
-from ..sweep.runner import SweepRunner, executor_for_jobs
+from ..sweep.runner import (
+    SweepRunner,
+    executor_for_jobs,
+    require_executor,
+)
 from ..sweep.spec import SweepSpec
 from ..validation import require_int_in_range, require_positive
 from .backends import resolve_backend
@@ -373,12 +378,14 @@ class TopologyEngine:
         lockstep inside one stacked run of the template
         (:meth:`ReliabilityEngine.run_shards
         <repro.memsys.engine.ReliabilityEngine.run_shards>`).
-        ``"process"``, ``"chunked"`` and ``"distributed"`` dispatch one
-        sub-run per shard through the sweep executors, with
-        ``jobs``/``spool``; the default is the small-sweep heuristic
-        of :func:`~repro.sweep.runner.executor_for_jobs` over the
-        shards. ``extras["topology"]["executor"]`` names the path that
-        ran. Seeded results are byte-identical on every path: the child
+        ``"process"`` and ``"distributed"`` dispatch one sub-run per
+        shard through the sweep executors, with ``jobs``/``spool``;
+        the default is the small-sweep heuristic of
+        :func:`~repro.sweep.runner.executor_for_jobs` over the shards.
+        Any other name raises :class:`~repro.errors.ParameterError`
+        on every topology, a 1x1 one included.
+        ``extras["topology"]["executor"]`` names the path that ran.
+        Seeded results are byte-identical on every path: the child
         generators are spawned before dispatch, every shard draws only
         from its own, and the merge is shard-ordered.
 
@@ -395,6 +402,8 @@ class TopologyEngine:
         summed.
         """
         require_positive(n_transactions, "n_transactions")
+        if executor is not None:
+            require_executor(executor)
         n = int(n_transactions)
         gen = (rng if isinstance(rng, np.random.Generator)
                else np.random.default_rng(rng))

@@ -8,13 +8,14 @@ that shape first-class:
 * :mod:`repro.sweep.spec` — :class:`SweepSpec`: named axes with
   product/zip composition,
 * :mod:`repro.sweep.runner` — :class:`SweepRunner`: serial, thread,
-  process-pool, chunked, and distributed executors with deterministic
-  result order,
+  process-pool, and distributed executors with deterministic result
+  order, all parallel ones on one chunk schedule
+  (:func:`schedule_chunks`),
 * :mod:`repro.sweep.result` — :class:`SweepResult`: values in spec
   order, grid reshaping, table rendering,
 * :mod:`repro.sweep.distributed` — the spool-directory broker/worker
-  transport behind the ``distributed`` executor: work-stealing chunk
-  scheduling, heartbeats, crash retry, at-most-once result commit.
+  transport behind the ``distributed`` executor: work stealing,
+  heartbeats, crash retry, at-most-once result commit.
 
 Quick start::
 
@@ -38,7 +39,6 @@ from .distributed import (
     SWEEP_SPOOL_ENV,
     DistributedBroker,
     SpoolWorker,
-    schedule_chunks,
 )
 from .result import SweepResult
 from .runner import (
@@ -49,6 +49,7 @@ from .runner import (
     add_sweep_arguments,
     executor_for_jobs,
     run_sweep,
+    schedule_chunks,
 )
 from .spec import SweepSpec
 

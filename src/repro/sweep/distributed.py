@@ -65,7 +65,7 @@ from ..integrity.manifest import (
     unpack_record,
 )
 from ..validation import require_int_in_range, require_positive
-from .runner import _flush_kernel_store
+from .runner import _flush_kernel_store, schedule_chunks
 
 #: Spool directory the ``distributed`` executor and external workers
 #: rendezvous in; without it the broker uses a private temp spool.
@@ -148,37 +148,6 @@ def _picklable_error(exc):
         return exc
     except Exception:
         return RuntimeError(f"distributed sweep point failed: {exc!r}")
-
-
-def schedule_chunks(n_points, n_workers, chunk_size=None, min_chunk=1):
-    """``(start, stop)`` chunk bounds for dynamic work stealing.
-
-    With an explicit ``chunk_size`` the split is uniform (the
-    ``chunked`` executor's contract, kept so ``chunk_size`` means the
-    same thing on every executor). Otherwise sizes follow the guided
-    self-scheduling rule: each next chunk takes ``remaining / (2 *
-    workers)`` points, never below ``min_chunk`` — the sweep opens with
-    large, cheap-to-ship chunks and ends with small tail chunks that
-    let fast workers steal the remainder out from under slow ones
-    instead of waiting on one oversized final chunk.
-    """
-    require_int_in_range(n_points, "n_points", 0, 10**9)
-    require_int_in_range(n_workers, "n_workers", 1, 4096)
-    if chunk_size is not None:
-        require_int_in_range(chunk_size, "chunk_size", 1, 1_000_000)
-    require_int_in_range(min_chunk, "min_chunk", 1, 1_000_000)
-    bounds = []
-    start = 0
-    while start < n_points:
-        remaining = n_points - start
-        if chunk_size is not None:
-            size = chunk_size
-        else:
-            size = max(min_chunk, remaining // (2 * n_workers))
-        size = min(size, remaining)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
 
 
 def _job_name(chunk):

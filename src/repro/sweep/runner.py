@@ -16,12 +16,9 @@ Executors:
   threads parallelize small-point sweeps without process-spawn or
   pickling overhead — and all workers share the one process-wide
   kernel store,
-* ``"process"`` — a ``concurrent.futures.ProcessPoolExecutor``, one
-  task per point; the point function and its bound arguments must be
-  picklable (module-level functions / ``functools.partial`` of them),
-* ``"chunked"`` — the process pool again, but points are submitted in
-  contiguous chunks to amortize pickling and per-task overhead; right
-  for many cheap points,
+* ``"process"`` — a ``concurrent.futures.ProcessPoolExecutor``; the
+  point function and its bound arguments must be picklable
+  (module-level functions / ``functools.partial`` of them),
 * ``"distributed"`` — a broker + worker transport over a spool-
   directory job queue (:mod:`repro.sweep.distributed`): chunks are
   scheduled with guided work stealing, workers may be spawned locally
@@ -30,9 +27,13 @@ Executors:
   the dense pitch grids and chip-scale presets whose wall-clock
   exceeds one machine.
 
-Worker processes each warm their own
-:class:`~repro.arrays.kernel_store.KernelStore`, so chunking also
-maximizes kernel reuse within a worker; with the
+Every parallel executor ships contiguous chunks of points whose bounds
+come from one rule, :func:`schedule_chunks`: a grid of fewer than four
+points per worker runs one point per task; larger grids open with big
+chunks (amortizing pickling and per-task overhead) and end with small
+ones that balance the tail. Worker processes each warm
+their own :class:`~repro.arrays.kernel_store.KernelStore`, so chunking
+also maximizes kernel reuse within a worker; with the
 :data:`~repro.arrays.kernel_disk.KERNEL_CACHE_ENV` variable set, every
 worker additionally reads (and flushes back to) the shared on-disk
 kernel cache.
@@ -53,8 +54,8 @@ from ..validation import jobs_argument, require_int_in_range
 from .result import SweepResult
 from .spec import SweepSpec
 
-#: The executor registry (name -> SweepRunner method suffix).
-EXECUTORS = ("serial", "thread", "process", "chunked", "distributed")
+#: The executor names :class:`SweepRunner` accepts.
+EXECUTORS = ("serial", "thread", "process", "distributed")
 
 #: Environment override of the parallel executor picked by ``--jobs``.
 SWEEP_EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
@@ -87,14 +88,46 @@ def _worker_initializer():
     Finalize(None, _flush_kernel_store, exitpriority=100)
 
 
-def _apply_point(func, params):
-    """Evaluate one point (module-level for picklability)."""
-    return func(**params)
-
-
 def _apply_chunk(func, chunk):
     """Evaluate a contiguous chunk of points in one task."""
     return [func(**params) for params in chunk]
+
+
+def schedule_chunks(n_points, n_workers, chunk_size=None, min_chunk=1):
+    """``(start, stop)`` chunk bounds for dynamic work stealing.
+
+    With an explicit ``chunk_size`` the split is uniform, the same on
+    every parallel executor. Otherwise sizes follow the guided
+    self-scheduling rule: each next chunk takes ``remaining / (2 *
+    workers)`` points, never below ``min_chunk`` — the sweep opens with
+    large, cheap-to-ship chunks and ends with small tail chunks that
+    let fast workers steal the remainder out from under slow ones
+    instead of waiting on one oversized final chunk.
+    """
+    require_int_in_range(n_points, "n_points", 0, 10**9)
+    require_int_in_range(n_workers, "n_workers", 1, 4096)
+    if chunk_size is not None:
+        require_int_in_range(chunk_size, "chunk_size", 1, 1_000_000)
+    require_int_in_range(min_chunk, "min_chunk", 1, 1_000_000)
+    bounds = []
+    start = 0
+    while start < n_points:
+        remaining = n_points - start
+        if chunk_size is not None:
+            size = chunk_size
+        else:
+            size = max(min_chunk, remaining // (2 * n_workers))
+        size = min(size, remaining)
+        bounds.append((start, start + size))
+        start += size
+    return bounds
+
+
+def require_executor(executor):
+    """Raise :class:`ParameterError` unless ``executor`` is a known name."""
+    if executor not in EXECUTORS:
+        raise ParameterError(
+            f"executor must be one of {EXECUTORS}, got {executor!r}")
 
 
 class SweepRunner:
@@ -112,10 +145,8 @@ class SweepRunner:
         Worker-process count for the pool executors; None lets
         ``ProcessPoolExecutor`` pick (``os.cpu_count()``).
     chunk_size:
-        Points per task for ``"chunked"`` (default: ~4 chunks per
-        worker) and ``"distributed"`` (default: the guided
-        work-stealing schedule of
-        :func:`repro.sweep.distributed.schedule_chunks`).
+        Points per task on every parallel executor (default: the
+        guided work-stealing schedule of :func:`schedule_chunks`).
     spool:
         Spool directory for ``"distributed"``; default is the
         ``REPRO_SWEEP_SPOOL`` environment variable, else a private
@@ -123,8 +154,8 @@ class SweepRunner:
     progress:
         Optional callback invoked as ``progress(done, total)`` (in
         points) whenever completed work lands: after every point
-        (serial/thread/process), after every chunk (chunked), or after
-        every collected chunk (distributed). It is also the
+        (serial) or after every completed chunk (thread/process/
+        distributed). It is also the
         cancellation point on the serial executor — raising
         :class:`~repro.errors.RunAborted` from the callback stops the
         sweep at the next point boundary. The callback never reorders
@@ -136,9 +167,7 @@ class SweepRunner:
                  chunk_size=None, spool=None, progress=None):
         if not callable(func):
             raise ParameterError(f"func must be callable, got {func!r}")
-        if executor not in EXECUTORS:
-            raise ParameterError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}")
+        require_executor(executor)
         if jobs is not None:
             require_int_in_range(jobs, "jobs", 1, 4096)
         if chunk_size is not None:
@@ -163,11 +192,13 @@ class SweepRunner:
         if self.executor == "serial":
             values = self._run_serial(spec)
         elif self.executor == "thread":
-            values = self._run_threads(spec.points())
+            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
+                values = self._run_pool(pool, spec.points())
         elif self.executor == "process":
-            values = self._run_pool(spec.points())
-        elif self.executor == "chunked":
-            values = self._run_chunked(spec.points())
+            with ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=_worker_initializer) as pool:
+                values = self._run_pool(pool, spec.points())
         else:
             values, extras["distributed"] = self._run_distributed(
                 spec.points())
@@ -204,64 +235,28 @@ class SweepRunner:
             self._report(len(values), total)
         return values
 
-    def _gather_ordered(self, pool, task, items, weights):
-        """Submit ``task(func, item)`` per item; values in item order.
+    def _run_pool(self, pool, points):
+        """Evaluate ``points`` on ``pool`` in :func:`schedule_chunks`
+        chunks; values in point order.
 
-        The submit/as_completed shape (instead of ``pool.map``) exists
-        for the progress callback: completions report as they land, in
-        any order, while the returned values stay in submission order —
-        so parallel runs remain byte-identical to serial ones.
-        ``weights[i]`` is how many points item ``i`` carries (1 for
-        point tasks, the chunk length for chunk tasks).
+        The submit/as_completed shape reports progress per chunk as
+        chunks land, in any order, while every chunk's values go back
+        to their own positions — so parallel runs remain
+        byte-identical to serial ones.
         """
-        futures = {pool.submit(task, self.func, item): i
-                   for i, item in enumerate(items)}
-        values = [None] * len(items)
-        total = sum(weights)
+        bounds = schedule_chunks(len(points), self._effective_jobs(),
+                                 chunk_size=self.chunk_size)
+        futures = {pool.submit(_apply_chunk, self.func,
+                               points[start:stop]): (start, stop)
+                   for start, stop in bounds}
+        values = [None] * len(points)
         done = 0
         for future in as_completed(futures):
-            i = futures[future]
-            values[i] = future.result()
-            done += weights[i]
-            self._report(done, total)
+            start, stop = futures[future]
+            values[start:stop] = future.result()
+            done += stop - start
+            self._report(done, len(points))
         return values
-
-    def _run_threads(self, points):
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            if self.progress is None:
-                return list(pool.map(
-                    _apply_point, [self.func] * len(points), points))
-            return self._gather_ordered(pool, _apply_point, points,
-                                        [1] * len(points))
-
-    def _run_pool(self, points):
-        with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_initializer) as pool:
-            if self.progress is None:
-                return list(pool.map(
-                    _apply_point, [self.func] * len(points), points))
-            return self._gather_ordered(pool, _apply_point, points,
-                                        [1] * len(points))
-
-    def _run_chunked(self, points):
-        n_workers = self._effective_jobs()
-        chunk = self.chunk_size or max(
-            1, -(-len(points) // (4 * n_workers)))
-        chunks = [points[i:i + chunk]
-                  for i in range(0, len(points), chunk)]
-        with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_initializer) as pool:
-            if self.progress is None:
-                nested = list(pool.map(_apply_chunk,
-                                       [self.func] * len(chunks),
-                                       chunks))
-            else:
-                nested = self._gather_ordered(
-                    pool, _apply_chunk, chunks,
-                    [len(c) for c in chunks])
-        return [value for part in nested for value in part]
 
     def _run_distributed(self, points):
         from .distributed import run_distributed
@@ -292,36 +287,31 @@ def add_sweep_arguments(parser):
     parser.add_argument("--executor", choices=EXECUTORS, default=None,
                         help="sweep executor (thread shares one "
                              "process and its kernel store; "
-                             "process/chunked fork workers; "
+                             "process forks workers; "
                              "distributed ships chunks over a spool-"
                              "directory job queue — see `repro "
                              "worker`)")
     return parser
 
 
-def executor_for_jobs(jobs, default="serial", parallel=None,
-                      n_points=None):
+def executor_for_jobs(jobs, n_points=None):
     """Map a CLI-style ``--jobs`` value onto an executor name.
 
     Precedence (documented in the README): an explicit ``--executor``
     flag never reaches this function (call sites short-circuit on it);
-    the ``parallel`` argument, when a caller pins one; then the
-    :data:`SWEEP_EXECUTOR_ENV` environment variable — which wins at
-    *every* ``jobs`` value, including an explicit ``--jobs 1`` or no
-    ``--jobs`` at all (it used to be consulted only for ``jobs > 1``,
-    so a configured fleet executor silently lost to the serial
-    default); then the ``--jobs`` size heuristic: ``None``/1 mean the
-    serial baseline, and anything larger picks the thread executor for
-    grids of at most :data:`SMALL_SWEEP_POINTS` points (process-pool
-    spawn cost dominates tiny field-bound sweeps, and threads share
-    the warm process-wide kernel store) or ``"process"`` for larger /
-    unknown-size grids.
+    then the :data:`SWEEP_EXECUTOR_ENV` environment variable, which
+    wins at *every* ``jobs`` value, including an explicit ``--jobs 1``
+    or no ``--jobs`` at all; then the ``--jobs`` size heuristic:
+    ``None``/1 mean the serial baseline, and anything larger picks the
+    thread executor for grids of at most :data:`SMALL_SWEEP_POINTS`
+    points (process-pool spawn cost dominates tiny field-bound sweeps,
+    and threads share the warm process-wide kernel store) or
+    ``"process"`` for larger / unknown-size grids.
 
     One asymmetry, on purpose: for serial-sized runs (``jobs`` of
-    ``None``/1, which never needed the variable before) a *misspelled*
-    environment value is ignored rather than raised, so a stale
-    override cannot break a plain serial invocation; with ``jobs > 1``
-    an invalid value still raises, as it always has.
+    ``None``/1) a *misspelled* environment value is ignored rather
+    than raised, so a stale override cannot break a plain serial
+    invocation; with ``jobs > 1`` an invalid value raises.
     """
     if jobs is not None:
         require_int_in_range(jobs, "jobs", 1, 4096)
@@ -329,16 +319,12 @@ def executor_for_jobs(jobs, default="serial", parallel=None,
         require_int_in_range(n_points, "n_points", 0, 10**9)
     env = os.environ.get(SWEEP_EXECUTOR_ENV) or None
     if jobs is None or jobs == 1:
-        if parallel is None and env in EXECUTORS:
-            return env
-        return default
-    if parallel is None:
-        parallel = env
-    if parallel is None:
-        parallel = ("thread" if n_points is not None
-                    and n_points <= SMALL_SWEEP_POINTS else "process")
-    if parallel not in EXECUTORS:
+        return env if env in EXECUTORS else "serial"
+    if env is None:
+        return ("thread" if n_points is not None
+                and n_points <= SMALL_SWEEP_POINTS else "process")
+    if env not in EXECUTORS:
         raise ParameterError(
-            f"parallel executor must be one of {EXECUTORS}, got "
-            f"{parallel!r}")
-    return parallel
+            f"{SWEEP_EXECUTOR_ENV} must be one of {EXECUTORS}, got "
+            f"{env!r}")
+    return env

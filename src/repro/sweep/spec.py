@@ -6,8 +6,8 @@ pattern x size sweeps of the paper), ``SweepSpec.zipped`` pairs axes
 element-wise (e.g. a list of named experiments), and two specs multiply
 into their product grid. The spec is pure data — evaluation lives in
 :class:`repro.sweep.runner.SweepRunner` — so the same grid can run
-serially, chunked, or on a process pool and always enumerate points in
-the same deterministic order.
+serially, on a thread or process pool, or across hosts and always
+enumerate points in the same deterministic order.
 """
 
 from __future__ import annotations

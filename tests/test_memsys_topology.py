@@ -264,6 +264,22 @@ class TestShardedRuns:
         parallel = engine.run(4000, rng=11, executor=executor, jobs=2)
         assert counters(serial) == counters(parallel)
 
+    @pytest.mark.parametrize("name", ["bogus", "chunked"])
+    def test_unknown_executor_rejected_on_every_topology(self, device,
+                                                         name):
+        """A 1x1 engine (which never dispatches) validates the
+        executor name exactly like a sharded one."""
+        messages = []
+        for shards in (1, 2):
+            engine = build_engine(device, pitch=70e-9, rows=32,
+                                  cols=32, topology="banked",
+                                  banks=shards, subarrays=shards)
+            with pytest.raises(ParameterError,
+                               match="executor must be one of") as err:
+                engine.run(100, rng=1, executor=name)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_transaction_shares(self, device):
         engine = build_engine(device, pitch=70e-9, rows=32, cols=32,
                               topology="banked", banks=2, subarrays=2)

@@ -108,6 +108,36 @@ class TestSweepRunner:
     def test_rejects_unknown_executor(self):
         with pytest.raises(ParameterError):
             SweepRunner(require_positive_product, executor="threads")
+        # Retired name: process runs on the same chunk schedule.
+        assert EXECUTORS == ("serial", "thread", "process",
+                             "distributed")
+        with pytest.raises(ParameterError, match="distributed"):
+            SweepRunner(require_positive_product, executor="chunked")
+
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("chunk_size", (None, 5))
+    def test_pool_progress_once_per_chunk(self, executor, chunk_size):
+        """The pool executors report once per schedule_chunks chunk,
+        in points, ending at (total, total); an explicit chunk_size
+        is a uniform split."""
+        from repro.sweep import schedule_chunks
+        spec = SweepSpec.product(a=tuple(range(1, 38)), b=(1,))
+        calls = []
+        result = run_sweep(require_positive_product, spec,
+                           executor=executor, jobs=2,
+                           chunk_size=chunk_size,
+                           progress=lambda d, t: calls.append((d, t)))
+        assert result.values == list(range(1, 38))
+        bounds = schedule_chunks(37, 2, chunk_size=chunk_size)
+        assert len(calls) == len(bounds)
+        dones = [done for done, _ in calls]
+        assert all(b > a for a, b in zip(dones, dones[1:]))
+        assert calls[-1] == (37, 37)
+        assert {total for _, total in calls} == {37}
+        steps = sorted(np.diff([0] + dones).tolist())
+        assert steps == sorted(stop - start for start, stop in bounds)
+        if chunk_size == 5:
+            assert steps == [2] + [5] * 7
 
     def test_rejects_non_callable(self):
         with pytest.raises(ParameterError):
@@ -137,9 +167,6 @@ class TestSweepRunner:
             "thread"
         assert executor_for_jobs(
             4, n_points=SMALL_SWEEP_POINTS + 1) == "process"
-        # An explicit choice (or env override) beats the heuristic.
-        assert executor_for_jobs(4, parallel="process",
-                                 n_points=4) == "process"
         # Serial stays serial regardless of size.
         assert executor_for_jobs(1, n_points=4) == "serial"
         with pytest.raises(ParameterError):
@@ -148,14 +175,8 @@ class TestSweepRunner:
     def test_executor_for_jobs_env_beats_size_heuristic(self,
                                                         monkeypatch):
         from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "chunked")
-        assert executor_for_jobs(4, n_points=4) == "chunked"
-
-    def test_executor_for_jobs_thread_parallel(self):
-        assert executor_for_jobs(4, parallel="thread") == "thread"
-        assert executor_for_jobs(1, parallel="thread") == "serial"
-        with pytest.raises(ParameterError):
-            executor_for_jobs(4, parallel="greenlet")
+        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "process")
+        assert executor_for_jobs(4, n_points=4) == "process"
 
     def test_executor_for_jobs_env_override(self, monkeypatch):
         from repro.sweep import SWEEP_EXECUTOR_ENV
@@ -175,15 +196,6 @@ class TestSweepRunner:
         assert executor_for_jobs(1) == "thread"
         assert executor_for_jobs(1, n_points=4) == "thread"
         assert executor_for_jobs(4) == "thread"
-
-    def test_executor_env_loses_to_explicit_parallel(self,
-                                                     monkeypatch):
-        from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "thread")
-        assert executor_for_jobs(4, parallel="process") == "process"
-        # An explicit executor at jobs=1 still collapses to serial
-        # (nothing to parallelize), env or not.
-        assert executor_for_jobs(1, parallel="thread") == "serial"
 
     def test_invalid_executor_env_ignored_for_serial_runs(
             self, monkeypatch):
@@ -208,8 +220,8 @@ class TestSweepRunner:
 
 @pytest.mark.integration
 class TestSeededSweepDeterminism:
-    """Acceptance: serial == thread == process == chunked ==
-    distributed for every seeded consumer sweep."""
+    """Acceptance: serial == thread == process == distributed for
+    every seeded consumer sweep."""
 
     def test_memsys_uber_sweep_all_executors_equal(self):
         from repro.device import MTJDevice, PAPER_EVAL_DEVICE
@@ -218,8 +230,7 @@ class TestSeededSweepDeterminism:
         kwargs = dict(pitch_ratios=(3.0, 1.5), patterns=("solid0",),
                       rows=16, cols=16, seed=3)
         serial = uber_sweep(device, **kwargs)
-        for executor in ("thread", "process", "chunked",
-                         "distributed"):
+        for executor in ("thread", "process", "distributed"):
             result = uber_sweep(device, executor=executor, jobs=2,
                                 **kwargs)
             assert result.rows == serial.rows, executor
@@ -231,8 +242,7 @@ class TestSeededSweepDeterminism:
         from repro.device import PAPER_EVAL_DEVICE
         explorer = DesignSpaceExplorer(PAPER_EVAL_DEVICE)
         serial = explorer.sweep([30e-9, 35e-9], [2.0, 3.0])
-        for executor in ("thread", "process", "chunked",
-                         "distributed"):
+        for executor in ("thread", "process", "distributed"):
             result = explorer.sweep([30e-9, 35e-9], [2.0, 3.0], jobs=2,
                                     executor=executor)
             # DesignPoint is a frozen dataclass: == is exact equality.
