@@ -35,49 +35,36 @@ Module map (device physics up to system questions):
 
 See ``examples/`` for runnable scenarios and ``python -m repro.cli`` for
 the command-line front end.
+
+Imports are lazy: this package and every subpackage resolve a public
+name on first use (PEP 562, :func:`repro._lazy.attach`), importing only
+the submodule that defines it. ``import repro`` therefore loads no
+numpy and no subpackage; ``from repro import MTJDevice`` loads the
+device layer and what it needs, nothing else. The names and
+``__all__`` are the same as with eager imports.
 """
 
-from . import memsys, sweep, units
-from .apps import (
-    ArrayYieldAnalysis,
-    DesignSpaceExplorer,
-    RetentionBudgetPlanner,
-    WriteErrorModel,
-)
-from .arrays import (
-    ArrayLayout,
-    DataPattern,
-    InterCellCoupling,
-    NeighborhoodPattern,
-    VictimAnalysis,
-)
-from .core import (
-    IcAnalysis,
-    InterCellModel,
-    IntraCellModel,
-    RetentionAnalysis,
-    SwitchingTimeAnalysis,
-    coupling_factor,
-    fit_effective_moments,
-    psi_threshold_pitch,
-    psi_vs_pitch,
-)
-from .device import (
-    DeviceParameters,
-    MTJDevice,
-    MTJState,
-    PAPER_EVAL_DEVICE,
-    ResistanceModel,
-)
-from .errors import (
-    CalibrationError,
-    GeometryError,
-    MeasurementError,
-    ParameterError,
-    ReproError,
-    SimulationError,
-)
-from .stack import MTJStack, build_reference_stack
+from ._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "apps": [
+        "ArrayYieldAnalysis", "DesignSpaceExplorer", "RetentionBudgetPlanner",
+        "WriteErrorModel"],
+    "arrays": [
+        "ArrayLayout", "DataPattern", "InterCellCoupling",
+        "NeighborhoodPattern", "VictimAnalysis"],
+    "core": [
+        "IcAnalysis", "InterCellModel", "IntraCellModel", "RetentionAnalysis",
+        "SwitchingTimeAnalysis", "coupling_factor", "fit_effective_moments",
+        "psi_threshold_pitch", "psi_vs_pitch"],
+    "device": [
+        "DeviceParameters", "MTJDevice", "MTJState", "PAPER_EVAL_DEVICE",
+        "ResistanceModel"],
+    "errors": [
+        "CalibrationError", "GeometryError", "MeasurementError",
+        "ParameterError", "ReproError", "SimulationError"],
+    "stack": ["MTJStack", "build_reference_stack"],
+})
 
 __version__ = "1.0.0"
 

@@ -18,17 +18,18 @@ under read/write traffic with ECC and scrubbing — see
 :mod:`repro.memsys`, which consumes the models defined here.
 """
 
-from .design_space import DESIGN_HEADERS, DesignPoint, DesignSpaceExplorer
-from .fault_models import CouplingFaultAnalyzer, FaultAssessment
-from .read_disturb import ReadDisturbAnalysis
-from .retention_budget import (
-    RetentionBudget,
-    RetentionBudgetPlanner,
-    classify_retention,
-)
-from .voltage_optimizer import BreakdownModel, WriteVoltageOptimizer
-from .write_error import WriteErrorModel
-from .yield_analysis import ArrayYieldAnalysis, YieldResult
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "design_space": ["DESIGN_HEADERS", "DesignPoint", "DesignSpaceExplorer"],
+    "fault_models": ["CouplingFaultAnalyzer", "FaultAssessment"],
+    "read_disturb": ["ReadDisturbAnalysis"],
+    "retention_budget": [
+        "RetentionBudget", "RetentionBudgetPlanner", "classify_retention"],
+    "voltage_optimizer": ["BreakdownModel", "WriteVoltageOptimizer"],
+    "write_error": ["WriteErrorModel"],
+    "yield_analysis": ["ArrayYieldAnalysis", "YieldResult"],
+})
 
 __all__ = [
     "ArrayYieldAnalysis",

@@ -18,31 +18,27 @@ Named ``arrays`` (plural) to avoid shadowing the stdlib ``array`` module.
 * :mod:`repro.arrays.density` — areal-density bookkeeping.
 """
 
-from .coupling import CouplingKernels, InterCellCoupling
-from .density import areal_density_gbit_per_mm2, cell_area, density_table
-from .extended import ExtendedNeighborhood, fast_array_field_map
-from .kernel_disk import (
-    KERNEL_CACHE_ENV,
-    DiskKernelCache,
-    KernelCacheError,
-)
-from .kernel_store import KernelStore, get_kernel_store, stack_fingerprint
-from .retention_map import RetentionMap, retention_map
-from .statistics import (
-    FieldDistribution,
-    expected_retention_failure_rate,
-    pattern_field_distribution,
-)
-from .layout import ArrayLayout, Neighborhood3x3
-from .pattern import (
-    DataPattern,
-    NeighborhoodPattern,
-    all_patterns,
-    checkerboard,
-    pattern_classes,
-    solid,
-)
-from .victim import VictimAnalysis
+# ``retention_map`` is also the name of its submodule, so it is bound eagerly:
+# importing the submodule later would rebind the package attribute.
+from .retention_map import retention_map
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "coupling": ["CouplingKernels", "InterCellCoupling"],
+    "density": ["areal_density_gbit_per_mm2", "cell_area", "density_table"],
+    "extended": ["ExtendedNeighborhood", "fast_array_field_map"],
+    "kernel_disk": ["KERNEL_CACHE_ENV", "DiskKernelCache", "KernelCacheError"],
+    "kernel_store": ["KernelStore", "get_kernel_store", "stack_fingerprint"],
+    "retention_map": ["RetentionMap"],
+    "statistics": [
+        "FieldDistribution", "expected_retention_failure_rate",
+        "pattern_field_distribution"],
+    "layout": ["ArrayLayout", "Neighborhood3x3"],
+    "pattern": [
+        "DataPattern", "NeighborhoodPattern", "all_patterns", "checkerboard",
+        "pattern_classes", "solid"],
+    "victim": ["VictimAnalysis"],
+})
 
 __all__ = [
     "ArrayLayout",

@@ -16,22 +16,20 @@ device models:
   variation ensembles.
 """
 
-from .bake import BakeResult, delta_from_bake, plan_bake, run_bake_test
-from .extraction import (
-    extract_ecd,
-    extract_hc_oe,
-    extract_offset_oe,
-    loop_statistics,
-)
-from .fitting import SwitchingFieldFit, fit_hk_delta0
-from .rh_loop import RHMeasurement, RHStatistics
-from .switching_prob import (
-    switching_probability_curve,
-    switching_probability_model,
-)
-from .tmr_bias import TmrBiasFit, fit_tmr_bias, measure_rv_curves
-from .variation import ProcessVariation, sample_device_parameters
-from .vsm import VSMMeasurement, measure_blanket_moments
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "bake": ["BakeResult", "delta_from_bake", "plan_bake", "run_bake_test"],
+    "extraction": [
+        "extract_ecd", "extract_hc_oe", "extract_offset_oe", "loop_statistics"],
+    "fitting": ["SwitchingFieldFit", "fit_hk_delta0"],
+    "rh_loop": ["RHMeasurement", "RHStatistics"],
+    "switching_prob": [
+        "switching_probability_curve", "switching_probability_model"],
+    "tmr_bias": ["TmrBiasFit", "fit_tmr_bias", "measure_rv_curves"],
+    "variation": ["ProcessVariation", "sample_device_parameters"],
+    "vsm": ["VSMMeasurement", "measure_blanket_moments"],
+})
 
 __all__ = [
     "BakeResult",

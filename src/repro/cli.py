@@ -60,19 +60,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .apps import DESIGN_HEADERS, DesignSpaceExplorer, WriteErrorModel
-from .core.psi import psi_threshold_pitch, psi_vs_pitch
-from .device import MTJDevice, PAPER_EVAL_DEVICE
-from .device.compact import export_model_card
 from .errors import RunIdentityError
-from .reporting import ascii_plot, format_table
 from .units import nm_to_m, oe_to_am
 
 
 def _generator(args):
     """The run's shared RNG; ``--seed`` makes the output reproducible."""
+    import numpy as np
     return np.random.default_rng(args.seed)
 
 
@@ -87,6 +81,10 @@ def _cmd_reproduce(args):
 
 
 def _cmd_psi(args):
+    import numpy as np
+
+    from .core.psi import psi_threshold_pitch, psi_vs_pitch
+    from .reporting import ascii_plot
     ecd = nm_to_m(args.ecd_nm)
     hc = oe_to_am(args.hc_oe)
     pitches = np.linspace(args.ratio_min * ecd, nm_to_m(args.pitch_max_nm),
@@ -102,6 +100,9 @@ def _cmd_psi(args):
 
 
 def _cmd_design(args):
+    from .apps import DESIGN_HEADERS, DesignSpaceExplorer
+    from .device import PAPER_EVAL_DEVICE
+    from .reporting import format_table
     ecds = [nm_to_m(float(v)) for v in args.ecds_nm.split(",")]
     ratios = [float(v) for v in args.ratios.split(",")]
     explorer = DesignSpaceExplorer(PAPER_EVAL_DEVICE,
@@ -114,8 +115,11 @@ def _cmd_design(args):
 
 
 def _cmd_wer(args):
+    from .apps import WriteErrorModel
     from .arrays.pattern import ALL_AP, ALL_P
     from .arrays.victim import VictimAnalysis
+    from .device import MTJDevice, PAPER_EVAL_DEVICE
+    from .reporting import format_table
     device = MTJDevice(PAPER_EVAL_DEVICE)
     model = WriteErrorModel(device)
     rng = _generator(args)
@@ -178,9 +182,11 @@ def _apply_memsys_preset(args):
 
 
 def _cmd_memsys(args):
+    from .device import MTJDevice, PAPER_EVAL_DEVICE
     from .memsys import ScrubPolicy, build_engine, uber_sweep
     from .memsys.sweeps import SWEEP_HEADERS
     from .memsys.topology import TopologyEngine
+    from .reporting import format_table
     _apply_memsys_preset(args)
     device = MTJDevice(PAPER_EVAL_DEVICE)
     rng = _generator(args)
@@ -556,6 +562,8 @@ def _cmd_query(args):
 
 
 def _cmd_model_card(args):
+    from .device import MTJDevice, PAPER_EVAL_DEVICE
+    from .device.compact import export_model_card
     device = MTJDevice(PAPER_EVAL_DEVICE)
     paths = export_model_card(device, args.out, name=args.name)
     for path in paths:

@@ -11,11 +11,15 @@
   Figs. 4c, 5 and 6.
 """
 
-from .calibration import CalibrationResult, fit_effective_moments
-from .impact import IcAnalysis, RetentionAnalysis, SwitchingTimeAnalysis
-from .inter import InterCellModel
-from .intra import IntraCellModel
-from .psi import coupling_factor, psi_threshold_pitch, psi_vs_pitch
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "calibration": ["CalibrationResult", "fit_effective_moments"],
+    "impact": ["IcAnalysis", "RetentionAnalysis", "SwitchingTimeAnalysis"],
+    "inter": ["InterCellModel"],
+    "intra": ["IntraCellModel"],
+    "psi": ["coupling_factor", "psi_threshold_pitch", "psi_vs_pitch"],
+})
 
 __all__ = [
     "CalibrationResult",

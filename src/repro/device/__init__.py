@@ -14,31 +14,25 @@ Implements the electrical and magnetic behaviour of one MTJ device:
 * :mod:`repro.device.mtj` — the :class:`MTJDevice` facade tying it together.
 """
 
-from .access import AccessTransistor, WritePath
-from .compact import export_model_card, lookup_tables, spice_subcircuit
-from .energy import delta_factor, delta_with_stray, energy_barrier
-from .hysteresis import HysteresisLoop, RHLoopSimulator, SweepProtocol
-from .mtj import DeviceParameters, MTJDevice, MTJState, PAPER_EVAL_DEVICE
-from .pulse import (
-    TrapezoidalPulse,
-    equivalent_rectangular_width,
-    rectangular,
-    shaped_pulse_wer,
-)
-from .resistance import ResistanceModel, ecd_from_rp, rp_from_ecd
-from .retention import (
-    fit_rate,
-    retention_failure_probability,
-    retention_time,
-)
-from .switching import (
-    SunModel,
-    calibrate_eta,
-    calibrate_polarization,
-    critical_current,
-    intrinsic_critical_current,
-)
-from .thermal import ThermalModel
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "access": ["AccessTransistor", "WritePath"],
+    "compact": ["export_model_card", "lookup_tables", "spice_subcircuit"],
+    "energy": ["delta_factor", "delta_with_stray", "energy_barrier"],
+    "hysteresis": ["HysteresisLoop", "RHLoopSimulator", "SweepProtocol"],
+    "mtj": ["DeviceParameters", "MTJDevice", "MTJState", "PAPER_EVAL_DEVICE"],
+    "pulse": [
+        "TrapezoidalPulse", "equivalent_rectangular_width", "rectangular",
+        "shaped_pulse_wer"],
+    "resistance": ["ResistanceModel", "ecd_from_rp", "rp_from_ecd"],
+    "retention": [
+        "fit_rate", "retention_failure_probability", "retention_time"],
+    "switching": [
+        "SunModel", "calibrate_eta", "calibrate_polarization",
+        "critical_current", "intrinsic_critical_current"],
+    "thermal": ["ThermalModel"],
+})
 
 __all__ = [
     "AccessTransistor",

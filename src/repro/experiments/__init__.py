@@ -6,16 +6,15 @@ a table view, and a paper-vs-measured comparison. ``runner.run_all`` drives
 everything and ``runner.render`` pretty-prints a result.
 """
 
-from .base import Comparison, ExperimentResult
-from .data import (
-    EVAL_ECD,
-    MEASURED_ECDS,
-    WAFER_RESISTANCE,
-    eval_device,
-    synthetic_intra_dataset,
-    wafer_device_parameters,
-)
-from .runner import run_all, render
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "base": ["Comparison", "ExperimentResult"],
+    "data": [
+        "EVAL_ECD", "MEASURED_ECDS", "WAFER_RESISTANCE", "eval_device",
+        "synthetic_intra_dataset", "wafer_device_parameters"],
+    "runner": ["run_all", "render"],
+})
 
 __all__ = [
     "Comparison",

@@ -16,16 +16,20 @@ Section IV-A) and provides three field evaluators of increasing speed:
 points.
 """
 
-from .biot_savart import loop_field_biot_savart, segment_loop
-from .bound_current import bound_current, layer_to_loops
-from .dipole import dipole_field, loop_as_dipole
-from .loop_analytic import (
-    loop_field_analytic,
-    loop_field_analytic_many,
-    loop_field_on_axis,
-)
-from .sampling import disk_average, grid3d, radial_line
-from .superposition import CurrentLoop, LoopCollection
+# ``bound_current`` is also the name of its submodule, so it is bound eagerly:
+# importing the submodule later would rebind the package attribute.
+from .bound_current import bound_current
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "biot_savart": ["loop_field_biot_savart", "segment_loop"],
+    "bound_current": ["layer_to_loops"],
+    "dipole": ["dipole_field", "loop_as_dipole"],
+    "loop_analytic": [
+        "loop_field_analytic", "loop_field_analytic_many", "loop_field_on_axis"],
+    "sampling": ["disk_average", "grid3d", "radial_line"],
+    "superposition": ["CurrentLoop", "LoopCollection"],
+})
 
 __all__ = [
     "CurrentLoop",

@@ -7,32 +7,19 @@ can emit a manifest of what it computed, and two operator commands
 fact. See :mod:`repro.integrity.manifest` for the digest contract.
 """
 
-from .audit import (
-    AuditCheck,
-    AuditReport,
-    audit_cache_dir,
-    audit_checkpoint_dir,
-    audit_spool_run,
-    cross_backend_canary,
-)
-from .fsck import Finding, fsck_spool, list_quarantine
-from .manifest import (
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
-    RunManifest,
-    blob_digest,
-    canonical,
-    canonical_scalar,
-    identity_diff,
-    load_sealed,
-    pack_record,
-    pickle_digest,
-    record_digest,
-    seal_record,
-    unpack_record,
-    verify_sealed,
-    write_sealed,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "audit": [
+        "AuditCheck", "AuditReport", "audit_cache_dir", "audit_checkpoint_dir",
+        "audit_spool_run", "cross_backend_canary"],
+    "fsck": ["Finding", "fsck_spool", "list_quarantine"],
+    "manifest": [
+        "MANIFEST_NAME", "MANIFEST_VERSION", "RunManifest", "blob_digest",
+        "canonical", "canonical_scalar", "identity_diff", "load_sealed",
+        "pack_record", "pickle_digest", "record_digest", "seal_record",
+        "unpack_record", "verify_sealed", "write_sealed"],
+})
 
 __all__ = [
     "AuditCheck",

@@ -10,21 +10,19 @@ inverse switching time grows linearly with the overdrive current in the
 precessional regime, the functional form behind Eq. 3.
 """
 
-from .field_switching import (
-    astroid_switching_field,
-    simulate_switching_field,
-)
-from .integrator import HeunIntegrator
-from .macrospin import MacrospinParameters, effective_field, llgs_rhs
-from .multispin import FLGrid, MultiMacrospinFL, make_fl_grid
-from .simulate import (
-    SwitchingResult,
-    SwitchingSimulation,
-    equilibrium_ensemble,
-    relax,
-)
-from .stt import slonczewski_field, stt_critical_current
-from .thermal_field import thermal_field_sigma
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "field_switching": ["astroid_switching_field", "simulate_switching_field"],
+    "integrator": ["HeunIntegrator"],
+    "macrospin": ["MacrospinParameters", "effective_field", "llgs_rhs"],
+    "multispin": ["FLGrid", "MultiMacrospinFL", "make_fl_grid"],
+    "simulate": [
+        "SwitchingResult", "SwitchingSimulation", "equilibrium_ensemble",
+        "relax"],
+    "stt": ["slonczewski_field", "stt_critical_current"],
+    "thermal_field": ["thermal_field_sigma"],
+})
 
 __all__ = [
     "FLGrid",

@@ -46,59 +46,31 @@ Quick start::
     print(f"raw BER {result.raw_ber:.2e} -> UBER {result.uber:.2e}")
 """
 
-from .backends import (
-    BACKENDS,
-    ENGINE_BACKEND_ENV,
-    get_backend,
-    numba_available,
-    resolve_backend,
-    validate_backend,
-)
-from .controller import (
-    ArrayController,
-    WordMap,
-    neighborhood_class_map,
-)
-from .ecc import (
-    DecodeOutcome,
-    ECC_SCHEMES,
-    HammingSECDED,
-    NoECC,
-    make_ecc,
-)
-from .bitplane import BitPlane
-from .engine import (
-    MemsysResult,
-    ReliabilityEngine,
-    build_engine,
-    merge_results,
-)
-from .sampling import (
-    IncrementalClassMaps,
-    N_CLASSES,
-    SAMPLERS,
-    class_index,
-    sample_class_flips,
-)
-from .scrub import ScrubPolicy, no_scrub
-from .sense import SenseMarginModel
-from .sweeps import secded_margin_pitch, uber_sweep
-from .topology import (
-    ArrayTopology,
-    HierarchicalAddressMap,
-    TOPOLOGIES,
-    TopologyEngine,
-    normalize_topology,
-)
-from .traffic import (
-    HotSpotWorkload,
-    SequentialWorkload,
-    StressPatternWorkload,
-    TrafficBatch,
-    WORKLOADS,
-    Workload,
-    make_workload,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "backends": [
+        "BACKENDS", "ENGINE_BACKEND_ENV", "get_backend", "numba_available",
+        "resolve_backend", "validate_backend"],
+    "controller": ["ArrayController", "WordMap", "neighborhood_class_map"],
+    "ecc": [
+        "DecodeOutcome", "ECC_SCHEMES", "HammingSECDED", "NoECC", "make_ecc"],
+    "bitplane": ["BitPlane"],
+    "engine": [
+        "MemsysResult", "ReliabilityEngine", "build_engine", "merge_results"],
+    "sampling": [
+        "IncrementalClassMaps", "N_CLASSES", "SAMPLERS", "class_index",
+        "sample_class_flips"],
+    "scrub": ["ScrubPolicy", "no_scrub"],
+    "sense": ["SenseMarginModel"],
+    "sweeps": ["secded_margin_pitch", "uber_sweep"],
+    "topology": [
+        "ArrayTopology", "HierarchicalAddressMap", "TOPOLOGIES",
+        "TopologyEngine", "normalize_topology"],
+    "traffic": [
+        "HotSpotWorkload", "SequentialWorkload", "StressPatternWorkload",
+        "TrafficBatch", "WORKLOADS", "Workload", "make_workload"],
+})
 
 __all__ = [
     "ArrayController",

@@ -34,28 +34,21 @@ Quick start::
                         checkpoint=ckpt, resume=True)   # crash-safe
 """
 
-from .breaker import CircuitBreaker, RetryPolicy, call_with_retry
-from .checkpoint import (
-    CheckpointManager,
-    RunCheckpointer,
-    as_checkpointer,
-    corrupt_checkpoint,
-)
-from .faults import (
-    FAULT_KINDS,
-    FaultClock,
-    FaultPlan,
-    FaultyFileSystem,
-    WorkerFaults,
-    WorkerKilled,
-)
-from .shims import REAL_CLOCK, REAL_FS, Clock, FileSystem, ProcessSpawner
-from .supervisor import (
-    FleetSupervisor,
-    SpoolView,
-    add_fleet_arguments,
-    run_fleet,
-)
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "breaker": ["CircuitBreaker", "RetryPolicy", "call_with_retry"],
+    "checkpoint": [
+        "CheckpointManager", "RunCheckpointer", "as_checkpointer",
+        "corrupt_checkpoint"],
+    "faults": [
+        "FAULT_KINDS", "FaultClock", "FaultPlan", "FaultyFileSystem",
+        "WorkerFaults", "WorkerKilled"],
+    "shims": [
+        "REAL_CLOCK", "REAL_FS", "Clock", "FileSystem", "ProcessSpawner"],
+    "supervisor": [
+        "FleetSupervisor", "SpoolView", "add_fleet_arguments", "run_fleet"],
+})
 
 __all__ = [
     "FAULT_KINDS",

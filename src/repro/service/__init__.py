@@ -14,20 +14,25 @@ client.
 
 Layering::
 
-    protocol      query dataclasses, NDJSON framing, fingerprints
+    framing       NDJSON line codec (stdlib only)
+    protocol      query dataclasses, fingerprints
     results_cache bounded LRU + optional REPRO_KERNEL_CACHE disk tier
     runners       query -> blocking library call (cancellable)
     coalesce      shared in-flight runs, subscriber fan-out
     server        asyncio socket server, stats, SIGTERM drain
-    client        synchronous NDJSON client
+    client        synchronous NDJSON client (needs only framing)
 """
 
-from .client import ServiceClient
-from .coalesce import Coalescer
-from .protocol import (PROTOCOL_VERSION, QUERY_TYPES, parse_request,
-                       query_fingerprint)
-from .results_cache import ResultsCache
-from .server import ReliabilityServer
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "client": ["ServiceClient"],
+    "coalesce": ["Coalescer"],
+    "protocol": [
+        "PROTOCOL_VERSION", "QUERY_TYPES", "parse_request", "query_fingerprint"],
+    "results_cache": ["ResultsCache"],
+    "server": ["ReliabilityServer"],
+})
 
 __all__ = [
     "PROTOCOL_VERSION",

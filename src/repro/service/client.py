@@ -12,7 +12,7 @@ from __future__ import annotations
 import socket
 
 from ..errors import ParameterError, ServiceError
-from .protocol import MAX_LINE_BYTES, decode_line, encode_line
+from .framing import MAX_LINE_BYTES, decode_line, encode_line
 
 
 class ServiceClient:

@@ -4,7 +4,9 @@ One request per line, one JSON object per line (NDJSON) in both
 directions. A request is ``{"op": <name>, "id": <client tag>,
 ...params}``; the server answers with zero or more ``progress`` events
 followed by exactly one terminal ``result`` or ``error`` event, each
-echoing the request ``id`` so clients may pipeline.
+echoing the request ``id`` so clients may pipeline. The line codec
+lives in the numpy-free :mod:`repro.service.framing` and is re-exported
+here.
 
 Requests normalize into frozen dataclasses (the "request objects in"
 half of the service contract): every field is validated and coerced to
@@ -21,7 +23,6 @@ stale hit) with ``REPRO_KERNEL_CACHE``.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 from ..arrays.kernel_disk import key_digest
@@ -31,34 +32,11 @@ from ..errors import ParameterError
 from ..integrity.manifest import canonical_scalar
 from ..units import nm_to_m
 from ..validation import require_int_in_range, require_positive
+from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 
 #: Version prefix of every fingerprint; bump on any semantic change to
 #: a query's evaluation so memoized results from older servers miss.
 PROTOCOL_VERSION = 1
-
-#: Upper bound on one NDJSON frame — a malformed client cannot balloon
-#: the server's line buffer.
-MAX_LINE_BYTES = 1 << 20
-
-
-def encode_line(obj):
-    """Serialize one protocol object to a newline-terminated frame."""
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True)
-            + "\n").encode("utf-8")
-
-
-def decode_line(line):
-    """Parse one frame; raises :class:`ParameterError` on bad JSON."""
-    if isinstance(line, (bytes, bytearray)):
-        line = line.decode("utf-8", errors="replace")
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"request is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParameterError(
-            f"request must be a JSON object, got {type(obj).__name__}")
-    return obj
 
 
 def _tuple_of_floats(value, name):

@@ -33,25 +33,19 @@ Consumers: :meth:`repro.apps.design_space.DesignSpaceExplorer.sweep`,
 ``python -m repro.cli``.
 """
 
-from .distributed import (
-    SHUTDOWN_SENTINEL,
-    SWEEP_SPAWN_ENV,
-    SWEEP_SPOOL_ENV,
-    DistributedBroker,
-    SpoolWorker,
-)
-from .result import SweepResult
-from .runner import (
-    EXECUTORS,
-    SMALL_SWEEP_POINTS,
-    SWEEP_EXECUTOR_ENV,
-    SweepRunner,
-    add_sweep_arguments,
-    executor_for_jobs,
-    run_sweep,
-    schedule_chunks,
-)
-from .spec import SweepSpec
+from .._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "distributed": [
+        "SHUTDOWN_SENTINEL", "SWEEP_SPAWN_ENV", "SWEEP_SPOOL_ENV",
+        "DistributedBroker", "SpoolWorker"],
+    "result": ["SweepResult"],
+    "runner": [
+        "EXECUTORS", "SMALL_SWEEP_POINTS", "SWEEP_EXECUTOR_ENV", "SweepRunner",
+        "add_sweep_arguments", "executor_for_jobs", "run_sweep",
+        "schedule_chunks"],
+    "spec": ["SweepSpec"],
+})
 
 __all__ = [
     "EXECUTORS",
