@@ -7,7 +7,11 @@ Section IV-A) and provides three field evaluators of increasing speed:
 * :mod:`repro.fields.biot_savart` — the paper's discrete segmented-loop
   Biot-Savart summation (reference implementation),
 * :mod:`repro.fields.loop_analytic` — the exact circular-loop field via
-  complete elliptic integrals (fast, used by default),
+  complete elliptic integrals (fast, used by default). K and E come
+  from :mod:`repro.fields.elliptic`, a numpy port of the Cephes
+  ``ellpk``/``ellpe`` coefficients, bit-identical to
+  ``scipy.special.ellipk``/``ellipe`` because it takes its logarithm
+  from libm (``math.log``; ``np.log`` may differ by one ulp),
 * :mod:`repro.fields.dipole` — the far-field point-dipole limit (used for
   cross-checks and fast array-scale estimates).
 

@@ -17,15 +17,20 @@ parallel to the layer magnetization.
 
 The field diverges on the wire itself (rho = a, z = 0); evaluation there
 returns ``inf`` values rather than raising, mirroring the physics.
+
+K and E come from :func:`repro.fields.elliptic.ellipke`, a numpy port of
+the Cephes ``ellpk``/``ellpe`` coefficients that takes its logarithm
+from libm (``math.log``, not ``np.log``), so it returns exactly what
+``scipy.special.ellipk``/``ellipe`` do and loads no scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from ..errors import ParameterError
 from ..validation import require_positive
+from .elliptic import ellipke
 
 #: Fraction of the loop radius below which a point counts as on-axis.
 _AXIS_RHO_TOLERANCE = 1.0e-12
@@ -105,9 +110,8 @@ def loop_field_analytic_many(currents, radii, centers, points,
     # On the axis (rho = 0) the Hz expression reduces exactly to the
     # on-axis formula (K = E = pi/2), so only Hrho needs a guard; on the
     # wire itself (m_ell = 1) the field diverges to inf, as physics says.
+    k_int, e_int = ellipke(m_ell)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_int = ellipk(m_ell)
-        e_int = ellipe(m_ell)
         pref = cur / (2.0 * np.pi * np.sqrt(denom_plus))
         hz = pref * (k_int + e_int * (a * a - rho * rho - z * z)
                      / denom_minus)
@@ -171,10 +175,10 @@ def loop_field_analytic(current, radius, points):
         denom_plus = (a + rr) ** 2 + zz * zz
         denom_minus = (a - rr) ** 2 + zz * zz
         m_ell = 4.0 * a * rr / denom_plus
-        # Clip to the open domain of K; m_ell == 1 only on the wire itself.
+        # m_ell lies in [0, 1] by construction and equals 1 only on the
+        # wire itself, where K = inf and the field diverges.
+        k_int, e_int = ellipke(m_ell)
         with np.errstate(divide="ignore", invalid="ignore"):
-            k_int = ellipk(m_ell)
-            e_int = ellipe(m_ell)
             root = np.sqrt(denom_plus)
             pref = current / (2.0 * np.pi * root)
             hz = pref * (k_int + e_int * (a * a - rr * rr - zz * zz)

@@ -11,11 +11,11 @@ Executors:
 * ``"serial"`` — a plain loop in the calling process (the default, and
   the baseline parallel runs are checked against),
 * ``"thread"`` — a ``concurrent.futures.ThreadPoolExecutor`` in the
-  calling process. The hot paths of this library release the GIL
-  inside numpy/scipy (the broadcasted elliptic-integral kernels), so
-  threads parallelize small-point sweeps without process-spawn or
-  pickling overhead — and all workers share the one process-wide
-  kernel store,
+  calling process: no process-spawn or pickling overhead, and all
+  workers share the one process-wide kernel store. Threads overlap
+  only inside numpy's array operations, which release the GIL; the
+  coupling kernels are a few dozen elements per point and their libm
+  log step runs in Python, so little kernel work runs in parallel,
 * ``"process"`` — a ``concurrent.futures.ProcessPoolExecutor``; the
   point function and its bound arguments must be picklable
   (module-level functions / ``functools.partial`` of them),
@@ -62,8 +62,8 @@ SWEEP_EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
 
 #: Grids at or below this many points count as "small" for
 #: :func:`executor_for_jobs`: process-pool spawn cost dominates them,
-#: so the implicit parallel pick prefers the thread executor (the
-#: field-bound hot paths release the GIL inside numpy/scipy).
+#: so the implicit parallel pick prefers the thread executor (no spawn
+#: or pickling cost, one shared kernel store).
 SMALL_SWEEP_POINTS = 32
 
 

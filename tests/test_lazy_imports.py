@@ -222,11 +222,15 @@ _COMPUTE_CHILD = """
     after_import = sorted(sys.modules)
 
     from repro.device import MTJDevice, PAPER_EVAL_DEVICE
-    from repro.memsys import build_engine
-    engine = build_engine(MTJDevice(PAPER_EVAL_DEVICE), pitch=70e-9,
-                          rows=16, cols=16)
+    from repro.memsys import build_engine, uber_sweep
+    device = MTJDevice(PAPER_EVAL_DEVICE)
+    engine = build_engine(device, pitch=70e-9, rows=16, cols=16)
     result = engine.run(2000, rng=1)
     assert result.n_transactions == 2000
+    sweep = uber_sweep(device, pitch_ratios=(3.0, 1.5),
+                       patterns=("solid0",), eccs=("secded",),
+                       rows=16, cols=16, seed=1)
+    assert len(sweep.rows) == 2
     print(json.dumps({"after_import": after_import,
                       "after_run": sorted(sys.modules)}))
 """
@@ -239,11 +243,13 @@ def _under(loaded, *prefixes):
 
 def test_compute_path_import_graph():
     report = _run_child(_COMPUTE_CHILD)
-    # The server imports no scipy at all: the kernels load
-    # scipy.special (and, through it, numpy.f2py) on first use.
+    # Neither the server nor an engine run or sweep imports scipy: the
+    # coupling kernels take K and E from the numpy port in
+    # repro.fields.elliptic, so scipy.special (and numpy.f2py, which it
+    # pulls in) never loads on the compute path.
     assert _under(report["after_import"], "scipy", "numpy.f2py") == []
     loaded = report["after_run"]
-    assert _under(loaded, "scipy.optimize", "repro.characterization",
+    assert _under(loaded, "scipy", "numpy.f2py", "repro.characterization",
                   "repro.llg") == []
     # memsys renders into the result records of experiments.base; no
     # experiment module itself may load.
