@@ -170,8 +170,10 @@ def solid(rows, cols, bit=0):
 def checkerboard(rows, cols, phase=0):
     """A checkerboard pattern; ``phase`` flips which corner holds a 1."""
     require_int_in_range(phase, "phase", 0, 1)
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    return DataPattern(((rr + cc + phase) % 2).astype(np.int8))
+    # Row parity XOR column parity, broadcast in int8 (1 B/cell).
+    row_parity = (np.arange(rows) % 2).astype(np.int8)
+    col_parity = ((np.arange(cols) + phase) % 2).astype(np.int8)
+    return DataPattern(row_parity[:, None] ^ col_parity)
 
 
 def random_pattern(rows, cols, rng=None, p_one=0.5):

@@ -35,10 +35,11 @@ the reference numpy path"; the numpy backend always does):
 ========================  ==============================================
 ``xor_popcount_rows``     per-row set-bit count of ``a ^ b`` (uint64
                           lanes) without materializing the XOR temp
-``rebuild_class_maps``    full ``(nd, ng, class_idx, hist)`` rebuild
-                          from a flat bit array
-``apply_class_changes``   in-place neighbor-count/class/histogram
-                          update around changed cells
+``rebuild_class_maps``    full rebuild of ``maps.class_idx`` in place
+                          from the packed plane; returns the histogram
+``apply_class_changes``   in-place class/histogram update around
+                          changed cells (+-25 own, +-5 direct, +-1
+                          diagonal)
 ``group_class_members``   ``(order, bounds)`` grouping of cells by
                           coupling class (counting sort, no argsort)
 ``toggle_and_count``      fused bit toggles + per-word error-count

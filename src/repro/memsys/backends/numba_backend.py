@@ -64,126 +64,100 @@ def _xor_popcount_rows(a8, b8, table, out):
 
 
 @njit(cache=True)
-def _rebuild_class_maps(bits, rows, cols, nd, ng, class_idx, hist):
-    """Fused whole-array rebuild: neighbor counts + class + histogram.
+def _block_class_index(halo, top, n_rows, class_idx, hist):
+    """Fused block rebuild: neighbor counts + class + histogram.
 
-    One pass over the grid replaces the reference's three vectorized
-    stages (padded separable sums, class_index, byte-pair histogram)
-    and all their temporaries. Missing neighbors beyond the edge count
-    as 0 (P) — the dummy-cell boundary convention.
+    ``halo`` is a ``(h, cols)`` block of bits with its neighbor rows;
+    its rows ``[top, top + n_rows)`` are classified into the flat
+    ``class_idx`` block, counting each class into ``hist``. One pass
+    replaces the reference's three vectorized stages (padded separable
+    sums, class_index, byte-pair histogram) and their temporaries.
+    Missing neighbors beyond the halo count as 0 (P) — the dummy-cell
+    boundary convention.
     """
-    for k in range(hist.size):
-        hist[k] = 0
-    for r in range(rows):
+    h, cols = halo.shape
+    for k in range(n_rows):
+        r = top + k
         up = r > 0
-        down = r < rows - 1
-        base = r * cols
+        down = r < h - 1
         for c in range(cols):
-            i = base + c
             left = c > 0
             right = c < cols - 1
             d = 0
             g = 0
             if up:
-                d += bits[i - cols]
+                d += halo[r - 1, c]
                 if left:
-                    g += bits[i - cols - 1]
+                    g += halo[r - 1, c - 1]
                 if right:
-                    g += bits[i - cols + 1]
+                    g += halo[r - 1, c + 1]
             if down:
-                d += bits[i + cols]
+                d += halo[r + 1, c]
                 if left:
-                    g += bits[i + cols - 1]
+                    g += halo[r + 1, c - 1]
                 if right:
-                    g += bits[i + cols + 1]
+                    g += halo[r + 1, c + 1]
             if left:
-                d += bits[i - 1]
+                d += halo[r, c - 1]
             if right:
-                d += bits[i + 1]
-            ci = bits[i] * 25 + d * 5 + g
-            nd[i] = d
-            ng[i] = g
-            class_idx[i] = ci
+                d += halo[r, c + 1]
+            ci = halo[r, c] * 25 + d * 5 + g
+            class_idx[k * cols + c] = ci
             hist[ci] += 1
 
 
 @njit(cache=True)
-def _apply_class_changes(changed, new_bits, nd, ng, class_idx, hist,
-                         changed_mask, scratch, rows, cols):
+def _apply_class_changes(changed, new_bits, class_idx, hist, cells,
+                         weights, rows, cols):
     """Incremental class-map update around ``changed`` cells.
 
     Every changed cell has been toggled exactly once since the last
-    refresh; ``new_bits`` holds its *new* value. Neighbor counts are
-    bumped with a flat index walk (the fidimag neighbor pattern),
-    touched cells collect into ``scratch`` (<= 9 per change), and one
-    sort + scan re-derives class index and histogram for each distinct
-    affected cell.
+    refresh; ``new_bits`` holds its *new* value. A toggle moves the
+    cell's own class by +-25, each direct neighbor's by +-5 and each
+    diagonal neighbor's by +-1 (the class digits ``bit, nd, ng``).
+    The touched cells and their class changes collect into ``cells`` /
+    ``weights`` (<= 9 per change) with a flat index walk (the fidimag
+    neighbor pattern); each distinct touched cell leaves its old
+    histogram bin before the changes land and enters its new one after.
     """
-    n = changed.size
-    for k in range(n):
-        changed_mask[changed[k]] = 1
     m = 0
-    for k in range(n):
+    for k in range(changed.size):
         i = changed[k]
-        delta = 2 * new_bits[k] - 1  # 0 -> 1: +1, 1 -> 0: -1
+        sign = 2 * new_bits[k] - 1  # 0 -> 1: +1, 1 -> 0: -1
         r = i // cols
         c = i % cols
-        up = r > 0
-        down = r < rows - 1
-        left = c > 0
-        right = c < cols - 1
-        scratch[m] = i
-        m += 1
-        if up:
-            nd[i - cols] += delta
-            scratch[m] = i - cols
-            m += 1
-            if left:
-                ng[i - cols - 1] += delta
-                scratch[m] = i - cols - 1
+        for dr in range(-1, 2):
+            rr = r + dr
+            if rr < 0 or rr >= rows:
+                continue
+            for dc in range(-1, 2):
+                cc = c + dc
+                if cc < 0 or cc >= cols:
+                    continue
+                if dr == 0 and dc == 0:
+                    weight = 25
+                elif dr == 0 or dc == 0:
+                    weight = 5
+                else:
+                    weight = 1
+                cells[m] = rr * cols + cc
+                weights[m] = sign * weight
                 m += 1
-            if right:
-                ng[i - cols + 1] += delta
-                scratch[m] = i - cols + 1
-                m += 1
-        if down:
-            nd[i + cols] += delta
-            scratch[m] = i + cols
-            m += 1
-            if left:
-                ng[i + cols - 1] += delta
-                scratch[m] = i + cols - 1
-                m += 1
-            if right:
-                ng[i + cols + 1] += delta
-                scratch[m] = i + cols + 1
-                m += 1
-        if left:
-            nd[i - 1] += delta
-            scratch[m] = i - 1
-            m += 1
-        if right:
-            nd[i + 1] += delta
-            scratch[m] = i + 1
-            m += 1
-    touched = scratch[:m]
-    touched.sort()
+    touched = np.sort(cells[:m])
     prev = -1
     for k in range(m):
         j = touched[k]
-        if j == prev:
-            continue
-        prev = j
-        old = class_idx[j]
-        bit = old // 25
-        if changed_mask[j] == 1:
-            bit = 1 - bit
-        new = bit * 25 + nd[j] * 5 + ng[j]
-        class_idx[j] = new
-        hist[old] -= 1
-        hist[new] += 1
-    for k in range(n):
-        changed_mask[changed[k]] = 0
+        if j != prev:
+            hist[class_idx[j]] -= 1
+            prev = j
+    for k in range(m):
+        class_idx[cells[k]] += weights[k]
+    prev = -1
+    for k in range(m):
+        j = touched[k]
+        if j != prev:
+            hist[class_idx[j]] += 1
+            prev = j
 
 
 @njit(cache=True)
@@ -291,7 +265,7 @@ class NumbaEngineBackend:
         the numpy reference; raises on any mismatch."""
         from ..bitplane import BitPlane, popcount_rows
         from ..controller import neighborhood_class_map
-        from ..sampling import class_index
+        from ..sampling import IncrementalClassMaps, class_index
 
         rng = np.random.default_rng(0)
         lanes = rng.integers(0, 2**63, size=(5, 2)).astype("<u8")
@@ -302,26 +276,36 @@ class NumbaEngineBackend:
                               expect):
             raise AssertionError("xor_popcount_rows mismatch")
 
-        rows = cols = 6
+        rows, cols = 6, 7
         bits = rng.integers(0, 2, size=rows * cols).astype(np.int8)
-        nd, ng, ci, hist = self.rebuild_class_maps(bits, rows, cols)
+        # 4 x 9-bit words over 42 cells: cells 36..41 are tail.
+        plane = BitPlane.from_bits(bits, n_words=4, code_bits=9)
+        maps = IncrementalClassMaps(rows, cols, plane, backend=self)
         nd_ref, ng_ref = neighborhood_class_map(
             bits.reshape(rows, cols))
-        ci_ref = class_index(bits, nd_ref.reshape(-1),
-                             ng_ref.reshape(-1))
-        if not (np.array_equal(nd, nd_ref.reshape(-1))
-                and np.array_equal(ng, ng_ref.reshape(-1))
-                and np.array_equal(ci, ci_ref)
-                and np.array_equal(hist, np.bincount(ci_ref,
-                                                     minlength=50))):
+        ci = class_index(bits, nd_ref.reshape(-1), ng_ref.reshape(-1))
+        hist = np.bincount(ci, minlength=50)
+        if not (np.array_equal(maps.class_idx, ci)
+                and np.array_equal(maps.hist, hist)):
             raise AssertionError("rebuild_class_maps mismatch")
+        flips = np.array([0, 8, 20, 41], dtype=np.int64)
+        plane.toggle_cells(flips)
+        maps._apply_changes(flips, plane)
+        bits[flips] ^= 1
+        nd_ref, ng_ref = neighborhood_class_map(
+            bits.reshape(rows, cols))
+        ci = class_index(bits, nd_ref.reshape(-1), ng_ref.reshape(-1))
+        hist = np.bincount(ci, minlength=50)
+        if not (np.array_equal(maps.class_idx, ci)
+                and np.array_equal(maps.hist, hist)):
+            raise AssertionError("apply_class_changes mismatch")
 
         order, bounds = self.group_class_members(ci, hist)
         ref = np.argsort(ci, kind="stable")
         if not np.array_equal(order, ref):
             raise AssertionError("group_class_members mismatch")
 
-        # 4 x 8-bit words over 36 cells: cells 32..35 are tail.
+        # 4 x 8-bit words over 42 cells: cells 32..41 are tail.
         intended = BitPlane.from_bits(bits, n_words=4, code_bits=8)
         actual = intended.copy()
         err = np.zeros(4, dtype=np.int16)
@@ -351,28 +335,24 @@ class NumbaEngineBackend:
         _xor_popcount_rows(a8, b8, _TABLE64, out)
         return out
 
-    def rebuild_class_maps(self, bits, rows, cols):
-        bits = np.ascontiguousarray(bits, dtype=np.int8).reshape(-1)
-        n = bits.size
-        nd = np.empty(n, dtype=np.int8)
-        ng = np.empty(n, dtype=np.int8)
-        class_idx = np.empty(n, dtype=np.int8)
+    def rebuild_class_maps(self, maps, plane):
+        from ..sampling import halo_blocks
         hist = np.zeros(50, dtype=np.int64)
-        _rebuild_class_maps(bits, rows, cols, nd, ng, class_idx, hist)
-        return nd, ng, class_idx, hist
+        grid = maps.class_idx.reshape(maps.rows, maps.cols)
+        for lo, hi, halo, top in halo_blocks(plane, maps.rows,
+                                             maps.cols):
+            _block_class_index(halo, top, hi - lo,
+                               grid[lo:hi].reshape(-1), hist)
+        return hist
 
     def apply_class_changes(self, maps, changed, new_bits, plane):
-        n_cells = maps.rows * maps.cols
-        mask = getattr(maps, "_numba_changed_mask", None)
-        if mask is None or mask.size != n_cells:
-            mask = np.zeros(n_cells, dtype=np.uint8)
-            maps._numba_changed_mask = mask
         changed = np.ascontiguousarray(changed, dtype=np.int64)
-        new_bits = np.ascontiguousarray(new_bits, dtype=np.int8)
-        scratch = np.empty(changed.size * 9, dtype=np.int64)
-        _apply_class_changes(changed, new_bits, maps.nd, maps.ng,
-                             maps.class_idx, maps.hist, mask, scratch,
-                             maps.rows, maps.cols)
+        new_bits = np.ascontiguousarray(new_bits, dtype=np.int64)
+        cells = np.empty(changed.size * 9, dtype=np.int64)
+        weights = np.empty(changed.size * 9, dtype=np.int64)
+        _apply_class_changes(changed, new_bits, maps.class_idx,
+                             maps.hist, cells, weights, maps.rows,
+                             maps.cols)
         return True
 
     def group_class_members(self, class_idx, hist):

@@ -36,7 +36,7 @@ class NumpyEngineBackend:
     def xor_popcount_rows(self, a, b):
         return None
 
-    def rebuild_class_maps(self, bits, rows, cols):
+    def rebuild_class_maps(self, maps, plane):
         return None
 
     def apply_class_changes(self, maps, changed, new_bits, plane):

@@ -32,9 +32,25 @@ _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)],
                            dtype=np.uint8)
 
 
+#: Cells per block of the block-wise whole-array passes (class-map
+#: rebuild, random initial content): a block's temporaries stay a few
+#: hundred KiB however large the array.
+BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(rows, cols):
+    """``(lo, hi)`` row ranges covering ``rows`` rows of ``cols`` cells,
+    each at most :data:`BLOCK_CELLS` cells (but at least one row)."""
+    step = max(1, BLOCK_CELLS // int(cols))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def pack_bits(bits):
     """Pack ``(n, k)`` 0/1 bits into ``(n, ceil(k / 64))`` uint64 lanes."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
+    # An int8 plane packs through a uint8 view, not a uint8 copy.
+    bits = (bits.view(np.uint8) if bits.dtype == np.int8
+            else bits.astype(np.uint8, copy=False))
     if bits.ndim != 2:
         raise ParameterError(
             f"bits must be 2-D, got shape {bits.shape}")
@@ -145,12 +161,25 @@ class BitPlane:
             shards.append(shard)
         return shards
 
-    def to_bits(self):
-        """Unpack the whole plane to a flat (n_cells,) int8 array."""
-        mapped = unpack_bits(self.lanes, self.code_bits).reshape(-1)
-        if self.tail.size == 0:
-            return mapped
-        return np.concatenate([mapped, self.tail])
+    def to_bits(self, start=0, stop=None):
+        """Unpack flat cells ``[start, stop)`` (default: the whole
+        plane) to an int8 array, unpacking only the words they span."""
+        stop = self.n_cells if stop is None else int(stop)
+        end = min(stop, self.n_mapped)
+        parts = []
+        if start < end:
+            first = start // self.code_bits
+            words = unpack_bits(
+                self.lanes[first:-(-end // self.code_bits)],
+                self.code_bits).reshape(-1)
+            parts.append(words[start - first * self.code_bits:
+                               end - first * self.code_bits])
+        if stop > self.n_mapped:
+            parts.append(self.tail[max(start - self.n_mapped, 0):
+                                   stop - self.n_mapped].copy())
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, np.int8)
 
     # -- word-granular access ----------------------------------------------
 

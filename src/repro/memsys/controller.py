@@ -89,14 +89,26 @@ class WordMap:
             raise ParameterError(
                 f"array of {layout.n_cells} cells cannot hold one "
                 f"{self.code_bits}-bit codeword")
-        self.cells = np.arange(
-            self.n_words * self.code_bits).reshape(self.n_words,
-                                                   self.code_bits)
 
     @property
     def n_mapped_cells(self):
         """Number of cells that belong to some codeword."""
         return self.n_words * self.code_bits
+
+    def cells_of(self, words, positions=None):
+        """``(len(words), k)`` flat cells of ``words`` at codeword bit
+        ``positions`` (default: all ``code_bits``), computed as
+        ``word * code_bits + position`` — no per-cell table is kept."""
+        if positions is None:
+            positions = np.arange(self.code_bits)
+        return (np.asarray(words)[:, None] * self.code_bits
+                + np.asarray(positions))
+
+    @property
+    def cells(self):
+        """The whole ``(n_words, code_bits)`` word-to-cell table,
+        derived on request (8 B per mapped cell)."""
+        return self.cells_of(np.arange(self.n_words))
 
 
 class ArrayController:

@@ -704,9 +704,11 @@ class ReliabilityEngine:
             table = 1.0 - (1.0 - table) * (
                 1.0 - ctl.half_select_class_probability(
                     self.half_select_exposure))
-        cells = ctl.words.cells
-        p = np.clip(table.reshape(2, 5, 5)[bits[cells], nd[cells],
-                                           ng[cells]],
+        # Word w's cells are the contiguous flat run [w * k, (w + 1) * k).
+        words = ctl.words
+        bits, nd, ng = (m[:words.n_mapped_cells].reshape(
+            words.n_words, words.code_bits) for m in (bits, nd, ng))
+        p = np.clip(table.reshape(2, 5, 5)[bits, nd, ng],
                     0.0, 1.0 - 1e-12)
 
         p0 = np.prod(1.0 - p, axis=1)
@@ -909,8 +911,10 @@ class _DenseState:
     batch's coupling-class maps, recomputed whole at every batch
     boundary. Shard ``s`` owns cells ``[s * C, (s + 1) * C)`` of each
     plane (``C`` cells per shard, row-major), and word ``w`` of shard
-    ``s`` its ``[w * code_bits, (w + 1) * code_bits)`` cells there.
-    Dense planes keep no running error total, so every read books its
+    ``s`` its ``[w * code_bits, (w + 1) * code_bits)`` cells there —
+    row ``[s, w]`` of a plane's :meth:`_by_word` view, so accesses
+    gather whole words and no per-cell index table exists. Dense
+    planes keep no running error total, so every read books its
     errors (``wrong_bits`` is always true).
     """
 
@@ -919,21 +923,17 @@ class _DenseState:
     def __init__(self, intended, actual, controller):
         self.intended = intended
         self.actual = actual
-        self.nd = self.ng = None
+        self.nd = self.ng = self.word_maps = None
         self.wer_p = controller.wer_class_probability().reshape(2, 5, 5)
         self.disturb_p = controller.disturb_class_probability().reshape(
             2, 5, 5)
         layout = controller.layout
         self.shape = (-1, layout.rows, layout.cols)
         self.shard_cells = layout.n_cells
-        self.code_bits = controller.ecc.n_code
-        # (words, code_bits) cells of every global word: the word map's
-        # table, repeated at each shard's cell offset.
-        cells = controller.words.cells
-        n_shards = intended.size // self.shard_cells
-        self.cells = (cells if n_shards == 1 else (
-            cells + self.shard_cells * np.arange(n_shards)[:, None, None]
-        ).reshape(-1, self.code_bits))
+        self.code_bits = controller.words.code_bits
+        self.shard_words = controller.words.n_words
+        self.intended_words = self._by_word(intended)
+        self.actual_words = self._by_word(actual)
 
     @classmethod
     def stacked(cls, engine, n_shards):
@@ -945,6 +945,18 @@ class _DenseState:
     def _shard(self, shard):
         return slice(shard * self.shard_cells,
                      (shard + 1) * self.shard_cells)
+
+    def _by_word(self, flat):
+        """``(shards, words, code_bits)`` view of a flat per-cell array:
+        the mapped cells of each shard, one row per word."""
+        shards = flat.reshape(-1, self.shard_cells)
+        return shards[:, :self.shard_words * self.code_bits].reshape(
+            shards.shape[0], self.shard_words, self.code_bits)
+
+    def _at(self, words):
+        """``(shard, local word)`` of global ``words``: their index into
+        :meth:`_by_word` views."""
+        return np.divmod(words, self.shard_words)
 
     def fresh(self, shard, bits):
         self.intended[self._shard(shard)] = bits
@@ -961,21 +973,25 @@ class _DenseState:
         return {"intended": self.intended[self._shard(shard)],
                 "actual": self.actual[self._shard(shard)]}
 
-    def classify(self):
+    def _class_maps(self):
         nd, ng = neighborhood_class_map(self.actual.reshape(self.shape))
-        self.nd, self.ng = nd.reshape(-1), ng.reshape(-1)
+        return nd.reshape(-1), ng.reshape(-1)
 
-    def _draw(self, table, bits, cells, bounds, lanes, profiler=None,
+    def classify(self):
+        self.nd, self.ng = self._class_maps()
+        self.word_maps = (self._by_word(self.nd), self._by_word(self.ng))
+
+    def _draw(self, table, bits, at, bounds, lanes, profiler=None,
               maps=None):
-        """Boolean flip mask of ``cells`` holding ``bits``, each
-        shard's uniforms from its own generator."""
-        nd, ng = (self.nd, self.ng) if maps is None else maps
+        """Boolean flip mask of the words at ``at`` holding ``bits``,
+        each shard's uniforms from its own generator."""
+        nd, ng = self.word_maps if maps is None else maps
         with _prof(profiler, "draw"):
             draws = [lanes[shard].rng.random((hi - lo, self.code_bits))
                      for shard, lo, hi in _segments(bounds)]
             return ((draws[0] if len(draws) == 1
                      else np.concatenate(draws))
-                    < table[bits, nd[cells], ng[cells]])
+                    < table[bits, nd[at], ng[at]])
 
     def drift(self, shard, table, rng, profiler):
         cells = self._shard(shard)
@@ -988,16 +1004,17 @@ class _DenseState:
         return int(flips.sum())
 
     def write(self, words, bounds, cw, lanes, profiler):
-        cells = self.cells[words]
-        errs = self._draw(self.wer_p, cw, cells, bounds, lanes, profiler)
+        at = self._at(words)
+        errs = self._draw(self.wer_p, cw, at, bounds, lanes, profiler)
         with _prof(profiler, "place"):
-            self.intended[cells] = cw
-            self.actual[cells] = cw ^ errs
+            self.intended_words[at] = cw
+            self.actual_words[at] = cw ^ errs
         return _flip_counts(errs, bounds)
 
     def error_counts(self, words):
-        cells = self.cells[words]
-        return (self.actual[cells] != self.intended[cells]).sum(axis=1)
+        at = self._at(words)
+        return (self.actual_words[at] != self.intended_words[at]).sum(
+            axis=1)
 
     def rewrite(self, words, bounds, lanes, reclassify=False):
         """Restore whole words through the write path. A scrub
@@ -1005,20 +1022,19 @@ class _DenseState:
         stands rather than the batch's maps."""
         maps = None
         if reclassify:
-            maps = [m.reshape(-1) for m in neighborhood_class_map(
-                self.actual.reshape(self.shape))]
-        cells = self.cells[words]
-        cw = self.intended[cells]
-        errs = self._draw(self.wer_p, cw, cells, bounds, lanes, maps=maps)
-        self.actual[cells] = cw ^ errs
+            maps = [self._by_word(m) for m in self._class_maps()]
+        at = self._at(words)
+        cw = self.intended_words[at]
+        errs = self._draw(self.wer_p, cw, at, bounds, lanes, maps=maps)
+        self.actual_words[at] = cw ^ errs
         return _flip_counts(errs, bounds)
 
     def disturb(self, words, bounds, lanes, profiler):
-        cells = self.cells[words]
-        flips = self._draw(self.disturb_p, self.actual[cells], cells,
+        at = self._at(words)
+        flips = self._draw(self.disturb_p, self.actual_words[at], at,
                            bounds, lanes, profiler)
         with _prof(profiler, "place"):
-            self.actual[cells] ^= flips
+            self.actual_words[at] ^= flips
         return _flip_counts(flips, bounds)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .bitplane import popcount_rows, unpack_bits
+from .bitplane import popcount_rows, row_blocks, unpack_bits
 from .controller import neighborhood_class_map
 
 #: Number of coupling classes: bit x n_direct x n_diagonal.
@@ -191,22 +191,61 @@ def sample_class_flips(class_idx, p_class, rng, hist=None,
     return np.concatenate(picks)
 
 
-class IncrementalClassMaps:
-    """Per-cell coupling-class state, refreshed incrementally.
+def halo_blocks(plane, rows, cols):
+    """``(lo, hi, halo, top)`` of every row block of ``plane``.
 
-    Holds, for every cell of the array (mapped words plus unmapped
-    tail), the ``(n_direct, n_diagonal)`` AP-neighbor counts, the
-    combined 0..49 :func:`class_index`, and the 50-bin class histogram
-    the binomial sampler draws from.
+    ``halo`` is the block's rows ``[lo - top, min(hi + 1, rows))``
+    unpacked to a 2-D int8 array: the block plus the neighbor row on
+    each side that exists (``top`` is 1 unless the block starts at row
+    0), so the block's classes match a whole-array pass exactly.
+    """
+    for lo, hi in row_blocks(rows, cols):
+        top = 1 if lo else 0
+        halo = plane.to_bits((lo - top) * cols, min(hi + 1, rows) * cols)
+        yield lo, hi, halo.reshape(-1, cols), top
+
+
+def rebuild_class_index(plane, rows, cols, out):
+    """Rebuild a plane's class map in row blocks; returns its histogram.
+
+    ``plane`` is a packed :class:`~repro.memsys.bitplane.BitPlane` of
+    ``rows x cols`` row-major cells (mapped words plus unmapped tail);
+    ``out`` is the flat int8 ``(rows * cols,)`` class map, filled in
+    place. Each block of rows unpacks straight from the lanes with one
+    halo row above and below, takes the padded neighbor sums
+    (:func:`~repro.memsys.controller.neighborhood_class_map`), its
+    :func:`class_index` and a :func:`class_histogram` — so no temporary
+    is larger than a block, whatever the array size.
+    """
+    hist = np.zeros(N_CLASSES, dtype=np.int64)
+    grid = out.reshape(rows, cols)
+    for lo, hi, halo, top in halo_blocks(plane, rows, cols):
+        nd, ng = neighborhood_class_map(halo)
+        inner = slice(top, top + hi - lo)
+        hist += class_histogram(class_index(
+            halo[inner], nd[inner], ng[inner], out=grid[lo:hi]))
+    return hist
+
+
+class IncrementalClassMaps:
+    """Per-cell coupling classes of one array, refreshed incrementally.
+
+    Holds one int8 0..49 :func:`class_index` per cell of the array
+    (mapped words plus unmapped tail) and the 50-bin class histogram
+    the binomial sampler draws from — one byte per cell in all. The
+    ``(n_direct, n_diagonal)`` AP-neighbor counts are not stored: they
+    are digits of the class (``class = bit * 25 + nd * 5 + ng``), and
+    :attr:`nd` / :attr:`ng` derive them on request.
 
     :meth:`refresh` diffs the current ``actual`` plane against a packed
     snapshot of the plane at the previous refresh (XOR + popcount, so
     the diff costs word-wide bit ops). When the touched fraction is
-    small the neighbor counts are updated in place around the changed
-    cells only — O(changed x 9); past :attr:`full_rebuild_fraction` of
-    the array a full vectorized
-    :func:`~repro.memsys.controller.neighborhood_class_map` recompute
-    is cheaper and the maps rebuild from scratch.
+    small the classes are updated in place around the changed cells
+    only — O(changed x 9): a toggled cell moves its own class by
+    +-25, each direct neighbor's by +-5 and each diagonal neighbor's by
+    +-1. Past :attr:`full_rebuild_fraction` of the array the map
+    rebuilds from the packed plane in row blocks
+    (:func:`rebuild_class_index`).
 
     ``backend`` (see :mod:`repro.memsys.backends`) may take over the
     diff popcount, the full rebuild, and the incremental update via its
@@ -216,28 +255,32 @@ class IncrementalClassMaps:
     ``preferred_rebuild_fraction`` (an explicit
     ``full_rebuild_fraction`` argument still wins).
 
-    ``out`` is optional ``(nd, ng, class_idx)`` int8 storage of
-    ``rows * cols`` cells each, which the maps are kept in, in place —
-    how :func:`stacked_class_maps` lays many shards' maps side by side.
+    ``out`` is optional int8 storage of ``rows * cols`` cells that the
+    class map is kept in, in place — how :func:`stacked_class_maps`
+    lays many shards' maps side by side.
     """
 
     #: Touched-cell fraction above which a full rebuild wins over
     #: scattered in-place updates (each changed cell touches itself
-    #: plus 8 neighbors via ``np.add.at``). Measured crossover (numpy
-    #: 2.4, 2 cores; median refresh of random toggles / whole-word
-    #: rewrites vs a rebuild): 1024 x 1024 rebuilds in 3.0 ms, and the
-    #: incremental update costs 2.7 / 1.9 ms at 0.1% churn, 3.7 /
-    #: 2.5 ms at 0.15%; a 256 x 256 shard rebuilds in 0.18 ms against
-    #: 0.20 / 0.23 ms at 0.02%, 0.31 / 0.32 ms at 0.1%. 0.1% is the
-    #: large array's crossover and costs a shard at most ~0.1 ms per
-    #: refresh. Measured engine churn is far above it — flat
-    #: write-heavy ~20%, banked shards ~30%, flat read-heavy ~2.8% per
-    #: batch — so those batches rebuild; sparse rare-event flips stay
-    #: incremental.
+    #: plus 8 neighbors). Measured crossover (numpy 2.4, 2 cores;
+    #: median refresh of random toggles / whole-word rewrites vs a
+    #: block rebuild, two runs): 1024 x 1024 rebuilds in 2.9-3.9 ms,
+    #: and the incremental update costs 1.8-2.3 / 1.5 ms at 0.1%
+    #: churn, 2.7-2.9 / 1.9 ms at 0.15%, 3.4-3.6 / 2.3 ms at 0.2%; a
+    #: 256 x 256 shard rebuilds in 0.23-0.25 ms against 0.35 / 0.37 ms
+    #: at 0.02%, 0.41 / 0.38 ms at 0.1%. The large array's crossover
+    #: moved up to ~0.15% while a shard still rebuilds cheaper at any
+    #: vectorized churn, so 0.1% stays: it costs a large array at most
+    #: ~1 ms and a shard at most ~0.2 ms per refresh. Measured engine
+    #: churn is far above it — flat write-heavy ~20%, banked shards
+    #: ~30%, flat read-heavy ~2.8% per batch — so those batches
+    #: rebuild; sparse rare-event flips stay incremental.
     full_rebuild_fraction = 0.001
 
-    _DIRECT_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    _DIAGONAL_OFFSETS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    #: ``(row offset, col offset, class weight)`` of a toggled cell's
+    #: own class and its eight neighbors' classes.
+    _NEIGHBORHOOD = tuple((dr, dc, (25, 5, 1)[abs(dr) + abs(dc)])
+                          for dr in (-1, 0, 1) for dc in (-1, 0, 1))
 
     def __init__(self, rows, cols, plane, full_rebuild_fraction=None,
                  backend=None, out=None):
@@ -247,9 +290,8 @@ class IncrementalClassMaps:
             raise ParameterError(
                 f"plane has {plane.n_cells} cells, expected "
                 f"{rows} x {cols}")
-        self.nd, self.ng, self.class_idx = (
-            out if out is not None else
-            [np.empty(plane.n_cells, dtype=np.int8) for _ in range(3)])
+        self.class_idx = (out if out is not None
+                          else np.empty(plane.n_cells, dtype=np.int8))
         self.backend = backend
         if full_rebuild_fraction is not None:
             self.full_rebuild_fraction = float(full_rebuild_fraction)
@@ -260,6 +302,16 @@ class IncrementalClassMaps:
         self.rebuilds = 0
         self.incremental_refreshes = 0
         self._rebuild(plane)
+
+    @property
+    def nd(self):
+        """Direct AP-neighbor count of every cell (derived, int8)."""
+        return self.class_idx % np.int8(25) // np.int8(5)
+
+    @property
+    def ng(self):
+        """Diagonal AP-neighbor count of every cell (derived, int8)."""
+        return self.class_idx % np.int8(5)
 
     # -- refresh ------------------------------------------------------------
 
@@ -307,20 +359,10 @@ class IncrementalClassMaps:
         self.incremental_refreshes += 1
 
     def _rebuild(self, plane):
-        bits = plane.to_bits()
-        rebuilt = (self.backend.rebuild_class_maps(bits, self.rows,
-                                                   self.cols)
-                   if self.backend is not None else None)
-        if rebuilt is not None:
-            nd, ng, class_idx, self.hist = rebuilt
-            self.nd[:], self.ng[:], self.class_idx[:] = nd, ng, class_idx
-        else:
-            shape = (self.rows, self.cols)
-            neighborhood_class_map(bits.reshape(shape),
-                                   out=(self.nd.reshape(shape),
-                                        self.ng.reshape(shape)))
-            class_index(bits, self.nd, self.ng, out=self.class_idx)
-            self.hist = class_histogram(self.class_idx)
+        hist = (self.backend.rebuild_class_maps(self, plane)
+                if self.backend is not None else None)
+        self.hist = (hist if hist is not None else rebuild_class_index(
+            plane, self.rows, self.cols, self.class_idx))
         self._snapshot = plane.copy()
         self.rebuilds += 1
 
@@ -334,61 +376,46 @@ class IncrementalClassMaps:
             # The per-batch common case at rare-event rates is one or
             # two flipped cells; scalar neighbor updates beat a dozen
             # numpy dispatches by an order of magnitude.
-            affected = self._update_counts_scalar(changed, new_bits)
+            affected, delta = self._class_deltas_scalar(changed, new_bits)
         else:
-            affected = self._update_counts_vector(changed, new_bits)
+            affected, delta = self._class_deltas_vector(changed, new_bits)
         old_ci = self.class_idx[affected]
-        new_ci = class_index(plane.get_cells(affected),
-                             self.nd[affected], self.ng[affected])
+        new_ci = old_ci + delta
         self.class_idx[affected] = new_ci
         np.subtract.at(self.hist, old_ci, 1)
         np.add.at(self.hist, new_ci, 1)
 
-    def _update_counts_scalar(self, changed, new_bits):
+    def _class_deltas_scalar(self, changed, new_bits):
+        """``(cells, class change)`` of every cell the toggles touch."""
         rows, cols = self.rows, self.cols
-        nd, ng = self.nd, self.ng
-        affected = set()
-        for i in range(changed.size):
-            idx = int(changed[i])
-            delta = 2 * int(new_bits[i]) - 1  # 0->1: +1, 1->0: -1
+        deltas = {}
+        for idx, bit in zip(changed.tolist(), new_bits.tolist()):
+            sign = 2 * bit - 1  # 0->1: +1, 1->0: -1
             r, c = divmod(idx, cols)
-            affected.add(idx)
-            for dr in (-1, 0, 1):
-                rr = r + dr
-                if not 0 <= rr < rows:
-                    continue
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    cc = c + dc
-                    if not 0 <= cc < cols:
-                        continue
-                    j = rr * cols + cc
-                    if dr == 0 or dc == 0:
-                        nd[j] += delta
-                    else:
-                        ng[j] += delta
-                    affected.add(j)
-        return np.fromiter(affected, dtype=np.intp,
-                           count=len(affected))
-
-    def _update_counts_vector(self, changed, new_bits):
-        delta = (new_bits.astype(np.int8) * 2 - 1)
-        r, c = np.divmod(changed, self.cols)
-        nd2 = self.nd.reshape(self.rows, self.cols)
-        ng2 = self.ng.reshape(self.rows, self.cols)
-        affected = [changed]
-        for grid, offsets in ((nd2, self._DIRECT_OFFSETS),
-                              (ng2, self._DIAGONAL_OFFSETS)):
-            for dr, dc in offsets:
+            for dr, dc, weight in self._NEIGHBORHOOD:
                 rr, cc = r + dr, c + dc
-                ok = ((rr >= 0) & (rr < self.rows)
-                      & (cc >= 0) & (cc < self.cols))
-                if not np.any(ok):
-                    continue
-                np.add.at(grid, (rr[ok], cc[ok]), delta[ok])
-                affected.append(rr[ok] * self.cols + cc[ok])
-        return np.unique(np.concatenate(affected))
+                if 0 <= rr < rows and 0 <= cc < cols:
+                    j = rr * cols + cc
+                    deltas[j] = deltas.get(j, 0) + sign * weight
+        return (np.fromiter(deltas, dtype=np.intp, count=len(deltas)),
+                np.fromiter(deltas.values(), dtype=np.int8,
+                            count=len(deltas)))
+
+    def _class_deltas_vector(self, changed, new_bits):
+        sign = new_bits.astype(np.int8) * 2 - 1
+        r, c = np.divmod(changed, self.cols)
+        cells, weights = [], []
+        for dr, dc, weight in self._NEIGHBORHOOD:
+            rr, cc = r + dr, c + dc
+            ok = ((rr >= 0) & (rr < self.rows)
+                  & (cc >= 0) & (cc < self.cols))
+            cells.append(rr[ok] * self.cols + cc[ok])
+            weights.append(sign[ok] * np.int8(weight))
+        affected, inverse = np.unique(np.concatenate(cells),
+                                      return_inverse=True)
+        delta = np.bincount(inverse, weights=np.concatenate(weights),
+                            minlength=affected.size)
+        return affected, delta.astype(np.int8)
 
     # -- class lookups -------------------------------------------------------
 
@@ -409,18 +436,17 @@ def stacked_class_maps(rows, cols, planes, backend=None):
     """Per-shard :class:`IncrementalClassMaps` over one stacked store.
 
     ``planes`` are the shards' ``rows x cols`` packed planes (views of
-    one stacked plane). Shard ``s`` keeps its maps in row ``s`` of
-    shared ``(S, rows * cols)`` int8 arrays: a class lookup across
+    one stacked plane). Shard ``s`` keeps its class map in row ``s`` of
+    one shared ``(S, rows * cols)`` int8 array: a class lookup across
     shards is one gather at ``s * rows * cols + local``, while every
     refresh and rebuild stays shard-sized and no neighborhood crosses a
     shard edge (the ``-1``-at-the-boundary neighbor table of a
     multi-material mesh, here one table per subarray). Returns
     ``(maps, class_idx)``, ``class_idx`` the flat stacked class array.
     """
-    n = int(rows) * int(cols)
-    nd, ng, class_idx = (np.empty((len(planes), n), dtype=np.int8)
-                         for _ in range(3))
+    class_idx = np.empty((len(planes), int(rows) * int(cols)),
+                         dtype=np.int8)
     maps = [IncrementalClassMaps(rows, cols, plane, backend=backend,
-                                 out=(nd[s], ng[s], class_idx[s]))
+                                 out=class_idx[s])
             for s, plane in enumerate(planes)]
     return maps, class_idx.reshape(-1)

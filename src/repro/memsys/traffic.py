@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..arrays.pattern import checkerboard, random_pattern, solid
+from ..arrays.pattern import checkerboard, solid
 from ..errors import ParameterError
 from ..validation import require_in_range, require_positive
+from .bitplane import row_blocks
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,18 @@ class Workload:
         self.read_fraction = float(read_fraction)
 
     def initial_bits(self, rows, cols, rng):
-        """Initial (rows, cols) array content."""
-        return random_pattern(rows, cols, rng=rng).bits
+        """Initial (rows, cols) array content: uniform random bits.
+
+        Drawn in row blocks — the same float64 stream, and so the same
+        bits, as one ``rng.random((rows, cols)) < 0.5``
+        (:func:`~repro.arrays.pattern.random_pattern`) without its
+        8 B/cell uniforms.
+        """
+        rng = np.random.default_rng(rng)
+        bits = np.empty((rows, cols), dtype=np.int8)
+        for lo, hi in row_blocks(rows, cols):
+            np.less(rng.random((hi - lo, cols)), 0.5, out=bits[lo:hi])
+        return bits
 
     def bind(self, word_map):
         """Attach the array's word map (geometry-aware workloads)."""
@@ -159,16 +170,20 @@ class HotSpotWorkload(Workload):
         self._fallback = None
 
     def bind(self, word_map):
-        layout = word_map.layout
-        flat = np.arange(word_map.n_mapped_cells)
+        cols, code_bits = word_map.layout.cols, word_map.code_bits
         if self.axis == "row":
-            band = max(1, layout.rows // 8)
-            hot_cells = flat[flat // layout.cols < band]
+            # The band's cells are the flat prefix [0, band * cols).
+            band = max(1, word_map.layout.rows // 8)
+            n_cells = min(band * cols, word_map.n_mapped_cells)
+            self._bound_words = np.arange(-(-n_cells // code_bits))
         else:
-            band = max(1, layout.cols // 8)
-            hot_cells = flat[flat % layout.cols < band]
-        words = np.unique(hot_cells // word_map.code_bits)
-        self._bound_words = words if words.size else np.array([0])
+            # A word covers columns start, start + 1, ... (mod cols): it
+            # holds a band cell when it starts inside the band or wraps
+            # past the last column into the next row's first.
+            band = max(1, cols // 8)
+            start = np.arange(word_map.n_words) * code_bits % cols
+            self._bound_words = np.flatnonzero(
+                (start < band) | (start + code_bits > cols))
         return self
 
     def hot_words(self, n_words):
@@ -232,9 +247,8 @@ class StressPatternWorkload(Workload):
         if self._background is None:
             raise ParameterError(
                 "initial_bits() must run before background_data()")
-        flat = self._background.reshape(-1)
-        cells = word_map.cells[np.asarray(words)][:, data_positions]
-        return flat[cells]
+        return self._background.reshape(-1)[
+            word_map.cells_of(words, data_positions)]
 
     def describe(self):
         return {"workload": self.name,

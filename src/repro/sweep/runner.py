@@ -43,11 +43,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 
 from ..errors import ParameterError
 from ..validation import jobs_argument, require_int_in_range
@@ -192,9 +187,13 @@ class SweepRunner:
         if self.executor == "serial":
             values = self._run_serial(spec)
         elif self.executor == "thread":
+            # The pools load on use: a serial run (every banked engine
+            # run in-process) never imports multiprocessing.
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=self.jobs) as pool:
                 values = self._run_pool(pool, spec.points())
         elif self.executor == "process":
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(
                     max_workers=self.jobs,
                     initializer=_worker_initializer) as pool:
@@ -244,6 +243,7 @@ class SweepRunner:
         to their own positions — so parallel runs remain
         byte-identical to serial ones.
         """
+        from concurrent.futures import as_completed
         bounds = schedule_chunks(len(points), self._effective_jobs(),
                                  chunk_size=self.chunk_size)
         futures = {pool.submit(_apply_chunk, self.func,

@@ -236,6 +236,20 @@ _COMPUTE_CHILD = """
 """
 
 
+_BANKED_CHILD = """
+    import json, sys
+
+    from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+    from repro.memsys import build_engine
+    engine = build_engine(MTJDevice(PAPER_EVAL_DEVICE), pitch=70e-9,
+                          rows=32, cols=32, banks=2, subarrays=2,
+                          sampler="binomial")
+    result = engine.run(2000, rng=1)
+    assert result.extras["topology"]["executor"] == "serial"
+    print(json.dumps(sorted(sys.modules)))
+"""
+
+
 def _under(loaded, *prefixes):
     return [name for name in loaded
             if any(name == p or name.startswith(p + ".") for p in prefixes)]
@@ -255,3 +269,8 @@ def test_compute_path_import_graph():
     # experiment module itself may load.
     assert set(_under(loaded, "repro.experiments")) <= {
         "repro.experiments", "repro.experiments.base"}
+    # A banked engine runs its shards in process: the pool executors
+    # (multiprocessing, and with it socket and logging) load on use.
+    banked = _run_child(_BANKED_CHILD)
+    assert _under(banked, "multiprocessing",
+                  "concurrent.futures.process") == []

@@ -76,8 +76,7 @@ class TestRegistry:
         plane = BitPlane.from_bits(np.zeros(16, np.int8), 2, 8)
         assert backend.xor_popcount_rows(plane.lanes,
                                          plane.lanes) is None
-        assert backend.rebuild_class_maps(np.zeros(16, np.int8),
-                                          4, 4) is None
+        assert backend.rebuild_class_maps(None, plane) is None
         assert backend.apply_class_changes(None, None, None,
                                            None) is None
         assert backend.group_class_members(None, None) is None
@@ -176,15 +175,18 @@ class TestKernelProperties:
                                                     cols):
         rng = np.random.default_rng(seed)
         backend = NumbaEngineBackend()
-        bits = rng.integers(0, 2, size=rows * cols).astype(np.int8)
-        nd, ng, ci, hist = backend.rebuild_class_maps(bits, rows, cols)
+        plane, bits = _random_plane(rng, rows * cols // 5, 5,
+                                    rows * cols)
+        maps = IncrementalClassMaps(rows, cols, plane, backend=backend)
         nd_ref, ng_ref = neighborhood_class_map(
             bits.reshape(rows, cols))
-        assert np.array_equal(nd, nd_ref.reshape(-1))
-        assert np.array_equal(ng, ng_ref.reshape(-1))
+        assert np.array_equal(maps.nd, nd_ref.reshape(-1))
+        assert np.array_equal(maps.ng, ng_ref.reshape(-1))
+        ci = maps.class_idx
         assert np.array_equal(
             ci, class_index(bits, nd_ref.reshape(-1),
                             ng_ref.reshape(-1)))
+        hist = maps.hist
         assert np.array_equal(
             hist, np.bincount(ci, minlength=N_CLASSES))
         assert int(hist.sum()) == rows * cols
