@@ -8,8 +8,14 @@ series (visible with ``pytest -s``).
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
+
+# The engine benches time the per-cell Monte-Carlo reference that lives
+# with the tier-1 tests (``tests/memsys_reference.py``).
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
 
 
 def pytest_collection_modifyitems(items):

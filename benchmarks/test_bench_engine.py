@@ -1,21 +1,22 @@
-"""Rare-event fast-path benches: binomial vs bernoulli sampler.
+"""Rare-event engine benches: the binomial sampler vs the per-cell
+reference.
 
-The headline bench is the acceptance criterion of the sampling fast
-path: a 1024 x 1024 array trimmed to ``nominal_wer = 1e-6`` (a
+The headline bench is the acceptance criterion of the class-grouped
+sampler: a 1024 x 1024 array trimmed to ``nominal_wer = 1e-6`` (a
 realistic shipping part, not the accelerated-stress corner) running
-1e6 transactions — a regime where the bernoulli reference burns one
-uniform draw per cell per mechanism while the binomial path draws
-per-class flip counts over bit-packed state. The run must be >= 10x
-faster under ``sampler="binomial"``, with ``expected_rates``
-bit-identical across samplers and the Monte-Carlo counters of the two
-pinned-seed runs statistically equivalent.
+1e6 transactions — a regime where the per-cell Bernoulli reference
+(``tests/memsys_reference.py``) burns one uniform draw per cell per
+mechanism while the engine draws per-class flip counts over bit-packed
+state. The engine must be >= 10x faster than the same driver over the
+reference state, with the Monte-Carlo counters of the two pinned-seed
+runs statistically equivalent.
 
 Configuration notes: the workload is the checkerboard stress pattern at
 a 90% read fraction — the retention/read-disturb-dominated corner the
 fast path targets, with the background pinned so the incremental class
 maps stay on their sparse path (random write data falls back to full
 recomputes past the documented threshold). ``batch_size=2048`` refreshes
-the class maps every 2k transactions; both samplers run identical
+the class maps every 2k transactions; both states run identical
 settings, so the comparison is like for like at equal fidelity.
 
 A second axis rides along: the compiled engine backend. With numba
@@ -27,7 +28,7 @@ regress against the one-shot gather it replaced.
 A third axis is the array topology: on machines with >= 4 cores the
 chip-1024 array reorganized as 2 banks x 2 subarrays must run its four
 sub-runs on a process pool >= 2x faster than the flat single-stream
-engine at the same operating point.
+engine at the same operating point, both on the per-cell reference.
 
 Every run's throughput lands in ``BENCH_memsys.json`` (repo root, or
 ``$REPRO_BENCH_OUT``) as a trajectory over array size, sampler,
@@ -41,13 +42,14 @@ import time
 
 import numpy as np
 import pytest
+from memsys_reference import per_cell_reference
 
 from repro.device import MTJDevice, PAPER_EVAL_DEVICE
 from repro.memsys import build_engine
 from repro.memsys.bitplane import _POPCOUNT_TABLE, _popcount_rows_table
 from repro.memsys.traffic import StressPatternWorkload
 
-#: Floor asserted on the 1024 x 1024 binomial-vs-bernoulli ratio.
+#: Floor asserted on the 1024 x 1024 binomial-vs-per-cell ratio.
 SPEEDUP_FLOOR = 10.0
 
 #: Floor asserted on the 1024 x 1024 numba-vs-numpy backend ratio.
@@ -71,12 +73,16 @@ def _bench_out_path():
     return os.path.join(repo_root, "BENCH_memsys.json")
 
 
-def _engine(device, side, sampler, backend=None):
+#: Trajectory label of the per-cell reference runs.
+REFERENCE = "per-cell reference"
+
+
+def _engine(device, side, backend=None):
     return build_engine(
         device, pitch=70e-9, rows=side, cols=side, ecc="secded",
         workload=StressPatternWorkload("checkerboard",
                                        read_fraction=0.9),
-        nominal_wer=1e-6, sampler=sampler, backend=backend)
+        nominal_wer=1e-6, backend=backend)
 
 
 def _timed_run(engine, n=TRANSACTIONS, repeats=1):
@@ -97,49 +103,44 @@ def device():
 
 def test_binomial_fast_path_speedup_1024(device):
     """>= 10x on 1024 x 1024 at nominal_wer = 1e-6, counters agree."""
-    runs = {}
-    for sampler in ("binomial", "bernoulli"):
-        engine = _engine(device, 1024, sampler)
-        runs[sampler] = _timed_run(engine, repeats=2)
+    engine = _engine(device, 1024)
+    runs = {"binomial": _timed_run(engine, repeats=2)}
+    with per_cell_reference() as built:
+        runs[REFERENCE] = _timed_run(engine, repeats=2)
 
     t_binomial, r_binomial = runs["binomial"]
-    t_bernoulli, r_bernoulli = runs["bernoulli"]
-    speedup = t_bernoulli / t_binomial
+    t_reference, r_reference = runs[REFERENCE]
+    speedup = t_reference / t_binomial
     # Record the measured trajectory first: a failed assert below must
     # still leave BENCH_memsys.json for the CI artifact.
-    _record_bench(speedup, t_bernoulli, t_binomial, runs)
+    _record_bench(speedup, t_reference, t_binomial, runs)
     print(f"\n1024x1024, {TRANSACTIONS} txn, nominal_wer=1e-6: "
-          f"bernoulli {t_bernoulli:.2f}s "
-          f"({TRANSACTIONS / t_bernoulli:.0f} txn/s), "
+          f"per-cell reference {t_reference:.2f}s "
+          f"({TRANSACTIONS / t_reference:.0f} txn/s), "
           f"binomial {t_binomial:.2f}s "
           f"({TRANSACTIONS / t_binomial:.0f} txn/s) "
           f"-> {speedup:.1f}x")
 
+    assert built.value == 2  # both timed runs took the reference state
     # Statistical equivalence of the pinned-seed Monte-Carlo counters:
     # every independent-event counter must sit within a generous
     # binomial/Poisson confidence band of its sibling.
     for counter in ("write_errors", "disturb_flips", "retention_flips",
                     "raw_bit_errors"):
-        a = getattr(r_bernoulli, counter)
+        a = getattr(r_reference, counter)
         b = getattr(r_binomial, counter)
         tol = 6.0 * np.sqrt(a + b + 1.0) + 25.0
         assert abs(a - b) <= tol, (counter, a, b)
     assert r_binomial.n_transactions == TRANSACTIONS
-    for r in (r_binomial, r_bernoulli):
+    for r in (r_binomial, r_reference):
         assert r.n_reads + r.n_writes == TRANSACTIONS
 
-    # Expectation mode draws nothing: bit-identical across samplers.
-    expected = [
-        _engine(device, 1024, sampler).expected_rates(rng=0)
-        for sampler in ("bernoulli", "binomial")]
-    assert expected[0] == expected[1]
-
     assert speedup >= SPEEDUP_FLOOR, (
-        f"binomial fast path only {speedup:.1f}x over bernoulli "
-        f"(floor {SPEEDUP_FLOOR}x)")
+        f"binomial sampler only {speedup:.1f}x over the per-cell "
+        f"reference (floor {SPEEDUP_FLOOR}x)")
 
 
-def _record_bench(speedup, t_bernoulli, t_binomial, runs_1024):
+def _record_bench(speedup, t_reference, t_binomial, runs_1024):
     """Append this run's throughput trajectory to BENCH_memsys.json."""
     trajectory = [
         {"sampler": sampler, "backend": result.config["backend"],
@@ -151,7 +152,7 @@ def _record_bench(speedup, t_bernoulli, t_binomial, runs_1024):
     payload = {
         "bench": "memsys_engine",
         "speedup_1024": {
-            "bernoulli_s": round(t_bernoulli, 4),
+            "reference_s": round(t_reference, 4),
             "binomial_s": round(t_binomial, 4),
             "speedup": round(speedup, 2),
             "floor": SPEEDUP_FLOOR,
@@ -168,7 +169,7 @@ def _record_bench(speedup, t_bernoulli, t_binomial, runs_1024):
 def _merge_bench(update, extra_points=()):
     """Fold ``update`` keys and trajectory points into the bench file.
 
-    The headline sampler bench rewrites the file from scratch; every
+    The headline speedup bench rewrites the file from scratch; every
     later test merges so a partial run (or a skipped numba leg) never
     wipes the numbers that were already measured.
     """
@@ -191,7 +192,7 @@ def test_numba_backend_speedup_1024(device):
 
     Both engines run the exact workload the ``chip-1024`` CLI preset
     ships (1024 x 1024, checkerboard at 90% reads, SEC-DED,
-    ``nominal_wer = 1e-6``, binomial sampler) — only the backend
+    ``nominal_wer = 1e-6``) — only the backend
     differs. A warm-up run triggers JIT compilation before timing so
     the floor measures steady-state kernels, not compile time.
     """
@@ -201,7 +202,7 @@ def test_numba_backend_speedup_1024(device):
 
     runs = {}
     for backend in ("numba", "numpy"):
-        engine = _engine(device, 1024, "binomial", backend=backend)
+        engine = _engine(device, 1024, backend=backend)
         assert engine.backend.name == backend
         engine.run(10_000, rng=SEED, batch_size=BATCH_SIZE)  # JIT warm-up
         runs[backend] = _timed_run(engine, repeats=2)
@@ -230,7 +231,7 @@ def test_numba_backend_speedup_1024(device):
     # The backends must agree exactly: same seed, same draws, same
     # counters — the JIT path is a reimplementation, not an approximation.
     for counter in ("write_errors", "disturb_flips", "retention_flips",
-                    "raw_bit_errors", "uncorrectable_words"):
+                    "raw_bit_errors", "uncorrectable_bit_errors"):
         assert getattr(r_numba, counter) == getattr(r_numpy, counter), \
             counter
 
@@ -295,28 +296,29 @@ def test_banked_process_speedup_chip_1024(device):
     available. Skipped on smaller machines — with fewer cores the pool
     serializes and only measures pickling overhead.
 
-    The bernoulli sampler keeps per-batch work proportional to cells,
-    so the sharded sub-arrays genuinely have 1/4 of the per-stream
-    work — the regime banking targets (the binomial path is already
-    near size-independent, so sharding cannot help it much).
+    Both runs take the per-cell reference, whose per-batch work is
+    proportional to cells, so the sharded sub-arrays genuinely have 1/4
+    of the per-stream work — the regime banking targets (the binomial
+    sampler is already near size-independent, so sharding cannot help
+    it much). The process workers fork inside the reference block and
+    inherit it; the shared state counter proves they ran it.
     """
     if (os.cpu_count() or 1) < 4:
         pytest.skip("needs >= 4 cores for a meaningful process fan-out")
 
     n = 200_000
-    flat = _engine(device, 1024, "bernoulli")
-    t_flat, r_flat = _timed_run(flat, n=n)
-
+    flat = _engine(device, 1024)
     banked = build_engine(
         device, pitch=70e-9, rows=1024, cols=1024, ecc="secded",
         workload=StressPatternWorkload("checkerboard",
                                        read_fraction=0.9),
-        nominal_wer=1e-6, sampler="bernoulli", topology="banked",
-        banks=2, subarrays=2)
-    t0 = time.perf_counter()
-    r_banked = banked.run(n, rng=SEED, batch_size=BATCH_SIZE,
-                          executor="process", jobs=4)
-    t_banked = time.perf_counter() - t0
+        nominal_wer=1e-6, topology="banked", banks=2, subarrays=2)
+    with per_cell_reference() as built:
+        t_flat, r_flat = _timed_run(flat, n=n)
+        t0 = time.perf_counter()
+        r_banked = banked.run(n, rng=SEED, batch_size=BATCH_SIZE,
+                              executor="process", jobs=4)
+        t_banked = time.perf_counter() - t0
 
     speedup = t_flat / t_banked
     # Record before asserting so a floor miss still leaves the artifact.
@@ -327,15 +329,19 @@ def test_banked_process_speedup_chip_1024(device):
             "speedup": round(speedup, 2),
             "floor": TOPOLOGY_SPEEDUP_FLOOR,
         }},
-        [{"sampler": "bernoulli", "backend": r_banked.config["backend"],
+        [{"sampler": REFERENCE, "backend": r_banked.config["backend"],
           "topology": "banked", "banks": 2, "subarrays": 2,
           "executor": "process", "rows": 1024, "cols": 1024,
           "transactions": n, "batch_size": BATCH_SIZE,
           "nominal_wer": 1e-6, "seconds": round(t_banked, 4),
           "txn_per_s": round(n / t_banked, 1)}])
-    print(f"\n1024x1024 bernoulli, {n} txn: flat {t_flat:.2f}s, "
+    print(f"\n1024x1024 per-cell reference, {n} txn: "
+          f"flat {t_flat:.2f}s, "
           f"banked 2x2/process {t_banked:.2f}s -> {speedup:.1f}x")
 
+    # One reference state for the flat run, one per shard's worker run.
+    assert built.value == 1 + 4, built.value
+    assert r_banked.extras["topology"]["executor"] == "process"
     assert r_banked.n_transactions == n
     assert r_banked.config["topology"] == "banked"
     for counter in ("write_errors", "disturb_flips",
@@ -363,7 +369,7 @@ def test_binomial_throughput_scales_with_array_size(device):
     rates = {}
     backend = None
     for side in (256, 512, 1024):
-        engine = _engine(device, side, "binomial")
+        engine = _engine(device, side)
         seconds, result = _timed_run(engine, n=n)
         assert result.n_transactions == n
         rates[side] = n / seconds

@@ -17,18 +17,16 @@ def device():
     return MTJDevice(PAPER_EVAL_DEVICE)
 
 
-@pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
-def test_engine_100k_transactions_64x64(benchmark, device, sampler):
+def test_engine_100k_transactions_64x64(benchmark, device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
-                          ecc="secded", workload="random",
-                          sampler=sampler)
+                          ecc="secded", workload="random")
 
     result = benchmark.pedantic(
         lambda: engine.run(100_000, rng=1), rounds=3, iterations=1)
     assert result.n_transactions == 100_000
     assert result.raw_bit_errors > 0
     assert 0.0 < result.uber < result.raw_ber
-    print(f"\n{sampler}: raw BER {result.raw_ber:.3e} -> UBER "
+    print(f"\nraw BER {result.raw_ber:.3e} -> UBER "
           f"{result.uber:.3e} "
           f"({result.words_corrected} words corrected)")
 

@@ -122,7 +122,7 @@ class WriteErrorModel:
         """Monte-Carlo WER estimate over ``n_samples`` write attempts.
 
         Two statistically equivalent estimators (the same class-grouped
-        trade as the memsys samplers, see :mod:`repro.memsys.sampling`):
+        trade as the memsys sampler, see :mod:`repro.memsys.sampling`):
 
         * ``"binomial"`` (default) — every attempt at one stress corner
           is an exchangeable Bernoulli event whose probability is the

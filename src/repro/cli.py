@@ -18,16 +18,14 @@ Stochastic subcommands (``wer``, ``memsys``) accept ``--seed N``; every
 random draw of the run flows from that one ``numpy.random.Generator``,
 so identical invocations print identical numbers.
 
-``memsys`` additionally accepts ``--sampler bernoulli|binomial`` (the
-per-cell reference draw vs the class-grouped rare-event fast path) and
-``--preset stress|macro-512|chip-1024`` — large-geometry operating
-points that bundle array size, traffic volume, and write-error trim;
-the dense presets select the binomial sampler, without which a
-``nominal_wer <= 1e-6`` run would need billions of uniform draws per
-observed flip. ``--checkpoint DIR`` makes the Monte-Carlo run
-crash-tolerant (atomic, checksummed snapshots at batch boundaries;
-``--checkpoint-every N`` sets the cadence in transactions) and
-``--resume`` continues a killed run mid-stream, byte-identical to the
+``memsys`` additionally accepts ``--preset stress|macro-512|chip-1024``
+— large-geometry operating points that bundle array size, traffic
+volume, and write-error trim (the class-grouped binomial sampler draws
+flip counts per coupling class, so ``nominal_wer <= 1e-6`` runs cost
+O(flips), not one uniform per cell). ``--checkpoint DIR`` makes the
+Monte-Carlo run crash-tolerant (atomic, checksummed snapshots at batch
+boundaries; ``--checkpoint-every N`` sets the cadence in transactions)
+and ``--resume`` continues a killed run mid-stream, byte-identical to the
 uninterrupted seeded run.
 
 ``fleet`` supervises a pool of ``repro worker`` processes against a
@@ -147,20 +145,19 @@ def _cmd_wer(args):
 
 #: Large-geometry presets for ``repro memsys``. Each bundles the array
 #: size, traffic volume, and write-error trim of a realistic operating
-#: point; the dense presets pick the binomial sampler (the bernoulli
-#: reference would spend billions of uniform draws observing a handful
-#: of flips) and skip the expectation-mode pitch sweep, which scales
-#: with the cell count. Explicit flags override preset values.
+#: point; the dense presets skip the expectation-mode pitch sweep,
+#: which scales with the cell count. Explicit flags override preset
+#: values.
 MEMSYS_PRESETS = {
     "stress": dict(rows=64, cols=64, transactions=100_000,
                    nominal_wer=2e-3, pattern="checkerboard"),
     "macro-512": dict(rows=512, cols=512, transactions=500_000,
-                      nominal_wer=1e-6, sampler="binomial",
-                      pattern="read-heavy", no_sweep=True),
+                      nominal_wer=1e-6, pattern="read-heavy",
+                      no_sweep=True),
     "chip-1024": dict(rows=1024, cols=1024, transactions=1_000_000,
-                      nominal_wer=1e-6, sampler="binomial",
-                      pattern="read-heavy", no_sweep=True,
-                      topology="banked", banks=4, subarrays=4),
+                      nominal_wer=1e-6, pattern="read-heavy",
+                      no_sweep=True, topology="banked", banks=4,
+                      subarrays=4),
 }
 
 #: Baseline values of every preset-controlled ``memsys`` flag. The
@@ -168,9 +165,9 @@ MEMSYS_PRESETS = {
 #: spelling out the baseline value — is distinguishable from an absent
 #: one; :func:`_apply_memsys_preset` resolves the precedence.
 _MEMSYS_DEFAULTS = dict(rows=64, cols=64, transactions=50_000,
-                        nominal_wer=2e-3, sampler="bernoulli",
-                        pattern="random", no_sweep=False,
-                        topology=None, banks=1, subarrays=1)
+                        nominal_wer=2e-3, pattern="random",
+                        no_sweep=False, topology=None, banks=1,
+                        subarrays=1)
 
 
 def _apply_memsys_preset(args):
@@ -200,14 +197,14 @@ def _cmd_memsys(args):
         device, pitch=nm_to_m(args.pitch_nm), rows=args.rows,
         cols=args.cols, ecc=args.ecc, workload=args.pattern,
         scrub=scrub, vp=args.vp, nominal_wer=args.nominal_wer,
-        read_voltage=args.read_voltage, sampler=args.sampler,
-        backend=args.backend, **topology_kwargs)
+        read_voltage=args.read_voltage, backend=args.backend,
+        **topology_kwargs)
     config = engine.controller.describe()
     print(f"memsys: {args.rows}x{args.cols} array at "
           f"{args.pitch_nm:g} nm pitch, {args.pattern} traffic, "
-          f"{args.ecc} ECC, {args.sampler} sampler "
-          f"({engine.backend.name} backend), write pulses trimmed to "
-          f"{config['t_pulse0_ns']:.1f}/{config['t_pulse1_ns']:.1f} ns "
+          f"{args.ecc} ECC ({engine.backend.name} backend), write "
+          f"pulses trimmed to {config['t_pulse0_ns']:.1f}/"
+          f"{config['t_pulse1_ns']:.1f} ns "
           f"(nominal WER {args.nominal_wer:g})")
     if isinstance(engine, TopologyEngine):
         topo = engine.topology
@@ -277,7 +274,6 @@ def _cmd_memsys(args):
                            executor=args.executor, vp=args.vp,
                            nominal_wer=args.nominal_wer,
                            read_voltage=args.read_voltage,
-                           sampler=args.sampler,
                            backend=args.backend,
                            **topology_kwargs)
         print("pitch sweep (expectation mode; UBER of the worst-case "
@@ -615,7 +611,6 @@ def build_parser():
     p = sub.add_parser(
         "memsys", help="system-level UBER under read/write traffic")
     from .memsys.ecc import ECC_SCHEMES
-    from .memsys.sampling import SAMPLERS
     from .memsys.traffic import WORKLOADS
     p.add_argument("--pitch-nm", type=float, default=70.0)
     p.add_argument("--pattern", default=None,
@@ -652,22 +647,16 @@ def build_parser():
                    help="per-polarity write-error trim target "
                         f"(default {_MEMSYS_DEFAULTS['nominal_wer']:g}"
                         ", an accelerated-stress corner; production "
-                        "parts trim to <= 1e-6 — use --sampler "
-                        "binomial there)")
+                        "parts trim to <= 1e-6, which the binomial "
+                        "sampler reaches at O(flips) cost)")
     p.add_argument("--read-voltage", type=float, default=0.15,
                    help="read bias [V] (default 0.15; raising it "
                         "stresses read disturb and, on cross-point "
                         "arrays, half-select sneak flips)")
-    p.add_argument("--sampler", default=None,
-                   choices=sorted(SAMPLERS),
-                   help="Monte-Carlo draw strategy: per-cell "
-                        "'bernoulli' reference (default) or "
-                        "class-grouped 'binomial' rare-event fast "
-                        "path")
     from .memsys.backends import BACKENDS, ENGINE_BACKEND_ENV
     p.add_argument("--backend", default=None,
                    choices=sorted(BACKENDS),
-                   help="compute backend of the binomial fast path: "
+                   help="compute backend of the Monte-Carlo run: "
                         "'numpy' reference or JIT-compiled 'numba' "
                         "(falls back to numpy with a warning when "
                         "numba is missing; default consults "
@@ -679,7 +668,7 @@ def build_parser():
     p.add_argument("--preset", default=None,
                    choices=sorted(MEMSYS_PRESETS),
                    help="large-geometry operating points "
-                        "(rows/cols/transactions/nominal-wer/sampler "
+                        "(rows/cols/transactions/nominal-wer/pattern "
                         "bundles; explicit flags override)")
     p.add_argument("--no-sweep", action="store_true", default=None,
                    help="skip the expectation-mode pitch sweep after "

@@ -334,7 +334,7 @@ def _default_canary_runner(n_transactions, batch_size, seed):
         engine = build_engine(
             MTJDevice(PAPER_EVAL_DEVICE), pitch=nm_to_m(70.0),
             rows=16, cols=16, ecc="secded", workload="random",
-            sampler="binomial", backend=backend)
+            backend=backend)
         result = engine.run(int(n_transactions),
                             rng=np.random.default_rng(seed),
                             batch_size=int(batch_size))
@@ -349,7 +349,7 @@ def cross_backend_canary(n_transactions=2048, batch_size=512, seed=0,
                          runner=None):
     """One :class:`AuditCheck`: numpy and numba must agree exactly.
 
-    The binomial sampler's numba kernels are bit-exact ports of the
+    The engine's numba kernels are bit-exact ports of the
     numpy reference, so a single diverging counter on the same seeded
     grid means a miscompile (or a port regression) — exactly the
     silent-poison failure a statistics repo cannot tolerate.

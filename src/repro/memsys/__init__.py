@@ -14,12 +14,11 @@ mechanisms — write error, read disturb, retention — into one number.
   default) plus a no-ECC baseline,
 * :mod:`repro.memsys.scrub` — periodic scrubbing policy,
 * :mod:`repro.memsys.engine` — vectorized Monte-Carlo engine (one
-  driver over a dense bernoulli or a packed binomial state) plus a
-  noise-free expectation mode,
-* :mod:`repro.memsys.sampling` — rare-event fast path: class-grouped
-  binomial flip draws and incrementally maintained coupling-class
-  maps (``sampler="binomial"``; the per-cell ``bernoulli`` reference
-  is retained),
+  driver over a packed binomial state) plus a noise-free expectation
+  mode,
+* :mod:`repro.memsys.sampling` — the Monte-Carlo sampler:
+  class-grouped binomial flip draws and incrementally maintained
+  coupling-class maps,
 * :mod:`repro.memsys.bitplane` — bit-packed ``intended``/``actual``
   array state (uint64 lanes, XOR + popcount error counting),
 * :mod:`repro.memsys.backends` — pluggable compute backends for the
@@ -59,7 +58,7 @@ __getattr__, __dir__ = attach(__name__, {
     "engine": [
         "MemsysResult", "ReliabilityEngine", "build_engine", "merge_results"],
     "sampling": [
-        "IncrementalClassMaps", "N_CLASSES", "SAMPLERS", "class_index",
+        "IncrementalClassMaps", "N_CLASSES", "class_index",
         "sample_class_flips"],
     "scrub": ["ScrubPolicy", "no_scrub"],
     "sense": ["SenseMarginModel"],
@@ -88,7 +87,6 @@ __all__ = [
     "N_CLASSES",
     "NoECC",
     "ReliabilityEngine",
-    "SAMPLERS",
     "ScrubPolicy",
     "SenseMarginModel",
     "SequentialWorkload",

@@ -1,11 +1,10 @@
 """Bit-packed array state: codeword bits in uint64 lanes.
 
-The reference engine keeps the ``intended``/``actual`` planes as one
-int8 byte per cell — 1 MiB per plane for a 1024 x 1024 array. The
-rare-event fast path packs 64 cells per uint64 lane instead (128 KiB
-per plane), and counts errors with XOR + popcount, so per-read word
-checks and whole-plane scrub passes become word-wide bit ops instead of
-per-cell byte gathers.
+One int8 byte per cell would cost 1 MiB per ``intended``/``actual``
+plane of a 1024 x 1024 array; the engine packs 64 cells per uint64
+lane instead (128 KiB per plane), and counts errors with XOR +
+popcount, so per-read word checks and whole-plane scrub passes become
+word-wide bit ops instead of per-cell byte gathers.
 
 Layout: word ``w``'s ``code_bits`` cells pack little-endian into
 ``lanes[w, :]`` — codeword bit ``b`` lives in lane ``b // 64`` at bit

@@ -16,23 +16,16 @@ Two evaluation modes:
   over one write->read cycle per word against a fixed background: exact
   Poisson-binomial head (P[0], P[1] errors per word), noise-free. This
   is what the pitch sweeps use, so monotone coupling trends are not
-  buried under Monte-Carlo noise. It draws nothing, so its output is
-  bit-identical for every ``sampler``.
+  buried under Monte-Carlo noise.
 
-Monte Carlo is one driver (:meth:`ReliabilityEngine.run`) over two
-state classes; ``sampler`` picks the state (see
-:mod:`repro.memsys.sampling`):
-
-* ``sampler="bernoulli"`` — the reference path, ``_DenseState``: one
-  uniform per cell per mechanism against dense int8 planes. Cost
-  O(cells) per batch.
-* ``sampler="binomial"`` — the rare-event fast path, ``_PackedState``:
-  flip *counts* are drawn per coupling class (at most 50 distinct
-  probabilities) and placed by index choice; ``intended``/``actual``
-  live bit-packed in uint64 lanes (:mod:`repro.memsys.bitplane`) with
-  exact per-word error counters; the class maps refresh incrementally
-  around the cells that actually changed. Cost O(classified + flips),
-  which is what makes nominal_wer <= 1e-6 scenarios reachable.
+Monte Carlo is one driver (:meth:`ReliabilityEngine.run`) over one
+state, ``_PackedState`` (see :mod:`repro.memsys.sampling`): flip
+*counts* are drawn per coupling class (at most 50 distinct
+probabilities) and placed by index choice; ``intended``/``actual`` live
+bit-packed in uint64 lanes (:mod:`repro.memsys.bitplane`) with exact
+per-word error counters; the class maps refresh incrementally around
+the cells that actually changed. Cost O(classified + flips), which is
+what makes nominal_wer <= 1e-6 scenarios reachable.
 
 The driver owns everything else once: restore or init, the batch loop
 (classify, whole-array terms, scrub, occurrence-rank rounds), ECC
@@ -40,7 +33,7 @@ bookkeeping, checkpoints and progress. Every mechanism is one flat
 (50,) per-class table from the controller — write error and read
 disturb per access, retention and the cross-point half-select term as
 a list of whole-array ``(counter, table)`` terms the driver walks —
-and each state draws against the same tables.
+and the state draws against those tables.
 """
 
 from __future__ import annotations
@@ -62,13 +55,12 @@ from ..resilience.checkpoint import as_checkpointer
 from ..validation import require_non_negative, require_positive
 from .backends import resolve_backend
 from .bitplane import BitPlane
-from .controller import ArrayController, neighborhood_class_map
+from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
 from .sampling import (
     sample_class_flips,
     sample_thinned_flips,
     stacked_class_maps,
-    validate_sampler,
 )
 from .scrub import no_scrub
 from .traffic import StressPatternWorkload, Workload, make_workload
@@ -289,19 +281,13 @@ class ReliabilityEngine:
     writeback:
         Rewrite words whose read found a correctable error (through the
         write path, so the rewrite itself may inject an error).
-    sampler:
-        ``"bernoulli"`` (reference: one uniform per cell per mechanism)
-        or ``"binomial"`` (rare-event fast path: class-grouped flip
-        counts over bit-packed state). Statistically equivalent;
-        ``expected_rates`` is identical under both.
     backend:
-        Compute backend for the binomial fast path's hot kernels (see
+        Compute backend for the Monte-Carlo hot kernels (see
         :mod:`repro.memsys.backends`): a registry name (``"numpy"`` /
         ``"numba"``), a backend instance, or ``None`` to consult
         ``REPRO_ENGINE_BACKEND`` and default to numpy. Resolved once at
         construction; a ``numba`` request degrades to numpy (warn once)
-        when numba is absent. The bernoulli reference path never uses
-        it.
+        when numba is absent.
     half_select_exposure:
         Half-selects accrued per cell per transaction — the cross-point
         sneak-path term (see :mod:`repro.memsys.topology`). Each batch
@@ -312,8 +298,7 @@ class ReliabilityEngine:
     """
 
     def __init__(self, controller, workload="random", scrub=None,
-                 cycle_time=50e-9, writeback=True,
-                 sampler="bernoulli", backend=None,
+                 cycle_time=50e-9, writeback=True, backend=None,
                  half_select_exposure=0.0):
         if not isinstance(controller, ArrayController):
             raise ParameterError(
@@ -330,7 +315,6 @@ class ReliabilityEngine:
         self.scrub = no_scrub() if scrub is None else scrub
         self.cycle_time = float(cycle_time)
         self.writeback = bool(writeback)
-        self.sampler = validate_sampler(sampler)
         self.backend = resolve_backend(backend)
         require_non_negative(half_select_exposure,
                              "half_select_exposure")
@@ -344,7 +328,6 @@ class ReliabilityEngine:
             "ecc": type(self.controller.ecc).__name__,
             "cycle_time_s": self.cycle_time,
             "writeback": self.writeback,
-            "sampler": self.sampler,
             "backend": self.backend.name,
         }
         if self.half_select_exposure:
@@ -365,12 +348,9 @@ class ReliabilityEngine:
         retention exposure refresh at batch boundaries (the background
         data drifts slowly relative to a batch).
 
-        The constructor's ``sampler`` selects how flips are drawn: the
-        ``bernoulli`` reference draws one uniform per cell per
-        mechanism; the ``binomial`` fast path draws per-class flip
-        counts over bit-packed state. Both are deterministic under a
-        seeded ``rng`` and statistically equivalent; their draw
-        streams (and therefore individual seeded counters) differ.
+        Flips are drawn as per-class flip counts over bit-packed state
+        (:mod:`repro.memsys.sampling`), deterministic under a seeded
+        ``rng``.
 
         ``progress``, when given, is called after every batch as
         ``progress(transactions_done, n_transactions)``. It is also the
@@ -450,7 +430,7 @@ class ReliabilityEngine:
         return [lane.result for lane in lanes], breakdown
 
     def _drive(self, lanes, batch_size, progress, profiler, total):
-        """The batch loop of both samplers, every shard in lockstep.
+        """The batch loop, every shard in lockstep.
 
         The shards share one stacked state: shard ``s`` owns the global
         words ``s * W + local`` (``W`` words per shard, the
@@ -467,9 +447,7 @@ class ReliabilityEngine:
         words_per_shard = self.controller.words.n_words
         code_bits = self.controller.ecc.n_code
         n_shards = len(lanes)
-        state_cls = (_PackedState if self.sampler == "binomial"
-                     else _DenseState)
-        state = state_cls.stacked(self, n_shards)
+        state = _PackedState.stacked(self, n_shards)
         for shard, lane in enumerate(lanes):
             lane.open(self, state, shard)
         state.build()
@@ -576,7 +554,7 @@ class ReliabilityEngine:
 
     def _apply_round_binomial(self, words, write_bounds, read_bounds,
                               state, lanes, tally, profiler=None):
-        """One occurrence-rank round of every shard, either sampler.
+        """One occurrence-rank round of every shard.
 
         Every word in ``words`` is unique. The writes come first —
         shard ``s``'s are ``write_bounds[s]:write_bounds[s + 1]`` —
@@ -765,14 +743,6 @@ def _shard_sums(shard, values, n_shards):
                        minlength=n_shards).astype(np.int64)
 
 
-def _flip_counts(flips, bounds):
-    """Per-shard totals of a ``(words, code_bits)`` flip mask."""
-    shard = _shard_of(bounds)
-    if shard is None:
-        return [int(np.count_nonzero(flips))]
-    return _shard_sums(shard, flips.sum(axis=1), len(bounds) - 1)
-
-
 class _Tally:
     """Counters of a stacked run: one row of ints per shard, one column
     per :data:`_COUNTERS` field. A round books all shards at once from
@@ -892,9 +862,10 @@ class _Lane:
                                identity=self.identity)
 
 
-# -- sampler states ------------------------------------------------------
+# -- Monte-Carlo state ---------------------------------------------------
 #
-# The driver talks to one of two state classes through the same verbs:
+# The driver talks to its state through these verbs (the test suite's
+# per-cell reference state implements the same ones):
 # stacked/fresh/load/build/snapshot (lifecycle and per-shard checkpoint
 # payload), classify (batch-boundary class maps), drift (one shard's
 # whole-array term from a flat (50,) class table), write, error_counts,
@@ -903,144 +874,9 @@ class _Lane:
 # generator, place them all at once and return per-shard flip counts.
 
 
-class _DenseState:
-    """Dense int8 planes of the bernoulli reference path.
-
-    Every mechanism draws one uniform per exposed cell against its
-    class table gathered at ``(bit, nd, ng)``; ``nd``/``ng`` are the
-    batch's coupling-class maps, recomputed whole at every batch
-    boundary. Shard ``s`` owns cells ``[s * C, (s + 1) * C)`` of each
-    plane (``C`` cells per shard, row-major), and word ``w`` of shard
-    ``s`` its ``[w * code_bits, (w + 1) * code_bits)`` cells there —
-    row ``[s, w]`` of a plane's :meth:`_by_word` view, so accesses
-    gather whole words and no per-cell index table exists. Dense
-    planes keep no running error total, so every read books its
-    errors (``wrong_bits`` is always true).
-    """
-
-    wrong_bits = True
-
-    def __init__(self, intended, actual, controller):
-        self.intended = intended
-        self.actual = actual
-        self.nd = self.ng = self.word_maps = None
-        self.wer_p = controller.wer_class_probability().reshape(2, 5, 5)
-        self.disturb_p = controller.disturb_class_probability().reshape(
-            2, 5, 5)
-        layout = controller.layout
-        self.shape = (-1, layout.rows, layout.cols)
-        self.shard_cells = layout.n_cells
-        self.code_bits = controller.words.code_bits
-        self.shard_words = controller.words.n_words
-        self.intended_words = self._by_word(intended)
-        self.actual_words = self._by_word(actual)
-
-    @classmethod
-    def stacked(cls, engine, n_shards):
-        """Zeroed planes for ``n_shards`` shards of ``engine``'s array."""
-        cells = n_shards * engine.controller.layout.n_cells
-        return cls(np.zeros(cells, dtype=np.int8),
-                   np.zeros(cells, dtype=np.int8), engine.controller)
-
-    def _shard(self, shard):
-        return slice(shard * self.shard_cells,
-                     (shard + 1) * self.shard_cells)
-
-    def _by_word(self, flat):
-        """``(shards, words, code_bits)`` view of a flat per-cell array:
-        the mapped cells of each shard, one row per word."""
-        shards = flat.reshape(-1, self.shard_cells)
-        return shards[:, :self.shard_words * self.code_bits].reshape(
-            shards.shape[0], self.shard_words, self.code_bits)
-
-    def _at(self, words):
-        """``(shard, local word)`` of global ``words``: their index into
-        :meth:`_by_word` views."""
-        return np.divmod(words, self.shard_words)
-
-    def fresh(self, shard, bits):
-        self.intended[self._shard(shard)] = bits
-        self.actual[self._shard(shard)] = bits
-
-    def load(self, shard, saved):
-        self.intended[self._shard(shard)] = saved["intended"]
-        self.actual[self._shard(shard)] = saved["actual"]
-
-    def build(self):
-        """Nothing to build: the maps are recomputed every batch."""
-
-    def snapshot(self, shard):
-        return {"intended": self.intended[self._shard(shard)],
-                "actual": self.actual[self._shard(shard)]}
-
-    def _class_maps(self):
-        nd, ng = neighborhood_class_map(self.actual.reshape(self.shape))
-        return nd.reshape(-1), ng.reshape(-1)
-
-    def classify(self):
-        self.nd, self.ng = self._class_maps()
-        self.word_maps = (self._by_word(self.nd), self._by_word(self.ng))
-
-    def _draw(self, table, bits, at, bounds, lanes, profiler=None,
-              maps=None):
-        """Boolean flip mask of the words at ``at`` holding ``bits``,
-        each shard's uniforms from its own generator."""
-        nd, ng = self.word_maps if maps is None else maps
-        with _prof(profiler, "draw"):
-            draws = [lanes[shard].rng.random((hi - lo, self.code_bits))
-                     for shard, lo, hi in _segments(bounds)]
-            return ((draws[0] if len(draws) == 1
-                     else np.concatenate(draws))
-                    < table[bits, nd[at], ng[at]])
-
-    def drift(self, shard, table, rng, profiler):
-        cells = self._shard(shard)
-        with _prof(profiler, "draw"):
-            flips = rng.random(self.shard_cells) < table.reshape(
-                2, 5, 5)[self.actual[cells], self.nd[cells],
-                         self.ng[cells]]
-        with _prof(profiler, "place"):
-            self.actual[cells] ^= flips
-        return int(flips.sum())
-
-    def write(self, words, bounds, cw, lanes, profiler):
-        at = self._at(words)
-        errs = self._draw(self.wer_p, cw, at, bounds, lanes, profiler)
-        with _prof(profiler, "place"):
-            self.intended_words[at] = cw
-            self.actual_words[at] = cw ^ errs
-        return _flip_counts(errs, bounds)
-
-    def error_counts(self, words):
-        at = self._at(words)
-        return (self.actual_words[at] != self.intended_words[at]).sum(
-            axis=1)
-
-    def rewrite(self, words, bounds, lanes, reclassify=False):
-        """Restore whole words through the write path. A scrub
-        (``reclassify``) prices its rewrites against the array as it
-        stands rather than the batch's maps."""
-        maps = None
-        if reclassify:
-            maps = [self._by_word(m) for m in self._class_maps()]
-        at = self._at(words)
-        cw = self.intended_words[at]
-        errs = self._draw(self.wer_p, cw, at, bounds, lanes, maps=maps)
-        self.actual_words[at] = cw ^ errs
-        return _flip_counts(errs, bounds)
-
-    def disturb(self, words, bounds, lanes, profiler):
-        at = self._at(words)
-        flips = self._draw(self.disturb_p, self.actual_words[at], at,
-                           bounds, lanes, profiler)
-        with _prof(profiler, "place"):
-            self.actual_words[at] ^= flips
-        return _flip_counts(flips, bounds)
-
-
 class _PackedState:
     """Packed planes + class maps + exact per-word error counters: the
-    binomial fast path's state.
+    engine's Monte-Carlo state.
 
     Flips are drawn per coupling class (one binomial per class instead
     of one uniform per cell, :func:`sample_class_flips`) or, for the
@@ -1210,8 +1046,8 @@ class _PackedState:
     def rewrite(self, words, bounds, lanes, reclassify=False):
         """Restore whole words through the write path. The maps refresh
         at batch boundaries only, so a scrub's rewrites (``reclassify``)
-        reuse the batch's classes — unlike the dense reference, a
-        second-order difference at rare-event rates, where the maps
+        reuse the batch's classes — unlike the per-cell test reference,
+        a second-order difference at rare-event rates, where the maps
         differ only at the handful of freshly flipped cells."""
         flips, counts = self._thinned(
             words, bounds, lanes, self.wer_p, self.wer_pmax,
@@ -1286,17 +1122,17 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
                  workload="random", data_bits=64, scrub=None,
                  vp=0.95, nominal_wer=2e-3, read_voltage=0.15,
                  t_read=20e-9, cycle_time=50e-9, temperature=None,
-                 writeback=True, sampler="bernoulli", backend=None,
+                 writeback=True, sampler="binomial", backend=None,
                  sense=None, topology=None, banks=None, subarrays=None,
                  half_select_exposure=0.0):
     """Convenience factory: device + knobs -> a reliability engine.
 
     ``ecc`` and ``workload`` accept registry names (see
     :data:`repro.memsys.ecc.ECC_SCHEMES` and
-    :data:`repro.memsys.traffic.WORKLOADS`); ``sampler`` selects the
-    Monte-Carlo draw strategy (see :data:`repro.memsys.sampling.\
-SAMPLERS` — use ``"binomial"`` for rare-event operating points);
-    ``backend`` selects the fast path's compute backend (see
+    :data:`repro.memsys.traffic.WORKLOADS`); ``sampler`` accepts only
+    ``"binomial"``, the one Monte-Carlo sampler (any other value raises
+    :class:`~repro.errors.ParameterError`); ``backend`` selects the
+    Monte-Carlo compute backend (see
     :data:`repro.memsys.backends.BACKENDS`; default consults
     ``REPRO_ENGINE_BACKEND``, then numpy); ``sense`` optionally gates
     reads through a :class:`~repro.memsys.sense.SenseMarginModel`.
@@ -1312,6 +1148,11 @@ SAMPLERS` — use ``"binomial"`` for rare-event operating points);
     if not isinstance(device, MTJDevice):
         raise ParameterError(
             f"device must be an MTJDevice, got {type(device)!r}")
+    if sampler != "binomial":
+        raise ParameterError(
+            f"sampler={sampler!r}: the per-cell 'bernoulli' sampler is "
+            "retired; every run draws class-grouped binomial flips, so "
+            "drop the argument")
     n_banks = 1 if banks is None else int(banks)
     n_subarrays = 1 if subarrays is None else int(subarrays)
     if (topology is not None and str(topology) != "flat") \
@@ -1327,7 +1168,7 @@ SAMPLERS` — use ``"binomial"`` for rare-event operating points);
             nominal_wer=nominal_wer, read_voltage=read_voltage,
             t_read=t_read, cycle_time=cycle_time,
             temperature=temperature, writeback=writeback,
-            sampler=sampler, backend=backend, sense=sense)
+            backend=backend, sense=sense)
     layout = ArrayLayout(pitch=pitch, rows=rows, cols=cols)
     ecc_obj = make_ecc(ecc, data_bits=data_bits) if isinstance(
         ecc, str) else ecc
@@ -1337,7 +1178,7 @@ SAMPLERS` — use ``"binomial"`` for rare-event operating points);
         temperature=temperature, sense=sense)
     return ReliabilityEngine(controller, workload=workload, scrub=scrub,
                              cycle_time=cycle_time, writeback=writeback,
-                             sampler=sampler, backend=backend,
+                             backend=backend,
                              half_select_exposure=half_select_exposure)
 
 

@@ -4,10 +4,9 @@ Every per-cell error probability in the memsys stack is a pure function
 of the cell's coupling class — (stored/target bit, direct AP-neighbor
 count, diagonal AP-neighbor count) — so a whole array, or any accessed
 subset of it, takes at most ``2 x 5 x 5 = 50`` distinct probabilities
-(the controller's probability tables). The reference ``bernoulli``
-sampler draws one uniform per cell per mechanism; at rare-event
-operating points (WER <= 1e-6) that is billions of uniforms per
-observed flip. The ``binomial`` sampler instead
+(the controller's probability tables). Drawing one uniform per cell per
+mechanism would, at rare-event operating points (WER <= 1e-6), spend
+billions of uniforms per observed flip. The engine's sampler instead
 
 1. classifies cells into their 50 classes (:func:`class_index`),
 2. histograms the classes (``np.bincount``),
@@ -19,13 +18,13 @@ draws — and :class:`IncrementalClassMaps` maintains the classification
 itself incrementally between engine batches, leaving the per-batch
 whole-array sampling cost at O(50 + flips).
 
-The two samplers are statistically equivalent: a sum of independent
-equal-``p`` Bernoulli draws is ``Binomial(n, p)``, and cells of one
-class are exchangeable, so placing ``k`` flips uniformly without
-replacement reproduces the conditional law of the Bernoulli field given
-its per-class counts. Seeded runs of either sampler are individually
-deterministic; their streams differ, but every expected counter agrees
-(see ``tests/test_memsys_sampling.py``).
+The draws are exact, not an approximation of the per-cell field: a sum
+of independent equal-``p`` Bernoulli draws is ``Binomial(n, p)``, and
+cells of one class are exchangeable, so placing ``k`` flips uniformly
+without replacement reproduces the conditional law of the Bernoulli
+field given its per-class counts. The test suite keeps a per-cell
+reference state and checks the engine's counters against it
+statistically (``tests/memsys_reference.py``).
 """
 
 from __future__ import annotations
@@ -38,18 +37,6 @@ from .controller import neighborhood_class_map
 
 #: Number of coupling classes: bit x n_direct x n_diagonal.
 N_CLASSES = 2 * 5 * 5
-
-#: Sampler registry names accepted by the engine and the CLI.
-SAMPLERS = ("bernoulli", "binomial")
-
-
-def validate_sampler(name):
-    """Return ``name`` if it names a known sampler, else raise."""
-    if name not in SAMPLERS:
-        raise ParameterError(
-            f"unknown sampler {name!r}; choose from {sorted(SAMPLERS)}")
-    return name
-
 
 def class_index(bits, nd, ng, out=None):
     """Flat 0..49 coupling-class index: ``bit * 25 + nd * 5 + ng``.

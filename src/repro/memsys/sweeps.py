@@ -16,14 +16,10 @@ order is the spec's enumeration order for every executor — which is why
 grids of the paper's density claims out across machines) produces
 byte-identical tables to the serial baseline for the same seed.
 
-Sampler contract: expectation mode draws nothing, so these sweeps are
-*bit-identical* under every ``sampler=`` engine kwarg — passing
-``sampler="binomial"`` through ``engine_kwargs`` is valid (and what the
-CLI does), it simply cannot change the numbers. Monte-Carlo runs at the
-sweep's operating points are where the sampler matters; see
-:mod:`repro.memsys.sampling`. The same holds for ``backend=`` (see
+Backend contract: expectation mode draws nothing, so these sweeps are
+*bit-identical* under every ``backend=`` engine kwarg (see
 :mod:`repro.memsys.backends`): expectation mode never enters the
-binomial hot loop, and the backend kernels are bit-exact against the
+Monte-Carlo hot loop, and the backend kernels are bit-exact against the
 numpy reference anyway — but the kwarg travels to every worker as a
 plain registry *name*, so distributed workers resolve it (or the
 ``REPRO_ENGINE_BACKEND`` environment) in their own process, falling

@@ -282,7 +282,7 @@ class TopologyEngine:
     the parity matrix asserts.
 
     Accepts the same knobs as :func:`~repro.memsys.engine.build_engine`
-    (ecc/workload/scrub/sampler/backend/sense/...); ``cross_point``
+    (ecc/workload/scrub/backend/sense/...); ``cross_point``
     topologies additionally arm the flat engines' half-select sneak
     term with an exposure of ``1/sub_rows + 1/sub_cols`` per cell per
     transaction.
@@ -292,7 +292,7 @@ class TopologyEngine:
                  workload="random", data_bits=64, scrub=None, vp=0.95,
                  nominal_wer=2e-3, read_voltage=0.15, t_read=20e-9,
                  cycle_time=50e-9, temperature=None, writeback=True,
-                 sampler="bernoulli", backend=None, sense=None):
+                 backend=None, sense=None):
         if not isinstance(topology, ArrayTopology):
             raise ParameterError(
                 f"topology must be an ArrayTopology, got "
@@ -308,7 +308,7 @@ class TopologyEngine:
             nominal_wer=nominal_wer, read_voltage=read_voltage,
             t_read=t_read, cycle_time=cycle_time,
             temperature=temperature, writeback=writeback,
-            sampler=sampler, backend=resolve_backend(backend).name,
+            backend=resolve_backend(backend).name,
             sense=sense,
             half_select_exposure=self.half_select_exposure(topology))
         self._template = None
@@ -344,10 +344,6 @@ class TopologyEngine:
     @property
     def backend(self):
         return self.template.backend
-
-    @property
-    def sampler(self):
-        return self.template.sampler
 
     @property
     def cycle_time(self):

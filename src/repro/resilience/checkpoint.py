@@ -4,12 +4,12 @@ A chip-scale reliability campaign is hours of seeded draws; a process
 crash at 97% used to mean starting over. This module makes every
 :class:`~repro.memsys.engine.ReliabilityEngine` run resumable: at batch
 boundaries the engine snapshots its complete dynamic state — bitplane
-(or dense) array state, the RNG generator state, every result counter,
+array state, the RNG generator state, every result counter,
 workload/scrub stream state — through a :class:`RunCheckpointer`, and a
 resumed run replays *nothing*: it restores the generator mid-stream and
 continues, producing results byte-identical to the uninterrupted run
-(asserted by the resilience test suite for both samplers and flat +
-banked topologies).
+(asserted by the resilience test suite for flat and banked
+topologies).
 
 Durability rules, in the same spirit as the kernel disk cache:
 

@@ -36,7 +36,9 @@ from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 
 #: Version prefix of every fingerprint; bump on any semantic change to
 #: a query's evaluation so memoized results from older servers miss.
-PROTOCOL_VERSION = 1
+#: Version 2: ``uber`` lost its ``sampler`` field, and sampled queries
+#: draw class-grouped binomial flips.
+PROTOCOL_VERSION = 2
 
 
 def _tuple_of_floats(value, name):
@@ -70,7 +72,7 @@ class UberQuery:
     ``mode="expected"`` evaluates the engine's noise-free expectation
     (deterministic, cheap); ``mode="sampled"`` runs the Monte-Carlo
     traffic loop over ``transactions`` transactions. ``backend``
-    optionally pins the fast path's compute backend (``"numpy"`` /
+    optionally pins the Monte-Carlo compute backend (``"numpy"`` /
     ``"numba"``); ``None`` lets the server resolve its own
     ``REPRO_ENGINE_BACKEND`` environment. Sampled responses report the
     backend the run actually used.
@@ -91,7 +93,6 @@ class UberQuery:
     pattern: str = "random"
     vp: float = 0.95
     nominal_wer: float = 2e-3
-    sampler: str = "bernoulli"
     backend: str | None = None
     mode: str = "expected"
     transactions: int = 50_000

@@ -106,7 +106,7 @@ def run_uber(query, abort, publish):
         device, pitch=nm_to_m(query.pitch_nm), rows=query.rows,
         cols=query.cols, ecc=query.ecc, workload=query.pattern,
         vp=query.vp, nominal_wer=query.nominal_wer,
-        sampler=query.sampler, backend=query.backend,
+        backend=query.backend,
         topology=query.topology, banks=query.banks,
         subarrays=query.subarrays)
     if query.mode == "expected":

@@ -77,17 +77,22 @@ class TestCommands:
     def test_memsys_binomial_sampler(self, capsys):
         assert main(["memsys", "--seed", "3", "--rows", "16",
                      "--cols", "16", "--transactions", "1000",
-                     "--sampler", "binomial", "--no-sweep"]) == 0
+                     "--no-sweep"]) == 0
         out = capsys.readouterr().out
-        assert "binomial sampler" in out
+        assert "sampler" not in out
         assert "raw BER (pre-ECC)" in out
         assert "pitch sweep skipped" in out
+
+    def test_memsys_sampler_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["memsys", "--sampler", "binomial"])
+        assert exc.value.code == 2
+        assert "--sampler" in capsys.readouterr().err
 
     def test_memsys_profile_breakdown(self, capsys):
         assert main(["memsys", "--seed", "3", "--rows", "16",
                      "--cols", "16", "--transactions", "1000",
-                     "--sampler", "binomial", "--profile",
-                     "--no-sweep"]) == 0
+                     "--profile", "--no-sweep"]) == 0
         out = capsys.readouterr().out
         assert "phase wall-time breakdown" in out
         for phase in ("draw", "place", "total"):
@@ -101,7 +106,7 @@ class TestCommands:
         _apply_memsys_preset(args)
         # preset values land...
         assert args.rows == args.cols == 1024
-        assert args.sampler == "binomial"
+        assert not hasattr(args, "sampler")
         assert args.nominal_wer == 1e-6
         assert args.no_sweep is True
         assert args.topology == "banked"

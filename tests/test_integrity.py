@@ -283,7 +283,7 @@ class TestCheckpointAudit:
         manager = CheckpointManager(str(tmp_path))
         engine = build_engine(eval_device, pitch=nm_to_m(70.0),
                               rows=16, cols=16, ecc="secded",
-                              workload="random", sampler="bernoulli")
+                              workload="random")
         engine.run(4096, rng=np.random.default_rng(seed),
                    batch_size=1024, checkpoint=manager,
                    checkpoint_every=1024)

@@ -242,8 +242,7 @@ _BANKED_CHILD = """
     from repro.device import MTJDevice, PAPER_EVAL_DEVICE
     from repro.memsys import build_engine
     engine = build_engine(MTJDevice(PAPER_EVAL_DEVICE), pitch=70e-9,
-                          rows=32, cols=32, banks=2, subarrays=2,
-                          sampler="binomial")
+                          rows=32, cols=32, banks=2, subarrays=2)
     result = engine.run(2000, rng=1)
     assert result.extras["topology"]["executor"] == "serial"
     print(json.dumps(sorted(sys.modules)))

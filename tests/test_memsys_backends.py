@@ -322,8 +322,7 @@ class TestBackendTuning:
 
 class TestEngineParity:
     def _engine(self, device, backend, **kwargs):
-        params = dict(pitch=45e-9, rows=48, cols=48,
-                      sampler="binomial", nominal_wer=5e-3,
+        params = dict(pitch=45e-9, rows=48, cols=48, nominal_wer=5e-3,
                       workload="read-heavy", cycle_time=100e-9)
         params.update(kwargs)
         return build_engine(device, backend=backend, **params)
@@ -355,7 +354,7 @@ class TestEngineParity:
             self, eval_device, numba_py):
         results = [
             build_engine(eval_device, pitch=52.5e-9, rows=24, cols=24,
-                         sampler="binomial", workload="read-heavy",
+                         workload="read-heavy",
                          temperature=420.0, cycle_time=10.0,
                          backend=backend).run(1500, rng=5,
                                               batch_size=256)
@@ -392,8 +391,7 @@ class TestCliAndService:
 
         assert main(["memsys", "--seed", "3", "--rows", "16",
                      "--cols", "16", "--transactions", "500",
-                     "--sampler", "binomial", "--backend", "numpy",
-                     "--no-sweep"]) == 0
+                     "--backend", "numpy", "--no-sweep"]) == 0
         assert "(numpy backend)" in capsys.readouterr().out
 
     def test_uber_query_accepts_backend(self):
@@ -413,8 +411,7 @@ class TestCliAndService:
 
         query = parse_request({
             "op": "uber", "mode": "sampled", "rows": 16, "cols": 16,
-            "transactions": 500, "sampler": "binomial",
-            "backend": "numba", "seed": 1})
+            "transactions": 500, "backend": "numba", "seed": 1})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             payload = run_uber(query, threading.Event(),

@@ -176,10 +176,8 @@ class TestPhaseProfile:
                 result.disturb_flips, result.retention_flips,
                 result.uncorrectable_bit_errors, result.words_ok)
 
-    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
-    def test_profile_breakdown_attached(self, device, sampler):
-        engine = build_engine(device, pitch=70e-9, rows=16, cols=16,
-                              sampler=sampler)
+    def test_profile_breakdown_attached(self, device):
+        engine = build_engine(device, pitch=70e-9, rows=16, cols=16)
         result = engine.run(2000, rng=4, profile=True)
         profile = result.extras["profile"]
         assert set(profile) - {"other", "total"} <= {
@@ -193,7 +191,6 @@ class TestPhaseProfile:
 
     def test_profile_does_not_change_draw_stream(self, device):
         engine = build_engine(device, pitch=70e-9, rows=16, cols=16,
-                              sampler="binomial",
                               scrub=ScrubPolicy(5e-4))
         plain = engine.run(3000, rng=9)
         profiled = engine.run(3000, rng=9, profile=True)
@@ -203,7 +200,6 @@ class TestPhaseProfile:
 
     def test_scrub_phase_recorded(self, device):
         engine = build_engine(device, pitch=70e-9, rows=16, cols=16,
-                              sampler="binomial",
                               scrub=ScrubPolicy(1e-5))
         result = engine.run(3000, rng=2, profile=True)
         assert result.n_scrubs > 0

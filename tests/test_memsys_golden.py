@@ -1,10 +1,10 @@
 """Pinned counters and rates of small seeded engine runs.
 
 A change meant to make the engine faster or smaller must leave every
-seeded counter byte-identical. The pinned runs cover both samplers:
-the write path (ECC encode, writes, class-map rebuilds and incremental
-refreshes), the banked read path with scrubbing, a flat bernoulli run
-with scrubbing, a no-ECC run without write-back, the cross-point
+seeded counter byte-identical. The pinned runs cover the write path
+(ECC encode, writes, class-map rebuilds and incremental refreshes), the
+banked read path with scrubbing, a flat run with scrubbing, a no-ECC
+run without write-back, the cross-point
 sneak-path term at a hot read bias, and retention at a hot, slow
 corner. Their full :class:`~repro.memsys.engine.MemsysResult` counters
 are pinned here, and so are the ``expected_rates`` of a pitch x
@@ -42,51 +42,29 @@ BANKED_READ_HEAVY_SCRUB = {
     "simulated_time": 0.00025,
 }
 
-BERNOULLI_FLAT_SCRUB = {
-    "n_transactions": 20000, "n_reads": 10046, "n_writes": 9954,
-    "n_scrubs": 20, "bits_read": 723312, "bits_written": 766512,
-    "write_errors": 1541, "disturb_flips": 10, "retention_flips": 0,
-    "sneak_flips": 0, "raw_bit_errors": 807,
-    "uncorrectable_bit_errors": 176, "words_ok": 9329,
-    "words_corrected": 631, "words_detected": 82, "words_silent": 4,
-    "scrub_corrected_words": 61, "scrub_uncorrectable_words": 11,
+FLAT_SCRUB = {
+    "n_transactions": 20000, "n_reads": 9917, "n_writes": 10083,
+    "n_scrubs": 20, "bits_read": 714024, "bits_written": 777600,
+    "write_errors": 1535, "disturb_flips": 12, "retention_flips": 0,
+    "sneak_flips": 0, "raw_bit_errors": 828,
+    "uncorrectable_bit_errors": 179, "words_ok": 9180,
+    "words_corrected": 649, "words_detected": 85, "words_silent": 3,
+    "scrub_corrected_words": 68, "scrub_uncorrectable_words": 8,
     "simulated_time": 0.0010000000000000002,
 }
 
-BERNOULLI_NOECC_NO_WRITEBACK = {
-    "n_transactions": 20000, "n_reads": 10073, "n_writes": 9927,
-    "n_scrubs": 0, "bits_read": 644672, "bits_written": 635328,
-    "write_errors": 1312, "disturb_flips": 9, "retention_flips": 0,
-    "sneak_flips": 0, "raw_bit_errors": 1234,
-    "uncorrectable_bit_errors": 1234, "words_ok": 8915,
-    "words_corrected": 0, "words_detected": 0, "words_silent": 1158,
+NOECC_NO_WRITEBACK = {
+    "n_transactions": 20000, "n_reads": 10138, "n_writes": 9862,
+    "n_scrubs": 0, "bits_read": 648832, "bits_written": 631168,
+    "write_errors": 1263, "disturb_flips": 11, "retention_flips": 0,
+    "sneak_flips": 0, "raw_bit_errors": 1324,
+    "uncorrectable_bit_errors": 1324, "words_ok": 8908,
+    "words_corrected": 0, "words_detected": 0, "words_silent": 1230,
     "scrub_corrected_words": 0, "scrub_uncorrectable_words": 0,
     "simulated_time": 0.0010000000000000002,
 }
 
-CROSS_POINT_SNEAK_BERNOULLI = {
-    "n_transactions": 20000, "n_reads": 9969, "n_writes": 10031,
-    "n_scrubs": 20, "bits_read": 717768, "bits_written": 766800,
-    "write_errors": 1499, "disturb_flips": 181691, "retention_flips": 0,
-    "sneak_flips": 17, "raw_bit_errors": 178587,
-    "uncorrectable_bit_errors": 177989, "words_ok": 4397,
-    "words_corrected": 598, "words_detected": 44, "words_silent": 4930,
-    "scrub_corrected_words": 21, "scrub_uncorrectable_words": 106,
-    "simulated_time": 0.00025,
-}
-
-RETENTION_HOT_BERNOULLI = {
-    "n_transactions": 4000, "n_reads": 3606, "n_writes": 394,
-    "n_scrubs": 0, "bits_read": 259632, "bits_written": 31536,
-    "write_errors": 55, "disturb_flips": 2, "retention_flips": 4751,
-    "sneak_flips": 0, "raw_bit_errors": 39622,
-    "uncorrectable_bit_errors": 39578, "words_ok": 2627,
-    "words_corrected": 44, "words_detected": 4, "words_silent": 931,
-    "scrub_corrected_words": 0, "scrub_uncorrectable_words": 0,
-    "simulated_time": 40000.0,
-}
-
-CROSS_POINT_SNEAK_BINOMIAL = {
+CROSS_POINT_SNEAK = {
     "n_transactions": 20000, "n_reads": 10046, "n_writes": 9954,
     "n_scrubs": 20, "bits_read": 723312, "bits_written": 764784,
     "write_errors": 1587, "disturb_flips": 178865, "retention_flips": 0,
@@ -97,7 +75,7 @@ CROSS_POINT_SNEAK_BINOMIAL = {
     "simulated_time": 0.00025,
 }
 
-RETENTION_HOT_BINOMIAL = {
+RETENTION_HOT = {
     "n_transactions": 4000, "n_reads": 3584, "n_writes": 416,
     "n_scrubs": 0, "bits_read": 258048, "bits_written": 33480,
     "write_errors": 62, "disturb_flips": 5, "retention_flips": 4818,
@@ -200,63 +178,52 @@ def _counters(result):
 
 def test_flat_write_heavy_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=128, cols=128,
-                          workload="write-heavy", sampler="binomial",
-                          backend="numpy")
+                          workload="write-heavy", backend="numpy")
     assert _counters(engine.run(20_000, rng=1)) == FLAT_WRITE_HEAVY
 
 
 def test_banked_read_heavy_scrub_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=128, cols=128,
-                          workload="read-heavy", sampler="binomial",
-                          backend="numpy", banks=2, subarrays=2,
-                          scrub=ScrubPolicy(2e-5))
+                          workload="read-heavy", backend="numpy",
+                          banks=2, subarrays=2, scrub=ScrubPolicy(2e-5))
     result = engine.run(20_000, rng=2, batch_size=1000)
     assert _counters(result) == BANKED_READ_HEAVY_SCRUB
     assert result.extras["topology"]["per_shard_transactions"] == [
         5000, 5000, 5000, 5000]
 
 
-def test_bernoulli_flat_scrub_counters_pinned(device):
+def test_flat_scrub_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
-                          workload="random", scrub=ScrubPolicy(2e-5))
+                          workload="random", scrub=ScrubPolicy(2e-5),
+                          backend="numpy")
     result = engine.run(20_000, rng=1, batch_size=1000)
-    assert _counters(result) == BERNOULLI_FLAT_SCRUB
+    assert _counters(result) == FLAT_SCRUB
 
 
-def test_bernoulli_no_ecc_no_writeback_counters_pinned(device):
+def test_no_ecc_no_writeback_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
                           workload="random", ecc="none",
-                          writeback=False)
+                          writeback=False, backend="numpy")
     result = engine.run(20_000, rng=1, batch_size=1000)
-    assert _counters(result) == BERNOULLI_NOECC_NO_WRITEBACK
+    assert _counters(result) == NOECC_NO_WRITEBACK
 
 
-@pytest.mark.parametrize("sampler,pinned", [
-    ("bernoulli", CROSS_POINT_SNEAK_BERNOULLI),
-    ("binomial", CROSS_POINT_SNEAK_BINOMIAL),
-])
-def test_cross_point_sneak_counters_pinned(device, sampler, pinned):
+def test_cross_point_sneak_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
                           workload="random", topology="cross-point",
                           banks=2, subarrays=2, read_voltage=0.3,
-                          scrub=ScrubPolicy(2e-5), sampler=sampler,
-                          backend="numpy")
+                          scrub=ScrubPolicy(2e-5), backend="numpy")
     result = engine.run(20_000, rng=4, batch_size=1000)
-    assert _counters(result) == pinned
+    assert _counters(result) == CROSS_POINT_SNEAK
     assert result.sneak_flips > 0 and result.scrub_corrected_words > 0
 
 
-@pytest.mark.parametrize("sampler,pinned", [
-    ("bernoulli", RETENTION_HOT_BERNOULLI),
-    ("binomial", RETENTION_HOT_BINOMIAL),
-])
-def test_retention_hot_counters_pinned(device, sampler, pinned):
+def test_retention_hot_counters_pinned(device):
     engine = build_engine(device, pitch=52.5e-9, rows=32, cols=32,
                           workload="read-heavy", temperature=420.0,
-                          cycle_time=10.0, sampler=sampler,
-                          backend="numpy")
+                          cycle_time=10.0, backend="numpy")
     result = engine.run(4000, rng=5, batch_size=500)
-    assert _counters(result) == pinned
+    assert _counters(result) == RETENTION_HOT
     assert result.retention_flips > 0
 
 

@@ -44,8 +44,7 @@ MAX_BYTES_PER_CELL = 8.0
 def _engine(device, workload, side):
     return build_engine(device, pitch=70e-9, rows=side, cols=side,
                         ecc="secded", workload=workload,
-                        nominal_wer=1e-6, sampler="binomial",
-                        backend="numpy")
+                        nominal_wer=1e-6, backend="numpy")
 
 
 @pytest.mark.parametrize("workload", ("write-heavy", "read-heavy"))

@@ -1,15 +1,16 @@
-"""Tests for the rare-event sampling fast path.
+"""Tests for the engine's class-grouped binomial sampler.
 
 Three layers: the packed bit-plane state, the class-grouped /
 thinned samplers and incremental class maps, and the end-to-end
-statistical equivalence of ``sampler="binomial"`` against the
-``bernoulli`` reference engine.
+statistical equivalence of the engine against the per-cell Bernoulli
+reference (``memsys_reference.per_cell_reference``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from memsys_reference import per_cell_reference
 
 from repro.errors import ParameterError
 from repro.memsys import build_engine
@@ -29,7 +30,6 @@ from repro.memsys.sampling import (
     class_index,
     sample_class_flips,
     sample_thinned_flips,
-    validate_sampler,
 )
 
 
@@ -130,11 +130,6 @@ class TestBitPlane:
 
 
 class TestSamplers:
-    def test_validate_sampler(self):
-        assert validate_sampler("binomial") == "binomial"
-        with pytest.raises(ParameterError):
-            validate_sampler("gaussian")
-
     def test_class_index_matches_table_layout(self):
         rng = np.random.default_rng(0)
         table = rng.random((2, 5, 5))
@@ -467,24 +462,16 @@ class TestPackedState:
 
 
 class TestEngineEquivalence:
-    def test_expected_rates_bit_identical(self, device):
-        rates = [
-            build_engine(device, pitch=70e-9, rows=16, cols=16,
-                         sampler=sampler).expected_rates(rng=0)
-            for sampler in ("bernoulli", "binomial")]
-        assert rates[0] == rates[1]
-
     def test_binomial_deterministic_under_seed(self, device):
-        runs = [build_engine(device, pitch=70e-9, rows=16, cols=16,
-                             sampler="binomial").run(3000, rng=7)
+        runs = [build_engine(device, pitch=70e-9, rows=16,
+                             cols=16).run(3000, rng=7)
                 for _ in range(2)]
         assert runs[0].raw_bit_errors == runs[1].raw_bit_errors
         assert runs[0].write_errors == runs[1].write_errors
         assert runs[0].uber == runs[1].uber
 
     def test_binomial_counters_consistent(self, device):
-        engine = build_engine(device, pitch=70e-9, rows=16, cols=16,
-                              sampler="binomial")
+        engine = build_engine(device, pitch=70e-9, rows=16, cols=16)
         result = engine.run(5000, rng=1)
         assert result.n_transactions == 5000
         assert result.n_reads + result.n_writes == 5000
@@ -495,28 +482,33 @@ class TestEngineEquivalence:
         assert result.uncorrectable_bit_errors <= result.raw_bit_errors
         assert 0.0 < result.raw_ber < 1.0
         assert result.uber <= result.raw_ber
-        assert result.config["sampler"] == "binomial"
+        assert "sampler" not in result.config
 
     def test_counters_statistically_equivalent(self, device):
-        """Seeded bernoulli vs binomial totals agree within a
+        """Seeded per-cell reference vs binomial totals agree within a
         binomial-CI tolerance (aggregated over seeds so per-seed noise
         averages out)."""
-        totals = {}
-        for sampler in ("bernoulli", "binomial"):
+
+        def totals():
             acc = dict(write_errors=0, disturb_flips=0,
                        retention_flips=0, words_corrected=0)
             for seed in range(4):
                 engine = build_engine(
                     device, pitch=52.5e-9, rows=32, cols=32,
                     workload="read-heavy", temperature=400.0,
-                    cycle_time=1e-5, sampler=sampler)
+                    cycle_time=1e-5)
                 result = engine.run(15_000, rng=seed)
                 for key in acc:
                     acc[key] += getattr(result, key)
-            totals[sampler] = acc
-        for key in totals["bernoulli"]:
-            a = totals["bernoulli"][key]
-            b = totals["binomial"][key]
+            return acc
+
+        with per_cell_reference() as built:
+            reference = totals()
+        assert built.value == 4
+        binomial = totals()
+        for key in reference:
+            a = reference[key]
+            b = binomial[key]
             tol = 6.0 * np.sqrt(a + b + 1.0) + 10.0
             assert abs(a - b) <= tol, (key, a, b)
 
@@ -526,8 +518,7 @@ class TestEngineEquivalence:
         engine = build_engine(
             device, pitch=52.5e-9, rows=16, cols=16,
             workload="read-heavy", temperature=420.0, cycle_time=1e-4,
-            nominal_wer=1e-4, scrub=ScrubPolicy(0.05),
-            sampler="binomial")
+            nominal_wer=1e-4, scrub=ScrubPolicy(0.05))
         result = engine.run(12_000, rng=9, batch_size=500)
         assert result.retention_flips > 0
         assert result.n_scrubs > 0
@@ -536,7 +527,7 @@ class TestEngineEquivalence:
         uber = {}
         for ecc in ("none", "secded"):
             engine = build_engine(device, pitch=70e-9, rows=16,
-                                  cols=16, ecc=ecc, sampler="binomial")
+                                  cols=16, ecc=ecc)
             uber[ecc] = engine.run(20_000, rng=11).uber
         assert 0.0 < uber["secded"] < uber["none"]
 
@@ -544,6 +535,11 @@ class TestEngineEquivalence:
         with pytest.raises(ParameterError):
             build_engine(device, pitch=70e-9, rows=16, cols=16,
                          sampler="gaussian")
+
+    def test_bernoulli_sampler_is_retired(self, device):
+        with pytest.raises(ParameterError, match="retired"):
+            build_engine(device, pitch=70e-9, rows=16, cols=16,
+                         sampler="bernoulli")
 
     def test_zero_interval_retention_probability(self, device):
         """interval == 0 is a valid zero-dwell window (satellite)."""

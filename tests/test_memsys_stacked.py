@@ -5,7 +5,7 @@ stacked state, yet every shard draws only from its own child generator
 in the order a lone run does. The load-bearing claims pinned here:
 
 * stacked serial == the process executor (which runs each shard alone),
-  counter for counter, across samplers, topology kinds, scrub, shard
+  counter for counter, across topology kinds, scrub, shard
   counts, uneven shares and batch sizes;
 * ``executor="thread"`` on a banked run takes the stacked path and
   says so in ``extras["topology"]["executor"]``;
@@ -40,10 +40,10 @@ from repro.memsys.topology import _spawn_generators
 from repro.resilience import CheckpointManager, RunCheckpointer
 
 
-def _engine(device, sampler="binomial", kind="banked", banks=2,
-            subarrays=2, rows=32, cols=32, scrub=2e-5, **kwargs):
+def _engine(device, kind="banked", banks=2, subarrays=2, rows=32,
+            cols=32, scrub=2e-5, **kwargs):
     return build_engine(
-        device, pitch=60e-9, rows=rows, cols=cols, sampler=sampler,
+        device, pitch=60e-9, rows=rows, cols=cols,
         workload=kwargs.pop("workload", "random"), nominal_wer=1e-3,
         read_voltage=0.3, backend="numpy", topology=kind, banks=banks,
         subarrays=subarrays,
@@ -71,17 +71,15 @@ class _KillAfter:
 
 class TestStackedEqualsProcess:
     @pytest.mark.parametrize("kind", ["banked", "cross-point"])
-    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
     @pytest.mark.parametrize("banks,subarrays,rows,cols",
                              [(2, 2, 32, 32), (4, 4, 64, 64)])
     def test_stacked_serial_equals_process(self, eval_device, kind,
-                                           sampler, banks, subarrays,
-                                           rows, cols):
+                                           banks, subarrays, rows, cols):
         # 4001 transactions never split evenly over 4 or 16 shards,
         # and batches of 300 divide none of the shares.
-        engine = _engine(eval_device, sampler=sampler, kind=kind,
-                         banks=banks, subarrays=subarrays, rows=rows,
-                         cols=cols, scrub=5e-6)
+        engine = _engine(eval_device, kind=kind, banks=banks,
+                         subarrays=subarrays, rows=rows, cols=cols,
+                         scrub=5e-6)
         kwargs = dict(rng=21, batch_size=300)
         serial = engine.run(4001, executor="serial", **kwargs)
         process = engine.run(4001, executor="process", jobs=2, **kwargs)

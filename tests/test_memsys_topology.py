@@ -1,9 +1,9 @@
 """Tests for the banked-array topology layer.
 
 The parity matrix at the core: a seeded 1x1 banked run is
-*byte-identical* to the flat engine across topology x sampler x backend
-x scrub, sharded runs are statistically equivalent and deterministic
-across executors, and the hierarchical address map round-trips exactly
+*byte-identical* to the flat engine across topology x backend x scrub,
+sharded runs are statistically equivalent and deterministic across
+executors, and the hierarchical address map round-trips exactly
 (hypothesis-driven). Also the regression home of the profile-merge fix:
 ``extras["profile"]`` survives :func:`repro.memsys.merge_results`.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from memsys_reference import per_cell_reference
 
 from repro.errors import ParameterError
 from repro.memsys import (
@@ -195,14 +196,13 @@ class TestFlatBankedParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scrub_interval", [None, 2e-4])
-    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
-    def test_monte_carlo_byte_identical(self, device, sampler,
-                                        scrub_interval, backend):
+    def test_monte_carlo_byte_identical(self, device, scrub_interval,
+                                        backend):
         def scrub():
             return (ScrubPolicy(scrub_interval)
                     if scrub_interval else None)
-        kwargs = dict(pitch=70e-9, rows=16, cols=16, sampler=sampler,
-                      backend=backend, workload="read-heavy")
+        kwargs = dict(pitch=70e-9, rows=16, cols=16, backend=backend,
+                      workload="read-heavy")
         flat = build_engine(device, scrub=scrub(), **kwargs)
         banked = build_engine(device, scrub=scrub(), topology="banked",
                               banks=1, subarrays=1, **kwargs)
@@ -210,9 +210,8 @@ class TestFlatBankedParity:
         assert counters(flat.run(3000, rng=7)) == counters(
             banked.run(3000, rng=7))
 
-    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
-    def test_expected_rates_bit_identical(self, device, sampler):
-        kwargs = dict(pitch=70e-9, rows=16, cols=16, sampler=sampler)
+    def test_expected_rates_bit_identical(self, device):
+        kwargs = dict(pitch=70e-9, rows=16, cols=16)
         flat = build_engine(device, **kwargs)
         banked = build_engine(device, topology="banked", banks=1,
                               subarrays=1, **kwargs)
@@ -258,8 +257,7 @@ class TestShardedRuns:
     def test_executors_byte_identical_to_serial(self, device,
                                                 executor):
         engine = build_engine(device, pitch=70e-9, rows=32, cols=32,
-                              topology="banked", banks=2, subarrays=2,
-                              sampler="binomial")
+                              topology="banked", banks=2, subarrays=2)
         serial = engine.run(4000, rng=11, executor="serial")
         parallel = engine.run(4000, rng=11, executor=executor, jobs=2)
         assert counters(serial) == counters(parallel)
@@ -335,16 +333,19 @@ class TestCrossPoint:
         assert engine.template.half_select_exposure == 0.0
 
     def test_samplers_statistically_agree_on_sneak(self, device):
-        results = {}
-        for sampler in ("bernoulli", "binomial"):
+        def sneak_flips():
             engine = build_engine(device, pitch=70e-9, rows=32,
                                   cols=32, topology="cross-point",
                                   banks=2, subarrays=2,
-                                  read_voltage=0.3, sampler=sampler)
-            results[sampler] = engine.run(20_000, rng=9).sneak_flips
-        assert results["bernoulli"] > 0 and results["binomial"] > 0
-        assert results["binomial"] == pytest.approx(
-            results["bernoulli"], rel=0.8)
+                                  read_voltage=0.3)
+            return engine.run(20_000, rng=9).sneak_flips
+
+        with per_cell_reference() as built:
+            reference = sneak_flips()
+        assert built.value == 1
+        binomial = sneak_flips()
+        assert reference > 0 and binomial > 0
+        assert binomial == pytest.approx(reference, rel=0.8)
 
     def test_expected_rates_exceed_banked(self, device):
         kwargs = dict(pitch=70e-9, rows=32, cols=32, banks=2,

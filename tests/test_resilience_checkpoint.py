@@ -2,11 +2,10 @@
 
 The load-bearing claim: a run killed mid-campaign and resumed from its
 checkpoint produces counters, draws, and UBER *byte-identical* to the
-uninterrupted seeded run — for both samplers and for flat and banked
-topologies. Everything else here (corrupt/stale/EIO fallbacks) defends
-the other half of the contract: a checkpoint that cannot be trusted
-degrades to a clean restart with a counted warning, never to wrong
-numbers.
+uninterrupted seeded run — for flat and banked topologies. Everything
+else here (corrupt/stale/EIO fallbacks) defends the other half of the
+contract: a checkpoint that cannot be trusted degrades to a clean
+restart with a counted warning, never to wrong numbers.
 """
 
 import dataclasses
@@ -32,10 +31,10 @@ N_TRANSACTIONS = 6 * 1024
 BATCH = 1024
 
 
-def _engine(device, sampler="bernoulli", rows=16, cols=16, **kwargs):
+def _engine(device, rows=16, cols=16, **kwargs):
     return build_engine(device, pitch=nm_to_m(70.0), rows=rows,
                         cols=cols, ecc="secded", workload="random",
-                        sampler=sampler, **kwargs)
+                        **kwargs)
 
 
 class _KillAfter:
@@ -53,22 +52,21 @@ class _KillAfter:
 
 
 class TestByteIdenticalResume:
-    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
     def test_killed_run_resumes_byte_identical(self, eval_device,
-                                               tmp_path, sampler):
-        base = _engine(eval_device, sampler=sampler).run(
+                                               tmp_path):
+        base = _engine(eval_device).run(
             N_TRANSACTIONS, rng=np.random.default_rng(7),
             batch_size=BATCH)
 
         manager = CheckpointManager(str(tmp_path))
         with pytest.raises(RunAborted):
-            _engine(eval_device, sampler=sampler).run(
+            _engine(eval_device).run(
                 N_TRANSACTIONS, rng=np.random.default_rng(7),
                 batch_size=BATCH, checkpoint=manager,
                 progress=_KillAfter(3))
         assert manager.saves >= 1
 
-        resumed = _engine(eval_device, sampler=sampler).run(
+        resumed = _engine(eval_device).run(
             N_TRANSACTIONS, rng=np.random.default_rng(7),
             batch_size=BATCH, checkpoint=manager, resume=True)
         assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
@@ -195,12 +193,12 @@ class TestRunIdentity:
             self, eval_device, tmp_path):
         manager = self._checkpointed(eval_device, tmp_path)
         with pytest.raises(RunIdentityError) as err:
-            _engine(eval_device, sampler="binomial").run(
+            _engine(eval_device, writeback=False).run(
                 N_TRANSACTIONS, rng=np.random.default_rng(7),
                 batch_size=BATCH, checkpoint=manager, resume=True)
         message = str(err.value)
         assert "different run" in message
-        assert "sampler" in message
+        assert "writeback" in message
 
     def test_explicit_resume_raises_even_on_legacy_checkpoint(
             self, tmp_path):

@@ -51,6 +51,12 @@ class TestParseRequest:
         with pytest.raises(ParameterError, match="pitchnm"):
             parse_request({"op": "uber", "pitchnm": 70})
 
+    @pytest.mark.parametrize("sampler", ["bernoulli", "binomial"])
+    def test_retired_sampler_is_an_unknown_parameter(self, sampler):
+        with pytest.raises(ParameterError,
+                           match="unknown parameter.*sampler"):
+            parse_request({"op": "uber", "sampler": sampler})
+
     def test_envelope_keys_are_not_parameters(self):
         query = parse_request({"op": "uber", "id": "client-7",
                                "pitch_nm": 60})
@@ -154,6 +160,14 @@ class TestFingerprint:
         # Defensive: the constant exists and is an int the digest can
         # fold in; bumping it is the documented invalidation story.
         assert isinstance(PROTOCOL_VERSION, int)
+
+    def test_protocol_v2_rekeys_v1_results(self):
+        # Version 2 retired the uber ``sampler`` field; the same
+        # sampled query keyed this under version 1.
+        query = parse_request({"op": "uber", "mode": "sampled"})
+        assert PROTOCOL_VERSION == 2
+        assert (query_fingerprint(query)
+                != "5013250638e628a7892e92bb2346ce3f")
 
     def test_stable_across_processes(self):
         # The fingerprint must be derivable from reprs of plain
