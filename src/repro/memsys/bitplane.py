@@ -47,8 +47,8 @@ def row_blocks(rows, cols):
 def pack_bits(bits):
     """Pack ``(n, k)`` 0/1 bits into ``(n, ceil(k / 64))`` uint64 lanes."""
     bits = np.asarray(bits)
-    # An int8 plane packs through a uint8 view, not a uint8 copy.
-    bits = (bits.view(np.uint8) if bits.dtype == np.int8
+    # An int8 or bool plane packs through a uint8 view, not a copy.
+    bits = (bits.view(np.uint8) if bits.dtype in (np.int8, np.bool_)
             else bits.astype(np.uint8, copy=False))
     if bits.ndim != 2:
         raise ParameterError(
@@ -68,6 +68,14 @@ def unpack_bits(lanes, code_bits):
     u8 = lanes.view(np.uint8)
     bits = np.unpackbits(u8, axis=1, bitorder="little")
     return bits[:, :int(code_bits)].astype(np.int8)
+
+
+def lane_bits(lanes, rows, bits):
+    """int8 codeword bit ``bits[i]`` of row ``rows[i]`` of packed
+    ``lanes``."""
+    lane, shift = np.divmod(bits, 64)
+    return ((lanes[rows, lane] >> shift.astype(np.uint64))
+            & np.uint64(1)).astype(np.int8)
 
 
 def popcount_rows(lanes):
@@ -182,15 +190,6 @@ class BitPlane:
 
     # -- word-granular access ----------------------------------------------
 
-    def word_bits(self, words):
-        """(len(words), code_bits) int8 bits of the given words."""
-        return unpack_bits(self.lanes[np.asarray(words)],
-                           self.code_bits)
-
-    def set_words(self, words, bits):
-        """Replace the codewords at ``words`` with ``bits``."""
-        self.lanes[np.asarray(words)] = pack_bits(bits)
-
     def diff_counts(self, other, words=None):
         """Per-word mismatch counts vs ``other`` via XOR + popcount.
 
@@ -215,9 +214,8 @@ class BitPlane:
         out = np.empty(idx.shape, dtype=np.int8)
         mapped = idx < self.n_mapped
         if np.any(mapped):
-            w, lane, shift = self._mapped_coords(idx[mapped])
-            out[mapped] = ((self.lanes[w, lane] >> shift)
-                           & np.uint64(1)).astype(np.int8)
+            out[mapped] = lane_bits(self.lanes,
+                                    *np.divmod(idx[mapped], self.code_bits))
         if not np.all(mapped):
             out[~mapped] = self.tail[idx[~mapped] - self.n_mapped]
         return out

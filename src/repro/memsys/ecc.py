@@ -5,7 +5,9 @@ inflation survive to the user — depends on what the controller's ECC can
 hide. This module implements the standard extended Hamming code
 (single-error-correcting, double-error-detecting) over a configurable
 data width, fully vectorized over batches of words: ``encode``/``decode``
-operate on ``(..., k)`` / ``(..., n)`` bit arrays.
+operate on ``(..., k)`` / ``(..., n)`` bit arrays, and ``encode_lanes``
+on the bit-packed uint64 lanes of :mod:`repro.memsys.bitplane` — the
+engine's write path, which never unpacks a codeword.
 
 Construction: codeword positions 1..m (``m = k + r``) carry the data and
 the ``r`` Hamming parity bits (at the power-of-two positions); position
@@ -13,16 +15,24 @@ the ``r`` Hamming parity bits (at the power-of-two positions); position
 syndrome of a received word is the XOR of the position indices of its
 erroneous bits, so a single error is located exactly and a double error
 (syndrome != 0, even overall parity) is flagged uncorrectable.
+
+Encoding: the code is linear over GF(2), so a codeword is the XOR of
+the codewords of its data bytes. Per data width, one table per data
+byte holds the packed codeword of each of its 256 values (built once
+and cached); encoding ``n`` words is one gather of ``n * ceil(k / 8)``
+table rows plus ``log2(ceil(k / 8))`` XOR folds.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..validation import require_int_in_range
+from .bitplane import LANE_DTYPE, pack_bits, unpack_bits
 
 
 class DecodeOutcome(enum.IntEnum):
@@ -60,6 +70,10 @@ class NoECC:
         """Identity map; validates shape."""
         data = _as_bits(data, self.n_data, "data")
         return data.copy()
+
+    def encode_lanes(self, data_lanes):
+        """Identity map on packed lanes (a copy)."""
+        return np.array(data_lanes, dtype=LANE_DTYPE)
 
     def decode(self, codewords):
         """Identity decode: every erroneous word is a silent failure.
@@ -105,17 +119,6 @@ class HammingSECDED:
         # pos_code[p - 1, i] = bit i of position index p.
         self._pos_code = ((positions[:, None] >> np.arange(r)) & 1
                           ).astype(np.int64)
-        # Systematic generator: row i is the codeword of data bit i
-        # alone — the data bit at its position, the Hamming parities
-        # that zero its syndrome (its position's index bits), and the
-        # overall parity of the row. Kept as float32 so encode is one
-        # BLAS matmul.
-        data_code = self._pos_code[self._data_pos - 1]
-        gen = np.zeros((k, m + 1), dtype=np.float32)
-        gen[np.arange(k), self._data_pos - 1] = 1
-        gen[:, self._parity_pos - 1] = data_code
-        gen[:, m] = (1 + data_code.sum(axis=1)) % 2
-        self._generator = gen
 
     @property
     def n_code(self):
@@ -128,17 +131,34 @@ class HammingSECDED:
         return self._data_pos - 1
 
     def encode(self, data):
-        """Encode ``(..., k)`` data bits into ``(..., n)`` codewords.
-
-        The code is linear over GF(2), so a codeword is the data times
-        the generator, mod 2. The float32 product is exact: every entry
-        is an integer <= k <= 4096 < 2**24. (The explicit cast keeps
-        the product on BLAS; mixed int8 @ float32 is ~50x slower.)
-        """
+        """Encode ``(..., k)`` data bits into ``(..., n)`` int8 codewords
+        (packed, :meth:`encode_lanes`, and unpacked)."""
         data = _as_bits(data, self.n_data, "data")
-        bits = (data.astype(np.float32) @ self._generator).astype(np.int32)
-        bits &= 1   # in place: one (n, k) int32 temp, not two
-        return bits.astype(np.int8)
+        lanes = self.encode_lanes(pack_bits(data.reshape(-1, self.n_data)))
+        return unpack_bits(lanes, self.n_code).reshape(
+            data.shape[:-1] + (self.n_code,))
+
+    def encode_lanes(self, data_lanes):
+        """Encode ``(n, ceil(k / 64))`` packed data lanes into
+        ``(n, ceil(n_code / 64))`` packed codeword lanes.
+
+        The code is linear over GF(2), so a codeword is the XOR of one
+        byte-table row per data byte (:func:`_byte_tables`). One gather
+        fetches every row, each as a single void item, byte-major; the
+        rows then fold by halves, each XOR over contiguous blocks.
+        """
+        table, offsets = _byte_tables(self.n_data)
+        n_bytes = offsets.shape[0]
+        data = np.ascontiguousarray(data_lanes, dtype=LANE_DTYPE)
+        index = np.add(data.view(np.uint8)[:, :n_bytes].T, offsets,
+                       order="C")
+        rows = table[index].view(LANE_DTYPE).reshape(
+            n_bytes, data.shape[0], table.itemsize // LANE_DTYPE.itemsize)
+        while n_bytes > 2:
+            half = n_bytes // 2
+            rows[:half] ^= rows[n_bytes - half:n_bytes]
+            n_bytes -= half
+        return rows[0] ^ rows[1] if n_bytes == 2 else rows[0].copy()
 
     def syndrome(self, codewords):
         """(syndrome integer, overall parity) of received codewords."""
@@ -195,6 +215,44 @@ class HammingSECDED:
         out[n_errors == 1] = DecodeOutcome.CORRECTED
         out[n_errors == 2] = DecodeOutcome.DETECTED
         return out
+
+
+@functools.lru_cache(maxsize=8)
+def _byte_tables(data_bits):
+    """Encode tables of the ``data_bits``-wide SEC-DED code, built once
+    per width.
+
+    Returns ``(table, offsets)``: entry ``offsets[b] + v`` of the flat
+    ``table`` is the packed codeword of the data word whose byte ``b``
+    holds ``v`` (every other byte zero), one void item of
+    ``8 * ceil(n_code / 64)`` bytes; ``offsets`` is the
+    ``(ceil(k / 8), 1)`` column of ``256 * b``. 32 KiB for the
+    (72, 64) code.
+    """
+    code = HammingSECDED(data_bits)
+    k, m = code.n_data, code._m
+    # Generator row i is the codeword of data bit i alone: the data bit
+    # at its position, the Hamming parities that zero its syndrome (its
+    # position's index bits) and the row's overall parity. Rows past k
+    # pad the last byte with zeros.
+    data_code = code._pos_code[code._data_pos - 1]
+    gen = np.zeros((-(-k // 8) * 8, m + 1), dtype=np.int8)
+    gen[np.arange(k), code._data_pos - 1] = 1
+    gen[:k, code._parity_pos - 1] = data_code
+    gen[:k, m] = (1 + data_code.sum(axis=1)) % 2
+    rows = pack_bits(gen)
+    n_lanes = rows.shape[1]
+    rows = rows.reshape(-1, 8, 1, n_lanes)
+    # Value v of byte b XORs the rows of v's set bits: each bit j
+    # doubles the filled prefix [0, 2**j).
+    tables = np.zeros((rows.shape[0], 256, n_lanes), dtype=LANE_DTYPE)
+    for j in range(8):
+        np.bitwise_xor(tables[:, :1 << j], rows[:, j],
+                       out=tables[:, 1 << j:2 << j])
+    table = tables.view(np.dtype((np.void, 8 * n_lanes))).reshape(-1)
+    offsets = 256 * np.arange(rows.shape[0], dtype=np.intp)[:, None]
+    table.flags.writeable = offsets.flags.writeable = False
+    return table, offsets
 
 
 #: Registry used by the CLI and the sweeps.

@@ -54,7 +54,7 @@ from ..integrity.manifest import record_digest
 from ..resilience.checkpoint import as_checkpointer
 from ..validation import require_non_negative, require_positive
 from .backends import resolve_backend
-from .bitplane import BitPlane
+from .bitplane import BitPlane, lane_bits, pack_bits
 from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
 from .sampling import (
@@ -571,8 +571,8 @@ class ReliabilityEngine:
                                      - shard * words_per_shard)
                     for shard, lo, hi in _segments(write_bounds)]
             with _prof(profiler, "ecc"):
-                cw = ctl.ecc.encode(data[0] if len(data) == 1
-                                    else np.concatenate(data))
+                cw = ctl.ecc.encode_lanes(pack_bits(
+                    data[0] if len(data) == 1 else np.concatenate(data)))
             tally.add("write_errors", state.write(
                 w_words, write_bounds, cw, lanes, profiler))
 
@@ -1031,11 +1031,14 @@ class _PackedState:
         return self._cells(words, flat), counts
 
     def write(self, words, bounds, cw, lanes, profiler):
-        cw_flat = cw.reshape(-1)
+        """Store the packed codewords ``cw`` at ``words``, with write
+        errors."""
+        code_bits = self.actual.code_bits
         with _prof(profiler, "draw"):
             flips, counts = self._thinned(
                 words, bounds, lanes, self.wer_p, self.wer_pmax,
-                lambda flat, cells: cw_flat[flat])
+                lambda flat, cells: lane_bits(
+                    cw, *np.divmod(flat, code_bits)))
         with _prof(profiler, "place"):
             self.write_words(words, cw, flips)
         return counts
@@ -1087,12 +1090,13 @@ class _PackedState:
         self.actual.toggle_cells(flat_idx)
 
     def write_words(self, word_idx, cw, flip_cells):
-        """``intended = actual = cw``, then inject errors at
-        ``flip_cells`` (flat cell indices inside the written words)."""
+        """``intended = actual = cw`` (packed codeword lanes), then
+        inject errors at ``flip_cells`` (flat cell indices inside the
+        written words)."""
         self.wrong_bits -= int(self.err_count[word_idx].sum())
         self.err_count[word_idx] = 0
-        self.intended.set_words(word_idx, cw)
-        self.actual.set_words(word_idx, cw)
+        self.intended.lanes[word_idx] = cw
+        self.actual.lanes[word_idx] = cw
         self._inject(flip_cells)
 
     def restore_words(self, word_idx, flip_cells):

@@ -4,7 +4,10 @@ A workload produces *batches* of word-level transactions — numpy arrays
 of word addresses and read/write flags — so the Monte-Carlo engine never
 loops over individual transactions. Each workload also defines the
 initial array content (reusing :mod:`repro.arrays.pattern` for the
-solid/checkerboard stress backgrounds) and the data its writes store.
+solid/checkerboard stress backgrounds) and the data its writes store:
+random write data comes as a bool ``(n, k)`` matrix drawn in row
+blocks, which the engine packs into uint64 lanes once per round
+(:func:`~repro.memsys.bitplane.pack_bits`) and encodes packed.
 
 Available workloads (see :data:`WORKLOADS`):
 
@@ -108,9 +111,19 @@ class Workload:
             is_write=rng.random(int(n)) >= self.read_fraction)
 
     def write_data(self, words, data_bits, rng):
-        """(n_writes, data_bits) data stored by writes to ``words``."""
-        return (rng.random((words.shape[0], data_bits))
-                < 0.5).astype(np.int8)
+        """(n_writes, data_bits) bool data stored by writes to ``words``.
+
+        Drawn in row blocks, like :meth:`initial_bits`, into one reused
+        block of uniforms: the same bits, and the same generator state
+        after, as one ``rng.random((n_writes, data_bits)) < 0.5``.
+        """
+        bits = np.empty((words.shape[0], data_bits), dtype=bool)
+        blocks = row_blocks(*bits.shape)
+        uniforms = np.empty((blocks[0][1] if blocks else 0, data_bits))
+        for lo, hi in blocks:
+            np.less(rng.random(out=uniforms[:hi - lo]), 0.5,
+                    out=bits[lo:hi])
+        return bits
 
     def describe(self):
         """Summary dict for reports."""

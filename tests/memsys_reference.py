@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.memsys import engine as engine_module
+from repro.memsys.bitplane import unpack_bits
 from repro.memsys.controller import neighborhood_class_map
 from repro.memsys.engine import _prof, _segments, _shard_of, _shard_sums
 
@@ -159,6 +160,7 @@ class _DenseState:
         return int(flips.sum())
 
     def write(self, words, bounds, cw, lanes, profiler):
+        cw = unpack_bits(cw, self.code_bits)
         at = self._at(words)
         errs = self._draw(self.wer_p, cw, at, bounds, lanes, profiler)
         with _prof(profiler, "place"):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
+from repro.memsys.bitplane import LANE_DTYPE, pack_bits, unpack_bits
 from repro.memsys.ecc import (
     DecodeOutcome,
     HammingSECDED,
@@ -140,7 +141,7 @@ class TestClassification:
             assert np.array_equal(cw[:, ecc.data_positions], data)
 
 
-#: Data widths of the generator-matrix checks: both ends of the
+#: Data widths of the encode checks: both ends of the
 #: accepted range, the classic 64, and widths just past a power of two
 #: (one more parity bit) or just below one.
 ENCODE_WIDTHS = (1, 2, 4, 11, 26, 57, 64, 120, 247, 4096)
@@ -193,3 +194,69 @@ class TestGeneratorEncode:
         word = np.random.default_rng(0).random(64) < 0.5
         assert np.array_equal(ecc.encode(word),
                               _syndrome_encode(ecc, word))
+
+
+#: Data widths of the packed-lane checks: words ending mid-byte, on a
+#: byte, just short of, on and just past a lane, and wide codes whose
+#: codewords span several lanes.
+LANE_WIDTHS = (1, 4, 8, 11, 26, 57, 63, 64, 65, 120, 128, 247, 1000)
+
+
+def _generator_encode(ecc, data):
+    """The float32 generator-matrix encode the byte tables replaced,
+    kept as their reference: the data times the systematic generator,
+    mod 2 (exact, every entry is an integer <= k < 2**24)."""
+    k, m = ecc.n_data, ecc._m
+    data_code = ecc._pos_code[ecc._data_pos - 1]
+    gen = np.zeros((k, m + 1), dtype=np.float32)
+    gen[np.arange(k), ecc._data_pos - 1] = 1
+    gen[:, ecc._parity_pos - 1] = data_code
+    gen[:, m] = (1 + data_code.sum(axis=1)) % 2
+    bits = (np.asarray(data, dtype=np.float32) @ gen).astype(np.int32)
+    return (bits & 1).astype(np.int8)
+
+
+def _lane_words(k):
+    """Random words, the all-ones and all-zero words and unit words."""
+    rng = np.random.default_rng(k)
+    return np.concatenate([random_words(rng, 200, k),
+                           np.ones((1, k), np.int8),
+                           np.zeros((1, k), np.int8),
+                           np.eye(k, dtype=np.int8)[:300]])
+
+
+class TestLaneEncode:
+    @pytest.mark.parametrize("k", LANE_WIDTHS)
+    def test_matches_generator_product(self, k):
+        ecc = _code(k)
+        data = _lane_words(k)
+        lanes = ecc.encode_lanes(pack_bits(data))
+        assert lanes.dtype == LANE_DTYPE
+        assert lanes.shape == (data.shape[0], -(-ecc.n_code // 64))
+        assert np.array_equal(lanes,
+                              pack_bits(_generator_encode(ecc, data)))
+        assert ecc.encode_lanes(pack_bits(data[:0])).shape == (
+            0, lanes.shape[1])
+
+    @pytest.mark.parametrize("k", LANE_WIDTHS)
+    def test_no_ecc_copies_lanes(self, k):
+        ecc = NoECC(k)
+        data = _lane_words(k)
+        lanes = pack_bits(data)
+        out = ecc.encode_lanes(lanes)
+        assert out.dtype == LANE_DTYPE
+        assert np.array_equal(out, lanes)
+        assert not np.shares_memory(out, lanes)
+        assert np.array_equal(unpack_bits(out, ecc.n_code),
+                              ecc.encode(data))
+
+    @pytest.mark.parametrize("k", LANE_WIDTHS)
+    def test_encode_decode_round_trip(self, k):
+        ecc = _code(k)
+        data = _lane_words(k)
+        cw = ecc.encode(data)
+        assert cw.dtype == np.int8
+        assert np.array_equal(cw, _generator_encode(ecc, data))
+        decoded, outcomes = ecc.decode(cw)
+        assert np.array_equal(decoded, data)
+        assert np.all(outcomes == DecodeOutcome.OK)

@@ -62,6 +62,27 @@ def test_binomial_engine_peak_bytes_per_cell(eval_device, workload):
     assert peak / SIDE**2 <= MAX_BYTES_PER_CELL, peak / SIDE**2
 
 
+#: Run-phase bound of a write-heavy engine: once built, a run's write
+#: path (drawn data, packed codewords, placement) keeps the traced peak
+#: at no more than this many bytes per cell.
+MAX_WRITE_RUN_BYTES_PER_CELL = 4.0
+
+
+def test_write_path_run_peak_bytes_per_cell(eval_device):
+    _engine(eval_device, "write-heavy", 16).run(2000, rng=1)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        engine = _engine(eval_device, "write-heavy", SIDE)
+        tracemalloc.reset_peak()
+        result = engine.run(20_000, rng=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_writes > 15_000
+    assert peak / SIDE**2 <= MAX_WRITE_RUN_BYTES_PER_CELL, peak / SIDE**2
+
+
 # -- block rebuild ----------------------------------------------------------
 
 
@@ -179,6 +200,18 @@ def test_initial_bits_match_one_whole_array_draw(shape, monkeypatch):
                               .astype(np.int8))
         # The generator is left where the whole-array draw leaves it.
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("shape", ((0, 64), (1, 1), (7, 13), (300, 64),
+                                   (1000, 70)))
+def test_write_data_matches_one_whole_array_draw(shape, small_blocks):
+    n, k = shape
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    data = Workload().write_data(np.arange(n), k, rng)
+    assert data.dtype == np.bool_ and data.shape == shape
+    assert np.array_equal(data, ref.random((n, k)) < 0.5)
+    # The generator is left where the whole-array draw leaves it.
+    assert rng.random() == ref.random()
 
 
 #: Square, wide and tall arrays with unmapped tail cells; a word wider

@@ -71,9 +71,10 @@ class TestBitPlane:
         plane = BitPlane(n_words=5, code_bits=72, n_cells=5 * 72)
         rng = np.random.default_rng(2)
         bits = (rng.random((2, 72)) < 0.5).astype(np.int8)
-        plane.set_words(np.array([1, 4]), bits)
-        assert np.array_equal(plane.word_bits(np.array([1, 4])), bits)
-        assert plane.word_bits(np.array([0])).sum() == 0
+        plane.lanes[[1, 4]] = pack_bits(bits)
+        assert np.array_equal(unpack_bits(plane.lanes[[1, 4]], 72), bits)
+        assert np.array_equal(plane.to_bits(72, 2 * 72), bits[0])
+        assert plane.to_bits(0, 72).sum() == 0
 
     def test_toggle_and_get_cells_mapped_and_tail(self):
         flat = np.zeros(100, dtype=np.int8)
@@ -428,7 +429,7 @@ class TestPackedState:
         self._check_invariant(state)
         cw = (rng.random((2, 72)) < 0.5).astype(np.int8)
         flip_cells = np.array([1 * 72 + 7])  # one error in word 1
-        state.write_words(np.array([1, 4]), cw, flip_cells)
+        state.write_words(np.array([1, 4]), pack_bits(cw), flip_cells)
         self._check_invariant(state)
         assert state.err_count[1] == 1 and state.err_count[4] == 0
         state.restore_words(np.array([1]),
@@ -454,7 +455,7 @@ class TestPackedState:
                 w = rng.choice(4, size=2, replace=False)
                 cw = (rng.random((2, 72)) < 0.5).astype(np.int8)
                 cell = int(w[0]) * 72 + int(rng.integers(0, 72))
-                state.write_words(w, cw, np.array([cell]))
+                state.write_words(w, pack_bits(cw), np.array([cell]))
             else:
                 w = rng.choice(4, size=1)
                 state.restore_words(w, np.empty(0, dtype=np.intp))
