@@ -40,13 +40,15 @@ Imports are lazy: this package and every subpackage resolve a public
 name on first use (PEP 562, :func:`repro._lazy.attach`), importing only
 the submodule that defines it. ``import repro`` therefore loads no
 numpy and no subpackage; ``from repro import MTJDevice`` loads the
-device layer and what it needs, nothing else. The names and
-``__all__`` are the same as with eager imports.
+device layer and what it needs, nothing else. The table handed to
+``attach`` is each package's one list of public names: ``attach``
+derives ``__all__`` from it, so the names and ``__all__`` are the same
+as with eager imports.
 """
 
 from ._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "apps": [
         "ArrayYieldAnalysis", "DesignSpaceExplorer", "RetentionBudgetPlanner",
         "WriteErrorModel"],
@@ -68,40 +70,6 @@ __getattr__, __dir__ = attach(__name__, {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArrayLayout",
-    "ArrayYieldAnalysis",
-    "CalibrationError",
-    "DesignSpaceExplorer",
-    "RetentionBudgetPlanner",
-    "WriteErrorModel",
-    "DataPattern",
-    "DeviceParameters",
-    "GeometryError",
-    "IcAnalysis",
-    "InterCellCoupling",
-    "InterCellModel",
-    "IntraCellModel",
-    "MTJDevice",
-    "MTJStack",
-    "MTJState",
-    "MeasurementError",
-    "NeighborhoodPattern",
-    "PAPER_EVAL_DEVICE",
-    "ParameterError",
-    "ReproError",
-    "ResistanceModel",
-    "RetentionAnalysis",
-    "SimulationError",
-    "SwitchingTimeAnalysis",
-    "VictimAnalysis",
-    "build_reference_stack",
-    "coupling_factor",
-    "fit_effective_moments",
-    "memsys",
-    "psi_threshold_pitch",
-    "psi_vs_pitch",
-    "sweep",
-    "units",
-    "__version__",
-]
+# Beyond the table: the version and three submodules, each imported on
+# first use.
+__all__ += ["__version__", "memsys", "sweep", "units"]

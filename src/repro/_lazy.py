@@ -5,10 +5,15 @@ import every submodule, and everything they import, as soon as any one
 of them is needed. Instead, each package declares where its public
 names live and calls :func:`attach`::
 
-    __getattr__, __dir__ = attach(__name__, {
+    __getattr__, __dir__, __all__ = attach(__name__, {
         "engine": ["build_engine", "merge_results"],
         "ecc": ["ECC_SCHEMES", "make_ecc"],
     })
+
+That table is the package's one list of public names: ``__all__`` is
+derived from it. A package that also exports a name outside the table
+(a submodule, ``__version__``) appends it in place, ``__all__ +=
+[...]``, so ``__dir__`` sees it too.
 
 The first ``package.build_engine`` (or ``from package import
 build_engine``) imports ``package.engine`` and caches the object in
@@ -30,14 +35,16 @@ import sys
 
 
 def attach(package, exports):
-    """Return ``(__getattr__, __dir__)`` resolving ``package``'s names.
+    """Return ``(__getattr__, __dir__, __all__)`` for ``package``.
 
     ``exports`` maps a submodule name (relative to ``package``) to the
-    names the package re-exports from it.
+    names the package re-exports from it; ``__all__`` is those names,
+    sorted.
     """
     origin = {name: module for module, names in exports.items()
               for name in names}
     namespace = sys.modules[package].__dict__
+    public = sorted(origin)
 
     def __getattr__(name):
         module = origin.get(name)
@@ -56,7 +63,6 @@ def attach(package, exports):
             f"module {package!r} has no attribute {name!r}")
 
     def __dir__():
-        return sorted(set(namespace) | set(origin)
-                      | set(namespace.get("__all__", ())))
+        return sorted(set(namespace) | set(public))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, public

@@ -20,7 +20,7 @@ under read/write traffic with ECC and scrubbing — see
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "design_space": ["DESIGN_HEADERS", "DesignPoint", "DesignSpaceExplorer"],
     "fault_models": ["CouplingFaultAnalyzer", "FaultAssessment"],
     "read_disturb": ["ReadDisturbAnalysis"],
@@ -30,20 +30,3 @@ __getattr__, __dir__ = attach(__name__, {
     "write_error": ["WriteErrorModel"],
     "yield_analysis": ["ArrayYieldAnalysis", "YieldResult"],
 })
-
-__all__ = [
-    "ArrayYieldAnalysis",
-    "BreakdownModel",
-    "CouplingFaultAnalyzer",
-    "DESIGN_HEADERS",
-    "DesignPoint",
-    "DesignSpaceExplorer",
-    "FaultAssessment",
-    "ReadDisturbAnalysis",
-    "RetentionBudget",
-    "RetentionBudgetPlanner",
-    "WriteErrorModel",
-    "WriteVoltageOptimizer",
-    "YieldResult",
-    "classify_retention",
-]

@@ -118,45 +118,28 @@ class WriteErrorModel:
 
     def sample_wer(self, t_pulse, vp, hz_stray=0.0,
                    initial_state=MTJState.AP, n_samples=200_000,
-                   rng=None, method="binomial"):
+                   rng=None):
         """Monte-Carlo WER estimate over ``n_samples`` write attempts.
 
-        Two statistically equivalent estimators (the same class-grouped
-        trade as the memsys sampler, see :mod:`repro.memsys.sampling`):
-
-        * ``"binomial"`` (default) — every attempt at one stress corner
-          is an exchangeable Bernoulli event whose probability is the
-          closed form :meth:`wer`, so the failure *count* is one
-          ``Binomial(n, wer)`` draw: O(1) per corner instead of
-          O(n_samples), which is what lets the figure-level stress
-          corners sample at production targets (WER <= 1e-6).
-        * ``"angles"`` — the per-sample reference: draws ``theta_0^2``
-          from the equilibrium distribution ``P(theta_0^2) = Delta *
-          exp(-Delta theta_0^2)``, converts each to its switching time,
-          and counts the fraction missing ``t_pulse`` — the
-          distributional cross-check of the closed form (they agree to
-          the MC standard error; asserted in
-          ``tests/test_apps_write_error.py``).
+        Every attempt at one stress corner is an exchangeable Bernoulli
+        event whose probability is the closed form :meth:`wer` (the
+        same class-grouped trade as the memsys sampler, see
+        :mod:`repro.memsys.sampling`), so the failure *count* is one
+        ``Binomial(n, wer)`` draw: O(1) per corner instead of
+        O(n_samples), which is what lets the figure-level stress
+        corners sample at production targets (WER <= 1e-6).
+        ``tests/test_apps_write_error.py`` keeps the per-sample
+        initial-angle estimator as the distributional reference it is
+        checked against.
         """
         require_positive(t_pulse, "t_pulse")
         require_positive(n_samples, "n_samples")
-        if method not in ("binomial", "angles"):
-            raise ParameterError(
-                f"method must be 'binomial' or 'angles', got {method!r}")
         rate = self._angle_rate(vp, hz_stray, initial_state)
         if rate <= 0.0:
             return 1.0
         rng = np.random.default_rng(rng)
-        if method == "binomial":
-            p = self.wer(t_pulse, vp, hz_stray, initial_state)
-            return float(rng.binomial(int(n_samples), p)
-                         / int(n_samples))
-        delta = self.device.params.delta0
-        theta_sq = rng.exponential(1.0 / delta, size=int(n_samples))
-        # theta_0^2 beyond (pi/2)^2 means an already-switched draw
-        # (t_sw <= 0); the log handles it with a negative time.
-        t_sw = np.log((math.pi / 2.0) ** 2 / theta_sq) / (2.0 * rate)
-        return float(np.mean(t_sw > t_pulse))
+        p = self.wer(t_pulse, vp, hz_stray, initial_state)
+        return float(rng.binomial(int(n_samples), p) / int(n_samples))
 
     def worst_case_pulse(self, target_wer, vp, pitch):
         """Pulse width [s] covering the worst neighborhood at ``pitch``.

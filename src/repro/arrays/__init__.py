@@ -23,7 +23,7 @@ Named ``arrays`` (plural) to avoid shadowing the stdlib ``array`` module.
 from .retention_map import retention_map
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "coupling": ["CouplingKernels", "InterCellCoupling"],
     "density": ["areal_density_gbit_per_mm2", "cell_area", "density_table"],
     "extended": ["ExtendedNeighborhood", "fast_array_field_map"],
@@ -40,32 +40,4 @@ __getattr__, __dir__ = attach(__name__, {
     "victim": ["VictimAnalysis"],
 })
 
-__all__ = [
-    "ArrayLayout",
-    "CouplingKernels",
-    "DataPattern",
-    "DiskKernelCache",
-    "ExtendedNeighborhood",
-    "KERNEL_CACHE_ENV",
-    "KernelCacheError",
-    "FieldDistribution",
-    "InterCellCoupling",
-    "KernelStore",
-    "Neighborhood3x3",
-    "NeighborhoodPattern",
-    "RetentionMap",
-    "VictimAnalysis",
-    "all_patterns",
-    "areal_density_gbit_per_mm2",
-    "cell_area",
-    "checkerboard",
-    "density_table",
-    "expected_retention_failure_rate",
-    "fast_array_field_map",
-    "get_kernel_store",
-    "pattern_classes",
-    "pattern_field_distribution",
-    "retention_map",
-    "solid",
-    "stack_fingerprint",
-]
+__all__ += ["retention_map"]

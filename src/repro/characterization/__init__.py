@@ -18,7 +18,7 @@ device models:
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "bake": ["BakeResult", "delta_from_bake", "plan_bake", "run_bake_test"],
     "extraction": [
         "extract_ecd", "extract_hc_oe", "extract_offset_oe", "loop_statistics"],
@@ -30,27 +30,3 @@ __getattr__, __dir__ = attach(__name__, {
     "variation": ["ProcessVariation", "sample_device_parameters"],
     "vsm": ["VSMMeasurement", "measure_blanket_moments"],
 })
-
-__all__ = [
-    "BakeResult",
-    "ProcessVariation",
-    "RHMeasurement",
-    "delta_from_bake",
-    "plan_bake",
-    "run_bake_test",
-    "RHStatistics",
-    "SwitchingFieldFit",
-    "TmrBiasFit",
-    "VSMMeasurement",
-    "extract_ecd",
-    "extract_hc_oe",
-    "extract_offset_oe",
-    "fit_hk_delta0",
-    "fit_tmr_bias",
-    "measure_rv_curves",
-    "loop_statistics",
-    "measure_blanket_moments",
-    "sample_device_parameters",
-    "switching_probability_curve",
-    "switching_probability_model",
-]

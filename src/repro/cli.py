@@ -131,10 +131,9 @@ def _cmd_wer(args):
         # The class-grouped binomial draw: each stress corner is one
         # class of n_samples exchangeable write attempts, so the whole
         # column costs one count draw per row instead of the retired
-        # per-sample angle loop (method="angles" keeps the reference).
+        # per-sample angle loop.
         sampled = model.sample_wer(pulse, args.vp, hz_worst,
-                                   n_samples=args.samples, rng=rng,
-                                   method="binomial")
+                                   n_samples=args.samples, rng=rng)
         rows.append((f"{ratio:g}x", pulse * 1e9, penalty * 1e9, sampled))
     print(format_table(
         ["pitch", f"pulse for WER={args.target:g} (ns)",

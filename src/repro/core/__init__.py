@@ -13,23 +13,10 @@
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "calibration": ["CalibrationResult", "fit_effective_moments"],
     "impact": ["IcAnalysis", "RetentionAnalysis", "SwitchingTimeAnalysis"],
     "inter": ["InterCellModel"],
     "intra": ["IntraCellModel"],
     "psi": ["coupling_factor", "psi_threshold_pitch", "psi_vs_pitch"],
 })
-
-__all__ = [
-    "CalibrationResult",
-    "IcAnalysis",
-    "InterCellModel",
-    "IntraCellModel",
-    "RetentionAnalysis",
-    "SwitchingTimeAnalysis",
-    "coupling_factor",
-    "fit_effective_moments",
-    "psi_threshold_pitch",
-    "psi_vs_pitch",
-]

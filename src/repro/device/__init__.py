@@ -16,7 +16,7 @@ Implements the electrical and magnetic behaviour of one MTJ device:
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "access": ["AccessTransistor", "WritePath"],
     "compact": ["export_model_card", "lookup_tables", "spice_subcircuit"],
     "energy": ["delta_factor", "delta_with_stray", "energy_barrier"],
@@ -33,37 +33,3 @@ __getattr__, __dir__ = attach(__name__, {
         "critical_current", "intrinsic_critical_current"],
     "thermal": ["ThermalModel"],
 })
-
-__all__ = [
-    "AccessTransistor",
-    "DeviceParameters",
-    "WritePath",
-    "HysteresisLoop",
-    "MTJDevice",
-    "MTJState",
-    "PAPER_EVAL_DEVICE",
-    "ResistanceModel",
-    "RHLoopSimulator",
-    "SunModel",
-    "SweepProtocol",
-    "ThermalModel",
-    "TrapezoidalPulse",
-    "equivalent_rectangular_width",
-    "rectangular",
-    "shaped_pulse_wer",
-    "calibrate_eta",
-    "calibrate_polarization",
-    "critical_current",
-    "delta_factor",
-    "delta_with_stray",
-    "ecd_from_rp",
-    "energy_barrier",
-    "export_model_card",
-    "lookup_tables",
-    "spice_subcircuit",
-    "fit_rate",
-    "intrinsic_critical_current",
-    "retention_failure_probability",
-    "retention_time",
-    "rp_from_ecd",
-]

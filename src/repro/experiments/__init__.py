@@ -8,23 +8,10 @@ everything and ``runner.render`` pretty-prints a result.
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "base": ["Comparison", "ExperimentResult"],
     "data": [
         "EVAL_ECD", "MEASURED_ECDS", "WAFER_RESISTANCE", "eval_device",
         "synthetic_intra_dataset", "wafer_device_parameters"],
     "runner": ["run_all", "render"],
 })
-
-__all__ = [
-    "Comparison",
-    "EVAL_ECD",
-    "ExperimentResult",
-    "MEASURED_ECDS",
-    "WAFER_RESISTANCE",
-    "eval_device",
-    "render",
-    "run_all",
-    "synthetic_intra_dataset",
-    "wafer_device_parameters",
-]

@@ -25,7 +25,7 @@ points.
 from .bound_current import bound_current
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "biot_savart": ["loop_field_biot_savart", "segment_loop"],
     "bound_current": ["layer_to_loops"],
     "dipole": ["dipole_field", "loop_as_dipole"],
@@ -35,19 +35,4 @@ __getattr__, __dir__ = attach(__name__, {
     "superposition": ["CurrentLoop", "LoopCollection"],
 })
 
-__all__ = [
-    "CurrentLoop",
-    "LoopCollection",
-    "bound_current",
-    "dipole_field",
-    "disk_average",
-    "grid3d",
-    "layer_to_loops",
-    "loop_as_dipole",
-    "loop_field_analytic",
-    "loop_field_analytic_many",
-    "loop_field_biot_savart",
-    "loop_field_on_axis",
-    "radial_line",
-    "segment_loop",
-]
+__all__ += ["bound_current"]

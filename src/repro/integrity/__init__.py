@@ -9,7 +9,7 @@ fact. See :mod:`repro.integrity.manifest` for the digest contract.
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "audit": [
         "AuditCheck", "AuditReport", "audit_cache_dir", "audit_checkpoint_dir",
         "audit_spool_run", "cross_backend_canary"],
@@ -20,30 +20,3 @@ __getattr__, __dir__ = attach(__name__, {
         "pack_record", "pickle_digest", "record_digest", "seal_record",
         "unpack_record", "verify_sealed", "write_sealed"],
 })
-
-__all__ = [
-    "AuditCheck",
-    "AuditReport",
-    "Finding",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
-    "RunManifest",
-    "audit_cache_dir",
-    "audit_checkpoint_dir",
-    "audit_spool_run",
-    "blob_digest",
-    "canonical",
-    "canonical_scalar",
-    "cross_backend_canary",
-    "fsck_spool",
-    "identity_diff",
-    "list_quarantine",
-    "load_sealed",
-    "pack_record",
-    "pickle_digest",
-    "record_digest",
-    "seal_record",
-    "unpack_record",
-    "verify_sealed",
-    "write_sealed",
-]

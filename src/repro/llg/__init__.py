@@ -12,7 +12,7 @@ precessional regime, the functional form behind Eq. 3.
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "field_switching": ["astroid_switching_field", "simulate_switching_field"],
     "integrator": ["HeunIntegrator"],
     "macrospin": ["MacrospinParameters", "effective_field", "llgs_rhs"],
@@ -23,22 +23,3 @@ __getattr__, __dir__ = attach(__name__, {
     "stt": ["slonczewski_field", "stt_critical_current"],
     "thermal_field": ["thermal_field_sigma"],
 })
-
-__all__ = [
-    "FLGrid",
-    "HeunIntegrator",
-    "MacrospinParameters",
-    "MultiMacrospinFL",
-    "make_fl_grid",
-    "SwitchingResult",
-    "SwitchingSimulation",
-    "astroid_switching_field",
-    "simulate_switching_field",
-    "effective_field",
-    "equilibrium_ensemble",
-    "llgs_rhs",
-    "relax",
-    "slonczewski_field",
-    "stt_critical_current",
-    "thermal_field_sigma",
-]

@@ -47,7 +47,7 @@ Quick start::
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "backends": [
         "BACKENDS", "ENGINE_BACKEND_ENV", "get_backend", "numba_available",
         "resolve_backend", "validate_backend"],
@@ -70,46 +70,3 @@ __getattr__, __dir__ = attach(__name__, {
         "HotSpotWorkload", "SequentialWorkload", "StressPatternWorkload",
         "TrafficBatch", "WORKLOADS", "Workload", "make_workload"],
 })
-
-__all__ = [
-    "ArrayController",
-    "ArrayTopology",
-    "BACKENDS",
-    "BitPlane",
-    "DecodeOutcome",
-    "ENGINE_BACKEND_ENV",
-    "ECC_SCHEMES",
-    "HammingSECDED",
-    "HierarchicalAddressMap",
-    "HotSpotWorkload",
-    "IncrementalClassMaps",
-    "MemsysResult",
-    "N_CLASSES",
-    "NoECC",
-    "ReliabilityEngine",
-    "ScrubPolicy",
-    "SenseMarginModel",
-    "SequentialWorkload",
-    "StressPatternWorkload",
-    "TOPOLOGIES",
-    "TopologyEngine",
-    "TrafficBatch",
-    "WORKLOADS",
-    "WordMap",
-    "Workload",
-    "build_engine",
-    "class_index",
-    "get_backend",
-    "make_ecc",
-    "merge_results",
-    "numba_available",
-    "resolve_backend",
-    "sample_class_flips",
-    "make_workload",
-    "neighborhood_class_map",
-    "no_scrub",
-    "normalize_topology",
-    "secded_margin_pitch",
-    "uber_sweep",
-    "validate_backend",
-]

@@ -10,9 +10,9 @@ and every series is exportable to CSV/JSON for external plotting.
 from .ascii_plot import ascii_plot
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "export": ["write_csv", "write_json"],
     "tables": ["format_table"],
 })
 
-__all__ = ["ascii_plot", "format_table", "write_csv", "write_json"]
+__all__ += ["ascii_plot"]

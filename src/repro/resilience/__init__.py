@@ -36,7 +36,7 @@ Quick start::
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "breaker": ["CircuitBreaker", "RetryPolicy", "call_with_retry"],
     "checkpoint": [
         "CheckpointManager", "RunCheckpointer", "as_checkpointer",
@@ -49,28 +49,3 @@ __getattr__, __dir__ = attach(__name__, {
     "supervisor": [
         "FleetSupervisor", "SpoolView", "add_fleet_arguments", "run_fleet"],
 })
-
-__all__ = [
-    "FAULT_KINDS",
-    "REAL_CLOCK",
-    "REAL_FS",
-    "CheckpointManager",
-    "CircuitBreaker",
-    "Clock",
-    "FaultClock",
-    "FaultPlan",
-    "FaultyFileSystem",
-    "FileSystem",
-    "FleetSupervisor",
-    "ProcessSpawner",
-    "RetryPolicy",
-    "RunCheckpointer",
-    "SpoolView",
-    "WorkerFaults",
-    "WorkerKilled",
-    "add_fleet_arguments",
-    "as_checkpointer",
-    "call_with_retry",
-    "corrupt_checkpoint",
-    "run_fleet",
-]

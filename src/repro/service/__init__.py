@@ -25,7 +25,7 @@ Layering::
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "client": ["ServiceClient"],
     "coalesce": ["Coalescer"],
     "protocol": [
@@ -33,14 +33,3 @@ __getattr__, __dir__ = attach(__name__, {
     "results_cache": ["ResultsCache"],
     "server": ["ReliabilityServer"],
 })
-
-__all__ = [
-    "PROTOCOL_VERSION",
-    "QUERY_TYPES",
-    "Coalescer",
-    "ReliabilityServer",
-    "ResultsCache",
-    "ServiceClient",
-    "parse_request",
-    "query_fingerprint",
-]

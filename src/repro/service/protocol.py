@@ -65,6 +65,15 @@ def _tuple_of_strs(value, name):
     return items
 
 
+def _require_known(names, registry, what):
+    """Reject a name the engine would refuse later, so a bad query
+    fails at parse time instead of inside a runner."""
+    for name in names:
+        if name not in registry:
+            raise ParameterError(f"unknown {what} {name!r}; choose from "
+                                 f"{sorted(registry)}")
+
+
 @dataclass(frozen=True)
 class UberQuery:
     """System-level UBER of one operating point.
@@ -108,23 +117,14 @@ class UberQuery:
         require_int_in_range(self.cols, "cols", 1, 1 << 16)
         require_positive(self.vp, "vp")
         require_positive(self.nominal_wer, "nominal_wer")
-        from ..memsys.topology import normalize_topology
-        object.__setattr__(self, "topology",
-                           normalize_topology(self.topology))
-        require_int_in_range(self.banks, "banks", 1, 4096)
-        require_int_in_range(self.subarrays, "subarrays", 1, 4096)
-        if self.topology == "flat" and (self.banks != 1
-                                        or self.subarrays != 1):
-            raise ParameterError(
-                "flat topology has exactly one bank and one subarray")
-        if self.rows % self.banks:
-            raise ParameterError(
-                f"rows={self.rows} is not divisible by "
-                f"banks={self.banks}")
-        if self.cols % self.subarrays:
-            raise ParameterError(
-                f"cols={self.cols} is not divisible by "
-                f"subarrays={self.subarrays}")
+        from ..memsys.ecc import ECC_SCHEMES
+        from ..memsys.topology import ArrayTopology
+        from ..memsys.traffic import WORKLOADS
+        _require_known((self.ecc,), ECC_SCHEMES, "ECC scheme")
+        _require_known((self.pattern,), WORKLOADS, "workload")
+        topology = ArrayTopology(self.topology, self.banks,
+                                 self.subarrays, self.rows, self.cols)
+        object.__setattr__(self, "topology", topology.kind)
         if self.mode not in ("expected", "sampled"):
             raise ParameterError(
                 f"mode must be 'expected' or 'sampled', got "
@@ -187,6 +187,10 @@ class SweepQuery:
                            _tuple_of_strs(self.patterns, "patterns"))
         object.__setattr__(self, "eccs",
                            _tuple_of_strs(self.eccs, "eccs"))
+        from ..memsys.ecc import ECC_SCHEMES
+        from ..memsys.traffic import WORKLOADS
+        _require_known(self.patterns, WORKLOADS, "workload")
+        _require_known(self.eccs, ECC_SCHEMES, "ECC scheme")
         require_int_in_range(self.rows, "rows", 1, 1 << 16)
         require_int_in_range(self.cols, "cols", 1, 1 << 16)
         require_positive(self.vp, "vp")

@@ -148,8 +148,7 @@ def run_wer(query, abort, publish):
                                           victim.hz_total(ALL_AP))
     rng = np.random.default_rng(query.seed)
     sampled = model.sample_wer(pulse, query.vp, hz_worst,
-                               n_samples=query.n_samples, rng=rng,
-                               method="binomial")
+                               n_samples=query.n_samples, rng=rng)
     publish(1, 1)
     return json_safe({
         "pulse_ns": pulse * 1e9,

@@ -418,7 +418,12 @@ class ReliabilityServer:
                 "deadline_exceeded": True,
                 "error": f"deadline of {deadline:g}s exceeded"})
             return True
-        except RunAborted as exc:
+        except (RunAborted, ParameterError) as exc:
+            # An abandoned run, or a query the physics rejects (a
+            # write voltage below the switching threshold): neither says
+            # the backend is unhealthy, so the breaker does not count
+            # it — one client's bad queries must not break the op for
+            # everyone.
             self._send(writer, {"id": req_id, "event": "error",
                                 "ok": False, "error": str(exc)})
             return True

@@ -35,7 +35,7 @@ Consumers: :meth:`repro.apps.design_space.DesignSpaceExplorer.sweep`,
 
 from .._lazy import attach
 
-__getattr__, __dir__ = attach(__name__, {
+__getattr__, __dir__, __all__ = attach(__name__, {
     "distributed": [
         "SHUTDOWN_SENTINEL", "SWEEP_SPAWN_ENV", "SWEEP_SPOOL_ENV",
         "DistributedBroker", "SpoolWorker"],
@@ -46,21 +46,3 @@ __getattr__, __dir__ = attach(__name__, {
         "schedule_chunks"],
     "spec": ["SweepSpec"],
 })
-
-__all__ = [
-    "EXECUTORS",
-    "SHUTDOWN_SENTINEL",
-    "SMALL_SWEEP_POINTS",
-    "SWEEP_EXECUTOR_ENV",
-    "SWEEP_SPAWN_ENV",
-    "SWEEP_SPOOL_ENV",
-    "DistributedBroker",
-    "SpoolWorker",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "add_sweep_arguments",
-    "executor_for_jobs",
-    "run_sweep",
-    "schedule_chunks",
-]

@@ -103,8 +103,7 @@ REPLAY_DIR = "replay"
 
 
 def _env_number(name, cast):
-    """``cast(os.environ[name])``, None when unset/empty; the same
-    strictness as :data:`SWEEP_SPAWN_ENV` parsing — a present but
+    """``cast(os.environ[name])``, None when unset/empty; a present but
     malformed knob is an error, never a silent default."""
     raw = os.environ.get(name)
     if raw in (None, ""):
@@ -148,6 +147,17 @@ def _picklable_error(exc):
         return exc
     except Exception:
         return RuntimeError(f"distributed sweep point failed: {exc!r}")
+
+
+def _chunk_payload(chunk, worker, evaluate):
+    """The committed payload of one chunk: ``evaluate()``'s values, or
+    the exception it raised, shipped for the broker's retry/poison
+    accounting instead of propagating."""
+    try:
+        return {"chunk": chunk, "values": evaluate(), "worker": worker}
+    except Exception as exc:
+        return {"chunk": chunk, "error": _picklable_error(exc),
+                "worker": worker}
 
 
 def _job_name(chunk):
@@ -577,27 +587,26 @@ class SpoolWorker:
         if not stalled:
             run.heartbeat(self.worker_id)
         ticker = self._start_heartbeat_ticker(run, stalled=stalled)
+
+        def evaluate():
+            # The fault hook runs inside the payload's Exception
+            # absorber on purpose: an injected chunk *failure* ships as
+            # an error payload like any real one, while an injected
+            # *kill* (BaseException) propagates — the claim goes stale
+            # exactly as if the process had died.
+            if self.faults is not None:
+                self.faults.on_chunk(self.worker_id, chunk)
+            func = self._func_for(run)
+            return [func(**params) for params in points]
+
         try:
-            try:
-                # The fault hook sits inside the Exception absorber on
-                # purpose: an injected chunk *failure* ships as an
-                # error payload like any real one, while an injected
-                # *kill* (BaseException) propagates — the claim goes
-                # stale exactly as if the process had died.
-                if self.faults is not None:
-                    self.faults.on_chunk(self.worker_id, chunk)
-                func = self._func_for(run)
-                values = [func(**params) for params in points]
-                payload = {"chunk": chunk, "values": values,
-                           "worker": self.worker_id}
-                self.stats["points"] += len(values)
-            except Exception as exc:
-                payload = {"chunk": chunk,
-                           "error": _picklable_error(exc),
-                           "worker": self.worker_id}
-                self.stats["errors"] += 1
+            payload = _chunk_payload(chunk, self.worker_id, evaluate)
         finally:
             ticker()
+        if "error" in payload:
+            self.stats["errors"] += 1
+        else:
+            self.stats["points"] += len(payload["values"])
         if not run.commit(chunk, payload, self.worker_id):
             self.stats["duplicate_commits"] += 1
         elif self.faults is not None:
@@ -752,14 +761,7 @@ class DistributedBroker:
                 f"on_poison must be 'raise' or 'quarantine', got "
                 f"{on_poison!r}")
         if spawn is None:
-            raw = os.environ.get(SWEEP_SPAWN_ENV)
-            if raw not in (None, ""):
-                try:
-                    spawn = int(raw)
-                except ValueError:
-                    raise ParameterError(
-                        f"{SWEEP_SPAWN_ENV} must be an integer, got "
-                        f"{raw!r}") from None
+            spawn = _env_number(SWEEP_SPAWN_ENV, int)
         if spawn is not None:
             require_int_in_range(spawn, "spawn", 0, 4096)
         if timeout is not None:
@@ -910,26 +912,12 @@ class DistributedBroker:
                 # tamper): counted and retried like a shipped error —
                 # the corrupt bytes themselves never become values.
                 self.stats["integrity_rejects"] += 1
-                failed_workers.setdefault(chunk, set())
-                error = IntegrityError(
-                    f"chunk {chunk} result file failed digest "
-                    f"verification")
-                if attempts[chunk] >= self.max_attempts:
-                    if self.on_poison == "raise":
-                        raise error
-                    run.discard_result(chunk)
-                    results[chunk] = self._quarantine(
-                        chunk, chunk_points[chunk], error,
-                        attempts[chunk], failed_workers[chunk], spool)
-                    progressed = True
-                    continue
-                attempts[chunk] += 1
-                self.stats["error_retries"] += 1
-                self.stats["attempts_max"] = max(
-                    self.stats["attempts_max"], attempts[chunk])
-                run.discard_result(chunk)
-                run.enqueue(chunk, chunk_points[chunk])
-                progressed = True
+                progressed |= self._retry_or_poison(
+                    run, chunk, None, IntegrityError(
+                        f"chunk {chunk} result file failed digest "
+                        f"verification"),
+                    results, attempts, failed_workers, chunk_points,
+                    spool)
                 continue
             error = payload.get("error")
             if error is not None:
@@ -937,24 +925,9 @@ class DistributedBroker:
                 # claim: transient errors (a worker's flaky mount, an
                 # injected fault) retry on re-enqueue; persistent ones
                 # exhaust the budget and hit the poison policy.
-                failed_workers.setdefault(chunk, set()).add(
-                    payload.get("worker"))
-                if attempts[chunk] >= self.max_attempts:
-                    if self.on_poison == "raise":
-                        raise error
-                    run.discard_result(chunk)
-                    results[chunk] = self._quarantine(
-                        chunk, chunk_points[chunk], error,
-                        attempts[chunk], failed_workers[chunk], spool)
-                    progressed = True
-                    continue
-                attempts[chunk] += 1
-                self.stats["error_retries"] += 1
-                self.stats["attempts_max"] = max(
-                    self.stats["attempts_max"], attempts[chunk])
-                run.discard_result(chunk)
-                run.enqueue(chunk, chunk_points[chunk])
-                progressed = True
+                progressed |= self._retry_or_poison(
+                    run, chunk, payload.get("worker"), error, results,
+                    attempts, failed_workers, chunk_points, spool)
                 continue
             results[chunk] = payload
             progressed = True
@@ -977,29 +950,57 @@ class DistributedBroker:
             age = run.heartbeat_age(wid, claim_path)
             if age <= self.heartbeat_timeout:
                 continue
-            failed_workers.setdefault(chunk, set()).add(wid)
-            if attempts[chunk] >= self.max_attempts:
-                if self.on_poison == "raise":
-                    raise RuntimeError(
-                        f"chunk {chunk} failed {attempts[chunk]} claim "
-                        f"attempt(s) (last worker {wid} went silent "
-                        f"for {age:.1f}s); giving up")
-                run.clear_claim(claim_path)
-                results[chunk] = self._quarantine(
-                    chunk, chunk_points[chunk],
-                    RuntimeError(f"worker {wid} went silent for "
-                                 f"{age:.1f}s"),
-                    attempts[chunk], failed_workers[chunk], spool)
-                progressed = True
-                continue
-            if run.requeue(claim_path) is None:
-                continue
-            attempts[chunk] += 1
-            self.stats["requeued"] += 1
-            self.stats["attempts_max"] = max(
-                self.stats["attempts_max"], attempts[chunk])
-            progressed = True
+            progressed |= self._retry_or_poison(
+                run, chunk, wid,
+                RuntimeError(f"worker {wid} went silent for "
+                             f"{age:.1f}s"),
+                results, attempts, failed_workers, chunk_points, spool,
+                claim_path=claim_path,
+                fatal=RuntimeError(
+                    f"chunk {chunk} failed {attempts[chunk]} claim "
+                    f"attempt(s) (last worker {wid} went silent for "
+                    f"{age:.1f}s); giving up"))
         return progressed
+
+    def _retry_or_poison(self, run, chunk, worker, error, results,
+                         attempts, failed_workers, chunk_points, spool,
+                         claim_path=None, fatal=None):
+        """Spend one attempt on a failed ``chunk``; True if it moved.
+
+        With attempts left the chunk runs again: a stale claim
+        (``claim_path``) is stolen back, a failed result file is
+        discarded and the chunk re-enqueued. Once ``max_attempts`` are
+        spent, ``on_poison`` decides: ``"raise"`` raises ``fatal``
+        (default ``error``) and leaves the result file or claim in
+        place for post-mortem; ``"quarantine"`` removes it and files
+        the chunk's stand-in payload in ``results``.
+        """
+        workers = failed_workers.setdefault(chunk, set())
+        if worker is not None:
+            workers.add(worker)
+        if attempts[chunk] >= self.max_attempts:
+            if self.on_poison == "raise":
+                raise error if fatal is None else fatal
+            if claim_path is None:
+                run.discard_result(chunk)
+            else:
+                run.clear_claim(claim_path)
+            results[chunk] = self._quarantine(
+                chunk, chunk_points[chunk], error, attempts[chunk],
+                workers, spool)
+            return True
+        if claim_path is None:
+            run.discard_result(chunk)
+            run.enqueue(chunk, chunk_points[chunk])
+            self.stats["error_retries"] += 1
+        elif run.requeue(claim_path) is None:
+            return False
+        else:
+            self.stats["requeued"] += 1
+        attempts[chunk] += 1
+        self.stats["attempts_max"] = max(self.stats["attempts_max"],
+                                         attempts[chunk])
+        return True
 
     def _quarantine(self, chunk, points, error, n_attempts, workers,
                     spool):
@@ -1037,7 +1038,7 @@ class DistributedBroker:
             f"across worker(s) {workers or ['<none>']} ({error!r}); "
             f"its {len(points)} point(s) return None"
             + (f"; record at {record_path}" if record_path else ""),
-            ResilienceWarning, stacklevel=4)
+            ResilienceWarning, stacklevel=5)
         return {"chunk": int(chunk), "values": [None] * len(points),
                 "worker": None, "quarantined": True}
 
@@ -1095,14 +1096,10 @@ class DistributedBroker:
         if claim is None:
             return False
         chunk, points, claim_path = claim
-        try:
-            payload = {"chunk": chunk,
-                       "values": [self.func(**params)
-                                  for params in points],
-                       "worker": "broker"}
-        except Exception as exc:
-            payload = {"chunk": chunk, "error": _picklable_error(exc),
-                       "worker": "broker"}
+        payload = _chunk_payload(
+            chunk, "broker",
+            lambda: [self.func(**params) for params in points])
+        if "error" in payload:
             self.stats["steal_errors"] += 1
         if not run.commit(chunk, payload, "broker"):
             self.stats["duplicates"] += 1

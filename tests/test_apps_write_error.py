@@ -88,6 +88,23 @@ class TestPulseSizing:
         assert 1e-9 < pulse < 200e-9
 
 
+def _angles_wer(model, t_pulse, vp, hz_stray, n_samples, rng):
+    """Per-sample reference for :meth:`WriteErrorModel.sample_wer`.
+
+    Draws ``theta_0^2`` from the equilibrium distribution
+    ``P(theta_0^2) = Delta * exp(-Delta theta_0^2)``, converts each to
+    its switching time, and counts the fraction missing ``t_pulse``.
+    """
+    rate = model._angle_rate(vp, hz_stray, MTJState.AP)
+    delta = model.device.params.delta0
+    theta_sq = np.random.default_rng(rng).exponential(1.0 / delta,
+                                                      size=n_samples)
+    # theta_0^2 beyond (pi/2)^2 means an already-switched draw
+    # (t_sw <= 0); the log handles it with a negative time.
+    t_sw = np.log((math.pi / 2.0) ** 2 / theta_sq) / (2.0 * rate)
+    return float(np.mean(t_sw > t_pulse))
+
+
 class TestSampledWer:
     def test_binomial_matches_closed_form(self, wer_model, hz_intra):
         """The class-grouped count draw sits within MC error of the
@@ -103,9 +120,8 @@ class TestSampledWer:
         """The per-sample angle path remains the distributional
         cross-check: initial-angle draws reproduce the closed form."""
         closed = wer_model.wer(10e-9, vp=0.9, hz_stray=hz_intra)
-        sampled = wer_model.sample_wer(10e-9, 0.9, hz_intra,
-                                       n_samples=100_000, rng=1,
-                                       method="angles")
+        sampled = _angles_wer(wer_model, 10e-9, 0.9, hz_intra,
+                              n_samples=100_000, rng=1)
         se = math.sqrt(closed * (1.0 - closed) / 100_000)
         assert abs(sampled - closed) < 6.0 * se + 1e-12
 
@@ -130,11 +146,6 @@ class TestSampledWer:
                                       n_samples=10_000, rng=3)
                  for _ in range(2)]
         assert draws[0] == draws[1]
-
-    def test_rejects_unknown_method(self, wer_model, hz_intra):
-        with pytest.raises(ParameterError):
-            wer_model.sample_wer(10e-9, 0.9, hz_intra,
-                                 method="bogus")
 
 
 class TestWorstCase:

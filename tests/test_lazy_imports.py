@@ -7,6 +7,7 @@ everything.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -148,11 +149,51 @@ def test_dir_lists_every_public_name_before_first_use(exports_report):
 
 
 def test_star_import_resolves_every_public_name():
-    import repro.memsys
-    namespace = {}
-    exec("from repro.memsys import *", namespace)
-    for name in repro.memsys.__all__:
-        assert namespace[name] is getattr(repro.memsys, name)
+    for package in PACKAGES:
+        module = importlib.import_module(package)
+        assert len(set(module.__all__)) == len(module.__all__), package
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), (package, name)
+
+
+def _assigns_literal_all(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return False
+    return (any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in targets)
+            and isinstance(node.value, (ast.List, ast.Tuple)))
+
+
+def test_lazy_packages_take_all_from_their_attach_table():
+    """A lazy ``__init__`` lists each public name once, in its
+    ``attach`` table; ``__all__`` is what ``attach`` returns, extended
+    in place for names outside the table."""
+    lazy = []
+    for package in PACKAGES:
+        path = os.path.join(SRC, *package.split("."), "__init__.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        if not any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "attach"
+                   for node in ast.walk(tree)):
+            continue
+        lazy.append(package)
+        assert not any(_assigns_literal_all(node)
+                       for node in ast.walk(tree)), package
+        assert "__all__" in [
+            target.id for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            for tup in node.targets if isinstance(tup, ast.Tuple)
+            for target in tup.elts], package
+    assert "repro.memsys.backends" not in lazy
+    assert len(lazy) == len(PACKAGES) - 1
 
 
 @pytest.mark.parametrize("package", PACKAGES)

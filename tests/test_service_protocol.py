@@ -84,6 +84,32 @@ class TestParseRequest:
             parse_request({"op": "sweep", "pitch_ratios": []})
 
 
+    @pytest.mark.parametrize("request_", [
+        {"op": "uber", "ecc": "secdde"},
+        {"op": "uber", "pattern": "stripes"},
+        {"op": "sweep", "eccs": ["secded", "bch"]},
+        {"op": "sweep", "patterns": "stripes"},
+    ], ids=["uber-ecc", "uber-pattern", "sweep-eccs", "sweep-patterns"])
+    def test_unknown_ecc_or_pattern_rejected_at_parse_time(self,
+                                                           request_):
+        with pytest.raises(ParameterError, match="unknown"):
+            parse_request(request_)
+
+    def test_valid_queries_keep_their_fingerprints(self):
+        # Keys memoized by servers before names were checked at parse
+        # time; checking must not re-key a valid query.
+        pinned = {
+            "1614af30795b69e7eb3ffc0b459c5483": {"op": "uber"},
+            "9355867ebd6dc9b6d3abc544a617ae67": {
+                "op": "uber", "topology": "cross-point", "banks": 2,
+                "subarrays": 4, "ecc": "none", "pattern": "solid1"},
+            "20b1c005e4aebd8021be286e28658827": {
+                "op": "sweep", "patterns": "hot-row",
+                "eccs": ["secded"]},
+        }
+        for key, request_ in pinned.items():
+            assert query_fingerprint(parse_request(request_)) == key
+
 class TestTopologyFields:
     def test_defaults_are_flat(self):
         query = parse_request({"op": "uber"})

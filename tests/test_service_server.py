@@ -382,6 +382,37 @@ class TestHardening:
         _serve(body, path=path, breaker_threshold=2,
                breaker_reset=60.0)
 
+    def test_parameter_errors_leave_the_breaker_closed(self, tmp_path):
+        """Malformed queries past the threshold — rejected at parse
+        time (``uber``) or by the runner (``wer`` below the switching
+        threshold) — are the client's fault, not the backend's: the
+        next valid query answers un-degraded."""
+        path = str(tmp_path / "svc.sock")
+
+        def body(server):
+            with ServiceClient(path=path) as client:
+                for _ in range(3):
+                    with pytest.raises(ServiceError,
+                                       match="unknown ECC scheme"):
+                        client.query("uber", ecc="secdde", **SMALL)
+                    with pytest.raises(ServiceError,
+                                       match="switching threshold"):
+                        client.query("wer", vp=0.1, n_samples=1000)
+                uber = client.query("uber", **SMALL)
+                wer = client.query("wer", vp=0.95, n_samples=1000)
+                stats = client.query("stats")["result"]
+            for event in (uber, wer):
+                assert event["ok"] and not event.get("degraded")
+            assert stats["degraded"] == 0
+            assert stats["endpoints"]["wer"]["errors"] == 3
+            for op in ("uber", "wer"):
+                breaker = stats["breakers"][op]
+                assert breaker["state"] == "closed"
+                assert breaker["times_opened"] == 0
+
+        _serve(body, path=path, breaker_threshold=2,
+               breaker_reset=60.0)
+
     def test_breaker_open_serves_verified_stale_within_ttl(
             self, tmp_path, monkeypatch):
         """Degraded mode: breaker open + memo expired => the answer

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import ParameterError, ResilienceWarning
+from repro.errors import IntegrityError, ParameterError, ResilienceWarning
 from repro.sweep import (
     SHUTDOWN_SENTINEL,
     SWEEP_SPAWN_ENV,
@@ -313,6 +313,37 @@ class TestFaultInjection:
             broker._requeue_stale(run, {}, {0: 3}, {},
                                   {0: [{"a": 1, "b": 2}]},
                                   str(tmp_path))
+
+    @pytest.mark.parametrize("failure", ["stale", "error", "digest"])
+    def test_exhausted_raise_leaves_claim_or_result_for_post_mortem(
+            self, tmp_path, failure):
+        run = SpoolRun.create(str(tmp_path), product_point)
+        run.enqueue(0, [{"a": 1, "b": 2}])
+        run.open()
+        _, _, claim_path = run.claim("dead-worker")
+        broker = DistributedBroker(product_point, heartbeat_timeout=0.1,
+                                   max_attempts=2)
+        broker.stats = {"requeued": 0, "duplicates": 0,
+                        "error_retries": 0, "integrity_rejects": 0,
+                        "attempts_max": 1}
+        args = ({}, {0: 2}, {}, {0: [{"a": 1, "b": 2}]}, str(tmp_path))
+        if failure == "stale":
+            os.utime(claim_path, (1.0, 1.0))
+            with pytest.raises(RuntimeError, match="claim attempt"):
+                broker._requeue_stale(run, *args)
+            assert os.path.exists(claim_path)
+            return
+        error = ValueError("poison point")
+        run.commit(0, {"chunk": 0, "error": error}, "dead-worker")
+        result = os.path.join(run.results_dir, "chunk-000000.pkl")
+        if failure == "digest":
+            with open(result, "r+b") as fh:
+                fh.truncate(os.path.getsize(result) - 1)
+        expected = ValueError if failure == "error" else IntegrityError
+        with pytest.raises(expected):
+            broker._collect(run, *args[:4], 1, args[4])
+        assert os.path.exists(result)
+        assert broker.stats["error_retries"] == 0
 
     def test_duplicate_result_commit_is_dropped_at_source(self,
                                                           tmp_path):
