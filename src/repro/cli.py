@@ -434,7 +434,7 @@ def _cmd_audit(args):
     from .integrity import (AuditReport, audit_cache_dir,
                             audit_checkpoint_dir, audit_spool_run,
                             cross_backend_canary)
-    from .sweep.distributed import SWEEP_SPOOL_ENV, _RUN_PREFIX
+    from .sweep.distributed import SWEEP_SPOOL_ENV, SpoolRun
 
     reports = []
     run_dirs = list(args.run or ())
@@ -443,15 +443,10 @@ def _cmd_audit(args):
                                    or args.cache or args.canary)
                            else None)
     if spool:
-        try:
-            run_dirs.extend(
-                os.path.join(spool, name)
-                for name in sorted(os.listdir(spool))
-                if name.startswith(_RUN_PREFIX)
-                and os.path.isdir(os.path.join(spool, name)))
-        except OSError as exc:
-            print(f"spool {spool!r} unreadable: {exc}")
+        if not (os.path.isdir(spool) and os.access(spool, os.R_OK)):
+            print(f"spool {spool!r} is not a readable directory")
             return 2
+        run_dirs.extend(run.path for run in SpoolRun.runs(spool))
     for run_dir in run_dirs:
         reports.append(audit_spool_run(run_dir, sample=args.sample,
                                        seed=args.seed))

@@ -10,9 +10,9 @@ behind ``repro audit``. It verifies three artifact families —
   input points are re-evaluated through the run's own task function
   and must re-pickle to the exact bytes the manifest recorded.
 * **checkpoint directories** (:func:`audit_checkpoint_dir`) — each
-  ``.ckpt`` blob's framed checksum plus its sealed manifest sidecar.
+  checkpoint's framed checksum plus its sealed manifest sidecar.
 * **disk-cache directories** (:func:`audit_cache_dir`) — each service
-  memo envelope's payload digest and fingerprint.
+  memo envelope's version, fingerprint, payload digest and store time.
 
 plus a **cross-backend canary** (:func:`cross_backend_canary`): the
 same small seeded grid run on the numpy reference and the numba JIT
@@ -22,30 +22,26 @@ against a miscompiled kernel poisoning a campaign.
 Every check lands in an :class:`AuditReport`; a single flipped byte
 anywhere fails the report.
 
-Cross-package imports (engine, checkpoint, spool protocol) happen
-lazily inside functions: those modules import the manifest layer, and
-this package's ``__init__`` imports this module, so eager imports here
-would cycle.
+The audit parses no store's files itself. Each store's owner reads
+them, with the same checks its own load path applies:
+:class:`~repro.sweep.distributed.SpoolRun` for spool runs,
+:class:`~repro.resilience.checkpoint.CheckpointManager` for
+checkpoints and :meth:`~repro.service.results_cache.ResultsCache
+.read_envelope` for the cache. So an artifact fails audit exactly when
+its reader would reject it. These owners (and the engine) are imported
+inside functions: they import the manifest layer, and this package's
+``__init__`` imports this module, so eager imports here would cycle.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 
 import numpy as np
 
-from ..errors import IntegrityError
-from .manifest import (
-    MANIFEST_NAME,
-    RunManifest,
-    blob_digest,
-    load_sealed,
-    pickle_digest,
-    record_digest,
-    unpack_record,
-)
+from ..errors import IntegrityError, ParameterError
+from .manifest import MANIFEST_NAME, RunManifest, blob_digest, pickle_digest
 
 __all__ = [
     "AuditCheck",
@@ -110,10 +106,6 @@ class AuditReport:
 # spool runs
 # ---------------------------------------------------------------------------
 
-def _chunk_result_path(run_path, name):
-    return os.path.join(run_path, "results", f"{name}.pkl")
-
-
 def audit_spool_run(run_path, sample=4, seed=0):
     """Verify a preserved spool run against its manifest.
 
@@ -124,12 +116,11 @@ def audit_spool_run(run_path, sample=4, seed=0):
     re-evaluated through the run's task function must reproduce the
     recorded digest exactly.
     """
-    from ..sweep.distributed import REPLAY_DIR
+    from ..sweep.distributed import SpoolRun
 
     report = AuditReport(run_path)
-    manifest_path = os.path.join(run_path, MANIFEST_NAME)
     try:
-        manifest = RunManifest.load(manifest_path)
+        manifest = RunManifest.load(os.path.join(run_path, MANIFEST_NAME))
     except IntegrityError as exc:
         report.add("manifest", "fail", str(exc))
         return report
@@ -137,6 +128,9 @@ def audit_spool_run(run_path, sample=4, seed=0):
                f"{len(manifest.entries)} entries, identity "
                f"{manifest.fingerprint}")
 
+    run = SpoolRun(run_path)
+    results = {run.chunk_name(chunk): (chunk, payload)
+               for chunk, payload in run.collect()}
     verifiable = []
     for name in sorted(manifest.entries):
         entry = manifest.entries[name]
@@ -144,17 +138,14 @@ def audit_spool_run(run_path, sample=4, seed=0):
             report.add(f"{name}/digest", "skipped",
                        "quarantined chunk (no reproducible values)")
             continue
-        path = _chunk_result_path(run_path, name)
-        try:
-            with open(path, "rb") as fh:
-                payload = unpack_record(fh.read())
-        except FileNotFoundError:
+        if name not in results:
             report.add(f"{name}/digest", "fail",
                        "result file missing")
             continue
-        except IntegrityError as exc:
+        chunk, payload = results[name]
+        if payload is None:
             report.add(f"{name}/digest", "fail",
-                       f"result frame failed verification: {exc}")
+                       "result frame failed verification")
             continue
         digest = pickle_digest(payload.get("values"))
         if digest != entry.get("values_sha256"):
@@ -163,16 +154,10 @@ def audit_spool_run(run_path, sample=4, seed=0):
                        f"{str(entry.get('values_sha256'))[:16]}…")
             continue
         report.add(f"{name}/digest", "pass", "")
-        verifiable.append(name)
+        verifiable.append((name, chunk))
 
     # Unmanifested strays are as suspicious as missing files.
-    try:
-        on_disk = {name[:-len(".pkl")] for name in
-                   os.listdir(os.path.join(run_path, "results"))
-                   if name.endswith(".pkl") and not name.startswith(".")}
-    except OSError:
-        on_disk = set()
-    for name in sorted(on_disk - set(manifest.entries)):
+    for name in sorted(set(results) - set(manifest.entries)):
         report.add(f"{name}/digest", "fail",
                    "result file not in the manifest")
 
@@ -183,12 +168,10 @@ def audit_spool_run(run_path, sample=4, seed=0):
     count = min(int(sample), len(verifiable))
     picks = sorted(rng.choice(len(verifiable), size=count,
                               replace=False).tolist())
-    task_path = os.path.join(run_path, "task.pkl")
     try:
-        with open(task_path, "rb") as fh:
-            task_blob = fh.read()
+        task_blob = run.task_bytes()
         func = pickle.loads(task_blob)
-    except (OSError, Exception) as exc:
+    except Exception as exc:
         report.add("replay", "fail", f"task.pkl unusable: {exc!r}")
         return report
     expected_task = manifest.identity.get("task_sha256")
@@ -196,13 +179,10 @@ def audit_spool_run(run_path, sample=4, seed=0):
         report.add("replay", "fail", "task.pkl digest mismatch")
         return report
     for index in picks:
-        name = verifiable[index]
-        replay_path = os.path.join(run_path, REPLAY_DIR,
-                                   f"{name}.pkl")
+        name, chunk = verifiable[index]
         try:
-            with open(replay_path, "rb") as fh:
-                points = pickle.load(fh)
-        except (OSError, Exception) as exc:
+            points = run.replay_points(chunk)
+        except Exception as exc:
             report.add(f"{name}/replay", "fail",
                        f"replay inputs unusable: {exc!r}")
             continue
@@ -229,49 +209,41 @@ def audit_spool_run(run_path, sample=4, seed=0):
 # ---------------------------------------------------------------------------
 
 def audit_checkpoint_dir(directory):
-    """Verify every ``.ckpt`` blob (framed checksum) and its sealed
-    manifest sidecar in ``directory``."""
-    from ..resilience.checkpoint import _SIDECAR_SUFFIX, _SUFFIX
+    """Verify every checkpoint's frame and sealed manifest sidecar in
+    ``directory``, through the routines :meth:`~repro.resilience
+    .checkpoint.CheckpointManager.load` uses."""
+    from ..resilience.checkpoint import CheckpointManager
 
     report = AuditReport(directory)
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError as exc:
-        report.add("checkpoints", "fail",
-                   f"directory unreadable: {exc}")
+    if not (os.path.isdir(directory) and os.access(directory, os.R_OK)):
+        report.add("checkpoints", "fail", "not a readable directory")
         return report
-    tags = [name[:-len(_SUFFIX)] for name in names
-            if name.endswith(_SUFFIX) and not name.startswith(".")]
+    manager = CheckpointManager(directory)
+    tags = manager.tags()
     if not tags:
         report.add("checkpoints", "skipped", "no checkpoint files")
         return report
     for tag in tags:
-        path = os.path.join(directory, f"{tag}{_SUFFIX}")
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-            unpack_record(blob)
-        except (OSError, IntegrityError) as exc:
+            blob, _ = manager.read_frame(tag)
+        except (OSError, IntegrityError, ParameterError) as exc:
             report.add(f"{tag}/frame", "fail", str(exc))
             continue
         report.add(f"{tag}/frame", "pass", f"{len(blob)} bytes")
-        sidecar = os.path.join(directory,
-                               f"{tag}{_SIDECAR_SUFFIX}")
-        if not os.path.exists(sidecar):
-            report.add(f"{tag}/sidecar", "skipped",
-                       "no manifest sidecar")
-            continue
         try:
-            record = load_sealed(sidecar)
+            agrees = manager.sidecar_agrees(tag, blob)
         except IntegrityError as exc:
             report.add(f"{tag}/sidecar", "fail", str(exc))
             continue
-        if record.get("sha256") != blob_digest(blob):
+        if agrees is None:
+            report.add(f"{tag}/sidecar", "skipped",
+                       "no manifest sidecar")
+        elif agrees:
+            report.add(f"{tag}/sidecar", "pass", "")
+        else:
             report.add(f"{tag}/sidecar", "fail",
                        "checkpoint blob does not match its sidecar "
                        "digest (tamper or swapped file)")
-        else:
-            report.add(f"{tag}/sidecar", "pass", "")
     return report
 
 
@@ -280,39 +252,27 @@ def audit_checkpoint_dir(directory):
 # ---------------------------------------------------------------------------
 
 def audit_cache_dir(directory):
-    """Verify every service memo envelope in ``directory``."""
+    """Verify every service memo envelope in ``directory`` through
+    :meth:`~repro.service.results_cache.ResultsCache.read_envelope`:
+    an entry fails here exactly when the cache would drop it. Nothing
+    is deleted."""
+    from ..service.results_cache import ResultsCache
+
     report = AuditReport(directory)
+    cache = ResultsCache(directory=directory)
     try:
-        names = sorted(name for name in os.listdir(directory)
-                       if name.endswith(".json")
-                       and not name.startswith("."))
+        keys = sorted(cache.disk_keys())
     except OSError as exc:
         report.add("cache", "fail", f"directory unreadable: {exc}")
         return report
-    if not names:
+    if not keys:
         report.add("cache", "skipped", "no cache entries")
         return report
-    for name in names:
-        key = name[:-len(".json")]
-        path = os.path.join(directory, name)
+    for key in keys:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                envelope = json.load(fh)
-        except (OSError, json.JSONDecodeError,
-                UnicodeDecodeError) as exc:
-            report.add(key, "fail", f"unreadable envelope: {exc}")
-            continue
-        if (not isinstance(envelope, dict)
-                or not isinstance(envelope.get("payload"), dict)):
-            report.add(key, "fail", "malformed envelope")
-            continue
-        if envelope.get("fingerprint") != key:
-            report.add(key, "fail",
-                       f"fingerprint {envelope.get('fingerprint')!r} "
-                       f"does not match file name")
-            continue
-        if record_digest(envelope["payload"]) != envelope.get("sha256"):
-            report.add(key, "fail", "payload digest mismatch")
+            cache.read_envelope(key)
+        except (OSError, IntegrityError) as exc:
+            report.add(key, "fail", str(exc))
             continue
         report.add(key, "pass", "")
     return report

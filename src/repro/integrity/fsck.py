@@ -15,18 +15,19 @@ conservative, always deletion-of-provably-redundant-state) fix.
 :func:`list_quarantine` renders the poison ledger without ever
 unpickling anything — legacy pickle records are listed by size only.
 
-Spool-protocol constants import lazily inside functions: the sweep
-module imports this package's manifest layer, so eager imports here
-would cycle.
+fsck parses no spool file names. Runs, jobs, claims and verified
+results come from :class:`~repro.sweep.distributed.SpoolRun`, the
+broker's own reader, so a chunk fsck calls torn is exactly one the
+broker's ``collect`` rejects. It is imported inside the functions: the
+sweep module imports this package's manifest layer, so an eager import
+here would cycle. Both fsck and the listing read quarantine records
+through one parser.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-from ..errors import IntegrityError
-from .manifest import unpack_record
 
 __all__ = ["Finding", "fsck_spool", "list_quarantine"]
 
@@ -68,50 +69,23 @@ def _listdir(path):
         return []
 
 
-def _verified_chunks(results_dir):
-    """Chunk ordinals whose committed result passes frame
-    verification, plus the torn file names that do not."""
-    good, torn = set(), []
-    for name in _listdir(results_dir):
-        if name.startswith(".") or not name.endswith(".pkl"):
+def _scan_run(run, repair, findings):
+    """Findings for one :class:`~repro.sweep.distributed.SpoolRun`;
+    returns its verified chunk set for the quarantine cross-check."""
+    good = set()
+    for chunk, payload in run.collect():
+        if payload is not None:
+            good.add(chunk)
             continue
-        path = os.path.join(results_dir, name)
-        try:
-            with open(path, "rb") as fh:
-                unpack_record(fh.read())
-        except OSError:
-            continue
-        except IntegrityError as exc:
-            torn.append((name, str(exc)))
-            continue
-        try:
-            good.add(int(name[len("chunk-"):-len(".pkl")]))
-        except ValueError:
-            torn.append((name, "unparseable chunk name"))
-    return good, torn
-
-
-def _scan_run(run_path, repair, findings):
-    """Findings for one ``run-*`` directory; returns its verified
-    chunk set for the quarantine cross-check."""
-    from ..sweep.distributed import _CLAIM_SEP, _JOB_SUFFIX
-
-    results_dir = os.path.join(run_path, "results")
-    queue_dir = os.path.join(run_path, "queue")
-    claimed_dir = os.path.join(run_path, "claimed")
-    done = os.path.exists(os.path.join(run_path, "DONE"))
-
-    good, torn = _verified_chunks(results_dir)
-    for name, why in torn:
-        path = os.path.join(results_dir, name)
-        repaired = _try_unlink(path, repair)
+        path = run.result_path(chunk)
         findings.append(Finding(
             "torn-result", path,
-            f"{why}; removing re-arms the retry path", repaired))
+            "result frame failed verification; removing re-arms the "
+            "retry path", _try_unlink(path, repair)))
 
     # Temp files orphaned mid-rename by a crash inside atomic_write.
-    for sub in ("", "queue", "claimed", "results"):
-        directory = os.path.join(run_path, sub) if sub else run_path
+    for directory in (run.path, run.queue_dir, run.claimed_dir,
+                      run.results_dir):
         for name in _listdir(directory):
             if not name.startswith(".tmp-"):
                 continue
@@ -123,15 +97,8 @@ def _scan_run(run_path, repair, findings):
 
     # A queued job whose chunk already has a verified commit would be
     # executed (and committed) a second time for nothing.
-    for name in _listdir(queue_dir):
-        if name.startswith(".") or not name.endswith(_JOB_SUFFIX):
-            continue
-        try:
-            chunk = int(name[len("chunk-"):-len(_JOB_SUFFIX)])
-        except ValueError:
-            continue
+    for chunk, path in run.queued_jobs():
         if chunk in good:
-            path = os.path.join(queue_dir, name)
             repaired = _try_unlink(path, repair)
             findings.append(Finding(
                 "duplicate-commit", path,
@@ -140,22 +107,35 @@ def _scan_run(run_path, repair, findings):
 
     # A claim is orphaned when its work is provably over: the chunk
     # has a verified commit, or the whole run is marked DONE.
-    for name in _listdir(claimed_dir):
-        if name.startswith(".") or _CLAIM_SEP not in name:
-            continue
-        job = name.split(_CLAIM_SEP, 1)[0]
-        try:
-            chunk = int(job[len("chunk-"):-len(_JOB_SUFFIX)])
-        except ValueError:
-            continue
+    done = run.is_done()
+    for chunk, _, path in run.claimed_jobs():
         if chunk in good or done:
             why = (f"chunk {chunk} already has a verified result"
                    if chunk in good else "run is marked DONE")
-            path = os.path.join(claimed_dir, name)
             repaired = _try_unlink(path, repair)
             findings.append(Finding("orphaned-claim", path, why,
                                     repaired))
     return good
+
+
+def _quarantine_files(spool):
+    """``(name, path)`` of every file in ``spool``'s quarantine."""
+    from ..sweep.distributed import QUARANTINE_DIR
+
+    directory = os.path.join(str(spool), QUARANTINE_DIR)
+    return [(name, os.path.join(directory, name))
+            for name in _listdir(directory)]
+
+
+def _read_quarantine(path):
+    """A JSON quarantine record as a dict; None when it is unreadable.
+    Never unpickles anything."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def fsck_spool(spool, repair=False):
@@ -165,30 +145,19 @@ def fsck_spool(spool, repair=False):
     deletion of provably redundant state — fsck never rewrites or
     fabricates results.
     """
-    from ..sweep.distributed import QUARANTINE_DIR, _RUN_PREFIX
+    from ..sweep.distributed import SpoolRun
 
     findings = []
-    spool = str(spool)
     committed = set()
-    for name in _listdir(spool):
-        if not name.startswith(_RUN_PREFIX):
-            continue
-        run_path = os.path.join(spool, name)
-        if not os.path.isdir(run_path):
-            continue
-        committed |= _scan_run(run_path, repair, findings)
+    for run in SpoolRun.runs(str(spool)):
+        committed |= _scan_run(run, repair, findings)
 
-    quarantine_dir = os.path.join(spool, QUARANTINE_DIR)
-    for name in _listdir(quarantine_dir):
+    for name, path in _quarantine_files(spool):
         if not name.endswith(".json"):
             continue
-        path = os.path.join(quarantine_dir, name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            chunk = int(record["chunk"])
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                KeyError, TypeError, ValueError):
+            chunk = int(_read_quarantine(path)["chunk"])
+        except (KeyError, TypeError, ValueError):
             repaired = _try_unlink(path, repair)
             findings.append(Finding(
                 "stray-quarantine", path,
@@ -211,26 +180,15 @@ def list_quarantine(spool):
     only — this function never unpickles anything, so a poisoned
     record cannot execute code at listing time.
     """
-    from ..sweep.distributed import QUARANTINE_DIR
-
-    quarantine_dir = os.path.join(str(spool), QUARANTINE_DIR)
     records = []
-    for name in _listdir(quarantine_dir):
-        path = os.path.join(quarantine_dir, name)
+    for name, path in _quarantine_files(spool):
         try:
             size = os.path.getsize(path)
         except OSError:
             continue
         if name.endswith(".json"):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    record = json.load(fh)
-            except (OSError, json.JSONDecodeError,
-                    UnicodeDecodeError):
-                records.append({"name": name, "bytes": size,
-                                "unreadable": True})
-                continue
-            if not isinstance(record, dict):
+            record = _read_quarantine(path)
+            if record is None:
                 records.append({"name": name, "bytes": size,
                                 "unreadable": True})
                 continue

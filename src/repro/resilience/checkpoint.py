@@ -182,7 +182,7 @@ class CheckpointManager:
         """
         path = self._path(tag)
         try:
-            blob = self.fs.read_bytes(path)
+            blob, payload = self.read_frame(tag)
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -192,15 +192,19 @@ class CheckpointManager:
                 f"back to a clean restart", ResilienceWarning,
                 stacklevel=2)
             return None
-        try:
-            payload = unpack_record(blob)
         except IntegrityError as exc:
             self.corrupt_fallbacks += 1
             warnings.warn(
                 f"checkpoint {path!r} corrupt ({exc}); falling back "
                 f"to a clean restart", ResilienceWarning, stacklevel=2)
             return None
-        if not self._sidecar_agrees(tag, blob):
+        try:
+            agrees = self.sidecar_agrees(tag, blob)
+        except IntegrityError:
+            # A torn sidecar proves nothing: the blob's own checksum
+            # already gates corruption; the sidecar catches swaps.
+            agrees = None
+        if agrees is False:
             self.corrupt_fallbacks += 1
             warnings.warn(
                 f"checkpoint {path!r} disagrees with its manifest "
@@ -231,22 +235,24 @@ class CheckpointManager:
                 f"Differing fields: " + "; ".join(diff))
         return payload
 
-    def _sidecar_agrees(self, tag, blob):
-        """False only when a *valid* sidecar contradicts the blob.
+    def read_frame(self, tag):
+        """``(blob, payload)`` of ``tag``'s checkpoint, read through the
+        filesystem shim. Raises ``OSError`` (``FileNotFoundError`` when
+        absent) or :class:`~repro.errors.IntegrityError` when the frame
+        fails its checksum. :meth:`load` and ``repro audit`` both read
+        checkpoints through here."""
+        blob = self.fs.read_bytes(self._path(tag))
+        return blob, unpack_record(blob)
 
-        An absent or unreadable sidecar proves nothing (pre-sidecar
-        checkpoints, a torn sidecar write) and must not fail loads —
-        the blob's own checksum already gates corruption; the sidecar
-        catches wholesale file replacement.
-        """
+    def sidecar_agrees(self, tag, blob):
+        """Whether ``tag``'s sealed sidecar records ``blob``'s digest;
+        None when there is no sidecar (pre-sidecar checkpoints). Raises
+        :class:`~repro.errors.IntegrityError` when the sidecar fails its
+        own seal — :meth:`load` shrugs that off, the audit fails it."""
         path = self._sidecar_path(tag)
         if not os.path.exists(path):
-            return True
-        try:
-            record = load_sealed(path)
-        except IntegrityError:
-            return True
-        return record.get("sha256") == blob_digest(blob)
+            return None
+        return load_sealed(path).get("sha256") == blob_digest(blob)
 
     def delete(self, tag):
         """Remove ``tag``'s checkpoint and sidecar (no-op when absent)."""

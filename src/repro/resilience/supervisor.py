@@ -30,34 +30,34 @@ production), time via a clock, spool observation via a
 :class:`SpoolView` — which is how the fault harness runs a full
 scale-up / crash-restart / retire lifecycle in a test with zero real
 processes and zero real seconds.
+
+The supervisor parses no spool file names itself: :class:`SpoolView`
+counts runs, jobs, claims and heartbeats through
+:class:`~repro.sweep.distributed.SpoolRun`, the one reader of the spool
+layout, so its counts are the broker's.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 
 from ..errors import ResilienceWarning
 from ..validation import require_int_in_range, require_positive
 from .breaker import RetryPolicy
 from .shims import REAL_CLOCK, ProcessSpawner
-from ..sweep.distributed import (
-    SHUTDOWN_SENTINEL,
-    SWEEP_SPOOL_ENV,
-    _JOB_SUFFIX,
-    _RUN_PREFIX,
-)
+from ..sweep.distributed import SHUTDOWN_SENTINEL, SWEEP_SPOOL_ENV, SpoolRun
 
 
 class SpoolView:
     """Read-only observability over a spool directory.
 
     ``scan()`` reduces the directory protocol to the four numbers the
-    supervisor steers by. Kept separate from the supervisor so tests
-    script spool states directly, and so a monitoring endpoint can
-    reuse the same scan.
+    supervisor steers by, read through :class:`~repro.sweep.distributed
+    .SpoolRun`'s listings (the broker's own view of the same files).
+    Kept separate from the supervisor so tests script spool states
+    directly, and so a monitoring endpoint can reuse the same scan.
     """
 
     def __init__(self, spool, heartbeat_fresh=10.0):
@@ -75,47 +75,15 @@ class SpoolView:
         """
         state = {"open_runs": 0, "queued": 0, "claimed": 0,
                  "live_workers": set()}
-        try:
-            names = sorted(os.listdir(self.spool))
-        except OSError:
-            return state
-        now = time.time()
-        for name in names:
-            if not name.startswith(_RUN_PREFIX):
-                continue
-            run_path = os.path.join(self.spool, name)
-            if (os.path.exists(os.path.join(run_path, "DONE"))
-                    or not os.path.exists(
-                        os.path.join(run_path, "OPEN"))):
+        for run in SpoolRun.runs(self.spool):
+            if run.is_done() or not run.is_open():
                 continue
             state["open_runs"] += 1
-            state["queued"] += self._count(
-                os.path.join(run_path, "queue"), _JOB_SUFFIX)
-            state["claimed"] += self._count(
-                os.path.join(run_path, "claimed"), None)
-            hb_dir = os.path.join(run_path, "hb")
-            try:
-                beats = os.listdir(hb_dir)
-            except OSError:
-                beats = []
-            for wid in beats:
-                try:
-                    age = now - os.path.getmtime(
-                        os.path.join(hb_dir, wid))
-                except OSError:
-                    continue
-                if age <= self.heartbeat_fresh:
-                    state["live_workers"].add(wid)
+            state["queued"] += len(run.queued_jobs())
+            state["claimed"] += len(run.claimed_jobs())
+            state["live_workers"] |= run.live_workers(
+                self.heartbeat_fresh)
         return state
-
-    @staticmethod
-    def _count(directory, suffix):
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return 0
-        return sum(1 for n in names if not n.startswith(".")
-                   and (suffix is None or n.endswith(suffix)))
 
 
 class FleetSupervisor:

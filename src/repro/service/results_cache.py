@@ -13,7 +13,10 @@ Every entry is stored in a manifest envelope — fingerprint, store
 time, and a :func:`~repro.integrity.manifest.record_digest` of the
 payload — and verified on read: a corrupt, tampered, or
 wrong-fingerprint file is a counted miss (and deleted), never a wrong
-answer. The store time powers two ages:
+answer. :meth:`ResultsCache.read_envelope` is the only envelope
+parser; ``repro audit --cache`` reports through it too, so the audit
+fails exactly the entries the cache would drop. The store time powers
+two ages:
 
 * ``get(key, max_age=...)`` — the memo TTL: entries older than
   ``max_age`` read as misses (but are *retained* — they may still
@@ -35,7 +38,7 @@ import time
 from collections import OrderedDict
 
 from ..arrays.kernel_disk import KERNEL_CACHE_ENV
-from ..errors import ParameterError
+from ..errors import IntegrityError, ParameterError
 from ..integrity.manifest import atomic_write, record_digest
 from ..validation import require_int_in_range, require_positive
 
@@ -115,44 +118,70 @@ class ResultsCache:
 
     # -- tiers ---------------------------------------------------------
 
-    def _disk_get(self, key):
-        """``(payload, stored_at, digest)`` from a verified envelope,
-        else None. Any verification failure — unparseable JSON, a
-        pre-envelope bare payload, a digest or fingerprint mismatch —
-        is counted corrupt and the file removed: a counted miss, never
-        a wrong answer."""
-        if self.directory is None:
-            return None
-        path = self._path(key)
+    def disk_keys(self):
+        """Keys with an envelope file in the disk tier (unverified);
+        raises ``OSError`` when the directory cannot be listed."""
+        return [name[:-len(".json")]
+                for name in os.listdir(self.directory)
+                if name.endswith(".json") and not name.startswith(".")]
+
+    def read_envelope(self, key):
+        """``(payload, stored_at, digest)`` of ``key``'s verified disk
+        envelope — the one envelope reader, shared by the disk tier and
+        ``repro audit --cache``.
+
+        Raises ``FileNotFoundError`` when there is no file, and
+        :class:`~repro.errors.IntegrityError` naming the failed check
+        otherwise: unparseable JSON, a pre-envelope bare payload, a
+        wrong version, fingerprint or digest, or no store time.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self._path(key), "r", encoding="utf-8") as handle:
                 envelope = json.load(handle)
         except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return self._drop_corrupt(path)
+            raise
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise IntegrityError(f"unreadable envelope: {exc}") from None
         if (not isinstance(envelope, dict)
-                or envelope.get("v") != ENVELOPE_VERSION
-                or envelope.get("fingerprint") != key
                 or not isinstance(envelope.get("payload"), dict)):
-            return self._drop_corrupt(path)
+            raise IntegrityError("malformed envelope")
+        if envelope.get("v") != ENVELOPE_VERSION:
+            raise IntegrityError(
+                f"envelope version {envelope.get('v')!r}, expected "
+                f"{ENVELOPE_VERSION}")
+        if envelope.get("fingerprint") != key:
+            raise IntegrityError(
+                f"fingerprint {envelope.get('fingerprint')!r} does not "
+                f"match file name")
         payload = envelope["payload"]
         digest = envelope.get("sha256")
         if record_digest(payload) != digest:
-            return self._drop_corrupt(path)
+            raise IntegrityError("payload digest mismatch")
         try:
             stored_at = float(envelope.get("stored_at"))
         except (TypeError, ValueError):
-            return self._drop_corrupt(path)
+            raise IntegrityError(
+                f"bad store time {envelope.get('stored_at')!r}") from None
         return payload, stored_at, digest
 
-    def _drop_corrupt(self, path):
-        self._disk_corrupt += 1
+    def _disk_get(self, key):
+        """``(payload, stored_at, digest)`` from a verified envelope,
+        else None. An envelope that fails :meth:`read_envelope` is
+        counted corrupt and the file removed: a counted miss, never a
+        wrong answer."""
+        if self.directory is None:
+            return None
         try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return None
+            return self.read_envelope(key)
+        except FileNotFoundError:
+            return None
+        except IntegrityError:
+            self._disk_corrupt += 1
+            try:
+                os.unlink(self._path(key))
+            except OSError:
+                pass
+            return None
 
     def _disk_put(self, key, payload, stored_at, digest):
         if self.directory is None:
@@ -271,10 +300,7 @@ class ResultsCache:
             disk_entries = None
             if self.directory is not None:
                 try:
-                    disk_entries = sum(
-                        1 for name in os.listdir(self.directory)
-                        if name.endswith(".json")
-                        and not name.startswith("."))
+                    disk_entries = len(self.disk_keys())
                 except OSError:
                     disk_entries = 0
             return {

@@ -116,7 +116,9 @@ def _env_number(name, cast):
             f"got {raw!r}") from None
 
 _RUN_PREFIX = "run-"
+_CHUNK_PREFIX = "chunk-"
 _JOB_SUFFIX = ".job"
+_PICKLE_SUFFIX = ".pkl"
 _CLAIM_SEP = "@"
 
 
@@ -133,6 +135,23 @@ def _json_safe_point(point):
 def _load_pickle(path):
     with open(path, "rb") as fh:
         return pickle.load(fh)
+
+
+def _listdir(path):
+    """Sorted entries of ``path``; none when it is missing or unreadable
+    (a run directory racing away mid-scan reads as empty)."""
+    try:
+        return sorted(os.listdir(path))
+    except OSError:
+        return []
+
+
+def _age(path):
+    """Seconds since ``path`` was modified; infinite when it is gone."""
+    try:
+        return time.time() - os.path.getmtime(path)
+    except OSError:
+        return float("inf")
 
 
 def _picklable_error(exc):
@@ -160,13 +179,15 @@ def _chunk_payload(chunk, worker, evaluate):
                 "worker": worker}
 
 
-def _job_name(chunk):
-    return f"chunk-{chunk:06d}{_JOB_SUFFIX}"
-
-
-def _chunk_of(name):
-    stem = name.split(_CLAIM_SEP, 1)[0]
-    return int(stem[len("chunk-"):-len(_JOB_SUFFIX)])
+def _chunk_of(name, suffix):
+    """The ordinal of a ``chunk-NNNNNN<suffix>`` file name; None for any
+    other name (temp files, strays)."""
+    if not (name.startswith(_CHUNK_PREFIX) and name.endswith(suffix)):
+        return None
+    try:
+        return int(name[len(_CHUNK_PREFIX):len(name) - len(suffix)])
+    except ValueError:
+        return None
 
 
 class SpoolRun:
@@ -176,6 +197,12 @@ class SpoolRun:
     run directory and persists the point function); workers construct
     it from the path alone. Every mutation is an atomic rename, so
     concurrent claims, commits, and steals never observe torn state.
+
+    It is also the one reader of the layout: the fleet supervisor, fsck,
+    audit and the CLI list runs (:meth:`runs`), jobs, claims,
+    heartbeats and verified results through it, and every file name
+    comes from :meth:`chunk_name`. Listings are tolerant: a missing
+    directory or a name that is not a chunk file reads as nothing.
     """
 
     def __init__(self, path):
@@ -187,6 +214,29 @@ class SpoolRun:
         self._task_path = os.path.join(self.path, "task.pkl")
         self._open_path = os.path.join(self.path, "OPEN")
         self._done_path = os.path.join(self.path, "DONE")
+
+    @classmethod
+    def runs(cls, spool):
+        """Every run directory under ``spool``, in name order."""
+        for name in _listdir(spool):
+            path = os.path.join(spool, name)
+            if name.startswith(_RUN_PREFIX) and os.path.isdir(path):
+                yield cls(path)
+
+    @staticmethod
+    def chunk_name(chunk, suffix=""):
+        """``chunk-000007`` plus ``suffix``: the one spelling of a
+        chunk's job, claim, result, replay and quarantine file names
+        and of its manifest entry."""
+        return f"{_CHUNK_PREFIX}{int(chunk):06d}{suffix}"
+
+    def result_path(self, chunk):
+        return os.path.join(self.results_dir,
+                            self.chunk_name(chunk, _PICKLE_SUFFIX))
+
+    def _replay_path(self, chunk):
+        return os.path.join(self.path, REPLAY_DIR,
+                            self.chunk_name(chunk, _PICKLE_SUFFIX))
 
     # -- broker side ---------------------------------------------------------
 
@@ -207,7 +257,8 @@ class SpoolRun:
 
     def enqueue(self, chunk, points):
         """Queue one chunk job (atomically; claimable immediately)."""
-        atomic_write(os.path.join(self.queue_dir, _job_name(chunk)),
+        atomic_write(os.path.join(self.queue_dir,
+                                  self.chunk_name(chunk, _JOB_SUFFIX)),
                      pickle.dumps({"chunk": int(chunk),
                                    "points": list(points)},
                                   protocol=pickle.HIGHEST_PROTOCOL))
@@ -232,6 +283,14 @@ class SpoolRun:
     def is_done(self):
         return os.path.exists(self._done_path)
 
+    def archive_points(self, chunk, points):
+        """Keep ``chunk``'s input points under ``replay/`` for audit."""
+        atomic_write(self._replay_path(chunk),
+                     pickle.dumps(list(points),
+                                  protocol=pickle.HIGHEST_PROTOCOL))
+
+    # -- readers -------------------------------------------------------------
+
     def collect(self, skip=frozenset()):
         """Yield ``(chunk, payload)`` of committed results not in ``skip``.
 
@@ -243,19 +302,13 @@ class SpoolRun:
         broker can count and retry it — corrupt bytes never reassemble
         into sweep values.
         """
-        try:
-            names = sorted(os.listdir(self.results_dir))
-        except FileNotFoundError:
-            return
-        for name in names:
-            if name.startswith("."):
+        for name in _listdir(self.results_dir):
+            chunk = _chunk_of(name, _PICKLE_SUFFIX)
+            if chunk is None or chunk in skip:
                 continue
-            chunk = int(name[len("chunk-"):-len(".pkl")])
-            if chunk in skip:
-                continue
-            path = os.path.join(self.results_dir, name)
             try:
-                with open(path, "rb") as fh:
+                with open(os.path.join(self.results_dir, name),
+                          "rb") as fh:
                     blob = fh.read()
             except OSError:
                 continue
@@ -265,16 +318,31 @@ class SpoolRun:
                 payload = None
             yield chunk, payload
 
+    def queued_jobs(self):
+        """``(chunk, path)`` of every queued job, lowest chunk first."""
+        out = []
+        for name in _listdir(self.queue_dir):
+            chunk = _chunk_of(name, _JOB_SUFFIX)
+            if chunk is not None:
+                out.append((chunk, os.path.join(self.queue_dir, name)))
+        return out
+
     def claimed_jobs(self):
         """``(chunk, worker_id, path)`` of every outstanding claim."""
         out = []
-        for name in sorted(os.listdir(self.claimed_dir)):
-            if name.startswith(".") or _CLAIM_SEP not in name:
-                continue
-            job, wid = name.split(_CLAIM_SEP, 1)
-            out.append((_chunk_of(job), wid,
-                        os.path.join(self.claimed_dir, name)))
+        for name in _listdir(self.claimed_dir):
+            job, sep, wid = name.partition(_CLAIM_SEP)
+            chunk = _chunk_of(job, _JOB_SUFFIX)
+            if sep and chunk is not None:
+                out.append((chunk, wid,
+                            os.path.join(self.claimed_dir, name)))
         return out
+
+    def live_workers(self, fresh):
+        """Ids of the workers whose heartbeat is at most ``fresh``
+        seconds old."""
+        return {wid for wid in _listdir(self.hb_dir)
+                if _age(os.path.join(self.hb_dir, wid)) <= fresh}
 
     def heartbeat_age(self, worker_id, claim_path):
         """Seconds since this claim was last known live.
@@ -286,13 +354,8 @@ class SpoolRun:
         idle stretch must not be condemned by the stale hb file of its
         *previous* chunk before its first fresh touch lands.
         """
-        ages = []
-        for path in (os.path.join(self.hb_dir, worker_id), claim_path):
-            try:
-                ages.append(time.time() - os.path.getmtime(path))
-            except OSError:
-                continue
-        return min(ages) if ages else float("inf")
+        return min(_age(os.path.join(self.hb_dir, worker_id)),
+                   _age(claim_path))
 
     def discard_result(self, chunk):
         """Drop a committed (error) result so the chunk can retry.
@@ -302,8 +365,7 @@ class SpoolRun:
         commit after the broker re-enqueues it.
         """
         try:
-            os.unlink(os.path.join(self.results_dir,
-                                   f"chunk-{chunk:06d}.pkl"))
+            os.unlink(self.result_path(chunk))
         except OSError:
             pass
 
@@ -319,13 +381,22 @@ class SpoolRun:
             os.rename(claim_path, os.path.join(self.queue_dir, name))
         except OSError:
             return None
-        return _chunk_of(name)
+        return _chunk_of(name, _JOB_SUFFIX)
 
     # -- worker side ---------------------------------------------------------
 
+    def task_bytes(self):
+        """The pickled point function, as the broker wrote it."""
+        with open(self._task_path, "rb") as fh:
+            return fh.read()
+
     def load_func(self):
         """The run's point function (pickled once by the broker)."""
-        return _load_pickle(self._task_path)
+        return pickle.loads(self.task_bytes())
+
+    def replay_points(self, chunk):
+        """``chunk``'s input points as :meth:`archive_points` kept them."""
+        return _load_pickle(self._replay_path(chunk))
 
     def claim(self, worker_id):
         """Claim the lowest pending chunk via atomic rename.
@@ -334,18 +405,12 @@ class SpoolRun:
         is empty. Losing a rename race to another worker just moves on
         to the next pending job.
         """
-        try:
-            names = sorted(os.listdir(self.queue_dir))
-        except FileNotFoundError:
-            return None
-        for name in names:
-            if name.startswith(".") or not name.endswith(_JOB_SUFFIX):
-                continue
-            claim_path = os.path.join(self.claimed_dir,
-                                      f"{name}{_CLAIM_SEP}{worker_id}")
+        for _, job_path in self.queued_jobs():
+            claim_path = os.path.join(
+                self.claimed_dir,
+                f"{os.path.basename(job_path)}{_CLAIM_SEP}{worker_id}")
             try:
-                os.rename(os.path.join(self.queue_dir, name),
-                          claim_path)
+                os.rename(job_path, claim_path)
             except OSError:
                 continue
             # The rename preserves the job file's *enqueue* mtime; a
@@ -376,7 +441,7 @@ class SpoolRun:
         practice), and a run directory the broker already tore down
         reads as a plain late duplicate, not a worker crash.
         """
-        path = os.path.join(self.results_dir, f"chunk-{chunk:06d}.pkl")
+        path = self.result_path(chunk)
         if os.path.exists(path):
             return False
         tmp = os.path.join(self.results_dir,
@@ -555,16 +620,8 @@ class SpoolWorker:
         return False
 
     def _open_runs(self):
-        try:
-            names = sorted(os.listdir(self.spool))
-        except FileNotFoundError:
-            return
-        for name in names:
-            if not name.startswith(_RUN_PREFIX):
-                continue
-            run = SpoolRun(os.path.join(self.spool, name))
-            if run.is_open() and not run.is_done():
-                yield run
+        return (run for run in SpoolRun.runs(self.spool)
+                if run.is_open() and not run.is_done())
 
     # -- one chunk -----------------------------------------------------------
 
@@ -613,9 +670,7 @@ class SpoolWorker:
             # Post-commit damage (torn-write / truncated-result fault
             # kinds): the commit landed atomically, then the bytes
             # rotted — the case only read-side digests can catch.
-            self.faults.corrupt_result(
-                os.path.join(run.results_dir,
-                             f"chunk-{chunk:06d}.pkl"), chunk)
+            self.faults.corrupt_result(run.result_path(chunk), chunk)
         run.clear_claim(claim_path)
         self.stats["chunks"] += 1
         _flush_kernel_store()
@@ -1021,7 +1076,7 @@ class DistributedBroker:
         """
         workers = sorted(str(w) for w in workers if w is not None)
         record_path = os.path.join(spool, QUARANTINE_DIR,
-                                   f"chunk-{chunk:06d}.json")
+                                   SpoolRun.chunk_name(chunk, ".json"))
         try:
             atomic_write(record_path, json.dumps({
                 "chunk": int(chunk),
@@ -1052,15 +1107,10 @@ class DistributedBroker:
         Quarantined chunks are recorded as such (their stand-in None
         values are not a reproducible artifact).
         """
-        replay_dir = os.path.join(run.path, REPLAY_DIR)
-        os.makedirs(replay_dir, exist_ok=True)
         entries = {}
         for chunk in sorted(results):
             points = chunk_points[chunk]
-            atomic_write(
-                os.path.join(replay_dir, f"chunk-{chunk:06d}.pkl"),
-                pickle.dumps(list(points),
-                             protocol=pickle.HIGHEST_PROTOCOL))
+            run.archive_points(chunk, points)
             payload = results[chunk]
             entry = {"n_points": len(points)}
             if payload.get("quarantined"):
@@ -1068,10 +1118,9 @@ class DistributedBroker:
             else:
                 entry["values_sha256"] = pickle_digest(
                     payload["values"])
-            entries[f"chunk-{chunk:06d}"] = entry
+            entries[run.chunk_name(chunk)] = entry
         try:
-            with open(run._task_path, "rb") as fh:
-                task_digest = blob_digest(fh.read())
+            task_digest = blob_digest(run.task_bytes())
         except OSError:  # pragma: no cover - defensive
             task_digest = None
         manifest = RunManifest("spool-run", identity={

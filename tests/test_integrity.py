@@ -9,7 +9,9 @@ audit and fsck tests each corrupt one concrete artifact and assert
 detect → repair round-trips.
 """
 
+import ast
 import dataclasses
+import functools
 import glob
 import json
 import os
@@ -40,11 +42,13 @@ from repro.integrity import (
     write_sealed,
 )
 from repro.memsys import build_engine
-from repro.resilience import CheckpointManager, FaultPlan
+from repro.resilience import CheckpointManager, FaultPlan, SpoolView
 from repro.service.results_cache import ResultsCache
 from repro.sweep.distributed import (
     QUARANTINE_DIR,
     DistributedBroker,
+    SpoolRun,
+    SpoolWorker,
 )
 from repro.units import nm_to_m
 
@@ -324,6 +328,16 @@ class TestCheckpointAudit:
         assert report.passed
         assert report.counts()["skipped"] == 1
 
+    @pytest.mark.skipif(os.sep == "\\", reason="backslash is a separator")
+    def test_tag_the_manager_rejects_fails_its_frame_check(self,
+                                                           tmp_path):
+        """A file name ``CheckpointManager`` refuses as a tag is a
+        failed check in the report, not a traceback."""
+        (tmp_path / "a\\b.ckpt").write_bytes(b"x")
+        report = audit_checkpoint_dir(str(tmp_path))
+        assert [(c.name, c.status) for c in report.checks] == [
+            ("a\\b/frame", "fail")]
+
 
 class TestCacheAudit:
     KEY = "ab" * 16
@@ -351,6 +365,32 @@ class TestCacheAudit:
                   str(tmp_path / f"{'cd' * 16}.json"))
         report = audit_cache_dir(str(tmp_path))
         assert not report.passed
+
+    @pytest.mark.parametrize("field", ["version", "stored_at"])
+    def test_envelope_the_cache_rejects_fails_audit(self, tmp_path,
+                                                    field):
+        """The payload digest still verifies, but the cache drops an
+        envelope with a wrong version or no store time; the audit must
+        fail it too — and leave the file in place."""
+        ResultsCache(directory=str(tmp_path)).put(self.KEY,
+                                                  {"answer": 42})
+        path = str(tmp_path / f"{self.KEY}.json")
+        envelope = json.load(open(path))
+        if field == "version":
+            envelope["v"] += 1
+        else:
+            del envelope["stored_at"]
+        json.dump(envelope, open(path, "w"))
+
+        report = audit_cache_dir(str(tmp_path))
+        assert not report.passed
+        assert [c.name for c in report.checks
+                if c.status == "fail"] == [self.KEY]
+        assert os.path.exists(path)
+
+        cache = ResultsCache(directory=str(tmp_path))
+        assert cache.get(self.KEY) is None
+        assert cache.stats()["disk_corrupt"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +515,137 @@ class TestFsck:
         assert kinds == ["orphaned-claim", "torn-result"]
         assert all(f.repaired for f in fsck_spool(spool, repair=True))
         assert fsck_spool(spool) == []
+
+
+@pytest.mark.integration
+class TestReadersAgree:
+    """fsck, the broker's collect and the fleet supervisor's scan read
+    one mangled spool the same way."""
+
+    def _mangled_spool(self, tmp_path):
+        spool = str(tmp_path / "spool")
+        run = SpoolRun.create(spool, square_point)
+        for chunk in range(6):
+            run.enqueue(chunk, [{"x": chunk}])
+        run.open()
+        worker = SpoolWorker(spool, worker_id="w1")
+        for _ in range(4):
+            assert worker.process_one(run)
+        # Post-commit damage of the two result-corrupting fault kinds,
+        # applied through the hook a faulty worker calls.
+        torn = FaultPlan(0, "torn-write").worker_faults()
+        cut = FaultPlan(1, "truncated-result").worker_faults()
+        victims = {torn.corrupt_result_at_chunk,
+                   cut.corrupt_result_at_chunk}
+        assert len(victims) == 2
+        for faults in (torn, cut):
+            chunk = faults.corrupt_result_at_chunk
+            faults.corrupt_result(run.result_path(chunk), chunk)
+            assert faults.corruptions == 1
+        # A claim orphaned by a worker that died after its commit, and
+        # a live claim still in flight.
+        open(os.path.join(run.claimed_dir, "chunk-000000.job@crashed"),
+             "w").close()
+        assert run.claim("slow")[0] == 4
+        run.heartbeat("slow")
+        return spool, run, victims
+
+    def test_fsck_torn_results_are_the_chunks_collect_rejects(
+            self, tmp_path):
+        spool, run, victims = self._mangled_spool(tmp_path)
+        findings = fsck_spool(spool)
+        torn = {f.path for f in findings if f.kind == "torn-result"}
+        rejected = {run.result_path(chunk)
+                    for chunk, payload in run.collect()
+                    if payload is None}
+        assert torn == rejected == {run.result_path(c) for c in victims}
+        assert sorted(f.kind for f in findings) == [
+            "orphaned-claim", "torn-result", "torn-result"]
+
+    def test_scan_counts_are_the_spool_run_listings(self, tmp_path):
+        spool, run, _ = self._mangled_spool(tmp_path)
+        state = SpoolView(spool).scan()
+        assert state["open_runs"] == 1
+        assert state["queued"] == len(run.queued_jobs()) == 1
+        assert state["claimed"] == len(run.claimed_jobs()) == 2
+        assert state["live_workers"] == run.live_workers(10.0)
+        assert "slow" in state["live_workers"]
+
+
+# ---------------------------------------------------------------------------
+# layout ownership: each store's owner is the only module that knows
+# its file names and formats
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    os.pardir, "src", "repro")
+
+
+@functools.lru_cache(maxsize=None)
+def _module_trees():
+    """``{path relative to src/repro: AST}`` of every module."""
+    trees = {}
+    for dirpath, _, files in os.walk(_SRC):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, _SRC).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as fh:
+                    trees[rel] = ast.parse(fh.read(), path)
+    return trees
+
+
+def _modules_where(predicate):
+    return {rel for rel, tree in _module_trees().items()
+            if any(predicate(node) for node in ast.walk(tree))}
+
+
+def _identifier(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+class TestLayoutOwnership:
+    def test_only_the_sweep_module_knows_spool_names(self):
+        private = {"_RUN_PREFIX", "_JOB_SUFFIX", "_CLAIM_SEP"}
+        assert _modules_where(
+            lambda node: _identifier(node) in private) == {
+            "sweep/distributed.py"}
+        # One spelling of a chunk file name, in one module.
+        spellings = [
+            node for node in ast.walk(
+                _module_trees()["sweep/distributed.py"])
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("chunk-")]
+        assert len(spellings) == 1
+        assert _modules_where(
+            lambda node: isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("chunk-")) == {
+            "sweep/distributed.py"}
+
+    def test_no_module_imports_the_checkpoint_suffixes(self):
+        assert _modules_where(
+            lambda node: isinstance(node, ast.ImportFrom)
+            and any(alias.name in ("_SUFFIX", "_SIDECAR_SUFFIX")
+                    for alias in node.names)) == set()
+
+    def test_only_the_results_cache_parses_envelopes(self):
+        """An envelope is a JSON file whose payload is checked with
+        ``record_digest``; one module reads both."""
+        loads_json = _modules_where(
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr == "load" and isinstance(node.value, ast.Name)
+            and node.value.id == "json")
+        digests = _modules_where(
+            lambda node: _identifier(node) == "record_digest")
+        assert loads_json & digests == {"service/results_cache.py"}
 
 
 class TestQuarantineListing:
