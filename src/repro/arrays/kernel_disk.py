@@ -92,7 +92,13 @@ def key_digest(key):
     ``repr`` is deterministic across processes (Python reprs floats in
     shortest round-trip form), so equal keys hash equally everywhere.
     """
-    raw = hashlib.sha256(repr(key).encode("utf-8")).digest()
+    return repr_digest(repr(key))
+
+
+def repr_digest(text):
+    """:func:`key_digest` of the key whose ``repr`` is ``text``, for
+    callers that keep part of a key's repr pre-spelled."""
+    raw = hashlib.sha256(text.encode("utf-8")).digest()
     return (int.from_bytes(raw[:8], "little"),
             int.from_bytes(raw[8:16], "little"))
 

@@ -23,9 +23,11 @@ stale hit) with ``REPRO_KERNEL_CACHE``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
-from ..arrays.kernel_disk import key_digest
+from ..arrays.kernel_disk import repr_digest
 from ..arrays.kernel_store import stack_fingerprint
 from ..device import MTJDevice, PAPER_EVAL_DEVICE
 from ..errors import ParameterError
@@ -39,6 +41,10 @@ from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 #: Version 2: ``uber`` lost its ``sampler`` field, and sampled queries
 #: draw class-grouped binomial flips.
 PROTOCOL_VERSION = 2
+
+#: Distinct eCDs whose stack key :func:`query_fingerprint` keeps; clients
+#: choose ``ecd_nm``, so the memo is bounded.
+_STACK_KEY_CACHE_SIZE = 128
 
 
 def _tuple_of_floats(value, name):
@@ -72,6 +78,13 @@ def _require_known(names, registry, what):
         if name not in registry:
             raise ParameterError(f"unknown {what} {name!r}; choose from "
                                  f"{sorted(registry)}")
+
+
+def _require_seed(seed):
+    """Reject a seed numpy's generators would refuse, so it fails at
+    parse time instead of inside a runner: any integer >= 0 (no upper
+    bound — numpy takes arbitrarily large seeds), bools excluded."""
+    require_int_in_range(seed, "seed", 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,7 @@ class UberQuery:
                 f"{self.mode!r}")
         require_int_in_range(self.transactions, "transactions", 1,
                              10**9)
+        _require_seed(self.seed)
         if self.backend is not None:
             from ..memsys.backends import validate_backend
             validate_backend(self.backend)
@@ -156,6 +170,7 @@ class WerQuery:
         require_positive(self.vp, "vp")
         require_positive(self.pitch_ratio, "pitch_ratio")
         require_int_in_range(self.n_samples, "n_samples", 1, 10**9)
+        _require_seed(self.seed)
         if self.ecd_nm is not None:
             require_positive(self.ecd_nm, "ecd_nm")
 
@@ -195,6 +210,7 @@ class SweepQuery:
         require_int_in_range(self.cols, "cols", 1, 1 << 16)
         require_positive(self.vp, "vp")
         require_positive(self.nominal_wer, "nominal_wer")
+        _require_seed(self.seed)
         if self.jobs is not None:
             require_int_in_range(self.jobs, "jobs", 1, 4096)
         if self.ecd_nm is not None:
@@ -269,9 +285,8 @@ def parse_request(obj):
         known = ", ".join(sorted(QUERY_TYPES))
         raise ParameterError(f"unknown op {op!r} (known: {known})")
     cls = QUERY_TYPES[op]
-    fields = {f.name for f in dataclasses.fields(cls)}
     params = {k: v for k, v in obj.items() if k not in _ENVELOPE_KEYS}
-    unknown = sorted(set(params) - fields)
+    unknown = sorted(set(params).difference(_field_names(cls)))
     if unknown:
         raise ParameterError(
             f"unknown parameter(s) for op {op!r}: {', '.join(unknown)}")
@@ -282,6 +297,12 @@ def parse_request(obj):
                              f"{exc}") from None
 
 
+@functools.cache
+def _field_names(cls):
+    """Sorted field names of one query class, computed once per class."""
+    return tuple(sorted(field.name for field in dataclasses.fields(cls)))
+
+
 def device_for(query):
     """The :class:`MTJDevice` a query evaluates against.
 
@@ -289,11 +310,22 @@ def device_for(query):
     query's ``ecd_nm`` — the same convention the CLI and the
     design-space explorer use.
     """
+    return _device_at(getattr(query, "ecd_nm", None))
+
+
+def _device_at(ecd_nm):
     params = PAPER_EVAL_DEVICE
-    ecd_nm = getattr(query, "ecd_nm", None)
     if ecd_nm is not None:
         params = params.with_ecd(nm_to_m(ecd_nm))
     return MTJDevice(params)
+
+
+@functools.lru_cache(maxsize=_STACK_KEY_CACHE_SIZE)
+def _stack_key_repr(ecd_nm):
+    """``repr(stack_fingerprint(...))`` of the device at ``ecd_nm``,
+    built once per distinct eCD (callers pass the canonical scalar, so
+    ``25`` and ``25.0`` share one entry)."""
+    return repr(stack_fingerprint(_device_at(ecd_nm).stack))
 
 
 def query_fingerprint(query):
@@ -306,20 +338,23 @@ def query_fingerprint(query):
     a device (uber/wer/sweep) fold the *stack* fingerprint in, so a
     service upgrade that changes the reference stack re-keys every
     memoized result instead of serving stale physics.
+
+    The stack key is memoized per ``ecd_nm`` (a bounded LRU, holding
+    the key's repr), so a repeated query builds no device. The digest
+    input is unchanged — the same bytes as ``repr`` of the tuple above
+    — so memoizing re-keys nothing.
     """
-    parts = []
-    for field in sorted(dataclasses.fields(query),
-                        key=lambda f: f.name):
-        value = getattr(query, field.name)
-        # JSON spells 70 and 70.0 interchangeably; canonicalize every
-        # scalar number to float so both spellings key identically —
-        # the one collapse rule, shared with the manifest digests so
-        # fingerprints and integrity digests can never drift apart.
-        parts.append((field.name, canonical_scalar(value)))
+    # JSON spells 70 and 70.0 interchangeably; canonicalize every
+    # scalar number to float so both spellings key identically — the
+    # one collapse rule, shared with the manifest digests so
+    # fingerprints and integrity digests can never drift apart.
+    parts = tuple((name, canonical_scalar(getattr(query, name)))
+                  for name in _field_names(type(query)))
     if query.op in ("uber", "wer", "sweep"):
-        stack_key = stack_fingerprint(device_for(query).stack)
+        stack_repr = _stack_key_repr(canonical_scalar(query.ecd_nm))
     else:
-        stack_key = None
-    hi, lo = key_digest((PROTOCOL_VERSION, query.op, stack_key,
-                         tuple(parts)))
+        stack_repr = "None"
+    # The repr of the 4-tuple above, with the stack part pre-spelled.
+    hi, lo = repr_digest(f"({PROTOCOL_VERSION!r}, {query.op!r}, "
+                         f"{stack_repr}, {parts!r})")
     return f"{hi:016x}{lo:016x}"

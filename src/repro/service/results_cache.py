@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -49,6 +50,9 @@ RESULTS_SUBDIR = "service-results"
 ENVELOPE_VERSION = 1
 
 _FINGERPRINT_LEN = 32
+
+#: A well-formed key: exactly 32 lower-case ASCII hex digits.
+_KEY_PATTERN = re.compile(f"[0-9a-f]{{{_FINGERPRINT_LEN}}}")
 
 
 class ResultsCache:
@@ -106,8 +110,7 @@ class ResultsCache:
 
     @staticmethod
     def _check_key(key):
-        if (not isinstance(key, str) or len(key) != _FINGERPRINT_LEN
-                or any(c not in "0123456789abcdef" for c in key)):
+        if not isinstance(key, str) or _KEY_PATTERN.fullmatch(key) is None:
             raise ParameterError(
                 f"cache key must be a {_FINGERPRINT_LEN}-hex-digit "
                 f"fingerprint, got {key!r}")

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ParameterError
 
+#: Exact types that pass as real numbers without the ABC check (bool,
+#: an int subclass, is deliberately absent).
+_PLAIN_REALS = (float, int)
+
 
 def require_positive(value, name):
     """Return ``value`` if it is a finite number > 0, else raise."""
@@ -34,7 +38,10 @@ def require_non_negative(value, name):
 
 def require_finite(value, name):
     """Return ``value`` if it is a finite real number, else raise."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    # Exact float/int first: the numbers.Real ABC check is slow, and
+    # these guards sit on per-request and per-table-build paths.
+    if type(value) not in _PLAIN_REALS and (
+            not isinstance(value, numbers.Real) or isinstance(value, bool)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -62,7 +69,9 @@ def require_fraction(value, name):
 
 def require_int_in_range(value, name, low, high):
     """Return ``value`` if it is an integer in [low, high], else raise."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if type(value) is not int and (
+            not isinstance(value, numbers.Integral)
+            or isinstance(value, bool)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
         raise ParameterError(

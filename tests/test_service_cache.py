@@ -40,6 +40,29 @@ class TestMemoryTier:
             with pytest.raises(ParameterError):
                 cache.get(bad)
 
+    @pytest.mark.parametrize("bad", [
+        "A" * 32,                      # upper-case hex
+        "a" * 31, "a" * 33,
+        "a" * 32 + "\n",              # a `$`-anchored match takes this
+        "a" * 31 + "\n",
+        "a" * 31 + "\u0663",          # ARABIC-INDIC DIGIT THREE
+        "a" * 31 + "\uff10",          # FULLWIDTH DIGIT ZERO
+        b"a" * 32, 0xa, ["a" * 32],
+    ], ids=repr)
+    def test_key_check_verdicts(self, bad):
+        cache = ResultsCache(capacity=2, directory=False)
+        for call in (lambda: cache.get(bad),
+                     lambda: cache.get_stale(bad, 1.0),
+                     lambda: cache.put(bad, {"v": 1})):
+            with pytest.raises(ParameterError, match="32-hex-digit"):
+                call()
+
+    @pytest.mark.parametrize("good", ["0123456789abcdef" * 2, "f" * 32])
+    def test_key_check_accepts_lower_hex(self, good):
+        cache = ResultsCache(capacity=2, directory=False)
+        cache.put(good, {"v": 1})
+        assert cache.get(good) == {"v": 1}
+
     def test_rejects_non_dict_payloads(self):
         cache = ResultsCache(capacity=2, directory=False)
         with pytest.raises(ParameterError):

@@ -202,6 +202,97 @@ class TestFingerprint:
                 == query_fingerprint(SweepQuery()))
 
 
+def _uncached_fingerprint(query):
+    """``query_fingerprint`` with no memo: a fresh device per call and
+    the key tuple digested whole by ``key_digest``."""
+    from repro.arrays.kernel_disk import key_digest
+    from repro.arrays.kernel_store import stack_fingerprint
+    from repro.integrity.manifest import canonical_scalar
+
+    parts = tuple(sorted(
+        (field.name, canonical_scalar(getattr(query, field.name)))
+        for field in dataclasses.fields(query)))
+    stack_key = (stack_fingerprint(device_for(query).stack)
+                 if query.op in ("uber", "wer", "sweep") else None)
+    hi, lo = key_digest((PROTOCOL_VERSION, query.op, stack_key, parts))
+    return f"{hi:016x}{lo:016x}"
+
+
+#: Per op, spellings whose fingerprints must not move: int vs float
+#: numbers, defaults vs explicit values, both topology spellings.
+_SPELLINGS = {
+    "uber": [{}, {"pitch_nm": 70}, {"pitch_nm": 70.0},
+             {"vp": 1, "nominal_wer": 0.002, "seed": 7},
+             {"topology": "cross-point", "banks": 2, "subarrays": 4},
+             {"topology": "cross_point", "banks": 2, "subarrays": 4}],
+    "wer": [{}, {"vp": 1, "pitch_ratio": 2, "seed": 7},
+            {"vp": 1.0, "pitch_ratio": 2.0, "seed": 7}],
+    "sweep": [{}, {"vp": 1, "pitch_ratios": [2, 3], "seed": 7},
+              {"vp": 1.0, "pitch_ratios": [2.0, 3.0], "seed": 7}],
+    "design": [{}, {"ecds_nm": [25, 45]}, {"ecds_nm": [25.0, 45.0]}],
+    "stats": [{}],
+}
+
+
+def _equivalence_grid():
+    for op in QUERY_TYPES:
+        ecds = ((None, 25, 25.0, 45) if op in ("uber", "wer", "sweep")
+                else (None,))
+        for ecd in ecds:
+            for extra in _SPELLINGS[op]:
+                request_ = {"op": op, **extra}
+                if ecd is not None:
+                    request_["ecd_nm"] = ecd
+                yield request_
+
+
+class TestFingerprintMemo:
+    @pytest.mark.parametrize("request_", list(_equivalence_grid()),
+                             ids=repr)
+    def test_memoized_key_matches_uncached(self, request_):
+        query = parse_request(request_)
+        assert query_fingerprint(query) == _uncached_fingerprint(query)
+
+    def test_repeated_fingerprints_build_one_device(self, monkeypatch):
+        import repro.service.protocol as protocol
+
+        built = []
+
+        class CountingDevice(protocol.MTJDevice):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "MTJDevice", CountingDevice)
+        protocol._stack_key_repr.cache_clear()
+        keys = {query_fingerprint(parse_request(
+            {"op": op, "ecd_nm": ecd, "seed": seed}))
+            for op in ("uber", "wer", "sweep")
+            for ecd in (33, 33.0) for seed in range(3)}
+        assert len(keys) == 9
+        assert len(built) == 1
+        protocol._stack_key_repr.cache_clear()
+
+    def test_stack_key_memo_is_bounded(self):
+        import repro.service.protocol as protocol
+
+        assert protocol._stack_key_repr.cache_info().maxsize is not None
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("op", ["uber", "wer", "sweep"])
+    @pytest.mark.parametrize("bad", [-1, 1.5, 3.0, "x", [1], True, None],
+                             ids=repr)
+    def test_bad_seeds_fail_at_parse_time(self, op, bad):
+        with pytest.raises(ParameterError, match="seed"):
+            parse_request({"op": op, "seed": bad})
+
+    @pytest.mark.parametrize("op", ["uber", "wer", "sweep"])
+    def test_any_non_negative_int_seed_parses(self, op):
+        for seed in (0, 1, 2**31, 2**64, 10**30):
+            assert parse_request({"op": op, "seed": seed}).seed == seed
+
+
 class TestDeviceFor:
     def test_default_is_paper_device(self):
         from repro.device import PAPER_EVAL_DEVICE

@@ -413,6 +413,29 @@ class TestHardening:
         _serve(body, path=path, breaker_threshold=2,
                breaker_reset=60.0)
 
+    def test_bad_seeds_leave_the_breaker_closed(self, tmp_path):
+        """A seed numpy would refuse fails at parse time, so bad seeds
+        past the threshold never reach a runner or open a breaker."""
+        path = str(tmp_path / "svc.sock")
+
+        def body(server):
+            with ServiceClient(path=path) as client:
+                for seed in (-1, 1.5, "x", [1]):
+                    for op, params in (("uber", SMALL),
+                                       ("wer", {"n_samples": 1000})):
+                        with pytest.raises(ServiceError, match="seed"):
+                            client.query(op, seed=seed, **params)
+                uber = client.query("uber", **SMALL)
+                stats = client.query("stats")["result"]
+            assert uber["ok"] and not uber.get("degraded")
+            assert stats["degraded"] == 0
+            assert stats["breakers"]["uber"]["state"] == "closed"
+            assert stats["breakers"]["uber"]["times_opened"] == 0
+            assert "wer" not in stats["breakers"]
+
+        _serve(body, path=path, breaker_threshold=2,
+               breaker_reset=60.0)
+
     def test_breaker_open_serves_verified_stale_within_ttl(
             self, tmp_path, monkeypatch):
         """Degraded mode: breaker open + memo expired => the answer

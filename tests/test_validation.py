@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,39 @@ class TestIntRange:
 
     def test_numpy_integer_accepted(self):
         assert v.require_int_in_range(np.int64(7), "n", 1, 10) == 7
+
+
+#: Verdicts of the real-number guards: exact float/int take a fast path,
+#: everything else the ``numbers.Real`` check, with the same outcome.
+REALS_ACCEPTED = [2.5, 3, np.float64(2.5), np.float32(2.5), np.int64(3),
+                  Fraction(5, 2)]
+REALS_REJECTED = [True, np.bool_(True), None, "1", complex(1, 0),
+                  math.nan, math.inf, -math.inf]
+
+
+class TestValidatorSemantics:
+    @pytest.mark.parametrize("good", REALS_ACCEPTED, ids=repr)
+    def test_real_guards_accept(self, good):
+        assert v.require_finite(good, "x") is good
+        assert v.require_positive(good, "x") is good
+
+    @pytest.mark.parametrize("bad", REALS_REJECTED, ids=repr)
+    def test_real_guards_reject(self, bad):
+        with pytest.raises(ParameterError, match="x"):
+            v.require_finite(bad, "x")
+        with pytest.raises(ParameterError, match="x"):
+            v.require_positive(bad, "x")
+
+    @pytest.mark.parametrize("good", [3, np.int64(3)], ids=repr)
+    def test_int_guard_accepts(self, good):
+        out = v.require_int_in_range(good, "n", 1, 10)
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("bad", [3.0, True, np.bool_(True), "3",
+                                     None, Fraction(3)], ids=repr)
+    def test_int_guard_rejects(self, bad):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            v.require_int_in_range(bad, "n", 0, 10)
 
 
 class TestPointArray:
