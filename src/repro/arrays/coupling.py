@@ -116,24 +116,13 @@ class InterCellCoupling:
 
     # -- kernels -----------------------------------------------------------
 
-    def _kernel(self, offset_xy, kind):
-        """Hz [A/m] at the victim point from one neighbor at ``offset_xy``.
-
-        ``kind`` is ``"fixed"`` (RL+HL with their pinned directions) or
-        ``"fl"`` (FL in the P state). Memoized process-wide in the
-        :class:`~repro.arrays.kernel_store.KernelStore`.
-        """
-        return get_kernel_store().kernel(
-            self.stack, offset_xy, kind,
-            evaluation_point=tuple(self.evaluation_point),
-            temperature=self.temperature)
-
     def kernels(self):
         """The four symmetry-reduced kernels of this geometry.
 
-        Fetched once per instance through the store's batch path (two
-        two-offset batches, sharing cache keys with the scalar
-        :meth:`_kernel` exactly) and memoized — pattern sweeps call
+        Fetched once per instance through the store's lookup path (two
+        two-offset :meth:`~repro.arrays.kernel_store.KernelStore
+        .kernel_batch` calls, sharing cache keys with every other
+        kernel consumer) and memoized — pattern sweeps call
         this per pattern, and the instance is immutable after
         construction.
         """

@@ -342,40 +342,24 @@ class KernelStore:
             (x, y, z) [m] where Hz is evaluated; default the FL center.
         temperature:
             Optional temperature [K] scaling the layer moments.
+
+        The one-offset case of :meth:`kernel_batch`: same keys, same
+        hit/miss/disk accounting, same value.
         """
-        point = _validated_point(kind, evaluation_point)
-        key = _entry_key(stack_fingerprint(stack, temperature),
-                         offset_xy[0], offset_xy[1], kind, point)
-        with self._lock:
-            if key in self._cache:
-                self.hits += 1
-                return self._cache[key]
-        snapshot = self._disk_snapshot()
-        if snapshot is not None:
-            value = snapshot.get(key_digest(key))
-            if value is not None:
-                with self._lock:
-                    self.disk_hits += 1
-                    self._cache[key] = value
-                return value
-        value = self._compute(stack, offset_xy, kind, point, temperature)
-        with self._lock:
-            self.misses += 1
-            self._cache[key] = value
-            self._queue_write_locked(key, value)
-        self._maybe_autoflush()
-        return value
+        return float(self.kernel_batch(
+            stack, [offset_xy], kind, evaluation_point=evaluation_point,
+            temperature=temperature)[0])
 
     def kernel_batch(self, stack, offsets_xy, kind,
                      evaluation_point=(0.0, 0.0, 0.0), temperature=None):
         """Hz [A/m] at ``evaluation_point`` from neighbors at N offsets.
 
-        The batched counterpart of :meth:`kernel`: ``offsets_xy`` is an
-        (N, 2) array of lateral neighbor positions [m] and the return
-        value is the (N,) array of their kernels, in order. Cached and
-        uncached offsets share the scalar path's keys exactly, so the
-        two paths hit each other's entries; every *uncached* offset of
-        the batch is evaluated in one broadcasted
+        The store's one lookup path (:meth:`kernel` is its one-offset
+        case): ``offsets_xy`` is an (N, 2) array of lateral neighbor
+        positions [m] and the return value is the (N,) array of their
+        kernels, in order. Each offset is served from memory, else from
+        the disk snapshot, and every still-uncached offset of the batch
+        is evaluated in one broadcasted
         :meth:`~repro.fields.superposition.LoopCollection.field_grid`
         call (translation invariance: the field of a source at offset
         ``o`` evaluated at ``p`` equals the field of the same source at
@@ -444,17 +428,12 @@ class KernelStore:
         return loops
 
     @staticmethod
-    def _compute(stack, offset_xy, kind, point, temperature):
-        loops = KernelStore._source_loops(stack, kind, offset_xy,
-                                          temperature)
-        return float(LoopCollection(loops).field(point)[2])
-
-    @staticmethod
     def _compute_batch(stack, offsets, kind, point, temperature):
         # One origin-centered source, evaluated at point - offset for
         # every offset: the lab-frame displacement point - (offset + c)
-        # is computed with the same float ops as the scalar path, so the
-        # results are bit-identical to per-offset scalar computes.
+        # is computed with the same float ops as a source centered at
+        # each offset, so the results are bit-identical to per-offset
+        # computes.
         loops = KernelStore._source_loops(stack, kind, (0.0, 0.0),
                                           temperature)
         shifts = np.concatenate(
@@ -466,10 +445,9 @@ class KernelStore:
 def _entry_key(fingerprint, ox, oy, kind, point):
     """The store/disk cache key of one kernel entry.
 
-    The single definition both :meth:`KernelStore.kernel` and
-    :meth:`KernelStore.kernel_batch` build keys through — entry
-    sharing between the two paths (and the disk digests derived from
-    the keys) depends on them never drifting apart. Leads with
+    The single definition of a kernel entry's key; the disk digests
+    derive from it, so persisted entries stay valid only while it
+    stays put. Leads with
     :data:`KERNEL_MODEL_VERSION` so persisted entries of older kernel
     semantics can never be served.
     """

@@ -241,8 +241,7 @@ def _cmd_memsys(args):
         ck = manager.stats()
         line = (f"checkpoints: {ck['directory']} "
                 f"({ck['saves']} save(s)")
-        for label in ("save_failures", "corrupt_fallbacks",
-                      "stale_fallbacks"):
+        for label in ("save_failures", "corrupt_fallbacks"):
             if ck[label]:
                 line += f", {ck[label]} {label.replace('_', ' ')}"
         print(line + ")")
@@ -682,8 +681,9 @@ def build_parser():
     p.add_argument("--resume", action="store_true",
                    help="resume from --checkpoint DIR; the completed "
                         "run is byte-identical to the uninterrupted "
-                        "seeded run (corrupt/stale checkpoints fall "
-                        "back to a clean restart with a warning)")
+                        "seeded run (corrupt or swapped checkpoints "
+                        "fall back to a clean restart with a warning; "
+                        "another run's checkpoint is refused)")
     add_sweep_arguments(p)
     p.add_argument("--out", default=None,
                    help="directory for CSV/JSON exports")

@@ -67,7 +67,7 @@ class RunIdentityError(ReproError, ValueError):
 
 class ResilienceWarning(UserWarning):
     """A resilience mechanism degraded but recovered: a corrupt or
-    stale checkpoint fell back to a clean restart, a poison chunk was
+    swapped checkpoint fell back to a clean restart, a poison chunk was
     quarantined, a checkpoint write failed and the run continued
     unprotected. Warnings, not errors, on purpose — every one of these
     events is survivable by design, but none should pass silently."""

@@ -339,7 +339,4 @@ def identity_diff(current, stored):
         theirs = canonical(stored.get(name, "<absent>"))
         if mine != theirs:
             lines.append(f"{name}: run={mine!r} != stored={theirs!r}")
-    if not lines:
-        lines.append("identities compare equal field-by-field "
-                     "(key derivation changed?)")
     return lines

@@ -48,10 +48,10 @@ from typing import Dict
 import numpy as np
 
 from ..device.mtj import MTJDevice
-from ..errors import ParameterError
+from ..errors import ParameterError, RunIdentityError
 from ..experiments.base import ExperimentResult
-from ..integrity.manifest import record_digest
-from ..resilience.checkpoint import as_checkpointer
+from ..integrity.manifest import canonical, identity_diff, record_digest
+from ..resilience.checkpoint import CheckpointManager
 from ..validation import require_non_negative, require_positive
 from .backends import resolve_backend
 from .bitplane import BitPlane, lane_bits, pack_bits
@@ -369,46 +369,50 @@ class ReliabilityEngine:
         never touches the draw stream: a profiled run is bit-identical
         to an unprofiled one.
 
-        ``checkpoint`` (a directory path, a
-        :class:`~repro.resilience.checkpoint.CheckpointManager`, or a
-        pre-built :class:`~repro.resilience.checkpoint.RunCheckpointer`)
-        arms crash tolerance: the complete dynamic state — plane
-        arrays, RNG generator state, counters, workload and scrub
-        stream state — is snapshotted atomically at batch boundaries,
-        at most every ``checkpoint_every`` transactions (default: every
-        batch). With ``resume=True`` a matching checkpoint restores the
-        run mid-stream and the completed result is byte-identical to
-        the uninterrupted seeded run; a corrupt, stale, or absent
-        checkpoint degrades to a clean restart with a counted
-        :class:`~repro.errors.ResilienceWarning`. Saving never changes
-        the draw stream: a checkpointed run is bit-identical to an
-        unprotected one.
+        ``checkpoint`` (a directory path or a
+        :class:`~repro.resilience.checkpoint.CheckpointManager`) arms
+        crash tolerance: the complete dynamic state — plane arrays,
+        RNG generator state, counters, workload and scrub stream state
+        — is snapshotted atomically under the tag ``"run"`` at batch
+        boundaries, at most every ``checkpoint_every`` transactions
+        (default: every batch). With ``resume=True`` a checkpoint of
+        this run restores it mid-stream and the completed result is
+        byte-identical to the uninterrupted seeded run; a corrupt,
+        swapped or absent checkpoint degrades to a clean restart (the
+        first two with a counted
+        :class:`~repro.errors.ResilienceWarning`), and one whose stored
+        identity differs from this run's — another seed, config or
+        shape, or no identity at all — raises
+        :class:`~repro.errors.RunIdentityError` naming the fields.
+        Saving never changes the draw stream: a checkpointed run is
+        bit-identical to an unprotected one.
 
         A run is the one-shard case of :meth:`run_shards`.
         """
         require_positive(n_transactions, "n_transactions")
         (result,), breakdown = self.run_shards(
-            [(n_transactions, rng,
-              as_checkpointer(checkpoint, every=checkpoint_every))],
-            batch_size=batch_size, progress=progress, profile=profile,
-            resume=resume)
+            [(n_transactions, rng, "run")], batch_size=batch_size,
+            progress=progress, profile=profile, checkpoint=checkpoint,
+            checkpoint_every=checkpoint_every, resume=resume)
         if breakdown is not None:
             result.extras["profile"] = breakdown
         return result
 
     def run_shards(self, shards, batch_size=8192, progress=None,
-                   profile=False, resume=False):
+                   profile=False, checkpoint=None,
+                   checkpoint_every=None, resume=False):
         """Simulate independent shards of this engine's array at once.
 
-        ``shards`` lists one ``(n_transactions, rng, checkpointer)``
-        per shard: each shard is a run of this engine's array with its
-        own generator (``rng`` as for :meth:`run`), its own copies of
-        the workload and scrub policy, its own clock and — given a
-        :class:`~repro.resilience.checkpoint.RunCheckpointer` rather
-        than None — its own checkpoint, resumed under ``resume`` as
-        :meth:`run` resumes. The shards advance in lockstep over one
-        stacked state (see :meth:`_drive`), and every shard's result
-        is byte-identical to :meth:`run` over that shard alone.
+        ``shards`` lists one ``(n_transactions, rng, tag)`` per shard:
+        each shard is a run of this engine's array with its own
+        generator (``rng`` as for :meth:`run`), its own copies of the
+        workload and scrub policy, its own clock and — when
+        ``checkpoint`` (as for :meth:`run`) is given — its own
+        checkpoint under ``tag``, saved on the ``checkpoint_every``
+        cadence and resumed under ``resume`` as :meth:`run` resumes.
+        The shards advance in lockstep over one stacked state (see
+        :meth:`_drive`), and every shard's result is byte-identical to
+        :meth:`run` over that shard alone.
 
         ``progress(done, total)`` follows the shards' summed
         transactions, called after every shard's batch; ``profile``
@@ -417,10 +421,17 @@ class ReliabilityEngine:
         in order, and the breakdown (None unless ``profile``).
         """
         require_positive(batch_size, "batch_size")
+        if checkpoint is not None:
+            if not isinstance(checkpoint, CheckpointManager):
+                checkpoint = CheckpointManager(str(checkpoint))
+            if checkpoint_every is not None:
+                checkpoint_every = int(require_positive(
+                    checkpoint_every, "checkpoint_every"))
         profiler = PhaseProfiler() if profile else None
         t0 = time.perf_counter()
-        lanes = [_Lane(self, n, rng, ckpt, int(batch_size), resume)
-                 for n, rng, ckpt in shards]
+        lanes = [_Lane(self, n, rng, int(batch_size), checkpoint, tag,
+                       checkpoint_every, resume)
+                 for n, rng, tag in shards]
         live = [lane for lane in lanes if lane.result is None]
         if live:
             self._drive(live, int(batch_size), progress, profiler,
@@ -779,40 +790,56 @@ class _Tally:
 
 class _Lane:
     """One shard's stream in a stacked run: its own generator, workload
-    and scrub copies, clock, transaction budget, checkpointer and
-    result."""
+    and scrub copies, clock, transaction budget, result — and its
+    checkpoint: the payload, the save cadence and the one check that a
+    stored run is this run."""
 
-    def __init__(self, engine, n_transactions, rng, ckpt, batch_size,
-                 resume):
+    def __init__(self, engine, n_transactions, rng, batch_size,
+                 manager, tag, every, resume):
         require_positive(n_transactions, "n_transactions")
         self.n_transactions = int(n_transactions)
         self.rng = np.random.default_rng(rng)
-        self.ckpt = ckpt
-        self.key = self.identity = self.restored = self.result = None
+        self.manager, self.tag, self.every = manager, tag, every
+        self.identity = self.restored = self.result = None
+        self.saved_done = None  # ``done`` of the last snapshot saved
         self.workload = self.scrub = None
         self.now = 0.0
         self.remaining = 0
-        if ckpt is not None:
-            config = engine._config()
-            self.key = record_digest((config, self.n_transactions,
-                                      batch_size))
-            # The run's identity record: every config field flattened,
-            # plus the shape and a digest of the generator's *initial*
-            # state (the seed's footprint — deliberately outside the
-            # key, since resume restores the generator mid-stream, but
-            # inside the identity so resuming with the wrong seed is a
-            # named error rather than a silent seed swap).
-            self.identity = {
-                "n_transactions": self.n_transactions,
-                "batch_size": batch_size,
-                "seed_state": record_digest(self.rng.bit_generator.state),
-                **{str(k): v for k, v in config.items()},
-            }
-            if resume:
-                self.restored = ckpt.restore(self.key,
-                                             identity=self.identity)
+        if manager is None:
+            return
+        # The run's identity record: every config field flattened, plus
+        # the shape and a digest of the generator's *initial* state
+        # (the seed's footprint: resume restores the generator
+        # mid-stream, so resuming with the wrong seed must be a named
+        # error rather than a silent seed swap).
+        self.identity = {
+            "n_transactions": self.n_transactions,
+            "batch_size": batch_size,
+            "seed_state": record_digest(self.rng.bit_generator.state),
+            **{str(k): v for k, v in engine._config().items()},
+        }
+        if resume:
+            self.restored = self._restore()
         if self.restored is not None and self.restored.get("complete"):
             self.result = self.restored["result"]
+
+    def _restore(self):
+        """This run's stored payload, or None when there is none to
+        trust; raises :class:`~repro.errors.RunIdentityError` when the
+        stored identity is not this run's (or is missing)."""
+        payload = self.manager.load(self.tag)
+        if payload is None:
+            return None
+        stored = payload.get("identity")
+        if (not isinstance(stored, dict)
+                or canonical(stored) != canonical(self.identity)):
+            raise RunIdentityError(
+                f"checkpoint {self.tag!r} in {self.manager.directory!r} "
+                f"was written by a different run; refusing to resume "
+                f"it. Differing fields: "
+                + "; ".join(identity_diff(self.identity, stored)))
+        self.saved_done = payload.get("done")
+        return payload
 
     def open(self, engine, state, shard):
         """Load this stream into ``shard`` of the stacked state:
@@ -845,21 +872,31 @@ class _Lane:
 
     def checkpoint(self, state, shard):
         """At a batch boundary: snapshot on the checkpoint cadence, or
-        close the stream once its budget is spent."""
-        if self.remaining:
-            if self.ckpt is not None:
-                self.ckpt.maybe_save(self.result.n_transactions, lambda: {
-                    "key": self.key, "identity": self.identity,
-                    "rng_state": self.rng.bit_generator.state,
-                    **state.snapshot(shard),
-                    "workload": self.workload, "scrub": self.scrub,
-                    "result": self.result, "now": self.now,
-                    "remaining": self.remaining})
+        close the stream (and finalize its checkpoint) once its budget
+        is spent."""
+        done = int(self.result.n_transactions)
+        if not self.remaining:
+            self.result.simulated_time = self.now
+            # A resume of a finished run returns the stored result
+            # outright, which lets a topology resume skip its completed
+            # shards entirely.
+            payload = {"complete": True, "result": self.result,
+                       "done": done, "identity": self.identity}
+        elif self.manager is None or (
+                self.every is not None and self.saved_done is not None
+                and done - self.saved_done < self.every):
             return
-        self.result.simulated_time = self.now
-        if self.ckpt is not None:
-            self.ckpt.finalize(self.key, self.result,
-                               identity=self.identity)
+        else:
+            payload = {
+                "identity": self.identity,
+                "rng_state": self.rng.bit_generator.state,
+                **state.snapshot(shard),
+                "workload": self.workload, "scrub": self.scrub,
+                "result": self.result, "now": self.now,
+                "remaining": self.remaining, "done": done}
+        if self.manager is not None and self.manager.save(self.tag,
+                                                          payload):
+            self.saved_done = done
 
 
 # -- Monte-Carlo state ---------------------------------------------------

@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import ParameterError
-from ..resilience.checkpoint import CheckpointManager, RunCheckpointer
+from ..resilience.checkpoint import CheckpointManager
 from ..sweep.runner import (
     SweepRunner,
     executor_for_jobs,
@@ -257,14 +257,14 @@ def _run_shard(device, sub_rows, sub_cols, engine_kwargs, batch_size,
     plain path so process/distributed executors can ship it)."""
     engine = build_engine(device, rows=sub_rows, cols=sub_cols,
                           **engine_kwargs)
-    ckpt = None
-    if checkpoint_dir is not None:
-        ckpt = RunCheckpointer(CheckpointManager(checkpoint_dir),
-                               tag=f"shard-{int(shard)}",
-                               every=checkpoint_every)
-    return engine.run(n_transactions, rng=rng,
-                      batch_size=batch_size, profile=profile,
-                      checkpoint=ckpt, resume=resume)
+    (result,), breakdown = engine.run_shards(
+        [(n_transactions, rng, f"shard-{int(shard)}")],
+        batch_size=batch_size, profile=profile,
+        checkpoint=checkpoint_dir, checkpoint_every=checkpoint_every,
+        resume=resume)
+    if breakdown is not None:
+        result.extras["profile"] = breakdown
+    return result
 
 
 class TopologyEngine:
@@ -388,7 +388,8 @@ class TopologyEngine:
         ``checkpoint``/``checkpoint_every``/``resume`` arm per-shard
         crash tolerance (see :meth:`ReliabilityEngine.run
         <repro.memsys.engine.ReliabilityEngine.run>`): one checkpoint
-        tag per shard in one directory, so a resumed run skips
+        tag per shard in one directory (``shard-<i>``; a 1x1 topology
+        keeps the flat run's ``run``), so a resumed run skips
         completed shards outright and continues interrupted ones
         mid-stream — on any executor, whichever one wrote them, since
         the directory travels as a plain path.
@@ -424,12 +425,11 @@ class TopologyEngine:
                 jobs, n_points=len(active))
         if executor in ("serial", "thread"):
             results, breakdown = self.template.run_shards(
-                [(share, child, None if manager is None else
-                  RunCheckpointer(manager, tag=tag,
-                                  every=checkpoint_every))
+                [(share, child, tag)
                  for tag, (_, share, child) in zip(tags, active)],
                 batch_size=batch_size, progress=progress,
-                profile=profile, resume=resume)
+                profile=profile, checkpoint=manager,
+                checkpoint_every=checkpoint_every, resume=resume)
             merged = self._finalize(results, executor="serial")
             if breakdown is not None:
                 merged.extras["profile"] = breakdown

@@ -5,11 +5,13 @@ this subpackage is what lets them survive the real world — crashes,
 poison chunks, corrupt files, flapping workers — without ever trading
 away the library's core contract that seeded runs are byte-identical:
 
-* :mod:`repro.resilience.checkpoint` — atomic, checksummed engine
-  checkpoints (:class:`CheckpointManager` / :class:`RunCheckpointer`):
+* :mod:`repro.resilience.checkpoint` — :class:`CheckpointManager`,
+  the atomic, checksummed tag -> blob store behind engine checkpoints:
   a killed run resumes mid-stream, byte-identical to the uninterrupted
-  run; corrupt or stale checkpoints fall back to a clean restart with
-  a counted :class:`~repro.errors.ResilienceWarning`.
+  run; a corrupt or swapped checkpoint falls back to a clean restart
+  with a counted :class:`~repro.errors.ResilienceWarning`, and one
+  written by a different run is refused with a
+  :class:`~repro.errors.RunIdentityError`.
 * :mod:`repro.resilience.supervisor` — the worker-fleet supervisor
   (:class:`FleetSupervisor`, ``repro fleet``): spawns ``repro worker``
   processes when queue-depth x chunk-cost exceeds a latency target,
@@ -38,9 +40,7 @@ from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "breaker": ["CircuitBreaker", "RetryPolicy", "call_with_retry"],
-    "checkpoint": [
-        "CheckpointManager", "RunCheckpointer", "as_checkpointer",
-        "corrupt_checkpoint"],
+    "checkpoint": ["CheckpointManager", "corrupt_checkpoint"],
     "faults": [
         "FAULT_KINDS", "FaultClock", "FaultPlan", "FaultyFileSystem",
         "WorkerFaults", "WorkerKilled"],

@@ -50,7 +50,7 @@ _STACK_KEY_CACHE_SIZE = 128
 def _tuple_of_floats(value, name):
     try:
         items = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise ParameterError(
             f"{name} must be a sequence of numbers, got {value!r}") from None
     if not items:
@@ -281,7 +281,7 @@ def parse_request(obj):
     ``error`` events without touching any engine.
     """
     op = obj.get("op")
-    if op not in QUERY_TYPES:
+    if not isinstance(op, str) or op not in QUERY_TYPES:
         known = ", ".join(sorted(QUERY_TYPES))
         raise ParameterError(f"unknown op {op!r} (known: {known})")
     cls = QUERY_TYPES[op]

@@ -296,13 +296,12 @@ class ReliabilityServer:
         deadline = obj.get("deadline_s")
         if deadline is None:
             return None
-        if (isinstance(deadline, bool)
-                or not isinstance(deadline, (int, float))
-                or not deadline > 0):
-            raise ParameterError(
-                f"deadline_s must be a positive number, got "
-                f"{deadline!r}")
-        return float(deadline)
+        if (isinstance(deadline, (int, float))
+                and not isinstance(deadline, bool) and deadline > 0):
+            with contextlib.suppress(OverflowError):  # int past float
+                return float(deadline)
+        raise ParameterError(
+            f"deadline_s must be a positive number, got {deadline!r}")
 
     async def _handle_request(self, line, writer):
         start = time.monotonic()
@@ -345,6 +344,15 @@ class ReliabilityServer:
                                            deadline)
             finally:
                 self.in_flight -= 1
+        except Exception as exc:
+            # Whatever escapes parsing or answering (a bug outside the
+            # ReproError taxonomy) still gets its one terminal event:
+            # a request is never left unanswered.
+            error = True
+            self._send(writer, {
+                "id": req_id, "event": "error", "ok": False,
+                "error": f"internal error: "
+                         f"{type(exc).__name__}: {exc}"})
         finally:
             self._endpoint(op).record(time.monotonic() - start,
                                       error=error)

@@ -43,7 +43,11 @@ def require_finite(value, name):
     if type(value) not in _PLAIN_REALS and (
             not isinstance(value, numbers.Real) or isinstance(value, bool)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except (OverflowError, TypeError, ValueError):
+        finite = False  # an int past float range, or no float form
+    if not finite:
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return value
 

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arrays import InterCellCoupling, NeighborhoodPattern
+from repro.arrays.kernel_store import get_kernel_store
 from repro.errors import ParameterError
 from repro.stack import build_reference_stack
 from repro.units import am_to_oe
 
 NP8_INTS = st.integers(min_value=0, max_value=255)
+
+
+def _kernel(coupling, offset_xy, kind):
+    """Hz [A/m] at ``coupling``'s victim point from one neighbor."""
+    return get_kernel_store().kernel(
+        coupling.stack, offset_xy, kind,
+        evaluation_point=tuple(coupling.evaluation_point),
+        temperature=coupling.temperature)
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +50,14 @@ class TestKernels:
 
     def test_four_direct_neighbors_equal(self, coupling55):
         values = {
-            round(coupling55._kernel(pos, "fl"), 3)
+            round(_kernel(coupling55, pos, "fl"), 3)
             for pos in coupling55.neighborhood.aggressor_positions()[:4]
         }
         assert len(values) == 1
 
     def test_four_diagonal_neighbors_equal(self, coupling55):
         values = {
-            round(coupling55._kernel(pos, "fixed"), 3)
+            round(_kernel(coupling55, pos, "fixed"), 3)
             for pos in coupling55.neighborhood.aggressor_positions()[4:]
         }
         assert len(values) == 1
@@ -105,8 +114,8 @@ class TestPatternAlgebra:
         coupling = InterCellCoupling(build_reference_stack(55e-9), 90e-9)
         pattern = NeighborhoodPattern.from_int(value)
         reference = sum(
-            coupling._kernel(pos, "fixed") + sign * coupling._kernel(
-                pos, "fl")
+            _kernel(coupling, pos, "fixed")
+            + sign * _kernel(coupling, pos, "fl")
             for pos, sign in zip(
                 coupling.neighborhood.aggressor_positions(),
                 pattern.signs()))

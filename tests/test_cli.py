@@ -151,6 +151,18 @@ class TestCommands:
         table = first.split("metric", 1)[1].split("\n\n", 1)[0]
         assert table in resumed
 
+    def test_memsys_resume_with_another_seed_is_refused(self, capsys,
+                                                        tmp_path):
+        argv = ["memsys", "--rows", "16", "--cols", "16",
+                "--transactions", "2000", "--no-sweep",
+                "--checkpoint", str(tmp_path)]
+        assert main(argv + ["--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "2", "--resume"]) == 2
+        out = capsys.readouterr().out
+        assert "resume refused" in out
+        assert "seed_state" in out
+
     def test_memsys_banked_1x1_matches_flat(self, capsys):
         argv = ["memsys", "--seed", "2", "--rows", "16", "--cols",
                 "16", "--transactions", "1000", "--no-sweep"]

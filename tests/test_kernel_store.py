@@ -197,7 +197,7 @@ class TestSharedAcrossConsumers:
     def test_coupling_matches_store_value(self, stack):
         coupling = InterCellCoupling(stack, 90e-9)
         direct = coupling.neighborhood.aggressor_positions()[0]
-        assert coupling._kernel(direct, "fl") == pytest.approx(
+        assert coupling.kernels().fl_direct == pytest.approx(
             get_kernel_store().kernel(stack, direct, "fl"), rel=1e-15)
 
     def test_temperature_coupling_uses_scaled_kernels(self, stack):

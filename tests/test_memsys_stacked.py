@@ -37,7 +37,7 @@ from repro.memsys.sampling import (
     stacked_class_maps,
 )
 from repro.memsys.topology import _spawn_generators
-from repro.resilience import CheckpointManager, RunCheckpointer
+from repro.resilience import CheckpointManager
 
 
 def _engine(device, kind="banked", banks=2, subarrays=2, rows=32,
@@ -163,12 +163,12 @@ class TestStackedResume:
         children = _spawn_generators(np.random.default_rng(5), 4)
         shares = engine.transaction_shares(self.N)
         for shard, kill in ((0, None), (1, 1), (2, 2)):
-            ckpt = RunCheckpointer(manager, tag=f"shard-{shard}")
             progress = None if kill is None else _KillAfter(kill)
             try:
-                engine.template.run(shares[shard], rng=children[shard],
-                                    batch_size=self.BATCH,
-                                    checkpoint=ckpt, progress=progress)
+                engine.template.run_shards(
+                    [(shares[shard], children[shard], f"shard-{shard}")],
+                    batch_size=self.BATCH, progress=progress,
+                    checkpoint=manager)
             except RunAborted:
                 pass
         assert manager.load("shard-0")["complete"]

@@ -86,7 +86,7 @@ class TestCheckpointKey:
         assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
         # Resumed mid-stream, not restarted from zero.
         assert seen[0] > BATCH
-        assert manager.corrupt_fallbacks == manager.stale_fallbacks == 0
+        assert manager.corrupt_fallbacks == 0
 
 
 class TestVersionedBreak:

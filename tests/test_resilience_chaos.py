@@ -187,7 +187,7 @@ class TestChaosMatrix:
         assert manager.save_failures == 1
         assert fs.injected == 1
         # The surviving checkpoint is intact and loadable.
-        assert manager.load("run", expect_key="k") is not None
+        assert manager.load("run") is not None
 
     def test_stall_heartbeat(self, seed, tmp_path):
         """stall-heartbeat: a live worker that stops heartbeating is

@@ -3,9 +3,10 @@
 The load-bearing claim: a run killed mid-campaign and resumed from its
 checkpoint produces counters, draws, and UBER *byte-identical* to the
 uninterrupted seeded run — for flat and banked topologies. Everything
-else here (corrupt/stale/EIO fallbacks) defends the other half of the
+else here (corrupt/swapped/EIO fallbacks) defends the other half of the
 contract: a checkpoint that cannot be trusted degrades to a clean
-restart with a counted warning, never to wrong numbers.
+restart with a counted warning, never to wrong numbers, and another
+run's checkpoint is refused outright.
 """
 
 import dataclasses
@@ -16,12 +17,12 @@ import pytest
 
 from repro.errors import (ParameterError, ResilienceWarning,
                           RunAborted, RunIdentityError)
-from repro.integrity import record_digest
+from repro.integrity import (blob_digest, canonical, load_sealed,
+                             record_digest, write_sealed)
 from repro.memsys import build_engine
 from repro.resilience import (
     CheckpointManager,
     FaultyFileSystem,
-    RunCheckpointer,
     corrupt_checkpoint,
 )
 from repro.units import nm_to_m
@@ -133,16 +134,6 @@ class TestFallbacks:
         # Clean restart, not wrong numbers: the full seeded run again.
         assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
 
-    def test_stale_checkpoint_is_not_inherited(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path))
-        manager.save("run", {"key": record_digest(("config-a", 1)),
-                             "done": 10})
-        with pytest.warns(ResilienceWarning, match="different run"):
-            payload = manager.load(
-                "run", expect_key=record_digest(("config-b", 1)))
-        assert payload is None
-        assert manager.stale_fallbacks == 1
-
     def test_save_failure_warns_and_continues(self, tmp_path):
         fs = FaultyFileSystem(fail_replace_at={1})
         manager = CheckpointManager(str(tmp_path), fs=fs)
@@ -200,31 +191,18 @@ class TestRunIdentity:
         assert "different run" in message
         assert "writeback" in message
 
-    def test_explicit_resume_raises_even_on_legacy_checkpoint(
-            self, tmp_path):
-        """A pre-manifest checkpoint carries no identity to diff, but
-        an explicit identity-bearing resume against the wrong key is
-        still a refusal, not a silent fresh start."""
+    def test_payload_without_identity_never_resumes(self, eval_device,
+                                                    tmp_path):
+        """A stored payload carrying no identity cannot be shown to be
+        this run's, so an explicit resume refuses it."""
         manager = CheckpointManager(str(tmp_path))
-        manager.save("run", {"key": record_digest(("config-a", 1)),
-                             "done": 10})
+        manager.save("run", {"done": 10, "complete": True,
+                             "result": None})
         with pytest.raises(RunIdentityError,
                            match="predates identity records"):
-            manager.load("run",
-                         expect_key=record_digest(("config-b", 1)),
-                         identity={"rows": 16})
-
-    def test_identity_less_callers_keep_the_warn_path(self, tmp_path):
-        """Without an identity (pre-PR callers), a key mismatch stays
-        a counted warning — no behavior change for old code."""
-        manager = CheckpointManager(str(tmp_path))
-        manager.save("run", {"key": record_digest(("config-a", 1)),
-                             "done": 10})
-        with pytest.warns(ResilienceWarning, match="different run"):
-            payload = manager.load(
-                "run", expect_key=record_digest(("config-b", 1)))
-        assert payload is None
-        assert manager.stale_fallbacks == 1
+            _engine(eval_device).run(
+                N_TRANSACTIONS, rng=np.random.default_rng(7),
+                batch_size=BATCH, checkpoint=manager, resume=True)
 
     def test_sidecar_disagreement_is_a_corrupt_fallback(
             self, eval_device, tmp_path):
@@ -254,11 +232,97 @@ class TestRunIdentity:
         self._checkpointed(eval_device, tmp_path)
         sidecar = os.path.join(str(tmp_path), "run.manifest.json")
         assert os.path.exists(sidecar)
-        from repro.integrity import load_sealed
         record = load_sealed(sidecar)
-        assert record["kind"] == "checkpoint"
-        assert record["complete"] is True
-        assert record["snapshots"]
+        with open(os.path.join(str(tmp_path), "run.ckpt"), "rb") as fh:
+            blob = fh.read()
+        # The latest blob's digest, nothing else.
+        assert {k: record[k] for k in ("kind", "tag", "sha256")} == {
+            "kind": "checkpoint", "tag": "run",
+            "sha256": blob_digest(blob)}
+        assert not {"snapshots", "identity", "key", "done", "complete",
+                    "bytes"} & set(record)
+
+
+def _rewrite_in_older_format(directory, tag="run"):
+    """Rewrite ``tag``'s checkpoint the way earlier releases wrote it:
+    the payload carries a configuration ``key`` and the sealed sidecar
+    carries the key, identity, progress and a digest history next to
+    the blob digest. None of those extras is read on resume."""
+    manager = CheckpointManager(directory)
+    _, payload = manager.read_frame(tag)
+    payload = {"key": record_digest(("config", 1)), **payload}
+    assert manager.save(tag, payload)
+    blob, _ = manager.read_frame(tag)
+    digest = blob_digest(blob)
+    write_sealed(os.path.join(directory, f"{tag}.manifest.json"),
+                 canonical({
+                     "kind": "checkpoint", "tag": tag,
+                     "key": payload["key"],
+                     "identity": payload["identity"],
+                     "complete": bool(payload.get("complete", False)),
+                     "done": payload["done"], "sha256": digest,
+                     "bytes": len(blob),
+                     "snapshots": [{"done": 0, "sha256": "0" * 64},
+                                   {"done": payload["done"],
+                                    "sha256": digest}]}))
+
+
+class TestFormatChange:
+    """Checkpoints written before the sidecar shrank to one digest and
+    the payload lost its key still resume, byte-identical."""
+
+    @pytest.mark.parametrize("kill_after", [3, None])
+    def test_older_format_checkpoint_resumes_byte_identical(
+            self, eval_device, tmp_path, kill_after):
+        base = _engine(eval_device).run(
+            N_TRANSACTIONS, rng=np.random.default_rng(7),
+            batch_size=BATCH)
+        directory = str(tmp_path)
+        try:
+            _engine(eval_device).run(
+                N_TRANSACTIONS, rng=np.random.default_rng(7),
+                batch_size=BATCH, checkpoint=directory,
+                progress=kill_after and _KillAfter(kill_after))
+        except RunAborted:
+            pass
+        _rewrite_in_older_format(directory)
+        manager = CheckpointManager(directory)
+        resumed = _engine(eval_device).run(
+            N_TRANSACTIONS, rng=np.random.default_rng(7),
+            batch_size=BATCH, checkpoint=manager, resume=True)
+        assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
+        assert manager.corrupt_fallbacks == 0
+        # Resumed at batch 3, not restarted: 2 more snapshots and the
+        # final result, or nothing at all for the finished run.
+        assert manager.saves == (3 if kill_after else 0)
+
+    def test_save_replaces_an_unreadable_sidecar(self, eval_device,
+                                                 tmp_path):
+        base = _engine(eval_device).run(
+            N_TRANSACTIONS, rng=np.random.default_rng(7),
+            batch_size=BATCH)
+        manager = CheckpointManager(str(tmp_path))
+        with pytest.raises(RunAborted):
+            _engine(eval_device).run(
+                N_TRANSACTIONS, rng=np.random.default_rng(7),
+                batch_size=BATCH, checkpoint=manager,
+                progress=_KillAfter(2))
+        sidecar = os.path.join(str(tmp_path), "run.manifest.json")
+        with open(sidecar, "wb") as fh:
+            fh.write(b"{torn")
+        with pytest.raises(RunAborted):
+            _engine(eval_device).run(
+                N_TRANSACTIONS, rng=np.random.default_rng(7),
+                batch_size=BATCH, checkpoint=manager, resume=True,
+                progress=_KillAfter(2))
+        blob, _ = manager.read_frame("run")
+        assert load_sealed(sidecar)["sha256"] == blob_digest(blob)
+        assert manager.sidecar_agrees("run", blob) is True
+        resumed = _engine(eval_device).run(
+            N_TRANSACTIONS, rng=np.random.default_rng(7),
+            batch_size=BATCH, checkpoint=manager, resume=True)
+        assert dataclasses.asdict(resumed) == dataclasses.asdict(base)
+        assert manager.corrupt_fallbacks == 0
 
 
 class TestCheckpointPlumbing:
@@ -271,7 +335,7 @@ class TestCheckpointPlumbing:
         manager = CheckpointManager(str(tmp_path))
         payload = {"key": "k", "state": np.arange(8), "done": 3}
         assert manager.save("run", payload)
-        loaded = manager.load("run", expect_key="k")
+        loaded = manager.load("run")
         assert loaded["done"] == 3
         np.testing.assert_array_equal(loaded["state"], np.arange(8))
 
@@ -290,17 +354,22 @@ class TestCheckpointPlumbing:
             with pytest.raises(ParameterError):
                 manager.save(tag, {"key": "k"})
 
-    def test_cadence_gates_snapshot_frequency(self, tmp_path):
+    @pytest.mark.parametrize("every, saves", [
+        # Six 1024-transaction batches: a snapshot at the first
+        # boundary, then whenever ``every`` transactions have passed
+        # since the last one, plus the finalized result.
+        (None, 6), (1024, 6), (2048, 4), (3000, 3), (10**9, 2)])
+    def test_cadence_gates_snapshot_frequency(self, eval_device,
+                                              tmp_path, every, saves):
         manager = CheckpointManager(str(tmp_path))
-        checkpointer = RunCheckpointer(manager, every=100)
-        assert checkpointer.maybe_save(0, lambda: {"key": "k"})
-        assert not checkpointer.maybe_save(50, lambda: {"key": "k"})
-        assert checkpointer.maybe_save(150, lambda: {"key": "k"})
-        assert manager.saves == 2
+        _engine(eval_device).run(
+            N_TRANSACTIONS, rng=np.random.default_rng(7),
+            batch_size=BATCH, checkpoint=manager,
+            checkpoint_every=every)
+        assert manager.saves == saves
 
     def test_missing_checkpoint_is_a_silent_miss(self, tmp_path):
         # Absence is the normal first-run case: no warning, no counter.
         manager = CheckpointManager(str(tmp_path))
         assert manager.load("run") is None
         assert manager.corrupt_fallbacks == 0
-        assert manager.stale_fallbacks == 0

@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.service.protocol import (
@@ -291,6 +292,61 @@ class TestSeedValidation:
     def test_any_non_negative_int_seed_parses(self, op):
         for seed in (0, 1, 2**31, 2**64, 10**30):
             assert parse_request({"op": op, "seed": seed}).seed == seed
+
+
+#: Any JSON value, including ints far past float range (which
+#: ``float()`` refuses with OverflowError rather than ValueError).
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers() | st.integers(min_value=10**300, max_value=10**500)
+    | st.integers(min_value=-10**500, max_value=-10**300),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=4)),
+    max_leaves=8)
+
+_OP_FIELDS = [(op, field.name) for op, cls in sorted(QUERY_TYPES.items())
+              for field in dataclasses.fields(cls)]
+
+
+class TestArbitraryValues:
+    """A request either parses or raises ParameterError: whatever JSON
+    value sits in whichever field, the server can answer it."""
+
+    @pytest.mark.parametrize("op, name", _OP_FIELDS,
+                             ids=[f"{op}.{name}" for op, name in _OP_FIELDS])
+    @settings(max_examples=40, deadline=None)
+    @given(value=_JSON_VALUES)
+    @example(value=10**400)
+    @example(value=-10**400)
+    @example(value=[10**400])
+    def test_every_field_parses_or_raises_parameter_error(self, op, name,
+                                                          value):
+        try:
+            parse_request({"op": op, name: value})
+        except ParameterError:
+            pass
+
+    @settings(max_examples=40, deadline=None)
+    @given(op=_JSON_VALUES)
+    @example(op=["uber"])
+    def test_any_op_value_parses_or_raises_parameter_error(self, op):
+        try:
+            parse_request({"op": op})
+        except ParameterError:
+            pass
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "uber", "vp": 10**400},
+        {"op": "uber", "ecd_nm": 10**400},
+        {"op": "wer", "target_wer": 10**400},
+        {"op": "sweep", "pitch_ratios": [2.0, 10**400]},
+    ], ids=["uber.vp", "uber.ecd_nm", "wer.target_wer",
+            "sweep.pitch_ratios"])
+    def test_ints_past_float_range_are_parameter_errors(self, request_):
+        with pytest.raises(ParameterError):
+            parse_request(request_)
 
 
 class TestDeviceFor:

@@ -11,6 +11,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -435,6 +436,57 @@ class TestHardening:
 
         _serve(body, path=path, breaker_threshold=2,
                breaker_reset=60.0)
+
+    def test_every_malformed_line_gets_one_error_answer(
+            self, tmp_path, monkeypatch):
+        """N malformed lines get exactly N error answers — ints past
+        float range and exceptions outside the ReproError taxonomy
+        included — and the connection then answers a valid query."""
+        path = str(tmp_path / "svc.sock")
+        huge = "1" + "0" * 400
+        import repro.service.server as server_module
+        parse = server_module.parse_request
+
+        def parse_or_blow_up(obj):
+            if obj.get("id") == "bug":
+                raise RuntimeError("injected parser bug")
+            return parse(obj)
+
+        monkeypatch.setattr(server_module, "parse_request",
+                            parse_or_blow_up)
+        lines = [
+            "not json",
+            "[1, 2]",
+            '{"op": ["uber"]}',
+            '{"op": "uber", "vp": %s}' % huge,
+            '{"op": "uber", "ecd_nm": -%s}' % huge,
+            '{"op": "wer", "target_wer": %s}' % huge,
+            '{"op": "sweep", "pitch_ratios": [2.0, %s]}' % huge,
+            '{"op": "stats", "deadline_s": %s}' % huge,
+            '{"op": "stats", "id": "bug"}',
+        ]
+
+        def body(server):
+            with socket.socket(socket.AF_UNIX,
+                               socket.SOCK_STREAM) as sock:
+                sock.settimeout(30.0)
+                sock.connect(path)
+                stream = sock.makefile("rb")
+                sock.sendall("".join(line + "\n"
+                                     for line in lines).encode())
+                answers = [json.loads(stream.readline())
+                           for _ in lines]
+                sock.sendall(b'{"op": "stats", "id": "after"}\n')
+                after = json.loads(stream.readline())
+            assert [a["event"] for a in answers] == ["error"] * len(lines)
+            assert not any(a["ok"] for a in answers)
+            assert sum("internal error: RuntimeError" in a["error"]
+                       for a in answers) == 1
+            assert after["id"] == "after" and after["ok"]
+            endpoints = after["result"]["endpoints"]
+            assert endpoints["invalid"]["errors"] == len(lines)
+
+        _serve(body, path=path)
 
     def test_breaker_open_serves_verified_stale_within_ttl(
             self, tmp_path, monkeypatch):
