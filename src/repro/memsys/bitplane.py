@@ -63,11 +63,15 @@ def pack_bits(bits):
 
 
 def unpack_bits(lanes, code_bits):
-    """Unpack ``(n, n_lanes)`` uint64 lanes into ``(n, code_bits)`` int8."""
+    """Unpack ``(n, n_lanes)`` uint64 lanes into ``(n, code_bits)`` int8.
+
+    One ``unpackbits`` of exactly ``code_bits`` bits per row, viewed as
+    int8: no lane-wide temporary and no cast copy.
+    """
     lanes = np.ascontiguousarray(lanes)
     u8 = lanes.view(np.uint8)
-    bits = np.unpackbits(u8, axis=1, bitorder="little")
-    return bits[:, :int(code_bits)].astype(np.int8)
+    return np.unpackbits(u8, axis=1, count=int(code_bits),
+                         bitorder="little").view(np.int8)
 
 
 def lane_bits(lanes, rows, bits):

@@ -582,8 +582,8 @@ class ReliabilityEngine:
                                      - shard * words_per_shard)
                     for shard, lo, hi in _segments(write_bounds)]
             with _prof(profiler, "ecc"):
-                cw = ctl.ecc.encode_lanes(pack_bits(
-                    data[0] if len(data) == 1 else np.concatenate(data)))
+                cw = ctl.ecc.encode_lanes(
+                    data[0] if len(data) == 1 else np.concatenate(data))
             tally.add("write_errors", state.write(
                 w_words, write_bounds, cw, lanes, profiler))
 
@@ -603,11 +603,12 @@ class ReliabilityEngine:
                 r_words, read_bounds, lanes, profiler))
 
     def _write_data(self, lane, local_words):
-        """Data stored by a shard's writes (pattern-aware)."""
+        """Packed data lanes stored by a shard's writes (pattern-aware:
+        a stress workload's background bits, packed once here)."""
         ctl = self.controller
         if isinstance(lane.workload, StressPatternWorkload):
-            return lane.workload.background_data(
-                local_words, ctl.words, ctl.ecc.data_positions)
+            return pack_bits(lane.workload.background_data(
+                local_words, ctl.words, ctl.ecc.data_positions))
         return lane.workload.write_data(local_words, ctl.ecc.n_data,
                                         lane.rng)
 
@@ -811,11 +812,15 @@ class _Lane:
         # the shape and a digest of the generator's *initial* state
         # (the seed's footprint: resume restores the generator
         # mid-stream, so resuming with the wrong seed must be a named
-        # error rather than a silent seed swap).
+        # error rather than a silent seed swap). ``write_stream`` names
+        # how write data is drawn from the generator: a checkpoint of
+        # the older per-bit float stream (no such field) is refused
+        # rather than resumed into a mixed stream.
         self.identity = {
             "n_transactions": self.n_transactions,
             "batch_size": batch_size,
             "seed_state": record_digest(self.rng.bit_generator.state),
+            "write_stream": "uint64-lanes",
             **{str(k): v for k, v in engine._config().items()},
         }
         if resume:

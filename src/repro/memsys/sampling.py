@@ -33,7 +33,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from .bitplane import popcount_rows, row_blocks, unpack_bits
-from .controller import neighborhood_class_map
 
 #: Number of coupling classes: bit x n_direct x n_diagonal.
 N_CLASSES = 2 * 5 * 5
@@ -198,19 +197,42 @@ def rebuild_class_index(plane, rows, cols, out):
     ``plane`` is a packed :class:`~repro.memsys.bitplane.BitPlane` of
     ``rows x cols`` row-major cells (mapped words plus unmapped tail);
     ``out`` is the flat int8 ``(rows * cols,)`` class map, filled in
-    place. Each block of rows unpacks straight from the lanes with one
-    halo row above and below, takes the padded neighbor sums
-    (:func:`~repro.memsys.controller.neighborhood_class_map`), its
-    :func:`class_index` and a :func:`class_histogram` — so no temporary
-    is larger than a block, whatever the array size.
+    place. Each block of rows unpacks straight from the lanes, with one
+    halo row above and below, into one reused zero-bordered uint8 pad;
+    the class ``25 * bit + 5 * (pair + up + down) + pair_up +
+    pair_down`` (``pair`` a row's left + right neighbor sum, as in
+    :func:`~repro.memsys.controller.neighborhood_class_map`) is summed
+    in place in the block's slice of ``out``, then counted by
+    :func:`class_histogram` — so no temporary is larger than a block,
+    whatever the array size.
     """
     hist = np.zeros(N_CLASSES, dtype=np.int64)
-    grid = out.reshape(rows, cols)
-    for lo, hi, halo, top in halo_blocks(plane, rows, cols):
-        nd, ng = neighborhood_class_map(halo)
-        inner = slice(top, top + hi - lo)
-        hist += class_histogram(class_index(
-            halo[inner], nd[inner], ng[inner], out=grid[lo:hi]))
+    grid = out.reshape(rows, cols).view(np.uint8)
+    blocks = row_blocks(rows, cols)
+    step = blocks[0][1] - blocks[0][0]
+    pad = np.zeros((step + 2, cols + 2), dtype=np.uint8)
+    pair_buf = np.empty((step + 2, cols), dtype=np.uint8)
+    for lo, hi in blocks:
+        n = hi - lo
+        top = 1 if lo else 0
+        bottom = 1 if hi < rows else 0
+        # Pad row i holds array row lo - 1 + i; rows past either array
+        # edge stay zero (the last block may be short: zero the row
+        # below it, which an earlier block may have filled).
+        pad[1 - top:n + 1 + bottom, 1:-1] = plane.to_bits(
+            (lo - top) * cols, (hi + bottom) * cols).reshape(-1, cols)
+        if not bottom:
+            pad[n + 1] = 0
+        pair = np.add(pad[:n + 2, :-2], pad[:n + 2, 2:],
+                      out=pair_buf[:n + 2])
+        cls = np.multiply(pad[1:n + 1, 1:-1], np.uint8(5), out=grid[lo:hi])
+        cls += pair[1:-1]
+        cls += pad[:n, 1:-1]
+        cls += pad[2:n + 2, 1:-1]
+        cls *= np.uint8(5)
+        cls += pair[:-2]
+        cls += pair[2:]
+        hist += class_histogram(cls.view(np.int8))
     return hist
 
 
@@ -232,7 +254,8 @@ class IncrementalClassMaps:
     +-25, each direct neighbor's by +-5 and each diagonal neighbor's by
     +-1. Past :attr:`full_rebuild_fraction` of the array the map
     rebuilds from the packed plane in row blocks
-    (:func:`rebuild_class_index`).
+    (:func:`rebuild_class_index`); when the count of changed lanes
+    alone is past it, the rebuild starts without the popcount.
 
     ``backend`` (see :mod:`repro.memsys.backends`) may take over the
     diff popcount, the full rebuild, and the incremental update via its
@@ -309,6 +332,7 @@ class IncrementalClassMaps:
         XOR + popcount over the packed lanes).
         """
         snap = self._snapshot
+        limit = self.full_rebuild_fraction * plane.n_cells
         per_word = None
         if self.backend is not None:
             # Fused XOR + popcount: no whole-plane XOR temp.
@@ -317,12 +341,18 @@ class IncrementalClassMaps:
         xor = None
         if per_word is None:
             xor = snap.lanes ^ plane.lanes
+            # Every changed lane holds at least one changed cell, so
+            # past the limit in lanes the rebuild is already decided
+            # (the high-churn common case skips the popcount).
+            if np.count_nonzero(xor) > limit:
+                self._rebuild(plane)
+                return
             per_word = popcount_rows(xor)
         tail_changed = np.flatnonzero(snap.tail != plane.tail)
         n_changed = int(per_word.sum()) + tail_changed.size
         if n_changed == 0:
             return
-        if n_changed > self.full_rebuild_fraction * plane.n_cells:
+        if n_changed > limit:
             self._rebuild(plane)
             return
         changed_words = np.flatnonzero(per_word)

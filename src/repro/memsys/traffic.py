@@ -5,9 +5,11 @@ of word addresses and read/write flags — so the Monte-Carlo engine never
 loops over individual transactions. Each workload also defines the
 initial array content (reusing :mod:`repro.arrays.pattern` for the
 solid/checkerboard stress backgrounds) and the data its writes store:
-random write data comes as a bool ``(n, k)`` matrix drawn in row
-blocks, which the engine packs into uint64 lanes once per round
-(:func:`~repro.memsys.bitplane.pack_bits`) and encodes packed.
+random write data comes as packed uint64 lanes, drawn raw from the
+generator (one output per 64 data bits), which the engine encodes
+without unpacking. The initial random background stays on the float64
+stream (one uniform per cell); expectation mode classifies that
+background and never draws write data.
 
 Available workloads (see :data:`WORKLOADS`):
 
@@ -111,19 +113,22 @@ class Workload:
             is_write=rng.random(int(n)) >= self.read_fraction)
 
     def write_data(self, words, data_bits, rng):
-        """(n_writes, data_bits) bool data stored by writes to ``words``.
+        """Data stored by writes to ``words``, as packed uint64 lanes.
 
-        Drawn in row blocks, like :meth:`initial_bits`, into one reused
-        block of uniforms: the same bits, and the same generator state
-        after, as one ``rng.random((n_writes, data_bits)) < 0.5``.
+        Returns ``(n_writes, ceil(data_bits / 64))`` little-endian lanes
+        (data bit ``b`` of a word in lane ``b // 64`` at bit ``b % 64``,
+        the :func:`~repro.memsys.bitplane.pack_bits` layout): the
+        values of one ``rng.integers(0, 2**64, size=(n_writes, lanes),
+        dtype=np.uint64)`` draw, with the unused high bits of the last
+        lane zeroed — 64 data bits per generator output instead of one
+        float64 uniform per bit.
         """
-        bits = np.empty((words.shape[0], data_bits), dtype=bool)
-        blocks = row_blocks(*bits.shape)
-        uniforms = np.empty((blocks[0][1] if blocks else 0, data_bits))
-        for lo, hi in blocks:
-            np.less(rng.random(out=uniforms[:hi - lo]), 0.5,
-                    out=bits[lo:hi])
-        return bits
+        lanes = rng.integers(0, 2**64, size=(words.shape[0],
+                                             -(-data_bits // 64)),
+                             dtype=np.uint64)
+        if data_bits % 64:
+            lanes[:, -1] &= np.uint64((1 << data_bits % 64) - 1)
+        return lanes
 
     def describe(self):
         """Summary dict for reports."""

@@ -39,8 +39,9 @@ from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 #: Version prefix of every fingerprint; bump on any semantic change to
 #: a query's evaluation so memoized results from older servers miss.
 #: Version 2: ``uber`` lost its ``sampler`` field, and sampled queries
-#: draw class-grouped binomial flips.
-PROTOCOL_VERSION = 2
+#: draw class-grouped binomial flips. Version 3: sampled runs draw
+#: their write data as raw uint64 lanes, so seeded answers moved.
+PROTOCOL_VERSION = 3
 
 #: Distinct eCDs whose stack key :func:`query_fingerprint` keeps; clients
 #: choose ``ecd_nm``, so the memo is bounded.
@@ -48,14 +49,20 @@ _STACK_KEY_CACHE_SIZE = 128
 
 
 def _tuple_of_floats(value, name):
+    """A non-empty tuple of positive finite floats; a string (which
+    would iterate as digits), a bool or a non-positive or non-finite
+    item is a :class:`ParameterError`."""
+    if isinstance(value, (str, bytes)):
+        raise ParameterError(
+            f"{name} must be a sequence of numbers, got {value!r}")
     try:
-        items = tuple(float(v) for v in value)
-    except (OverflowError, TypeError, ValueError):
+        items = tuple(value)
+    except TypeError:
         raise ParameterError(
             f"{name} must be a sequence of numbers, got {value!r}") from None
     if not items:
         raise ParameterError(f"{name} must not be empty")
-    return items
+    return tuple(float(require_positive(v, f"{name} item")) for v in items)
 
 
 def _tuple_of_strs(value, name):

@@ -44,6 +44,7 @@ import contextlib
 import os
 import signal
 import time
+import traceback
 from collections import deque
 
 from ..arrays.kernel_store import get_kernel_store
@@ -276,6 +277,14 @@ class ReliabilityServer:
         with contextlib.suppress(Exception):
             writer.write(encode_line(event))
 
+    def _internal_error(self, writer, req_id, exc):
+        """Answer a bug outside the ReproError taxonomy: the client gets
+        one line naming the exception, the server's stderr its stack."""
+        traceback.print_exception(type(exc), exc, exc.__traceback__)
+        self._send(writer, {
+            "id": req_id, "event": "error", "ok": False,
+            "error": f"internal error: {type(exc).__name__}: {exc}"})
+
     def _endpoint(self, op):
         if op not in self.endpoints:
             self.endpoints[op] = EndpointStats()
@@ -349,10 +358,7 @@ class ReliabilityServer:
             # ReproError taxonomy) still gets its one terminal event:
             # a request is never left unanswered.
             error = True
-            self._send(writer, {
-                "id": req_id, "event": "error", "ok": False,
-                "error": f"internal error: "
-                         f"{type(exc).__name__}: {exc}"})
+            self._internal_error(writer, req_id, exc)
         finally:
             self._endpoint(op).record(time.monotonic() - start,
                                       error=error)
@@ -445,10 +451,7 @@ class ReliabilityServer:
             # ReproError taxonomy) must degrade this one query, not
             # tear down the connection's handler task.
             breaker.record_failure()
-            self._send(writer, {
-                "id": req_id, "event": "error", "ok": False,
-                "error": f"internal error: "
-                         f"{type(exc).__name__}: {exc}"})
+            self._internal_error(writer, req_id, exc)
             return True
         breaker.record_success()
         self.cache.put(key, payload)

@@ -20,8 +20,9 @@ from repro.arrays.layout import ArrayLayout
 from repro.arrays.pattern import checkerboard
 from repro.memsys import bitplane, build_engine
 from repro.memsys.backends.numba_backend import NumbaEngineBackend
-from repro.memsys.bitplane import BitPlane
+from repro.memsys.bitplane import BitPlane, unpack_bits
 from repro.memsys.controller import WordMap, neighborhood_class_map
+from repro.memsys.ecc import HammingSECDED
 from repro.memsys.sampling import (
     IncrementalClassMaps,
     N_CLASSES,
@@ -65,7 +66,7 @@ def test_binomial_engine_peak_bytes_per_cell(eval_device, workload):
 #: Run-phase bound of a write-heavy engine: once built, a run's write
 #: path (drawn data, packed codewords, placement) keeps the traced peak
 #: at no more than this many bytes per cell.
-MAX_WRITE_RUN_BYTES_PER_CELL = 4.0
+MAX_WRITE_RUN_BYTES_PER_CELL = 3.5
 
 
 def test_write_path_run_peak_bytes_per_cell(eval_device):
@@ -93,18 +94,26 @@ def _reference(bits2d):
     return ci, np.bincount(ci, minlength=N_CLASSES)
 
 
-def _plane(rng, rows, cols, code_bits=72):
-    """A random packed plane of rows x cols cells; mapped words fill
-    what they can and the rest is tail (all tail below one word)."""
+def _plane(rng, rows, cols, code_bits=72, fill="random"):
+    """A packed plane of rows x cols random (or all-zero, all-one)
+    cells; mapped words fill what they can and the rest is tail (all
+    tail below one word)."""
     n_cells = rows * cols
-    bits = (rng.random(n_cells) < 0.5).astype(np.int8)
+    if fill == "random":
+        bits = (rng.random(n_cells) < 0.5).astype(np.int8)
+    else:
+        bits = np.full(n_cells, fill == "ones", dtype=np.int8)
     return BitPlane.from_bits(bits, n_cells // code_bits,
                               code_bits), bits
 
 
 #: 1 x N, N x 1, a tail-cell shape, and shapes spanning several row
-#: blocks (with small blocks, and with the real block size).
-BLOCK_SHAPES = ((1, 200), (200, 1), (37, 41), (64, 64), (13, 97))
+#: blocks (with small blocks, and with the real block size); a square
+#: array, a row exactly one 72-bit word wide, a wide short array, and
+#: an 11 x 13 array whose tail (71 cells at 72 code bits) is longer
+#: than a lane.
+BLOCK_SHAPES = ((1, 200), (200, 1), (37, 41), (64, 64), (13, 97),
+                (256, 256), (100, 72), (3, 1000), (11, 13))
 
 
 @pytest.fixture(params=(7, 64, 300), ids=lambda n: f"block{n}")
@@ -115,15 +124,36 @@ def small_blocks(request, monkeypatch):
 
 @pytest.mark.parametrize("backend", (None, NumbaEngineBackend()),
                          ids=("numpy", "numba-kernels"))
-@pytest.mark.parametrize("shape", BLOCK_SHAPES)
-def test_block_rebuild_matches_whole_array(shape, backend, small_blocks):
+@pytest.mark.parametrize("shape, code_bits, fill", [
+    pytest.param(shape, code_bits, fill, id=f"shape{i}" + (
+        "" if (code_bits, fill) == (72, "random")
+        else f"-{code_bits}-{fill}"))
+    for i, shape in enumerate(BLOCK_SHAPES)
+    for code_bits in (72, 64, 39)
+    for fill in ("random", "zeros", "ones")])
+def test_block_rebuild_matches_whole_array(shape, code_bits, fill,
+                                           backend, small_blocks):
     rows, cols = shape
     rng = np.random.default_rng(rows * 1000 + cols)
-    plane, bits = _plane(rng, rows, cols)
+    plane, bits = _plane(rng, rows, cols, code_bits, fill)
     ci_ref, hist_ref = _reference(bits.reshape(rows, cols))
     maps = IncrementalClassMaps(rows, cols, plane, backend=backend)
     assert np.array_equal(maps.class_idx, ci_ref)
     assert np.array_equal(maps.hist, hist_ref)
+
+
+@pytest.mark.parametrize("fill", ("random", "zeros", "ones"))
+@pytest.mark.parametrize("code_bits", (72, 64, 39))
+def test_megacell_rebuild_matches_whole_array(code_bits, fill):
+    # 1024 x 1024 at the real block size: 16 blocks of 64 rows.
+    rows = cols = 1024
+    plane, bits = _plane(np.random.default_rng(code_bits), rows, cols,
+                         code_bits, fill)
+    out = np.empty(rows * cols, dtype=np.int8)
+    hist = rebuild_class_index(plane, rows, cols, out)
+    ci_ref, hist_ref = _reference(bits.reshape(rows, cols))
+    assert np.array_equal(out, ci_ref)
+    assert np.array_equal(hist, hist_ref)
 
 
 def test_block_rebuild_at_real_block_size():
@@ -202,16 +232,27 @@ def test_initial_bits_match_one_whole_array_draw(shape, monkeypatch):
         assert rng.random() == ref.random()
 
 
-@pytest.mark.parametrize("shape", ((0, 64), (1, 1), (7, 13), (300, 64),
-                                   (1000, 70)))
-def test_write_data_matches_one_whole_array_draw(shape, small_blocks):
-    n, k = shape
+@pytest.mark.parametrize("k", (1, 11, 57, 63, 64, 65, 120, 128))
+def test_write_data_is_one_raw_lane_draw(k):
+    n, n_lanes = 300, -(-k // 64)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    data = Workload().write_data(np.arange(n), k, rng)
-    assert data.dtype == np.bool_ and data.shape == shape
-    assert np.array_equal(data, ref.random((n, k)) < 0.5)
-    # The generator is left where the whole-array draw leaves it.
-    assert rng.random() == ref.random()
+    lanes = Workload().write_data(np.arange(n), k, rng)
+    assert lanes.dtype == np.uint64 and lanes.shape == (n, n_lanes)
+    bits = unpack_bits(lanes, 64 * n_lanes)
+    # Padding bits past the data width are zero.
+    assert not bits[:, k:].any()
+    # The data bits are those of one whole-array integers() draw, and
+    # the generator is left where that draw leaves it.
+    raw = ref.integers(0, 2**64, (n, n_lanes), np.uint64)
+    assert np.array_equal(bits[:, :k], unpack_bits(raw, k))
+    assert np.array_equal(rng.bit_generator.random_raw(8),
+                          ref.bit_generator.random_raw(8))
+    # The lanes encode packed and decode back to the same bits.
+    code = HammingSECDED(k)
+    data, outcomes = code.decode(unpack_bits(code.encode_lanes(lanes),
+                                             code.n_code))
+    assert np.array_equal(data, bits[:, :k])
+    assert not outcomes.any()
 
 
 #: Square, wide and tall arrays with unmapped tail cells; a word wider

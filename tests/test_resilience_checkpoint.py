@@ -191,6 +191,32 @@ class TestRunIdentity:
         assert "different run" in message
         assert "writeback" in message
 
+    @pytest.mark.parametrize("kill_after", [3, None])
+    def test_checkpoint_of_the_per_bit_write_stream_is_refused(
+            self, eval_device, tmp_path, kill_after):
+        """A checkpoint written while write data was drawn one float64
+        uniform per bit (its identity has no ``write_stream``) would
+        resume into a mixed stream, so it is refused by name."""
+        directory = str(tmp_path)
+        try:
+            _engine(eval_device).run(
+                N_TRANSACTIONS, rng=np.random.default_rng(7),
+                batch_size=BATCH, checkpoint=directory,
+                progress=kill_after and _KillAfter(kill_after))
+        except RunAborted:
+            pass
+        manager = CheckpointManager(directory)
+        _, payload = manager.read_frame("run")
+        identity = dict(payload["identity"])
+        del identity["write_stream"]
+        assert manager.save("run", {**payload, "identity": identity})
+        with pytest.raises(RunIdentityError) as err:
+            _engine(eval_device).run(
+                N_TRANSACTIONS, rng=np.random.default_rng(7),
+                batch_size=BATCH, checkpoint=manager, resume=True)
+        assert "write_stream" in str(err.value)
+        assert "refusing to resume" in str(err.value)
+
     def test_payload_without_identity_never_resumes(self, eval_device,
                                                     tmp_path):
         """A stored payload carrying no identity cannot be shown to be
@@ -268,8 +294,10 @@ def _rewrite_in_older_format(directory, tag="run"):
 
 
 class TestFormatChange:
-    """Checkpoints written before the sidecar shrank to one digest and
-    the payload lost its key still resume, byte-identical."""
+    """A checkpoint in the layout written before the sidecar shrank to
+    one digest and the payload lost its key still resumes,
+    byte-identical: those extras are never read. (Its identity must
+    still match, ``write_stream`` included.)"""
 
     @pytest.mark.parametrize("kill_after", [3, None])
     def test_older_format_checkpoint_resumes_byte_identical(

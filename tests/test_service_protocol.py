@@ -84,6 +84,26 @@ class TestParseRequest:
         with pytest.raises(ParameterError):
             parse_request({"op": "sweep", "pitch_ratios": []})
 
+    @pytest.mark.parametrize("field", ["pitch_ratios", "ecds_nm"])
+    @pytest.mark.parametrize("value", [
+        "25", [True, 2], [2, False], [-1.0], [0], ["nan"], [float("nan")],
+        [float("inf")], ["2"], {"2": 1}, [[2.0]], 2.0, None,
+    ], ids=["string", "bool", "bool-last", "negative", "zero",
+            "nan-string", "nan", "infinity", "numeric-string", "dict",
+            "nested", "scalar", "null"])
+    def test_bad_float_sequences_rejected_at_parse_time(self, field,
+                                                        value):
+        op = "sweep" if field == "pitch_ratios" else "design"
+        with pytest.raises(ParameterError, match=field):
+            parse_request({"op": op, field: value})
+
+    def test_json_spelled_nan_and_infinity_are_rejected(self):
+        # Python's json reads the non-standard NaN / Infinity tokens.
+        for token in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ParameterError, match="pitch_ratios"):
+                parse_request(json.loads(
+                    '{"op": "sweep", "pitch_ratios": [%s]}' % token))
+
 
     @pytest.mark.parametrize("request_", [
         {"op": "uber", "ecc": "secdde"},
@@ -100,11 +120,11 @@ class TestParseRequest:
         # Keys memoized by servers before names were checked at parse
         # time; checking must not re-key a valid query.
         pinned = {
-            "1614af30795b69e7eb3ffc0b459c5483": {"op": "uber"},
-            "9355867ebd6dc9b6d3abc544a617ae67": {
+            "2f5c77c374480c24373e11a77f96a576": {"op": "uber"},
+            "1c571bddc2bd16e0cfc28e4b088b43e1": {
                 "op": "uber", "topology": "cross-point", "banks": 2,
                 "subarrays": 4, "ecc": "none", "pattern": "solid1"},
-            "20b1c005e4aebd8021be286e28658827": {
+            "13266ee0b981f7d8b67d946b5468bc6c": {
                 "op": "sweep", "patterns": "hot-row",
                 "eccs": ["secded"]},
         }
@@ -188,13 +208,15 @@ class TestFingerprint:
         # fold in; bumping it is the documented invalidation story.
         assert isinstance(PROTOCOL_VERSION, int)
 
-    def test_protocol_v2_rekeys_v1_results(self):
-        # Version 2 retired the uber ``sampler`` field; the same
-        # sampled query keyed this under version 1.
+    def test_protocol_v3_rekeys_older_results(self):
+        # Version 2 retired the uber ``sampler`` field and version 3
+        # moved sampled write data to raw lanes; the same sampled query
+        # keyed these under versions 1 and 2.
         query = parse_request({"op": "uber", "mode": "sampled"})
-        assert PROTOCOL_VERSION == 2
-        assert (query_fingerprint(query)
-                != "5013250638e628a7892e92bb2346ce3f")
+        assert PROTOCOL_VERSION == 3
+        assert query_fingerprint(query) not in (
+            "5013250638e628a7892e92bb2346ce3f",
+            "85d65c796ab31009938fd68ab238c291")
 
     def test_stable_across_processes(self):
         # The fingerprint must be derivable from reprs of plain

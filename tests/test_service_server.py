@@ -488,6 +488,54 @@ class TestHardening:
 
         _serve(body, path=path)
 
+    def test_internal_errors_write_their_stack_to_stderr(
+            self, tmp_path, monkeypatch, capfd):
+        """Both internal-error branches (a runner bug, a bug escaping
+        parsing) print the traceback on the server's stderr; the
+        client's answer line stays one terse error event."""
+        path = str(tmp_path / "svc.sock")
+        import repro.service.server as server_module
+        parse = server_module.parse_request
+
+        def boom(query, abort, publish):
+            raise RuntimeError("kaboom")
+
+        def parse_or_blow_up(obj):
+            if obj.get("id") == "bug":
+                raise RuntimeError("injected parser bug")
+            return parse(obj)
+
+        monkeypatch.setitem(RUNNERS, "uber", boom)
+        monkeypatch.setattr(server_module, "parse_request",
+                            parse_or_blow_up)
+        requests = [{"op": "uber", "id": "run", **SMALL},
+                    {"op": "stats", "id": "bug"}]
+        answers = []
+
+        def body(server):
+            with socket.socket(socket.AF_UNIX,
+                               socket.SOCK_STREAM) as sock:
+                sock.settimeout(30.0)
+                sock.connect(path)
+                stream = sock.makefile("rb")
+                for request_ in requests:
+                    sock.sendall(json.dumps(request_).encode() + b"\n")
+                    answers.append(json.loads(stream.readline()))
+
+        capfd.readouterr()
+        _serve(body, path=path)
+        err = capfd.readouterr().err
+        assert answers == [
+            {"id": "run", "event": "error", "ok": False,
+             "error": "internal error: RuntimeError: kaboom"},
+            {"id": "bug", "event": "error", "ok": False,
+             "error": "internal error: RuntimeError: injected parser bug"},
+        ]
+        assert err.count("Traceback (most recent call last)") == 2
+        assert "in boom" in err and "RuntimeError: kaboom" in err
+        assert "in parse_or_blow_up" in err
+        assert "RuntimeError: injected parser bug" in err
+
     def test_breaker_open_serves_verified_stale_within_ttl(
             self, tmp_path, monkeypatch):
         """Degraded mode: breaker open + memo expired => the answer
