@@ -28,7 +28,7 @@ Module map (device physics up to system questions):
   Hamming SEC-DED, scrubbing, and the Monte-Carlo UBER engine — start
   here for "what error rate does the *system* deliver" questions,
 * :mod:`repro.sweep` — generic parameter-sweep engine (named axes,
-  serial/thread/process/distributed executors) that the design-space,
+  serial/process/distributed executors) that the design-space,
   memsys, and figure sweeps run on,
 * :mod:`repro.experiments` / :mod:`repro.reporting` — figure-by-figure
   reproduction and rendering/export.

@@ -121,8 +121,8 @@ class DesignSpaceExplorer:
               progress=None):
         """Evaluate the cartesian grid of ``ecds`` x ``pitch_ratios``.
 
-        Runs on the :mod:`repro.sweep` engine; ``jobs`` > 1 (or an
-        explicit ``executor``) fans the grid out over a process pool.
+        Runs on the :mod:`repro.sweep` engine with ``executor``, else
+        the :func:`~repro.sweep.runner.executor_for_jobs` pick.
         ``progress`` (a ``progress(done, total)`` callable) reports
         completed points and may raise
         :class:`~repro.errors.RunAborted` to cancel the sweep. Returns

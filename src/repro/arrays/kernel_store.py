@@ -22,9 +22,9 @@ memoizes them process-wide: model objects stay cheap, throwaway facades,
 and repeated grid scenarios (the paper's pitch x pattern x size sweeps)
 pay for each kernel once per process.
 
-The store is thread-safe; under the :mod:`repro.sweep` process-pool
-executor each worker simply grows its own copy (and the ``"thread"``
-executor shares this one), which is exactly the right sharing
+The store is thread-safe (service queries share it across worker
+threads); under the :mod:`repro.sweep` process-pool executor each
+worker simply grows its own copy, which is exactly the right sharing
 granularity (kernels are pure functions of the key).
 
 Because the keys are content fingerprints, entries also survive the
@@ -238,8 +238,8 @@ class KernelStore:
         """The loaded disk snapshot, or None (no disk / failed load).
 
         The first load — open, checksum scan, index build — runs
-        OUTSIDE the store lock so concurrent lookups (thread-executor
-        sweeps in particular) are not stalled behind cache-file I/O;
+        OUTSIDE the store lock so concurrent lookups (service worker
+        threads in particular) are not stalled behind cache-file I/O;
         racing loaders duplicate that work harmlessly and the first
         install wins.
         """

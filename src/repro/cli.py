@@ -37,15 +37,14 @@ spool (see :mod:`repro.resilience.supervisor`).
 Sweep-shaped subcommands (``reproduce``, ``design``, ``memsys``) accept
 ``--jobs N`` to fan the underlying :mod:`repro.sweep` grid out over N
 workers; results are identical to the serial run. ``--executor`` picks
-the worker flavor explicitly (``thread`` parallelizes inside one
-process and shares its kernel store; ``process`` forks; both run
-contiguous chunks of points on one schedule; ``distributed`` ships the
-chunks over a spool-directory job queue that ``repro worker``
+the executor explicitly (``serial`` runs in process; ``process`` forks
+workers that run contiguous chunks of points; ``distributed`` ships
+the same chunks over a spool-directory job queue that ``repro worker``
 processes — started on any host sharing the
 ``REPRO_SWEEP_SPOOL`` directory — serve, warm-started from a shared
-``REPRO_KERNEL_CACHE``). A banked ``memsys`` run is the exception for
-``serial`` and ``thread``: both advance every shard stacked in one
-run, which beats threads contending for the same cores.
+``REPRO_KERNEL_CACHE``). ``--jobs N`` alone keeps grids of at most 32
+points serial and forks a process pool for larger ones. A banked
+``memsys`` run on ``serial`` advances every shard stacked in one run.
 
 ``cache`` manages the persistent kernel cache that the
 ``REPRO_KERNEL_CACHE`` environment variable enables: ``info`` inspects

@@ -75,12 +75,12 @@ def run_all(include_extensions=False, jobs=None, executor=None):
 
     With ``include_extensions=True`` the extension experiments (beyond
     the paper's figures) are appended. ``jobs`` > 1 (or an explicit
-    ``executor``) runs the figures in parallel worker processes (or
-    threads, with ``executor="thread"``); the returned dict is keyed
-    and ordered identically either way. With the on-disk kernel cache
-    enabled (see :mod:`repro.arrays.kernel_disk`), every figure's
-    kernels are persisted, so repeat reproductions — CI in particular —
-    start warm.
+    ``executor``) runs the figures in parallel worker processes; the
+    returned dict is keyed and ordered identically either way. With
+    the on-disk kernel cache enabled (see
+    :mod:`repro.arrays.kernel_disk`), every figure's kernels are
+    persisted, so repeat reproductions — CI in particular — start
+    warm.
     """
     from ..sweep import SweepRunner, SweepSpec, executor_for_jobs
     modules = dict(EXPERIMENTS)
@@ -88,9 +88,9 @@ def run_all(include_extensions=False, jobs=None, executor=None):
         modules.update(EXTENSIONS)
     names = list(modules)
     spec = SweepSpec.zipped(name=names)
-    # No n_points hint here: the small-grid thread preference is for
-    # cheap field-bound points, and a figure is a whole GIL-bound
-    # experiment pipeline — worker processes stay the right default.
+    # No n_points hint here: keeping small grids serial suits cheap
+    # field-bound points, but a figure is a whole experiment pipeline
+    # — worker processes stay the right default for --jobs > 1.
     executor = executor or executor_for_jobs(jobs)
     result = SweepRunner(_run_experiment, executor=executor,
                          jobs=jobs).run(spec)

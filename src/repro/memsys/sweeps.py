@@ -84,13 +84,13 @@ def uber_sweep(device, pitch_ratios=DEFAULT_PITCH_RATIOS,
     claims: UBER rises as pitch shrinks, and SEC-DED buys orders of
     magnitude at every density.
 
-    ``jobs`` > 1 (or an explicit ``executor`` from
-    :data:`repro.sweep.EXECUTORS`) distributes the grid over a process
-    pool; results are identical to the serial run for the same ``seed``.
-    ``progress`` (a ``progress(done, total)`` callable) is forwarded to
-    the :class:`~repro.sweep.runner.SweepRunner` — raise
-    :class:`~repro.errors.RunAborted` from it to cancel at the next
-    point boundary. ``engine_kwargs`` pass through to
+    Runs with ``executor`` (one of :data:`repro.sweep.EXECUTORS`), else
+    the :func:`~repro.sweep.runner.executor_for_jobs` pick for
+    ``jobs``; results are identical to the serial run for the same
+    ``seed``. ``progress`` (a ``progress(done, total)`` callable) is
+    forwarded to the :class:`~repro.sweep.runner.SweepRunner` — raise
+    :class:`~repro.errors.RunAborted` from it to cancel the sweep.
+    ``engine_kwargs`` pass through to
     :func:`repro.memsys.engine.build_engine` (vp, nominal_wer, ...).
     """
     pitch_ratios = [float(r)

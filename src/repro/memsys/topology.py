@@ -369,15 +369,15 @@ class TopologyEngine:
             resume=False):
         """Simulate ``n_transactions`` across the shards and merge.
 
-        In process (``executor="serial"``, and ``"thread"``, which
-        would only contend for the same cores) every shard advances in
+        In process (``executor="serial"``) every shard advances in
         lockstep inside one stacked run of the template
         (:meth:`ReliabilityEngine.run_shards
         <repro.memsys.engine.ReliabilityEngine.run_shards>`).
         ``"process"`` and ``"distributed"`` dispatch one sub-run per
         shard through the sweep executors, with ``jobs``/``spool``;
         the default is the small-sweep heuristic of
-        :func:`~repro.sweep.runner.executor_for_jobs` over the shards.
+        :func:`~repro.sweep.runner.executor_for_jobs` over the active
+        shards (up to 32 of them stay in process at any ``jobs``).
         Any other name raises :class:`~repro.errors.ParameterError`
         on every topology, a 1x1 one included.
         ``extras["topology"]["executor"]`` names the path that ran.
@@ -423,14 +423,14 @@ class TopologyEngine:
             tags = [f"shard-{shard}" for shard, _, _ in active]
             executor = executor or executor_for_jobs(
                 jobs, n_points=len(active))
-        if executor in ("serial", "thread"):
+        if executor == "serial":
             results, breakdown = self.template.run_shards(
                 [(share, child, tag)
                  for tag, (_, share, child) in zip(tags, active)],
                 batch_size=batch_size, progress=progress,
                 profile=profile, checkpoint=manager,
                 checkpoint_every=checkpoint_every, resume=resume)
-            merged = self._finalize(results, executor="serial")
+            merged = self._finalize(results, executor)
             if breakdown is not None:
                 merged.extras["profile"] = breakdown
             return merged

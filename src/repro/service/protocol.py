@@ -213,6 +213,9 @@ class SweepQuery:
         from ..memsys.traffic import WORKLOADS
         _require_known(self.patterns, WORKLOADS, "workload")
         _require_known(self.eccs, ECC_SCHEMES, "ECC scheme")
+        if self.executor is not None:
+            from ..sweep.runner import require_executor
+            require_executor(self.executor)
         require_int_in_range(self.rows, "rows", 1, 1 << 16)
         require_int_in_range(self.cols, "cols", 1, 1 << 16)
         require_positive(self.vp, "vp")
@@ -248,6 +251,9 @@ class DesignQuery:
                            _tuple_of_floats(self.pitch_ratios,
                                             "pitch_ratios"))
         require_positive(self.probe_voltage, "probe_voltage")
+        if self.executor is not None:
+            from ..sweep.runner import require_executor
+            require_executor(self.executor)
         if self.jobs is not None:
             require_int_in_range(self.jobs, "jobs", 1, 4096)
 

@@ -9,7 +9,7 @@ run's ``abort`` event, converted into
 report progress through ``publish(done, total)``.
 
 The executor of sweep-shaped queries is resolved server-side: an
-explicit ``executor`` wins, then grids of
+explicit ``executor`` (checked at parse time) wins, then grids of
 :data:`DISTRIBUTED_MIN_POINTS` or more points are dispatched to the
 spool-directory broker whenever ``REPRO_SWEEP_SPOOL`` names one (the
 ``repro worker`` fleet becomes the service's compute backend), else
@@ -91,7 +91,6 @@ def _dispatch(func, executor, seed=0):
 def pick_executor(query):
     """Resolve the sweep executor of one sweep-shaped query."""
     if query.executor is not None:
-        # SweepRunner rejects an unknown name.
         return query.executor
     if (query.n_points >= DISTRIBUTED_MIN_POINTS
             and os.environ.get(SWEEP_SPOOL_ENV)):

@@ -7,9 +7,9 @@ that shape first-class:
 
 * :mod:`repro.sweep.spec` — :class:`SweepSpec`: named axes with
   product/zip composition,
-* :mod:`repro.sweep.runner` — :class:`SweepRunner`: serial, thread,
+* :mod:`repro.sweep.runner` — :class:`SweepRunner`: serial,
   process-pool, and distributed executors with deterministic result
-  order, all parallel ones on one chunk schedule
+  order, both parallel ones on one chunk schedule
   (:func:`schedule_chunks`),
 * :mod:`repro.sweep.result` — :class:`SweepResult`: values in spec
   order, grid reshaping, table rendering,

@@ -8,14 +8,10 @@ produce identical results.
 
 Executors:
 
-* ``"serial"`` — a plain loop in the calling process (the default, and
-  the baseline parallel runs are checked against),
-* ``"thread"`` — a ``concurrent.futures.ThreadPoolExecutor`` in the
-  calling process: no process-spawn or pickling overhead, and all
-  workers share the one process-wide kernel store. Threads overlap
-  only inside numpy's array operations, which release the GIL; the
-  coupling kernels are a few dozen elements per point and their libm
-  log step runs in Python, so little kernel work runs in parallel,
+* ``"serial"`` — a plain loop in the calling process (the default, the
+  baseline parallel runs are checked against, and the one in-process
+  path: the point functions hold the GIL for most of their time, so
+  an in-process pool only adds overhead),
 * ``"process"`` — a ``concurrent.futures.ProcessPoolExecutor``; the
   point function and its bound arguments must be picklable
   (module-level functions / ``functools.partial`` of them),
@@ -50,15 +46,14 @@ from .result import SweepResult
 from .spec import SweepSpec
 
 #: The executor names :class:`SweepRunner` accepts.
-EXECUTORS = ("serial", "thread", "process", "distributed")
+EXECUTORS = ("serial", "process", "distributed")
 
 #: Environment override of the parallel executor picked by ``--jobs``.
 SWEEP_EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
 
 #: Grids at or below this many points count as "small" for
 #: :func:`executor_for_jobs`: process-pool spawn cost dominates them,
-#: so the implicit parallel pick prefers the thread executor (no spawn
-#: or pickling cost, one shared kernel store).
+#: so the implicit parallel pick keeps them serial, in process.
 SMALL_SWEEP_POINTS = 32
 
 
@@ -149,13 +144,13 @@ class SweepRunner:
     progress:
         Optional callback invoked as ``progress(done, total)`` (in
         points) whenever completed work lands: after every point
-        (serial) or after every completed chunk (thread/process/
-        distributed). It is also the
-        cancellation point on the serial executor — raising
-        :class:`~repro.errors.RunAborted` from the callback stops the
-        sweep at the next point boundary. The callback never reorders
-        or changes values, so a seeded sweep with ``progress`` is
-        byte-identical to one without.
+        (serial) or after every completed chunk (process/
+        distributed). It is also the cancellation point — raising
+        :class:`~repro.errors.RunAborted` from the callback stops a
+        serial sweep at the next point boundary, and a process sweep
+        once its in-flight chunks finish (queued ones never start).
+        The callback never reorders or changes values, so a seeded
+        sweep with ``progress`` is byte-identical to one without.
     """
 
     def __init__(self, func, executor="serial", jobs=None,
@@ -186,18 +181,8 @@ class SweepRunner:
         extras = {}
         if self.executor == "serial":
             values = self._run_serial(spec)
-        elif self.executor == "thread":
-            # The pools load on use: a serial run (every banked engine
-            # run in-process) never imports multiprocessing.
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                values = self._run_pool(pool, spec.points())
         elif self.executor == "process":
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_worker_initializer) as pool:
-                values = self._run_pool(pool, spec.points())
+            values = self._run_pool(spec.points())
         else:
             values, extras["distributed"] = self._run_distributed(
                 spec.points())
@@ -215,12 +200,7 @@ class SweepRunner:
     def _effective_jobs(self):
         if self.executor == "serial":
             return 1
-        if self.jobs is not None:
-            return self.jobs
-        if self.executor == "thread":
-            # ThreadPoolExecutor's own default.
-            return min(32, (os.cpu_count() or 1) + 4)
-        return os.cpu_count() or 1
+        return self.jobs or os.cpu_count() or 1
 
     def _report(self, done, total):
         if self.progress is not None:
@@ -234,28 +214,40 @@ class SweepRunner:
             self._report(len(values), total)
         return values
 
-    def _run_pool(self, pool, points):
-        """Evaluate ``points`` on ``pool`` in :func:`schedule_chunks`
-        chunks; values in point order.
+    def _run_pool(self, points):
+        """Evaluate ``points`` on a process pool in
+        :func:`schedule_chunks` chunks; values in point order.
 
         The submit/as_completed shape reports progress per chunk as
         chunks land, in any order, while every chunk's values go back
         to their own positions — so parallel runs remain
-        byte-identical to serial ones.
+        byte-identical to serial ones. If the loop exits by an
+        exception (a failed chunk, or ``progress`` raising
+        :class:`~repro.errors.RunAborted`), the chunks that have not
+        started are cancelled, so the pool's shutdown waits only for
+        the ones in flight.
         """
-        from concurrent.futures import as_completed
+        # The pool loads on use: a serial run (every banked engine run
+        # in-process) never imports multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         bounds = schedule_chunks(len(points), self._effective_jobs(),
                                  chunk_size=self.chunk_size)
-        futures = {pool.submit(_apply_chunk, self.func,
-                               points[start:stop]): (start, stop)
-                   for start, stop in bounds}
         values = [None] * len(points)
         done = 0
-        for future in as_completed(futures):
-            start, stop = futures[future]
-            values[start:stop] = future.result()
-            done += stop - start
-            self._report(done, len(points))
+        with ProcessPoolExecutor(max_workers=self.jobs,
+                                 initializer=_worker_initializer) as pool:
+            futures = {pool.submit(_apply_chunk, self.func,
+                                   points[start:stop]): (start, stop)
+                       for start, stop in bounds}
+            try:
+                for future in as_completed(futures):
+                    start, stop = futures[future]
+                    values[start:stop] = future.result()
+                    done += stop - start
+                    self._report(done, len(points))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
         return values
 
     def _run_distributed(self, points):
@@ -285,9 +277,8 @@ def add_sweep_arguments(parser):
                         help="worker count for parallel sweep "
                              "execution")
     parser.add_argument("--executor", choices=EXECUTORS, default=None,
-                        help="sweep executor (thread shares one "
-                             "process and its kernel store; "
-                             "process forks workers; "
+                        help="sweep executor (serial runs in "
+                             "process; process forks workers; "
                              "distributed ships chunks over a spool-"
                              "directory job queue — see `repro "
                              "worker`)")
@@ -302,11 +293,10 @@ def executor_for_jobs(jobs, n_points=None):
     then the :data:`SWEEP_EXECUTOR_ENV` environment variable, which
     wins at *every* ``jobs`` value, including an explicit ``--jobs 1``
     or no ``--jobs`` at all; then the ``--jobs`` size heuristic:
-    ``None``/1 mean the serial baseline, and anything larger picks the
-    thread executor for grids of at most :data:`SMALL_SWEEP_POINTS`
-    points (process-pool spawn cost dominates tiny field-bound sweeps,
-    and threads share the warm process-wide kernel store) or
-    ``"process"`` for larger / unknown-size grids.
+    ``None``/1 mean the serial baseline, and anything larger keeps
+    grids of at most :data:`SMALL_SWEEP_POINTS` points serial
+    (process-pool spawn cost dominates tiny field-bound sweeps) and
+    picks ``"process"`` for larger / unknown-size grids.
 
     One asymmetry, on purpose: for serial-sized runs (``jobs`` of
     ``None``/1) a *misspelled* environment value is ignored rather
@@ -321,7 +311,7 @@ def executor_for_jobs(jobs, n_points=None):
     if jobs is None or jobs == 1:
         return env if env in EXECUTORS else "serial"
     if env is None:
-        return ("thread" if n_points is not None
+        return ("serial" if n_points is not None
                 and n_points <= SMALL_SWEEP_POINTS else "process")
     if env not in EXECUTORS:
         raise ParameterError(

@@ -6,7 +6,7 @@ pattern x size sweeps of the paper), ``SweepSpec.zipped`` pairs axes
 element-wise (e.g. a list of named experiments), and two specs multiply
 into their product grid. The spec is pure data — evaluation lives in
 :class:`repro.sweep.runner.SweepRunner` — so the same grid can run
-serially, on a thread or process pool, or across hosts and always
+serially, on a process pool, or across hosts and always
 enumerate points in the same deterministic order.
 """
 

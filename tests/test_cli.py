@@ -210,18 +210,19 @@ class TestCommands:
         assert os.path.exists(os.path.join(out_dir, "cell.sp"))
         assert "wrote" in capsys.readouterr().out
 
-    def test_design_thread_executor_matches_serial(self, capsys):
+    def test_design_process_executor_matches_serial(self, capsys):
         argv = ["design", "--ecds-nm", "35", "--ratios", "1.5,3.0"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--jobs", "2",
-                            "--executor", "thread"]) == 0
+                            "--executor", "process"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_rejects_unknown_executor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["design", "--executor", "fibers"])
+        for name in ("fibers", "thread"):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args(["design", "--executor", name])
+            assert err.value.code == 2
 
     def test_memsys_distributed_executor_matches_serial(self, capsys):
         argv = ["memsys", "--seed", "4", "--rows", "16", "--cols",

@@ -7,8 +7,8 @@ in the order a lone run does. The load-bearing claims pinned here:
 * stacked serial == the process executor (which runs each shard alone),
   counter for counter, across topology kinds, scrub, shard
   counts, uneven shares and batch sizes;
-* ``executor="thread"`` on a banked run takes the stacked path and
-  says so in ``extras["topology"]["executor"]``;
+* ``jobs=2`` alone on a banked run of few shards takes the stacked
+  path and says so in ``extras["topology"]["executor"]``;
 * resume is exact when shards stopped at different batch boundaries,
   and shard checkpoints written by one-shard runs (what process
   workers execute) resume under the stacked driver;
@@ -107,20 +107,15 @@ class TestStackedEqualsProcess:
             "per_shard_transactions"] == [1, 1, 1]
 
 
-class TestThreadExecutor:
-    @pytest.mark.parametrize("run_kwargs", [
-        dict(executor="thread", jobs=2),
-        # 4 shards <= the small-sweep threshold: --jobs 2 alone used to
-        # pick the thread pool.
-        dict(jobs=2),
-    ])
-    def test_thread_runs_stacked_and_reports_it(self, eval_device,
-                                                run_kwargs):
+class TestReportedExecutor:
+    def test_small_jobs_run_stacked_and_report_it(self, eval_device):
+        # 4 shards <= the small-sweep threshold: --jobs 2 alone keeps
+        # the run in process, on the stacked path.
         engine = _engine(eval_device)
         serial = engine.run(3000, rng=8, executor="serial")
-        threaded = engine.run(3000, rng=8, **run_kwargs)
-        assert threaded.extras["topology"]["executor"] == "serial"
-        assert _counters(threaded) == _counters(serial)
+        picked = engine.run(3000, rng=8, jobs=2)
+        assert picked.extras["topology"]["executor"] == "serial"
+        assert _counters(picked) == _counters(serial)
 
     def test_process_reports_process(self, eval_device):
         engine = _engine(eval_device, scrub=None)

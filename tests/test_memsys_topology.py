@@ -253,7 +253,7 @@ class TestShardedRuns:
                 assert other[key] == pytest.approx(rates[0][key],
                                                    rel=0.25)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_executors_byte_identical_to_serial(self, device,
                                                 executor):
         engine = build_engine(device, pitch=70e-9, rows=32, cols=32,
@@ -262,7 +262,7 @@ class TestShardedRuns:
         parallel = engine.run(4000, rng=11, executor=executor, jobs=2)
         assert counters(serial) == counters(parallel)
 
-    @pytest.mark.parametrize("name", ["bogus", "chunked"])
+    @pytest.mark.parametrize("name", ["bogus", "chunked", "thread"])
     def test_unknown_executor_rejected_on_every_topology(self, device,
                                                          name):
         """A 1x1 engine (which never dispatches) validates the

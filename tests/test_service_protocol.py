@@ -131,6 +131,28 @@ class TestParseRequest:
         for key, request_ in pinned.items():
             assert query_fingerprint(parse_request(request_)) == key
 
+    @pytest.mark.parametrize("op", ["sweep", "design"])
+    @pytest.mark.parametrize("executor", ["thread", "chunked", 5])
+    def test_unknown_executor_rejected_at_parse_time(self, op,
+                                                     executor):
+        with pytest.raises(ParameterError, match="executor must be"):
+            parse_request({"op": op, "executor": executor})
+
+    def test_executor_check_keeps_fingerprints(self):
+        # Keys of valid queries with an explicit executor, as memoized
+        # before the name was checked at parse time.
+        pinned = {
+            "2c1b08993456d99a8f69097f024ba70f": {
+                "op": "sweep", "executor": "process", "jobs": 2},
+            "60fcd392b972d0a57d1ab288d84a9d41": {
+                "op": "design", "executor": "serial"},
+            "fc220c1f0cc35e79abf19fd237e9cab9": {
+                "op": "design", "executor": "distributed",
+                "ecds_nm": [35.0], "jobs": 4},
+        }
+        for key, request_ in pinned.items():
+            assert query_fingerprint(parse_request(request_)) == key
+
 class TestTopologyFields:
     def test_defaults_are_flat(self):
         query = parse_request({"op": "uber"})

@@ -109,20 +109,21 @@ class TestRoundTrip:
         _serve(body, path=path)
 
     def test_unknown_sweep_executor_is_an_error_event(self, tmp_path):
-        """The sweep runner's executor check reaches the client as an
+        """The parse-time executor check reaches the client as an
         error event naming the valid executors; the server keeps
         answering."""
         path = str(tmp_path / "svc.sock")
 
         def body(server):
             with ServiceClient(path=path) as client:
-                with pytest.raises(ServiceError) as err:
-                    client.query("sweep", pitch_ratios=[3.0],
-                                 patterns=["solid0"], eccs=["secded"],
-                                 rows=16, cols=16, executor="chunked")
-                for name in ("serial", "thread", "process",
-                             "distributed"):
-                    assert name in str(err.value)
+                for bad in ("chunked", "thread"):
+                    with pytest.raises(ServiceError) as err:
+                        client.query("sweep", pitch_ratios=[3.0],
+                                     patterns=["solid0"],
+                                     eccs=["secded"], rows=16, cols=16,
+                                     executor=bad)
+                    for name in ("serial", "process", "distributed"):
+                        assert name in str(err.value)
                 event = client.query("sweep", pitch_ratios=[3.0],
                                      patterns=["solid0"],
                                      eccs=["secded"], rows=16, cols=16)

@@ -8,12 +8,17 @@ figure runner.
 
 from __future__ import annotations
 
+import os
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, RunAborted
 from repro.sweep import (
     EXECUTORS,
+    SWEEP_EXECUTOR_ENV,
     SweepResult,
     SweepRunner,
     SweepSpec,
@@ -104,27 +109,50 @@ def require_positive_product(a, b):
     return a * b
 
 
+def slow_marked_point(i, directory):
+    """Module-level picklable point function: sleep, then leave one
+    file per evaluated point in ``directory``."""
+    time.sleep(0.2)
+    open(os.path.join(directory, str(i)), "w").close()
+    return i
+
+
+#: ``executor_for_jobs(jobs, n_points)`` under each value of the
+#: environment override: rows are jobs None/1/2, columns n_points
+#: None/32/33. The override wins at every ``jobs`` value; an invalid
+#: one is ignored by serial-sized runs and raises with ``jobs > 1``.
+_EXECUTOR_PICKS = {
+    None: [("serial",) * 3, ("serial",) * 3,
+           ("process", "serial", "process")],
+    "process": [("process",) * 3] * 3,
+    "thread": [("serial",) * 3, ("serial",) * 3, (ParameterError,) * 3],
+    "bogus": [("serial",) * 3, ("serial",) * 3, (ParameterError,) * 3],
+}
+
+
 class TestSweepRunner:
     def test_rejects_unknown_executor(self):
         with pytest.raises(ParameterError):
             SweepRunner(require_positive_product, executor="threads")
-        # Retired name: process runs on the same chunk schedule.
-        assert EXECUTORS == ("serial", "thread", "process",
-                             "distributed")
-        with pytest.raises(ParameterError, match="distributed"):
-            SweepRunner(require_positive_product, executor="chunked")
+        # Retired names: process runs on the same chunk schedule, and
+        # serial is the one in-process path.
+        assert EXECUTORS == ("serial", "process", "distributed")
+        for name in ("chunked", "thread"):
+            with pytest.raises(ParameterError) as err:
+                SweepRunner(require_positive_product, executor=name)
+            for valid in EXECUTORS:
+                assert valid in str(err.value)
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
     @pytest.mark.parametrize("chunk_size", (None, 5))
-    def test_pool_progress_once_per_chunk(self, executor, chunk_size):
-        """The pool executors report once per schedule_chunks chunk,
+    def test_pool_progress_once_per_chunk(self, chunk_size):
+        """The process pool reports once per schedule_chunks chunk,
         in points, ending at (total, total); an explicit chunk_size
         is a uniform split."""
         from repro.sweep import schedule_chunks
         spec = SweepSpec.product(a=tuple(range(1, 38)), b=(1,))
         calls = []
         result = run_sweep(require_positive_product, spec,
-                           executor=executor, jobs=2,
+                           executor="process", jobs=2,
                            chunk_size=chunk_size,
                            progress=lambda d, t: calls.append((d, t)))
         assert result.values == list(range(1, 38))
@@ -152,59 +180,44 @@ class TestSweepRunner:
                                  for b in (2, 3)]
         assert result.executor == executor
 
-    def test_executor_for_jobs(self):
-        assert executor_for_jobs(None) == "serial"
-        assert executor_for_jobs(1) == "serial"
-        assert executor_for_jobs(4) == "process"
+    @pytest.mark.parametrize("env", list(_EXECUTOR_PICKS))
+    def test_executor_for_jobs_table(self, monkeypatch, env):
+        from repro.sweep import SMALL_SWEEP_POINTS
+        assert SMALL_SWEEP_POINTS == 32
+        if env is None:
+            monkeypatch.delenv(SWEEP_EXECUTOR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SWEEP_EXECUTOR_ENV, env)
+        for jobs, row in zip((None, 1, 2), _EXECUTOR_PICKS[env]):
+            for n_points, want in zip((None, 32, 33), row):
+                if want is ParameterError:
+                    with pytest.raises(ParameterError,
+                                       match=SWEEP_EXECUTOR_ENV):
+                        executor_for_jobs(jobs, n_points=n_points)
+                else:
+                    assert executor_for_jobs(
+                        jobs, n_points=n_points) == want, (jobs,
+                                                           n_points)
+
+    def test_executor_for_jobs_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
             executor_for_jobs(0)
-
-    def test_executor_for_jobs_small_grid_prefers_thread(self):
-        from repro.sweep import SMALL_SWEEP_POINTS
-        # Tiny field-bound grids: process spawn cost dominates, so the
-        # implicit parallel pick is the thread executor.
-        assert executor_for_jobs(4, n_points=SMALL_SWEEP_POINTS) == \
-            "thread"
-        assert executor_for_jobs(
-            4, n_points=SMALL_SWEEP_POINTS + 1) == "process"
-        # Serial stays serial regardless of size.
-        assert executor_for_jobs(1, n_points=4) == "serial"
         with pytest.raises(ParameterError):
             executor_for_jobs(4, n_points=-1)
 
-    def test_executor_for_jobs_env_beats_size_heuristic(self,
-                                                        monkeypatch):
-        from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "process")
-        assert executor_for_jobs(4, n_points=4) == "process"
+    def test_aborted_pool_sweep_cancels_queued_chunks(self, tmp_path):
+        """RunAborted from ``progress`` propagates, and the chunks
+        still queued never start: only those in flight finish."""
+        def abort(done, total):
+            raise RunAborted("abandoned")
 
-    def test_executor_for_jobs_env_override(self, monkeypatch):
-        from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "thread")
-        assert executor_for_jobs(4) == "thread"
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "bogus")
-        with pytest.raises(ParameterError):
-            executor_for_jobs(4)
-
-    def test_executor_env_wins_at_every_jobs_value(self, monkeypatch):
-        """README precedence: the env var applies whether or not
-        --jobs was given explicitly (it used to silently lose for
-        jobs None/1)."""
-        from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "thread")
-        assert executor_for_jobs(None) == "thread"
-        assert executor_for_jobs(1) == "thread"
-        assert executor_for_jobs(1, n_points=4) == "thread"
-        assert executor_for_jobs(4) == "thread"
-
-    def test_invalid_executor_env_ignored_for_serial_runs(
-            self, monkeypatch):
-        """A bogus env value must not break single-job invocations
-        that never consulted it before."""
-        from repro.sweep import SWEEP_EXECUTOR_ENV
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "bogus")
-        assert executor_for_jobs(None) == "serial"
-        assert executor_for_jobs(1) == "serial"
+        spec = SweepSpec.product(i=tuple(range(20)))
+        with pytest.raises(RunAborted):
+            run_sweep(partial(slow_marked_point,
+                              directory=str(tmp_path)),
+                      spec, executor="process", jobs=2, chunk_size=1,
+                      progress=abort)
+        assert 1 <= len(os.listdir(tmp_path)) < 20
 
     def test_worker_error_propagates(self):
         spec = SweepSpec.product(a=(1, -1), b=(2,))
@@ -212,15 +225,12 @@ class TestSweepRunner:
             run_sweep(require_positive_product, spec)
         with pytest.raises(ParameterError):
             run_sweep(require_positive_product, spec,
-                      executor="thread", jobs=2)
-        with pytest.raises(ParameterError):
-            run_sweep(require_positive_product, spec,
                       executor="process", jobs=2)
 
 
 @pytest.mark.integration
 class TestSeededSweepDeterminism:
-    """Acceptance: serial == thread == process == distributed for
+    """Acceptance: serial == process == distributed for
     every seeded consumer sweep."""
 
     def test_memsys_uber_sweep_all_executors_equal(self):
@@ -230,7 +240,7 @@ class TestSeededSweepDeterminism:
         kwargs = dict(pitch_ratios=(3.0, 1.5), patterns=("solid0",),
                       rows=16, cols=16, seed=3)
         serial = uber_sweep(device, **kwargs)
-        for executor in ("thread", "process", "distributed"):
+        for executor in ("process", "distributed"):
             result = uber_sweep(device, executor=executor, jobs=2,
                                 **kwargs)
             assert result.rows == serial.rows, executor
@@ -242,7 +252,7 @@ class TestSeededSweepDeterminism:
         from repro.device import PAPER_EVAL_DEVICE
         explorer = DesignSpaceExplorer(PAPER_EVAL_DEVICE)
         serial = explorer.sweep([30e-9, 35e-9], [2.0, 3.0])
-        for executor in ("thread", "process", "distributed"):
+        for executor in ("process", "distributed"):
             result = explorer.sweep([30e-9, 35e-9], [2.0, 3.0], jobs=2,
                                     executor=executor)
             # DesignPoint is a frozen dataclass: == is exact equality.
@@ -282,16 +292,13 @@ class TestSeededSweepDeterminism:
         subset = {k: runner.EXPERIMENTS[k] for k in ("fig4a", "fig4b")}
         monkeypatch.setattr(runner, "EXPERIMENTS", subset)
         serial = runner.run_all()
-        threaded = runner.run_all(executor="thread", jobs=2)
         parallel = runner.run_all(jobs=2)
-        assert (list(serial) == list(threaded) == list(parallel)
-                == ["fig4a", "fig4b"])
+        assert list(serial) == list(parallel) == ["fig4a", "fig4b"]
         for name in serial:
-            for b in (threaded[name], parallel[name]):
-                a = serial[name]
-                assert a.rows == b.rows
-                assert a.comparisons == b.comparisons
-                assert set(a.series) == set(b.series)
-                for key in a.series:
-                    np.testing.assert_array_equal(a.series[key][1],
-                                                  b.series[key][1])
+            a, b = serial[name], parallel[name]
+            assert a.rows == b.rows
+            assert a.comparisons == b.comparisons
+            assert set(a.series) == set(b.series)
+            for key in a.series:
+                np.testing.assert_array_equal(a.series[key][1],
+                                              b.series[key][1])
