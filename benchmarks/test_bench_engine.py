@@ -46,7 +46,6 @@ from memsys_reference import per_cell_reference
 
 from repro.device import MTJDevice, PAPER_EVAL_DEVICE
 from repro.memsys import build_engine
-from repro.memsys.bitplane import _POPCOUNT_TABLE, _popcount_rows_table
 from repro.memsys.traffic import StressPatternWorkload
 
 #: Floor asserted on the 1024 x 1024 binomial-vs-per-cell ratio.
@@ -238,52 +237,6 @@ def test_numba_backend_speedup_1024(device):
     assert speedup >= BACKEND_SPEEDUP_FLOOR, (
         f"numba backend only {speedup:.1f}x over numpy "
         f"(floor {BACKEND_SPEEDUP_FLOOR}x)")
-
-
-def test_popcount_table_narrow_rows_not_slower():
-    """The column-loop byte-table popcount beats the gather it replaced.
-
-    ``_popcount_rows_table`` is the numpy < 2.0 fallback for the
-    per-word diff; the engine diffs narrow rows (a 72-bit codeword is
-    2 lanes = 16 byte columns), where accumulating one looked-up
-    column at a time avoids the ``(n, 16)`` gathered temp. Assert the
-    adaptive path is not slower than the one-shot gather on that shape
-    (measured ~1.2x faster; floored at parity minus jitter).
-    """
-    rng = np.random.default_rng(SEED)
-    lanes = rng.integers(0, 2**63, size=(131_072, 2), dtype=np.uint64)
-    u8 = np.ascontiguousarray(lanes).view(np.uint8)
-
-    def gather_reference(lanes):
-        return _POPCOUNT_TABLE[np.ascontiguousarray(lanes)
-                               .view(np.uint8)].sum(axis=1,
-                                                    dtype=np.int64)
-
-    assert np.array_equal(_popcount_rows_table(lanes),
-                          gather_reference(lanes))
-
-    def best_of(fn, repeats=7):
-        best = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(lanes)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best
-
-    t_column = best_of(_popcount_rows_table)
-    t_gather = best_of(gather_reference)
-    ratio = t_gather / t_column
-    _merge_bench({"popcount_narrow_rows": {
-        "rows": int(lanes.shape[0]), "byte_cols": int(u8.shape[1]),
-        "gather_ms": round(t_gather * 1e3, 4),
-        "column_ms": round(t_column * 1e3, 4),
-        "ratio": round(ratio, 3),
-    }})
-    print(f"\npopcount (131072, 16 bytes): gather {t_gather * 1e3:.3f}ms, "
-          f"column loop {t_column * 1e3:.3f}ms -> {ratio:.2f}x")
-    assert ratio >= 0.9, (
-        f"column-loop popcount regressed to {ratio:.2f}x of the gather")
 
 
 def test_banked_process_speedup_chip_1024(device):

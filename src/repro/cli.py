@@ -42,9 +42,14 @@ workers that run contiguous chunks of points; ``distributed`` ships
 the same chunks over a spool-directory job queue that ``repro worker``
 processes — started on any host sharing the
 ``REPRO_SWEEP_SPOOL`` directory — serve, warm-started from a shared
-``REPRO_KERNEL_CACHE``). ``--jobs N`` alone keeps grids of at most 32
-points serial and forks a process pool for larger ones. A banked
-``memsys`` run on ``serial`` advances every shard stacked in one run.
+``REPRO_KERNEL_CACHE``). Without ``--executor`` one rule picks
+(:func:`repro.sweep.executor_for_jobs`): ``REPRO_SWEEP_EXECUTOR``
+first; then, with ``REPRO_SWEEP_SPOOL`` set, ``distributed`` for grids
+of at least 64 work units; then ``--jobs N`` alone keeps grids of at
+most 32 work units serial and forks a process pool for larger ones. A
+work unit is one point, or ``max(1, rows * cols // 65536)`` for one
+array point of a ``memsys`` pitch sweep. A banked ``memsys`` run on
+``serial`` advances every shard stacked in one run.
 
 ``cache`` manages the persistent kernel cache that the
 ``REPRO_KERNEL_CACHE`` environment variable enables: ``info`` inspects

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bitplane import _POPCOUNT_TABLE
-
 try:
     from numba import njit
 
@@ -47,9 +45,10 @@ except ImportError:  # pragma: no cover - exercised via python mode
             return func
         return decorate
 
-#: Per-byte set-bit counts widened to int64 once, so kernel sums never
+#: Set-bit count of every byte value, as int64 so kernel sums never
 #: touch uint8 accumulation.
-_TABLE64 = _POPCOUNT_TABLE.astype(np.int64)
+_TABLE64 = np.array([bin(i).count("1") for i in range(256)],
+                    dtype=np.int64)
 
 
 @njit(cache=True)

@@ -24,13 +24,6 @@ from ..errors import ParameterError
 #: on bit order regardless of platform.
 LANE_DTYPE = np.dtype("<u8")
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-#: Set-bit count of every byte value (fallback for numpy < 2.0).
-_POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)],
-                           dtype=np.uint8)
-
-
 #: Cells per block of the block-wise whole-array passes (class-map
 #: rebuild, random initial content): a block's temporaries stay a few
 #: hundred KiB however large the array.
@@ -84,30 +77,7 @@ def lane_bits(lanes, rows, bits):
 
 def popcount_rows(lanes):
     """Total set bits per row of a 2-D uint64 array."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(lanes).sum(axis=1, dtype=np.int64)
-    return _popcount_rows_table(lanes)
-
-
-def _popcount_rows_table(lanes):
-    """Byte-table popcount (the numpy < 2.0 fallback, kept testable).
-
-    For the narrow rows the engine actually diffs (a 72-bit codeword
-    is 2 lanes = 16 byte columns) the gathered ``(n, 8 * n_lanes)``
-    table temp plus its reduction is the dominant cost; accumulating
-    one looked-up column at a time keeps the peak temp at a single
-    ``(n,)`` column and is ~20% faster (see
-    ``benchmarks/test_bench_engine.py``). Past a few dozen columns the
-    per-column strided gathers lose to the one big contiguous gather,
-    so wide rows keep the original reduction.
-    """
-    u8 = np.ascontiguousarray(lanes).view(np.uint8)
-    if u8.ndim == 2 and 0 < u8.shape[1] <= 32:
-        out = np.zeros(u8.shape[0], dtype=np.int64)
-        for j in range(u8.shape[1]):
-            out += _POPCOUNT_TABLE[u8[:, j]]
-        return out
-    return _POPCOUNT_TABLE[u8].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(lanes).sum(axis=1, dtype=np.int64)
 
 
 class BitPlane:

@@ -42,7 +42,8 @@ import numpy as np
 from ..arrays.kernel_store import get_kernel_store
 from ..errors import ParameterError
 from ..experiments.base import Comparison, ExperimentResult
-from ..sweep import SweepRunner, SweepSpec, executor_for_jobs
+from ..sweep import (SweepRunner, SweepSpec, array_work_units,
+                     executor_for_jobs)
 from ..validation import require_positive
 from .engine import build_engine
 
@@ -85,9 +86,11 @@ def uber_sweep(device, pitch_ratios=DEFAULT_PITCH_RATIOS,
     magnitude at every density.
 
     Runs with ``executor`` (one of :data:`repro.sweep.EXECUTORS`), else
-    the :func:`~repro.sweep.runner.executor_for_jobs` pick for
-    ``jobs``; results are identical to the serial run for the same
-    ``seed``. ``progress`` (a ``progress(done, total)`` callable) is
+    the :func:`~repro.sweep.runner.executor_for_jobs` pick for ``jobs``
+    over the grid's :func:`~repro.sweep.runner.array_work_units`
+    (``extras["sweep"]["executor"]`` names it); results are identical
+    to the serial run for the same ``seed``. ``progress`` (a
+    ``progress(done, total)`` callable) is
     forwarded to the :class:`~repro.sweep.runner.SweepRunner` — raise
     :class:`~repro.errors.RunAborted` from it to cancel the sweep.
     ``engine_kwargs`` pass through to
@@ -108,7 +111,8 @@ def uber_sweep(device, pitch_ratios=DEFAULT_PITCH_RATIOS,
                              ratio=pitch_ratios)
     func = partial(_rates_point, device, rows, cols, seed,
                    engine_kwargs)
-    executor = executor or executor_for_jobs(jobs, n_points=len(spec))
+    executor = executor or executor_for_jobs(
+        jobs, n_points=array_work_units(len(spec), rows, cols))
     sweep_result = SweepRunner(func, executor=executor, jobs=jobs,
                                progress=progress).run(spec)
 
@@ -226,8 +230,8 @@ def secded_margin_pitch(device, uber_target, pattern="solid0",
         raise ParameterError("ratios must not be empty")
     func = partial(_rates_point, device, rows, cols, seed,
                    engine_kwargs)
-    executor = executor or executor_for_jobs(jobs,
-                                             n_points=len(ratios))
+    executor = executor or executor_for_jobs(
+        jobs, n_points=array_work_units(len(ratios), rows, cols))
     if executor == "serial":
         # Lazy scan: stop at the first miss, like the pre-engine loop.
         # This path bypasses SweepRunner, so it persists its own

@@ -239,15 +239,6 @@ class HierarchicalAddressMap:
         return (r[:, None] * topo.cols + c[None, :]).reshape(-1)
 
 
-def _spawn_generators(gen, n):
-    """``n`` child generators derived deterministically from ``gen``."""
-    try:
-        return list(gen.spawn(n))
-    except AttributeError:  # numpy < 1.25: spawn via the seed sequence
-        seed_seq = gen.bit_generator._seed_seq
-        return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
-
-
 def _run_shard(device, sub_rows, sub_cols, engine_kwargs, batch_size,
                profile, checkpoint_dir, checkpoint_every, resume,
                shard, n_transactions, rng):
@@ -375,9 +366,10 @@ class TopologyEngine:
         <repro.memsys.engine.ReliabilityEngine.run_shards>`).
         ``"process"`` and ``"distributed"`` dispatch one sub-run per
         shard through the sweep executors, with ``jobs``/``spool``;
-        the default is the small-sweep heuristic of
-        :func:`~repro.sweep.runner.executor_for_jobs` over the active
-        shards (up to 32 of them stay in process at any ``jobs``).
+        the default is the :func:`~repro.sweep.runner.executor_for_jobs`
+        pick over the active shards (up to 32 of them stay in process
+        at any ``jobs``; with ``REPRO_SWEEP_SPOOL`` set, 64 or more go
+        to the spool).
         Any other name raises :class:`~repro.errors.ParameterError`
         on every topology, a 1x1 one included.
         ``extras["topology"]["executor"]`` names the path that ran.
@@ -417,7 +409,7 @@ class TopologyEngine:
             executor = "serial"
         else:
             shares = self.transaction_shares(n)
-            children = _spawn_generators(gen, topo.n_shards)
+            children = gen.spawn(topo.n_shards)
             active = [(shard, share, child) for shard, (share, child)
                       in enumerate(zip(shares, children)) if share > 0]
             tags = [f"shard-{shard}" for shard, _, _ in active]
@@ -476,7 +468,7 @@ class TopologyEngine:
                else np.random.default_rng(rng))
         if self.topology.n_shards == 1:
             return self.template.expected_rates(rng=gen)
-        children = _spawn_generators(gen, self.topology.n_shards)
+        children = gen.spawn(self.topology.n_shards)
         per_shard = [self.template.expected_rates(rng=child)
                      for child in children]
         return {key: float(np.mean([rates[key]

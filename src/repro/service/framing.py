@@ -24,6 +24,17 @@ def encode_line(obj):
             + "\n").encode("utf-8")
 
 
+def encode_result_line(head, encoded_result):
+    """``encode_line({**head, "result": result})`` from the result's
+    compact sorted JSON bytes, without re-encoding the result.
+
+    Every key of a result event's ``head`` sorts before ``"result"``,
+    so the encoded result splices in as the frame's last member.
+    """
+    return (encode_line(head)[:-2] + b',"result":' + encoded_result
+            + b"}\n")
+
+
 def decode_line(line):
     """Parse one frame; raises :class:`ParameterError` on bad JSON."""
     if isinstance(line, (bytes, bytearray)):

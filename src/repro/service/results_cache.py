@@ -55,6 +55,19 @@ _FINGERPRINT_LEN = 32
 _KEY_PATTERN = re.compile(f"[0-9a-f]{{{_FINGERPRINT_LEN}}}")
 
 
+class CachedPayload(dict):
+    """A memoized payload plus ``encoded``, its compact sorted JSON,
+    encoded once as it enters the memory tier so a hit's answer
+    splices it in (:func:`~repro.service.framing.encode_result_line`)."""
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, payload):
+        super().__init__(payload)
+        self.encoded = json.dumps(self, separators=(",", ":"),
+                                  sort_keys=True).encode("utf-8")
+
+
 class ResultsCache:
     """Two-tier (memory LRU + optional disk) memo cache.
 
@@ -95,7 +108,7 @@ class ResultsCache:
                 f"clock must be callable or expose time(), got "
                 f"{clock!r}")
         self._lock = threading.Lock()
-        #: key -> (payload, stored_at, digest)
+        #: key -> (CachedPayload, stored_at, digest)
         self._memory = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -212,13 +225,14 @@ class ResultsCache:
         entry = self._disk_get(key)
         if entry is not None:
             self._disk_hits += 1
-            self._store(key, entry)
+            entry = self._store(key, *entry)
         return entry
 
     # -- public API ----------------------------------------------------
 
     def get(self, key, max_age=None):
-        """The memoized payload for ``key``, or ``None`` on a miss.
+        """The memoized :class:`CachedPayload` for ``key``, or ``None``
+        on a miss.
 
         ``max_age`` (seconds) is the memo TTL: an older entry reads as
         a counted miss but is kept in both tiers, where
@@ -283,14 +297,16 @@ class ResultsCache:
         with self._lock:
             stored_at = float(self._clock())
             digest = record_digest(payload)
-            self._store(key, (payload, stored_at, digest))
+            self._store(key, payload, stored_at, digest)
             self._disk_put(key, payload, stored_at, digest)
 
-    def _store(self, key, entry):
+    def _store(self, key, payload, stored_at, digest):
+        entry = (CachedPayload(payload), stored_at, digest)
         self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
+        return entry
 
     def clear(self):
         """Drop the memory tier (the disk tier is left untouched)."""

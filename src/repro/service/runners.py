@@ -7,19 +7,9 @@ state, no printing. Runners execute in worker threads (via
 run's ``abort`` event, converted into
 :class:`~repro.errors.RunAborted` at every progress boundary, and
 report progress through ``publish(done, total)``.
-
-The executor of sweep-shaped queries is resolved server-side: an
-explicit ``executor`` (checked at parse time) wins, then grids of
-:data:`DISTRIBUTED_MIN_POINTS` or more points are dispatched to the
-spool-directory broker whenever ``REPRO_SWEEP_SPOOL`` names one (the
-``repro worker`` fleet becomes the service's compute backend), else
-the library's :func:`~repro.sweep.runner.executor_for_jobs` heuristic
-decides.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -30,19 +20,9 @@ from ..device import PAPER_EVAL_DEVICE
 from ..errors import RunAborted
 from ..memsys import build_engine, uber_sweep
 from ..memsys.sweeps import SWEEP_HEADERS
-from ..resilience.breaker import RetryPolicy, call_with_retry
 from ..sweep import executor_for_jobs
-from ..sweep.distributed import SWEEP_SPOOL_ENV
 from ..units import nm_to_m
 from .protocol import device_for
-
-#: Sweep grids at least this large go to the distributed spool broker
-#: when ``REPRO_SWEEP_SPOOL`` is configured.
-DISTRIBUTED_MIN_POINTS = 64
-
-#: Attempts at dispatching a sweep to the spool broker before the
-#: failure propagates to the client.
-SPOOL_DISPATCH_ATTEMPTS = 3
 
 
 def json_safe(value):
@@ -74,28 +54,6 @@ def _progress(abort, publish):
             raise RunAborted("query abandoned by every subscriber")
         publish(done, total)
     return callback
-
-
-def _dispatch(func, executor, seed=0):
-    """Run one sweep dispatch; distributed runs retry transient spool
-    I/O (an NFS hiccup, the spool racing into existence) with seeded
-    exponential backoff before the failure reaches the client."""
-    if executor != "distributed":
-        return func()
-    policy = RetryPolicy(base=0.2, factor=2.0, cap=2.0,
-                         max_attempts=SPOOL_DISPATCH_ATTEMPTS,
-                         seed=seed)
-    return call_with_retry(func, policy, retry_on=OSError)
-
-
-def pick_executor(query):
-    """Resolve the sweep executor of one sweep-shaped query."""
-    if query.executor is not None:
-        return query.executor
-    if (query.n_points >= DISTRIBUTED_MIN_POINTS
-            and os.environ.get(SWEEP_SPOOL_ENV)):
-        return "distributed"
-    return executor_for_jobs(query.jobs, n_points=query.n_points)
 
 
 def run_uber(query, abort, publish):
@@ -161,21 +119,20 @@ def run_wer(query, abort, publish):
 def run_sweep(query, abort, publish):
     """Expected-UBER sweep over pitch x pattern x ECC."""
     device = device_for(query)
-    executor = pick_executor(query)
-    result = _dispatch(lambda: uber_sweep(
+    result = uber_sweep(
         device, pitch_ratios=list(query.pitch_ratios),
         patterns=list(query.patterns), eccs=list(query.eccs),
         rows=query.rows, cols=query.cols, seed=query.seed,
-        jobs=query.jobs, executor=executor,
+        jobs=query.jobs, executor=query.executor,
         progress=_progress(abort, publish), vp=query.vp,
-        nominal_wer=query.nominal_wer), executor, seed=query.seed)
+        nominal_wer=query.nominal_wer)
     comparisons = [{"metric": c.metric, "measured": c.measured,
                     "passed": c.passed} for c in result.comparisons]
     return json_safe({
         "headers": list(SWEEP_HEADERS),
         "rows": [list(row) for row in result.rows],
         "comparisons": comparisons,
-        "executor": executor,
+        "executor": result.extras["sweep"]["executor"],
         "n_points": query.n_points,
     })
 
@@ -184,11 +141,12 @@ def run_design(query, abort, publish):
     """Design-space table over eCD x pitch ratio."""
     explorer = DesignSpaceExplorer(PAPER_EVAL_DEVICE,
                                    probe_voltage=query.probe_voltage)
-    executor = pick_executor(query)
-    points = _dispatch(lambda: explorer.sweep(
+    executor = query.executor or executor_for_jobs(
+        query.jobs, n_points=query.n_points)
+    points = explorer.sweep(
         [nm_to_m(e) for e in query.ecds_nm],
         list(query.pitch_ratios), jobs=query.jobs, executor=executor,
-        progress=_progress(abort, publish)), executor)
+        progress=_progress(abort, publish))
     return json_safe({
         "headers": list(DESIGN_HEADERS),
         "rows": [list(p.row()) for p in points],

@@ -52,6 +52,7 @@ from ..errors import ParameterError, ReproError, RunAborted
 from ..resilience.breaker import CircuitBreaker
 from ..validation import require_int_in_range, require_positive
 from .coalesce import Coalescer
+from .framing import encode_result_line
 from .protocol import (MAX_LINE_BYTES, decode_line, encode_line,
                        parse_request, query_fingerprint)
 from .results_cache import ResultsCache
@@ -272,10 +273,14 @@ class ReliabilityServer:
                 writer.close()
                 await writer.wait_closed()
 
-    def _send(self, writer, event):
+    @staticmethod
+    def _write(writer, frame):
         """Queue one frame; single write() => frames never interleave."""
         with contextlib.suppress(Exception):
-            writer.write(encode_line(event))
+            writer.write(frame)
+
+    def _send(self, writer, event):
+        self._write(writer, encode_line(event))
 
     def _internal_error(self, writer, req_id, exc):
         """Answer a bug outside the ReproError taxonomy: the client gets
@@ -370,10 +375,10 @@ class ReliabilityServer:
         key = query_fingerprint(query)
         cached = self.cache.get(key, max_age=self.memo_ttl)
         if cached is not None:
-            self._send(writer, {"id": req_id, "event": "result",
-                                "ok": True, "cached": True,
-                                "coalesced": False,
-                                "fingerprint": key, "result": cached})
+            self._write(writer, encode_result_line(
+                {"id": req_id, "event": "result", "ok": True,
+                 "cached": True, "coalesced": False, "fingerprint": key},
+                cached.encoded))
             return False
 
         breaker = self._breaker(query.op)

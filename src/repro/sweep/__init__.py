@@ -37,12 +37,13 @@ from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "distributed": [
-        "SHUTDOWN_SENTINEL", "SWEEP_SPAWN_ENV", "SWEEP_SPOOL_ENV",
-        "DistributedBroker", "SpoolWorker"],
+        "SHUTDOWN_SENTINEL", "SWEEP_SPAWN_ENV", "DistributedBroker",
+        "SpoolWorker"],
     "result": ["SweepResult"],
     "runner": [
-        "EXECUTORS", "SMALL_SWEEP_POINTS", "SWEEP_EXECUTOR_ENV", "SweepRunner",
-        "add_sweep_arguments", "executor_for_jobs", "run_sweep",
-        "schedule_chunks"],
+        "DISTRIBUTED_MIN_UNITS", "EXECUTORS", "SMALL_SWEEP_UNITS",
+        "SWEEP_EXECUTOR_ENV", "SWEEP_SPOOL_ENV", "SweepRunner",
+        "array_work_units", "add_sweep_arguments", "executor_for_jobs",
+        "run_sweep", "schedule_chunks"],
     "spec": ["SweepSpec"],
 })

@@ -1,6 +1,6 @@
 """Distributed sweep execution over a spool-directory job queue.
 
-The fifth :data:`~repro.sweep.runner.EXECUTORS` entry ships
+The third and last :data:`~repro.sweep.runner.EXECUTORS` entry ships
 :class:`~repro.sweep.spec.SweepSpec` chunks to *worker processes* —
 spawned locally by the broker, or attached from anywhere that can see
 the spool directory (``python -m repro.cli worker --spool DIR``). The
@@ -65,11 +65,7 @@ from ..integrity.manifest import (
     unpack_record,
 )
 from ..validation import require_int_in_range, require_positive
-from .runner import _flush_kernel_store, schedule_chunks
-
-#: Spool directory the ``distributed`` executor and external workers
-#: rendezvous in; without it the broker uses a private temp spool.
-SWEEP_SPOOL_ENV = "REPRO_SWEEP_SPOOL"
+from .runner import SWEEP_SPOOL_ENV, _flush_kernel_store, schedule_chunks
 
 #: Local-worker count the broker spawns (default: its job count).
 #: ``REPRO_SWEEP_SPAWN=0`` defers entirely to externally attached

@@ -48,13 +48,21 @@ from .spec import SweepSpec
 #: The executor names :class:`SweepRunner` accepts.
 EXECUTORS = ("serial", "process", "distributed")
 
-#: Environment override of the parallel executor picked by ``--jobs``.
+#: Environment override of the executor :func:`executor_for_jobs` picks.
 SWEEP_EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
 
-#: Grids at or below this many points count as "small" for
+#: Spool directory the ``distributed`` executor and external workers
+#: rendezvous in; without it the broker uses a private temp spool.
+SWEEP_SPOOL_ENV = "REPRO_SWEEP_SPOOL"
+
+#: Grids of at most this many work units count as "small" for
 #: :func:`executor_for_jobs`: process-pool spawn cost dominates them,
 #: so the implicit parallel pick keeps them serial, in process.
-SMALL_SWEEP_POINTS = 32
+SMALL_SWEEP_UNITS = 32
+
+#: Grids of at least this many work units go to the spool broker when
+#: :data:`SWEEP_SPOOL_ENV` names one.
+DISTRIBUTED_MIN_UNITS = 64
 
 
 def _flush_kernel_store():
@@ -251,11 +259,19 @@ class SweepRunner:
         return values
 
     def _run_distributed(self, points):
+        """``(values, stats)`` from the spool broker; transient spool
+        I/O (an NFS hiccup, the spool racing into existence) retries
+        with seeded exponential backoff, three attempts in all."""
+        from ..resilience.breaker import RetryPolicy, call_with_retry
         from .distributed import run_distributed
-        return run_distributed(self.func, points, spool=self.spool,
-                               jobs=self._effective_jobs(),
-                               chunk_size=self.chunk_size,
-                               progress=self.progress)
+        policy = RetryPolicy(base=0.2, factor=2.0, cap=2.0,
+                             max_attempts=3)
+        return call_with_retry(
+            lambda: run_distributed(self.func, points, spool=self.spool,
+                                    jobs=self._effective_jobs(),
+                                    chunk_size=self.chunk_size,
+                                    progress=self.progress),
+            policy, retry_on=OSError)
 
 
 def run_sweep(func, spec, executor="serial", jobs=None, chunk_size=None,
@@ -285,18 +301,31 @@ def add_sweep_arguments(parser):
     return parser
 
 
-def executor_for_jobs(jobs, n_points=None):
-    """Map a CLI-style ``--jobs`` value onto an executor name.
+def array_work_units(n_points, rows, cols):
+    """Work units of ``n_points`` points on a ``rows`` x ``cols`` array:
+    ``max(1, rows * cols // 65536)`` per point (a 256² point weighs 1,
+    a 1024² point 16), capped at :func:`executor_for_jobs`' input
+    bound."""
+    per_point = max(1, int(rows) * int(cols) // 65536)
+    return min(10**9, int(n_points) * per_point)
 
-    Precedence (documented in the README): an explicit ``--executor``
-    flag never reaches this function (call sites short-circuit on it);
-    then the :data:`SWEEP_EXECUTOR_ENV` environment variable, which
-    wins at *every* ``jobs`` value, including an explicit ``--jobs 1``
-    or no ``--jobs`` at all; then the ``--jobs`` size heuristic:
-    ``None``/1 mean the serial baseline, and anything larger keeps
-    grids of at most :data:`SMALL_SWEEP_POINTS` points serial
-    (process-pool spawn cost dominates tiny field-bound sweeps) and
-    picks ``"process"`` for larger / unknown-size grids.
+
+def executor_for_jobs(jobs, n_points=None):
+    """The executor of a sweep that names none: the one policy.
+
+    ``n_points`` is the grid's size in work units — points, or
+    :func:`array_work_units` for grids of array points; None means
+    unknown. Precedence: an explicit executor never reaches this
+    function (call sites short-circuit on it); then the
+    :data:`SWEEP_EXECUTOR_ENV` environment variable, which wins at
+    *every* ``jobs`` value, including ``jobs`` of None or 1; then, with
+    :data:`SWEEP_SPOOL_ENV` set, grids of at least
+    :data:`DISTRIBUTED_MIN_UNITS` units go ``"distributed"`` (the
+    ``repro worker`` fleet on that spool serves them); then the
+    ``jobs`` size rule: None/1 mean the serial baseline, and anything
+    larger keeps grids of at most :data:`SMALL_SWEEP_UNITS` units
+    serial (process-pool spawn cost dominates them) and picks
+    ``"process"`` for larger or unknown-size grids.
 
     One asymmetry, on purpose: for serial-sized runs (``jobs`` of
     ``None``/1) a *misspelled* environment value is ignored rather
@@ -308,13 +337,17 @@ def executor_for_jobs(jobs, n_points=None):
     if n_points is not None:
         require_int_in_range(n_points, "n_points", 0, 10**9)
     env = os.environ.get(SWEEP_EXECUTOR_ENV) or None
-    if jobs is None or jobs == 1:
-        return env if env in EXECUTORS else "serial"
-    if env is None:
-        return ("serial" if n_points is not None
-                and n_points <= SMALL_SWEEP_POINTS else "process")
-    if env not in EXECUTORS:
+    if env in EXECUTORS:
+        return env
+    serial_sized = jobs is None or jobs == 1
+    if env is not None and not serial_sized:
         raise ParameterError(
             f"{SWEEP_EXECUTOR_ENV} must be one of {EXECUTORS}, got "
             f"{env!r}")
-    return env
+    known = n_points is not None
+    if (known and n_points >= DISTRIBUTED_MIN_UNITS
+            and os.environ.get(SWEEP_SPOOL_ENV)):
+        return "distributed"
+    if serial_sized or (known and n_points <= SMALL_SWEEP_UNITS):
+        return "serial"
+    return "process"

@@ -22,7 +22,7 @@ def _hermetic_environment():
     """
     saved = {}
     for name in ("REPRO_KERNEL_CACHE", "REPRO_SWEEP_EXECUTOR",
-                 "REPRO_ENGINE_BACKEND"):
+                 "REPRO_SWEEP_SPOOL", "REPRO_ENGINE_BACKEND"):
         saved[name] = os.environ.pop(name, None)
     yield
     for name, value in saved.items():

@@ -16,7 +16,6 @@ from repro.errors import ParameterError
 from repro.memsys import build_engine
 from repro.memsys.bitplane import (
     BitPlane,
-    _popcount_rows_table,
     pack_bits,
     popcount_rows,
     unpack_bits,
@@ -105,15 +104,9 @@ class TestBitPlane:
         sub = np.array([2, 5])
         assert np.array_equal(pa.diff_counts(pb, sub), dense[sub])
 
-    def test_popcount_table_matches_hardware_path(self):
-        rng = np.random.default_rng(4)
-        lanes = rng.integers(0, 2**63, size=(50, 3)).astype(np.uint64)
-        assert np.array_equal(popcount_rows(lanes),
-                              _popcount_rows_table(lanes))
-
-    def test_popcount_table_wide_and_degenerate_rows(self):
-        """Both accumulation strategies (column loop for narrow rows,
-        one gather past 32 byte columns) and the empty edge agree."""
+    def test_popcount_rows_wide_and_degenerate_rows(self):
+        """Narrow and wide rows match a Python bit count, and an empty
+        plane gives an empty count."""
         rng = np.random.default_rng(5)
         for n_lanes in (1, 4, 5, 16):
             lanes = rng.integers(0, 2**63,
@@ -121,9 +114,9 @@ class TestBitPlane:
             expect = [bin(int(v)).count("1") for row in lanes
                       for v in [sum(int(x) << (64 * i)
                                     for i, x in enumerate(row))]]
-            assert np.array_equal(_popcount_rows_table(lanes), expect)
+            assert np.array_equal(popcount_rows(lanes), expect)
         empty = np.zeros((0, 2), dtype=np.uint64)
-        assert _popcount_rows_table(empty).shape == (0,)
+        assert popcount_rows(empty).shape == (0,)
 
     def test_too_many_words_raises(self):
         with pytest.raises(ParameterError):

@@ -36,7 +36,6 @@ from repro.memsys.sampling import (
     class_index,
     stacked_class_maps,
 )
-from repro.memsys.topology import _spawn_generators
 from repro.resilience import CheckpointManager
 
 
@@ -155,7 +154,7 @@ class TestStackedResume:
         engine = _engine(eval_device)
         base = engine.run(self.N, rng=5, batch_size=self.BATCH)
         manager = CheckpointManager(str(tmp_path))
-        children = _spawn_generators(np.random.default_rng(5), 4)
+        children = np.random.default_rng(5).spawn(4)
         shares = engine.transaction_shares(self.N)
         for shard, kill in ((0, None), (1, 1), (2, 2)):
             progress = None if kill is None else _KillAfter(kill)

@@ -97,6 +97,28 @@ class TestDiskTier:
         os.unlink(tmp_path / f"{KEY_A}.json")
         assert cache.get(KEY_A) == {"v": 1}   # memory now serves it
 
+    def test_hits_carry_their_encoded_json(self, tmp_path):
+        """Memory-tier and promoted disk-tier hits both carry the
+        payload's compact sorted JSON, and a hit frame spliced from it
+        equals the frame encoded from the dict."""
+        from repro.service.framing import encode_line, encode_result_line
+        payload = {"z": [1.5, None, True], "a": {"é": 1e-300, "b": 2},
+                   "uber": 3.0e-9}
+        head = {"id": "q-\u2603", "event": "result", "ok": True,
+                "cached": True, "coalesced": False, "fingerprint": KEY_A}
+        ResultsCache(capacity=4, directory=str(tmp_path)).put(
+            KEY_A, payload)
+        cache = ResultsCache(capacity=4, directory=str(tmp_path))
+        for tier in ("disk", "memory"):
+            hit = cache.get(KEY_A)
+            assert hit == payload, tier
+            assert hit.encoded == json.dumps(
+                payload, separators=(",", ":"),
+                sort_keys=True).encode("utf-8"), tier
+            assert encode_result_line(head, hit.encoded) == encode_line(
+                {**head, "result": payload}), tier
+        assert cache.stats()["disk_hits"] == 1
+
     def test_eviction_keeps_disk_copy(self, tmp_path):
         cache = ResultsCache(capacity=1, directory=str(tmp_path))
         cache.put(KEY_A, {"v": 1})

@@ -21,6 +21,8 @@ import pytest
 
 from repro.errors import ParameterError, ServiceError
 from repro.service import ReliabilityServer, ServiceClient
+from repro.service.framing import encode_line
+from repro.service.results_cache import ResultsCache
 from repro.service.runners import RUNNERS
 from repro.sweep.distributed import SWEEP_SPOOL_ENV
 
@@ -620,6 +622,94 @@ class TestHardening:
             store = stats["kernel_store"]
             assert {"entries", "hits", "misses"} <= set(store)
             assert all(isinstance(v, int) for v in store.values())
+
+        _serve(body, path=path)
+
+
+def _raw_answers(path, requests):
+    """Send each request on one raw socket; the raw bytes of each
+    terminal (non-progress) answer line, in order."""
+    lines = []
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.connect(path)
+        with sock.makefile("rwb") as stream:
+            for request in requests:
+                stream.write(encode_line(request))
+                stream.flush()
+                line = stream.readline()
+                while json.loads(line)["event"] == "progress":
+                    line = stream.readline()
+                lines.append(line)
+    return lines
+
+
+class TestMemoHitFrames:
+    def test_every_hit_line_is_encode_line_of_its_event(self, tmp_path):
+        """A memo hit splices the cached payload's stored JSON into its
+        frame; the line must equal ``encode_line`` of the event it
+        decodes to, byte for byte — for disk-promoted and memory-tier
+        hits, whatever the request id."""
+        directory = str(tmp_path / "results")
+        path = str(tmp_path / "svc.sock")
+        query = {"op": "uber", **SMALL}
+        ids = ["first", 7, None, "é-\u2603", {"nested": [1, "x"]}]
+
+        def cold(server):
+            (line,) = _raw_answers(path, [{**query, "id": "cold"}])
+            assert not json.loads(line)["cached"]
+
+        _serve(cold, path=path, cache=ResultsCache(directory=directory))
+
+        def warm(server):
+            lines = _raw_answers(path, [{**query, "id": req_id}
+                                        for req_id in ids])
+            events = [json.loads(line) for line in lines]
+            assert [e["id"] for e in events] == ids
+            assert all(e["cached"] for e in events)
+            for line, event in zip(lines, events):
+                assert line == encode_line(event)
+            assert server.cache.stats()["disk_hits"] == 1
+
+        _serve(warm, path=path, cache=ResultsCache(directory=directory))
+
+
+class TestOneExecutorRule:
+    @pytest.mark.parametrize("side,ratios,patterns,jobs,spool,want", [
+        (16, (3.0, 2.0), ("solid0",), None, False, "serial"),
+        (64, (3.0, 2.0), ("solid0",), 2, False, "serial"),
+        (512, (3.0, 2.0, 1.5), ("random", "solid0", "checkerboard"), 2,
+         False, "process"),
+        (1024, (3.0, 1.5), ("solid0", "random"), 2, True,
+         "distributed"),
+    ])
+    def test_service_and_library_pick_the_same_executor(
+            self, tmp_path, monkeypatch, side, ratios, patterns, jobs,
+            spool, want):
+        """A service ``sweep`` and a library ``uber_sweep`` with the
+        same jobs, grid and environment run on one executor, and the
+        answer names it."""
+        from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+        from repro.memsys import uber_sweep
+        if spool:
+            os.makedirs(tmp_path / "spool")
+            monkeypatch.setenv(SWEEP_SPOOL_ENV, str(tmp_path / "spool"))
+        else:
+            monkeypatch.delenv(SWEEP_SPOOL_ENV, raising=False)
+        grid = dict(pitch_ratios=list(ratios), patterns=list(patterns),
+                    eccs=["secded"], rows=side, cols=side)
+        library = uber_sweep(MTJDevice(PAPER_EVAL_DEVICE), jobs=jobs,
+                             **grid)
+        assert library.extras["sweep"]["executor"] == want
+        path = str(tmp_path / "svc.sock")
+
+        def body(server):
+            with ServiceClient(path=path, timeout=180.0) as client:
+                event = client.query("sweep", jobs=jobs, **grid)
+            assert event["result"]["executor"] == want
+            assert event["result"]["rows"] == [
+                list(row) for row in json.loads(json.dumps(
+                    [[v.item() if hasattr(v, "item") else v
+                      for v in row] for row in library.rows]))]
 
         _serve(body, path=path)
 

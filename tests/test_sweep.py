@@ -118,15 +118,22 @@ def slow_marked_point(i, directory):
 
 
 #: ``executor_for_jobs(jobs, n_points)`` under each value of the
-#: environment override: rows are jobs None/1/2, columns n_points
-#: None/32/33. The override wins at every ``jobs`` value; an invalid
-#: one is ignored by serial-sized runs and raises with ``jobs > 1``.
+#: executor override, without and with a spool: rows are jobs
+#: None/1/2, columns n_points (work units) None/32/33/63/64. The
+#: override wins at every ``jobs`` value; an invalid one is ignored by
+#: serial-sized runs and raises with ``jobs > 1``. With a spool, grids
+#: of >= 64 units go distributed at any ``jobs``.
+_S, _P, _D, _E = "serial", "process", "distributed", ParameterError
 _EXECUTOR_PICKS = {
-    None: [("serial",) * 3, ("serial",) * 3,
-           ("process", "serial", "process")],
-    "process": [("process",) * 3] * 3,
-    "thread": [("serial",) * 3, ("serial",) * 3, (ParameterError,) * 3],
-    "bogus": [("serial",) * 3, ("serial",) * 3, (ParameterError,) * 3],
+    (None, False): [(_S,) * 5, (_S,) * 5, (_P, _S, _P, _P, _P)],
+    (None, True): [(_S, _S, _S, _S, _D), (_S, _S, _S, _S, _D),
+                   (_P, _S, _P, _P, _D)],
+    ("process", False): [(_P,) * 5] * 3,
+    ("process", True): [(_P,) * 5] * 3,
+    ("serial", True): [(_S,) * 5] * 3,
+    ("thread", False): [(_S,) * 5, (_S,) * 5, (_E,) * 5],
+    ("bogus", True): [(_S, _S, _S, _S, _D), (_S, _S, _S, _S, _D),
+                      (_E,) * 5],
 }
 
 
@@ -180,16 +187,22 @@ class TestSweepRunner:
                                  for b in (2, 3)]
         assert result.executor == executor
 
-    @pytest.mark.parametrize("env", list(_EXECUTOR_PICKS))
-    def test_executor_for_jobs_table(self, monkeypatch, env):
-        from repro.sweep import SMALL_SWEEP_POINTS
-        assert SMALL_SWEEP_POINTS == 32
+    @pytest.mark.parametrize("env,spool", list(_EXECUTOR_PICKS))
+    def test_executor_for_jobs_table(self, monkeypatch, tmp_path, env,
+                                     spool):
+        from repro.sweep import (DISTRIBUTED_MIN_UNITS, SMALL_SWEEP_UNITS,
+                                 SWEEP_SPOOL_ENV)
+        assert (SMALL_SWEEP_UNITS, DISTRIBUTED_MIN_UNITS) == (32, 64)
         if env is None:
             monkeypatch.delenv(SWEEP_EXECUTOR_ENV, raising=False)
         else:
             monkeypatch.setenv(SWEEP_EXECUTOR_ENV, env)
-        for jobs, row in zip((None, 1, 2), _EXECUTOR_PICKS[env]):
-            for n_points, want in zip((None, 32, 33), row):
+        if spool:
+            monkeypatch.setenv(SWEEP_SPOOL_ENV, str(tmp_path))
+        else:
+            monkeypatch.delenv(SWEEP_SPOOL_ENV, raising=False)
+        for jobs, row in zip((None, 1, 2), _EXECUTOR_PICKS[env, spool]):
+            for n_points, want in zip((None, 32, 33, 63, 64), row):
                 if want is ParameterError:
                     with pytest.raises(ParameterError,
                                        match=SWEEP_EXECUTOR_ENV):
@@ -198,6 +211,25 @@ class TestSweepRunner:
                     assert executor_for_jobs(
                         jobs, n_points=n_points) == want, (jobs,
                                                            n_points)
+
+    @pytest.mark.parametrize("n_points,side,want", [
+        (18, 64, "serial"), (18, 128, "serial"), (18, 256, "serial"),
+        (18, 512, "process"), (18, 1024, "process"),
+        (2, 1024, "serial")])
+    def test_size_rule_weighs_array_points_by_cells(
+            self, monkeypatch, n_points, side, want):
+        """An array point counts ``max(1, cells // 65536)`` units:
+        18-point grids pool from 512² up, and two 1024² points (32
+        units) stay serial. ``jobs`` None or 1 is serial at any
+        size."""
+        from repro.sweep import SWEEP_SPOOL_ENV, array_work_units
+        monkeypatch.delenv(SWEEP_EXECUTOR_ENV, raising=False)
+        monkeypatch.delenv(SWEEP_SPOOL_ENV, raising=False)
+        units = array_work_units(n_points, side, side)
+        assert units == n_points * max(1, side * side // 65536)
+        assert executor_for_jobs(2, n_points=units) == want
+        for jobs in (None, 1):
+            assert executor_for_jobs(jobs, n_points=units) == "serial"
 
     def test_executor_for_jobs_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
@@ -246,6 +278,33 @@ class TestSeededSweepDeterminism:
             assert result.rows == serial.rows, executor
             assert result.extras["uber"] == serial.extras["uber"], \
                 executor
+
+    def test_distributed_dispatch_retries_spool_oserror(
+            self, monkeypatch):
+        """A library distributed sweep whose first dispatch raises
+        ``OSError`` retries and returns the serial table."""
+        from repro.device import MTJDevice, PAPER_EVAL_DEVICE
+        from repro.memsys import uber_sweep
+        from repro.sweep import distributed
+        device = MTJDevice(PAPER_EVAL_DEVICE)
+        kwargs = dict(pitch_ratios=(3.0, 1.5), patterns=("solid0",),
+                      rows=16, cols=16, seed=3)
+        serial = uber_sweep(device, **kwargs)
+        real = distributed.run_distributed
+        calls = []
+
+        def flaky(*args, **kw):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("spool vanished mid-dispatch")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(distributed, "run_distributed", flaky)
+        result = uber_sweep(device, executor="distributed", jobs=2,
+                            **kwargs)
+        assert len(calls) == 2
+        assert result.rows == serial.rows
+        assert result.extras["sweep"]["executor"] == "distributed"
 
     def test_design_space_all_executors_equal(self):
         from repro.apps import DesignSpaceExplorer
