@@ -1,23 +1,21 @@
 """Rare-event engine benches: the binomial sampler vs the per-cell
 reference.
 
-The headline bench is the acceptance criterion of the class-grouped
+The headline bench is the acceptance criterion of the binomial
 sampler: a 1024 x 1024 array trimmed to ``nominal_wer = 1e-6`` (a
 realistic shipping part, not the accelerated-stress corner) running
 1e6 transactions — a regime where the per-cell Bernoulli reference
 (``tests/memsys_reference.py``) burns one uniform draw per cell per
-mechanism while the engine draws per-class flip counts over bit-packed
+mechanism while the engine draws thinned flip counts over bit-packed
 state. The engine must be >= 10x faster than the same driver over the
 reference state, with the Monte-Carlo counters of the two pinned-seed
 runs statistically equivalent.
 
 Configuration notes: the workload is the checkerboard stress pattern at
 a 90% read fraction — the retention/read-disturb-dominated corner the
-fast path targets, with the background pinned so the incremental class
-maps stay on their sparse path (random write data falls back to full
-recomputes past the documented threshold). ``batch_size=2048`` refreshes
-the class maps every 2k transactions; both states run identical
-settings, so the comparison is like for like at equal fidelity.
+fast path targets. ``batch_size=2048`` refreshes the coupling classes
+every 2k transactions; both states run identical settings, so the
+comparison is like for like at equal fidelity.
 
 A second axis rides along: the compiled engine backend. With numba
 installed, the JIT backend must beat the numpy reference by >= 5x on

@@ -52,8 +52,8 @@ def main():
     result = engine.run(100_000, rng=2020)
     print(f"  {result.n_transactions} transactions, "
           f"{result.raw_bit_errors} raw bit errors observed, "
-          f"UBER {result.uber:.2e} — the class-grouped binomial "
-          "sampler draws flip counts per coupling class, so a "
+          f"UBER {result.uber:.2e} — the thinned binomial "
+          "sampler draws flip-candidate counts, not cells, so a "
           "per-cell draw budget never limits this regime.")
 
     ratio, uber = secded_margin_pitch(device, UBER_TARGET)

@@ -134,12 +134,12 @@ class RetentionBudgetPlanner:
         """Flipped-bit counts of ``n_periods`` scrub periods (MC).
 
         The planner budgets every bit at the worst-case coupling class
-        (victim P, NP8 = 0), so the class-grouped draw of
-        :mod:`repro.memsys.sampling` collapses to a single class of
-        ``n_bits`` exchangeable cells: the whole mission samples as one
-        vectorized ``Binomial(n_bits, p_flip)`` draw per period —
-        O(periods), never the per-bit Bernoulli loop a naive Monte
-        Carlo would spend at rare-event retention rates.
+        (victim P, NP8 = 0), so a binomial count per coupling class
+        (the trade of :mod:`repro.memsys.sampling`) collapses to one
+        class of ``n_bits`` exchangeable cells: the whole mission
+        samples as one vectorized ``Binomial(n_bits, p_flip)`` draw
+        per period — O(periods), never the per-bit Bernoulli loop a
+        naive Monte Carlo would spend at rare-event retention rates.
         """
         from ..validation import require_int_in_range
         require_int_in_range(n_periods, "n_periods", 1, 10**9)

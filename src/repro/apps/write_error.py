@@ -123,7 +123,7 @@ class WriteErrorModel:
 
         Every attempt at one stress corner is an exchangeable Bernoulli
         event whose probability is the closed form :meth:`wer` (the
-        same class-grouped trade as the memsys sampler, see
+        same binomial-count trade as the memsys sampler, see
         :mod:`repro.memsys.sampling`), so the failure *count* is one
         ``Binomial(n, wer)`` draw: O(1) per corner instead of
         O(n_samples), which is what lets the figure-level stress

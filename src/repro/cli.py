@@ -20,13 +20,13 @@ so identical invocations print identical numbers.
 
 ``memsys`` additionally accepts ``--preset stress|macro-512|chip-1024``
 — large-geometry operating points that bundle array size, traffic
-volume, and write-error trim (the class-grouped binomial sampler draws
-flip counts per coupling class, so ``nominal_wer <= 1e-6`` runs cost
-O(flips), not one uniform per cell). ``--checkpoint DIR`` makes the
-Monte-Carlo run crash-tolerant (atomic, checksummed snapshots at batch
-boundaries; ``--checkpoint-every N`` sets the cadence in transactions)
-and ``--resume`` continues a killed run mid-stream, byte-identical to the
-uninterrupted seeded run.
+volume, and write-error trim (the binomial sampler draws one
+flip-candidate count per term and classifies only the candidates, so
+``nominal_wer <= 1e-6`` runs cost O(flips), not one uniform per cell).
+``--checkpoint DIR`` makes the Monte-Carlo run crash-tolerant (atomic,
+checksummed snapshots at batch boundaries; ``--checkpoint-every N``
+sets the cadence in transactions) and ``--resume`` continues a killed
+run mid-stream, byte-identical to the uninterrupted seeded run.
 
 ``fleet`` supervises a pool of ``repro worker`` processes against a
 spool directory: it spawns workers when queue-depth x chunk-cost

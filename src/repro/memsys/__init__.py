@@ -16,9 +16,8 @@ mechanisms — write error, read disturb, retention — into one number.
 * :mod:`repro.memsys.engine` — vectorized Monte-Carlo engine (one
   driver over a packed binomial state) plus a noise-free expectation
   mode,
-* :mod:`repro.memsys.sampling` — the Monte-Carlo sampler:
-  class-grouped binomial flip draws and incrementally maintained
-  coupling-class maps,
+* :mod:`repro.memsys.sampling` — the Monte-Carlo sampler: exact
+  thinned flip draws over bit-sliced coupling-class planes,
 * :mod:`repro.memsys.bitplane` — bit-packed ``intended``/``actual``
   array state (uint64 lanes, XOR + popcount error counting),
 * :mod:`repro.memsys.backends` — pluggable compute backends for the
@@ -58,8 +57,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "engine": [
         "MemsysResult", "ReliabilityEngine", "build_engine", "merge_results"],
     "sampling": [
-        "IncrementalClassMaps", "N_CLASSES", "class_index",
-        "sample_class_flips"],
+        "ClassPlanes", "N_CLASSES", "class_index", "sample_class_flips"],
     "scrub": ["ScrubPolicy", "no_scrub"],
     "sense": ["SenseMarginModel"],
     "sweeps": ["secded_margin_pitch", "uber_sweep"],

@@ -1,12 +1,11 @@
 """Pluggable engine-compute backends for the binomial hot loop.
 
-At rare-event operating points the binomial sampler's cost is no
-longer the math but per-batch numpy *dispatch* on four hot kernels:
-the incremental class-map update around changed cells, the XOR +
-popcount diff over packed uint64 lanes, the grouped flip placement of
-:func:`~repro.memsys.sampling.sample_class_flips`, and the per-word
-error-count bookkeeping that feeds the all-clean read short-circuit.
-This package gives each of those a *backend*:
+At rare-event operating points the engine's cost is no longer the math
+but per-batch numpy *dispatch* on its scattered bit updates: the
+toggles of drawn flips and the write errors injected into freshly
+written words, each with the per-word error-count bookkeeping that
+feeds the all-clean read short-circuit. This package gives each of
+those a *backend*:
 
 * ``"numpy"`` — the bit-exact parity reference: every hook returns
   ``None`` ("use the library's vectorized numpy code"), so selecting
@@ -33,28 +32,11 @@ Backend hook contract (every hook may return ``None`` to mean "run
 the reference numpy path"; the numpy backend always does):
 
 ========================  ==============================================
-``xor_popcount_rows``     per-row set-bit count of ``a ^ b`` (uint64
-                          lanes) without materializing the XOR temp
-``rebuild_class_maps``    full rebuild of ``maps.class_idx`` in place
-                          from the packed plane; returns the histogram
-``apply_class_changes``   in-place class/histogram update around
-                          changed cells (+-25 own, +-5 direct, +-1
-                          diagonal)
-``group_class_members``   ``(order, bounds)`` grouping of cells by
-                          coupling class (counting sort, no argsort)
 ``toggle_and_count``      fused bit toggles + per-word error-count
                           maintenance; returns the wrong-bits delta
 ``inject_and_count``      fused write-error injection (all cells
                           become wrong); returns the flip count
 ========================  ==============================================
-
-``preferred_rebuild_fraction`` is a backend tuning knob: the churn
-fraction above which :class:`~repro.memsys.sampling.\
-IncrementalClassMaps` abandons incremental updates for a full rebuild.
-The compiled incremental walk is so much cheaper than scattered numpy
-updates that the numba backend raises the threshold (see its class
-docstring), which is an algorithmic choice — the resulting maps are
-identical either way.
 """
 
 from __future__ import annotations

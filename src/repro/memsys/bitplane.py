@@ -10,8 +10,8 @@ Layout: word ``w``'s ``code_bits`` cells pack little-endian into
 ``lanes[w, :]`` — codeword bit ``b`` lives in lane ``b // 64`` at bit
 ``b % 64``. Cells past the last whole codeword (the unmapped tail of
 the flattened array) live in a small int8 ``tail`` array, so
-whole-array mechanisms (retention, neighborhood class maps) still see
-every cell.
+whole-array mechanisms (retention, neighborhood class planes) still
+see every cell.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from ..errors import ParameterError
 #: on bit order regardless of platform.
 LANE_DTYPE = np.dtype("<u8")
 
-#: Cells per block of the block-wise whole-array passes (class-map
-#: rebuild, random initial content): a block's temporaries stay a few
-#: hundred KiB however large the array.
+#: Cells per block of the block-wise whole-array passes (classifying a
+#: whole-array draw's candidates, unpacking rows for the class planes,
+#: random initial content): a block's temporaries stay a few MiB at
+#: most however large the array.
 BLOCK_CELLS = 1 << 16
 
 
@@ -136,7 +137,11 @@ class BitPlane:
         words, tail = self.n_words // n, self.tail.size // n
         shards = []
         for s in range(n):
-            shard = BitPlane(words, self.code_bits, self.n_cells // n)
+            # A view, not a fresh plane: nothing is allocated.
+            shard = object.__new__(BitPlane)
+            shard.__dict__.update(self.__dict__)
+            shard.n_words, shard.n_cells = words, self.n_cells // n
+            shard.n_mapped = words * self.code_bits
             shard.lanes = self.lanes[s * words:(s + 1) * words]
             shard.tail = self.tail[s * tail:(s + 1) * tail]
             shards.append(shard)

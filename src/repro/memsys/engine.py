@@ -19,13 +19,15 @@ Two evaluation modes:
   buried under Monte-Carlo noise.
 
 Monte Carlo is one driver (:meth:`ReliabilityEngine.run`) over one
-state, ``_PackedState`` (see :mod:`repro.memsys.sampling`): flip
-*counts* are drawn per coupling class (at most 50 distinct
-probabilities) and placed by index choice; ``intended``/``actual`` live
-bit-packed in uint64 lanes (:mod:`repro.memsys.bitplane`) with exact
-per-word error counters; the class maps refresh incrementally around
-the cells that actually changed. Cost O(classified + flips), which is
-what makes nominal_wer <= 1e-6 scenarios reachable.
+state, ``_PackedState`` (see :mod:`repro.memsys.sampling`): every term
+is an exact thinned draw — a binomial candidate count at the table's
+largest class probability (at most 50 distinct probabilities), placed
+by index choice and kept per the candidate's class; ``intended``/
+``actual`` live bit-packed in uint64 lanes (:mod:`repro.memsys.bitplane`)
+with exact per-word error counters; the candidates' classes come from
+bit-sliced class planes rebuilt once per batch in O(cells / 64) word
+operations. Cost O(cells / 64 + candidates), which is what makes
+nominal_wer <= 1e-6 scenarios reachable.
 
 The driver owns everything else once: restore or init, the batch loop
 (classify, whole-array terms, scrub, occurrence-rank rounds), ECC
@@ -57,11 +59,7 @@ from .backends import resolve_backend
 from .bitplane import BitPlane, lane_bits, pack_bits
 from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
-from .sampling import (
-    sample_class_flips,
-    sample_thinned_flips,
-    stacked_class_maps,
-)
+from .sampling import ClassPlanes, sample_class_flips, sample_thinned_flips
 from .scrub import no_scrub
 from .traffic import StressPatternWorkload, Workload, make_workload
 
@@ -344,11 +342,11 @@ class ReliabilityEngine:
         Batches are split into *occurrence-rank rounds* — in round ``r``
         every word address appears at most once, so repeated accesses to
         the same word keep their exact sequential semantics while each
-        round is a pure numpy array step. Coupling-class maps and
+        round is a pure numpy array step. Coupling classes and
         retention exposure refresh at batch boundaries (the background
         data drifts slowly relative to a batch).
 
-        Flips are drawn as per-class flip counts over bit-packed state
+        Flips are drawn by exact thinning over bit-packed state
         (:mod:`repro.memsys.sampling`), deterministic under a seeded
         ``rng``.
 
@@ -815,12 +813,15 @@ class _Lane:
         # error rather than a silent seed swap). ``write_stream`` names
         # how write data is drawn from the generator: a checkpoint of
         # the older per-bit float stream (no such field) is refused
-        # rather than resumed into a mixed stream.
+        # rather than resumed into a mixed stream. ``drift_stream``
+        # likewise names how the whole-array terms draw: a checkpoint
+        # of the older class-grouped draw (no such field) is refused.
         self.identity = {
             "n_transactions": self.n_transactions,
             "batch_size": batch_size,
             "seed_state": record_digest(self.rng.bit_generator.state),
             "write_stream": "uint64-lanes",
+            "drift_stream": "thinned",
             **{str(k): v for k, v in engine._config().items()},
         }
         if resume:
@@ -909,7 +910,7 @@ class _Lane:
 # The driver talks to its state through these verbs (the test suite's
 # per-cell reference state implements the same ones):
 # stacked/fresh/load/build/snapshot (lifecycle and per-shard checkpoint
-# payload), classify (batch-boundary class maps), drift (one shard's
+# payload), classify (batch-boundary classes), drift (one shard's
 # whole-array term from a flat (50,) class table), write, error_counts,
 # rewrite and disturb. The access verbs take a round's global words
 # with per-shard ``bounds``, draw each shard's flips on that shard's
@@ -917,14 +918,18 @@ class _Lane:
 
 
 class _PackedState:
-    """Packed planes + class maps + exact per-word error counters: the
-    engine's Monte-Carlo state.
+    """Packed planes + class planes + exact per-word error counters:
+    the engine's Monte-Carlo state.
 
-    Flips are drawn per coupling class (one binomial per class instead
-    of one uniform per cell, :func:`sample_class_flips`) or, for the
-    cells an access touches, by exact thinning
-    (:func:`sample_thinned_flips`); the class maps refresh
-    incrementally around the cells that actually changed.
+    Every term is an exact thinned draw
+    (:func:`~repro.memsys.sampling.sample_thinned_flips`): a binomial
+    candidate count at the table's largest class probability, uniform
+    candidates, each kept per its class — over the whole array for the
+    retention and sneak terms (:func:`sample_class_flips`), over a
+    round's cells for write, rewrite and disturb. Every candidate takes
+    its class from :class:`~repro.memsys.sampling.ClassPlanes`, the
+    batch-start bit and neighbor-count planes that :meth:`classify`
+    rebuilds once per batch.
 
     ``err_count[w]`` tracks, exactly, how many cells of word ``w``
     currently disagree with their intended value; ``wrong_bits`` is its
@@ -940,17 +945,16 @@ class _PackedState:
     ``[s * W, (s + 1) * W)`` and tail cells ``[s * T, (s + 1) * T)``
     (:meth:`BitPlane.split`), so cell indices are plane indices:
     ``word * code_bits + bit`` for mapped cells, the tail after every
-    mapped cell. Its class maps are the row-major ``rows x cols`` maps
-    at ``s * rows * cols`` of the stacked class array
-    (:func:`~repro.memsys.sampling.stacked_class_maps`); a mapped cell
-    ``c`` of shard ``s`` sits at ``c + s * T`` there.
+    mapped cell. The class planes index shard ``s``'s row-major ``rows
+    x cols`` cells from ``s * rows * cols``; a mapped cell ``c`` of
+    shard ``s`` sits at ``c + s * T`` there.
     """
 
-    def __init__(self, intended, actual, maps, controller,
+    def __init__(self, intended, actual, planes, controller,
                  backend=None):
         self.intended = intended
         self.actual = actual
-        self.maps = maps
+        self.planes = planes
         self.backend = backend
         self.err_count = np.zeros(intended.n_words, dtype=np.int16)
         self.wrong_bits = 0
@@ -968,7 +972,7 @@ class _PackedState:
     def stacked(cls, engine, n_shards):
         """Zeroed planes for ``n_shards`` shards of ``engine``'s array;
         :meth:`fresh`/:meth:`load` fill the shards, then :meth:`build`
-        builds the class maps."""
+        sets up the class planes."""
         ctl = engine.controller
         state = cls(*(BitPlane(n_shards * ctl.words.n_words,
                                ctl.ecc.n_code,
@@ -996,7 +1000,7 @@ class _PackedState:
 
     def load(self, shard, saved):
         # Planes and exact error counters come from the snapshot; the
-        # class maps are a pure function of the actual plane and
+        # class planes are a pure function of the actual plane and
         # rebuild from it.
         for view, plane in zip(self.shards[shard],
                                (saved["intended"], saved["actual"])):
@@ -1006,9 +1010,8 @@ class _PackedState:
         self.wrong_bits += int(saved["wrong_bits"])
 
     def build(self):
-        self.maps, self.class_idx = stacked_class_maps(
-            self.layout.rows, self.layout.cols,
-            [actual for _, actual in self.shards], backend=self.backend)
+        self.planes = ClassPlanes(self.layout.rows, self.layout.cols,
+                                  len(self.shards))
 
     def snapshot(self, shard):
         intended, actual = self.shards[shard]
@@ -1018,22 +1021,21 @@ class _PackedState:
                 "wrong_bits": int(err_count.sum())}
 
     def classify(self):
-        for maps, (_, actual) in zip(self.maps, self.shards):
-            maps.refresh(actual)
+        self.planes.refresh(self.actual)
 
     def drift(self, shard, table, rng, profiler):
-        maps = self.maps[shard]
         with _prof(profiler, "draw"):
-            flips = sample_class_flips(maps.class_idx, table, rng,
-                                       hist=maps.hist,
-                                       backend=self.backend)
+            flips = sample_class_flips(self.planes, shard, table, rng)
         if flips.size:
-            # Shard-local row-major cells to plane cells: mapped cells
-            # follow the shard's word block, tail cells its tail block.
+            # Shard-local row-major cells to plane cells, in place:
+            # mapped cells follow the shard's word block, tail cells
+            # its tail block.
             mapped = self.shard_mapped
-            flips = np.where(flips < mapped, flips + shard * mapped,
-                             flips + (self.actual.n_mapped - mapped
-                                      + shard * self.tail_cells))
+            tail = flips >= mapped
+            flips += shard * mapped
+            if tail.any():
+                flips[tail] += (self.actual.n_mapped - (shard + 1) * mapped
+                                + shard * self.tail_cells)
             with _prof(profiler, "place"):
                 self.toggle(flips)
         return int(flips.size)
@@ -1047,26 +1049,34 @@ class _PackedState:
         """One thinned draw over every shard's segment of ``words``,
         each shard's candidates from its own generator. Candidates map
         to plane cells arithmetically (no ``(n, code_bits)`` cell
-        gather) and take their class from the stacked maps. Returns
-        ``(flipped plane cells, per-shard flip counts)``, the counts
-        None when nothing flipped."""
+        gather) and take their class from the class planes, their bit
+        from ``bits_of(position, bit, word)`` (a candidate's word's
+        position in ``words``, its codeword bit and its global word).
+        Returns ``(flipped plane cells, per-shard flip counts)``, the
+        counts None when nothing flipped."""
         code_bits = self.actual.code_bits
+        one = len(lanes) == 1
 
         def class_of(flat):
-            cells = self._cells(words, flat)
-            at = cells
-            if len(lanes) > 1:
-                at = cells + cells // self.shard_mapped * self.tail_cells
-            return (np.asarray(bits_of(flat, cells), dtype=np.int8)
-                    * np.int8(25) + self.class_idx[at] % 25)
+            position, bit = np.divmod(flat, code_bits)
+            word = words[position]
+            # The candidates' cells in the class planes' stacked order.
+            at = word * code_bits + bit
+            if not one:
+                at += word // self.shard_words * self.tail_cells
+            return self.planes.classes(at, bits_of(position, bit, word))
 
-        flat = sample_thinned_flips(
-            [size * code_bits for size in _sizes(bounds)], p_class,
-            class_of, [lane.rng for lane in lanes], p_max=p_max)
+        if one:
+            flat = sample_thinned_flips(bounds[1] * code_bits, p_class,
+                                        class_of, lanes[0].rng, p_max)
+        else:
+            flat = sample_thinned_flips(
+                [size * code_bits for size in _sizes(bounds)], p_class,
+                class_of, [lane.rng for lane in lanes], p_max=p_max)
         if not flat.size:
             return flat, None
         counts = [flat.size]
-        if len(lanes) > 1:
+        if not one:
             counts = np.bincount(np.searchsorted(
                 np.asarray(bounds) * code_bits, flat, side="right") - 1,
                 minlength=len(lanes))
@@ -1075,12 +1085,10 @@ class _PackedState:
     def write(self, words, bounds, cw, lanes, profiler):
         """Store the packed codewords ``cw`` at ``words``, with write
         errors."""
-        code_bits = self.actual.code_bits
         with _prof(profiler, "draw"):
             flips, counts = self._thinned(
                 words, bounds, lanes, self.wer_p, self.wer_pmax,
-                lambda flat, cells: lane_bits(
-                    cw, *np.divmod(flat, code_bits)))
+                lambda position, bit, word: lane_bits(cw, position, bit))
         with _prof(profiler, "place"):
             self.write_words(words, cw, flips)
         return counts
@@ -1089,14 +1097,16 @@ class _PackedState:
         return self.err_count[words]
 
     def rewrite(self, words, bounds, lanes, reclassify=False):
-        """Restore whole words through the write path. The maps refresh
-        at batch boundaries only, so a scrub's rewrites (``reclassify``)
-        reuse the batch's classes — unlike the per-cell test reference,
-        a second-order difference at rare-event rates, where the maps
-        differ only at the handful of freshly flipped cells."""
+        """Restore whole words through the write path. The class planes
+        refresh at batch boundaries only, so a scrub's rewrites
+        (``reclassify``) reuse the batch's classes — unlike the per-cell
+        test reference, a second-order difference at rare-event rates,
+        where the classes differ only around the handful of freshly
+        flipped cells."""
         flips, counts = self._thinned(
             words, bounds, lanes, self.wer_p, self.wer_pmax,
-            lambda flat, cells: self.intended.get_cells(cells))
+            lambda position, bit, word: lane_bits(self.intended.lanes,
+                                                  word, bit))
         self.restore_words(words, flips)
         return counts
 
@@ -1106,7 +1116,8 @@ class _PackedState:
         with _prof(profiler, "draw"):
             flips, counts = self._thinned(
                 words, bounds, lanes, self.disturb_p, self.disturb_pmax,
-                lambda flat, cells: self.actual.get_cells(cells))
+                lambda position, bit, word: lane_bits(self.actual.lanes,
+                                                      word, bit))
         if flips.size:
             with _prof(profiler, "place"):
                 self.toggle(flips)
@@ -1197,7 +1208,7 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
     if sampler != "binomial":
         raise ParameterError(
             f"sampler={sampler!r}: the per-cell 'bernoulli' sampler is "
-            "retired; every run draws class-grouped binomial flips, so "
+            "retired; every run draws thinned binomial flips, so "
             "drop the argument")
     n_banks = 1 if banks is None else int(banks)
     n_subarrays = 1 if subarrays is None else int(subarrays)

@@ -41,7 +41,9 @@ from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 #: Version 2: ``uber`` lost its ``sampler`` field, and sampled queries
 #: draw class-grouped binomial flips. Version 3: sampled runs draw
 #: their write data as raw uint64 lanes, so seeded answers moved.
-PROTOCOL_VERSION = 3
+#: Version 4: sampled runs draw the whole-array retention and sneak
+#: terms by thinning, so seeded answers moved again.
+PROTOCOL_VERSION = 4
 
 #: Distinct eCDs whose stack key :func:`query_fingerprint` keeps; clients
 #: choose ``ecd_nm``, so the memo is bounded.

@@ -1,9 +1,9 @@
 """Per-cell Monte-Carlo reference for the engine tests and benches.
 
-The engine draws class-grouped binomial flip counts over bit-packed
-state (``repro.memsys.engine._PackedState``). Its reference is the
-per-cell Bernoulli field: one uniform per exposed cell per mechanism
-against dense int8 planes, which is what the class-grouped draws must
+The engine draws thinned binomial flip counts over bit-packed state
+(``repro.memsys.engine._PackedState``). Its reference is the per-cell
+Bernoulli field: one uniform per exposed cell per mechanism against
+dense int8 planes, which is what the thinned draws must
 reproduce in law. That state lives here, outside the product, and
 :func:`per_cell_reference` swaps it in for a block of code: the
 statistical-equivalence tests and the speedup floors run the same

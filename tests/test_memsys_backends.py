@@ -28,15 +28,9 @@ from repro.memsys.backends import (
 )
 from repro.memsys.backends.numba_backend import NumbaEngineBackend
 from repro.memsys.backends.numpy_backend import NumpyEngineBackend
-from repro.memsys.bitplane import BitPlane, popcount_rows
-from repro.memsys.controller import neighborhood_class_map
+from repro.memsys.bitplane import BitPlane
 from repro.memsys.engine import build_engine
-from repro.memsys.sampling import (
-    IncrementalClassMaps,
-    N_CLASSES,
-    class_index,
-    sample_class_flips,
-)
+from repro.memsys.sampling import N_CLASSES
 
 
 @pytest.fixture
@@ -72,14 +66,6 @@ class TestRegistry:
         backend = NumpyEngineBackend()
         assert backend.ready()
         assert backend.unavailable_reason() is None
-        assert backend.preferred_rebuild_fraction is None
-        plane = BitPlane.from_bits(np.zeros(16, np.int8), 2, 8)
-        assert backend.xor_popcount_rows(plane.lanes,
-                                         plane.lanes) is None
-        assert backend.rebuild_class_maps(None, plane) is None
-        assert backend.apply_class_changes(None, None, None,
-                                           None) is None
-        assert backend.group_class_members(None, None) is None
         assert backend.toggle_and_count(None, None, None, None) is None
         assert backend.inject_and_count(None, None, None) is None
 
@@ -153,83 +139,6 @@ def _random_plane(rng, n_words, code_bits, n_cells):
 
 
 class TestKernelProperties:
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 12),
-           st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_xor_popcount_matches_reference(self, seed, n, lanes):
-        rng = np.random.default_rng(seed)
-        backend = NumbaEngineBackend()
-        a = rng.integers(0, 2**63, size=(n, lanes)).astype("<u8")
-        b = a.copy()
-        flip = rng.random(size=a.shape) < 0.5
-        b[flip] ^= rng.integers(1, 2**63,
-                                size=int(flip.sum())).astype("<u8")
-        got = backend.xor_popcount_rows(a, b)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, popcount_rows(a ^ b))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
-           st.integers(1, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_rebuild_matches_neighborhood_class_map(self, seed, rows,
-                                                    cols):
-        rng = np.random.default_rng(seed)
-        backend = NumbaEngineBackend()
-        plane, bits = _random_plane(rng, rows * cols // 5, 5,
-                                    rows * cols)
-        maps = IncrementalClassMaps(rows, cols, plane, backend=backend)
-        nd_ref, ng_ref = neighborhood_class_map(
-            bits.reshape(rows, cols))
-        assert np.array_equal(maps.nd, nd_ref.reshape(-1))
-        assert np.array_equal(maps.ng, ng_ref.reshape(-1))
-        ci = maps.class_idx
-        assert np.array_equal(
-            ci, class_index(bits, nd_ref.reshape(-1),
-                            ng_ref.reshape(-1)))
-        hist = maps.hist
-        assert np.array_equal(
-            hist, np.bincount(ci, minlength=N_CLASSES))
-        assert int(hist.sum()) == rows * cols
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 10),
-           st.integers(2, 10), st.integers(1, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_update_matches_full_rebuild(
-            self, seed, rows, cols, n_toggle):
-        """Toggling cells and refreshing incrementally must land on
-        exactly the maps a from-scratch rebuild produces."""
-        rng = np.random.default_rng(seed)
-        backend = NumbaEngineBackend()
-        n_cells = rows * cols
-        plane, _ = _random_plane(rng, n_cells // 8, 8, n_cells)
-        # Force the incremental path regardless of the churn fraction.
-        maps = IncrementalClassMaps(rows, cols, plane,
-                                    full_rebuild_fraction=1.1,
-                                    backend=backend)
-        toggle = rng.choice(n_cells, size=min(n_toggle, n_cells),
-                            replace=False)
-        plane.toggle_cells(toggle)
-        maps.refresh(plane)
-        assert maps.incremental_refreshes == 1
-
-        fresh = IncrementalClassMaps(rows, cols, plane)
-        assert np.array_equal(maps.nd, fresh.nd)
-        assert np.array_equal(maps.ng, fresh.ng)
-        assert np.array_equal(maps.class_idx, fresh.class_idx)
-        assert np.array_equal(maps.hist, fresh.hist)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_grouping_matches_stable_argsort(self, seed, n):
-        rng = np.random.default_rng(seed)
-        backend = NumbaEngineBackend()
-        flat = rng.integers(0, N_CLASSES, size=n).astype(np.int8)
-        hist = np.bincount(flat, minlength=N_CLASSES)
-        order, bounds = backend.group_class_members(flat, hist)
-        assert np.array_equal(order, np.argsort(flat, kind="stable"))
-        assert np.array_equal(bounds,
-                              np.concatenate([[0], np.cumsum(hist)]))
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_toggle_and_inject_match_reference_state(self, seed):
@@ -277,47 +186,6 @@ class TestKernelProperties:
         assert np.array_equal(
             fused.err_count,
             fused.actual.diff_counts(fused.intended).astype(np.int16))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_grouped_draws_are_bit_identical(self, seed):
-        """Counting-sort grouping must not perturb the draw stream."""
-        numba_py = NumbaEngineBackend()
-        rng = np.random.default_rng(seed)
-        class_idx = rng.integers(0, N_CLASSES,
-                                 size=500).astype(np.int8)
-        p_class = np.full(N_CLASSES, 0.05)
-        ref = sample_class_flips(class_idx, p_class,
-                                 np.random.default_rng(seed + 1))
-        got = sample_class_flips(class_idx, p_class,
-                                 np.random.default_rng(seed + 1),
-                                 backend=numba_py)
-        assert np.array_equal(ref, got)
-
-
-class TestBackendTuning:
-    def test_numba_raises_rebuild_threshold(self, numba_py):
-        plane = BitPlane.from_bits(np.zeros(64, np.int8), 8, 8)
-        default = IncrementalClassMaps(8, 8, plane)
-        tuned = IncrementalClassMaps(8, 8, plane, backend=numba_py)
-        assert tuned.full_rebuild_fraction > default.full_rebuild_fraction
-        assert (tuned.full_rebuild_fraction
-                == numba_py.preferred_rebuild_fraction)
-
-    def test_explicit_fraction_beats_backend_preference(self,
-                                                        numba_py):
-        plane = BitPlane.from_bits(np.zeros(64, np.int8), 8, 8)
-        maps = IncrementalClassMaps(8, 8, plane,
-                                    full_rebuild_fraction=0.5,
-                                    backend=numba_py)
-        assert maps.full_rebuild_fraction == 0.5
-
-    def test_numpy_backend_keeps_default_threshold(self):
-        plane = BitPlane.from_bits(np.zeros(64, np.int8), 8, 8)
-        maps = IncrementalClassMaps(8, 8, plane,
-                                    backend=get_backend("numpy"))
-        assert (maps.full_rebuild_fraction
-                == IncrementalClassMaps.full_rebuild_fraction)
 
 
 class TestEngineParity:

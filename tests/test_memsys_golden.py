@@ -2,7 +2,7 @@
 
 A change meant to make the engine faster or smaller must leave every
 seeded counter byte-identical. The pinned runs cover the write path
-(ECC encode, writes, class-map rebuilds and incremental refreshes), the
+(ECC encode, writes, class-plane rebuilds), the
 banked read path with scrubbing, a flat run with scrubbing, a no-ECC
 run without write-back, the cross-point
 sneak-path term at a hot read bias, and retention at a hot, slow
@@ -11,12 +11,14 @@ are pinned here, and so are the ``expected_rates`` of a pitch x
 pattern x ECC x topology grid (as ``float.hex``), so such a change
 proves identity in the tier-1 suite.
 
-Versioned break: random write data is drawn as raw uint64 lanes (one
+Versioned breaks: random write data is drawn as raw uint64 lanes (one
 generator output per 64 data bits) instead of one float64 uniform per
-data bit, so the generator stream after the first write differs and
-the six counter pins were re-pinned with it. The ``expected_rates``
-grid classifies the initial background, which stays on the float64
-stream, and did not move.
+data bit; and the whole-array retention and sneak terms are drawn by
+thinning (one binomial candidate count per term) instead of one
+binomial per coupling class. Each moved the generator stream, and the
+six counter pins were re-pinned with it. The ``expected_rates`` grid
+classifies the initial background, which stays on the float64 stream,
+and did not move.
 """
 
 from __future__ import annotations
@@ -28,67 +30,67 @@ import pytest
 from repro.memsys import ScrubPolicy, build_engine
 
 FLAT_WRITE_HEAVY = {
-    "n_transactions": 20000, "n_reads": 1953, "n_writes": 18047,
-    "n_scrubs": 0, "bits_read": 140616, "bits_written": 1315512,
-    "write_errors": 2630, "disturb_flips": 2, "retention_flips": 0,
-    "sneak_flips": 0, "raw_bit_errors": 256,
-    "uncorrectable_bit_errors": 32, "words_ok": 1713,
-    "words_corrected": 224, "words_detected": 16, "words_silent": 0,
+    "n_transactions": 20000, "n_reads": 1951, "n_writes": 18049,
+    "n_scrubs": 0, "bits_read": 140472, "bits_written": 1314936,
+    "write_errors": 2577, "disturb_flips": 3, "retention_flips": 0,
+    "sneak_flips": 0, "raw_bit_errors": 240,
+    "uncorrectable_bit_errors": 26, "words_ok": 1724,
+    "words_corrected": 214, "words_detected": 13, "words_silent": 0,
     "scrub_corrected_words": 0, "scrub_uncorrectable_words": 0,
     "simulated_time": 0.001,
 }
 
 BANKED_READ_HEAVY_SCRUB = {
-    "n_transactions": 20000, "n_reads": 18019, "n_writes": 1981,
-    "n_scrubs": 20, "bits_read": 1297368, "bits_written": 160560,
-    "write_errors": 311, "disturb_flips": 26, "retention_flips": 0,
-    "sneak_flips": 0, "raw_bit_errors": 592,
-    "uncorrectable_bit_errors": 350, "words_ok": 17602,
-    "words_corrected": 242, "words_detected": 175, "words_silent": 0,
-    "scrub_corrected_words": 7, "scrub_uncorrectable_words": 9,
+    "n_transactions": 20000, "n_reads": 18022, "n_writes": 1978,
+    "n_scrubs": 20, "bits_read": 1297584, "bits_written": 160488,
+    "write_errors": 306, "disturb_flips": 26, "retention_flips": 0,
+    "sneak_flips": 0, "raw_bit_errors": 557,
+    "uncorrectable_bit_errors": 319, "words_ok": 17626,
+    "words_corrected": 238, "words_detected": 155, "words_silent": 3,
+    "scrub_corrected_words": 13, "scrub_uncorrectable_words": 8,
     "simulated_time": 0.00025,
 }
 
 FLAT_SCRUB = {
-    "n_transactions": 20000, "n_reads": 10053, "n_writes": 9947,
-    "n_scrubs": 20, "bits_read": 723816, "bits_written": 767880,
-    "write_errors": 1553, "disturb_flips": 6, "retention_flips": 0,
-    "sneak_flips": 0, "raw_bit_errors": 878,
-    "uncorrectable_bit_errors": 227, "words_ok": 9290,
-    "words_corrected": 651, "words_detected": 109, "words_silent": 3,
-    "scrub_corrected_words": 67, "scrub_uncorrectable_words": 11,
+    "n_transactions": 20000, "n_reads": 10042, "n_writes": 9958,
+    "n_scrubs": 20, "bits_read": 723024, "bits_written": 765432,
+    "write_errors": 1521, "disturb_flips": 18, "retention_flips": 0,
+    "sneak_flips": 0, "raw_bit_errors": 823,
+    "uncorrectable_bit_errors": 204, "words_ok": 9322,
+    "words_corrected": 619, "words_detected": 99, "words_silent": 2,
+    "scrub_corrected_words": 54, "scrub_uncorrectable_words": 12,
     "simulated_time": 0.0010000000000000002,
 }
 
 NOECC_NO_WRITEBACK = {
-    "n_transactions": 20000, "n_reads": 10060, "n_writes": 9940,
-    "n_scrubs": 0, "bits_read": 643840, "bits_written": 636160,
-    "write_errors": 1278, "disturb_flips": 11, "retention_flips": 0,
-    "sneak_flips": 0, "raw_bit_errors": 1329,
-    "uncorrectable_bit_errors": 1329, "words_ok": 8832,
-    "words_corrected": 0, "words_detected": 0, "words_silent": 1228,
+    "n_transactions": 20000, "n_reads": 9978, "n_writes": 10022,
+    "n_scrubs": 0, "bits_read": 638592, "bits_written": 641408,
+    "write_errors": 1318, "disturb_flips": 13, "retention_flips": 0,
+    "sneak_flips": 0, "raw_bit_errors": 1281,
+    "uncorrectable_bit_errors": 1281, "words_ok": 8764,
+    "words_corrected": 0, "words_detected": 0, "words_silent": 1214,
     "scrub_corrected_words": 0, "scrub_uncorrectable_words": 0,
     "simulated_time": 0.0010000000000000002,
 }
 
 CROSS_POINT_SNEAK = {
-    "n_transactions": 20000, "n_reads": 10052, "n_writes": 9948,
-    "n_scrubs": 20, "bits_read": 723744, "bits_written": 760680,
-    "write_errors": 1471, "disturb_flips": 180794, "retention_flips": 0,
-    "sneak_flips": 21, "raw_bit_errors": 180904,
-    "uncorrectable_bit_errors": 180309, "words_ok": 4401,
-    "words_corrected": 595, "words_detected": 35, "words_silent": 5021,
-    "scrub_corrected_words": 22, "scrub_uncorrectable_words": 109,
+    "n_transactions": 20000, "n_reads": 9909, "n_writes": 10091,
+    "n_scrubs": 20, "bits_read": 713448, "bits_written": 773712,
+    "write_errors": 1549, "disturb_flips": 180881, "retention_flips": 0,
+    "sneak_flips": 23, "raw_bit_errors": 177238,
+    "uncorrectable_bit_errors": 176614, "words_ok": 4346,
+    "words_corrected": 624, "words_detected": 45, "words_silent": 4894,
+    "scrub_corrected_words": 31, "scrub_uncorrectable_words": 119,
     "simulated_time": 0.00025,
 }
 
 RETENTION_HOT = {
-    "n_transactions": 4000, "n_reads": 3610, "n_writes": 390,
-    "n_scrubs": 0, "bits_read": 259920, "bits_written": 32040,
-    "write_errors": 69, "disturb_flips": 1, "retention_flips": 4864,
-    "sneak_flips": 0, "raw_bit_errors": 44498,
-    "uncorrectable_bit_errors": 44443, "words_ok": 2480,
-    "words_corrected": 55, "words_detected": 39, "words_silent": 1036,
+    "n_transactions": 4000, "n_reads": 3605, "n_writes": 395,
+    "n_scrubs": 0, "bits_read": 259560, "bits_written": 31608,
+    "write_errors": 59, "disturb_flips": 2, "retention_flips": 4797,
+    "sneak_flips": 0, "raw_bit_errors": 44292,
+    "uncorrectable_bit_errors": 44248, "words_ok": 2465,
+    "words_corrected": 44, "words_detected": 77, "words_silent": 1019,
     "scrub_corrected_words": 0, "scrub_uncorrectable_words": 0,
     "simulated_time": 40000.0,
 }

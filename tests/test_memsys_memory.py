@@ -2,11 +2,12 @@
 and arithmetic rewrites that keep it low, checked against the
 whole-array formulas they replaced.
 
-The binomial engine keeps one int8 class per cell plus the packed
-planes; the class map rebuilds in row blocks straight from the packed
-plane, the random background is drawn in row blocks, and word cells,
-hot-word sets and the checkerboard are computed arithmetically instead
-of from per-cell index tables.
+The binomial engine keeps the packed planes plus seven bit-sliced class
+planes (7/8 byte per cell); the class planes rebuild from the packed
+plane with word-wide shifts, a whole-array draw classifies its
+candidates in blocks, the random background is drawn in row blocks,
+and word cells, hot-word sets and the checkerboard are computed
+arithmetically instead of from per-cell index tables.
 """
 
 from __future__ import annotations
@@ -19,25 +20,18 @@ import pytest
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.pattern import checkerboard
 from repro.memsys import bitplane, build_engine
-from repro.memsys.backends.numba_backend import NumbaEngineBackend
 from repro.memsys.bitplane import BitPlane, unpack_bits
 from repro.memsys.controller import WordMap, neighborhood_class_map
 from repro.memsys.ecc import HammingSECDED
-from repro.memsys.sampling import (
-    IncrementalClassMaps,
-    N_CLASSES,
-    class_index,
-    rebuild_class_index,
-)
+from repro.memsys.sampling import ClassPlanes, class_index
 from repro.memsys.traffic import HotSpotWorkload, Workload
 
 # -- the ceiling ------------------------------------------------------------
 
 #: Side of the array the ceiling is measured on, and its bound: the
 #: engine's traced allocations peak at no more than this many bytes per
-#: cell while it builds and runs (one int8 class per cell plus the
-#: packed planes, the per-batch traffic and one row block's
-#: temporaries).
+#: cell while it builds and runs (the packed and class planes, the
+#: per-batch traffic and one block's temporaries).
 SIDE = 1024
 MAX_BYTES_PER_CELL = 8.0
 
@@ -64,9 +58,10 @@ def test_binomial_engine_peak_bytes_per_cell(eval_device, workload):
 
 
 #: Run-phase bound of a write-heavy engine: once built, a run's write
-#: path (drawn data, packed codewords, placement) keeps the traced peak
-#: at no more than this many bytes per cell.
-MAX_WRITE_RUN_BYTES_PER_CELL = 3.5
+#: path (drawn data, packed codewords, placement) and the class-plane
+#: rebuild keep the traced peak at no more than this many bytes per
+#: cell (2.76 measured, numpy 2.4; 3.10 with the int8 class map).
+MAX_WRITE_RUN_BYTES_PER_CELL = 2.8
 
 
 def test_write_path_run_peak_bytes_per_cell(eval_device):
@@ -84,27 +79,73 @@ def test_write_path_run_peak_bytes_per_cell(eval_device):
     assert peak / SIDE**2 <= MAX_WRITE_RUN_BYTES_PER_CELL, peak / SIDE**2
 
 
-# -- block rebuild ----------------------------------------------------------
+#: A hot, slow retention corner (the pinned 420 K, ``cycle_time=10``
+#: golden): nearly every cell of the array is a whole-array candidate
+#: on every batch, and the traced peak of a run stays under this many
+#: bytes per cell (42.75 measured, numpy 2.4; the toggles of ~all cells
+#: set it, as they did for the class-grouped draw). A ``(candidates,
+#: 7)`` class-plane gather would add 56 B/cell; classifying in blocks of
+#: ``BLOCK_CELLS`` (shrunk here so the array spans 16 of them) avoids it.
+HOT_SIDE = 256
+MAX_HOT_RUN_BYTES_PER_CELL = 48.0
 
 
-def _reference(bits2d):
-    """Whole-array class map and histogram of a (rows, cols) array."""
-    nd, ng = neighborhood_class_map(bits2d)
-    ci = class_index(bits2d.reshape(-1), nd.reshape(-1), ng.reshape(-1))
-    return ci, np.bincount(ci, minlength=N_CLASSES)
+def test_hot_retention_run_peak_bytes_per_cell(eval_device, monkeypatch):
+    def engine(side):
+        return build_engine(eval_device, pitch=52.5e-9, rows=side,
+                            cols=side, workload="read-heavy",
+                            temperature=420.0, cycle_time=10.0,
+                            backend="numpy")
+
+    engine(16).run(500, rng=5, batch_size=250)
+    monkeypatch.setattr(bitplane, "BLOCK_CELLS", HOT_SIDE**2 // 16)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        hot = engine(HOT_SIDE)
+        tracemalloc.reset_peak()
+        result = hot.run(1000, rng=5, batch_size=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Most of the array flips on every batch.
+    assert result.retention_flips > HOT_SIDE**2 // 2
+    assert peak / HOT_SIDE**2 <= MAX_HOT_RUN_BYTES_PER_CELL, \
+        peak / HOT_SIDE**2
 
 
-def _plane(rng, rows, cols, code_bits=72, fill="random"):
-    """A packed plane of rows x cols random (or all-zero, all-one)
-    cells; mapped words fill what they can and the rest is tail (all
-    tail below one word)."""
-    n_cells = rows * cols
+# -- class planes -----------------------------------------------------------
+
+
+def _reference(bits):
+    """Whole-array classes of a (rows, cols) array, or of a stack of
+    independent ones."""
+    nd, ng = neighborhood_class_map(bits)
+    return class_index(bits.reshape(-1), nd.reshape(-1), ng.reshape(-1))
+
+
+def _plane(rng, rows, cols, code_bits=72, fill="random", n_shards=1):
+    """A packed plane of ``n_shards`` stacked rows x cols random (or
+    all-zero, all-one) arrays; mapped words fill what they can and the
+    rest is tail (all tail below one word)."""
+    shape = (n_shards, rows, cols)
     if fill == "random":
-        bits = (rng.random(n_cells) < 0.5).astype(np.int8)
+        bits = (rng.random(shape) < 0.5).astype(np.int8)
     else:
-        bits = np.full(n_cells, fill == "ones", dtype=np.int8)
-    return BitPlane.from_bits(bits, n_cells // code_bits,
-                              code_bits), bits
+        bits = np.full(shape, fill == "ones", dtype=np.int8)
+    words = rows * cols // code_bits
+    plane = BitPlane(n_shards * words, code_bits, bits.size)
+    for shard, view in zip(bits, plane.split(n_shards)):
+        one = BitPlane.from_bits(shard.reshape(-1), words, code_bits)
+        view.lanes[:] = one.lanes
+        view.tail[:] = one.tail
+    return plane, bits
+
+
+def _planes_classes(plane, rows, cols, n_shards=1):
+    planes = ClassPlanes(rows, cols, n_shards)
+    planes.refresh(plane)
+    return planes.classes(np.arange(n_shards * rows * cols))
 
 
 #: 1 x N, N x 1, a tail-cell shape, and shapes spanning several row
@@ -122,8 +163,7 @@ def small_blocks(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("backend", (None, NumbaEngineBackend()),
-                         ids=("numpy", "numba-kernels"))
+@pytest.mark.parametrize("n_shards", (1, 3), ids=("flat", "stacked3"))
 @pytest.mark.parametrize("shape, code_bits, fill", [
     pytest.param(shape, code_bits, fill, id=f"shape{i}" + (
         "" if (code_bits, fill) == (72, "random")
@@ -131,47 +171,44 @@ def small_blocks(request, monkeypatch):
     for i, shape in enumerate(BLOCK_SHAPES)
     for code_bits in (72, 64, 39)
     for fill in ("random", "zeros", "ones")])
-def test_block_rebuild_matches_whole_array(shape, code_bits, fill,
-                                           backend, small_blocks):
+def test_class_planes_match_whole_array(shape, code_bits, fill,
+                                        n_shards, small_blocks):
+    """Every cell's class from the planes equals the whole-array
+    ``neighborhood_class_map`` class, whether the planes fill by byte
+    gather (72, 64 code bits) or by row-block unpack (39), and however
+    the candidates are blocked."""
     rows, cols = shape
     rng = np.random.default_rng(rows * 1000 + cols)
-    plane, bits = _plane(rng, rows, cols, code_bits, fill)
-    ci_ref, hist_ref = _reference(bits.reshape(rows, cols))
-    maps = IncrementalClassMaps(rows, cols, plane, backend=backend)
-    assert np.array_equal(maps.class_idx, ci_ref)
-    assert np.array_equal(maps.hist, hist_ref)
+    plane, bits = _plane(rng, rows, cols, code_bits, fill, n_shards)
+    assert np.array_equal(_planes_classes(plane, rows, cols, n_shards),
+                          _reference(bits))
 
 
 @pytest.mark.parametrize("fill", ("random", "zeros", "ones"))
 @pytest.mark.parametrize("code_bits", (72, 64, 39))
-def test_megacell_rebuild_matches_whole_array(code_bits, fill):
-    # 1024 x 1024 at the real block size: 16 blocks of 64 rows.
+def test_megacell_planes_match_whole_array(code_bits, fill):
+    # 1024 x 1024 at the real block size: 16 blocks.
     rows = cols = 1024
     plane, bits = _plane(np.random.default_rng(code_bits), rows, cols,
                          code_bits, fill)
-    out = np.empty(rows * cols, dtype=np.int8)
-    hist = rebuild_class_index(plane, rows, cols, out)
-    ci_ref, hist_ref = _reference(bits.reshape(rows, cols))
-    assert np.array_equal(out, ci_ref)
-    assert np.array_equal(hist, hist_ref)
+    assert np.array_equal(_planes_classes(plane, rows, cols),
+                          _reference(bits))
 
 
-def test_block_rebuild_at_real_block_size():
+def test_planes_at_real_block_size():
     rows, cols = 3300, 41  # three row blocks, a 26-cell tail
     assert len(bitplane.row_blocks(rows, cols)) == 3
     rng = np.random.default_rng(11)
     plane, bits = _plane(rng, rows, cols)
     assert plane.tail.size == rows * cols % 72 > 0
-    out = np.empty(rows * cols, dtype=np.int8)
-    hist = rebuild_class_index(plane, rows, cols, out)
-    ci_ref, hist_ref = _reference(bits.reshape(rows, cols))
-    assert np.array_equal(out, ci_ref)
-    assert np.array_equal(hist, hist_ref)
+    assert np.array_equal(_planes_classes(plane, rows, cols),
+                          _reference(bits))
 
 
 def test_to_bits_ranges_cross_words_and_tail():
     rng = np.random.default_rng(5)
     plane, bits = _plane(rng, 37, 41, code_bits=10)
+    bits = bits.reshape(-1)
     assert plane.n_mapped == 1510 and plane.n_cells == 1517
     edges = (0, 1, 9, 10, 11, 1509, 1510, 1511, 1516, 1517)
     for start in edges:
@@ -180,38 +217,6 @@ def test_to_bits_ranges_cross_words_and_tail():
                 got = plane.to_bits(start, stop)
                 assert np.array_equal(got, bits[start:stop]), (start, stop)
     assert np.array_equal(plane.to_bits(), bits)
-
-
-@pytest.mark.parametrize("backend", (None, NumbaEngineBackend()),
-                         ids=("numpy", "numba-kernels"))
-@pytest.mark.parametrize("shape", ((1, 90), (90, 1), (37, 41)))
-def test_incremental_matches_forced_rebuild(shape, backend, small_blocks):
-    rows, cols = shape
-    rng = np.random.default_rng(rows + cols)
-    plane, _ = _plane(rng, rows, cols)
-    incremental = IncrementalClassMaps(rows, cols, plane,
-                                       full_rebuild_fraction=1.0,
-                                       backend=backend)
-    rebuilt = IncrementalClassMaps(rows, cols, plane,
-                                   full_rebuild_fraction=0.0,
-                                   backend=backend)
-    for k in (1, 3, 8, 9, 25, 1, 60):
-        plane.toggle_cells(rng.choice(plane.n_cells, size=k,
-                                      replace=False))
-        incremental.refresh(plane)
-        rebuilt.refresh(plane)
-        assert np.array_equal(incremental.class_idx, rebuilt.class_idx)
-        assert np.array_equal(incremental.hist, rebuilt.hist)
-        # nd / ng are the derived digits of the class.
-        ci_ref, _ = _reference(plane.to_bits().reshape(rows, cols))
-        assert np.array_equal(incremental.class_idx, ci_ref)
-        nd, ng = neighborhood_class_map(plane.to_bits().reshape(rows,
-                                                                cols))
-        assert np.array_equal(incremental.nd, nd.reshape(-1))
-        assert np.array_equal(incremental.ng, ng.reshape(-1))
-    assert incremental.rebuilds == 1
-    assert incremental.incremental_refreshes == 7
-    assert rebuilt.incremental_refreshes == 0
 
 
 # -- set-up: the old whole-array formulas -----------------------------------

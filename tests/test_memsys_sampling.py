@@ -1,7 +1,7 @@
-"""Tests for the engine's class-grouped binomial sampler.
+"""Tests for the engine's thinned binomial sampler.
 
-Three layers: the packed bit-plane state, the class-grouped /
-thinned samplers and incremental class maps, and the end-to-end
+Three layers: the packed bit-plane state, the thinned samplers and the
+bit-sliced class planes, and the end-to-end
 statistical equivalence of the engine against the per-cell Bernoulli
 reference (``memsys_reference.per_cell_reference``).
 """
@@ -23,9 +23,8 @@ from repro.memsys.bitplane import (
 from repro.memsys.controller import neighborhood_class_map
 from repro.memsys.engine import _PackedState
 from repro.memsys.sampling import (
-    IncrementalClassMaps,
     N_CLASSES,
-    class_histogram,
+    ClassPlanes,
     class_index,
     sample_class_flips,
     sample_thinned_flips,
@@ -123,6 +122,32 @@ class TestBitPlane:
             BitPlane(n_words=3, code_bits=72, n_cells=100)
 
 
+def _class_planes(bits, code_bits=72):
+    """Packed plane and refreshed :class:`ClassPlanes` of a stack of
+    ``(shards, rows, cols)`` (or one ``(rows, cols)``) 0/1 arrays;
+    cells past the last whole codeword are tail."""
+    bits = np.asarray(bits, dtype=np.int8)
+    if bits.ndim == 2:
+        bits = bits[None]
+    n_shards, rows, cols = bits.shape
+    words = rows * cols // code_bits
+    plane = BitPlane(n_shards * words, code_bits, bits.size)
+    for shard, view in zip(bits, plane.split(n_shards)):
+        one = BitPlane.from_bits(shard.reshape(-1), words, code_bits)
+        view.lanes[:] = one.lanes
+        view.tail[:] = one.tail
+    planes = ClassPlanes(rows, cols, n_shards)
+    planes.refresh(plane)
+    return plane, planes
+
+
+def _random_classes(rng, shape=(40, 50)):
+    """Planes of a random array and every cell's class."""
+    bits = (rng.random(shape) < 0.5).astype(np.int8)
+    _, planes = _class_planes(bits)
+    return planes, planes.classes(np.arange(bits.size))
+
+
 class TestSamplers:
     def test_class_index_matches_table_layout(self):
         rng = np.random.default_rng(0)
@@ -137,65 +162,120 @@ class TestSamplers:
 
     def test_class_flips_p_zero_and_one(self):
         rng = np.random.default_rng(1)
-        ci = np.asarray(class_index(
-            rng.integers(0, 2, 500), rng.integers(0, 5, 500),
-            rng.integers(0, 5, 500)))
-        assert sample_class_flips(ci, np.zeros(N_CLASSES), rng).size == 0
-        flips = sample_class_flips(ci, np.ones(N_CLASSES), rng)
-        assert np.array_equal(np.sort(flips), np.arange(500))
+        planes, _ = _random_classes(rng)
+        assert sample_class_flips(planes, 0, np.zeros(N_CLASSES),
+                                  rng).size == 0
+        flips = sample_class_flips(planes, 0, np.ones(N_CLASSES), rng)
+        assert np.array_equal(np.sort(flips), np.arange(planes.cells))
 
     def test_class_flips_respect_class_membership(self):
         """Flips land only in cells of classes with p > 0."""
         rng = np.random.default_rng(2)
-        ci = np.asarray(class_index(
-            rng.integers(0, 2, 2000), rng.integers(0, 5, 2000),
-            rng.integers(0, 5, 2000)))
+        planes, ci = _random_classes(rng)
         target = int(ci[0])
         p = np.zeros(N_CLASSES)
         p[target] = 0.5
-        flips = sample_class_flips(ci, p, rng)
+        flips = sample_class_flips(planes, 0, p, rng)
         assert flips.size > 0
         assert np.all(ci[flips] == target)
 
+    def test_class_flips_address_their_shard(self):
+        """Shard ``s`` draws over its own cells' classes and returns
+        shard-local indices."""
+        rng = np.random.default_rng(8)
+        bits = np.zeros((3, 9, 10), dtype=np.int8)
+        bits[1] = 1                       # only shard 1 holds bit-1 cells
+        _, planes = _class_planes(bits, code_bits=9)
+        p = np.zeros(N_CLASSES)
+        p[25:] = 1.0                      # every bit-1 class flips
+        assert sample_class_flips(planes, 0, p, rng).size == 0
+        assert np.array_equal(np.sort(sample_class_flips(planes, 1, p,
+                                                         rng)),
+                              np.arange(90))
+        assert sample_class_flips(planes, 2, p, rng).size == 0
+
     def test_class_flips_deterministic_under_seed(self):
-        ci = np.asarray(class_index(
-            np.ones(300, int), np.full(300, 2), np.full(300, 3)))
+        planes, _ = _random_classes(np.random.default_rng(0))
         p = np.full(N_CLASSES, 0.1)
-        a = sample_class_flips(ci, p, np.random.default_rng(7))
-        b = sample_class_flips(ci, p, np.random.default_rng(7))
+        a = sample_class_flips(planes, 0, p, np.random.default_rng(7))
+        b = sample_class_flips(planes, 0, p, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_class_flips_statistics(self):
         """Flip counts follow Binomial(n, p) within a 6-sigma band."""
-        n, p_flip = 20_000, 0.3
-        ci = np.zeros(n, dtype=np.int8)
+        p_flip = 0.3
+        _, planes = _class_planes(np.zeros((100, 200), np.int8))
+        n = planes.cells
         p = np.zeros(N_CLASSES)
-        p[0] = p_flip
+        p[:25] = p_flip
         rng = np.random.default_rng(3)
-        counts = [sample_class_flips(ci, p, rng).size
+        counts = [sample_class_flips(planes, 0, p, rng).size
                   for _ in range(30)]
         mean = np.mean(counts)
         se = np.sqrt(n * p_flip * (1 - p_flip) / len(counts))
         assert abs(mean - n * p_flip) < 6 * se
 
-    def test_thinned_matches_class_grouped_statistics(self):
-        """Thinned and class-grouped draws agree in law."""
+    @pytest.mark.parametrize("table", ("with-zeros", "p-max-one"))
+    def test_class_flips_per_class_binomial(self, table):
+        """Over many seeds, each class's flip count is Binomial(n_c,
+        p_c): its mean within 6 standard errors and its variance within
+        a chi-square band (exact thinning, not just the right mean)."""
+        planes, ci = _random_classes(np.random.default_rng(4),
+                                     shape=(60, 70))
+        n_c = np.bincount(ci, minlength=N_CLASSES)
+        p = np.linspace(0.0, 0.6, N_CLASSES)
+        p[::3] = 0.0
+        if table == "p-max-one":
+            p[n_c.argmax()] = 1.0
+        seeds = 400
+        counts = np.zeros((seeds, N_CLASSES), dtype=np.int64)
+        for seed in range(seeds):
+            flips = sample_class_flips(planes, 0, p,
+                                       np.random.default_rng(seed))
+            counts[seed] = np.bincount(ci[flips], minlength=N_CLASSES)
+        assert not counts[:, p == 0.0].any()
+        live = (p > 0.0) & (p < 1.0) & (n_c > 0)
+        mean, var = n_c * p, n_c * p * (1 - p)
+        se = np.sqrt(var[live] / seeds)
+        assert np.all(np.abs(counts[:, live].mean(axis=0)
+                             - mean[live]) < 6 * se)
+        # Sample variance / true variance ~ chi2(seeds - 1) / (seeds - 1):
+        # sd ~ sqrt(2 / seeds) = 0.07.
+        ratio = counts[:, live].var(axis=0, ddof=1) / var[live]
+        assert np.all(np.abs(ratio - 1.0) < 0.45), ratio
+        certain = (p == 1.0) & (n_c > 0)
+        assert np.all(counts[:, certain] == n_c[certain])
+
+    def test_thinned_matches_class_statistics(self):
+        """Thinned draws over an accessed subset and the whole-array
+        draw agree in law."""
         rng = np.random.default_rng(4)
-        n = 10_000
-        ci = np.asarray(class_index(
-            rng.integers(0, 2, n), rng.integers(0, 5, n),
-            rng.integers(0, 5, n)))
+        planes, ci = _random_classes(rng, shape=(100, 100))
+        n = ci.size
         p = np.linspace(0.0, 0.2, N_CLASSES)
         expected = p[ci].sum()
-        grouped = np.mean([
-            sample_class_flips(ci, p, rng).size for _ in range(25)])
+        whole = np.mean([
+            sample_class_flips(planes, 0, p, rng).size
+            for _ in range(25)])
         thinned = np.mean([
             sample_thinned_flips(n, p, lambda cand: ci[cand],
                                  rng).size
             for _ in range(25)])
         se = np.sqrt(expected / 25)
-        assert abs(grouped - expected) < 6 * se
+        assert abs(whole - expected) < 6 * se
         assert abs(thinned - expected) < 6 * se
+
+    def test_thinned_one_population_matches_a_list_of_one(self):
+        """The single-population fast path makes the list path's draws."""
+        p = np.linspace(0.0, 0.3, N_CLASSES)
+        ci = np.arange(5000) % N_CLASSES
+        for seed in range(5):
+            one = sample_thinned_flips(5000, p, lambda c: ci[c],
+                                       np.random.default_rng(seed))
+            listed = sample_thinned_flips(
+                [5000], p, lambda c: ci[c],
+                [np.random.default_rng(seed)])
+            assert one.size and np.array_equal(one, listed)
 
     def test_thinned_classifies_only_candidates(self):
         """The class_of callback sees candidate indices, not the
@@ -223,9 +303,8 @@ class TestSamplers:
 
 
 def _reference_class_maps(bits2d):
-    """The 8-slice neighbor sum, int16 class index and ``np.bincount``
-    histogram the int8 / separable-sum / byte-pair code replaced —
-    kept as the oracle."""
+    """The 8-slice neighbor sum and int16 class index the int8 /
+    separable-sum and bit-sliced code replaced — kept as the oracle."""
     rows, cols = bits2d.shape
     padded = np.zeros((rows + 2, cols + 2), dtype=np.int8)
     padded[1:-1, 1:-1] = bits2d
@@ -235,23 +314,23 @@ def _reference_class_maps(bits2d):
           + padded[2:, :-2] + padded[2:, 2:]).astype(np.int8)
     ci = (bits2d.astype(np.int16) * 25 + nd.astype(np.int16) * 5
           + ng.astype(np.int16)).astype(np.int8).reshape(-1)
-    return nd, ng, ci, np.bincount(ci, minlength=N_CLASSES)
+    return nd, ng, ci
 
 
-#: 1x1, single rows and columns, odd cell counts (a trailing unpaired
-#: byte in the histogram) and even ones.
+#: 1x1, single rows and columns, rows of one lane exactly and of a lane
+#: and a bit, odd shapes and even ones.
 CLASS_MAP_SHAPES = ((1, 1), (1, 2), (1, 9), (1, 64), (2, 1), (9, 1),
                     (64, 1), (7, 9), (9, 7), (3, 3), (5, 11), (8, 8),
-                    (24, 36), (33, 31))
+                    (24, 36), (33, 31), (4, 65), (3, 128))
 
 
-class TestClassMapsAgainstReference:
+class TestClassPlanesAgainstReference:
     @pytest.mark.parametrize("shape", CLASS_MAP_SHAPES)
     @pytest.mark.parametrize("density", (0.0, 0.3, 0.5, 1.0))
-    def test_maps_index_and_hist(self, shape, density):
+    def test_planes_match_neighborhood_class_map(self, shape, density):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         bits2d = (rng.random(shape) < density).astype(np.int8)
-        nd_ref, ng_ref, ci_ref, hist_ref = _reference_class_maps(bits2d)
+        nd_ref, ng_ref, ci_ref = _reference_class_maps(bits2d)
         nd, ng = neighborhood_class_map(bits2d)
         assert nd.dtype == ng.dtype == np.int8
         assert np.array_equal(nd, nd_ref) and np.array_equal(ng, ng_ref)
@@ -259,133 +338,64 @@ class TestClassMapsAgainstReference:
                          ng.reshape(-1))
         assert ci.dtype == np.int8
         assert np.array_equal(ci, ci_ref)
-        hist = class_histogram(ci)
-        assert hist.dtype == hist_ref.dtype
-        assert np.array_equal(hist, hist_ref)
-        # The maps' rebuild (packed plane with an unmapped tail).
-        n_cells = shape[0] * shape[1]
-        plane = BitPlane.from_bits(bits2d.reshape(-1), n_cells // 5, 5)
-        maps = IncrementalClassMaps(shape[0], shape[1], plane)
-        assert np.array_equal(maps.nd, nd_ref.reshape(-1))
-        assert np.array_equal(maps.ng, ng_ref.reshape(-1))
-        assert np.array_equal(maps.class_idx, ci_ref)
-        assert np.array_equal(maps.hist, hist_ref)
-
-    @pytest.mark.parametrize("n", (0, 1, 2, 3, 4, 1001))
-    def test_histogram_every_class_and_odd_tail(self, n):
-        ci = (np.arange(n) * 7 % N_CLASSES).astype(np.int8)
-        assert np.array_equal(class_histogram(ci),
-                              np.bincount(ci, minlength=N_CLASSES))
-        # Unaligned and non-contiguous inputs are copied, not misread.
-        ci = np.arange(2 * n + 1, dtype=np.int8) % N_CLASSES
-        assert np.array_equal(class_histogram(ci[1::2]),
-                              np.bincount(ci[1::2], minlength=N_CLASSES))
+        # The planes of a packed plane with an unmapped tail: every
+        # cell, and every cell under a caller's bits.
+        _, planes = _class_planes(bits2d, code_bits=5)
+        cells = np.arange(bits2d.size)
+        assert planes.classes(cells).dtype == np.int8
+        assert np.array_equal(planes.classes(cells), ci_ref)
+        flipped = 1 - bits2d.reshape(-1)
+        assert np.array_equal(planes.classes(cells, flipped),
+                              ci_ref % 25 + 25 * flipped)
 
 
-def _assert_maps_match_recompute(maps, plane, rows, cols):
-    bits = plane.to_bits()
-    nd2, ng2 = neighborhood_class_map(bits.reshape(rows, cols))
-    assert np.array_equal(maps.nd, nd2.reshape(-1))
-    assert np.array_equal(maps.ng, ng2.reshape(-1))
-    ci = class_index(bits, maps.nd, maps.ng)
-    assert np.array_equal(maps.class_idx, ci)
-    assert np.array_equal(maps.hist,
-                          np.bincount(ci, minlength=N_CLASSES))
-
-
-class TestIncrementalClassMaps:
+class TestClassPlanes:
     ROWS, COLS, CODE = 24, 36, 72
 
-    def _fresh(self, rng, rows=ROWS, cols=COLS, **kwargs):
-        n_cells = rows * cols
-        bits = (rng.random(n_cells) < 0.5).astype(np.int8)
-        plane = BitPlane.from_bits(bits, n_cells // self.CODE,
-                                   self.CODE)
-        return plane, IncrementalClassMaps(rows, cols, plane, **kwargs)
+    def _fresh(self, rng):
+        bits = (rng.random((self.ROWS, self.COLS)) < 0.5).astype(np.int8)
+        return _class_planes(bits, self.CODE)
 
-    def test_incremental_matches_recompute(self):
-        """Sparse toggles through both the scalar (<= 8 changes) and
-        vectorized update paths stay exactly equal to a full
-        recompute."""
+    def test_refresh_follows_the_plane(self):
+        """After toggles, a refresh lands on the recomputed classes,
+        and every refresh counts as a rebuild."""
         rng = np.random.default_rng(0)
-        # Force the incremental path: on an array this small the
-        # default threshold rebuilds on any change.
-        plane, maps = self._fresh(rng, full_rebuild_fraction=1.0)
-        for k in (1, 2, 5, 8, 9, 13, 3, 11):
+        plane, planes = self._fresh(rng)
+        for k in (1, 2, 5, 8, 9, 13, 3, 11, plane.n_cells // 3):
             idx = rng.choice(plane.n_cells, size=k, replace=False)
             plane.toggle_cells(idx)
-            maps.refresh(plane)
-            _assert_maps_match_recompute(maps, plane, self.ROWS,
-                                         self.COLS)
-        assert maps.rebuilds == 1  # only the constructor's build
-        assert maps.incremental_refreshes == 8
+            planes.refresh(plane)
+            _, _, ci = _reference_class_maps(
+                plane.to_bits().reshape(self.ROWS, self.COLS))
+            assert np.array_equal(
+                planes.classes(np.arange(plane.n_cells)), ci)
+        assert planes.rebuilds == 10
+        assert planes.incremental_refreshes == 0
 
-    def test_dense_change_falls_back_to_rebuild(self):
-        rng = np.random.default_rng(1)
-        plane, maps = self._fresh(rng)
-        idx = rng.choice(plane.n_cells, size=plane.n_cells // 3,
-                         replace=False)
-        plane.toggle_cells(idx)
-        maps.refresh(plane)
-        assert maps.rebuilds == 2
-        assert maps.incremental_refreshes == 0
-        _assert_maps_match_recompute(maps, plane, self.ROWS, self.COLS)
-
-        # Churn just below / just above the default threshold and a
-        # dense change: the default maps take the incremental path only
-        # below it, and their nd / ng / class_idx / hist equal both the
-        # always-incremental and always-rebuild maps and the reference
-        # recompute.
-        rows, cols = 96, 96  # the threshold lands at ~9 cells
-        rng = np.random.default_rng(5)
-        plane, maps = self._fresh(rng, rows, cols)
-        always_incremental = IncrementalClassMaps(
-            rows, cols, plane, full_rebuild_fraction=1.0)
-        always_rebuild = IncrementalClassMaps(
-            rows, cols, plane, full_rebuild_fraction=0.0)
-        at = int(IncrementalClassMaps.full_rebuild_fraction
-                 * plane.n_cells)
-        assert at >= 1
-        for k, rebuilt in ((at, False), (at + 1, True),
-                           (plane.n_cells // 5, True), (1, False)):
-            before = maps.rebuilds
-            idx = rng.choice(plane.n_cells, size=k, replace=False)
-            plane.toggle_cells(idx)
-            for m in (maps, always_incremental, always_rebuild):
-                m.refresh(plane)
-            assert (maps.rebuilds == before + 1) == rebuilt, k
-            _, _, ci_ref, hist_ref = _reference_class_maps(
-                plane.to_bits().reshape(rows, cols))
-            for m in (maps, always_incremental, always_rebuild):
-                assert np.array_equal(m.nd, always_rebuild.nd)
-                assert np.array_equal(m.ng, always_rebuild.ng)
-                assert np.array_equal(m.class_idx, ci_ref)
-                assert np.array_equal(m.hist, hist_ref)
-            _assert_maps_match_recompute(maps, plane, rows, cols)
-        assert always_incremental.rebuilds == 1
-        assert always_rebuild.incremental_refreshes == 0
-
-    def test_refresh_without_changes_is_noop(self):
-        rng = np.random.default_rng(2)
-        plane, maps = self._fresh(rng)
-        hist_before = maps.hist.copy()
-        maps.refresh(plane)
-        assert maps.rebuilds == 1
-        assert maps.incremental_refreshes == 0
-        assert np.array_equal(maps.hist, hist_before)
-
-    def test_cell_classes_uses_frozen_neighbors(self):
+    def test_classes_use_frozen_neighbors(self):
+        """Between refreshes the planes keep the batch-start classes."""
         rng = np.random.default_rng(3)
-        plane, maps = self._fresh(rng)
-        cells = rng.choice(plane.n_mapped, size=40, replace=False)
+        plane, planes = self._fresh(rng)
+        cells = np.arange(plane.n_cells)
+        before = planes.classes(cells)
+        plane.toggle_cells(rng.choice(plane.n_cells, size=50,
+                                      replace=False))
+        assert np.array_equal(planes.classes(cells), before)
+        picks = rng.choice(plane.n_mapped, size=40, replace=False)
         bits = rng.integers(0, 2, size=40)
-        expected = class_index(bits, maps.nd[cells], maps.ng[cells])
-        assert np.array_equal(maps.cell_classes(bits, cells), expected)
+        assert np.array_equal(planes.classes(picks, bits),
+                              before[picks] % 25 + 25 * bits)
+
+    def test_classes_keep_the_shape_of_cells(self):
+        plane, planes = self._fresh(np.random.default_rng(4))
+        cells = np.arange(12).reshape(3, 4)
+        assert planes.classes(cells).shape == (3, 4)
+        assert planes.classes(np.empty(0, np.intp)).shape == (0,)
 
     def test_shape_mismatch_raises(self):
         plane = BitPlane.from_bits(np.zeros(100, np.int8), 1, 72)
         with pytest.raises(ParameterError):
-            IncrementalClassMaps(7, 7, plane)
+            ClassPlanes(7, 7).refresh(plane)
 
 
 class _StubTables:
@@ -403,8 +413,8 @@ class TestPackedState:
         n_cells = n_cells or n_words * code + 17
         bits = (rng.random(n_cells) < 0.5).astype(np.int8)
         intended = BitPlane.from_bits(bits, n_words, code)
-        maps = None  # not needed for counter bookkeeping
-        return _PackedState(intended, intended.copy(), maps,
+        planes = None  # not needed for counter bookkeeping
+        return _PackedState(intended, intended.copy(), planes,
                             _StubTables())
 
     def _check_invariant(self, state):

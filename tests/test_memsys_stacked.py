@@ -12,8 +12,8 @@ in the order a lone run does. The load-bearing claims pinned here:
 * resume is exact when shards stopped at different batch boundaries,
   and shard checkpoints written by one-shard runs (what process
   workers execute) resume under the stacked driver;
-* the stacked class maps equal per-shard maps, incrementally too, at
-  shard edges;
+* the stacked class planes equal per-shard whole-array classes, also
+  after toggles at shard edges;
 * a profiled banked run carries one stacked profile.
 """
 
@@ -31,11 +31,7 @@ from repro.memsys import ScrubPolicy, build_engine
 from repro.memsys.bitplane import BitPlane
 from repro.memsys.controller import neighborhood_class_map
 from repro.memsys.engine import PhaseProfiler, _occurrence_rank
-from repro.memsys.sampling import (
-    N_CLASSES,
-    class_index,
-    stacked_class_maps,
-)
+from repro.memsys.sampling import ClassPlanes, class_index
 from repro.resilience import CheckpointManager
 
 
@@ -194,11 +190,11 @@ def _shard_bits(data, n_shards, rows, cols):
         .reshape(n_shards, rows * cols))
 
 
-class TestStackedClassMaps:
+class TestStackedClassPlanes:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 7), st.integers(1, 7),
            st.integers(1, 9), st.data())
-    def test_equal_per_shard_maps_and_incremental_edges(
+    def test_equal_per_shard_classes_and_edges(
             self, n_shards, rows, cols, code_bits, data):
         if rows * cols < code_bits:
             code_bits = rows * cols
@@ -211,33 +207,28 @@ class TestStackedClassMaps:
             one = BitPlane.from_bits(bits[shard], words, code_bits)
             plane.lanes[:] = one.lanes
             plane.tail[:] = one.tail
-        maps, class_idx = stacked_class_maps(rows, cols, shards)
+        planes = ClassPlanes(rows, cols, n_shards)
 
         def check():
+            planes.refresh(stacked)
             for shard, plane in enumerate(shards):
                 local = plane.to_bits()
                 nd, ng = neighborhood_class_map(local.reshape(rows, cols))
                 ci = class_index(local, nd.reshape(-1), ng.reshape(-1))
-                cells = slice(shard * rows * cols,
-                              (shard + 1) * rows * cols)
-                assert np.array_equal(class_idx[cells], ci)
-                assert np.array_equal(maps[shard].class_idx, ci)
-                assert np.array_equal(
-                    maps[shard].hist, np.bincount(ci, minlength=N_CLASSES))
+                cells = np.arange(shard * rows * cols,
+                                  (shard + 1) * rows * cols)
+                assert np.array_equal(planes.classes(cells), ci)
 
         check()
         # Flip a few cells on every shard's edge rows and columns, then
-        # refresh: incrementally (huge threshold) or by full rebuild.
+        # refresh.
         edge = np.array([r * cols + c for r in range(rows)
                          for c in range(cols)
                          if r in (0, rows - 1) or c in (0, cols - 1)])
-        for shard, plane in enumerate(shards):
+        for plane in shards:
             picks = data.draw(st.lists(st.sampled_from(list(edge)),
                                        max_size=4, unique=True))
             plane.toggle_cells(np.array(picks, dtype=np.int64))
-            maps[shard].full_rebuild_fraction = data.draw(
-                st.sampled_from([0.0, 1.0]))
-            maps[shard].refresh(plane)
         check()
 
     def test_stacked_neighborhood_never_crosses_shards(self):

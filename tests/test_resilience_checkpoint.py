@@ -191,12 +191,9 @@ class TestRunIdentity:
         assert "different run" in message
         assert "writeback" in message
 
-    @pytest.mark.parametrize("kill_after", [3, None])
-    def test_checkpoint_of_the_per_bit_write_stream_is_refused(
-            self, eval_device, tmp_path, kill_after):
-        """A checkpoint written while write data was drawn one float64
-        uniform per bit (its identity has no ``write_stream``) would
-        resume into a mixed stream, so it is refused by name."""
+    def _refuses_without(self, eval_device, tmp_path, kill_after, field):
+        """Resuming a checkpoint whose identity lacks ``field`` raises
+        a :class:`RunIdentityError` naming it."""
         directory = str(tmp_path)
         try:
             _engine(eval_device).run(
@@ -208,14 +205,33 @@ class TestRunIdentity:
         manager = CheckpointManager(directory)
         _, payload = manager.read_frame("run")
         identity = dict(payload["identity"])
-        del identity["write_stream"]
+        del identity[field]
         assert manager.save("run", {**payload, "identity": identity})
         with pytest.raises(RunIdentityError) as err:
             _engine(eval_device).run(
                 N_TRANSACTIONS, rng=np.random.default_rng(7),
                 batch_size=BATCH, checkpoint=manager, resume=True)
-        assert "write_stream" in str(err.value)
+        assert field in str(err.value)
         assert "refusing to resume" in str(err.value)
+
+    @pytest.mark.parametrize("kill_after", [3, None])
+    def test_checkpoint_of_the_per_bit_write_stream_is_refused(
+            self, eval_device, tmp_path, kill_after):
+        """A checkpoint written while write data was drawn one float64
+        uniform per bit (its identity has no ``write_stream``) would
+        resume into a mixed stream, so it is refused by name."""
+        self._refuses_without(eval_device, tmp_path, kill_after,
+                              "write_stream")
+
+    @pytest.mark.parametrize("kill_after", [3, None])
+    def test_checkpoint_of_the_class_grouped_drift_stream_is_refused(
+            self, eval_device, tmp_path, kill_after):
+        """A checkpoint written while the whole-array terms drew one
+        binomial per coupling class (its identity has no
+        ``drift_stream``) would resume into a mixed stream, so it is
+        refused by name."""
+        self._refuses_without(eval_device, tmp_path, kill_after,
+                              "drift_stream")
 
     def test_payload_without_identity_never_resumes(self, eval_device,
                                                     tmp_path):
@@ -297,7 +313,7 @@ class TestFormatChange:
     """A checkpoint in the layout written before the sidecar shrank to
     one digest and the payload lost its key still resumes,
     byte-identical: those extras are never read. (Its identity must
-    still match, ``write_stream`` included.)"""
+    still match, ``write_stream`` and ``drift_stream`` included.)"""
 
     @pytest.mark.parametrize("kill_after", [3, None])
     def test_older_format_checkpoint_resumes_byte_identical(

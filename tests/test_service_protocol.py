@@ -118,13 +118,14 @@ class TestParseRequest:
 
     def test_valid_queries_keep_their_fingerprints(self):
         # Keys memoized by servers before names were checked at parse
-        # time; checking must not re-key a valid query.
+        # time; checking must not re-key a valid query. (Re-pinned at
+        # protocol version 4, which re-keys every query on purpose.)
         pinned = {
-            "2f5c77c374480c24373e11a77f96a576": {"op": "uber"},
-            "1c571bddc2bd16e0cfc28e4b088b43e1": {
+            "586ffba926cecfbe48d34189f3f5d8c8": {"op": "uber"},
+            "7e98bae6ca00c6471d974e8ce4c053f7": {
                 "op": "uber", "topology": "cross-point", "banks": 2,
                 "subarrays": 4, "ecc": "none", "pattern": "solid1"},
-            "13266ee0b981f7d8b67d946b5468bc6c": {
+            "93499f60dbcf75994881c848dee98514": {
                 "op": "sweep", "patterns": "hot-row",
                 "eccs": ["secded"]},
         }
@@ -140,13 +141,14 @@ class TestParseRequest:
 
     def test_executor_check_keeps_fingerprints(self):
         # Keys of valid queries with an explicit executor, as memoized
-        # before the name was checked at parse time.
+        # before the name was checked at parse time (re-pinned at
+        # protocol version 4).
         pinned = {
-            "2c1b08993456d99a8f69097f024ba70f": {
+            "e70e79496668a2b8c181adb339741021": {
                 "op": "sweep", "executor": "process", "jobs": 2},
-            "60fcd392b972d0a57d1ab288d84a9d41": {
+            "10b1d2f96b3b11559ce88f5fdef37055": {
                 "op": "design", "executor": "serial"},
-            "fc220c1f0cc35e79abf19fd237e9cab9": {
+            "ab450537e5ceb4606e07aada968d9d62": {
                 "op": "design", "executor": "distributed",
                 "ecds_nm": [35.0], "jobs": 4},
         }
@@ -230,15 +232,17 @@ class TestFingerprint:
         # fold in; bumping it is the documented invalidation story.
         assert isinstance(PROTOCOL_VERSION, int)
 
-    def test_protocol_v3_rekeys_older_results(self):
-        # Version 2 retired the uber ``sampler`` field and version 3
-        # moved sampled write data to raw lanes; the same sampled query
-        # keyed these under versions 1 and 2.
+    def test_protocol_v4_rekeys_older_results(self):
+        # Version 2 retired the uber ``sampler`` field, version 3 moved
+        # sampled write data to raw lanes and version 4 the whole-array
+        # terms to thinned draws; the same sampled query keyed these
+        # under versions 1, 2 and 3.
         query = parse_request({"op": "uber", "mode": "sampled"})
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
         assert query_fingerprint(query) not in (
             "5013250638e628a7892e92bb2346ce3f",
-            "85d65c796ab31009938fd68ab238c291")
+            "85d65c796ab31009938fd68ab238c291",
+            "6cc0911c41de28906c372e3d5a9ed0b2")
 
     def test_stable_across_processes(self):
         # The fingerprint must be derivable from reprs of plain
