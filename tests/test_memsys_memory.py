@@ -20,6 +20,7 @@ import pytest
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.pattern import checkerboard
 from repro.memsys import bitplane, build_engine
+from repro.memsys.backends.numba_backend import NumbaEngineBackend
 from repro.memsys.bitplane import BitPlane, unpack_bits
 from repro.memsys.controller import WordMap, neighborhood_class_map
 from repro.memsys.ecc import HammingSECDED
@@ -203,6 +204,37 @@ def test_planes_at_real_block_size():
     assert plane.tail.size == rows * cols % 72 > 0
     assert np.array_equal(_planes_classes(plane, rows, cols),
                           _reference(bits))
+
+
+@pytest.mark.parametrize("backend", (None, NumbaEngineBackend()),
+                         ids=("numpy", "numba-kernels"))
+@pytest.mark.parametrize("shape", ((1, 90), (90, 1), (37, 41), (48, 64)))
+def test_refreshed_planes_follow_toggles(shape, backend, small_blocks):
+    """One ClassPlanes, refreshed after each batch of toggles (by
+    ``BitPlane.toggle_cells`` or the backend's fused toggle kernel),
+    keeps landing on the whole-array classes: no state of an earlier
+    refresh leaks into a later one, by row-block unpack or byte gather
+    (48 x 64)."""
+    rows, cols = shape
+    rng = np.random.default_rng(rows + cols)
+    plane, _ = _plane(rng, rows, cols)
+    intended = plane.copy()
+    err_count = np.zeros(plane.n_words, dtype=np.int16)
+    planes = ClassPlanes(rows, cols)
+    cells = np.arange(plane.n_cells)
+    for k in (1, 3, 8, 9, 25, 1, 60):
+        idx = rng.choice(plane.n_cells, size=k, replace=False)
+        if backend is None:
+            plane.toggle_cells(idx)
+        else:
+            backend.toggle_and_count(intended, plane, idx, err_count)
+            assert np.array_equal(err_count, plane.diff_counts(intended))
+        planes.refresh(plane)
+        assert np.array_equal(
+            planes.classes(cells),
+            _reference(plane.to_bits().reshape(rows, cols)))
+    assert planes.rebuilds == 7
+    assert planes.incremental_refreshes == 0
 
 
 def test_to_bits_ranges_cross_words_and_tail():
