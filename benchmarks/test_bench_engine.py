@@ -17,20 +17,14 @@ fast path targets. ``batch_size=2048`` refreshes the coupling classes
 every 2k transactions; both states run identical settings, so the
 comparison is like for like at equal fidelity.
 
-A second axis rides along: the compiled engine backend. With numba
-installed, the JIT backend must beat the numpy reference by >= 5x on
-the same chip-1024 binomial workload (skipped cleanly otherwise), and
-the popcount byte-table fallback's narrow-row column loop must not
-regress against the one-shot gather it replaced.
-
-A third axis is the array topology: on machines with >= 4 cores the
+A second axis is the array topology: on machines with >= 4 cores the
 chip-1024 array reorganized as 2 banks x 2 subarrays must run its four
 sub-runs on a process pool >= 2x faster than the flat single-stream
 engine at the same operating point, both on the per-cell reference.
 
 Every run's throughput lands in ``BENCH_memsys.json`` (repo root, or
-``$REPRO_BENCH_OUT``) as a trajectory over array size, sampler,
-backend, and topology; CI uploads the file as an artifact so
+``$REPRO_BENCH_OUT``) as a trajectory over array size, sampler
+and topology; CI uploads the file as an artifact so
 regressions leave a trace.
 """
 
@@ -48,9 +42,6 @@ from repro.memsys.traffic import StressPatternWorkload
 
 #: Floor asserted on the 1024 x 1024 binomial-vs-per-cell ratio.
 SPEEDUP_FLOOR = 10.0
-
-#: Floor asserted on the 1024 x 1024 numba-vs-numpy backend ratio.
-BACKEND_SPEEDUP_FLOOR = 5.0
 
 #: Floor asserted on the 4-shard banked chip over the flat engine when
 #: the shards fan out over a process pool (requires >= 4 cores).
@@ -74,12 +65,12 @@ def _bench_out_path():
 REFERENCE = "per-cell reference"
 
 
-def _engine(device, side, backend=None):
+def _engine(device, side):
     return build_engine(
         device, pitch=70e-9, rows=side, cols=side, ecc="secded",
         workload=StressPatternWorkload("checkerboard",
                                        read_fraction=0.9),
-        nominal_wer=1e-6, backend=backend)
+        nominal_wer=1e-6)
 
 
 def _timed_run(engine, n=TRANSACTIONS, repeats=1):
@@ -140,12 +131,11 @@ def test_binomial_fast_path_speedup_1024(device):
 def _record_bench(speedup, t_reference, t_binomial, runs_1024):
     """Append this run's throughput trajectory to BENCH_memsys.json."""
     trajectory = [
-        {"sampler": sampler, "backend": result.config["backend"],
-         "rows": 1024, "cols": 1024,
+        {"sampler": sampler, "rows": 1024, "cols": 1024,
          "transactions": TRANSACTIONS, "batch_size": BATCH_SIZE,
          "nominal_wer": 1e-6, "seconds": round(seconds, 4),
          "txn_per_s": round(TRANSACTIONS / seconds, 1)}
-        for sampler, (seconds, result) in runs_1024.items()]
+        for sampler, (seconds, _) in runs_1024.items()]
     payload = {
         "bench": "memsys_engine",
         "speedup_1024": {
@@ -167,8 +157,8 @@ def _merge_bench(update, extra_points=()):
     """Fold ``update`` keys and trajectory points into the bench file.
 
     The headline speedup bench rewrites the file from scratch; every
-    later test merges so a partial run (or a skipped numba leg) never
-    wipes the numbers that were already measured.
+    later test merges so a partial run never wipes the numbers that
+    were already measured.
     """
     path = _bench_out_path()
     try:
@@ -182,59 +172,6 @@ def _merge_bench(update, extra_points=()):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}")
-
-
-def test_numba_backend_speedup_1024(device):
-    """JIT backend >= 5x over numpy on the chip-1024 binomial preset.
-
-    Both engines run the exact workload the ``chip-1024`` CLI preset
-    ships (1024 x 1024, checkerboard at 90% reads, SEC-DED,
-    ``nominal_wer = 1e-6``) — only the backend
-    differs. A warm-up run triggers JIT compilation before timing so
-    the floor measures steady-state kernels, not compile time.
-    """
-    pytest.importorskip("numba")
-    from repro.memsys.backends import get_backend
-    assert get_backend("numba").ready(), "numba backend failed self-check"
-
-    runs = {}
-    for backend in ("numba", "numpy"):
-        engine = _engine(device, 1024, backend=backend)
-        assert engine.backend.name == backend
-        engine.run(10_000, rng=SEED, batch_size=BATCH_SIZE)  # JIT warm-up
-        runs[backend] = _timed_run(engine, repeats=2)
-
-    t_numba, r_numba = runs["numba"]
-    t_numpy, r_numpy = runs["numpy"]
-    speedup = t_numpy / t_numba
-    # Record before asserting so a floor miss still leaves the artifact.
-    _merge_bench(
-        {"backend_speedup_1024": {
-            "numpy_s": round(t_numpy, 4),
-            "numba_s": round(t_numba, 4),
-            "speedup": round(speedup, 2),
-            "floor": BACKEND_SPEEDUP_FLOOR,
-        }},
-        [{"sampler": "binomial", "backend": backend, "rows": 1024,
-          "cols": 1024, "transactions": TRANSACTIONS,
-          "batch_size": BATCH_SIZE, "nominal_wer": 1e-6,
-          "seconds": round(seconds, 4),
-          "txn_per_s": round(TRANSACTIONS / seconds, 1)}
-         for backend, (seconds, _) in runs.items()])
-    print(f"\n1024x1024 binomial, {TRANSACTIONS} txn: "
-          f"numpy {t_numpy:.2f}s, numba {t_numba:.2f}s "
-          f"-> {speedup:.1f}x")
-
-    # The backends must agree exactly: same seed, same draws, same
-    # counters — the JIT path is a reimplementation, not an approximation.
-    for counter in ("write_errors", "disturb_flips", "retention_flips",
-                    "raw_bit_errors", "uncorrectable_bit_errors"):
-        assert getattr(r_numba, counter) == getattr(r_numpy, counter), \
-            counter
-
-    assert speedup >= BACKEND_SPEEDUP_FLOOR, (
-        f"numba backend only {speedup:.1f}x over numpy "
-        f"(floor {BACKEND_SPEEDUP_FLOOR}x)")
 
 
 def test_banked_process_speedup_chip_1024(device):
@@ -280,10 +217,9 @@ def test_banked_process_speedup_chip_1024(device):
             "speedup": round(speedup, 2),
             "floor": TOPOLOGY_SPEEDUP_FLOOR,
         }},
-        [{"sampler": REFERENCE, "backend": r_banked.config["backend"],
-          "topology": "banked", "banks": 2, "subarrays": 2,
-          "executor": "process", "rows": 1024, "cols": 1024,
-          "transactions": n, "batch_size": BATCH_SIZE,
+        [{"sampler": REFERENCE, "topology": "banked", "banks": 2,
+          "subarrays": 2, "executor": "process", "rows": 1024,
+          "cols": 1024, "transactions": n, "batch_size": BATCH_SIZE,
           "nominal_wer": 1e-6, "seconds": round(t_banked, 4),
           "txn_per_s": round(n / t_banked, 1)}])
     print(f"\n1024x1024 per-cell reference, {n} txn: "
@@ -318,19 +254,16 @@ def test_binomial_throughput_scales_with_array_size(device):
     """
     n = 250_000
     rates = {}
-    backend = None
     for side in (256, 512, 1024):
         engine = _engine(device, side)
         seconds, result = _timed_run(engine, n=n)
         assert result.n_transactions == n
         rates[side] = n / seconds
-        backend = result.config["backend"]
         print(f"\nbinomial {side}x{side}: {rates[side]:.0f} txn/s")
     assert rates[1024] >= rates[256] / 4.0, rates
 
     _merge_bench({}, [
-        {"sampler": "binomial", "backend": backend,
-         "rows": side, "cols": side,
+        {"sampler": "binomial", "rows": side, "cols": side,
          "transactions": n, "batch_size": BATCH_SIZE,
          "nominal_wer": 1e-6, "seconds": round(n / rate, 4),
          "txn_per_s": round(rate, 1)}

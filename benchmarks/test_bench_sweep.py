@@ -66,15 +66,9 @@ def _record_scaling(t_serial, t_distributed, speedup, n_points):
     except (OSError, ValueError):
         payload = {"bench": "memsys_engine", "trajectory": []}
     cpus = _usable_cpus()
-    from repro.memsys.backends import resolve_backend
     payload["sweep_scaling"] = {
         "executor": "distributed",
         "workers": WORKERS,
-        # The engine backend the point was measured with (numba when
-        # REPRO_ENGINE_BACKEND selects it and the JIT is importable,
-        # else the numpy reference) — numbers from different backends
-        # are different experiments and must not be compared silently.
-        "backend": resolve_backend(None).name,
         "n_points": n_points,
         "serial_s": round(t_serial, 4),
         "distributed_s": round(t_distributed, 4),

@@ -200,12 +200,11 @@ def _cmd_memsys(args):
         device, pitch=nm_to_m(args.pitch_nm), rows=args.rows,
         cols=args.cols, ecc=args.ecc, workload=args.pattern,
         scrub=scrub, vp=args.vp, nominal_wer=args.nominal_wer,
-        read_voltage=args.read_voltage, backend=args.backend,
-        **topology_kwargs)
+        read_voltage=args.read_voltage, **topology_kwargs)
     config = engine.controller.describe()
     print(f"memsys: {args.rows}x{args.cols} array at "
           f"{args.pitch_nm:g} nm pitch, {args.pattern} traffic, "
-          f"{args.ecc} ECC ({engine.backend.name} backend), write "
+          f"{args.ecc} ECC, write "
           f"pulses trimmed to {config['t_pulse0_ns']:.1f}/"
           f"{config['t_pulse1_ns']:.1f} ns "
           f"(nominal WER {args.nominal_wer:g})")
@@ -256,8 +255,7 @@ def _cmd_memsys(args):
     if args.profile:
         profile = result.extras["profile"]
         total = profile.get("total") or 0.0
-        print("phase wall-time breakdown "
-              f"({engine.backend.name} backend):")
+        print("phase wall-time breakdown:")
         prof_rows = [
             (phase, f"{seconds:.3f}",
              f"{100.0 * seconds / total:.1f}%" if total else "-")
@@ -276,7 +274,6 @@ def _cmd_memsys(args):
                            executor=args.executor, vp=args.vp,
                            nominal_wer=args.nominal_wer,
                            read_voltage=args.read_voltage,
-                           backend=args.backend,
                            **topology_kwargs)
         print("pitch sweep (expectation mode; UBER of the worst-case "
               "data pattern rises as pitch shrinks):")
@@ -434,16 +431,15 @@ def _print_report(report, as_json):
 def _cmd_audit(args):
     import os
 
-    from .integrity import (AuditReport, audit_cache_dir,
-                            audit_checkpoint_dir, audit_spool_run,
-                            cross_backend_canary)
+    from .integrity import (audit_cache_dir, audit_checkpoint_dir,
+                            audit_spool_run)
     from .sweep.distributed import SWEEP_SPOOL_ENV, SpoolRun
 
     reports = []
     run_dirs = list(args.run or ())
     spool = args.spool or (os.environ.get(SWEEP_SPOOL_ENV)
                            if not (run_dirs or args.checkpoint
-                                   or args.cache or args.canary)
+                                   or args.cache)
                            else None)
     if spool:
         if not (os.path.isdir(spool) and os.access(spool, os.R_OK)):
@@ -457,14 +453,9 @@ def _cmd_audit(args):
         reports.append(audit_checkpoint_dir(args.checkpoint))
     if args.cache:
         reports.append(audit_cache_dir(args.cache))
-    if args.canary:
-        canary = AuditReport("cross-backend canary")
-        check = cross_backend_canary(seed=args.seed)
-        canary.checks.append(check)
-        reports.append(canary)
     if not reports:
         print("nothing to audit: pass --spool/--run/--checkpoint/"
-              "--cache/--canary (preserved spool runs need "
+              "--cache (preserved spool runs need "
               "REPRO_SWEEP_KEEP_RUNS=1)")
         return 2
     for report in reports:
@@ -650,14 +641,6 @@ def build_parser():
                    help="read bias [V] (default 0.15; raising it "
                         "stresses read disturb and, on cross-point "
                         "arrays, half-select sneak flips)")
-    from .memsys.backends import BACKENDS, ENGINE_BACKEND_ENV
-    p.add_argument("--backend", default=None,
-                   choices=sorted(BACKENDS),
-                   help="compute backend of the Monte-Carlo run: "
-                        "'numpy' reference or JIT-compiled 'numba' "
-                        "(falls back to numpy with a warning when "
-                        "numba is missing; default consults "
-                        f"{ENGINE_BACKEND_ENV}, then numpy)")
     p.add_argument("--profile", action="store_true",
                    help="print a per-phase wall-time breakdown "
                         "(classify/draw/place/ecc/scrub) after the "
@@ -763,14 +746,11 @@ def build_parser():
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="audit a service results-cache directory "
                         "(memo envelopes)")
-    p.add_argument("--canary", action="store_true",
-                   help="run the numpy-vs-numba cross-backend canary "
-                        "(skipped when numba is unavailable)")
     p.add_argument("--sample", type=int, default=4,
                    help="chunks per run to replay byte-for-byte "
                         "(default 4)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the replay sample (and canary)")
+                   help="seed of the replay sample")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable audit records")
     p.set_defaults(func=_cmd_audit)

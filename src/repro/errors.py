@@ -57,7 +57,7 @@ class IntegrityError(ReproError, RuntimeError):
 
 class RunIdentityError(ReproError, ValueError):
     """A ``--resume`` targeted a checkpoint written by a *different*
-    run (seed, backend, topology, or shape differ).
+    run (seed, config, topology, or shape differ).
 
     Raised instead of silently restarting clean: resuming is an
     explicit claim about which campaign is being continued, so a

@@ -12,7 +12,7 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     "audit": [
         "AuditCheck", "AuditReport", "audit_cache_dir", "audit_checkpoint_dir",
-        "audit_spool_run", "cross_backend_canary"],
+        "audit_spool_run"],
     "fsck": ["Finding", "fsck_spool", "list_quarantine"],
     "manifest": [
         "MANIFEST_NAME", "MANIFEST_VERSION", "RunManifest", "blob_digest",

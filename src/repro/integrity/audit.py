@@ -14,11 +14,6 @@ behind ``repro audit``. It verifies three artifact families —
 * **disk-cache directories** (:func:`audit_cache_dir`) — each service
   memo envelope's version, fingerprint, payload digest and store time.
 
-plus a **cross-backend canary** (:func:`cross_backend_canary`): the
-same small seeded grid run on the numpy reference and the numba JIT
-backend must produce identical counters — the cheap standing guard
-against a miscompiled kernel poisoning a campaign.
-
 Every check lands in an :class:`AuditReport`; a single flipped byte
 anywhere fails the report.
 
@@ -28,8 +23,8 @@ them, with the same checks its own load path applies:
 :class:`~repro.resilience.checkpoint.CheckpointManager` for
 checkpoints and :meth:`~repro.service.results_cache.ResultsCache
 .read_envelope` for the cache. So an artifact fails audit exactly when
-its reader would reject it. These owners (and the engine) are imported
-inside functions: they import the manifest layer, and this package's
+its reader would reject it. These owners are imported inside
+functions: they import the manifest layer, and this package's
 ``__init__`` imports this module, so eager imports here would cycle.
 """
 
@@ -49,7 +44,6 @@ __all__ = [
     "audit_cache_dir",
     "audit_checkpoint_dir",
     "audit_spool_run",
-    "cross_backend_canary",
 ]
 
 
@@ -276,76 +270,3 @@ def audit_cache_dir(directory):
             continue
         report.add(key, "pass", "")
     return report
-
-
-# ---------------------------------------------------------------------------
-# cross-backend canary
-# ---------------------------------------------------------------------------
-
-def _default_canary_runner(n_transactions, batch_size, seed):
-    """Counter dict of one small seeded binomial run per backend."""
-    import dataclasses
-
-    from ..device import MTJDevice, PAPER_EVAL_DEVICE
-    from ..memsys import build_engine
-    from ..units import nm_to_m
-
-    def run(backend):
-        engine = build_engine(
-            MTJDevice(PAPER_EVAL_DEVICE), pitch=nm_to_m(70.0),
-            rows=16, cols=16, ecc="secded", workload="random",
-            backend=backend)
-        result = engine.run(int(n_transactions),
-                            rng=np.random.default_rng(seed),
-                            batch_size=int(batch_size))
-        return {f.name: getattr(result, f.name)
-                for f in dataclasses.fields(result)
-                if f.name not in ("config", "extras")}
-
-    return run
-
-
-def cross_backend_canary(n_transactions=2048, batch_size=512, seed=0,
-                         runner=None):
-    """One :class:`AuditCheck`: numpy and numba must agree exactly.
-
-    The engine's numba kernels are bit-exact ports of the
-    numpy reference, so a single diverging counter on the same seeded
-    grid means a miscompile (or a port regression) — exactly the
-    silent-poison failure a statistics repo cannot tolerate.
-
-    ``runner`` (a ``runner(backend_name) -> counter dict`` callable)
-    is the injection seam the tests use to force a divergence; the
-    default runs the real engine. Without ``runner``, the check is
-    ``skipped`` when numba is unavailable (there is nothing to compare
-    the reference against).
-    """
-    from ..memsys.backends import numba_available
-
-    forced = runner is not None
-    if runner is None:
-        if not numba_available():
-            return AuditCheck(
-                "cross-backend-canary", "skipped",
-                "numba unavailable: no second backend to compare")
-        runner = _default_canary_runner(n_transactions, batch_size,
-                                        seed)
-    try:
-        reference = dict(runner("numpy"))
-        candidate = dict(runner("numba"))
-    except Exception as exc:
-        return AuditCheck("cross-backend-canary", "fail",
-                          f"canary run raised {exc!r}")
-    diverging = sorted(
-        name for name in set(reference) | set(candidate)
-        if reference.get(name) != candidate.get(name))
-    if diverging:
-        detail = "; ".join(
-            f"{name}: numpy={reference.get(name)!r} != "
-            f"numba={candidate.get(name)!r}" for name in diverging)
-        return AuditCheck("cross-backend-canary", "fail", detail)
-    return AuditCheck(
-        "cross-backend-canary", "pass",
-        f"{len(reference)} counters identical on "
-        f"{n_transactions} transactions"
-        + (" (injected runner)" if forced else ""))

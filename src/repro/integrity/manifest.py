@@ -274,7 +274,7 @@ class RunManifest:
     """Identity plus per-entry digests for one run.
 
     ``identity`` answers *which run produced these artifacts* (seed,
-    stack fingerprint, backend, topology, protocol version — whatever
+    stack fingerprint, topology, protocol version — whatever
     the emitting layer knows); ``entries`` maps artifact names
     (``chunk-000003``, ``batch-0012``) to digest records. The manifest
     file is itself sealed, so a tampered manifest is as detectable as
@@ -328,7 +328,7 @@ def identity_diff(current, stored):
     """Human-readable list of fields on which two identities differ.
 
     Powers the :class:`~repro.errors.RunIdentityError` message: the
-    operator sees *which* of seed/backend/topology/shape moved, not
+    operator sees *which* of seed/config/topology/shape moved, not
     just "key mismatch".
     """
     if not isinstance(stored, dict) or not stored:

@@ -20,9 +20,6 @@ mechanisms — write error, read disturb, retention — into one number.
   thinned flip draws over bit-sliced coupling-class planes,
 * :mod:`repro.memsys.bitplane` — bit-packed ``intended``/``actual``
   array state (uint64 lanes, XOR + popcount error counting),
-* :mod:`repro.memsys.backends` — pluggable compute backends for the
-  fast path's hot kernels (``"numpy"`` reference / JIT ``"numba"``,
-  selected per engine or via ``REPRO_ENGINE_BACKEND``),
 * :mod:`repro.memsys.topology` — banks x subarrays array topology:
   hierarchical address map, per-subarray traffic sharding with
   spawned per-shard RNGs (subarray-parallel through the sweep
@@ -47,15 +44,13 @@ Quick start::
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "backends": [
-        "BACKENDS", "ENGINE_BACKEND_ENV", "get_backend", "numba_available",
-        "resolve_backend", "validate_backend"],
     "controller": ["ArrayController", "WordMap", "neighborhood_class_map"],
     "ecc": [
         "DecodeOutcome", "ECC_SCHEMES", "HammingSECDED", "NoECC", "make_ecc"],
     "bitplane": ["BitPlane"],
     "engine": [
-        "MemsysResult", "ReliabilityEngine", "build_engine", "merge_results"],
+        "MemsysResult", "ReliabilityEngine", "build_engine", "merge_results",
+        "resolve_backend"],  # kept for perfbench; ROADMAP item 1 deletes it
     "sampling": [
         "ClassPlanes", "N_CLASSES", "class_index", "sample_class_flips"],
     "scrub": ["ScrubPolicy", "no_scrub"],

@@ -45,6 +45,7 @@ import itertools
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields
+from types import SimpleNamespace
 from typing import Dict
 
 import numpy as np
@@ -55,7 +56,6 @@ from ..experiments.base import ExperimentResult
 from ..integrity.manifest import canonical, identity_diff, record_digest
 from ..resilience.checkpoint import CheckpointManager
 from ..validation import require_non_negative, require_positive
-from .backends import resolve_backend
 from .bitplane import BitPlane, lane_bits, pack_bits
 from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
@@ -279,13 +279,6 @@ class ReliabilityEngine:
     writeback:
         Rewrite words whose read found a correctable error (through the
         write path, so the rewrite itself may inject an error).
-    backend:
-        Compute backend for the Monte-Carlo hot kernels (see
-        :mod:`repro.memsys.backends`): a registry name (``"numpy"`` /
-        ``"numba"``), a backend instance, or ``None`` to consult
-        ``REPRO_ENGINE_BACKEND`` and default to numpy. Resolved once at
-        construction; a ``numba`` request degrades to numpy (warn once)
-        when numba is absent.
     half_select_exposure:
         Half-selects accrued per cell per transaction — the cross-point
         sneak-path term (see :mod:`repro.memsys.topology`). Each batch
@@ -296,7 +289,7 @@ class ReliabilityEngine:
     """
 
     def __init__(self, controller, workload="random", scrub=None,
-                 cycle_time=50e-9, writeback=True, backend=None,
+                 cycle_time=50e-9, writeback=True,
                  half_select_exposure=0.0):
         if not isinstance(controller, ArrayController):
             raise ParameterError(
@@ -313,7 +306,6 @@ class ReliabilityEngine:
         self.scrub = no_scrub() if scrub is None else scrub
         self.cycle_time = float(cycle_time)
         self.writeback = bool(writeback)
-        self.backend = resolve_backend(backend)
         require_non_negative(half_select_exposure,
                              "half_select_exposure")
         self.half_select_exposure = float(half_select_exposure)
@@ -326,7 +318,8 @@ class ReliabilityEngine:
             "ecc": type(self.controller.ecc).__name__,
             "cycle_time_s": self.cycle_time,
             "writeback": self.writeback,
-            "backend": self.backend.name,
+            # kept for perfbench; ROADMAP item 1 deletes it
+            "backend": "numpy",
         }
         if self.half_select_exposure:
             config["half_select_exposure"] = self.half_select_exposure
@@ -362,7 +355,7 @@ class ReliabilityEngine:
         ``profile=True`` times the run's phases (classify / draw /
         place / ecc / scrub) and attaches the breakdown as
         ``result.extras["profile"]`` (seconds per phase, plus
-        ``other``/``total``), so backend wins are attributable — also
+        ``other``/``total``), so speedups are attributable — also
         when the answer comes from a finalized checkpoint. Timing
         never touches the draw stream: a profiled run is bit-identical
         to an unprofiled one.
@@ -950,12 +943,10 @@ class _PackedState:
     shard ``s`` sits at ``c + s * T`` there.
     """
 
-    def __init__(self, intended, actual, planes, controller,
-                 backend=None):
+    def __init__(self, intended, actual, planes, controller):
         self.intended = intended
         self.actual = actual
         self.planes = planes
-        self.backend = backend
         self.err_count = np.zeros(intended.n_words, dtype=np.int16)
         self.wrong_bits = 0
         # Run-scoped clipped copies of the controller's fixed per-class
@@ -978,7 +969,7 @@ class _PackedState:
                                ctl.ecc.n_code,
                                n_shards * ctl.layout.n_cells)
                       for _ in range(2)),
-                    None, ctl, backend=engine.backend)
+                    None, ctl)
         state.layout = ctl.layout
         state.shards = tuple(zip(state.intended.split(n_shards),
                                  state.actual.split(n_shards)))
@@ -1125,13 +1116,6 @@ class _PackedState:
 
     def toggle(self, flat_idx):
         """Flip ``actual`` at flat cells (duplicate-free indices)."""
-        if self.backend is not None:
-            delta = self.backend.toggle_and_count(
-                self.intended, self.actual, flat_idx, self.err_count)
-            if delta is not None:
-                # The fused kernel performed the toggles itself.
-                self.wrong_bits += int(delta)
-                return
         mapped = flat_idx[flat_idx < self.actual.n_mapped]
         if mapped.size:
             wrong_before = (self.actual.get_cells(mapped)
@@ -1162,17 +1146,23 @@ class _PackedState:
     def _inject(self, flip_cells):
         if not flip_cells.size:
             return
-        if self.backend is not None:
-            injected = self.backend.inject_and_count(
-                self.actual, flip_cells, self.err_count)
-            if injected is not None:
-                self.wrong_bits += int(injected)
-                return
         self.actual.toggle_cells(flip_cells)
         np.add.at(self.err_count,
                   flip_cells // self.actual.code_bits,
                   np.int16(1))
         self.wrong_bits += int(flip_cells.size)
+
+
+# kept for perfbench; ROADMAP item 1 deletes it
+def resolve_backend(name=None):
+    """The one compute path (``.name == "numpy"``) for ``None`` or
+    ``"numpy"``; any other name raises
+    :class:`~repro.errors.ParameterError`."""
+    if name not in (None, "numpy"):
+        raise ParameterError(
+            f"backend={name!r}: the numba engine backend is retired; "
+            "every run uses the numpy path, so drop the argument")
+    return SimpleNamespace(name="numpy")
 
 
 def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
@@ -1188,11 +1178,9 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
     :data:`repro.memsys.ecc.ECC_SCHEMES` and
     :data:`repro.memsys.traffic.WORKLOADS`); ``sampler`` accepts only
     ``"binomial"``, the one Monte-Carlo sampler (any other value raises
-    :class:`~repro.errors.ParameterError`); ``backend`` selects the
-    Monte-Carlo compute backend (see
-    :data:`repro.memsys.backends.BACKENDS`; default consults
-    ``REPRO_ENGINE_BACKEND``, then numpy); ``sense`` optionally gates
-    reads through a :class:`~repro.memsys.sense.SenseMarginModel`.
+    :class:`~repro.errors.ParameterError`), and ``backend`` likewise
+    only ``None`` or ``"numpy"``; ``sense`` optionally gates reads
+    through a :class:`~repro.memsys.sense.SenseMarginModel`.
 
     ``topology``/``banks``/``subarrays`` select the array organization
     (see :data:`repro.memsys.topology.TOPOLOGIES`): the default flat
@@ -1210,6 +1198,7 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
             f"sampler={sampler!r}: the per-cell 'bernoulli' sampler is "
             "retired; every run draws thinned binomial flips, so "
             "drop the argument")
+    resolve_backend(backend)  # kept for perfbench; ROADMAP item 1 deletes it
     n_banks = 1 if banks is None else int(banks)
     n_subarrays = 1 if subarrays is None else int(subarrays)
     if (topology is not None and str(topology) != "flat") \
@@ -1225,7 +1214,7 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
             nominal_wer=nominal_wer, read_voltage=read_voltage,
             t_read=t_read, cycle_time=cycle_time,
             temperature=temperature, writeback=writeback,
-            backend=backend, sense=sense)
+            sense=sense)
     layout = ArrayLayout(pitch=pitch, rows=rows, cols=cols)
     ecc_obj = make_ecc(ecc, data_bits=data_bits) if isinstance(
         ecc, str) else ecc
@@ -1235,7 +1224,6 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
         temperature=temperature, sense=sense)
     return ReliabilityEngine(controller, workload=workload, scrub=scrub,
                              cycle_time=cycle_time, writeback=writeback,
-                             backend=backend,
                              half_select_exposure=half_select_exposure)
 
 

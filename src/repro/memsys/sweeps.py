@@ -16,15 +16,6 @@ order is the spec's enumeration order for every executor — which is why
 grids of the paper's density claims out across machines) produces
 byte-identical tables to the serial baseline for the same seed.
 
-Backend contract: expectation mode draws nothing, so these sweeps are
-*bit-identical* under every ``backend=`` engine kwarg (see
-:mod:`repro.memsys.backends`): expectation mode never enters the
-Monte-Carlo hot loop, and the backend kernels are bit-exact against the
-numpy reference anyway — but the kwarg travels to every worker as a
-plain registry *name*, so distributed workers resolve it (or the
-``REPRO_ENGINE_BACKEND`` environment) in their own process, falling
-back to numpy wherever numba is missing.
-
 Topology contract: ``topology=``/``banks=``/``subarrays=`` ride
 ``engine_kwargs`` into :func:`~repro.memsys.engine.build_engine`, so a
 sweep can price a banked or cross-point organization point-for-point

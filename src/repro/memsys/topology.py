@@ -57,7 +57,6 @@ from ..sweep.runner import (
 )
 from ..sweep.spec import SweepSpec
 from ..validation import require_int_in_range, require_positive
-from .backends import resolve_backend
 from .engine import build_engine, merge_results
 
 #: Recognized topology kinds (the CLI also accepts ``cross-point``).
@@ -273,7 +272,7 @@ class TopologyEngine:
     the parity matrix asserts.
 
     Accepts the same knobs as :func:`~repro.memsys.engine.build_engine`
-    (ecc/workload/scrub/backend/sense/...); ``cross_point``
+    (ecc/workload/scrub/sense/...); ``cross_point``
     topologies additionally arm the flat engines' half-select sneak
     term with an exposure of ``1/sub_rows + 1/sub_cols`` per cell per
     transaction.
@@ -283,24 +282,19 @@ class TopologyEngine:
                  workload="random", data_bits=64, scrub=None, vp=0.95,
                  nominal_wer=2e-3, read_voltage=0.15, t_read=20e-9,
                  cycle_time=50e-9, temperature=None, writeback=True,
-                 backend=None, sense=None):
+                 sense=None):
         if not isinstance(topology, ArrayTopology):
             raise ParameterError(
                 f"topology must be an ArrayTopology, got "
                 f"{type(topology)!r}")
         self.device = device
         self.topology = topology
-        # Resolve the backend once (env lookup, numba fallback, warn)
-        # and ship the registry *name* to workers — instances are
-        # process-local, names travel the same way sweeps ship them.
         self._engine_kwargs = dict(
             pitch=pitch, ecc=ecc, workload=workload,
             data_bits=data_bits, scrub=scrub, vp=vp,
             nominal_wer=nominal_wer, read_voltage=read_voltage,
             t_read=t_read, cycle_time=cycle_time,
-            temperature=temperature, writeback=writeback,
-            backend=resolve_backend(backend).name,
-            sense=sense,
+            temperature=temperature, writeback=writeback, sense=sense,
             half_select_exposure=self.half_select_exposure(topology))
         self._template = None
 
@@ -331,10 +325,6 @@ class TopologyEngine:
     @property
     def controller(self):
         return self.template.controller
-
-    @property
-    def backend(self):
-        return self.template.backend
 
     @property
     def cycle_time(self):

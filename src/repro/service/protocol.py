@@ -43,7 +43,8 @@ from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 #: their write data as raw uint64 lanes, so seeded answers moved.
 #: Version 4: sampled runs draw the whole-array retention and sneak
 #: terms by thinning, so seeded answers moved again.
-PROTOCOL_VERSION = 4
+#: Version 5: uber queries lost their ``backend`` parameter.
+PROTOCOL_VERSION = 5
 
 #: Distinct eCDs whose stack key :func:`query_fingerprint` keeps; clients
 #: choose ``ecd_nm``, so the memo is bounded.
@@ -102,11 +103,7 @@ class UberQuery:
 
     ``mode="expected"`` evaluates the engine's noise-free expectation
     (deterministic, cheap); ``mode="sampled"`` runs the Monte-Carlo
-    traffic loop over ``transactions`` transactions. ``backend``
-    optionally pins the Monte-Carlo compute backend (``"numpy"`` /
-    ``"numba"``); ``None`` lets the server resolve its own
-    ``REPRO_ENGINE_BACKEND`` environment. Sampled responses report the
-    backend the run actually used.
+    traffic loop over ``transactions`` transactions.
 
     ``topology``/``banks``/``subarrays`` select the array organization
     (see :data:`repro.memsys.topology.TOPOLOGIES`): non-flat queries
@@ -124,7 +121,6 @@ class UberQuery:
     pattern: str = "random"
     vp: float = 0.95
     nominal_wer: float = 2e-3
-    backend: str | None = None
     mode: str = "expected"
     transactions: int = 50_000
     seed: int = 0
@@ -154,9 +150,6 @@ class UberQuery:
         require_int_in_range(self.transactions, "transactions", 1,
                              10**9)
         _require_seed(self.seed)
-        if self.backend is not None:
-            from ..memsys.backends import validate_backend
-            validate_backend(self.backend)
         if self.ecd_nm is not None:
             require_positive(self.ecd_nm, "ecd_nm")
 

@@ -63,7 +63,6 @@ def run_uber(query, abort, publish):
         device, pitch=nm_to_m(query.pitch_nm), rows=query.rows,
         cols=query.cols, ecc=query.ecc, workload=query.pattern,
         vp=query.vp, nominal_wer=query.nominal_wer,
-        backend=query.backend,
         topology=query.topology, banks=query.banks,
         subarrays=query.subarrays)
     if query.mode == "expected":
@@ -75,9 +74,7 @@ def run_uber(query, abort, publish):
                         progress=_progress(abort, publish))
     return json_safe({
         "mode": "sampled",
-        # The *resolved* backend, so a client that asked for numba can
-        # see when the server fell back to the numpy reference.
-        "backend": engine.backend.name,
+        "backend": "numpy",  # kept for perfbench; ROADMAP item 1 deletes it
         "uber": result.uber,
         "raw_ber": result.raw_ber,
         "word_fail_rate": result.word_fail_rate,

@@ -83,11 +83,15 @@ class TestCommands:
         assert "raw BER (pre-ECC)" in out
         assert "pitch sweep skipped" in out
 
-    def test_memsys_sampler_flag_rejected(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["memsys", "--sampler", "binomial"],
+        ["memsys", "--backend", "numpy"],
+        ["audit", "--canary"]], ids=lambda argv: argv[1])
+    def test_retired_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["memsys", "--sampler", "binomial"])
+            main(argv)
         assert exc.value.code == 2
-        assert "--sampler" in capsys.readouterr().err
+        assert argv[1] in capsys.readouterr().err
 
     def test_memsys_profile_breakdown(self, capsys):
         assert main(["memsys", "--seed", "3", "--rows", "16",
@@ -373,9 +377,6 @@ class TestAuditCommand:
         assert main(["audit", "--run", run_path]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_audit_canary_alone(self, capsys):
-        assert main(["audit", "--canary"]) == 0
-        assert "cross-backend-canary" in capsys.readouterr().out
 
     def test_audit_without_targets_is_usage_error(self, capsys,
                                                   monkeypatch):

@@ -187,14 +187,14 @@ def _counters(result):
 
 def test_flat_write_heavy_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=128, cols=128,
-                          workload="write-heavy", backend="numpy")
+                          workload="write-heavy")
     assert _counters(engine.run(20_000, rng=1)) == FLAT_WRITE_HEAVY
 
 
 def test_banked_read_heavy_scrub_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=128, cols=128,
-                          workload="read-heavy", backend="numpy",
-                          banks=2, subarrays=2, scrub=ScrubPolicy(2e-5))
+                          workload="read-heavy", banks=2, subarrays=2,
+                          scrub=ScrubPolicy(2e-5))
     result = engine.run(20_000, rng=2, batch_size=1000)
     assert _counters(result) == BANKED_READ_HEAVY_SCRUB
     assert result.extras["topology"]["per_shard_transactions"] == [
@@ -203,8 +203,7 @@ def test_banked_read_heavy_scrub_counters_pinned(device):
 
 def test_flat_scrub_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
-                          workload="random", scrub=ScrubPolicy(2e-5),
-                          backend="numpy")
+                          workload="random", scrub=ScrubPolicy(2e-5))
     result = engine.run(20_000, rng=1, batch_size=1000)
     assert _counters(result) == FLAT_SCRUB
 
@@ -212,7 +211,7 @@ def test_flat_scrub_counters_pinned(device):
 def test_no_ecc_no_writeback_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
                           workload="random", ecc="none",
-                          writeback=False, backend="numpy")
+                          writeback=False)
     result = engine.run(20_000, rng=1, batch_size=1000)
     assert _counters(result) == NOECC_NO_WRITEBACK
 
@@ -221,7 +220,7 @@ def test_cross_point_sneak_counters_pinned(device):
     engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
                           workload="random", topology="cross-point",
                           banks=2, subarrays=2, read_voltage=0.3,
-                          scrub=ScrubPolicy(2e-5), backend="numpy")
+                          scrub=ScrubPolicy(2e-5))
     result = engine.run(20_000, rng=4, batch_size=1000)
     assert _counters(result) == CROSS_POINT_SNEAK
     assert result.sneak_flips > 0 and result.scrub_corrected_words > 0
@@ -230,7 +229,7 @@ def test_cross_point_sneak_counters_pinned(device):
 def test_retention_hot_counters_pinned(device):
     engine = build_engine(device, pitch=52.5e-9, rows=32, cols=32,
                           workload="read-heavy", temperature=420.0,
-                          cycle_time=10.0, backend="numpy")
+                          cycle_time=10.0)
     result = engine.run(4000, rng=5, batch_size=500)
     assert _counters(result) == RETENTION_HOT
     assert result.retention_flips > 0

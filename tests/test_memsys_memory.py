@@ -16,14 +16,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_memsys_sampling import _StubTables
 
 from repro.arrays.layout import ArrayLayout
 from repro.arrays.pattern import checkerboard
 from repro.memsys import bitplane, build_engine
-from repro.memsys.backends.numba_backend import NumbaEngineBackend
 from repro.memsys.bitplane import BitPlane, unpack_bits
 from repro.memsys.controller import WordMap, neighborhood_class_map
 from repro.memsys.ecc import HammingSECDED
+from repro.memsys.engine import _PackedState
 from repro.memsys.sampling import ClassPlanes, class_index
 from repro.memsys.traffic import HotSpotWorkload, Workload
 
@@ -40,7 +41,7 @@ MAX_BYTES_PER_CELL = 8.0
 def _engine(device, workload, side):
     return build_engine(device, pitch=70e-9, rows=side, cols=side,
                         ecc="secded", workload=workload,
-                        nominal_wer=1e-6, backend="numpy")
+                        nominal_wer=1e-6)
 
 
 @pytest.mark.parametrize("workload", ("write-heavy", "read-heavy"))
@@ -95,8 +96,7 @@ def test_hot_retention_run_peak_bytes_per_cell(eval_device, monkeypatch):
     def engine(side):
         return build_engine(eval_device, pitch=52.5e-9, rows=side,
                             cols=side, workload="read-heavy",
-                            temperature=420.0, cycle_time=10.0,
-                            backend="numpy")
+                            temperature=420.0, cycle_time=10.0)
 
     engine(16).run(500, rng=5, batch_size=250)
     monkeypatch.setattr(bitplane, "BLOCK_CELLS", HOT_SIDE**2 // 16)
@@ -206,29 +206,29 @@ def test_planes_at_real_block_size():
                           _reference(bits))
 
 
-@pytest.mark.parametrize("backend", (None, NumbaEngineBackend()),
-                         ids=("numpy", "numba-kernels"))
+@pytest.mark.parametrize("via_state", (False, True),
+                         ids=("toggle-cells", "packed-state"))
 @pytest.mark.parametrize("shape", ((1, 90), (90, 1), (37, 41), (48, 64)))
-def test_refreshed_planes_follow_toggles(shape, backend, small_blocks):
+def test_refreshed_planes_follow_toggles(shape, via_state, small_blocks):
     """One ClassPlanes, refreshed after each batch of toggles (by
-    ``BitPlane.toggle_cells`` or the backend's fused toggle kernel),
-    keeps landing on the whole-array classes: no state of an earlier
-    refresh leaks into a later one, by row-block unpack or byte gather
-    (48 x 64)."""
+    ``BitPlane.toggle_cells`` or the engine's ``_PackedState.toggle``,
+    whose error counters must follow), keeps landing on the whole-array
+    classes: no state of an earlier refresh leaks into a later one, by
+    row-block unpack or byte gather (48 x 64)."""
     rows, cols = shape
     rng = np.random.default_rng(rows + cols)
     plane, _ = _plane(rng, rows, cols)
-    intended = plane.copy()
-    err_count = np.zeros(plane.n_words, dtype=np.int16)
+    state = _PackedState(plane.copy(), plane, None, _StubTables())
     planes = ClassPlanes(rows, cols)
     cells = np.arange(plane.n_cells)
     for k in (1, 3, 8, 9, 25, 1, 60):
         idx = rng.choice(plane.n_cells, size=k, replace=False)
-        if backend is None:
-            plane.toggle_cells(idx)
+        if via_state:
+            state.toggle(idx)
+            assert np.array_equal(state.err_count,
+                                  plane.diff_counts(state.intended))
         else:
-            backend.toggle_and_count(intended, plane, idx, err_count)
-            assert np.array_equal(err_count, plane.diff_counts(intended))
+            plane.toggle_cells(idx)
         planes.refresh(plane)
         assert np.array_equal(
             planes.classes(cells),

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from memsys_reference import per_cell_reference
 
 from repro.errors import ParameterError
-from repro.memsys import build_engine
+from repro.memsys import build_engine, resolve_backend
 from repro.memsys.bitplane import (
     BitPlane,
     pack_bits,
@@ -464,6 +465,35 @@ class TestPackedState:
                 state.restore_words(w, np.empty(0, dtype=np.intp))
             self._check_invariant(state)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_toggle_and_inject_match_xor_ground_truth(self, seed):
+        """Random toggles (mapped and tail) and write-error injections
+        on an odd code width: the stored bits follow an independent
+        XOR model, and the maintained counters follow XOR+popcount."""
+        rng = np.random.default_rng(seed)
+        n_words, code_bits, n_cells = 6, 9, 58  # 54 mapped + 4 tail
+        bits = rng.integers(0, 2, size=n_cells).astype(np.int8)
+        intended = BitPlane.from_bits(bits, n_words, code_bits)
+        state = _PackedState(intended, intended.copy(), None,
+                             _StubTables())
+        expected = bits.copy()
+        mapped_idx = np.arange(state.actual.n_mapped)
+        for _ in range(4):
+            k = int(rng.integers(0, 10))
+            idx = rng.choice(n_cells, size=k, replace=False)
+            state.toggle(idx)
+            expected[idx] ^= 1
+            # _inject's contract: the cells were just written clean,
+            # so every injection creates a new wrong bit.
+            clean = mapped_idx[expected[mapped_idx] == bits[mapped_idx]]
+            n_inj = min(int(rng.integers(0, 4)), clean.size)
+            inj = rng.choice(clean, size=n_inj, replace=False)
+            state._inject(inj)
+            expected[inj] ^= 1
+        assert np.array_equal(state.actual.to_bits(), expected)
+        self._check_invariant(state)
+
 
 class TestEngineEquivalence:
     def test_binomial_deterministic_under_seed(self, device):
@@ -544,6 +574,21 @@ class TestEngineEquivalence:
         with pytest.raises(ParameterError, match="retired"):
             build_engine(device, pitch=70e-9, rows=16, cols=16,
                          sampler="bernoulli")
+
+    def test_numba_backend_is_retired(self, device):
+        with pytest.raises(ParameterError, match="numba.*retired"):
+            build_engine(device, pitch=70e-9, rows=16, cols=16,
+                         backend="numba")
+        with pytest.raises(ParameterError, match="numba.*retired"):
+            resolve_backend("numba")
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_numpy_backend_is_the_one_path(self, device, backend):
+        assert resolve_backend(backend).name == "numpy"
+        engine = build_engine(device, pitch=70e-9, rows=16, cols=16,
+                              backend=backend)
+        result = engine.run(500, rng=1)
+        assert result.config["backend"] == "numpy"
 
     def test_zero_interval_retention_probability(self, device):
         """interval == 0 is a valid zero-dwell window (satellite)."""

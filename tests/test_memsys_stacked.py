@@ -40,8 +40,7 @@ def _engine(device, kind="banked", banks=2, subarrays=2, rows=32,
     return build_engine(
         device, pitch=60e-9, rows=rows, cols=cols,
         workload=kwargs.pop("workload", "random"), nominal_wer=1e-3,
-        read_voltage=0.3, backend="numpy", topology=kind, banks=banks,
-        subarrays=subarrays,
+        read_voltage=0.3, topology=kind, banks=banks, subarrays=subarrays,
         scrub=ScrubPolicy(scrub) if scrub else None, **kwargs)
 
 

@@ -1,7 +1,7 @@
 """Tests for the banked-array topology layer.
 
 The parity matrix at the core: a seeded 1x1 banked run is
-*byte-identical* to the flat engine across topology x backend x scrub,
+*byte-identical* to the flat engine across topology x scrub,
 sharded runs are statistically equivalent and deterministic across
 executors, and the hierarchical address map round-trips exactly
 (hypothesis-driven). Also the regression home of the profile-merge fix:
@@ -27,7 +27,6 @@ from repro.memsys import (
     merge_results,
     normalize_topology,
 )
-from repro.memsys.backends import numba_available
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +46,6 @@ COUNTERS = ("n_transactions", "n_reads", "n_writes", "n_scrubs",
 
 def counters(result):
     return {name: getattr(result, name) for name in COUNTERS}
-
-
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
 
 
 class TestArrayTopology:
@@ -194,14 +190,12 @@ class TestAddressMapProperties:
 class TestFlatBankedParity:
     """Seeded 1x1 banked runs are byte-identical to the flat engine."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scrub_interval", [None, 2e-4])
-    def test_monte_carlo_byte_identical(self, device, scrub_interval,
-                                        backend):
+    def test_monte_carlo_byte_identical(self, device, scrub_interval):
         def scrub():
             return (ScrubPolicy(scrub_interval)
                     if scrub_interval else None)
-        kwargs = dict(pitch=70e-9, rows=16, cols=16, backend=backend,
+        kwargs = dict(pitch=70e-9, rows=16, cols=16,
                       workload="read-heavy")
         flat = build_engine(device, scrub=scrub(), **kwargs)
         banked = build_engine(device, scrub=scrub(), topology="banked",

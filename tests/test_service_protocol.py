@@ -58,6 +58,12 @@ class TestParseRequest:
                            match="unknown parameter.*sampler"):
             parse_request({"op": "uber", "sampler": sampler})
 
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    def test_retired_backend_is_an_unknown_parameter(self, backend):
+        with pytest.raises(ParameterError,
+                           match="unknown parameter.*backend"):
+            parse_request({"op": "uber", "backend": backend})
+
     def test_envelope_keys_are_not_parameters(self):
         query = parse_request({"op": "uber", "id": "client-7",
                                "pitch_nm": 60})
@@ -119,13 +125,13 @@ class TestParseRequest:
     def test_valid_queries_keep_their_fingerprints(self):
         # Keys memoized by servers before names were checked at parse
         # time; checking must not re-key a valid query. (Re-pinned at
-        # protocol version 4, which re-keys every query on purpose.)
+        # protocol version 5, which re-keys every query on purpose.)
         pinned = {
-            "586ffba926cecfbe48d34189f3f5d8c8": {"op": "uber"},
-            "7e98bae6ca00c6471d974e8ce4c053f7": {
+            "cd55697f35550a4986d95187c9f7592d": {"op": "uber"},
+            "a1c10337afa1326b2a93a9c74e791bb3": {
                 "op": "uber", "topology": "cross-point", "banks": 2,
                 "subarrays": 4, "ecc": "none", "pattern": "solid1"},
-            "93499f60dbcf75994881c848dee98514": {
+            "063ac3e3f37f9f93b4491629681d48e4": {
                 "op": "sweep", "patterns": "hot-row",
                 "eccs": ["secded"]},
         }
@@ -142,13 +148,13 @@ class TestParseRequest:
     def test_executor_check_keeps_fingerprints(self):
         # Keys of valid queries with an explicit executor, as memoized
         # before the name was checked at parse time (re-pinned at
-        # protocol version 4).
+        # protocol version 5).
         pinned = {
-            "e70e79496668a2b8c181adb339741021": {
+            "05c96b978c5d5eb12c783eea0c0f1630": {
                 "op": "sweep", "executor": "process", "jobs": 2},
-            "10b1d2f96b3b11559ce88f5fdef37055": {
+            "4c847000b79ff081da9dc891dd8afe0c": {
                 "op": "design", "executor": "serial"},
-            "ab450537e5ceb4606e07aada968d9d62": {
+            "ec027857670ee4ad42474b5783faa1c9": {
                 "op": "design", "executor": "distributed",
                 "ecds_nm": [35.0], "jobs": 4},
         }
@@ -232,17 +238,19 @@ class TestFingerprint:
         # fold in; bumping it is the documented invalidation story.
         assert isinstance(PROTOCOL_VERSION, int)
 
-    def test_protocol_v4_rekeys_older_results(self):
+    def test_protocol_v5_rekeys_older_results(self):
         # Version 2 retired the uber ``sampler`` field, version 3 moved
-        # sampled write data to raw lanes and version 4 the whole-array
-        # terms to thinned draws; the same sampled query keyed these
-        # under versions 1, 2 and 3.
+        # sampled write data to raw lanes, version 4 the whole-array
+        # terms to thinned draws and version 5 retired the uber
+        # ``backend`` field; the same sampled query keyed these under
+        # versions 1 to 4.
         query = parse_request({"op": "uber", "mode": "sampled"})
-        assert PROTOCOL_VERSION == 4
+        assert PROTOCOL_VERSION == 5
         assert query_fingerprint(query) not in (
             "5013250638e628a7892e92bb2346ce3f",
             "85d65c796ab31009938fd68ab238c291",
-            "6cc0911c41de28906c372e3d5a9ed0b2")
+            "6cc0911c41de28906c372e3d5a9ed0b2",
+            "8f537c36028b75e9331810d53256bcc5")
 
     def test_stable_across_processes(self):
         # The fingerprint must be derivable from reprs of plain
