@@ -17,7 +17,8 @@ mechanisms — write error, read disturb, retention — into one number.
   driver over a packed binomial state) plus a noise-free expectation
   mode,
 * :mod:`repro.memsys.sampling` — the Monte-Carlo sampler: exact
-  thinned flip draws over bit-sliced coupling-class planes,
+  thinned flip draws, each candidate classified by a 3 x 3 window
+  lookup in a per-batch snapshot of the cells' bits,
 * :mod:`repro.memsys.bitplane` — bit-packed ``intended``/``actual``
   array state (uint64 lanes, XOR + popcount error counting),
 * :mod:`repro.memsys.topology` — banks x subarrays array topology:

@@ -10,7 +10,7 @@ Layout: word ``w``'s ``code_bits`` cells pack little-endian into
 ``lanes[w, :]`` — codeword bit ``b`` lives in lane ``b // 64`` at bit
 ``b % 64``. Cells past the last whole codeword (the unmapped tail of
 the flattened array) live in a small int8 ``tail`` array, so
-whole-array mechanisms (retention, neighborhood class planes) still
+whole-array mechanisms (retention, the neighborhood class lookup) still
 see every cell.
 """
 
@@ -25,7 +25,7 @@ from ..errors import ParameterError
 LANE_DTYPE = np.dtype("<u8")
 
 #: Cells per block of the block-wise whole-array passes (classifying a
-#: whole-array draw's candidates, unpacking rows for the class planes,
+#: whole-array draw's candidates, unpacking rows for the class snapshot,
 #: random initial content): a block's temporaries stay a few MiB at
 #: most however large the array.
 BLOCK_CELLS = 1 << 16

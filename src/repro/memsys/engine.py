@@ -24,10 +24,11 @@ is an exact thinned draw — a binomial candidate count at the table's
 largest class probability (at most 50 distinct probabilities), placed
 by index choice and kept per the candidate's class; ``intended``/
 ``actual`` live bit-packed in uint64 lanes (:mod:`repro.memsys.bitplane`)
-with exact per-word error counters; the candidates' classes come from
-bit-sliced class planes rebuilt once per batch in O(cells / 64) word
-operations. Cost O(cells / 64 + candidates), which is what makes
-nominal_wer <= 1e-6 scenarios reachable.
+with exact per-word error counters; each candidate's class is a lookup
+of its 3 x 3 window in a snapshot of the cells' bits taken once per
+batch (one byte gather, O(cells / 8) bytes). Cost O(cells / 8 +
+candidates), which is what makes nominal_wer <= 1e-6 scenarios
+reachable.
 
 The driver owns everything else once: restore or init, the batch loop
 (classify, whole-array terms, scrub, occurrence-rank rounds), ECC
@@ -911,7 +912,7 @@ class _Lane:
 
 
 class _PackedState:
-    """Packed planes + class planes + exact per-word error counters:
+    """Packed planes + class lookup + exact per-word error counters:
     the engine's Monte-Carlo state.
 
     Every term is an exact thinned draw
@@ -920,9 +921,11 @@ class _PackedState:
     candidates, each kept per its class — over the whole array for the
     retention and sneak terms (:func:`sample_class_flips`), over a
     round's cells for write, rewrite and disturb. Every candidate takes
-    its class from :class:`~repro.memsys.sampling.ClassPlanes`, the
-    batch-start bit and neighbor-count planes that :meth:`classify`
-    rebuilds once per batch.
+    its class from :class:`~repro.memsys.sampling.ClassPlanes`: a
+    lookup of its 3 x 3 window in the snapshot of the cells' bits that
+    :meth:`classify` takes once per batch. Writes and restores move
+    whole codeword rows (one void item per word), and skip the error
+    counters while no bit in the array is wrong.
 
     ``err_count[w]`` tracks, exactly, how many cells of word ``w``
     currently disagree with their intended value; ``wrong_bits`` is its
@@ -938,7 +941,7 @@ class _PackedState:
     ``[s * W, (s + 1) * W)`` and tail cells ``[s * T, (s + 1) * T)``
     (:meth:`BitPlane.split`), so cell indices are plane indices:
     ``word * code_bits + bit`` for mapped cells, the tail after every
-    mapped cell. The class planes index shard ``s``'s row-major ``rows
+    mapped cell. The class lookup indexes shard ``s``'s row-major ``rows
     x cols`` cells from ``s * rows * cols``; a mapped cell ``c`` of
     shard ``s`` sits at ``c + s * T`` there.
     """
@@ -947,6 +950,12 @@ class _PackedState:
         self.intended = intended
         self.actual = actual
         self.planes = planes
+        # Each plane's codeword rows as single void items, so a store
+        # copies one item per word, not one per lane (the planes keep
+        # their lane arrays, so the views stay valid).
+        self._intended_rows, self._actual_rows = (
+            plane.lanes.view(np.dtype((np.void, plane.lanes.strides[0])))[
+                :, 0] for plane in (intended, actual))
         self.err_count = np.zeros(intended.n_words, dtype=np.int16)
         self.wrong_bits = 0
         # Run-scoped clipped copies of the controller's fixed per-class
@@ -963,7 +972,7 @@ class _PackedState:
     def stacked(cls, engine, n_shards):
         """Zeroed planes for ``n_shards`` shards of ``engine``'s array;
         :meth:`fresh`/:meth:`load` fill the shards, then :meth:`build`
-        sets up the class planes."""
+        sets up the class lookup."""
         ctl = engine.controller
         state = cls(*(BitPlane(n_shards * ctl.words.n_words,
                                ctl.ecc.n_code,
@@ -991,8 +1000,8 @@ class _PackedState:
 
     def load(self, shard, saved):
         # Planes and exact error counters come from the snapshot; the
-        # class planes are a pure function of the actual plane and
-        # rebuild from it.
+        # classes are a pure function of the actual plane and are
+        # looked up from it.
         for view, plane in zip(self.shards[shard],
                                (saved["intended"], saved["actual"])):
             view.lanes[:] = plane.lanes
@@ -1040,7 +1049,7 @@ class _PackedState:
         """One thinned draw over every shard's segment of ``words``,
         each shard's candidates from its own generator. Candidates map
         to plane cells arithmetically (no ``(n, code_bits)`` cell
-        gather) and take their class from the class planes, their bit
+        gather) and take their class from the class lookup, their bit
         from ``bits_of(position, bit, word)`` (a candidate's word's
         position in ``words``, its codeword bit and its global word).
         Returns ``(flipped plane cells, per-shard flip counts)``, the
@@ -1051,7 +1060,7 @@ class _PackedState:
         def class_of(flat):
             position, bit = np.divmod(flat, code_bits)
             word = words[position]
-            # The candidates' cells in the class planes' stacked order.
+            # The candidates' cells in the class lookup's stacked order.
             at = word * code_bits + bit
             if not one:
                 at += word // self.shard_words * self.tail_cells
@@ -1088,8 +1097,8 @@ class _PackedState:
         return self.err_count[words]
 
     def rewrite(self, words, bounds, lanes, reclassify=False):
-        """Restore whole words through the write path. The class planes
-        refresh at batch boundaries only, so a scrub's rewrites
+        """Restore whole words through the write path. The class snapshot
+        refreshes at batch boundaries only, so a scrub's rewrites
         (``reclassify``) reuse the batch's classes — unlike the per-cell
         test reference, a second-order difference at rare-event rates,
         where the classes differ only around the handful of freshly
@@ -1130,18 +1139,24 @@ class _PackedState:
         """``intended = actual = cw`` (packed codeword lanes), then
         inject errors at ``flip_cells`` (flat cell indices inside the
         written words)."""
-        self.wrong_bits -= int(self.err_count[word_idx].sum())
-        self.err_count[word_idx] = 0
-        self.intended.lanes[word_idx] = cw
-        self.actual.lanes[word_idx] = cw
+        self._clear_counts(word_idx)
+        cw = np.ascontiguousarray(cw).view(self._actual_rows.dtype)[:, 0]
+        self._intended_rows[word_idx] = cw
+        self._actual_rows[word_idx] = cw
         self._inject(flip_cells)
 
     def restore_words(self, word_idx, flip_cells):
         """``actual = intended`` for whole words, plus write errors."""
-        self.wrong_bits -= int(self.err_count[word_idx].sum())
-        self.err_count[word_idx] = 0
-        self.actual.lanes[word_idx] = self.intended.lanes[word_idx]
+        self._clear_counts(word_idx)
+        self._actual_rows[word_idx] = self._intended_rows[word_idx]
         self._inject(flip_cells)
+
+    def _clear_counts(self, word_idx):
+        """Zero the error counts of words about to be rewritten (all
+        already 0 when no bit in the array is wrong)."""
+        if self.wrong_bits:
+            self.wrong_bits -= int(self.err_count[word_idx].sum())
+            self.err_count[word_idx] = 0
 
     def _inject(self, flip_cells):
         if not flip_cells.size:

@@ -1,4 +1,4 @@
-"""Rare-event flip sampling: exact thinning over bit-sliced class planes.
+"""Rare-event flip sampling: exact thinning over 3 x 3 window lookups.
 
 Every per-cell error probability in the memsys stack is a pure function
 of the cell's coupling class — (stored/target bit, direct AP-neighbor
@@ -18,9 +18,11 @@ reads — by exact thinning (:func:`sample_thinned_flips`):
 4. keeps each with probability ``p_class / p_max``.
 
 Cost: O(candidates) per draw. The classes come from
-:class:`ClassPlanes`, rebuilt once per engine batch from the packed
-plane with word-wide shifts and bit-sliced adders — O(cells / 64) word
-operations, with no per-cell class map and no class histogram.
+:class:`ClassPlanes`: once per engine batch it snapshots the cells' bits
+from the packed plane (one byte gather, O(cells / 8) bytes), and each
+candidate's class is a lookup of its 3 x 3 window in that snapshot —
+no per-cell class map, no class histogram, and no work for cells no
+draw touches.
 
 The draws are exact, not an approximation of the per-cell field:
 i.i.d. ``Bernoulli(p_max)`` indicators over ``n`` cells have exactly
@@ -132,107 +134,98 @@ def sample_class_flips(planes, shard, p_class, rng, p_max=None):
         rng, p_max=p_max)
 
 
-def _count4(a, b, c, d, bit0, bit1, bit2, t1, t2):
-    """Bit-sliced count of four 1-bit inputs into three output planes
-    (bit0 + 2 * bit1 + 4 * bit2 = a + b + c + d, lane by lane).
-
-    Two half adders give ``a ^ b``, ``c ^ d`` and their carries; the
-    weight-2 carries ``a & b``, ``c & d`` and ``(a ^ b) & (c ^ d)`` are
-    never all set, and the third excludes the other two, so bit 1 is
-    ``((a & b) ^ (c & d)) | ((a ^ b) & (c ^ d))`` and bit 2 (a count of
-    4) is ``a & b & c & d``. ``t1``/``t2`` are scratch planes.
-    """
-    np.bitwise_xor(a, b, out=t1)
-    np.bitwise_xor(c, d, out=t2)
-    np.bitwise_xor(t1, t2, out=bit0)
-    np.bitwise_and(t1, t2, out=t1)
-    np.bitwise_and(a, b, out=t2)
-    np.bitwise_and(c, d, out=bit2)
-    np.bitwise_xor(t2, bit2, out=bit1)
-    np.bitwise_or(bit1, t1, out=bit1)
-    np.bitwise_and(bit2, t2, out=bit2)
+def _window_classes():
+    """Class of every 3 x 3 window code, by its own center bit and by a
+    given one: bit ``3 * i + j + 1`` of a code is the cell ``i - 1``
+    rows and ``j - 1`` columns off the center (bit 5), and bit 0 is the
+    given center bit that the second table reads in place of bit 5."""
+    window = (np.arange(1024)[:, None] >> np.arange(10)) & 1
+    nd = window[:, [2, 4, 6, 8]].sum(axis=1)
+    ng = window[:, [1, 3, 7, 9]].sum(axis=1)
+    return (class_index(window[:, 5], nd, ng),
+            class_index(window[:, 0], nd, ng))
 
 
-#: Class weight of each plane column: the cell's bit (25), its direct
-#: AP-neighbor count's bits (5, 10, 20), its diagonal count's (1, 2, 4).
-_CLASS_WEIGHTS = np.array([25, 5, 10, 20, 1, 2, 4], dtype=np.uint64)
+_WINDOW_CLASS, _GIVEN_CENTER_CLASS = _window_classes()
+
+#: Weights folding a window's three 3-bit rows (top first) into its
+#: code above bit 0.
+_ROW_WEIGHTS = np.array([2, 16, 128], dtype=np.uint16)
 
 
 class ClassPlanes:
-    """Batch-start coupling classes of every cell, as bit-sliced planes.
+    """Batch-start coupling classes of every cell, looked up per cell
+    from a snapshot of the cells' bits.
 
     Holds, for ``n_shards`` independent ``rows x cols`` arrays (shards:
-    coupling never crosses their edges), seven bit planes of row-major
-    uint64 lanes — ``ceil(cols / 64)`` lanes per row: the cells' bits,
-    then the three bits of each cell's direct AP-neighbor count and the
-    three of its diagonal count. The planes are interleaved as one
-    ``(shards * rows * lanes, 7)`` array, so a cell's whole class is one
-    row gather (:meth:`classes`); 7/8 byte per cell in all.
+    coupling never crosses their edges), one zero-padded ``(shards,
+    rows + 2, ceil(cols / 8) + 2)`` uint8 snapshot: each shard's rows
+    as little-endian bytes (bit ``c % 8`` of byte ``c // 8 + 1`` is
+    column ``c``), with a zero row above and below every shard and a
+    zero byte before and after every row — the dummy-cell boundary
+    convention of
+    :func:`~repro.memsys.controller.neighborhood_class_map` — about
+    1/8 byte per cell.
 
-    :meth:`refresh` rebuilds the planes from a packed
+    :meth:`refresh` rewrites the snapshot from a packed
     :class:`~repro.memsys.bitplane.BitPlane` (the stacked shards' cells:
-    every shard's words, then every shard's tail). The cells' bits move
-    to row-major lanes by one byte gather when codewords and rows are
-    whole bytes (one unpack and pack per row block otherwise); the
-    neighbor bits are the lanes shifted one column (carrying across
-    lanes) and one row, with zeros shifted in at every array edge (the
-    dummy-cell boundary convention of
-    :func:`~repro.memsys.controller.neighborhood_class_map`), and each
-    count of four neighbors is a 4-input bit-sliced adder. Every step
-    is a whole-plane word operation, O(cells / 64), so the engine
-    rebuilds on every batch: :attr:`rebuilds` counts them, and
-    :attr:`incremental_refreshes` stays 0.
+    every shard's words, then every shard's tail) by one byte gather
+    when codewords and rows are whole bytes (one unpack and pack per
+    row block otherwise): no per-cell work, so the engine refreshes on
+    every batch. :attr:`rebuilds` counts the refreshes, and
+    :attr:`incremental_refreshes` stays 0. :meth:`classes` reads each
+    candidate's 3 x 3 window — three 3-bit row windows, each inside a
+    16-bit pair of snapshot bytes — into a 9-bit code, shifted up one
+    bit so that a given center bit fits below it, and maps it to its
+    class through one of two 1024-entry tables (by the window's own
+    center bit, or by the given one). (The name is that of the
+    bit-sliced class planes this lookup replaced.)
     """
 
     def __init__(self, rows, cols, n_shards=1):
         self.rows, self.cols = int(rows), int(cols)
         self.n_shards = int(n_shards)
         self.cells = self.rows * self.cols
-        self.n_lanes = -(-self.cols // 64)
-        self.planes = np.zeros(
-            (self.n_shards * self.rows * self.n_lanes, 7),
-            dtype=bitplane.LANE_DTYPE)
+        row_bytes = -(-self.cols // 8) + 2
+        self.snapshot = np.zeros((self.n_shards, self.rows + 2, row_bytes),
+                                 dtype=np.uint8)
+        # Every pair of consecutive snapshot bytes as one (unaligned)
+        # little-endian uint16: a row window's three bits never span
+        # more than two bytes.
+        self._pairs = np.ndarray((self.snapshot.size - 1,), dtype="<u2",
+                                 buffer=self.snapshot, strides=(1,))
+        # The byte of a window's top-left in every stacked row's window
+        # rows (above, at and below it), and each column's offset byte
+        # and bit in a padded row (its left neighbor's column is c - 1,
+        # bit c + 7 there).
+        shard, row = np.divmod(np.arange(self.n_shards * self.rows),
+                               self.rows)
+        top = (shard * (self.rows + 2) + row) * row_bytes
+        self._row_at = top + np.arange(3)[:, None] * row_bytes
+        col = np.arange(self.cols) + 7
+        self._col_at = col >> 3
+        self._col_shift = (col & 7).astype(np.uint16)
         self.rebuilds = 0
         self.incremental_refreshes = 0
 
     def refresh(self, plane):
-        """Rebuild the planes from ``plane`` (all shards' cells)."""
+        """Rewrite the snapshot from ``plane`` (all shards' cells)."""
         if plane.n_cells != self.n_shards * self.cells:
             raise ParameterError(
                 f"plane has {plane.n_cells} cells, expected "
                 f"{self.n_shards} x {self.rows} x {self.cols}")
-        shape = (self.n_shards, self.rows + 2, self.n_lanes)
-        # Row-major cell lanes with a zero row above and below each
-        # shard, then the same lanes shifted one column: bit c of
-        # ``left`` holds cell c - 1, of ``right`` cell c + 1 (zero past
-        # either edge; a row's padding bits are zero).
-        bits = np.zeros(shape, dtype=bitplane.LANE_DTYPE)
-        self._fill_rows(plane, bits)
-        left = np.left_shift(bits, 1)
-        left[..., 1:] |= bits[..., :-1] >> 63
-        right = np.right_shift(bits, 1)
-        right[..., :-1] |= bits[..., 1:] << 63
-        out = self.planes.reshape(self.n_shards, self.rows, self.n_lanes,
-                                  7)
-        out[..., 0] = bits[:, 1:-1]
-        t1 = np.empty(out.shape[:3], dtype=bitplane.LANE_DTYPE)
-        t2 = np.empty_like(t1)
-        _count4(bits[:, :-2], bits[:, 2:], left[:, 1:-1], right[:, 1:-1],
-                out[..., 1], out[..., 2], out[..., 3], t1, t2)
-        _count4(left[:, :-2], left[:, 2:], right[:, :-2], right[:, 2:],
-                out[..., 4], out[..., 5], out[..., 6], t1, t2)
+        self._fill_rows(plane, self.snapshot[:, 1:-1, 1:-1])
         self.rebuilds += 1
 
-    def _fill_rows(self, plane, bits):
-        """Every shard's cells, row-major, into rows ``1..rows`` of
-        ``bits`` (``(shards, rows + 2, lanes)`` uint64)."""
+    def _fill_rows(self, plane, rows8):
+        """Every shard's cells, row-major, as little-endian bytes into
+        ``rows8`` (``(shards, rows, ceil(cols / 8))`` uint8)."""
         n, rows, cols = self.n_shards, self.rows, self.cols
         code_bits = plane.code_bits
-        rows8 = bits.view(np.uint8)[:, 1:-1]
         if code_bits % 8 or cols % 8:
             for s, shard in enumerate(plane.split(n)):
                 for lo, hi in row_blocks(rows, cols):
-                    rows8[s, lo:hi, :-(-cols // 8)] = np.packbits(
+                    rows8[s, lo:hi] = np.packbits(
                         shard.to_bits(lo * cols, hi * cols).view(np.uint8)
                         .reshape(hi - lo, cols), axis=1, bitorder="little")
             return
@@ -248,50 +241,54 @@ class ClassPlanes:
             stream[:, words * nb:] = np.packbits(
                 plane.tail.view(np.uint8).reshape(n, -1), axis=1,
                 bitorder="little")
-        rows8[..., :cols // 8] = stream.reshape(n, rows, cols // 8)
+        rows8[...] = stream.reshape(n, rows, cols // 8)
 
     def classes(self, cells, bits=None):
         """int8 classes of stacked row-major ``cells``.
 
         Shard ``s``'s cell ``(r, c)`` is ``s * rows * cols + r * cols +
-        c``. ``bits`` (any 0/1 array matching ``cells``), when given,
-        replaces the cells' batch-start bits — a write draw's target
-        bits, a disturb draw's stored bits — while the neighbor counts
-        stay the batch's. Candidates are gathered in blocks of
+        c``. ``bits`` (any 0/1 array matching ``cells``), when
+        given, replaces the cells' batch-start bits — a write draw's
+        target bits, a disturb draw's stored bits — while the neighbor
+        counts stay the batch's. Candidates are looked up in blocks of
         :data:`~repro.memsys.bitplane.BLOCK_CELLS`, so no temporary
         grows with a whole-array candidate set.
         """
         cells = np.asarray(cells, dtype=np.intp)
-        flat = cells.reshape(-1)
+        flat = cells.ravel()
         if bits is not None:
-            bits = np.asarray(bits).reshape(-1)
+            bits = np.asarray(bits, dtype=np.uint16).ravel()
+        # An unaligned gather costs several aligned ones, so a large
+        # candidate set gathers from an aligned copy of the pairs.
+        pairs = self._pairs
+        if 64 * flat.size > pairs.size:
+            pairs = np.ascontiguousarray(pairs)
         step = bitplane.BLOCK_CELLS
         if flat.size <= step:
-            return self._gather(flat, bits).reshape(cells.shape)
+            out = self._lookup(pairs, flat, bits)
+            return out if cells.ndim == 1 else out.reshape(cells.shape)
         out = np.empty(flat.size, dtype=np.int8)
         for lo in range(0, flat.size, step):
-            out[lo:lo + step] = self._gather(
-                flat[lo:lo + step], None if bits is None
+            out[lo:lo + step] = self._lookup(
+                pairs, flat[lo:lo + step], None if bits is None
                 else bits[lo:lo + step])
         return out.reshape(cells.shape)
 
-    def _gather(self, cells, bits):
-        """Classes of one block of 1-D ``cells``: one row gather of
-        the interleaved planes, each row shifted to the cell's bit."""
-        if self.cols % 64:
-            row, col = np.divmod(cells, self.cols)
-            row *= self.n_lanes
-            row += col >> 6
-            col &= 63
-        else:
-            # Rows of whole lanes: a cell's lane is its index / 64.
-            row, col = cells >> 6, cells & 63
-        lanes = self.planes[row]
-        lanes >>= col.view(np.uint64)[:, None]
-        lanes &= np.uint64(1)
-        if bits is not None:
-            lanes[:, 0] = bits
-        return (lanes @ _CLASS_WEIGHTS).astype(np.int8)
+    def _lookup(self, pairs, cells, bits):
+        """Classes of one block of 1-D ``cells``: one gather of every
+        cell's three row windows from ``pairs``, each shifted to the
+        window's bit, then coded (:func:`_window_classes`)."""
+        row, col = np.divmod(cells, self.cols)
+        at = self._row_at.take(row, axis=1)
+        at += self._col_at[col]
+        windows = pairs[at]
+        windows >>= self._col_shift[col]
+        windows &= 7
+        code = np.dot(_ROW_WEIGHTS, windows)
+        if bits is None:
+            return _WINDOW_CLASS.take(code)
+        code |= bits
+        return _GIVEN_CENTER_CLASS.take(code)
 
 
 #: The name the class planes replaced, kept for callers that still

@@ -121,11 +121,17 @@ class Workload:
         values of one ``rng.integers(0, 2**64, size=(n_writes, lanes),
         dtype=np.uint64)`` draw, with the unused high bits of the last
         lane zeroed — 64 data bits per generator output instead of one
-        float64 uniform per bit.
+        float64 uniform per bit. A PCG64 generator (every
+        ``default_rng``) gives those outputs straight from its bit
+        generator: the same values and the same next draw, without
+        ``integers``' per-call overhead.
         """
-        lanes = rng.integers(0, 2**64, size=(words.shape[0],
-                                             -(-data_bits // 64)),
-                             dtype=np.uint64)
+        shape = (words.shape[0], -(-data_bits // 64))
+        if type(rng.bit_generator) is np.random.PCG64:
+            lanes = rng.bit_generator.random_raw(
+                shape[0] * shape[1]).reshape(shape)
+        else:
+            lanes = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
         if data_bits % 64:
             lanes[:, -1] &= np.uint64((1 << data_bits % 64) - 1)
         return lanes

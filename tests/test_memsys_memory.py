@@ -2,10 +2,10 @@
 and arithmetic rewrites that keep it low, checked against the
 whole-array formulas they replaced.
 
-The binomial engine keeps the packed planes plus seven bit-sliced class
-planes (7/8 byte per cell); the class planes rebuild from the packed
-plane with word-wide shifts, a whole-array draw classifies its
-candidates in blocks, the random background is drawn in row blocks,
+The binomial engine keeps the packed planes plus a zero-padded byte
+snapshot of the cells' bits (1/8 byte per cell), refreshed from the
+packed plane once per batch; a whole-array draw looks its candidates'
+classes up in blocks, the random background is drawn in row blocks,
 and word cells, hot-word sets and the checkerboard are computed
 arithmetically instead of from per-cell index tables.
 """
@@ -32,8 +32,8 @@ from repro.memsys.traffic import HotSpotWorkload, Workload
 
 #: Side of the array the ceiling is measured on, and its bound: the
 #: engine's traced allocations peak at no more than this many bytes per
-#: cell while it builds and runs (the packed and class planes, the
-#: per-batch traffic and one block's temporaries).
+#: cell while it builds and runs (the packed planes, the class snapshot,
+#: the per-batch traffic and one block's temporaries).
 SIDE = 1024
 MAX_BYTES_PER_CELL = 8.0
 
@@ -60,10 +60,11 @@ def test_binomial_engine_peak_bytes_per_cell(eval_device, workload):
 
 
 #: Run-phase bound of a write-heavy engine: once built, a run's write
-#: path (drawn data, packed codewords, placement) and the class-plane
-#: rebuild keep the traced peak at no more than this many bytes per
-#: cell (2.76 measured, numpy 2.4; 3.10 with the int8 class map).
-MAX_WRITE_RUN_BYTES_PER_CELL = 2.8
+#: path (drawn data, packed codewords, placement) and the class
+#: snapshot's refresh keep the traced peak at no more than this many
+#: bytes per cell (2.065 measured, numpy 2.4; 2.76 with seven bit-sliced
+#: class planes, 3.10 with the int8 class map).
+MAX_WRITE_RUN_BYTES_PER_CELL = 2.15
 
 
 def test_write_path_run_peak_bytes_per_cell(eval_device):
@@ -84,10 +85,11 @@ def test_write_path_run_peak_bytes_per_cell(eval_device):
 #: A hot, slow retention corner (the pinned 420 K, ``cycle_time=10``
 #: golden): nearly every cell of the array is a whole-array candidate
 #: on every batch, and the traced peak of a run stays under this many
-#: bytes per cell (42.75 measured, numpy 2.4; the toggles of ~all cells
-#: set it, as they did for the class-grouped draw). A ``(candidates,
-#: 7)`` class-plane gather would add 56 B/cell; classifying in blocks of
-#: ``BLOCK_CELLS`` (shrunk here so the array spans 16 of them) avoids it.
+#: bytes per cell (42.11 measured, numpy 2.4; the toggles of ~all cells
+#: set it, as they did for the class-grouped draw). Looking up every
+#: candidate at once would add ~60 B/cell of window addresses and
+#: windows; classifying in blocks of ``BLOCK_CELLS`` (shrunk here so the
+#: array spans 16 of them) avoids it.
 HOT_SIDE = 256
 MAX_HOT_RUN_BYTES_PER_CELL = 48.0
 
@@ -153,9 +155,12 @@ def _planes_classes(plane, rows, cols, n_shards=1):
 #: blocks (with small blocks, and with the real block size); a square
 #: array, a row exactly one 72-bit word wide, a wide short array, and
 #: an 11 x 13 array whose tail (71 cells at 72 code bits) is longer
-#: than a lane.
+#: than a lane; then rows of one byte and of 200 cells (25 bytes), so
+#: the byte gather (72 and 64 code bits) runs at 8, 64, 72 and 200
+#: columns with more than one row.
 BLOCK_SHAPES = ((1, 200), (200, 1), (37, 41), (64, 64), (13, 97),
-                (256, 256), (100, 72), (3, 1000), (11, 13))
+                (256, 256), (100, 72), (3, 1000), (11, 13), (27, 8),
+                (9, 200))
 
 
 @pytest.fixture(params=(7, 64, 300), ids=lambda n: f"block{n}")
@@ -174,15 +179,25 @@ def small_blocks(request, monkeypatch):
     for fill in ("random", "zeros", "ones")])
 def test_class_planes_match_whole_array(shape, code_bits, fill,
                                         n_shards, small_blocks):
-    """Every cell's class from the planes equals the whole-array
-    ``neighborhood_class_map`` class, whether the planes fill by byte
-    gather (72, 64 code bits) or by row-block unpack (39), and however
-    the candidates are blocked."""
+    """Every cell's class from the lookup equals the whole-array
+    ``neighborhood_class_map`` class, whether the snapshot fills by
+    byte gather (72, 64 code bits) or by row-block unpack (39), and
+    however the candidates are blocked: all cells at once, the cells
+    of the first and last columns of every shard alone, and all cells
+    under given bits."""
     rows, cols = shape
     rng = np.random.default_rng(rows * 1000 + cols)
     plane, bits = _plane(rng, rows, cols, code_bits, fill, n_shards)
-    assert np.array_equal(_planes_classes(plane, rows, cols, n_shards),
-                          _reference(bits))
+    planes = ClassPlanes(rows, cols, n_shards)
+    planes.refresh(plane)
+    cells = np.arange(n_shards * rows * cols)
+    reference = _reference(bits)
+    assert np.array_equal(planes.classes(cells), reference)
+    edges = cells[(cells % cols == 0) | (cells % cols == cols - 1)]
+    assert np.array_equal(planes.classes(edges), reference[edges])
+    given = rng.integers(0, 2, size=cells.size)
+    assert np.array_equal(planes.classes(cells, given),
+                          reference % 25 + 25 * given)
 
 
 @pytest.mark.parametrize("fill", ("random", "zeros", "ones"))
@@ -269,7 +284,11 @@ def test_initial_bits_match_one_whole_array_draw(shape, monkeypatch):
         assert rng.random() == ref.random()
 
 
-@pytest.mark.parametrize("k", (1, 11, 57, 63, 64, 65, 120, 128))
+#: Data widths of one byte's bits up to two whole lanes.
+WRITE_DATA_BITS = (1, 11, 57, 63, 64, 65, 120, 128, 32, 100)
+
+
+@pytest.mark.parametrize("k", WRITE_DATA_BITS)
 def test_write_data_is_one_raw_lane_draw(k):
     n, n_lanes = 300, -(-k // 64)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
@@ -284,12 +303,28 @@ def test_write_data_is_one_raw_lane_draw(k):
     assert np.array_equal(bits[:, :k], unpack_bits(raw, k))
     assert np.array_equal(rng.bit_generator.random_raw(8),
                           ref.bit_generator.random_raw(8))
+    assert rng.random() == ref.random()
     # The lanes encode packed and decode back to the same bits.
     code = HammingSECDED(k)
     data, outcomes = code.decode(unpack_bits(code.encode_lanes(lanes),
                                              code.n_code))
     assert np.array_equal(data, bits[:, :k])
     assert not outcomes.any()
+
+
+@pytest.mark.parametrize("k", WRITE_DATA_BITS)
+def test_write_data_draws_integers_off_pcg64(k):
+    """A generator over any other bit generator (MT19937, whose raw
+    outputs are 32-bit) still draws the lanes with ``integers``."""
+    n, n_lanes = 300, -(-k // 64)
+    rng, ref = (np.random.Generator(np.random.MT19937(4))
+                for _ in range(2))
+    lanes = Workload().write_data(np.arange(n), k, rng)
+    raw = ref.integers(0, 2**64, (n, n_lanes), np.uint64)
+    if k % 64:
+        raw[:, -1] &= np.uint64((1 << k % 64) - 1)
+    assert lanes.dtype == np.uint64 and np.array_equal(lanes, raw)
+    assert rng.random() == ref.random()
 
 
 #: Square, wide and tall arrays with unmapped tail cells; a word wider

@@ -1,7 +1,7 @@
 """Tests for the engine's thinned binomial sampler.
 
 Three layers: the packed bit-plane state, the thinned samplers and the
-bit-sliced class planes, and the end-to-end
+3 x 3 window class lookup, and the end-to-end
 statistical equivalence of the engine against the per-cell Bernoulli
 reference (``memsys_reference.per_cell_reference``).
 """
@@ -387,6 +387,35 @@ class TestClassPlanes:
         assert np.array_equal(planes.classes(picks, bits),
                               before[picks] % 25 + 25 * bits)
 
+    def test_classes_ignore_window_toggles_until_refresh(self):
+        """Toggling candidates and every cell of their 3 x 3 windows
+        (edges and corners included) leaves their classes at the
+        batch-start ones until the next refresh, which then lands on
+        the toggled plane's classes."""
+        rng = np.random.default_rng(6)
+        plane, planes = self._fresh(rng)
+        rows, cols = self.ROWS, self.COLS
+        picks = np.array([0, cols - 1, 5 * cols, 7 * cols - 1,
+                          10 * cols + 17, (rows - 1) * cols,
+                          rows * cols - 1])
+        before = planes.classes(picks)
+        bits = rng.integers(0, 2, size=picks.size)
+        before_with_bits = planes.classes(picks, bits)
+        window = np.unique([
+            (r + dr) * cols + c + dc
+            for r, c in zip(*np.divmod(picks, cols))
+            for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+            if 0 <= r + dr < rows and 0 <= c + dc < cols])
+        plane.toggle_cells(window)
+        assert np.array_equal(planes.classes(picks), before)
+        assert np.array_equal(planes.classes(picks, bits),
+                              before_with_bits)
+        planes.refresh(plane)
+        _, _, ci = _reference_class_maps(plane.to_bits().reshape(rows,
+                                                                 cols))
+        assert np.array_equal(planes.classes(picks), ci[picks])
+        assert not np.array_equal(ci[picks], before)
+
     def test_classes_keep_the_shape_of_cells(self):
         plane, planes = self._fresh(np.random.default_rng(4))
         cells = np.arange(12).reshape(3, 4)
@@ -468,29 +497,63 @@ class TestPackedState:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_toggle_and_inject_match_xor_ground_truth(self, seed):
-        """Random toggles (mapped and tail) and write-error injections
-        on an odd code width: the stored bits follow an independent
-        XOR model, and the maintained counters follow XOR+popcount."""
+        """Random toggles (mapped and tail), write-error injections and
+        whole-word writes and restores — on a clean array, whose error
+        counters the stores skip, and on one with wrong bits — on an
+        odd code width: the stored bits follow an independent XOR
+        model, and the maintained counters follow XOR+popcount."""
         rng = np.random.default_rng(seed)
         n_words, code_bits, n_cells = 6, 9, 58  # 54 mapped + 4 tail
         bits = rng.integers(0, 2, size=n_cells).astype(np.int8)
         intended = BitPlane.from_bits(bits, n_words, code_bits)
         state = _PackedState(intended, intended.copy(), None,
                              _StubTables())
-        expected = bits.copy()
+        truth, expected = bits.copy(), bits.copy()
         mapped_idx = np.arange(state.actual.n_mapped)
-        for _ in range(4):
-            k = int(rng.integers(0, 10))
-            idx = rng.choice(n_cells, size=k, replace=False)
+
+        def store(write, errors=True):
+            """write_words (or restore_words) of a few random words,
+            with errors at a few of their cells."""
+            words = rng.choice(n_words, size=int(rng.integers(1, 4)),
+                               replace=False)
+            cells = (words[:, None] * code_bits
+                     + np.arange(code_bits)).reshape(-1)
+            flips = rng.choice(cells, size=int(rng.integers(0, 3))
+                               if errors else 0, replace=False)
+            if write:
+                cw = rng.integers(0, 2, size=(words.size, code_bits))
+                state.write_words(words, pack_bits(cw), flips)
+                truth[cells] = cw.reshape(-1)
+            else:
+                state.restore_words(words, flips)
+            expected[cells] = truth[cells]
+            expected[flips] ^= 1
+            assert np.array_equal(state.intended.to_bits(), truth)
+            assert np.array_equal(state.actual.to_bits(), expected)
+            self._check_invariant(state)
+
+        store(write=True, errors=False)
+        assert state.wrong_bits == 0
+        store(write=False)
+        for step in range(4):
+            # One clean mapped cell among the toggles leaves a wrong bit.
+            clean = mapped_idx[expected[mapped_idx] == truth[mapped_idx]]
+            first = rng.choice(clean)
+            rest = rng.choice(np.setdiff1d(np.arange(n_cells), first),
+                              size=int(rng.integers(0, 9)), replace=False)
+            idx = np.concatenate([[first], rest])
             state.toggle(idx)
             expected[idx] ^= 1
             # _inject's contract: the cells were just written clean,
             # so every injection creates a new wrong bit.
-            clean = mapped_idx[expected[mapped_idx] == bits[mapped_idx]]
+            clean = mapped_idx[expected[mapped_idx] == truth[mapped_idx]]
             n_inj = min(int(rng.integers(0, 4)), clean.size)
             inj = rng.choice(clean, size=n_inj, replace=False)
             state._inject(inj)
             expected[inj] ^= 1
+            assert state.wrong_bits > 0
+            store(write=step % 2 == 0)
+            store(write=bool(rng.integers(0, 2)))
         assert np.array_equal(state.actual.to_bits(), expected)
         self._check_invariant(state)
 
