@@ -109,6 +109,31 @@ class TestRoundTrip:
         assert np.array_equal(decoded[:2], data[:2])
 
 
+def _secded_rule(n):
+    return (DecodeOutcome.OK, DecodeOutcome.CORRECTED,
+            DecodeOutcome.DETECTED)[n] if n < 3 else DecodeOutcome.SILENT
+
+
+def _none_rule(n):
+    return DecodeOutcome.OK if n == 0 else DecodeOutcome.SILENT
+
+
+def _check_classify(ecc, rule):
+    """``classify_errors`` against the per-count ``rule`` for every
+    count a word can hold (as the engine's int16 counters), in 1-D and
+    2-D, and on an empty input."""
+    counts = np.arange(ecc.n_code + 1, dtype=np.int16)
+    expected = np.array([rule(int(n)) for n in counts], dtype=np.int8)
+    out = ecc.classify_errors(counts)
+    assert out.dtype == np.int8 and np.array_equal(out, expected)
+    grid = np.resize(counts[::-1], (5, 11))
+    out = ecc.classify_errors(grid)
+    assert out.shape == grid.shape and out.dtype == np.int8
+    assert np.array_equal(out, expected[grid])
+    empty = ecc.classify_errors(np.zeros(0, dtype=np.int16))
+    assert empty.shape == (0,) and empty.dtype == np.int8
+
+
 class TestClassification:
     def test_classify_errors_secded(self):
         ecc = HammingSECDED(64)
@@ -116,12 +141,14 @@ class TestClassification:
         assert list(out) == [DecodeOutcome.OK, DecodeOutcome.CORRECTED,
                              DecodeOutcome.DETECTED,
                              DecodeOutcome.SILENT, DecodeOutcome.SILENT]
+        _check_classify(ecc, _secded_rule)
 
     def test_classify_errors_none(self):
         ecc = NoECC(64)
         out = ecc.classify_errors(np.array([0, 1, 5]))
         assert list(out) == [DecodeOutcome.OK, DecodeOutcome.SILENT,
                              DecodeOutcome.SILENT]
+        _check_classify(ecc, _none_rule)
 
     def test_noecc_passthrough(self, rng):
         ecc = NoECC(16)

@@ -5,8 +5,9 @@ seeded counter byte-identical. The pinned runs cover the write path
 (ECC encode, writes, class-plane rebuilds), the
 banked read path with scrubbing, a flat run with scrubbing, a no-ECC
 run without write-back, the cross-point
-sneak-path term at a hot read bias, and retention at a hot, slow
-corner. Their full :class:`~repro.memsys.engine.MemsysResult` counters
+sneak-path term at a hot read bias, retention at a hot, slow corner,
+and the query service's sampled shape (64 x 64, every stress pattern
+and ECC, flat and banked). Their full :class:`~repro.memsys.engine.MemsysResult` counters
 are pinned here, and so are the ``expected_rates`` of a pitch x
 pattern x ECC x topology grid (as ``float.hex``), so such a change
 proves identity in the tier-1 suite.
@@ -94,6 +95,39 @@ RETENTION_HOT = {
     "scrub_corrected_words": 0, "scrub_uncorrectable_words": 0,
     "simulated_time": 40000.0,
 }
+
+#: The query service's sampled shape: 64 x 64 at the default batch size
+#: and nominal WER, 20,000 transactions, for every stress pattern and
+#: ECC (seed 3, pitch 70 nm). Values of :data:`SAMPLED_FIELDS`; every
+#: other counter is 0 but ``n_transactions`` and ``simulated_time``.
+SAMPLED_FIELDS = (
+    "n_reads", "n_writes", "bits_read", "bits_written", "write_errors",
+    "disturb_flips", "raw_bit_errors", "uncorrectable_bit_errors",
+    "words_ok", "words_corrected", "words_detected", "words_silent")
+
+SAMPLED_64 = {
+    ("checkerboard", "secded"): (9997, 10003, 719784, 763848, 1493, 11,
+                                 783, 177, 9303, 606, 87, 1),
+    ("checkerboard", "none"): (9981, 10019, 638784, 641216, 1261, 14,
+                               1219, 1219, 8830, 0, 0, 1151),
+    ("solid0", "secded"): (10006, 9994, 720432, 771408, 1756, 26, 964,
+                           244, 9170, 720, 104, 12),
+    ("solid0", "none"): (9981, 10019, 638784, 641216, 1461, 34, 1456,
+                         1456, 8603, 0, 0, 1378),
+    ("solid1", "secded"): (9996, 10004, 719712, 769824, 1558, 0, 909,
+                           221, 9198, 688, 109, 1),
+    ("solid1", "none"): (9981, 10019, 638784, 641216, 1378, 0, 1322,
+                         1322, 8733, 0, 0, 1248),
+    ("random", "secded"): (10094, 9906, 726768, 761688, 1452, 18, 807,
+                           134, 9354, 673, 67, 0),
+    ("random", "none"): (10081, 9919, 645184, 634816, 1333, 8, 1359,
+                         1359, 8820, 0, 0, 1261),
+}
+
+#: The same shape banked 2 x 2 (four 64 x 64 shards, each with its own
+#: stress codewords), checkerboard and SEC-DED.
+SAMPLED_BANKED_CHECKERBOARD = (10038, 9962, 722736, 759168, 1436, 13,
+                               820, 238, 9340, 582, 110, 6)
 
 #: ``expected_rates`` as ``float.hex`` of (raw_ber, word_fail_rate,
 #: uber), keyed by (pitch_nm, workload, ecc, topology).
@@ -233,6 +267,32 @@ def test_retention_hot_counters_pinned(device):
     result = engine.run(4000, rng=5, batch_size=500)
     assert _counters(result) == RETENTION_HOT
     assert result.retention_flips > 0
+
+
+def _sampled_counters(values, simulated_time):
+    counters = {name: 0 for name in FLAT_WRITE_HEAVY}
+    counters.update(zip(SAMPLED_FIELDS, values), n_transactions=20000,
+                    simulated_time=simulated_time)
+    return counters
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLED_64))
+def test_sampled_query_shape_counters_pinned(device, key):
+    pattern, ecc = key
+    engine = build_engine(device, pitch=70e-9, rows=64, cols=64,
+                          workload=pattern, ecc=ecc)
+    assert _counters(engine.run(20_000, rng=3)) == _sampled_counters(
+        SAMPLED_64[key], 0.001)
+
+
+def test_sampled_banked_checkerboard_counters_pinned(device):
+    engine = build_engine(device, pitch=70e-9, rows=128, cols=128,
+                          workload="checkerboard", banks=2, subarrays=2)
+    result = engine.run(20_000, rng=3)
+    assert _counters(result) == _sampled_counters(
+        SAMPLED_BANKED_CHECKERBOARD, 0.00025)
+    assert result.extras["topology"]["per_shard_transactions"] == [
+        5000, 5000, 5000, 5000]
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED_RATES))
