@@ -44,8 +44,19 @@ class DecodeOutcome(enum.IntEnum):
     SILENT = 3      #: uncorrectable error NOT detected (data corrupted)
 
 
+def _outcome_table(*outcomes):
+    """Read-only int8 outcome of 0, 1, 2 and >= 3 wrong bits."""
+    table = np.array(outcomes, dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
 class NoECC:
     """The no-ECC baseline: codeword == data word, errors pass through."""
+
+    #: Outcome by wrong-bit count (0, 1, 2, >= 3).
+    OUTCOMES = _outcome_table(DecodeOutcome.OK, DecodeOutcome.SILENT,
+                              DecodeOutcome.SILENT, DecodeOutcome.SILENT)
 
     def __init__(self, data_bits=64):
         self.n_data = require_int_in_range(data_bits, "data_bits", 1,
@@ -87,10 +98,10 @@ class NoECC:
         return codewords.copy(), outcomes
 
     def classify_errors(self, n_errors):
-        """Ground-truth outcome for words with ``n_errors`` wrong bits."""
-        n_errors = np.asarray(n_errors)
-        return np.where(n_errors == 0, DecodeOutcome.OK,
-                        DecodeOutcome.SILENT).astype(np.int8)
+        """Ground-truth outcome for words with ``n_errors`` wrong bits:
+        0 -> OK, anything else -> SILENT; one take from :attr:`OUTCOMES`
+        of the count clipped to 3."""
+        return self.OUTCOMES.take(np.minimum(n_errors, 3))
 
 
 class HammingSECDED:
@@ -102,6 +113,10 @@ class HammingSECDED:
         Data word width ``k``; the default 64 yields the classic (72, 64)
         memory code — 64 data + 7 Hamming + 1 overall parity.
     """
+
+    #: Outcome by wrong-bit count (0, 1, 2, >= 3).
+    OUTCOMES = _outcome_table(DecodeOutcome.OK, DecodeOutcome.CORRECTED,
+                              DecodeOutcome.DETECTED, DecodeOutcome.SILENT)
 
     def __init__(self, data_bits=64):
         k = require_int_in_range(data_bits, "data_bits", 1, 4096)
@@ -144,8 +159,8 @@ class HammingSECDED:
 
         The code is linear over GF(2), so a codeword is the XOR of one
         byte-table row per data byte (:func:`_byte_tables`). One gather
-        fetches every row, each as a single void item, byte-major; the
-        rows then fold by halves, each XOR over contiguous blocks.
+        fetches every row, each as a single void item, byte-major; one
+        XOR reduction over the byte axis then folds them.
         """
         table, offsets = _byte_tables(self.n_data)
         n_bytes = offsets.shape[0]
@@ -154,11 +169,7 @@ class HammingSECDED:
                        order="C")
         rows = table[index].view(LANE_DTYPE).reshape(
             n_bytes, data.shape[0], table.itemsize // LANE_DTYPE.itemsize)
-        while n_bytes > 2:
-            half = n_bytes // 2
-            rows[:half] ^= rows[n_bytes - half:n_bytes]
-            n_bytes -= half
-        return rows[0] ^ rows[1] if n_bytes == 2 else rows[0].copy()
+        return np.bitwise_xor.reduce(rows, axis=0)
 
     def syndrome(self, codewords):
         """(syndrome integer, overall parity) of received codewords."""
@@ -208,13 +219,9 @@ class HammingSECDED:
         instead of running the full decoder: 0 -> OK, 1 -> CORRECTED,
         2 -> DETECTED, >= 3 -> SILENT (beyond the guarantee; the word may
         be miscorrected or mis-flagged, either way the data is wrong).
+        One take from :attr:`OUTCOMES` of the count clipped to 3.
         """
-        n_errors = np.asarray(n_errors)
-        out = np.full(n_errors.shape, DecodeOutcome.SILENT, dtype=np.int8)
-        out[n_errors == 0] = DecodeOutcome.OK
-        out[n_errors == 1] = DecodeOutcome.CORRECTED
-        out[n_errors == 2] = DecodeOutcome.DETECTED
-        return out
+        return self.OUTCOMES.take(np.minimum(n_errors, 3))
 
 
 @functools.lru_cache(maxsize=8)

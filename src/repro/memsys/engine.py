@@ -57,7 +57,8 @@ from ..experiments.base import ExperimentResult
 from ..integrity.manifest import canonical, identity_diff, record_digest
 from ..resilience.checkpoint import CheckpointManager
 from ..validation import require_non_negative, require_positive
-from .bitplane import BitPlane, lane_bits, pack_bits
+from . import bitplane
+from .bitplane import BitPlane, pack_bits, row_blocks
 from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
 from .sampling import ClassPlanes, sample_class_flips, sample_thinned_flips
@@ -446,6 +447,16 @@ class ReliabilityEngine:
         shards. So each shard's counters are byte-identical to running
         it alone, and a round's numpy dispatch is paid once, not once
         per shard.
+
+        A round's cost is fixed, not per word: a 20,000-transaction
+        64 x 64 run (the query service's sampled shape) takes ~410
+        rounds of ~50 words, and its generator calls alone (write data,
+        then a binomial, an index choice and uniforms per draw) take
+        ~15-19 us of each round's ~80-110 us (2-core host, numpy 2.4).
+        So a round makes each numpy call once over all shards: stress
+        codewords are encoded once per run and gathered, a flip maps to
+        its (word, lane, mask) once, and a one-shard round is one slice
+        of its batch.
         """
         words_per_shard = self.controller.words.n_words
         code_bits = self.controller.ecc.n_code
@@ -454,13 +465,16 @@ class ReliabilityEngine:
         for shard, lane in enumerate(lanes):
             lane.open(self, state, shard)
         state.build()
+        codewords = self._stress_codewords(lanes)
         tally = _Tally([lane.result for lane in lanes])
         done = total - sum(lane.remaining for lane in lanes)
         # The batches held for the rounds keep their global words as
-        # int32 below 2**31 cells (half the memory); each round widens
-        # its own slice back to intp for indexing.
-        index = (np.int32 if n_shards * self.controller.layout.n_cells
-                 < 2**31 else np.int64)
+        # int32 below 2**31 cells (half the memory); each stacked round
+        # widens its own slice back to intp for indexing. One shard's
+        # batch is held as intp: its rounds are slices of it.
+        index = (np.intp if n_shards == 1 else np.int32
+                 if n_shards * self.controller.layout.n_cells < 2**31
+                 else np.int64)
         while True:
             sizes = [min(batch_size, lane.remaining) for lane in lanes]
             if not any(sizes):
@@ -523,15 +537,19 @@ class ReliabilityEngine:
             tally.add("bits_read", n_reads * code_bits)
             offsets, bounds = offsets.tolist(), bounds.tolist()
             for key in range(0, n_keys, 2):
-                self._apply_round_binomial(
-                    np.concatenate(
+                if n_shards == 1:
+                    at = offsets[0]
+                    words = ordered[0][at[key]:at[key + 2]]
+                else:
+                    words = np.concatenate(
                         [words[at[key]:at[key + 1]]
                          for words, at in zip(ordered, offsets)]
                         + [words[at[key + 1]:at[key + 2]]
                            for words, at in zip(ordered, offsets)],
-                        dtype=np.intp),
-                    bounds[key], bounds[key + 1], state, lanes, tally,
-                    profiler)
+                        dtype=np.intp)
+                self._apply_round_binomial(
+                    words, bounds[key], bounds[key + 1], state, lanes,
+                    tally, profiler, codewords)
 
             for shard, (lane, n) in enumerate(zip(lanes, sizes)):
                 if not n:
@@ -556,33 +574,40 @@ class ReliabilityEngine:
         return terms
 
     def _apply_round_binomial(self, words, write_bounds, read_bounds,
-                              state, lanes, tally, profiler=None):
+                              state, lanes, tally, profiler=None,
+                              codewords=None):
         """One occurrence-rank round of every shard.
 
         Every word in ``words`` is unique. The writes come first —
         shard ``s``'s are ``write_bounds[s]:write_bounds[s + 1]`` —
-        then the reads, cut per shard by ``read_bounds`` alike. (The
-        name predates the shared round; perfbench's trace hooks wrap
-        it by name.)
+        then the reads, cut per shard by ``read_bounds`` alike. A
+        stress workload's writes store ``codewords`` (see
+        :meth:`_stress_codewords`). (The name predates the shared
+        round; perfbench's trace hooks wrap it by name.)
         """
         ctl = self.controller
         n_writes = write_bounds[-1]
         if n_writes:
             w_words = words[:n_writes]
-            words_per_shard = ctl.words.n_words
-            data = [self._write_data(lanes[shard], w_words[lo:hi]
-                                     - shard * words_per_shard)
+            if codewords is not None:
+                cw = codewords[w_words]
+            else:
+                words_per_shard = ctl.words.n_words
+                data = [lanes[shard].workload.write_data(
+                    w_words[lo:hi] - shard * words_per_shard if shard
+                    else w_words[lo:hi], ctl.ecc.n_data, lanes[shard].rng)
                     for shard, lo, hi in _segments(write_bounds)]
-            with _prof(profiler, "ecc"):
-                cw = ctl.ecc.encode_lanes(
-                    data[0] if len(data) == 1 else np.concatenate(data))
+                with _prof(profiler, "ecc"):
+                    cw = ctl.ecc.encode_lanes(
+                        data[0] if len(data) == 1
+                        else np.concatenate(data))
             tally.add("write_errors", state.write(
                 w_words, write_bounds, cw, lanes, profiler))
 
         # Reads: sense, classify via ECC, write back correctables, then
         # apply the disturb of the read current to the stored state.
-        r_words = words[n_writes:]
-        if r_words.size:
+        if read_bounds[-1]:
+            r_words = words[n_writes:]
             if state.wrong_bits:
                 with _prof(profiler, "ecc"):
                     self._book_read_errors(r_words, read_bounds, state,
@@ -594,43 +619,50 @@ class ReliabilityEngine:
             tally.add("disturb_flips", state.disturb(
                 r_words, read_bounds, lanes, profiler))
 
-    def _write_data(self, lane, local_words):
-        """Packed data lanes stored by a shard's writes (pattern-aware:
-        a stress workload's background bits, packed once here)."""
+    def _stress_codewords(self, lanes):
+        """Every shard's stress-pattern codewords, stacked by global
+        word (shard ``s``'s words from ``s * W``), or None when the
+        workload draws its write data.
+
+        A stress write stores its word's background data, fixed for the
+        run, so each word is encoded once here (in blocks of
+        :data:`~repro.memsys.bitplane.BLOCK_CELLS` cells) and a round
+        gathers its writes' rows.
+        """
+        if not isinstance(lanes[0].workload, StressPatternWorkload):
+            return None
         ctl = self.controller
-        if isinstance(lane.workload, StressPatternWorkload):
-            return pack_bits(lane.workload.background_data(
-                local_words, ctl.words, ctl.ecc.data_positions))
-        return lane.workload.write_data(local_words, ctl.ecc.n_data,
-                                        lane.rng)
+        return np.concatenate([
+            ctl.ecc.encode_lanes(pack_bits(lane.workload.background_data(
+                np.arange(lo, hi), ctl.words, ctl.ecc.data_positions)))
+            for lane in lanes
+            for lo, hi in row_blocks(ctl.words.n_words, ctl.ecc.n_code)])
 
     def _book_read_errors(self, r_words, bounds, state, lanes, tally):
         """ECC bookkeeping for a read round with live errors present:
         one error-count gather and one classify over every shard,
-        booked per shard by one shard-offset bincount."""
+        booked per shard by two shard-offset bincounts (words and wrong
+        bits per outcome)."""
         n_err = state.error_counts(r_words)
         outcomes = self.controller.ecc.classify_errors(n_err)
-        n_shards = len(lanes)
         shard = _shard_of(bounds)
-        by_outcome = np.bincount(
-            outcomes if shard is None else shard * 4 + outcomes,
-            minlength=4 * n_shards).reshape(-1, 4).tolist()
-        # words_ok .. words_silent are consecutive counters, in
-        # DecodeOutcome order.
-        tally.add("words_ok", by_outcome)
-        tally.add("raw_bit_errors", _shard_sums(shard, n_err, n_shards))
-        if any(row[DecodeOutcome.DETECTED] or row[DecodeOutcome.SILENT]
-               for row in by_outcome):
-            uncorr = outcomes >= DecodeOutcome.DETECTED
-            tally.add("uncorrectable_bit_errors", _shard_sums(
-                None if shard is None else shard[uncorr], n_err[uncorr],
-                n_shards))
-        corrected = [row[DecodeOutcome.CORRECTED] for row in by_outcome]
+        key = outcomes if shard is None else shard * 4 + outcomes
+        n_keys = 4 * len(lanes)
+        by_outcome = np.bincount(key, minlength=n_keys).reshape(
+            -1, 4).tolist()
+        bits = np.bincount(key, weights=n_err, minlength=n_keys).reshape(
+            -1, 4).tolist()
+        # raw_bit_errors, uncorrectable_bit_errors and words_ok ..
+        # words_silent (in DecodeOutcome order) are consecutive counters.
+        tally.add("raw_bit_errors", [
+            [int(sum(wrong)), int(wrong[_DETECTED] + wrong[_SILENT]), *row]
+            for row, wrong in zip(by_outcome, bits)])
+        corrected = [row[_CORRECTED] for row in by_outcome]
         if self.writeback and any(corrected):
             code_bits = self.controller.ecc.n_code
             tally.add("bits_written", [n * code_bits for n in corrected])
             tally.add("write_errors", state.rewrite(
-                r_words[outcomes == DecodeOutcome.CORRECTED],
+                r_words[outcomes == _CORRECTED],
                 [0, *itertools.accumulate(corrected)], lanes))
 
     def _run_scrub(self, state, shard, lanes, tally):
@@ -640,12 +672,11 @@ class ReliabilityEngine:
                           (shard + 1) * words_per_shard)
         n_err = state.error_counts(words)
         outcomes = self.controller.ecc.classify_errors(n_err)
-        fixable = ((outcomes == DecodeOutcome.CORRECTED)
-                   | (outcomes == DecodeOutcome.OK)) & (n_err > 0)
+        fixable = ((outcomes == _CORRECTED) | (outcomes == _OK)) & (n_err > 0)
         tally.add("n_scrubs", 1, shard)
         tally.add("scrub_corrected_words", int(fixable.sum()), shard)
         tally.add("scrub_uncorrectable_words",
-                  int((outcomes >= DecodeOutcome.DETECTED).sum()), shard)
+                  int((outcomes >= _DETECTED).sum()), shard)
         if np.any(fixable):
             fixed = words[fixable]
             tally.add("bits_written",
@@ -714,6 +745,9 @@ class ReliabilityEngine:
 
 # -- stacked runs --------------------------------------------------------
 
+#: Decode outcomes as plain ints, for the per-round bookkeeping.
+_OK, _CORRECTED, _DETECTED, _SILENT = (int(o) for o in DecodeOutcome)
+
 #: An idle shard's batch: no words.
 _NO_WORDS = np.zeros(0, dtype=np.int32)
 
@@ -736,15 +770,6 @@ def _shard_of(bounds):
     if len(bounds) == 2:
         return None
     return np.repeat(np.arange(len(bounds) - 1), _sizes(bounds))
-
-
-def _shard_sums(shard, values, n_shards):
-    """Per-shard integer sums of ``values``, ``shard`` as from
-    :func:`_shard_of`."""
-    if shard is None:
-        return [int(values.sum())]
-    return np.bincount(shard, weights=values,
-                       minlength=n_shards).astype(np.int64)
 
 
 class _Tally:
@@ -967,6 +992,15 @@ class _PackedState:
         self.disturb_p = np.clip(
             controller.disturb_class_probability(), 0.0, 1.0)
         self.disturb_pmax = float(self.disturb_p.max())
+        # Per codeword bit: its lane and single-bit lane mask (placing a
+        # flip), and its byte in a packed row and its offset in
+        # _BYTE_BITS (reading a candidate's bit).
+        bit = np.arange(intended.code_bits)
+        self._bit_lane = bit >> 6
+        self._bit_mask = _LANE_MASK.take(bit & 63)
+        self._bit_byte = bit >> 3
+        self._bit_shift = (bit & 7) * 256
+        self._row_bytes = 8 * intended.n_lanes
 
     @classmethod
     def stacked(cls, engine, n_shards):
@@ -1045,15 +1079,19 @@ class _PackedState:
         word, bit = np.divmod(flat, self.actual.code_bits)
         return words[word] * self.actual.code_bits + bit
 
-    def _thinned(self, words, bounds, lanes, p_class, p_max, bits_of):
+    def _thinned(self, words, bounds, lanes, p_class, p_max, rows,
+                 by_word):
         """One thinned draw over every shard's segment of ``words``,
-        each shard's candidates from its own generator. Candidates map
-        to plane cells arithmetically (no ``(n, code_bits)`` cell
-        gather) and take their class from the class lookup, their bit
-        from ``bits_of(position, bit, word)`` (a candidate's word's
-        position in ``words``, its codeword bit and its global word).
-        Returns ``(flipped plane cells, per-shard flip counts)``, the
-        counts None when nothing flipped."""
+        each shard's candidates from its own generator.
+
+        A candidate is a word-major position in ``words``' ``(n,
+        code_bits)`` cells. It maps to its cell arithmetically (no cell
+        gather) and takes its class from the class lookup, with the bit
+        of the packed codeword rows ``rows`` at its word's position in
+        ``words`` — or, ``by_word``, at its global word. Returns
+        ``(flipped positions, per-shard flip counts)``, the counts None
+        when nothing flipped.
+        """
         code_bits = self.actual.code_bits
         one = len(lanes) == 1
 
@@ -1061,10 +1099,12 @@ class _PackedState:
             position, bit = np.divmod(flat, code_bits)
             word = words[position]
             # The candidates' cells in the class lookup's stacked order.
-            at = word * code_bits + bit
+            at = word * code_bits
+            at += bit
             if not one:
                 at += word // self.shard_words * self.tail_cells
-            return self.planes.classes(at, bits_of(position, bit, word))
+            return self.planes.classes(at, self._bits(
+                rows, word if by_word else position, bit))
 
         if one:
             flat = sample_thinned_flips(bounds[1] * code_bits, p_class,
@@ -1080,15 +1120,14 @@ class _PackedState:
             counts = np.bincount(np.searchsorted(
                 np.asarray(bounds) * code_bits, flat, side="right") - 1,
                 minlength=len(lanes))
-        return self._cells(words, flat), counts
+        return flat, counts
 
     def write(self, words, bounds, cw, lanes, profiler):
         """Store the packed codewords ``cw`` at ``words``, with write
         errors."""
         with _prof(profiler, "draw"):
-            flips, counts = self._thinned(
-                words, bounds, lanes, self.wer_p, self.wer_pmax,
-                lambda position, bit, word: lane_bits(cw, position, bit))
+            flips, counts = self._thinned(words, bounds, lanes, self.wer_p,
+                                          self.wer_pmax, cw, False)
         with _prof(profiler, "place"):
             self.write_words(words, cw, flips)
         return counts
@@ -1103,10 +1142,9 @@ class _PackedState:
         test reference, a second-order difference at rare-event rates,
         where the classes differ only around the handful of freshly
         flipped cells."""
-        flips, counts = self._thinned(
-            words, bounds, lanes, self.wer_p, self.wer_pmax,
-            lambda position, bit, word: lane_bits(self.intended.lanes,
-                                                  word, bit))
+        flips, counts = self._thinned(words, bounds, lanes, self.wer_p,
+                                      self.wer_pmax, self.intended.lanes,
+                                      True)
         self.restore_words(words, flips)
         return counts
 
@@ -1116,56 +1154,95 @@ class _PackedState:
         with _prof(profiler, "draw"):
             flips, counts = self._thinned(
                 words, bounds, lanes, self.disturb_p, self.disturb_pmax,
-                lambda position, bit, word: lane_bits(self.actual.lanes,
-                                                      word, bit))
+                self.actual.lanes, True)
         if flips.size:
             with _prof(profiler, "place"):
-                self.toggle(flips)
+                self.toggle(self._cells(words, flips))
         return counts
 
     def toggle(self, flat_idx):
-        """Flip ``actual`` at flat cells (duplicate-free indices)."""
-        mapped = flat_idx[flat_idx < self.actual.n_mapped]
-        if mapped.size:
-            wrong_before = (self.actual.get_cells(mapped)
-                            != self.intended.get_cells(mapped))
-            delta = (1 - 2 * wrong_before.astype(np.int16))
-            np.add.at(self.err_count,
-                      mapped // self.actual.code_bits, delta)
-            self.wrong_bits += int(delta.sum())
-        self.actual.toggle_cells(flat_idx)
+        """Flip ``actual`` at flat cells (duplicate-free indices), in
+        blocks of :data:`~repro.memsys.bitplane.BLOCK_CELLS`: a mapped
+        cell's (word, lane, mask) is computed once per block and both
+        flips the lane bit and moves its word's error count (+1 for a
+        cell that was right, -1 for one that was wrong)."""
+        actual, n_mapped = self.actual, self.actual.n_mapped
+        step = bitplane.BLOCK_CELLS
+        for lo in range(0, flat_idx.size, step):
+            cells = flat_idx[lo:lo + step]
+            tail = cells >= n_mapped
+            if tail.any():
+                np.bitwise_xor.at(actual.tail, cells[tail] - n_mapped,
+                                  np.int8(1))
+                cells = cells[~tail]
+            word, lane, mask = self._lane_masks(cells)
+            wrong = actual.lanes[word, lane]
+            wrong ^= self.intended.lanes[word, lane]
+            wrong &= mask
+            wrong = wrong.astype(bool)
+            np.add.at(self.err_count, word, _TOGGLE_DELTA.take(wrong))
+            self.wrong_bits += cells.size - 2 * np.count_nonzero(wrong)
+            np.bitwise_xor.at(actual.lanes, (word, lane), mask)
 
-    def write_words(self, word_idx, cw, flip_cells):
+    def write_words(self, word_idx, cw, flips):
         """``intended = actual = cw`` (packed codeword lanes), then
-        inject errors at ``flip_cells`` (flat cell indices inside the
-        written words)."""
+        inject errors at ``flips``: word-major positions in the written
+        words' ``(len(word_idx), code_bits)`` cells."""
         self._clear_counts(word_idx)
         cw = np.ascontiguousarray(cw).view(self._actual_rows.dtype)[:, 0]
         self._intended_rows[word_idx] = cw
         self._actual_rows[word_idx] = cw
-        self._inject(flip_cells)
+        self._inject(word_idx, flips)
 
-    def restore_words(self, word_idx, flip_cells):
-        """``actual = intended`` for whole words, plus write errors."""
+    def restore_words(self, word_idx, flips):
+        """``actual = intended`` for whole words, plus write errors at
+        ``flips`` (positions as for :meth:`write_words`)."""
         self._clear_counts(word_idx)
         self._actual_rows[word_idx] = self._intended_rows[word_idx]
-        self._inject(flip_cells)
+        self._inject(word_idx, flips)
 
     def _clear_counts(self, word_idx):
         """Zero the error counts of words about to be rewritten (all
         already 0 when no bit in the array is wrong)."""
         if self.wrong_bits:
-            self.wrong_bits -= int(self.err_count[word_idx].sum())
+            self.wrong_bits -= int(np.add.reduce(self.err_count[word_idx]))
             self.err_count[word_idx] = 0
 
-    def _inject(self, flip_cells):
-        if not flip_cells.size:
+    def _inject(self, word_idx, flips):
+        """Flip the freshly stored (so right) cells at word-major
+        positions ``flips`` of ``word_idx``: each is a new wrong bit."""
+        if not flips.size:
             return
-        self.actual.toggle_cells(flip_cells)
-        np.add.at(self.err_count,
-                  flip_cells // self.actual.code_bits,
-                  np.int16(1))
-        self.wrong_bits += int(flip_cells.size)
+        position, lane, mask = self._lane_masks(flips)
+        word = word_idx[position]
+        np.bitwise_xor.at(self.actual.lanes, (word, lane), mask)
+        np.add.at(self.err_count, word, np.int16(1))
+        self.wrong_bits += flips.size
+
+    def _lane_masks(self, cells):
+        """``(word, lane, mask)`` of word-major ``cells`` (mapped plane
+        cells, or positions in a block of words)."""
+        word, bit = np.divmod(cells, self.actual.code_bits)
+        return word, self._bit_lane.take(bit), self._bit_mask.take(bit)
+
+    def _bits(self, rows, at, bit):
+        """uint16 codeword bit ``bit[i]`` of row ``at[i]`` of the
+        C-contiguous packed codeword rows ``rows``, read as bytes."""
+        at = at * self._row_bytes
+        at += self._bit_byte.take(bit)
+        byte = rows.view(np.uint8).reshape(-1).take(at)
+        return _BYTE_BITS.take(self._bit_shift.take(bit) + byte)
+
+
+#: The single-bit mask of each of a lane's 64 bits.
+_LANE_MASK = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+#: Error-count change of a toggled cell, by whether it was wrong.
+_TOGGLE_DELTA = np.array([1, -1], dtype=np.int16)
+
+#: Bit ``s`` of byte value ``v`` at ``256 * s + v``.
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(
+    np.uint16).reshape(-1)
 
 
 # kept for perfbench; ROADMAP item 1 deletes it

@@ -255,18 +255,19 @@ class ClassPlanes:
         grows with a whole-array candidate set.
         """
         cells = np.asarray(cells, dtype=np.intp)
-        flat = cells.ravel()
         if bits is not None:
-            bits = np.asarray(bits, dtype=np.uint16).ravel()
+            bits = np.asarray(bits, dtype=np.uint16)
         # An unaligned gather costs several aligned ones, so a large
         # candidate set gathers from an aligned copy of the pairs.
         pairs = self._pairs
-        if 64 * flat.size > pairs.size:
+        if 64 * cells.size > pairs.size:
             pairs = np.ascontiguousarray(pairs)
         step = bitplane.BLOCK_CELLS
-        if flat.size <= step:
-            out = self._lookup(pairs, flat, bits)
-            return out if cells.ndim == 1 else out.reshape(cells.shape)
+        if cells.ndim == 1 and cells.size <= step:
+            return self._lookup(pairs, cells, bits)
+        flat = cells.ravel()
+        if bits is not None:
+            bits = bits.ravel()
         out = np.empty(flat.size, dtype=np.int8)
         for lo in range(0, flat.size, step):
             out[lo:lo + step] = self._lookup(

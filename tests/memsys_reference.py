@@ -20,7 +20,7 @@ import numpy as np
 from repro.memsys import engine as engine_module
 from repro.memsys.bitplane import unpack_bits
 from repro.memsys.controller import neighborhood_class_map
-from repro.memsys.engine import _prof, _segments, _shard_of, _shard_sums
+from repro.memsys.engine import _prof, _segments, _shard_of
 
 
 @contextmanager
@@ -49,6 +49,15 @@ def per_cell_reference():
         yield built
     finally:
         engine_module._PackedState = saved
+
+
+def _shard_sums(shard, values, n_shards):
+    """Per-shard integer sums of ``values``, ``shard`` as from
+    ``_shard_of``."""
+    if shard is None:
+        return [int(values.sum())]
+    return np.bincount(shard, weights=values,
+                       minlength=n_shards).astype(np.int64)
 
 
 def _flip_counts(flips, bounds):

@@ -85,13 +85,15 @@ def test_write_path_run_peak_bytes_per_cell(eval_device):
 #: A hot, slow retention corner (the pinned 420 K, ``cycle_time=10``
 #: golden): nearly every cell of the array is a whole-array candidate
 #: on every batch, and the traced peak of a run stays under this many
-#: bytes per cell (42.11 measured, numpy 2.4; the toggles of ~all cells
-#: set it, as they did for the class-grouped draw). Looking up every
+#: bytes per cell (27.5 measured, numpy 2.4: the draw's candidates,
+#: uniforms and their class probabilities set it; 42.1 while toggling
+#: ~all cells built ~40 B of temporaries per cell). Looking up every
 #: candidate at once would add ~60 B/cell of window addresses and
-#: windows; classifying in blocks of ``BLOCK_CELLS`` (shrunk here so the
-#: array spans 16 of them) avoids it.
+#: windows, and toggling them at once ~60 B/cell of (word, lane, mask)
+#: temporaries; classifying and toggling in blocks of ``BLOCK_CELLS``
+#: (shrunk here so the array spans 16 of them) avoids both.
 HOT_SIDE = 256
-MAX_HOT_RUN_BYTES_PER_CELL = 48.0
+MAX_HOT_RUN_BYTES_PER_CELL = 32.0
 
 
 def test_hot_retention_run_peak_bytes_per_cell(eval_device, monkeypatch):

@@ -461,8 +461,8 @@ class TestPackedState:
         state.toggle(np.array([0, 65, 71, 72, n_mapped + 3]))
         self._check_invariant(state)
         cw = (rng.random((2, 72)) < 0.5).astype(np.int8)
-        flip_cells = np.array([1 * 72 + 7])  # one error in word 1
-        state.write_words(np.array([1, 4]), pack_bits(cw), flip_cells)
+        # One error in word 1: bit 7 of the first written word.
+        state.write_words(np.array([1, 4]), pack_bits(cw), np.array([7]))
         self._check_invariant(state)
         assert state.err_count[1] == 1 and state.err_count[4] == 0
         state.restore_words(np.array([1]),
@@ -487,8 +487,8 @@ class TestPackedState:
             elif op == 1:
                 w = rng.choice(4, size=2, replace=False)
                 cw = (rng.random((2, 72)) < 0.5).astype(np.int8)
-                cell = int(w[0]) * 72 + int(rng.integers(0, 72))
-                state.write_words(w, pack_bits(cw), np.array([cell]))
+                bit = int(rng.integers(0, 72))  # in the first word
+                state.write_words(w, pack_bits(cw), np.array([bit]))
             else:
                 w = rng.choice(4, size=1)
                 state.restore_words(w, np.empty(0, dtype=np.intp))
@@ -513,12 +513,13 @@ class TestPackedState:
 
         def store(write, errors=True):
             """write_words (or restore_words) of a few random words,
-            with errors at a few of their cells."""
+            with errors at a few of their cells (given by position in
+            the words' cells)."""
             words = rng.choice(n_words, size=int(rng.integers(1, 4)),
                                replace=False)
             cells = (words[:, None] * code_bits
                      + np.arange(code_bits)).reshape(-1)
-            flips = rng.choice(cells, size=int(rng.integers(0, 3))
+            flips = rng.choice(cells.size, size=int(rng.integers(0, 3))
                                if errors else 0, replace=False)
             if write:
                 cw = rng.integers(0, 2, size=(words.size, code_bits))
@@ -527,7 +528,7 @@ class TestPackedState:
             else:
                 state.restore_words(words, flips)
             expected[cells] = truth[cells]
-            expected[flips] ^= 1
+            expected[cells[flips]] ^= 1
             assert np.array_equal(state.intended.to_bits(), truth)
             assert np.array_equal(state.actual.to_bits(), expected)
             self._check_invariant(state)
@@ -549,7 +550,7 @@ class TestPackedState:
             clean = mapped_idx[expected[mapped_idx] == truth[mapped_idx]]
             n_inj = min(int(rng.integers(0, 4)), clean.size)
             inj = rng.choice(clean, size=n_inj, replace=False)
-            state._inject(inj)
+            state._inject(np.arange(n_words), inj)
             expected[inj] ^= 1
             assert state.wrong_bits > 0
             store(write=step % 2 == 0)
