@@ -126,9 +126,14 @@ class DataPattern:
         if arr.ndim != 2:
             raise ParameterError(
                 f"bits must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isin(arr, (0, 1))):
+        # Cast, then compare back: one bool per cell, where np.isin
+        # builds int64 copies (~12 B/cell on a whole-array pattern).
+        with np.errstate(invalid="ignore"):
+            bits = arr.astype(np.int8)
+        if not (np.array_equal(bits, arr)
+                and bits.view(np.uint8).max(initial=0) <= 1):
             raise ParameterError("bits must contain only 0/1")
-        object.__setattr__(self, "bits", arr.astype(np.int8))
+        object.__setattr__(self, "bits", bits)
 
     @property
     def shape(self):

@@ -16,6 +16,8 @@ see every cell.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ParameterError
@@ -66,14 +68,6 @@ def unpack_bits(lanes, code_bits):
     u8 = lanes.view(np.uint8)
     return np.unpackbits(u8, axis=1, count=int(code_bits),
                          bitorder="little").view(np.int8)
-
-
-def lane_bits(lanes, rows, bits):
-    """int8 codeword bit ``bits[i]`` of row ``rows[i]`` of packed
-    ``lanes``."""
-    lane, shift = np.divmod(bits, 64)
-    return ((lanes[rows, lane] >> shift.astype(np.uint64))
-            & np.uint64(1)).astype(np.int8)
 
 
 def popcount_rows(lanes):
@@ -182,37 +176,72 @@ class BitPlane:
 
     # -- cell-granular access ----------------------------------------------
 
-    def _mapped_coords(self, idx):
-        w, b = np.divmod(idx, self.code_bits)
-        lane, shift = np.divmod(b, 64)
-        return w, lane, shift.astype(np.uint64)
+    def lane_masks(self, cells):
+        """``(word, lane, mask)`` of word-major ``cells``: mapped plane
+        cells, or positions in any block of this plane's words."""
+        lane, mask = _bit_tables(self.code_bits)[:2]
+        word, bit = np.divmod(cells, self.code_bits)
+        return word, lane.take(bit), mask.take(bit)
+
+    def row_bits(self, rows, word, bit):
+        """uint16 codeword bit ``bit[i]`` of row ``word[i]`` of ``rows``,
+        C-contiguous packed codeword rows laid out as this plane's
+        :attr:`lanes`, read as bytes."""
+        byte_of, shift = _bit_tables(self.code_bits)[2:]
+        at = word * (8 * self.n_lanes)
+        at += byte_of.take(bit)
+        byte = rows.view(np.uint8).reshape(-1).take(at)
+        return _BYTE_BITS.take(shift.take(bit) + byte)
 
     def get_cells(self, flat_idx):
         """int8 bits at the given flat cell indices (mapped or tail)."""
         idx = np.asarray(flat_idx)
         out = np.empty(idx.shape, dtype=np.int8)
         mapped = idx < self.n_mapped
-        if np.any(mapped):
-            out[mapped] = lane_bits(self.lanes,
-                                    *np.divmod(idx[mapped], self.code_bits))
-        if not np.all(mapped):
-            out[~mapped] = self.tail[idx[~mapped] - self.n_mapped]
+        out[mapped] = self.row_bits(
+            self.lanes, *np.divmod(idx[mapped], self.code_bits))
+        out[~mapped] = self.tail[idx[~mapped] - self.n_mapped]
         return out
 
     def toggle_cells(self, flat_idx):
-        """XOR-flip the bits at the given flat cell indices.
+        """XOR-flip the bits at the given flat cell indices, and return
+        the mapped ones' ``(word, lane, mask)`` (:meth:`lane_masks`).
 
         Duplicate indices toggle repeatedly (unbuffered), matching the
         semantics of independent flip events landing on one cell.
         """
-        idx = np.asarray(flat_idx).reshape(-1)
-        if idx.size == 0:
-            return
-        mapped = idx < self.n_mapped
-        if np.any(mapped):
-            w, lane, shift = self._mapped_coords(idx[mapped])
-            np.bitwise_xor.at(self.lanes, (w, lane),
-                              np.uint64(1) << shift)
-        if not np.all(mapped):
-            np.bitwise_xor.at(self.tail, idx[~mapped] - self.n_mapped,
+        cells = np.asarray(flat_idx).reshape(-1)
+        tail = cells >= self.n_mapped
+        if tail.any():
+            np.bitwise_xor.at(self.tail, cells[tail] - self.n_mapped,
                               np.int8(1))
+            cells = cells[~tail]
+        word, lane, mask = self.lane_masks(cells)
+        np.bitwise_xor.at(self.lanes, (word, lane), mask)
+        return word, lane, mask
+
+    def diff_bits(self, other, word, lane, mask):
+        """bool: whether this plane and ``other`` differ at the bits
+        ``(word, lane, mask)`` (:meth:`lane_masks`)."""
+        diff = self.lanes[word, lane]
+        diff ^= other.lanes[word, lane]
+        diff &= mask
+        return diff.astype(bool)
+
+
+#: The single-bit mask of each of a lane's 64 bits.
+_LANE_MASK = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+#: Bit ``s`` of byte value ``v`` at ``256 * s + v``.
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(
+    np.uint16).reshape(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_tables(code_bits):
+    """Per codeword bit: its lane and single-bit lane mask (placing a
+    flip), and its byte in a packed row and its offset in
+    :data:`_BYTE_BITS` (reading it). Built once per code width, never
+    stored on a plane (planes are pickled into checkpoints)."""
+    bit = np.arange(code_bits)
+    return bit >> 6, _LANE_MASK.take(bit & 63), bit >> 3, (bit & 7) * 256

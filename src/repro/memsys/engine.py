@@ -456,7 +456,7 @@ class ReliabilityEngine:
         So a round makes each numpy call once over all shards: stress
         codewords are encoded once per run and gathered, a flip maps to
         its (word, lane, mask) once, and a one-shard round is one slice
-        of its batch.
+        of its batch, not a concatenation.
         """
         words_per_shard = self.controller.words.n_words
         code_bits = self.controller.ecc.n_code
@@ -469,12 +469,10 @@ class ReliabilityEngine:
         tally = _Tally([lane.result for lane in lanes])
         done = total - sum(lane.remaining for lane in lanes)
         # The batches held for the rounds keep their global words as
-        # int32 below 2**31 cells (half the memory); each stacked round
-        # widens its own slice back to intp for indexing. One shard's
-        # batch is held as intp: its rounds are slices of it.
-        index = (np.intp if n_shards == 1 else np.int32
-                 if n_shards * self.controller.layout.n_cells < 2**31
-                 else np.int64)
+        # int32 below 2**31 cells (half the memory); each round widens
+        # its own slice back to intp for indexing.
+        index = (np.int32 if n_shards * self.controller.layout.n_cells
+                 < 2**31 else np.int64)
         while True:
             sizes = [min(batch_size, lane.remaining) for lane in lanes]
             if not any(sizes):
@@ -539,7 +537,7 @@ class ReliabilityEngine:
             for key in range(0, n_keys, 2):
                 if n_shards == 1:
                     at = offsets[0]
-                    words = ordered[0][at[key]:at[key + 2]]
+                    words = ordered[0][at[key]:at[key + 2]].astype(np.intp)
                 else:
                     words = np.concatenate(
                         [words[at[key]:at[key + 1]]
@@ -992,15 +990,6 @@ class _PackedState:
         self.disturb_p = np.clip(
             controller.disturb_class_probability(), 0.0, 1.0)
         self.disturb_pmax = float(self.disturb_p.max())
-        # Per codeword bit: its lane and single-bit lane mask (placing a
-        # flip), and its byte in a packed row and its offset in
-        # _BYTE_BITS (reading a candidate's bit).
-        bit = np.arange(intended.code_bits)
-        self._bit_lane = bit >> 6
-        self._bit_mask = _LANE_MASK.take(bit & 63)
-        self._bit_byte = bit >> 3
-        self._bit_shift = (bit & 7) * 256
-        self._row_bytes = 8 * intended.n_lanes
 
     @classmethod
     def stacked(cls, engine, n_shards):
@@ -1103,7 +1092,7 @@ class _PackedState:
             at += bit
             if not one:
                 at += word // self.shard_words * self.tail_cells
-            return self.planes.classes(at, self._bits(
+            return self.planes.classes(at, self.actual.row_bits(
                 rows, word if by_word else position, bit))
 
         if one:
@@ -1162,27 +1151,17 @@ class _PackedState:
 
     def toggle(self, flat_idx):
         """Flip ``actual`` at flat cells (duplicate-free indices), in
-        blocks of :data:`~repro.memsys.bitplane.BLOCK_CELLS`: a mapped
-        cell's (word, lane, mask) is computed once per block and both
-        flips the lane bit and moves its word's error count (+1 for a
-        cell that was right, -1 for one that was wrong)."""
-        actual, n_mapped = self.actual, self.actual.n_mapped
+        blocks of :data:`~repro.memsys.bitplane.BLOCK_CELLS`: the
+        (word, lane, mask) that flips a mapped cell also reads whether
+        it is now wrong, which moves its word's error count (+1 for a
+        cell now wrong, -1 for one now right)."""
         step = bitplane.BLOCK_CELLS
         for lo in range(0, flat_idx.size, step):
-            cells = flat_idx[lo:lo + step]
-            tail = cells >= n_mapped
-            if tail.any():
-                np.bitwise_xor.at(actual.tail, cells[tail] - n_mapped,
-                                  np.int8(1))
-                cells = cells[~tail]
-            word, lane, mask = self._lane_masks(cells)
-            wrong = actual.lanes[word, lane]
-            wrong ^= self.intended.lanes[word, lane]
-            wrong &= mask
-            wrong = wrong.astype(bool)
+            word, lane, mask = self.actual.toggle_cells(
+                flat_idx[lo:lo + step])
+            wrong = self.actual.diff_bits(self.intended, word, lane, mask)
             np.add.at(self.err_count, word, _TOGGLE_DELTA.take(wrong))
-            self.wrong_bits += cells.size - 2 * np.count_nonzero(wrong)
-            np.bitwise_xor.at(actual.lanes, (word, lane), mask)
+            self.wrong_bits += 2 * np.count_nonzero(wrong) - wrong.size
 
     def write_words(self, word_idx, cw, flips):
         """``intended = actual = cw`` (packed codeword lanes), then
@@ -1213,36 +1192,13 @@ class _PackedState:
         positions ``flips`` of ``word_idx``: each is a new wrong bit."""
         if not flips.size:
             return
-        position, lane, mask = self._lane_masks(flips)
-        word = word_idx[position]
-        np.bitwise_xor.at(self.actual.lanes, (word, lane), mask)
+        word = self.actual.toggle_cells(self._cells(word_idx, flips))[0]
         np.add.at(self.err_count, word, np.int16(1))
         self.wrong_bits += flips.size
 
-    def _lane_masks(self, cells):
-        """``(word, lane, mask)`` of word-major ``cells`` (mapped plane
-        cells, or positions in a block of words)."""
-        word, bit = np.divmod(cells, self.actual.code_bits)
-        return word, self._bit_lane.take(bit), self._bit_mask.take(bit)
 
-    def _bits(self, rows, at, bit):
-        """uint16 codeword bit ``bit[i]`` of row ``at[i]`` of the
-        C-contiguous packed codeword rows ``rows``, read as bytes."""
-        at = at * self._row_bytes
-        at += self._bit_byte.take(bit)
-        byte = rows.view(np.uint8).reshape(-1).take(at)
-        return _BYTE_BITS.take(self._bit_shift.take(bit) + byte)
-
-
-#: The single-bit mask of each of a lane's 64 bits.
-_LANE_MASK = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-
-#: Error-count change of a toggled cell, by whether it was wrong.
-_TOGGLE_DELTA = np.array([1, -1], dtype=np.int16)
-
-#: Bit ``s`` of byte value ``v`` at ``256 * s + v``.
-_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(
-    np.uint16).reshape(-1)
+#: Error-count change of a toggled cell, by whether it is now wrong.
+_TOGGLE_DELTA = np.array([-1, 1], dtype=np.int16)
 
 
 # kept for perfbench; ROADMAP item 1 deletes it

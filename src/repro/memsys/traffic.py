@@ -271,8 +271,11 @@ class StressPatternWorkload(Workload):
         if self._background is None:
             raise ParameterError(
                 "initial_bits() must run before background_data()")
-        return self._background.reshape(-1)[
-            word_map.cells_of(words, data_positions)]
+        # Whole codeword rows, then their data columns: no per-cell
+        # index array.
+        rows = self._background.reshape(-1)[:word_map.n_mapped_cells]
+        return rows.reshape(word_map.n_words, word_map.code_bits)[
+            words].take(data_positions, axis=1)
 
     def describe(self):
         return {"workload": self.name,

@@ -128,3 +128,20 @@ class TestDataPattern:
     def test_non_binary_rejected(self):
         with pytest.raises(ParameterError):
             DataPattern(np.array([[0, 2], [1, 0]]))
+
+    @pytest.mark.parametrize("bad", ([[0, -1], [1, 0]],
+                                     [[0.5, 1.0], [1.0, 0.0]],
+                                     [[np.nan, 1.0], [1.0, 0.0]],
+                                     [[256, 0], [1, 0]]))
+    def test_non_binary_rejected_after_int8_cast(self, bad):
+        """Values the int8 cast would wrap or truncate onto 0/1 are
+        still rejected."""
+        with pytest.raises(ParameterError):
+            DataPattern(np.array(bad))
+
+    @pytest.mark.parametrize("dtype", (bool, np.int8, np.int64, float))
+    def test_binary_of_any_dtype_stored_as_int8(self, dtype):
+        bits = np.array([[0, 1], [1, 0]], dtype=dtype)
+        stored = DataPattern(bits).bits
+        assert stored.dtype == np.int8
+        assert np.array_equal(stored, [[0, 1], [1, 0]])

@@ -44,7 +44,8 @@ def _engine(device, workload, side):
                         nominal_wer=1e-6)
 
 
-@pytest.mark.parametrize("workload", ("write-heavy", "read-heavy"))
+@pytest.mark.parametrize("workload",
+                         ("write-heavy", "read-heavy", "checkerboard"))
 def test_binomial_engine_peak_bytes_per_cell(eval_device, workload):
     # Imports and coupling kernels first, so the trace sees the engine.
     _engine(eval_device, workload, 16).run(2000, rng=1)

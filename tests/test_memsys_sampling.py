@@ -87,6 +87,29 @@ class TestBitPlane:
         plane.toggle_cells(idx)  # toggling back restores zeros
         assert plane.to_bits().sum() == 0
 
+    def test_toggle_returns_mapped_masks_for_diff_bits(self):
+        plane = BitPlane.from_bits(np.zeros(100, np.int8), 1, 72)
+        other = plane.copy()
+        idx = np.array([0, 63, 64, 71, 99])  # lanes 0/1 + tail
+        word, lane, mask = plane.toggle_cells(idx)
+        assert word.tolist() == [0, 0, 0, 0]
+        assert lane.tolist() == [0, 0, 1, 1]
+        assert mask.tolist() == [1, 1 << 63, 1, 1 << 7]
+        assert plane.diff_bits(other, word, lane, mask).all()
+        other.toggle_cells(idx[:2])
+        assert plane.diff_bits(other, word, lane, mask).tolist() == [
+            False, False, True, True]
+
+    @pytest.mark.parametrize("code_bits", (72, 64, 39))
+    def test_row_bits_reads_any_rows_of_the_plane_layout(self, code_bits):
+        rng = np.random.default_rng(code_bits)
+        bits = rng.integers(0, 2, size=(5, code_bits)).astype(np.int8)
+        plane = BitPlane(2, code_bits, 2 * code_bits)
+        word = rng.integers(0, 5, size=40)
+        bit = rng.integers(0, code_bits, size=40)
+        assert np.array_equal(plane.row_bits(pack_bits(bits), word, bit),
+                              bits[word, bit])
+
     def test_toggle_repeated_index_semantics(self):
         plane = BitPlane.from_bits(np.zeros(72, np.int8), 1, 72)
         plane.toggle_cells(np.array([3, 3, 5]))  # 3 toggles twice
