@@ -217,8 +217,13 @@ class BitPlane:
                               np.int8(1))
             cells = cells[~tail]
         word, lane, mask = self.lane_masks(cells)
-        np.bitwise_xor.at(self.lanes, (word, lane), mask)
+        self.xor_masks(word, lane, mask)
         return word, lane, mask
+
+    def xor_masks(self, word, lane, mask):
+        """XOR-flip the bits ``(word, lane, mask)`` (:meth:`lane_masks`),
+        repeats included."""
+        np.bitwise_xor.at(self.lanes, (word, lane), mask)
 
     def diff_bits(self, other, word, lane, mask):
         """bool: whether this plane and ``other`` differ at the bits
@@ -242,6 +247,11 @@ def _bit_tables(code_bits):
     """Per codeword bit: its lane and single-bit lane mask (placing a
     flip), and its byte in a packed row and its offset in
     :data:`_BYTE_BITS` (reading it). Built once per code width, never
-    stored on a plane (planes are pickled into checkpoints)."""
+    stored on a plane (planes are pickled into checkpoints). Read-only:
+    every caller shares them."""
     bit = np.arange(code_bits)
-    return bit >> 6, _LANE_MASK.take(bit & 63), bit >> 3, (bit & 7) * 256
+    tables = (bit >> 6, _LANE_MASK.take(bit & 63), bit >> 3,
+              (bit & 7) * 256)
+    for table in tables:
+        table.flags.writeable = False
+    return tables

@@ -1192,7 +1192,9 @@ class _PackedState:
         positions ``flips`` of ``word_idx``: each is a new wrong bit."""
         if not flips.size:
             return
-        word = self.actual.toggle_cells(self._cells(word_idx, flips))[0]
+        position, lane, mask = self.actual.lane_masks(flips)
+        word = word_idx[position]
+        self.actual.xor_masks(word, lane, mask)
         np.add.at(self.err_count, word, np.int16(1))
         self.wrong_bits += flips.size
 
