@@ -452,7 +452,7 @@ class ReliabilityEngine:
         64 x 64 run (the query service's sampled shape) takes ~410
         rounds of ~50 words, and its generator calls alone (write data,
         then a binomial, an index choice and uniforms per draw) take
-        ~15-19 us of each round's ~80-110 us (2-core host, numpy 2.4).
+        ~15-19 us of each round's ~70-110 us (2-core host, numpy 2.4).
         So a round makes each numpy call once over all shards: stress
         codewords are encoded once per run and gathered, a flip maps to
         its (word, lane, mask) once, and a one-shard round is one slice
