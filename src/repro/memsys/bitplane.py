@@ -70,6 +70,13 @@ def unpack_bits(lanes, code_bits):
                          bitorder="little").view(np.int8)
 
 
+def row_items(lanes):
+    """C-contiguous ``(n, n_lanes)`` packed codeword rows as ``(n,)``
+    void items sharing their memory, so a store moves one item per
+    codeword, not one per lane."""
+    return lanes.view(np.dtype((np.void, lanes.strides[0])))[:, 0]
+
+
 def popcount_rows(lanes):
     """Total set bits per row of a 2-D uint64 array."""
     return np.bitwise_count(lanes).sum(axis=1, dtype=np.int64)
@@ -162,6 +169,23 @@ class BitPlane:
         return np.concatenate(parts) if parts else np.empty(0, np.int8)
 
     # -- word-granular access ----------------------------------------------
+
+    def word_bytes(self):
+        """``(n_words, 8 * n_lanes)`` uint8 view of the lanes: word
+        ``w``'s codeword bit ``b`` is bit ``b % 8`` of byte ``b // 8``
+        of row ``w``."""
+        return self.lanes.view(np.uint8)
+
+    def word_items(self):
+        """The codeword rows as void items (:func:`row_items`), a view
+        that stays valid while the plane keeps its lane array."""
+        return row_items(self.lanes)
+
+    def diff_positions(self, other, words):
+        """Word-major positions ``i * code_bits + b`` at which word
+        ``words[i]`` of this plane and of ``other`` differ."""
+        return np.flatnonzero(unpack_bits(
+            self.lanes[words] ^ other.lanes[words], self.code_bits))
 
     def diff_counts(self, other, words=None):
         """Per-word mismatch counts vs ``other`` via XOR + popcount.

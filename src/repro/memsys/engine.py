@@ -31,8 +31,8 @@ candidates), which is what makes nominal_wer <= 1e-6 scenarios
 reachable.
 
 The driver owns everything else once: restore or init, the batch loop
-(classify, whole-array terms, scrub, occurrence-rank rounds), ECC
-bookkeeping, checkpoints and progress. Every mechanism is one flat
+(classify, whole-array terms, scrub, one pass over the batch's
+per-word access chains), ECC bookkeeping, checkpoints and progress. Every mechanism is one flat
 (50,) per-class table from the controller — write error and read
 disturb per access, retention and the cross-point half-select term as
 a list of whole-array ``(counter, table)`` terms the driver walks —
@@ -58,10 +58,15 @@ from ..integrity.manifest import canonical, identity_diff, record_digest
 from ..resilience.checkpoint import CheckpointManager
 from ..validation import require_non_negative, require_positive
 from . import bitplane
-from .bitplane import BitPlane, pack_bits, row_blocks
+from .bitplane import BitPlane, pack_bits, row_blocks, row_items
 from .controller import ArrayController
 from .ecc import DecodeOutcome, NoECC, make_ecc
-from .sampling import ClassPlanes, sample_class_flips, sample_thinned_flips
+from .sampling import (
+    ClassPlanes,
+    sample_class_flips,
+    sample_thinned_flips,
+    thinned_candidates,
+)
 from .scrub import no_scrub
 from .traffic import StressPatternWorkload, Workload, make_workload
 
@@ -334,10 +339,12 @@ class ReliabilityEngine:
             checkpoint_every=None, resume=False):
         """Simulate ``n_transactions`` and return a :class:`MemsysResult`.
 
-        Batches are split into *occurrence-rank rounds* — in round ``r``
-        every word address appears at most once, so repeated accesses to
-        the same word keep their exact sequential semantics while each
-        round is a pure numpy array step. Coupling classes and
+        Each batch is one pass: its accesses are sorted into per-word
+        *chains* (each word's accesses in batch order), every
+        mechanism draws its flips for the whole batch at once, and the
+        chains are resolved together in a few vectorized passes, so
+        repeated accesses to the same word keep their exact sequential
+        semantics without a step per access. Coupling classes and
         retention exposure refresh at batch boundaries (the background
         data drifts slowly relative to a batch).
 
@@ -440,62 +447,50 @@ class ReliabilityEngine:
         words ``s * W + local`` (``W`` words per shard, the
         :class:`~repro.memsys.topology.HierarchicalAddressMap`
         convention). Every draw stays on its shard's own generator, in
-        the order a lone run makes it — per batch traffic, drift and
-        scrub; per round write data, write flips, write-backs and
-        disturb — while the RNG-free work (SEC-DED encode, placement,
-        error counts, ECC classify, bookkeeping) runs once over all
-        shards. So each shard's counters are byte-identical to running
-        it alone, and a round's numpy dispatch is paid once, not once
-        per shard.
+        the order a lone run makes it — per batch traffic, drift,
+        scrub, write data, then the batch's write, write-back and
+        disturb candidates — while the RNG-free work (SEC-DED encode,
+        classify, chain resolution, placement, ECC bookkeeping) runs
+        once over all shards. So each shard's counters are
+        byte-identical to running it alone, and a batch's numpy
+        dispatch is paid once, not once per shard.
 
-        A round's cost is fixed, not per word: a 20,000-transaction
-        64 x 64 run (the query service's sampled shape) takes ~410
-        rounds of ~50 words, and its generator calls alone (write data,
-        then a binomial, an index choice and uniforms per draw) take
-        ~15-19 us of each round's ~70-110 us (2-core host, numpy 2.4).
-        So a round makes each numpy call once over all shards: stress
-        codewords are encoded once per run and gathered, a flip maps to
-        its (word, lane, mask) once, and a one-shard round is one slice
-        of its batch, not a concatenation.
+        A batch is one pass (:meth:`_apply_round_binomial`), not one
+        step per access: within a batch every candidate takes its
+        neighbor class from the batch-start snapshot, so each word's
+        accesses form an independent chain that the pass resolves for
+        all words at once.
         """
         words_per_shard = self.controller.words.n_words
-        code_bits = self.controller.ecc.n_code
-        n_shards = len(lanes)
-        state = _PackedState.stacked(self, n_shards)
+        state = _PackedState.stacked(self, len(lanes))
         for shard, lane in enumerate(lanes):
             lane.open(self, state, shard)
         state.build()
-        codewords = self._stress_codewords(lanes)
         tally = _Tally([lane.result for lane in lanes])
+        corrects = self._corrects()
+        codewords = (_StressCodewords(self.controller, lanes)
+                     if isinstance(lanes[0].workload, StressPatternWorkload)
+                     else None)
         done = total - sum(lane.remaining for lane in lanes)
-        # The batches held for the rounds keep their global words as
-        # int32 below 2**31 cells (half the memory); each round widens
-        # its own slice back to intp for indexing.
-        index = (np.int32 if n_shards * self.controller.layout.n_cells
+        # Global words as int32 below 2**31 cells (half the memory).
+        index = (np.int32 if len(lanes) * self.controller.layout.n_cells
                  < 2**31 else np.int64)
         while True:
             sizes = [min(batch_size, lane.remaining) for lane in lanes]
             if not any(sizes):
                 break
-            # Each shard's batch, cut into rounds by one stable sort: by
-            # occurrence rank, writes before reads within a round, in
-            # batch order — so every round of a shard is a contiguous
-            # slice of ``ordered[shard]``.
-            ordered = [_NO_WORDS] * n_shards
-            per_key = [_NO_WORDS] * n_shards
+            # Every shard's batch in chain order, shard after shard.
+            bounds = [0, *itertools.accumulate(sizes)]
+            word = np.empty(bounds[-1], dtype=index)
+            is_write = np.empty(bounds[-1], dtype=bool)
             for shard, (lane, n) in enumerate(zip(lanes, sizes)):
                 if n:
                     lane.remaining -= n
-                    batch = lane.workload.batch(n, words_per_shard,
-                                                lane.rng)
-                    key = 2 * _occurrence_rank(batch.word, words_per_shard)
-                    key += ~batch.is_write
-                    order = np.argsort(key.astype(np.uint16)
-                                       if 2 * n <= 65536 else key,
-                                       kind="stable")
-                    ordered[shard] = (batch.word[order] + shard
-                                      * words_per_shard).astype(index)
-                    per_key[shard] = np.bincount(key)
+                    lo, hi = bounds[shard], bounds[shard + 1]
+                    _chain_order(lane.workload.batch(
+                        n, words_per_shard, lane.rng), words_per_shard,
+                        shard * words_per_shard, word[lo:hi],
+                        is_write[lo:hi])
             with _prof(profiler, "classify"):
                 state.classify()
 
@@ -515,39 +510,11 @@ class ReliabilityEngine:
                         self._run_scrub(state, shard, lanes, tally)
                     lane.scrub.mark_done(lane.now)
 
-            # Round r stacks every shard's writes of key 2r, then every
-            # shard's reads of key 2r + 1: one array, cut per shard by
-            # the round's write and read bounds.
-            n_keys = 2 * ((max(c.size for c in per_key) + 1) // 2)
-            counts = np.zeros((n_shards, n_keys), dtype=np.int64)
-            for shard, c in enumerate(per_key):
-                counts[shard, :c.size] = c
-            offsets = np.zeros((n_shards, n_keys + 1), dtype=np.int64)
-            np.cumsum(counts, axis=1, out=offsets[:, 1:])
-            bounds = np.zeros((n_keys, n_shards + 1), dtype=np.int64)
-            np.cumsum(counts.T, axis=1, out=bounds[:, 1:])
-            n_writes = counts[:, 0::2].sum(axis=1)
-            n_reads = counts[:, 1::2].sum(axis=1)
             tally.add("n_transactions", sizes)
-            tally.add("n_writes", n_writes)
-            tally.add("bits_written", n_writes * code_bits)
-            tally.add("n_reads", n_reads)
-            tally.add("bits_read", n_reads * code_bits)
-            offsets, bounds = offsets.tolist(), bounds.tolist()
-            for key in range(0, n_keys, 2):
-                if n_shards == 1:
-                    at = offsets[0]
-                    words = ordered[0][at[key]:at[key + 2]].astype(np.intp)
-                else:
-                    words = np.concatenate(
-                        [words[at[key]:at[key + 1]]
-                         for words, at in zip(ordered, offsets)]
-                        + [words[at[key + 1]:at[key + 2]]
-                           for words, at in zip(ordered, offsets)],
-                        dtype=np.intp)
-                self._apply_round_binomial(
-                    words, bounds[key], bounds[key + 1], state, lanes,
-                    tally, profiler, codewords)
+            self._apply_round_binomial(word, is_write, bounds, state,
+                                       lanes, tally, corrects, profiler,
+                                       codewords)
+            del word, is_write
 
             for shard, (lane, n) in enumerate(zip(lanes, sizes)):
                 if not n:
@@ -571,97 +538,100 @@ class ReliabilityEngine:
                 n * self.half_select_exposure)))
         return terms
 
-    def _apply_round_binomial(self, words, write_bounds, read_bounds,
-                              state, lanes, tally, profiler=None,
+    def _apply_round_binomial(self, word, is_write, bounds, state, lanes,
+                              tally, corrects, profiler=None,
                               codewords=None):
-        """One occurrence-rank round of every shard.
+        """One batch of every shard, applied in one pass. (The name is
+        that of the occurrence-rank round this pass replaced, kept
+        because perfbench's trace hooks wrap it by name; ROADMAP item 1
+        renames it.)
 
-        Every word in ``words`` is unique. The writes come first —
-        shard ``s``'s are ``write_bounds[s]:write_bounds[s + 1]`` —
-        then the reads, cut per shard by ``read_bounds`` alike. A
-        stress workload's writes store ``codewords`` (see
-        :meth:`_stress_codewords`). (The name predates the shared
-        round; perfbench's trace hooks wrap it by name.)
+        ``word`` (global words) and ``is_write`` hold the batch in
+        chain order (:func:`_chain_order`), shard ``s``'s accesses at
+        ``bounds[s]:bounds[s + 1]``. The writes' codewords are drawn
+        (or, for a stress workload, taken from ``codewords``, a
+        :class:`_StressCodewords`) in that order, then the
+        state applies every chain at once (:meth:`_PackedState.access`;
+        ``corrects`` as from :meth:`_corrects`) and the reads' error
+        counts are booked per shard.
         """
         ctl = self.controller
-        n_writes = write_bounds[-1]
-        if n_writes:
-            w_words = words[:n_writes]
-            if codewords is not None:
-                cw = codewords[w_words]
-            else:
-                words_per_shard = ctl.words.n_words
-                data = [lanes[shard].workload.write_data(
-                    w_words[lo:hi] - shard * words_per_shard if shard
-                    else w_words[lo:hi], ctl.ecc.n_data, lanes[shard].rng)
-                    for shard, lo, hi in _segments(write_bounds)]
-                with _prof(profiler, "ecc"):
-                    cw = ctl.ecc.encode_lanes(
-                        data[0] if len(data) == 1
-                        else np.concatenate(data))
-            tally.add("write_errors", state.write(
-                w_words, write_bounds, cw, lanes, profiler))
+        code_bits = ctl.ecc.n_code
+        words_per_shard = ctl.words.n_words
+        w_bounds = [0, *itertools.accumulate(
+            int(np.count_nonzero(is_write[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:]))]
+        r_bounds = [at - w for at, w in zip(bounds, w_bounds)]
+        n_writes, n_reads = _sizes(w_bounds), _sizes(r_bounds)
+        tally.add("n_writes", n_writes)
+        tally.add("bits_written", [n * code_bits for n in n_writes])
+        tally.add("n_reads", n_reads)
+        tally.add("bits_read", [n * code_bits for n in n_reads])
 
-        # Reads: sense, classify via ECC, write back correctables, then
-        # apply the disturb of the read current to the stored state.
-        if read_bounds[-1]:
-            r_words = words[n_writes:]
-            if state.wrong_bits:
-                with _prof(profiler, "ecc"):
-                    self._book_read_errors(r_words, read_bounds, state,
-                                           lanes, tally)
-            else:
-                # No mismatched bit anywhere in the array: every read
-                # is clean without touching any per-word array.
-                tally.add("words_ok", _sizes(read_bounds))
-            tally.add("disturb_flips", state.disturb(
-                r_words, read_bounds, lanes, profiler))
+        cw = None
+        if codewords is not None and w_bounds[-1]:
+            with _prof(profiler, "ecc"):
+                cw = codewords.rows(word[is_write], lanes)
+        elif w_bounds[-1]:
+            data = [lanes[shard].workload.write_data(
+                word[lo:hi][is_write[lo:hi]] - shard * words_per_shard,
+                ctl.ecc.n_data, lanes[shard].rng)
+                for shard, lo, hi in _segments(bounds)
+                if w_bounds[shard + 1] > w_bounds[shard]]
+            data = data[0] if len(data) == 1 else np.concatenate(data)
+            with _prof(profiler, "ecc"):
+                # In blocks of BLOCK_CELLS codeword bytes, so the
+                # encoder's temporaries stay small however many words a
+                # batch writes.
+                row_bytes = -(-code_bits // 64) * 8
+                cw = np.empty((len(data), row_bytes // 8),
+                              dtype=bitplane.LANE_DTYPE)
+                for lo, hi in row_blocks(len(data), row_bytes):
+                    cw[lo:hi] = ctl.ecc.encode_lanes(data[lo:hi])
 
-    def _stress_codewords(self, lanes):
-        """Every shard's stress-pattern codewords, stacked by global
-        word (shard ``s``'s words from ``s * W``), or None when the
-        workload draws its write data.
+        read_at, n_err, write_errors, disturb_flips = state.access(
+            word, is_write, bounds, cw, lanes, corrects, profiler)
+        tally.add("write_errors", write_errors)
+        tally.add("disturb_flips", disturb_flips)
+        with _prof(profiler, "ecc"):
+            self._book_read_errors(read_at, n_err, bounds, n_reads, tally)
 
-        A stress write stores its word's background data, fixed for the
-        run, so each word is encoded once here (in blocks of
-        :data:`~repro.memsys.bitplane.BLOCK_CELLS` cells) and a round
-        gathers its writes' rows.
-        """
-        if not isinstance(lanes[0].workload, StressPatternWorkload):
-            return None
-        ctl = self.controller
-        return np.concatenate([
-            ctl.ecc.encode_lanes(pack_bits(lane.workload.background_data(
-                np.arange(lo, hi), ctl.words, ctl.ecc.data_positions)))
-            for lane in lanes
-            for lo, hi in row_blocks(ctl.words.n_words, ctl.ecc.n_code)])
+    def _corrects(self):
+        """bool per error count ``0..n_code``: whether a read that
+        counts that many wrong bits writes its word back."""
+        ecc = self.controller.ecc
+        return self.writeback & (
+            ecc.classify_errors(np.arange(ecc.n_code + 1)) == _CORRECTED)
 
-    def _book_read_errors(self, r_words, bounds, state, lanes, tally):
-        """ECC bookkeeping for a read round with live errors present:
-        one error-count gather and one classify over every shard,
-        booked per shard by two shard-offset bincounts (words and wrong
-        bits per outcome)."""
-        n_err = state.error_counts(r_words)
-        outcomes = self.controller.ecc.classify_errors(n_err)
-        shard = _shard_of(bounds)
-        key = outcomes if shard is None else shard * 4 + outcomes
-        n_keys = 4 * len(lanes)
-        by_outcome = np.bincount(key, minlength=n_keys).reshape(
-            -1, 4).tolist()
-        bits = np.bincount(key, weights=n_err, minlength=n_keys).reshape(
-            -1, 4).tolist()
+    def _book_read_errors(self, read_at, n_err, bounds, n_reads, tally):
+        """ECC bookkeeping of a batch's reads (``n_reads`` per shard,
+        shard ``s``'s accesses at ``bounds[s]:bounds[s + 1]``): the
+        reads at accesses ``read_at`` counted ``n_err`` wrong bits, and
+        every other read none (OK). One classify of the former, booked
+        per shard by two shard-offset bincounts (words and wrong bits
+        per outcome)."""
+        n_shards = len(n_reads)
+        by_outcome = np.zeros((n_shards, 4), dtype=np.int64)
+        bits = np.zeros((n_shards, 4))
+        if read_at.size:
+            outcomes = self.controller.ecc.classify_errors(n_err)
+            key = outcomes
+            if n_shards > 1:
+                key = 4 * (np.searchsorted(bounds, read_at, side="right")
+                           - 1) + outcomes
+            by_outcome = np.bincount(key, minlength=4 * n_shards).reshape(
+                -1, 4)
+            bits = np.bincount(key, weights=n_err,
+                               minlength=4 * n_shards).reshape(-1, 4)
+        by_outcome[:, _OK] += np.asarray(n_reads) - by_outcome.sum(axis=1)
         # raw_bit_errors, uncorrectable_bit_errors and words_ok ..
         # words_silent (in DecodeOutcome order) are consecutive counters.
         tally.add("raw_bit_errors", [
             [int(sum(wrong)), int(wrong[_DETECTED] + wrong[_SILENT]), *row]
-            for row, wrong in zip(by_outcome, bits)])
-        corrected = [row[_CORRECTED] for row in by_outcome]
-        if self.writeback and any(corrected):
-            code_bits = self.controller.ecc.n_code
-            tally.add("bits_written", [n * code_bits for n in corrected])
-            tally.add("write_errors", state.rewrite(
-                r_words[outcomes == _CORRECTED],
-                [0, *itertools.accumulate(corrected)], lanes))
+            for row, wrong in zip(by_outcome.tolist(), bits.tolist())])
+        if self.writeback:
+            tally.add("bits_written", by_outcome[:, _CORRECTED]
+                      * self.controller.ecc.n_code)
 
     def _run_scrub(self, state, shard, lanes, tally):
         """One scrub pass over every word of ``shard``."""
@@ -743,10 +713,10 @@ class ReliabilityEngine:
 
 # -- stacked runs --------------------------------------------------------
 
-#: Decode outcomes as plain ints, for the per-round bookkeeping.
+#: Decode outcomes as plain ints, for the per-batch bookkeeping.
 _OK, _CORRECTED, _DETECTED, _SILENT = (int(o) for o in DecodeOutcome)
 
-#: An idle shard's batch: no words.
+#: No accesses (an empty event list).
 _NO_WORDS = np.zeros(0, dtype=np.int32)
 
 
@@ -762,17 +732,9 @@ def _sizes(bounds):
     return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _shard_of(bounds):
-    """Owning shard of every position of a ``bounds``-cut array, or
-    None when one shard owns them all."""
-    if len(bounds) == 2:
-        return None
-    return np.repeat(np.arange(len(bounds) - 1), _sizes(bounds))
-
-
 class _Tally:
     """Counters of a stacked run: one row of ints per shard, one column
-    per :data:`_COUNTERS` field. A round books all shards at once from
+    per :data:`_COUNTERS` field. A batch books all shards at once from
     per-shard counts (a list or array, one entry per shard)."""
 
     def __init__(self, results):
@@ -804,6 +766,45 @@ class _Tally:
             setattr(result, name, value)
 
 
+class _StressCodewords:
+    """A stress workload's codewords, encoded on first write.
+
+    A stress write stores its word's background data, fixed for the
+    run, so every word is encoded at most once per run — only the words
+    the run writes, however large the array. Rows are stacked by global
+    word (shard ``s``'s from ``s * W``); the table is derived data, so
+    a resumed run starts it empty."""
+
+    def __init__(self, controller, lanes):
+        self.controller = controller
+        n_words = len(lanes) * controller.words.n_words
+        self.table = np.empty((n_words, -(-controller.ecc.n_code // 64)),
+                              dtype=bitplane.LANE_DTYPE)
+        self.encoded = np.zeros(n_words, dtype=bool)
+
+    def rows(self, words, lanes):
+        """The codewords of global ``words`` (ascending), one row per
+        word."""
+        ctl = self.controller
+        new = words[~self.encoded[words]]
+        if new.size:
+            first = np.empty(new.size, dtype=bool)
+            first[0] = True
+            np.not_equal(new[1:], new[:-1], out=first[1:])
+            new = new[first].astype(np.intp)
+            shard = new // ctl.words.n_words
+            for s in np.unique(shard).tolist():
+                mine = new[shard == s]
+                local = mine - s * ctl.words.n_words
+                for lo, hi in row_blocks(mine.size, ctl.ecc.n_code):
+                    self.table[mine[lo:hi]] = ctl.ecc.encode_lanes(pack_bits(
+                        lanes[s].workload.background_data(
+                            local[lo:hi], ctl.words,
+                            ctl.ecc.data_positions)))
+            self.encoded[new] = True
+        return self.table[words]
+
+
 class _Lane:
     """One shard's stream in a stacked run: its own generator, workload
     and scrub copies, clock, transaction budget, result — and its
@@ -832,13 +833,17 @@ class _Lane:
         # the older per-bit float stream (no such field) is refused
         # rather than resumed into a mixed stream. ``drift_stream``
         # likewise names how the whole-array terms draw: a checkpoint
-        # of the older class-grouped draw (no such field) is refused.
+        # of the older class-grouped draw (no such field) is refused;
+        # and ``access_stream`` how a batch's accesses draw: one
+        # candidate set per mechanism per batch, not one per
+        # occurrence-rank round (no such field).
         self.identity = {
             "n_transactions": self.n_transactions,
             "batch_size": batch_size,
             "seed_state": record_digest(self.rng.bit_generator.state),
             "write_stream": "uint64-lanes",
             "drift_stream": "thinned",
+            "access_stream": "batched",
             **{str(k): v for k, v in engine._config().items()},
         }
         if resume:
@@ -928,10 +933,11 @@ class _Lane:
 # per-cell reference state implements the same ones):
 # stacked/fresh/load/build/snapshot (lifecycle and per-shard checkpoint
 # payload), classify (batch-boundary classes), drift (one shard's
-# whole-array term from a flat (50,) class table), write, error_counts,
-# rewrite and disturb. The access verbs take a round's global words
-# with per-shard ``bounds``, draw each shard's flips on that shard's
-# generator, place them all at once and return per-shard flip counts.
+# whole-array term from a flat (50,) class table), access (one batch of
+# every shard's accesses, in chain order), and error_counts and rewrite
+# (a scrub). The access verbs take global words with per-shard
+# ``bounds``, draw each shard's flips on that shard's generator, place
+# them all at once and return per-shard flip counts.
 
 
 class _PackedState:
@@ -943,7 +949,9 @@ class _PackedState:
     candidate count at the table's largest class probability, uniform
     candidates, each kept per its class — over the whole array for the
     retention and sneak terms (:func:`sample_class_flips`), over a
-    round's cells for write, rewrite and disturb. Every candidate takes
+    batch's accessed cells for write, write-back and disturb
+    (:meth:`access`), over a scrub's words for its rewrites. Every
+    candidate takes
     its class from :class:`~repro.memsys.sampling.ClassPlanes`: a
     lookup of its 3 x 3 window in the snapshot of the cells' bits that
     :meth:`classify` takes once per batch. Writes and restores move
@@ -974,11 +982,9 @@ class _PackedState:
         self.actual = actual
         self.planes = planes
         # Each plane's codeword rows as single void items, so a store
-        # copies one item per word, not one per lane (the planes keep
-        # their lane arrays, so the views stay valid).
-        self._intended_rows, self._actual_rows = (
-            plane.lanes.view(np.dtype((np.void, plane.lanes.strides[0])))[
-                :, 0] for plane in (intended, actual))
+        # copies one item per word, not one per lane.
+        self._intended_rows = intended.word_items()
+        self._actual_rows = actual.word_items()
         self.err_count = np.zeros(intended.n_words, dtype=np.int16)
         self.wrong_bits = 0
         # Run-scoped clipped copies of the controller's fixed per-class
@@ -1063,91 +1069,293 @@ class _PackedState:
                 self.toggle(flips)
         return int(flips.size)
 
-    def _cells(self, words, flat):
-        """Plane cells at word-major positions ``flat`` of ``words``."""
-        word, bit = np.divmod(flat, self.actual.code_bits)
-        return words[word] * self.actual.code_bits + bit
+    def _class_cells(self, word, bit):
+        """The cells of codeword bit ``bit`` of global words ``word`` in
+        the class lookup's stacked order."""
+        at = word * self.actual.code_bits
+        at += bit
+        if len(self.shards) > 1:
+            at += word // self.shard_words * self.tail_cells
+        return at
 
-    def _thinned(self, words, bounds, lanes, p_class, p_max, rows,
-                 by_word):
-        """One thinned draw over every shard's segment of ``words``,
-        each shard's candidates from its own generator.
+    def _candidates(self, bounds, p_max, lanes):
+        """One thinned candidate draw over every shard's (access, bit)
+        pairs — shard ``s`` owns accesses ``bounds[s]:bounds[s + 1]`` of
+        a mechanism's accesses — each shard's from its own generator:
+        the candidates' access positions, bits and thresholds."""
+        code_bits = self.actual.code_bits
+        if len(lanes) == 1:
+            flat, threshold = thinned_candidates(
+                int(bounds[1]) * code_bits, p_max, lanes[0].rng)
+        else:
+            flat, threshold = thinned_candidates(
+                [int(n) * code_bits for n in np.diff(bounds)], p_max,
+                [lane.rng for lane in lanes])
+        access, bit = np.divmod(flat, code_bits)
+        return access, bit, threshold
 
-        A candidate is a word-major position in ``words``' ``(n,
-        code_bits)`` cells. It maps to its cell arithmetically (no cell
-        gather) and takes its class from the class lookup, with the bit
-        of the packed codeword rows ``rows`` at its word's position in
-        ``words`` — or, ``by_word``, at its global word. Returns
-        ``(flipped positions, per-shard flip counts)``, the counts None
-        when nothing flipped.
+    def _intended_bits(self, word, acc, bit, w_at, cw):
+        """Codeword bit ``bit`` that each read at access ``acc`` intends:
+        that of its chain's last write before it (``cw`` holds the
+        writes at accesses ``w_at``), else the stored intended word."""
+        bits = self.intended.row_bits(self.intended.lanes, word[acc], bit)
+        if w_at.size:
+            j = np.searchsorted(w_at, acc) - 1
+            own = j >= 0
+            own[own] = word[w_at[j[own]]] == word[acc[own]]
+            if own.any():
+                bits[own] = self.actual.row_bits(cw, j[own], bit[own])
+        return bits
+
+    def _wrong_now(self, word, bit):
+        """bool: whether codeword bit ``bit`` of ``word`` is wrong."""
+        return (self.actual.row_bits(self.actual.lanes, word, bit)
+                != self.intended.row_bits(self.intended.lanes, word, bit))
+
+    def access(self, word, is_write, bounds, cw, lanes, corrects,
+               profiler):
+        """Apply one batch of every shard's accesses.
+
+        ``word`` (global words) and ``is_write`` list the batch in chain
+        order (see :meth:`ReliabilityEngine._apply_round_binomial`),
+        shard ``s``'s accesses at ``bounds[s]:bounds[s + 1]``; ``cw``
+        holds the writes' packed codewords in that order, and
+        ``corrects[n]`` says whether a read that counts ``n`` wrong
+        bits writes its word back.
+
+        A write stores its codeword with write errors; a read counts its
+        word's wrong bits, writes a correctable word back (with write
+        errors) and then suffers read disturb. Each shard draws on its
+        own generator one thinned candidate set per mechanism over the
+        batch's (access, bit) pairs: write errors over the written bits,
+        then write-back errors and disturb over the read bits. A write
+        or write-back candidate's class needs only the bit being
+        written, so it is accepted here; a disturb candidate's needs
+        the stored bit at its read, and a read's write-back its error
+        count, which :func:`_resolve_chains` settles for every chain
+        that starts the batch with a wrong bit or holds a write error
+        or a disturb candidate. The batch's net effect on each word
+        then lands on the planes.
+
+        Returns ``(read_at, n_err, write_errors, disturb_flips)``: the
+        accesses of the reads that counted a wrong bit and their
+        counts, and per-shard flip counts (None when none flipped).
         """
         code_bits = self.actual.code_bits
-        one = len(lanes) == 1
-
-        def class_of(flat):
-            position, bit = np.divmod(flat, code_bits)
-            word = words[position]
-            # The candidates' cells in the class lookup's stacked order.
-            at = word * code_bits
-            at += bit
-            if not one:
-                at += word // self.shard_words * self.tail_cells
-            return self.planes.classes(at, self.actual.row_bits(
-                rows, word if by_word else position, bit))
-
-        if one:
-            flat = sample_thinned_flips(bounds[1] * code_bits, p_class,
-                                        class_of, lanes[0].rng, p_max)
-        else:
-            flat = sample_thinned_flips(
-                [size * code_bits for size in _sizes(bounds)], p_class,
-                class_of, [lane.rng for lane in lanes], p_max=p_max)
-        if not flat.size:
-            return flat, None
-        counts = [flat.size]
-        if not one:
-            counts = np.bincount(np.searchsorted(
-                np.asarray(bounds) * code_bits, flat, side="right") - 1,
-                minlength=len(lanes))
-        return flat, counts
-
-    def write(self, words, bounds, cw, lanes, profiler):
-        """Store the packed codewords ``cw`` at ``words``, with write
-        errors."""
+        w_at = np.flatnonzero(is_write)
+        w_bounds = np.searchsorted(w_at, bounds)
+        r_bounds = np.asarray(bounds) - w_bounds
+        # Read k is access k + (the writes before it): no array of every
+        # read's access.
+        reads_before = w_at - np.arange(w_at.size)
         with _prof(profiler, "draw"):
-            flips, counts = self._thinned(words, bounds, lanes, self.wer_p,
-                                          self.wer_pmax, cw, False)
+            w_acc = w_bit = b_acc = b_bit = _NO_WORDS
+            pos, bit, threshold = self._candidates(
+                w_bounds, self.wer_pmax, lanes)
+            if pos.size:
+                keep = threshold < self.wer_p[self.planes.classes(
+                    self._class_cells(word[w_at[pos]], bit),
+                    self.actual.row_bits(cw, pos, bit))]
+                w_acc, w_bit = w_at[pos[keep]], bit[keep]
+            if corrects.any():
+                pos, bit, threshold = self._candidates(
+                    r_bounds, self.wer_pmax, lanes)
+                if pos.size:
+                    acc = pos + np.searchsorted(reads_before, pos,
+                                                side="right")
+                    keep = threshold < self.wer_p[self.planes.classes(
+                        self._class_cells(word[acc], bit),
+                        self._intended_bits(word, acc, bit, w_at, cw))]
+                    b_acc, b_bit = acc[keep], bit[keep]
+            pos, bit, threshold = self._candidates(
+                r_bounds, self.disturb_pmax, lanes)
+            d_acc = pos + np.searchsorted(reads_before, pos, side="right")
+            cells = self._class_cells(word[d_acc], bit)
+            stored = np.zeros(pos.size, dtype=np.uint16)
+            # Accepted if the stored bit is 0, and if it is 1.
+            d0 = threshold < self.disturb_p[
+                self.planes.classes(cells, stored)]
+            stored += 1
+            d1 = threshold < self.disturb_p[
+                self.planes.classes(cells, stored)]
+            keep = d0 | d1
+            d_acc, d_bit, d0, d1 = d_acc[keep], bit[keep], d0[keep], d1[keep]
+
+        starts = np.empty(word.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(word[1:], word[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
+        dirty = _NO_WORDS
+        if self.wrong_bits:
+            # A chain's wrong bits matter only to the reads before its
+            # first write.
+            dirty = starts[~is_write[starts]]
+            dirty = dirty[self.err_count[word[dirty].astype(np.intp)] > 0]
+        d_intended = d_wrong = d0
+        if d_acc.size:
+            d_acc, d_bit, d0, d1, d_intended, d_wrong = self._settle_lone(
+                word, d_acc, d_bit, d0, d1, w_acc, w_bit, b_acc, b_bit,
+                w_at, cw)
+        events = np.concatenate([dirty, w_acc, d_acc])
+        if not events.size:
+            # No wrong bit anywhere in the batch's chains: the writes
+            # store clean codewords and every read is clean.
+            if w_at.size:
+                self._store_last_writes(word, w_at, cw, _NO_WORDS,
+                                        _NO_WORDS, profiler)
+            return _NO_WORDS, _NO_WORDS, None, None
+
+        # Only the chains with an event need resolving: index their
+        # accesses compactly, chain by chain.
+        ends = np.append(starts[1:], word.size)
+        active = np.unique(np.searchsorted(starts, events, side="right") - 1)
+        lo, lengths = starts[active], ends[active] - starts[active]
+        offset = np.zeros(active.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offset[1:])
+        act = np.arange(offset[-1])
+        act += np.repeat(lo - offset[:-1], lengths)
+        first = np.repeat(offset[:-1], lengths)
+
+        def local(acc):
+            """Compact index of accesses ``acc`` of active chains."""
+            chain = np.searchsorted(lo, acc, side="right") - 1
+            return offset[chain] + acc - lo[chain]
+
+        wrong0 = np.zeros(act.size, dtype=np.int64)
+        wrong0[local(dirty)] = self.err_count[word[dirty]]
+        chain = np.searchsorted(lo, b_acc, side="right") - 1
+        keep = (chain >= 0) & (b_acc < (lo + lengths)[chain])
+        b_acc, b_bit = b_acc[keep], b_bit[keep]
+        # Events in access order, a read's write-back errors before its
+        # disturb candidates.
+        at = local(np.concatenate([w_acc, b_acc, d_acc]))
+        order = np.argsort(2 * at + np.repeat(
+            [0, 0, 1], [w_acc.size, b_acc.size, d_acc.size]), kind="stable")
+        head = np.zeros(w_acc.size + b_acc.size, dtype=bool)
+        chains = _resolve_chains(
+            is_write[act], first, wrong0, at[order],
+            np.concatenate([w_bit, b_bit, d_bit])[order],
+            np.repeat([_W, _WB, _D],
+                      [w_acc.size, b_acc.size, d_acc.size])[order],
+            *(np.concatenate([head, d])[order] for d in (
+                d0, d1, d_intended.astype(bool), d_wrong)),
+            corrects, code_bits)
+
+        acc = act[chains.at]
+        flipped = chains.flip
+        final = flipped & chains.final
+        bit = chains.bit
+        if w_at.size:
+            sel = final & (chains.kind == _W)
+            self._store_last_writes(word, w_at, cw, acc[sel], bit[sel],
+                                    profiler)
+        restored = act[chains.fin[chains.fin >= 0]]
+        restored = restored[~is_write[restored]]
+        if restored.size:
+            sel = final & (chains.kind == _WB)
+            flips = np.searchsorted(restored, acc[sel]) * code_bits
+            flips += bit[sel]
+            with _prof(profiler, "place"):
+                self.restore_words(word[restored], flips)
+        sel = final & (chains.kind == _D)
+        if sel.any():
+            # Two disturb flips of one cell in one segment cancel.
+            cells, times = np.unique(word[acc[sel]] * code_bits + bit[sel],
+                                     return_counts=True)
+            with _prof(profiler, "place"):
+                self.toggle(cells[times % 2 == 1])
+
+        wrong = chains.n_err > 0
+        errors = flipped & ((chains.kind == _W) | (chains.kind == _WB))
+        disturbed = flipped & (chains.kind == _D)
+        if len(lanes) == 1:
+            counts = ([int(np.count_nonzero(errors))],
+                      [int(np.count_nonzero(disturbed))])
+        else:
+            shard = word[acc] // self.shard_words
+            counts = (np.bincount(shard[errors], minlength=len(lanes)),
+                      np.bincount(shard[disturbed], minlength=len(lanes)))
+        return (act[chains.reads[wrong]], chains.n_err[wrong], *counts)
+
+    def _settle_lone(self, word, d_acc, d_bit, d0, d1, w_acc, w_bit, b_acc,
+                     b_bit, w_at, cw):
+        """The disturb candidates that may flip, with their intended
+        bits and whether their bit starts the batch wrong.
+
+        A candidate alone on its cell — no write error, write-back
+        error or other disturb candidate on the same bit of its word
+        this batch — whose bit starts the batch right sees its intended
+        bit: it is settled here, and dropped if that rejects it (the
+        common case: a disturb table is lopsided between stored 0 and
+        1)."""
+        code_bits = self.actual.code_bits
+        intended = self._intended_bits(word, d_acc, d_bit, w_at, cw)
+        wrong = (self._wrong_now(word[d_acc], d_bit) if self.wrong_bits
+                 else np.zeros(d_acc.size, dtype=bool))
+        cells = np.concatenate([word[acc] * code_bits + bit for acc, bit in
+                                ((d_acc, d_bit), (w_acc, w_bit),
+                                 (b_acc, b_bit))])
+        _, first, times = np.unique(cells, return_index=True,
+                                    return_counts=True)
+        lone = np.zeros(d_acc.size, dtype=bool)
+        alone = first[(times == 1) & (first < d_acc.size)]
+        lone[alone] = ~wrong[alone]
+        keep = ~lone | np.where(intended.astype(bool), d1, d0)
+        return (d_acc[keep], d_bit[keep], d0[keep], d1[keep],
+                intended[keep], wrong[keep])
+
+    def _store_last_writes(self, word, w_at, cw, flip_acc, flip_bit,
+                           profiler):
+        """Store every chain's last write (at accesses ``w_at``, their
+        codewords ``cw``), with write errors at the bits ``flip_bit`` of
+        the writes at ``flip_acc``."""
+        # Index arrays as intp: numpy converts narrower ones per use.
+        w_word = word[w_at].astype(np.intp)
+        last = np.empty(w_at.size, dtype=bool)
+        last[-1] = True
+        np.not_equal(w_word[1:], w_word[:-1], out=last[:-1])
+        last = np.flatnonzero(last)
+        flips = np.searchsorted(w_at[last], flip_acc) * self.actual.code_bits
+        flips += flip_bit
         with _prof(profiler, "place"):
-            self.write_words(words, cw, flips)
-        return counts
+            self.write_words(w_word[last], cw.take(last, axis=0), flips)
 
     def error_counts(self, words):
         return self.err_count[words]
 
     def rewrite(self, words, bounds, lanes, reclassify=False):
-        """Restore whole words through the write path. The class snapshot
+        """Restore whole words through the write path, each shard's
+        write errors from its own generator. The class snapshot
         refreshes at batch boundaries only, so a scrub's rewrites
         (``reclassify``) reuse the batch's classes — unlike the per-cell
         test reference, a second-order difference at rare-event rates,
         where the classes differ only around the handful of freshly
         flipped cells."""
-        flips, counts = self._thinned(words, bounds, lanes, self.wer_p,
-                                      self.wer_pmax, self.intended.lanes,
-                                      True)
-        self.restore_words(words, flips)
-        return counts
+        code_bits = self.actual.code_bits
 
-    def disturb(self, words, bounds, lanes, profiler):
-        # Candidates are classified lazily, from the post-rewrite
-        # stored bits.
-        with _prof(profiler, "draw"):
-            flips, counts = self._thinned(
-                words, bounds, lanes, self.disturb_p, self.disturb_pmax,
-                self.actual.lanes, True)
-        if flips.size:
-            with _prof(profiler, "place"):
-                self.toggle(self._cells(words, flips))
-        return counts
+        def class_of(flat):
+            position, bit = np.divmod(flat, code_bits)
+            word = words[position]
+            return self.planes.classes(
+                self._class_cells(word, bit),
+                self.intended.row_bits(self.intended.lanes, word, bit))
+
+        sizes = [n * code_bits for n in _sizes(bounds)]
+        if len(lanes) == 1:
+            flips = sample_thinned_flips(sizes[0], self.wer_p, class_of,
+                                         lanes[0].rng, self.wer_pmax)
+        else:
+            flips = sample_thinned_flips(sizes, self.wer_p, class_of,
+                                         [lane.rng for lane in lanes],
+                                         p_max=self.wer_pmax)
+        self.restore_words(words, flips)
+        if not flips.size:
+            return None
+        if len(lanes) == 1:
+            return [flips.size]
+        return np.bincount(np.searchsorted(
+            np.asarray(bounds) * code_bits, flips, side="right") - 1,
+            minlength=len(lanes))
 
     def toggle(self, flat_idx):
         """Flip ``actual`` at flat cells (duplicate-free indices), in
@@ -1168,7 +1376,7 @@ class _PackedState:
         inject errors at ``flips``: word-major positions in the written
         words' ``(len(word_idx), code_bits)`` cells."""
         self._clear_counts(word_idx)
-        cw = np.ascontiguousarray(cw).view(self._actual_rows.dtype)[:, 0]
+        cw = row_items(np.ascontiguousarray(cw))
         self._intended_rows[word_idx] = cw
         self._actual_rows[word_idx] = cw
         self._inject(word_idx, flips)
@@ -1277,21 +1485,25 @@ def build_engine(device, pitch, rows=64, cols=64, ecc="secded",
                              half_select_exposure=half_select_exposure)
 
 
-def _occurrence_rank(words, n_words=None):
+def _occurrence_rank(words, n_words=None, return_order=False):
     """Occurrence index of every element within its equal-value group.
 
     ``_occurrence_rank([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]`` — the r-th
-    access to each word lands in round ``r``, preserving the sequential
-    semantics of repeated accesses without a per-transaction loop.
+    access to each word is link ``r`` of its chain (the word's accesses
+    in batch order), which keeps the sequential semantics of repeated
+    accesses without a per-transaction loop.
 
     ``n_words`` bounds the addresses (default: the largest plus one).
     Up to 65536 words the sort runs on ``uint16`` keys, where numpy's
     stable sort is a radix sort (~8x faster than on int64 keys); the
-    order, and so the rank, is the same.
+    order, and so the rank, is the same. ``return_order=True`` returns
+    ``(rank, order)``, ``order`` the sort's permutation: the accesses
+    in chain order.
     """
     n = words.shape[0]
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        rank = np.zeros(0, dtype=np.int64)
+        return (rank, rank.copy()) if return_order else rank
     if n_words is None:
         n_words = int(words.max()) + 1
     order = np.argsort(words.astype(np.uint16) if n_words <= 65536
@@ -1305,4 +1517,131 @@ def _occurrence_rank(words, n_words=None):
         np.where(new_group, np.arange(n), 0))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n) - starts
-    return rank
+    return (rank, order) if return_order else rank
+
+
+def _chain_order(batch, n_words, offset, word, is_write):
+    """Write a :class:`~repro.memsys.traffic.TrafficBatch`'s accesses
+    into ``word`` (each plus ``offset``) and ``is_write`` in chain
+    order: by word, each word's accesses in batch order — the stable
+    sort behind :func:`_occurrence_rank`."""
+    _, order = _occurrence_rank(batch.word, n_words, return_order=True)
+    np.add(batch.word[order], offset, out=word, casting="unsafe")
+    is_write[:] = batch.is_write[order]
+
+
+#: Kinds of chain event: a write's write error, a write-back's write
+#: error, a disturb candidate.
+_W, _WB, _D = range(3)
+
+
+def _resolve_chains(is_write, first, wrong0, at, bit, kind, accept0,
+                    accept1, intended, wrong, corrects, code_bits):
+    """Settle every chain of a batch at once, by fixed-point passes.
+
+    The chains' accesses are indexed ``0..A`` in chain order;
+    ``is_write`` marks the writes, ``first`` holds each access's chain
+    start, and ``wrong0`` the number of wrong bits each chain starts the
+    batch with (at its start). A write stores its codeword; a read
+    counts the bits its *segment* — the chain since its last store, or
+    since the batch start — left wrong, and iff ``corrects[count]``
+    writes its word back (a store too). After an access come its
+    events (``E`` of them, sorted by access ``at``), each at codeword
+    bit ``bit``: ``_W``, a write error of the write; ``_WB``, a write
+    error of the read's write-back (real only if it writes back); then
+    ``_D``, a disturb candidate of the read, which flips if ``accept1``
+    (stored bit 1) or ``accept0`` (stored bit 0) says so. Its stored
+    bit is its ``intended`` bit — flipped if the bit was ``wrong`` at
+    the batch start and no store came since — unless its segment
+    flipped it an odd number of times.
+
+    Each unknown — a disturb candidate's flip, a read's write-back —
+    depends only on the unknowns before it in its chain. So a pass
+    that recomputes all of them from the previous pass's values fixes
+    at least one more link of every chain, and the first pass that
+    changes nothing has reached the one consistent (sequential)
+    outcome; the number of passes is the chains' conflict depth plus
+    one.
+
+    Returns a namespace: per event in (chain, bit, access) order its
+    ``at``, ``bit``, ``kind``, whether it ``flip``-ped, whether it is
+    in its chain's ``final`` segment; per chain the access of its last
+    store ``fin`` (-1: none this batch); the accesses of the ``reads``
+    and each one's error count ``n_err``; and the ``passes`` taken.
+    """
+    n_events = at.size
+    index = np.arange(is_write.size)
+    reads = np.flatnonzero(~is_write)
+    # Events grouped by cell (chain, bit), each cell's in access order.
+    cell = first[at] * code_bits + bit
+    perm = np.argsort(cell, kind="stable")
+    cell = cell[perm]
+    new_cell = np.empty(n_events, dtype=bool)
+    new_cell[:1] = True
+    np.not_equal(cell[1:], cell[:-1], out=new_cell[1:])
+    at, bit, kind = at[perm], bit[perm], kind[perm]
+    chain = first[at]
+    write_back = np.flatnonzero(kind == _WB)
+    wb_read = np.searchsorted(reads, at[write_back])
+    disturb = np.flatnonzero(kind == _D)
+    accept0, accept1 = accept0[perm][disturb], accept1[perm][disturb]
+    intended, wrong = intended[perm][disturb], wrong[perm][disturb]
+    flip = (kind == _W).astype(np.int64)
+    # Events before each access, in access order: a segment that
+    # starts at access i (a store, or the chain's batch start) counts
+    # from ``before[i]``, and a read at i up to ``before[i]``.
+    before = np.zeros(index.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(at, minlength=index.size), out=before[1:])
+    counted = before[reads]
+    read_first = first[reads]
+    positions = np.arange(n_events)
+
+    # Guess: no read writes back, no disturb candidate meets a flip.
+    writes_back = np.zeros(reads.size, dtype=bool)
+    flips = np.where(intended ^ wrong, accept1, accept0)
+    for passes in itertools.count(1):
+        store = is_write.copy()
+        store[reads[writes_back]] = True
+        last = np.maximum.accumulate(np.where(store, index, -1))
+        segment = last[at]
+        segment[segment < chain] = -1
+        flip[write_back] = writes_back[wb_read]
+        flip[disturb] = flips
+        start = new_cell.copy()
+        start[1:] |= segment[1:] != segment[:-1]
+        parity = np.cumsum(flip)
+        parity -= flip
+        parity -= parity[np.maximum.accumulate(
+            np.where(start, positions, 0))]
+        parity &= 1
+        parity[disturb] ^= wrong & (segment[disturb] < 0)
+        new_flips = np.where(intended ^ parity[disturb].astype(bool),
+                             accept1, accept0)
+        # Each flip makes its bit wrong (+1) or right again (-1); a
+        # read's count sums its segment's flips before it.
+        delta = np.empty(n_events, dtype=np.int64)
+        delta[perm] = flip * (1 - 2 * parity)
+        total = np.zeros(n_events + 1, dtype=np.int64)
+        np.cumsum(delta, out=total[1:])
+        prior = last[reads - 1]
+        if reads.size and reads[0] == 0:
+            prior[0] = -1
+        fresh = prior < read_first
+        n_err = total[counted] - total[before[np.where(
+            fresh, read_first, prior)]]
+        n_err[fresh] += wrong0[read_first[fresh]]
+        new_writes_back = corrects[n_err]
+        if (np.array_equal(new_flips, flips)
+                and np.array_equal(new_writes_back, writes_back)):
+            break
+        if passes > flips.size + reads.size:
+            raise RuntimeError("chain resolution did not settle")
+        flips, writes_back = new_flips, new_writes_back
+
+    starts = np.flatnonzero(first == index)
+    fin = last[np.append(starts[1:], index.size) - 1]
+    fin[fin < starts] = -1
+    final = segment == fin[np.searchsorted(starts, chain)]
+    return SimpleNamespace(at=at, bit=bit, kind=kind,
+                           flip=flip.astype(bool), final=final, fin=fin,
+                           reads=reads, n_err=n_err, passes=passes)

@@ -8,8 +8,10 @@ subset of it, takes at most ``2 x 5 x 5 = 50`` distinct probabilities
 mechanism would, at rare-event operating points (WER <= 1e-6), spend
 billions of uniforms per observed flip. The engine's sampler instead
 draws every term — the whole array's retention and sneak terms
-(:func:`sample_class_flips`) as well as the cells one round writes or
-reads — by exact thinning (:func:`sample_thinned_flips`):
+(:func:`sample_class_flips`) as well as the cells one batch writes or
+reads — by exact thinning (:func:`sample_thinned_flips`, or
+:func:`thinned_candidates` where a candidate's class is known only
+later):
 
 1. draws the candidate count ``K ~ Binomial(n, p_max)``, ``p_max`` the
    table's largest class probability,
@@ -61,45 +63,34 @@ def class_index(bits, nd, ng, out=None):
     return idx
 
 
-def sample_thinned_flips(n, p_class, class_of, rng, p_max=None):
-    """Flat indices of flipped cells among ``n`` cells.
+def thinned_candidates(n, p_max, rng):
+    """Candidates and thresholds of a thinned draw among ``n`` cells.
 
-    Exact thinning: draw the candidate count from ``Binomial(n,
-    p_max)`` where ``p_max = max(p_class)``, place candidates by index
-    choice, then classify only the candidates (``class_of(idx) ->
-    0..49``) and accept each with ``p_class[class] / p_max``.
-
-    Equivalence: i.i.d. ``Bernoulli(p_max)`` indicators over ``n``
-    cells have exactly the law Binomial-total + uniform placement
-    (exchangeability), and independent acceptance with ``p_c / p_max``
-    thins each candidate to ``Bernoulli(p_c)`` — the target field.
+    Draws the candidate count from ``Binomial(n, p_max)``, places the
+    candidates by index choice (without replacement) and gives each a
+    threshold ``u * p_max``, ``u`` uniform. A candidate of class ``c``
+    is accepted iff its threshold is below ``p_class[c]``: the caller
+    classifies and accepts later, when the class is known.
 
     ``n`` may also be a sequence of population sizes with ``rng`` a
     matching sequence of generators: consecutive populations (indices
-    run on across them), each drawing its candidates from its own
-    generator exactly as it would alone, and one ``class_of`` call
-    classifying every candidate.
-
-    Callers on a hot loop may pass ``p_max`` (with ``p_class`` already
-    clipped to [0, 1]) to skip the per-call table scan.
+    run on across them), each drawing from its own generator exactly
+    as it would alone. Returns ``(candidates, thresholds)``.
     """
-    if p_max is None:
-        p_class = np.clip(np.asarray(p_class, dtype=float), 0.0, 1.0)
-        p_max = float(p_class.max())
     if p_max <= 0.0:
-        return np.empty(0, dtype=np.intp)
+        return _no_candidates()
     if not isinstance(n, (list, tuple)):
         # One population: the same draws as the loop below, without
-        # its lists (the common case of every unsharded round).
+        # its lists.
         n = int(n)
         k = int(rng.binomial(n, p_max)) if n > 0 else 0
         if not k:
-            return np.empty(0, dtype=np.intp)
+            return _no_candidates()
         candidates = rng.choice(n, size=k, replace=False)
-        uniforms = rng.random(k)
-        uniforms *= p_max
-        return candidates[uniforms < p_class[class_of(candidates)]]
-    candidates, uniforms = [], []
+        thresholds = rng.random(k)
+        thresholds *= p_max
+        return candidates, thresholds
+    candidates, thresholds = [], []
     base = 0
     for size, gen in zip(n, rng):
         size = int(size)
@@ -108,14 +99,43 @@ def sample_thinned_flips(n, p_class, class_of, rng, p_max=None):
             if k:
                 candidates.append(gen.choice(size, size=k, replace=False)
                                   + base)
-                uniforms.append(gen.random(k))
+                thresholds.append(gen.random(k))
         base += size
     if not candidates:
-        return np.empty(0, dtype=np.intp)
-    candidates = np.concatenate(candidates)
-    accept = (np.concatenate(uniforms) * p_max
-              < p_class[class_of(candidates)])
-    return candidates[accept]
+        return _no_candidates()
+    return np.concatenate(candidates), np.concatenate(thresholds) * p_max
+
+
+def _no_candidates():
+    """An empty draw: no candidates, no thresholds."""
+    return np.empty(0, dtype=np.intp), np.empty(0)
+
+
+def sample_thinned_flips(n, p_class, class_of, rng, p_max=None):
+    """Flat indices of flipped cells among ``n`` cells.
+
+    Exact thinning: the candidates of :func:`thinned_candidates` at
+    ``p_max = max(p_class)``, classified (``class_of(idx) -> 0..49``)
+    and each accepted with ``p_class[class] / p_max``.
+
+    Equivalence: i.i.d. ``Bernoulli(p_max)`` indicators over ``n``
+    cells have exactly the law Binomial-total + uniform placement
+    (exchangeability), and independent acceptance with ``p_c / p_max``
+    thins each candidate to ``Bernoulli(p_c)`` — the target field.
+
+    ``n`` and ``rng`` may be sequences as for
+    :func:`thinned_candidates`; one ``class_of`` call classifies every
+    candidate. Callers on a hot loop may pass ``p_max`` (with
+    ``p_class`` already clipped to [0, 1]) to skip the per-call table
+    scan.
+    """
+    if p_max is None:
+        p_class = np.clip(np.asarray(p_class, dtype=float), 0.0, 1.0)
+        p_max = float(p_class.max())
+    candidates, thresholds = thinned_candidates(n, p_max, rng)
+    if not candidates.size:
+        return candidates
+    return candidates[thresholds < p_class[class_of(candidates)]]
 
 
 def sample_class_flips(planes, shard, p_class, rng, p_max=None):
@@ -236,7 +256,7 @@ class ClassPlanes:
         words = plane.n_words // n
         nb = code_bits // 8
         as_strided(stream, (n, words, nb), (stream.strides[0], nb, 1))[
-            ...] = plane.lanes.view(np.uint8).reshape(n, words, -1)[..., :nb]
+            ...] = plane.word_bytes().reshape(n, words, -1)[..., :nb]
         if plane.tail.size:
             stream[:, words * nb:] = np.packbits(
                 plane.tail.view(np.uint8).reshape(n, -1), axis=1,

@@ -20,8 +20,8 @@ In process, the shards run *stacked*: one
 :meth:`~repro.memsys.engine.ReliabilityEngine.run_shards` call
 advances every subarray in lockstep over one stacked state (global
 word ``shard * words_per_shard + local``, the address map's
-convention), so each occurrence-rank round's numpy work is paid once
-for the whole chip instead of once per shard, while every shard still
+convention), so each batch pass's numpy work is paid once for the
+whole chip instead of once per shard, while every shard still
 draws only from its own generator. The ``"process"`` and
 ``"distributed"`` sweep executors instead run one sub-run per shard
 across cores or hosts, on the sweep runner's one chunk schedule.

@@ -44,7 +44,9 @@ from .framing import MAX_LINE_BYTES, decode_line, encode_line  # noqa: F401
 #: Version 4: sampled runs draw the whole-array retention and sneak
 #: terms by thinning, so seeded answers moved again.
 #: Version 5: uber queries lost their ``backend`` parameter.
-PROTOCOL_VERSION = 5
+#: Version 6: sampled runs draw each batch's accesses per mechanism and
+#: resolve them as per-word chains, so seeded answers moved again.
+PROTOCOL_VERSION = 6
 
 #: Distinct eCDs whose stack key :func:`query_fingerprint` keeps; clients
 #: choose ``ecd_nm``, so the memo is bounded.

@@ -1,13 +1,15 @@
 """Per-cell Monte-Carlo reference for the engine tests and benches.
 
 The engine draws thinned binomial flip counts over bit-packed state
-(``repro.memsys.engine._PackedState``). Its reference is the per-cell
-Bernoulli field: one uniform per exposed cell per mechanism against
-dense int8 planes, which is what the thinned draws must
-reproduce in law. That state lives here, outside the product, and
-:func:`per_cell_reference` swaps it in for a block of code: the
-statistical-equivalence tests and the speedup floors run the same
-driver over both states and compare.
+(``repro.memsys.engine._PackedState``) and settles each batch's
+per-word access chains in a few vectorized passes. Its reference is
+the per-cell Bernoulli field applied in order: one uniform per exposed
+cell per mechanism against dense int8 planes, every word's accesses
+replayed one after another — which is what the engine must reproduce
+in law. That state and its in-order driver live here, outside the
+product, and :func:`per_cell_reference` swaps them in for a block of
+code: the statistical-equivalence tests and the speedup floors run the
+same engine over both states and compare.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from repro.memsys import engine as engine_module
 from repro.memsys.bitplane import unpack_bits
 from repro.memsys.controller import neighborhood_class_map
-from repro.memsys.engine import _prof, _segments, _shard_of
+from repro.memsys.engine import _prof, _segments, _sizes
 
 
 @contextmanager
@@ -51,6 +53,14 @@ def per_cell_reference():
         engine_module._PackedState = saved
 
 
+def _shard_of(bounds):
+    """Owning shard of every position of a ``bounds``-cut array, or
+    None when one shard owns them all."""
+    if len(bounds) == 2:
+        return None
+    return np.repeat(np.arange(len(bounds) - 1), _sizes(bounds))
+
+
 def _shard_sums(shard, values, n_shards):
     """Per-shard integer sums of ``values``, ``shard`` as from
     ``_shard_of``."""
@@ -68,6 +78,12 @@ def _flip_counts(flips, bounds):
     return _shard_sums(shard, flips.sum(axis=1), len(bounds) - 1)
 
 
+def _step_bounds(shard, n_shards):
+    """Per-shard bounds of one step's accesses, ``shard`` the owning
+    shard of each (ascending)."""
+    return np.searchsorted(shard, np.arange(n_shards + 1)).tolist()
+
+
 class _DenseState:
     """Dense int8 planes of the bernoulli reference path.
 
@@ -78,12 +94,8 @@ class _DenseState:
     plane (``C`` cells per shard, row-major), and word ``w`` of shard
     ``s`` its ``[w * code_bits, (w + 1) * code_bits)`` cells there —
     row ``[s, w]`` of a plane's :meth:`_by_word` view, so accesses
-    gather whole words and no per-cell index table exists. Dense
-    planes keep no running error total, so every read books its
-    errors (``wrong_bits`` is always true).
+    gather whole words and no per-cell index table exists.
     """
-
-    wrong_bits = True
 
     def __init__(self, intended, actual, controller):
         self.intended = intended
@@ -168,14 +180,66 @@ class _DenseState:
             self.actual[cells] ^= flips
         return int(flips.sum())
 
-    def write(self, words, bounds, cw, lanes, profiler):
-        cw = unpack_bits(cw, self.code_bits)
-        at = self._at(words)
-        errs = self._draw(self.wer_p, cw, at, bounds, lanes, profiler)
-        with _prof(profiler, "place"):
-            self.intended_words[at] = cw
-            self.actual_words[at] = cw ^ errs
-        return _flip_counts(errs, bounds)
+    def access(self, word, is_write, bounds, cw, lanes, corrects,
+               profiler):
+        """The batch in order, step by step: step ``r`` applies every
+        word's ``r``-th access (``word`` is in chain order, so it is
+        each chain's ``r``-th link), each shard's uniforms from its own
+        generator. A write stores its codeword with write errors; a
+        read counts its word's wrong bits, writes a correctable word
+        back with write errors, then draws its disturb from the bits
+        now stored. Returns the engine state's ``(read_at, n_err,
+        write_errors, disturb_flips)``."""
+        n_shards = len(bounds) - 1
+        cw = unpack_bits(cw, self.code_bits) if cw is not None else None
+        shard = np.repeat(np.arange(n_shards), np.diff(bounds))
+        chain_start = np.ones(word.size, dtype=bool)
+        chain_start[1:] = word[1:] != word[:-1]
+        link = np.arange(word.size) - np.maximum.accumulate(
+            np.where(chain_start, np.arange(word.size), 0))
+        write_no = np.cumsum(is_write) - 1
+        read_no = np.cumsum(~is_write) - 1
+        n_err = np.zeros(int(np.count_nonzero(~is_write)), dtype=np.int64)
+        write_errors = np.zeros(n_shards, dtype=np.int64)
+        disturb_flips = np.zeros(n_shards, dtype=np.int64)
+        for step in range(int(link.max()) + 1 if word.size else 0):
+            here = np.flatnonzero(link == step)
+            writes = here[is_write[here]]
+            if writes.size:
+                at = self._at(word[writes])
+                bits = cw[write_no[writes]]
+                step_bounds = _step_bounds(shard[writes], n_shards)
+                errs = self._draw(self.wer_p, bits, at, step_bounds, lanes,
+                                  profiler)
+                self.intended_words[at] = bits
+                self.actual_words[at] = bits ^ errs
+                write_errors += _flip_counts(errs, step_bounds)
+            reads = here[~is_write[here]]
+            if not reads.size:
+                continue
+            at = self._at(word[reads])
+            counts = (self.actual_words[at]
+                      != self.intended_words[at]).sum(axis=1)
+            n_err[read_no[reads]] = counts
+            fix = corrects[counts]
+            if fix.any():
+                fixed = reads[fix]
+                at_fix = self._at(word[fixed])
+                step_bounds = _step_bounds(shard[fixed], n_shards)
+                bits = self.intended_words[at_fix]
+                errs = self._draw(self.wer_p, bits, at_fix, step_bounds,
+                                  lanes, profiler)
+                self.actual_words[at_fix] = bits ^ errs
+                write_errors += _flip_counts(errs, step_bounds)
+            step_bounds = _step_bounds(shard[reads], n_shards)
+            flips = self._draw(self.disturb_p, self.actual_words[at], at,
+                               step_bounds, lanes, profiler)
+            with _prof(profiler, "place"):
+                self.actual_words[at] ^= flips
+            disturb_flips += _flip_counts(flips, step_bounds)
+        read_at = np.flatnonzero(~is_write)
+        return (read_at[n_err > 0], n_err[n_err > 0], write_errors,
+                disturb_flips)
 
     def error_counts(self, words):
         at = self._at(words)
@@ -194,11 +258,3 @@ class _DenseState:
         errs = self._draw(self.wer_p, cw, at, bounds, lanes, maps=maps)
         self.actual_words[at] = cw ^ errs
         return _flip_counts(errs, bounds)
-
-    def disturb(self, words, bounds, lanes, profiler):
-        at = self._at(words)
-        flips = self._draw(self.disturb_p, self.actual_words[at], at,
-                           bounds, lanes, profiler)
-        with _prof(profiler, "place"):
-            self.actual_words[at] ^= flips
-        return _flip_counts(flips, bounds)

@@ -8,6 +8,8 @@ reference (``memsys_reference.per_cell_reference``).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -682,3 +684,75 @@ class TestEngineEquivalence:
         engine = build_engine(device, pitch=70e-9, rows=16, cols=16)
         ctl = engine.controller
         assert np.all(ctl.retention_class_probability(0.0) == 0.0)
+
+
+#: Corners of the seed-replicate comparison against the per-cell
+#: reference (70 nm pitch, default nominal WER and batch size).
+REFERENCE_CORNERS = {
+    "flat-64": dict(rows=64, cols=64),
+    "write-heavy-128": dict(rows=128, cols=128, workload="write-heavy"),
+    "banked-scrub": dict(rows=128, cols=128, banks=2, subarrays=2,
+                         scrub=2e-5),
+    "no-ecc": dict(rows=64, cols=64, ecc="none"),
+}
+
+#: Family-wise false-alarm level of one comparison: each counter's
+#: test runs at this level over the number of tests (Bonferroni).
+FAMILY_ALPHA = 0.01
+
+
+def _replicates(device, n_seeds, n_transactions, reference):
+    """Per corner, every counter of ``n_seeds`` seeded runs."""
+    from repro.memsys import ScrubPolicy
+    from repro.memsys.engine import _COUNTERS
+
+    runs = {}
+    for name, kwargs in REFERENCE_CORNERS.items():
+        kwargs = dict(kwargs)
+        if "scrub" in kwargs:
+            kwargs["scrub"] = ScrubPolicy(kwargs["scrub"])
+        engine = build_engine(device, pitch=70e-9, **kwargs)
+        with per_cell_reference() if reference else nullcontext():
+            results = [engine.run(n_transactions, rng=1000 + seed)
+                       for seed in range(n_seeds)]
+        runs[name] = {counter: np.array([getattr(r, counter)
+                                         for r in results], dtype=float)
+                      for counter in _COUNTERS}
+    return runs
+
+
+def _compare_to_reference(device, n_seeds, n_transactions):
+    """Welch's two-sample test per corner and counter, engine seeds
+    against reference seeds, at family-wise level :data:`FAMILY_ALPHA`.
+
+    A persisted wrong bit is counted again by every read of its word,
+    so one run's counters are overdispersed and a per-run binomial
+    interval does not fit; independent seed replicates do."""
+    from scipy.stats import ttest_ind
+
+    engine = _replicates(device, n_seeds, n_transactions, False)
+    reference = _replicates(device, n_seeds, n_transactions, True)
+    tests = []
+    for corner in REFERENCE_CORNERS:
+        for counter, a in engine[corner].items():
+            b = reference[corner][counter]
+            if np.ptp(a) == 0 and np.ptp(b) == 0:
+                # Fixed by the run's shape (or never seen): equal.
+                assert a[0] == b[0], (corner, counter)
+                continue
+            tests.append((corner, counter,
+                          ttest_ind(a, b, equal_var=False).pvalue))
+    failed = [test for test in tests
+              if test[2] < FAMILY_ALPHA / len(tests)]
+    assert len(tests) > 4 * 8 and not failed, failed
+
+
+def test_counters_match_the_reference_over_seeds(device):
+    """Seeded tier-1 subset of the comparison: 16 seeds per side."""
+    _compare_to_reference(device, n_seeds=16, n_transactions=5000)
+
+
+@pytest.mark.slow
+def test_counters_match_the_reference_over_40_seeds(device):
+    """The full comparison: 40 seeds per side, 20,000 transactions."""
+    _compare_to_reference(device, n_seeds=40, n_transactions=20_000)

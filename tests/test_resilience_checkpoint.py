@@ -233,6 +233,16 @@ class TestRunIdentity:
         self._refuses_without(eval_device, tmp_path, kill_after,
                               "drift_stream")
 
+    @pytest.mark.parametrize("kill_after", [3, None])
+    def test_checkpoint_of_the_round_access_stream_is_refused(
+            self, eval_device, tmp_path, kill_after):
+        """A checkpoint written while a batch's accesses drew their
+        flips one occurrence-rank round at a time (its identity has no
+        ``access_stream``) would resume into a mixed stream, so it is
+        refused by name."""
+        self._refuses_without(eval_device, tmp_path, kill_after,
+                              "access_stream")
+
     def test_payload_without_identity_never_resumes(self, eval_device,
                                                     tmp_path):
         """A stored payload carrying no identity cannot be shown to be
@@ -313,7 +323,8 @@ class TestFormatChange:
     """A checkpoint in the layout written before the sidecar shrank to
     one digest and the payload lost its key still resumes,
     byte-identical: those extras are never read. (Its identity must
-    still match, ``write_stream`` and ``drift_stream`` included.)"""
+    still match, ``write_stream``, ``drift_stream`` and
+    ``access_stream`` included.)"""
 
     @pytest.mark.parametrize("kill_after", [3, None])
     def test_older_format_checkpoint_resumes_byte_identical(

@@ -125,13 +125,13 @@ class TestParseRequest:
     def test_valid_queries_keep_their_fingerprints(self):
         # Keys memoized by servers before names were checked at parse
         # time; checking must not re-key a valid query. (Re-pinned at
-        # protocol version 5, which re-keys every query on purpose.)
+        # protocol version 6, which re-keys every query on purpose.)
         pinned = {
-            "cd55697f35550a4986d95187c9f7592d": {"op": "uber"},
-            "a1c10337afa1326b2a93a9c74e791bb3": {
+            "55faa1c07f5a22c42a854949db03e7a7": {"op": "uber"},
+            "686a7faf7304d413846e079695865d08": {
                 "op": "uber", "topology": "cross-point", "banks": 2,
                 "subarrays": 4, "ecc": "none", "pattern": "solid1"},
-            "063ac3e3f37f9f93b4491629681d48e4": {
+            "2225bc328b5a86cdac3c05794f6494f3": {
                 "op": "sweep", "patterns": "hot-row",
                 "eccs": ["secded"]},
         }
@@ -148,13 +148,13 @@ class TestParseRequest:
     def test_executor_check_keeps_fingerprints(self):
         # Keys of valid queries with an explicit executor, as memoized
         # before the name was checked at parse time (re-pinned at
-        # protocol version 5).
+        # protocol version 6).
         pinned = {
-            "05c96b978c5d5eb12c783eea0c0f1630": {
+            "b6b42ac2c523639154b0807d50f9fbf2": {
                 "op": "sweep", "executor": "process", "jobs": 2},
-            "4c847000b79ff081da9dc891dd8afe0c": {
+            "e6d3afea81b98b9044355a9dbf362802": {
                 "op": "design", "executor": "serial"},
-            "ec027857670ee4ad42474b5783faa1c9": {
+            "392c640d893656a9489a947ba552f688": {
                 "op": "design", "executor": "distributed",
                 "ecds_nm": [35.0], "jobs": 4},
         }
@@ -238,19 +238,21 @@ class TestFingerprint:
         # fold in; bumping it is the documented invalidation story.
         assert isinstance(PROTOCOL_VERSION, int)
 
-    def test_protocol_v5_rekeys_older_results(self):
+    def test_protocol_v6_rekeys_older_results(self):
         # Version 2 retired the uber ``sampler`` field, version 3 moved
         # sampled write data to raw lanes, version 4 the whole-array
-        # terms to thinned draws and version 5 retired the uber
-        # ``backend`` field; the same sampled query keyed these under
-        # versions 1 to 4.
+        # terms to thinned draws, version 5 retired the uber
+        # ``backend`` field and version 6 moved a batch's accesses to
+        # per-mechanism draws resolved as per-word chains; the same
+        # sampled query keyed these under versions 1 to 5.
         query = parse_request({"op": "uber", "mode": "sampled"})
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
         assert query_fingerprint(query) not in (
             "5013250638e628a7892e92bb2346ce3f",
             "85d65c796ab31009938fd68ab238c291",
             "6cc0911c41de28906c372e3d5a9ed0b2",
-            "8f537c36028b75e9331810d53256bcc5")
+            "8f537c36028b75e9331810d53256bcc5",
+            "ab0d9d311446dc397f0294112fd64d8f")
 
     def test_stable_across_processes(self):
         # The fingerprint must be derivable from reprs of plain
