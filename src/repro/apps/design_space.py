@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Tuple
-
-import numpy as np
 
 from ..arrays.density import areal_density_gbit_per_mm2
 from ..arrays.pattern import ALL_AP, ALL_P
@@ -139,29 +136,6 @@ class DesignSpaceExplorer:
         runner = SweepRunner(func, executor=executor, jobs=jobs,
                              progress=progress)
         return list(runner.run(spec).values)
-
-    def pareto_front(self, points, min_worst_delta=0.0,
-                     max_psi=1.0):
-        """Density-vs-reliability Pareto subset of ``points``.
-
-        Keeps points satisfying the hard constraints, then removes any
-        point dominated in (density up, psi down, worst_delta up).
-        """
-        feasible = [p for p in points
-                    if p.worst_delta >= min_worst_delta
-                    and p.psi <= max_psi]
-
-        def dominates(a, b):
-            at_least = (a.density_gbit_mm2 >= b.density_gbit_mm2
-                        and a.psi <= b.psi
-                        and a.worst_delta >= b.worst_delta)
-            strictly = (a.density_gbit_mm2 > b.density_gbit_mm2
-                        or a.psi < b.psi
-                        or a.worst_delta > b.worst_delta)
-            return at_least and strictly
-
-        return [p for p in feasible
-                if not any(dominates(q, p) for q in feasible if q is not p)]
 
 
 def _design_point(base_params, probe_voltage, ecd, ratio):

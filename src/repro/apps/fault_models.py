@@ -22,9 +22,8 @@ test description that sensitizes the worst corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-from ..arrays.pattern import ALL_AP, ALL_P, solid
+from ..arrays.pattern import ALL_AP, ALL_P
 from ..arrays.victim import VictimAnalysis
 from ..device.mtj import MTJDevice, MTJState
 from ..errors import ParameterError
@@ -62,12 +61,6 @@ class FaultAssessment:
     def retention_fault_possible(self):
         """True when the worst-case Delta violates the retention spec."""
         return self.retention_margin < 0.0
-
-    @property
-    def fault_free(self):
-        """True when both margins are positive."""
-        return not (self.write_fault_possible
-                    or self.retention_fault_possible)
 
 
 #: The aggressor background sensitizing each fault type. Writing the
@@ -139,17 +132,6 @@ class CouplingFaultAnalyzer:
                 f"unknown fault type {fault_type!r}; known: {known}"
             ) from None
 
-    def stress_data_pattern(self, rows, cols, fault_type="write_margin"):
-        """Full-array stress background for ``fault_type``.
-
-        For the solid-0 background every interior cell simultaneously
-        sees its own worst-case neighborhood — a single array write
-        stresses all victims at once.
-        """
-        name, _ = self.sensitizing_background(fault_type)
-        bit = 0 if name == "solid-0" else 1
-        return solid(rows, cols, bit)
-
     def march_test(self, write_voltage):
         """March-style coupling stress test description.
 
@@ -185,13 +167,3 @@ class CouplingFaultAnalyzer:
         pause = 0.1 * retention_time(
             worst_delta, self.device.params.attempt_frequency)
         return min(max(pause, 1.0), 1.0e4)
-
-    def sweep_pitches(self, pitches, pulse_budget, write_voltage,
-                      min_delta):
-        """Assess several pitches; returns FaultAssessment per pitch."""
-        out = []
-        for pitch in pitches:
-            analyzer = CouplingFaultAnalyzer(self.device, float(pitch))
-            out.append(analyzer.assess(pulse_budget, write_voltage,
-                                       min_delta))
-        return out

@@ -18,10 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..arrays.pattern import ALL_AP, ALL_P
-from ..arrays.victim import VictimAnalysis
 from ..device.mtj import MTJDevice, MTJState
 from ..errors import ParameterError
 from ..validation import require_positive
@@ -105,18 +101,3 @@ class ReadDisturbAnalysis:
             else:
                 lo = mid
         return lo
-
-    def pattern_sensitivity(self, state, read_voltage, pitch,
-                            t_read=10e-9):
-        """Disturb probability under the two extreme neighborhoods.
-
-        Returns ``(p_np0, p_np255)`` — the coupling-induced read-disturb
-        spread of the victim at ``pitch``.
-        """
-        victim = VictimAnalysis(self.device, pitch)
-        return (
-            self.disturb_probability(state, read_voltage, t_read,
-                                     victim.hz_total(ALL_P)),
-            self.disturb_probability(state, read_voltage, t_read,
-                                     victim.hz_total(ALL_AP)),
-        )

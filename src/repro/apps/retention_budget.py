@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..arrays.victim import VictimAnalysis
 from ..device.mtj import MTJDevice, MTJState
 from ..device.retention import (
@@ -128,36 +126,6 @@ class RetentionBudgetPlanner:
         rate = flip_rate(self.worst_delta(temperature),
                          self.device.params.attempt_frequency)
         return -math.expm1(-rate * interval)
-
-    def sample_flips(self, temperature, interval, n_periods=1,
-                     rng=None):
-        """Flipped-bit counts of ``n_periods`` scrub periods (MC).
-
-        The planner budgets every bit at the worst-case coupling class
-        (victim P, NP8 = 0), so a binomial count per coupling class
-        (the trade of :mod:`repro.memsys.sampling`) collapses to one
-        class of ``n_bits`` exchangeable cells: the whole mission
-        samples as one vectorized ``Binomial(n_bits, p_flip)`` draw
-        per period — O(periods), never the per-bit Bernoulli loop a
-        naive Monte Carlo would spend at rare-event retention rates.
-        """
-        from ..validation import require_int_in_range
-        require_int_in_range(n_periods, "n_periods", 1, 10**9)
-        p_flip = self.flip_probability(temperature, interval)
-        rng = np.random.default_rng(rng)
-        return rng.binomial(self.n_bits, p_flip, size=int(n_periods))
-
-    def sampled_failure_probability(self, temperature, interval,
-                                    n_periods=100_000, rng=None):
-        """MC fraction of scrub periods losing at least one bit.
-
-        The sampling-based cross-check of :meth:`scrub_interval`'s
-        closed-form budget (``1 - (1 - p_flip)^n_bits`` per period),
-        riding the binomial draws of :meth:`sample_flips`.
-        """
-        flips = self.sample_flips(temperature, interval,
-                                  n_periods=n_periods, rng=rng)
-        return float(np.mean(flips > 0))
 
     def budget(self, temperature, target_failure_probability,
                mission_time=10.0 * SECONDS_PER_YEAR):

@@ -132,17 +132,3 @@ class ArrayYieldAnalysis:
             worst_delta_mean=float(np.mean(worst_deltas)),
             worst_delta_std=float(np.std(worst_deltas)),
         )
-
-    def yield_vs_pitch(self, pitches, n_samples=100, rng=None, **specs):
-        """Yield fraction at each pitch in ``pitches`` [m].
-
-        The same RNG seed sequence is reused per pitch so the comparison
-        isolates the coupling effect from sampling noise.
-        """
-        results = []
-        for pitch in pitches:
-            analysis = ArrayYieldAnalysis(self.base_params, float(pitch),
-                                          self.variation)
-            results.append(analysis.run(n_samples=n_samples, rng=rng,
-                                        **specs))
-        return results

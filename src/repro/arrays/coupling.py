@@ -31,7 +31,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..stack import MTJStack
-from ..units import am_to_oe
 from ..validation import require_positive
 from .kernel_store import get_kernel_store
 from .layout import Neighborhood3x3
@@ -215,18 +214,3 @@ class InterCellCoupling:
     def max_variation(self):
         """Maximum pattern-to-pattern variation of ``Hz_inter`` [A/m]."""
         return self.kernels().max_variation
-
-    def summary_oe(self):
-        """Kernel/extreme summary in oersted (for reports)."""
-        k = self.kernels()
-        lo, hi = self.extremes()
-        return {
-            "pitch_nm": self.pitch * 1e9,
-            "fixed_direct_oe": am_to_oe(k.fixed_direct),
-            "fixed_diagonal_oe": am_to_oe(k.fixed_diagonal),
-            "fl_direct_oe": am_to_oe(k.fl_direct),
-            "fl_diagonal_oe": am_to_oe(k.fl_diagonal),
-            "hz_min_oe": am_to_oe(lo),
-            "hz_max_oe": am_to_oe(hi),
-            "variation_oe": am_to_oe(k.max_variation),
-        }

@@ -33,14 +33,3 @@ def density_table(pitches):
         rows.append((float(pitch), cell_area(pitch),
                      areal_density_gbit_per_mm2(pitch)))
     return rows
-
-
-def density_gain(pitch_from, pitch_to):
-    """Relative density gain moving from ``pitch_from`` to ``pitch_to``.
-
-    E.g. shrinking the pitch from 3x to 1.5x the device diameter gives a
-    4x density gain.
-    """
-    require_positive(pitch_from, "pitch_from")
-    require_positive(pitch_to, "pitch_to")
-    return (pitch_from / pitch_to) ** 2

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..stack import MTJStack
-from ..units import am_to_oe
 from ..validation import require_int_in_range, require_positive
 from .kernel_store import get_kernel_store
 
@@ -117,21 +116,6 @@ class ExtendedNeighborhood:
         if full == 0.0:
             return 0.0
         return (full - ring1) / full
-
-    def summary_oe(self):
-        """Report dict (fields in Oe) of the ring breakdown."""
-        rings = self.ring_contributions()
-        return {
-            "pitch_nm": self.pitch * 1e9,
-            "order": self.order,
-            "variation_oe": am_to_oe(self.max_variation()),
-            "truncation_error": self.truncation_error(),
-            "rings": {
-                ring: {"fixed_oe": am_to_oe(fixed),
-                       "fl_abs_oe": am_to_oe(fl)}
-                for ring, (fixed, fl) in sorted(rings.items())
-            },
-        }
 
 
 def fast_array_field_map(device, pitch, data_bits, order=1):

@@ -8,9 +8,7 @@ corner (distance = sqrt(2) * pitch).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..errors import ParameterError
 from ..validation import require_int_in_range, require_positive
@@ -86,32 +84,9 @@ class Neighborhood3x3:
     def __post_init__(self):
         require_positive(self.pitch, "pitch")
 
-    @property
-    def victim_position(self) -> Tuple[float, float]:
-        """(x, y) of the victim cell C8 [m]."""
-        return (0.0, 0.0)
-
     def aggressor_positions(self):
         """Positions [(x, y)] of C0..C7 in index order."""
         positions = []
         for ox, oy in DIRECT_OFFSETS + DIAGONAL_OFFSETS:
             positions.append((ox * self.pitch, oy * self.pitch))
         return positions
-
-    def aggressor_distance(self, index):
-        """Lateral distance [m] from aggressor ``index`` to the victim."""
-        require_int_in_range(index, "index", 0, 7)
-        x, y = self.aggressor_positions()[index]
-        return math.hypot(x, y)
-
-    def is_direct(self, index):
-        """True for C0..C3 (edge-sharing neighbors)."""
-        require_int_in_range(index, "index", 0, 7)
-        return index < 4
-
-    @classmethod
-    def from_pitch_ratio(cls, ecd, ratio):
-        """Construct with ``pitch = ratio * ecd`` (paper uses 1.5x-3x)."""
-        require_positive(ecd, "ecd")
-        require_positive(ratio, "ratio")
-        return cls(pitch=ratio * ecd)

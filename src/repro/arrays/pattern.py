@@ -61,11 +61,6 @@ class NeighborhoodPattern:
         """Number of 1s (AP cells) among the diagonal neighbors C4-C7."""
         return sum(self.bits[4:])
 
-    @property
-    def class_key(self):
-        """The symmetry class ``(direct_ones, diagonal_ones)``."""
-        return (self.direct_ones, self.diagonal_ones)
-
     def state(self, index):
         """:class:`MTJState` of aggressor ``index``."""
         require_int_in_range(index, "index", 0, 7)
@@ -79,10 +74,6 @@ class NeighborhoodPattern:
         """FL mz signs (+1 P / -1 AP) of C0..C7 as a numpy array."""
         return np.array([MTJState.from_bit(b).mz for b in self.bits],
                         dtype=float)
-
-    def inverted(self):
-        """The complementary pattern (every bit flipped)."""
-        return NeighborhoodPattern(tuple(1 - b for b in self.bits))
 
 
 #: The all-P pattern (paper's NP8 = 0, the Fig. 4a minimum).

@@ -16,7 +16,6 @@ import numpy as np
 from ..device.energy import delta_with_stray
 from ..device.mtj import MTJDevice
 from ..errors import ParameterError
-from ..validation import require_positive
 from .extended import fast_array_field_map
 
 
@@ -35,29 +34,6 @@ class RetentionMap:
 
     delta: np.ndarray
     bits: np.ndarray
-
-    @property
-    def weakest_delta(self):
-        """Minimum interior Delta."""
-        return float(np.nanmin(self.delta))
-
-    @property
-    def weakest_cell(self):
-        """(row, col) of the weakest interior cell."""
-        idx = np.nanargmin(self.delta)
-        return tuple(int(v) for v in
-                     np.unravel_index(idx, self.delta.shape))
-
-    def cells_below(self, spec):
-        """Number of interior cells with Delta below ``spec``."""
-        require_positive(spec, "spec")
-        return int(np.nansum(self.delta < spec))
-
-    def interior_statistics(self):
-        """(mean, std, min, max) of the interior Delta values."""
-        interior = self.delta[np.isfinite(self.delta)]
-        return (float(np.mean(interior)), float(np.std(interior)),
-                float(np.min(interior)), float(np.max(interior)))
 
 
 def retention_map(device, pitch, data_pattern, temperature=None):

@@ -76,12 +76,6 @@ class FieldDistribution:
                          for v, p in zip(self.values,
                                          self.probabilities)))
 
-    def cdf(self, threshold):
-        """P(Hz <= threshold)."""
-        return float(sum(p for v, p in zip(self.values,
-                                           self.probabilities)
-                         if v <= threshold))
-
 
 def pattern_field_distribution(coupling, p_one=0.5):
     """Exact ``Hz_inter`` distribution for i.i.d. Bernoulli data.

@@ -93,15 +93,6 @@ class VictimAnalysis:
                   for v in (0, 255)]
         return min(values), max(values)
 
-    def tw_spread(self, vp, initial_state=MTJState.AP):
-        """(min, max) switching time [s] over all patterns at ``vp``."""
-        values = [
-            self.switching_time(vp, NeighborhoodPattern.from_int(v),
-                                initial_state=initial_state)
-            for v in (0, 255)
-        ]
-        return min(values), max(values)
-
     def summary(self):
         """Dict summary (fields in Oe) for reports."""
         lo, hi = self.coupling.extremes()

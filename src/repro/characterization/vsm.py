@@ -10,7 +10,6 @@ noise, exactly the quantity the calibration consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -30,13 +29,6 @@ class VSMMeasurement:
     layer_role: str
     moment_per_area: float
     nominal: float
-
-    @property
-    def relative_error(self):
-        """Relative deviation of the measurement from nominal."""
-        if self.nominal == 0.0:
-            return 0.0
-        return (self.moment_per_area - self.nominal) / self.nominal
 
 
 def measure_blanket_moments(stack, rng=None, noise=0.02):

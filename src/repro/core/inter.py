@@ -7,8 +7,6 @@ the Fig. 4a class table, and pitch sweeps of the field extremes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..arrays.coupling import InterCellCoupling
 from ..stack import build_reference_stack
 from ..units import am_to_oe
@@ -61,9 +59,3 @@ class InterCellModel:
         kernels = self.coupling(pitch).kernels()
         return (am_to_oe(2.0 * abs(kernels.fl_direct)),
                 am_to_oe(2.0 * abs(kernels.fl_diagonal)))
-
-    def variation_vs_pitch(self, pitches):
-        """Max pattern variation of ``Hz_s_inter`` [A/m] per pitch."""
-        pitches = np.asarray(pitches, dtype=float)
-        return np.array(
-            [self.coupling(p).max_variation() for p in pitches])

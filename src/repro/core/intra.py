@@ -13,7 +13,6 @@ import numpy as np
 from ..errors import ParameterError
 from ..fields import LoopCollection, layer_to_loops, radial_line
 from ..stack import build_reference_stack
-from ..units import am_to_oe
 from ..validation import require_positive
 
 
@@ -51,10 +50,6 @@ class IntraCellModel:
         require_positive(ecd, "ecd")
         col, _ = self._fixed_loops(ecd, temperature)
         return float(col.field((0.0, 0.0, 0.0))[2])
-
-    def hz_at_center_oe(self, ecd, temperature=None):
-        """:meth:`hz_at_center` in oersted."""
-        return am_to_oe(self.hz_at_center(ecd, temperature))
 
     def hz_vs_ecd(self, ecds, temperature=None):
         """``Hz_s_intra`` [A/m] for an array of device sizes [m]."""
@@ -97,14 +92,3 @@ class IntraCellModel:
         require_positive(ecd, "ecd")
         col, _ = self._fixed_loops(ecd)
         return col.field(points)
-
-    def layer_contributions(self, ecd):
-        """Separate RL and HL center fields [A/m]: ``(hz_rl, hz_hl)``."""
-        require_positive(ecd, "ecd")
-        stack = self.stack_builder(ecd)
-        origin = (0.0, 0.0, 0.0)
-        hz = []
-        for layer in (stack.reference_layer, stack.hard_layer):
-            col = LoopCollection(layer_to_loops(layer, stack.radius))
-            hz.append(float(col.field(origin)[2]))
-        return tuple(hz)

@@ -18,7 +18,6 @@ reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import ParameterError, SimulationError
@@ -89,15 +88,6 @@ class WritePath:
             f"write-path operating point did not converge at "
             f"v_cell={v_cell} V")
 
-    def write_current(self, v_cell, initial_state):
-        """Write current [A] through the cell at ``v_cell``."""
-        v_mtj = self.mtj_voltage(v_cell, initial_state)
-        resistance = self.device.params.resistance
-        state = initial_state.value if hasattr(initial_state, "value") \
-            else str(initial_state)
-        return v_mtj / resistance.resistance(
-            self.device.params.ecd, state, v_mtj)
-
     def switching_time(self, v_cell, hz_stray=0.0, initial_state=None):
         """Switching time [s] driven from the cell terminal.
 
@@ -109,25 +99,3 @@ class WritePath:
         v_mtj = self.mtj_voltage(v_cell, state)
         return self.device.switching_time(v_mtj, hz_stray,
                                           initial_state=state)
-
-    def required_cell_voltage(self, v_mtj_target, initial_state,
-                              v_max=5.0):
-        """Cell voltage [V] that puts ``v_mtj_target`` across the MTJ.
-
-        Bisection on the monotone map v_cell -> v_mtj.
-        """
-        require_positive(v_mtj_target, "v_mtj_target")
-        lo, hi = v_mtj_target, v_max
-        if self.mtj_voltage(hi, initial_state) < v_mtj_target:
-            raise SimulationError(
-                f"even v_cell={v_max} V cannot reach "
-                f"v_mtj={v_mtj_target} V through the access device")
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self.mtj_voltage(mid, initial_state) < v_mtj_target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-9:
-                break
-        return hi

@@ -32,11 +32,7 @@ import numpy as np
 
 from ..constants import ATTEMPT_FREQUENCY
 from ..errors import MeasurementError, ParameterError
-from ..validation import (
-    require_in_range,
-    require_int_in_range,
-    require_positive,
-)
+from ..validation import require_int_in_range, require_positive
 
 
 @dataclass(frozen=True)
@@ -234,31 +230,3 @@ class RHLoopSimulator:
 
         return HysteresisLoop(fields=fields, resistances=resistances,
                               states=states, hsw_p=hsw_p, hsw_n=hsw_n)
-
-    def switching_field_quantile(self, state, quantile=0.5):
-        """Deterministic q-quantile of the switching field [A/m].
-
-        Integrates the hazard along the relevant sweep branch and inverts
-        the survival function; useful for fast, noise-free predictions of
-        ``Hsw_p``/``Hsw_n`` (and hence ``Hc``/``Hoffset``).
-        """
-        require_in_range(quantile, "quantile", 0.0, 1.0, inclusive=False)
-        fields = self.protocol.field_points()
-        if state == "AP":
-            branch = fields[: np.argmax(fields) + 1]
-        else:
-            # Falling branch from +h_max to -h_max.
-            top = int(np.argmax(fields))
-            bottom = int(np.argmin(fields))
-            branch = fields[top:bottom + 1]
-        hazard = np.array(
-            [-math.log1p(-min(self.flip_probability(state, h), 1 - 1e-15))
-             for h in branch])
-        cumulative = np.cumsum(hazard)
-        target = -math.log1p(-quantile)
-        idx = int(np.searchsorted(cumulative, target))
-        if idx >= branch.shape[0]:
-            raise MeasurementError(
-                f"device does not reach the {quantile} switching quantile "
-                f"within the sweep range")
-        return float(branch[idx])

@@ -167,11 +167,6 @@ class MTJDevice:
         return self.area * self.stack.free_layer.thickness
 
     @property
-    def fl_moment(self):
-        """Total FL moment [A*m^2] at the reference temperature."""
-        return self.stack.free_layer.material.ms * self.fl_volume
-
-    @property
     def activation_volume(self):
         """Activation volume [m^3] implied by the measured ``Delta0``.
 
@@ -197,17 +192,6 @@ class MTJDevice:
             loops.extend(layer_to_loops(layer, self.stack.radius))
         return LoopCollection(loops)
 
-    def free_layer_loops(self, state=None):
-        """Bound-current loops of the FL for ``state`` (default: current)."""
-        state = self.state if state is None else state
-        loops = layer_to_loops(self.stack.free_layer, self.stack.radius,
-                               direction=state.mz)
-        return LoopCollection(loops)
-
-    def all_loops(self, state=None):
-        """All three magnetic layers as loop sources."""
-        return self.fixed_layer_loops() + self.free_layer_loops(state)
-
     def intra_stray_field(self):
         """Intra-cell stray field z-component at the FL center [A/m].
 
@@ -224,10 +208,6 @@ class MTJDevice:
     def intra_stray_field_oe(self):
         """:meth:`intra_stray_field` in oersted."""
         return am_to_oe(self.intra_stray_field())
-
-    def h_ratio(self, hz_stray):
-        """Dimensionless ``h = Hz_stray / Hk`` for a stray field [A/m]."""
-        return float(hz_stray) / self.params.hk
 
     # -- switching ---------------------------------------------------------
 

@@ -49,11 +49,6 @@ class TrapezoidalPulse:
             raise ParameterError(
                 "rise_time + fall_time exceeds the pulse width")
 
-    @property
-    def plateau(self):
-        """Flat-top duration [s]."""
-        return self.width - self.rise_time - self.fall_time
-
     def voltage(self, t):
         """Instantaneous voltage [V] at time ``t`` (vectorized)."""
         t = np.asarray(t, dtype=float)

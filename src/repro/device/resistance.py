@@ -90,7 +90,3 @@ class ResistanceModel:
     def current(self, ecd, state, voltage):
         """Current [A] driven through the device at ``voltage`` [V]."""
         return float(voltage) / self.resistance(ecd, state, voltage)
-
-    def ecd_of_device(self, rp_measured):
-        """Invert a measured RP [Ohm] to the device eCD [m]."""
-        return ecd_from_rp(self.ra, rp_measured)

@@ -62,16 +62,6 @@ def fit_rate(delta, attempt_frequency=ATTEMPT_FREQUENCY):
     return flip_rate(delta, attempt_frequency) * 3600.0 * FIT_HOURS
 
 
-def required_delta(target_time, attempt_frequency=ATTEMPT_FREQUENCY):
-    """Minimum ``Delta`` for a mean retention time of ``target_time`` [s].
-
-    The classic sizing rule: storage needs >10 years (Delta ~ 60), caches
-    tolerate milliseconds (Delta ~ 20) — paper Section II-A.
-    """
-    require_positive(target_time, "target_time")
-    return math.log(target_time * attempt_frequency)
-
-
 def array_retention_failure_probability(
         delta, interval, n_bits, attempt_frequency=ATTEMPT_FREQUENCY):
     """Probability that at least one of ``n_bits`` identical bits flips."""

@@ -38,7 +38,6 @@ from ..constants import (
 )
 from ..errors import ParameterError
 from ..validation import require_in_range, require_positive
-from .energy import state_sign
 from .resistance import ResistanceModel
 
 
@@ -82,12 +81,6 @@ def critical_current(ic0, h_stray_over_hk, direction):
         raise ParameterError(
             f"direction must be 'P->AP' or 'AP->P', got {direction!r}")
     return ic0 * (1.0 + sign * h_stray_over_hk)
-
-
-def switching_direction(initial_state):
-    """Map an initial state to its switching direction string."""
-    return {"P": "P->AP", "AP": "AP->P"}[initial_state] \
-        if initial_state in ("P", "AP") else _bad_state(initial_state)
 
 
 def _bad_state(state):

@@ -8,8 +8,6 @@ center fields.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.intra import IntraCellModel
 from ..units import am_to_oe, nm_to_m
 from .base import Comparison, ExperimentResult

@@ -8,9 +8,7 @@ scoreboard — the artifact a reviewer reads without running anything.
 from __future__ import annotations
 
 import io
-import os
 
-from ..reporting.tables import format_table
 from .runner import run_all
 
 
@@ -83,13 +81,3 @@ def build_report(results=None, include_extensions=True, max_rows=10):
             out.write(_markdown_table(headers, comp_rows))
             out.write("\n\n")
     return out.getvalue()
-
-
-def write_report(path, results=None, include_extensions=True):
-    """Write the report to ``path``; returns the path."""
-    text = build_report(results, include_extensions)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return path

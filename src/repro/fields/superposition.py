@@ -63,22 +63,9 @@ class CurrentLoop:
         out = loop_field_analytic(self.current, self.radius, local)
         return out[0] if single else out
 
-    def field_biot_savart(self, points, n_segments=720):
-        """H-field [A/m] via the discrete Biot-Savart reference solver."""
-        from .biot_savart import loop_field_biot_savart
-        return loop_field_biot_savart(
-            self.current, self.radius, points,
-            n_segments=n_segments, center=self.center)
-
     def scaled(self, factor):
         """Return a copy with the current multiplied by ``factor``."""
         return CurrentLoop(self.center, self.radius, self.current * factor)
-
-    def translated(self, dx=0.0, dy=0.0, dz=0.0):
-        """Return a copy displaced by (dx, dy, dz) [m]."""
-        cx, cy, cz = self.center
-        return CurrentLoop((cx + dx, cy + dy, cz + dz), self.radius,
-                           self.current)
 
 
 class LoopCollection:
@@ -108,23 +95,6 @@ class LoopCollection:
         # mutation would desynchronize them from the member loops.
         for arr in (self._centers, self._radii, self._currents):
             arr.flags.writeable = False
-
-    @classmethod
-    def from_arrays(cls, centers, radii, currents):
-        """Build a collection from packed (M, 3) / (M,) / (M,) arrays."""
-        centers = np.asarray(centers, dtype=float)
-        radii = np.asarray(radii, dtype=float)
-        currents = np.asarray(currents, dtype=float)
-        if centers.ndim != 2 or centers.shape[1] != 3:
-            raise ParameterError(
-                f"centers must have shape (M, 3), got {centers.shape}")
-        if radii.shape != (centers.shape[0],) or currents.shape != \
-                (centers.shape[0],):
-            raise ParameterError(
-                "radii and currents must be 1-D arrays matching centers, "
-                f"got {radii.shape} and {currents.shape}")
-        return cls(CurrentLoop(tuple(c), float(r), float(i))
-                   for c, r, i in zip(centers, radii, currents))
 
     @property
     def loops(self):
@@ -160,16 +130,6 @@ class LoopCollection:
     def scaled(self, factor):
         """Return a collection with every current multiplied by ``factor``."""
         return LoopCollection([lp.scaled(factor) for lp in self._loops])
-
-    def translated(self, dx=0.0, dy=0.0, dz=0.0):
-        """Return a collection with every loop displaced by (dx, dy, dz)."""
-        return LoopCollection(
-            [lp.translated(dx, dy, dz) for lp in self._loops])
-
-    @property
-    def total_moment(self):
-        """Sum of loop moments (z-component) [A*m^2]."""
-        return sum(lp.moment for lp in self._loops)
 
     def field(self, points):
         """Total H-field [A/m] at ``points``, all loops batched."""
@@ -211,15 +171,6 @@ class LoopCollection:
         flat = pts.reshape(-1, 3)
         out = self.field(flat)
         return out.reshape(pts.shape)
-
-    def field_biot_savart(self, points, n_segments=720):
-        """Total H-field [A/m] using the discrete reference solver."""
-        pts = as_point_array(points)
-        single = np.asarray(points).ndim == 1
-        total = np.zeros_like(pts)
-        for loop in self._loops:
-            total += loop.field_biot_savart(pts, n_segments=n_segments)
-        return total[0] if single else total
 
     def field_z(self, points):
         """Convenience: z-component of :meth:`field` only."""

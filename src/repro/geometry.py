@@ -88,11 +88,6 @@ class Layer:
         return self.z_top - self.z_bottom
 
     @property
-    def z_center(self):
-        """Midplane z coordinate [m]."""
-        return 0.5 * (self.z_bottom + self.z_top)
-
-    @property
     def is_magnetic_role(self):
         """True for FL/RL/HL layers (those that source stray fields)."""
         return self.role in MAGNETIC_ROLES

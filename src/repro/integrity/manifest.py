@@ -286,9 +286,6 @@ class RunManifest:
         self.identity = dict(identity or {})
         self.entries = dict(entries or {})
 
-    def add_entry(self, name, **fields):
-        self.entries[str(name)] = dict(fields)
-
     def entry(self, name):
         return self.entries.get(str(name))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -69,13 +68,6 @@ class SwitchingResult:
         if self.n_switched == 0:
             raise SimulationError("no run switched; cannot average")
         return float(np.mean(self.times))
-
-    @property
-    def std_time(self):
-        """Standard deviation of the switching time [s]."""
-        if self.n_switched == 0:
-            raise SimulationError("no run switched; cannot average")
-        return float(np.std(self.times))
 
 
 class SwitchingSimulation:

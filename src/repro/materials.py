@@ -5,7 +5,7 @@ its room-temperature saturation magnetization, its Curie temperature (for
 the Bloch-law temperature scaling used by the retention analysis), and an
 optional free-text note describing the physical composition.
 
-The registry at the bottom provides the calibrated *effective* materials of
+The constants at the bottom are the calibrated *effective* materials of
 the reference stack (see DESIGN.md section 6). The RL and HL entries are
 effective two-loop reductions of the real multilayer SAF: only the product
 ``Ms * t`` enters the bound-current stray-field model, and those products are
@@ -119,28 +119,3 @@ MGO = Material(name="MgO", ms=0.0, note="MgO tunnel barrier")
 
 #: Ru/Ta/W spacer material (non-magnetic).
 SPACER = Material(name="Ru-spacer", ms=0.0, note="SAF coupling spacer stack")
-
-
-_REGISTRY = {
-    mat.name: mat
-    for mat in (COFEB_FREE, COFEB_REFERENCE_EFF, COPT_HARD_EFF, MGO, SPACER)
-}
-
-
-def get_material(name):
-    """Look up a registered material by name.
-
-    Raises :class:`~repro.errors.ParameterError` for unknown names, listing
-    the available ones.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ParameterError(
-            f"unknown material {name!r}; known materials: {known}") from None
-
-
-def registered_materials():
-    """Return the names of all registered materials (sorted)."""
-    return sorted(_REGISTRY)

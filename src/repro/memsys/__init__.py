@@ -22,7 +22,7 @@ mechanisms — write error, read disturb, retention — into one number.
 * :mod:`repro.memsys.bitplane` — bit-packed ``intended``/``actual``
   array state (uint64 lanes, XOR + popcount error counting),
 * :mod:`repro.memsys.topology` — banks x subarrays array topology:
-  hierarchical address map, per-subarray traffic sharding with
+  per-subarray traffic sharding with
   spawned per-shard RNGs (subarray-parallel through the sweep
   executors), and the selector-less cross-point variant with its
   sneak-path disturb term,
@@ -58,8 +58,8 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "sense": ["SenseMarginModel"],
     "sweeps": ["secded_margin_pitch", "uber_sweep"],
     "topology": [
-        "ArrayTopology", "HierarchicalAddressMap", "TOPOLOGIES",
-        "TopologyEngine", "normalize_topology"],
+        "ArrayTopology", "TOPOLOGIES", "TopologyEngine",
+        "normalize_topology"],
     "traffic": [
         "HotSpotWorkload", "SequentialWorkload", "StressPatternWorkload",
         "TrafficBatch", "WORKLOADS", "Workload", "make_workload"],

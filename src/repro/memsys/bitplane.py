@@ -181,12 +181,6 @@ class BitPlane:
         that stays valid while the plane keeps its lane array."""
         return row_items(self.lanes)
 
-    def diff_positions(self, other, words):
-        """Word-major positions ``i * code_bits + b`` at which word
-        ``words[i]`` of this plane and of ``other`` differ."""
-        return np.flatnonzero(unpack_bits(
-            self.lanes[words] ^ other.lanes[words], self.code_bits))
-
     def diff_counts(self, other, words=None):
         """Per-word mismatch counts vs ``other`` via XOR + popcount.
 
@@ -216,16 +210,6 @@ class BitPlane:
         at += byte_of.take(bit)
         byte = rows.view(np.uint8).reshape(-1).take(at)
         return _BYTE_BITS.take(shift.take(bit) + byte)
-
-    def get_cells(self, flat_idx):
-        """int8 bits at the given flat cell indices (mapped or tail)."""
-        idx = np.asarray(flat_idx)
-        out = np.empty(idx.shape, dtype=np.int8)
-        mapped = idx < self.n_mapped
-        out[mapped] = self.row_bits(
-            self.lanes, *np.divmod(idx[mapped], self.code_bits))
-        out[~mapped] = self.tail[idx[~mapped] - self.n_mapped]
-        return out
 
     def toggle_cells(self, flat_idx):
         """XOR-flip the bits at the given flat cell indices, and return

@@ -53,7 +53,6 @@ import numpy as np
 
 from ..device.mtj import MTJDevice
 from ..errors import ParameterError, RunIdentityError
-from ..experiments.base import ExperimentResult
 from ..integrity.manifest import canonical, identity_diff, record_digest
 from ..resilience.checkpoint import CheckpointManager
 from ..validation import require_non_negative, require_positive
@@ -202,23 +201,6 @@ class MemsysResult:
              f"{self.n_scrubs} ({self.scrub_corrected_words})"),
         ]
         return headers, rows
-
-    def to_experiment_result(self):
-        """Render as an :class:`~repro.experiments.base.ExperimentResult`
-        so :mod:`repro.reporting` and the report builder work for free.
-        """
-        headers, rows = self.summary_rows()
-        return ExperimentResult(
-            experiment_id="memsys",
-            title=("System-level reliability: "
-                   f"{self.config.get('workload', '?')} traffic, "
-                   f"{self.config.get('ecc', '?')} ECC"),
-            headers=headers,
-            rows=rows,
-            extras={"config": self.config, "raw_ber": self.raw_ber,
-                    "uber": self.uber,
-                    "word_fail_rate": self.word_fail_rate},
-        )
 
 
 #: Counter fields of :class:`MemsysResult` (everything but ``config``,
@@ -444,12 +426,14 @@ class ReliabilityEngine:
         """The batch loop, every shard in lockstep.
 
         The shards share one stacked state: shard ``s`` owns the global
-        words ``s * W + local`` (``W`` words per shard, the
-        :class:`~repro.memsys.topology.HierarchicalAddressMap`
-        convention). Every draw stays on its shard's own generator, in
-        the order a lone run makes it — per batch traffic, drift,
-        scrub, write data, then the batch's write, write-back and
-        disturb candidates — while the RNG-free work (SEC-DED encode,
+        words ``s * W + local`` (``W`` words per shard). Shards run
+        bank-major, ``s = bank * subarrays + subarray``, as a
+        hierarchical decoder reads an address: high bits pick the bank,
+        middle bits the subarray, low bits the local word. Every draw
+        stays on its shard's own generator, in the order a lone run
+        makes it — per batch traffic, drift, scrub, write data, then the
+        batch's write, write-back and disturb candidates — while the
+        RNG-free work (SEC-DED encode,
         classify, chain resolution, placement, ECC bookkeeping) runs
         once over all shards. So each shard's counters are
         byte-identical to running it alone, and a batch's numpy
@@ -944,14 +928,15 @@ class _PackedState:
     """Packed planes + class lookup + exact per-word error counters:
     the engine's Monte-Carlo state.
 
-    Every term is an exact thinned draw
-    (:func:`~repro.memsys.sampling.sample_thinned_flips`): a binomial
-    candidate count at the table's largest class probability, uniform
-    candidates, each kept per its class — over the whole array for the
-    retention and sneak terms (:func:`sample_class_flips`), over a
-    batch's accessed cells for write, write-back and disturb
-    (:meth:`access`), over a scrub's words for its rewrites. Every
-    candidate takes
+    Every term is an exact thinned draw: a binomial candidate count at
+    the table's largest class probability, uniform candidates, each
+    kept per its class. The whole-array retention and sneak terms
+    (:func:`sample_class_flips`) and a scrub's rewrites draw through
+    :func:`~repro.memsys.sampling.sample_thinned_flips`. A batch's
+    write, write-back and disturb candidates over its accessed cells
+    (:meth:`access`) come from
+    :func:`~repro.memsys.sampling.thinned_candidates` and are accepted
+    when the batch pass settles each word's chain. Every candidate takes
     its class from :class:`~repro.memsys.sampling.ClassPlanes`: a
     lookup of its 3 x 3 window in the snapshot of the cells' bits that
     :meth:`classify` takes once per batch. Writes and restores move

@@ -9,9 +9,8 @@ maps, per-subarray :class:`~repro.memsys.bitplane.BitPlane` shards, and
 an embarrassingly parallel Monte-Carlo axis.
 
 :class:`ArrayTopology` describes the decomposition (banks tile rows,
-subarrays tile columns) and :class:`HierarchicalAddressMap` carries a
-word address to ``(bank, subarray, local word)`` and back, round-trip
-exact. :class:`TopologyEngine` splits a run's transactions across the
+subarrays tile columns; shard ``bank * subarrays + subarray``).
+:class:`TopologyEngine` splits a run's transactions across the
 shards, gives every shard its own child RNG spawned from the run seed,
 and merges the per-shard error/ECC/scrub counters with
 :func:`~repro.memsys.engine.merge_results`.
@@ -19,12 +18,12 @@ and merges the per-shard error/ECC/scrub counters with
 In process, the shards run *stacked*: one
 :meth:`~repro.memsys.engine.ReliabilityEngine.run_shards` call
 advances every subarray in lockstep over one stacked state (global
-word ``shard * words_per_shard + local``, the address map's
-convention), so each batch pass's numpy work is paid once for the
-whole chip instead of once per shard, while every shard still
-draws only from its own generator. The ``"process"`` and
-``"distributed"`` sweep executors instead run one sub-run per shard
-across cores or hosts, on the sweep runner's one chunk schedule.
+word ``shard * words_per_shard + local``), so each batch pass's numpy
+work is paid once for the whole chip instead of once per shard, while
+every shard still draws only from its own generator. The
+``"process"`` and ``"distributed"`` sweep executors instead run one
+sub-run per shard across cores or hosts, on the sweep runner's one
+chunk schedule.
 Seeded results are byte-identical on every path, and a 1x1 banked run
 passes the parent generator through unspawned so it is byte-identical
 to the flat engine.
@@ -123,22 +122,6 @@ class ArrayTopology:
         """Columns per subarray shard."""
         return self.cols // self.subarrays
 
-    def shard_index(self, bank, subarray):
-        """Flat shard index of ``(bank, subarray)`` (bank-major)."""
-        require_int_in_range(bank, "bank", 0, self.banks - 1)
-        require_int_in_range(subarray, "subarray", 0,
-                             self.subarrays - 1)
-        return bank * self.subarrays + subarray
-
-    def shard_coords(self, shard):
-        """``(bank, subarray)`` of a flat shard index."""
-        require_int_in_range(shard, "shard", 0, self.n_shards - 1)
-        return divmod(int(shard), self.subarrays)
-
-    def address_map(self, code_bits):
-        """:class:`HierarchicalAddressMap` for ``code_bits``-bit words."""
-        return HierarchicalAddressMap(self, code_bits)
-
     def describe(self):
         """Summary dict (merged into run configs and reports)."""
         return {
@@ -151,91 +134,6 @@ class ArrayTopology:
             "sub_cols": self.sub_cols,
             "n_shards": self.n_shards,
         }
-
-
-class HierarchicalAddressMap:
-    """Word address <-> ``(bank, subarray, local word)``, exactly.
-
-    Global word addresses enumerate shards bank-major (bank 0's
-    subarrays first), ``words_per_shard`` local words per shard — the
-    hierarchical-decoder convention: high address bits select the bank,
-    middle bits the subarray, low bits the local word. ``compose`` and
-    ``decompose`` are exact inverses over the whole address space, and
-    :meth:`shard_cells` partitions the chip's flat cell indices with no
-    overlap; the property tests assert both.
-    """
-
-    def __init__(self, topology, code_bits):
-        if not isinstance(topology, ArrayTopology):
-            raise ParameterError(
-                f"topology must be an ArrayTopology, got "
-                f"{type(topology)!r}")
-        require_int_in_range(code_bits, "code_bits", 1, 1 << 20)
-        self.topology = topology
-        self.code_bits = int(code_bits)
-        shard_cells = topology.sub_rows * topology.sub_cols
-        self.words_per_shard = shard_cells // self.code_bits
-        if self.words_per_shard < 1:
-            raise ParameterError(
-                f"subarray of {shard_cells} cells cannot hold one "
-                f"{self.code_bits}-bit codeword")
-        self.n_words = topology.n_shards * self.words_per_shard
-
-    def decompose(self, word):
-        """``word -> (bank, subarray, local)``; vectorized, validated."""
-        scalar = np.ndim(word) == 0
-        word = np.asarray(word)
-        if word.size and (np.any(word < 0)
-                          or np.any(word >= self.n_words)):
-            raise ParameterError(
-                f"word address out of range [0, {self.n_words})")
-        shard, local = np.divmod(word, self.words_per_shard)
-        bank, subarray = np.divmod(shard, self.topology.subarrays)
-        if scalar:
-            return int(bank), int(subarray), int(local)
-        return bank, subarray, local
-
-    def compose(self, bank, subarray, local):
-        """``(bank, subarray, local) -> word``; exact inverse of
-        :meth:`decompose`."""
-        scalar = (np.ndim(bank) == 0 and np.ndim(subarray) == 0
-                  and np.ndim(local) == 0)
-        bank = np.asarray(bank)
-        subarray = np.asarray(subarray)
-        local = np.asarray(local)
-        topo = self.topology
-        for value, name, bound in ((bank, "bank", topo.banks),
-                                   (subarray, "subarray",
-                                    topo.subarrays),
-                                   (local, "local",
-                                    self.words_per_shard)):
-            if value.size and (np.any(value < 0)
-                               or np.any(value >= bound)):
-                raise ParameterError(
-                    f"{name} out of range [0, {bound})")
-        word = ((bank * topo.subarrays + subarray)
-                * self.words_per_shard + local)
-        return int(word) if scalar else word
-
-    def shard_of(self, word):
-        """Flat shard index owning ``word``."""
-        bank, subarray, _ = self.decompose(word)
-        return bank * self.topology.subarrays + subarray
-
-    def shard_cells(self, bank, subarray):
-        """Chip-global flat cell indices of one subarray shard.
-
-        Row-major over the full ``rows x cols`` chip; the union over
-        all ``(bank, subarray)`` pairs is exactly ``arange(rows *
-        cols)`` with no overlap.
-        """
-        topo = self.topology
-        require_int_in_range(bank, "bank", 0, topo.banks - 1)
-        require_int_in_range(subarray, "subarray", 0,
-                             topo.subarrays - 1)
-        r = np.arange(topo.sub_rows) + bank * topo.sub_rows
-        c = np.arange(topo.sub_cols) + subarray * topo.sub_cols
-        return (r[:, None] * topo.cols + c[None, :]).reshape(-1)
 
 
 def _run_shard(device, sub_rows, sub_cols, engine_kwargs, batch_size,
@@ -329,11 +227,6 @@ class TopologyEngine:
     @property
     def cycle_time(self):
         return self.template.cycle_time
-
-    def address_map(self):
-        """The chip's hierarchical address map (template's code bits)."""
-        return self.topology.address_map(
-            self.template.controller.ecc.n_code)
 
     def transaction_shares(self, n_transactions):
         """Per-shard transaction counts: even split, remainder to the

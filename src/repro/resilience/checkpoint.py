@@ -189,17 +189,6 @@ class CheckpointManager:
             return None
         return load_sealed(path).get("sha256") == blob_digest(blob)
 
-    def delete(self, tag):
-        """Remove ``tag``'s checkpoint and sidecar (no-op when absent)."""
-        try:
-            self.fs.unlink(self._path(tag))
-        except OSError:
-            pass
-        try:
-            os.unlink(self._sidecar_path(tag))
-        except OSError:
-            pass
-
     def tags(self):
         """Sorted tags currently stored (completed or in-flight)."""
         try:

@@ -160,9 +160,10 @@ class WorkerFaults:
         frozen, so the broker declares the claim stale while the
         worker still runs.
     corrupt_result_at_chunk:
-        Chunk index whose *committed result file* is damaged after the
-        commit lands — the crash-mid-write the atomic rename cannot
-        cover for (a dying disk, a torn page on a network mount).
+        Chunk index whose *committed result file* is damaged: the bytes
+        rot before the commit makes them visible — the crash-mid-write
+        the atomic rename cannot cover for (a dying disk, a torn page
+        on a network mount), which only read-side digests catch.
         ``corrupt_mode`` picks the damage: ``"torn"`` flips one byte
         (``corrupt_offset``/``corrupt_flip``), ``"truncate"`` cuts the
         file to half its length. ``corrupt_once`` (default) arms it a
@@ -218,8 +219,9 @@ class WorkerFaults:
         return stalled
 
     def corrupt_result(self, path, chunk):
-        """Called by the worker after committing ``chunk``'s result;
-        applies the scheduled post-commit damage to ``path``, if any."""
+        """Called by the result commit on ``chunk``'s written bytes at
+        ``path`` before they become visible; applies the scheduled
+        damage, if any."""
         if (self.corrupt_result_at_chunk is None
                 or chunk != self.corrupt_result_at_chunk
                 or (self.corrupt_once and self.corruptions)):
@@ -233,7 +235,7 @@ class WorkerFaults:
                 from .checkpoint import corrupt_checkpoint
                 corrupt_checkpoint(path, offset=self.corrupt_offset,
                                    flip=self.corrupt_flip)
-        except OSError:  # pragma: no cover - result already collected
+        except OSError:  # pragma: no cover - run directory torn down
             return
         self.corruptions += 1
 

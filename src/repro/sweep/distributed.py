@@ -423,7 +423,7 @@ class SpoolRun:
             return job["chunk"], job["points"], claim_path
         return None
 
-    def commit(self, chunk, payload, worker_id):
+    def commit(self, chunk, payload, worker_id, faults=None):
         """At-most-once result commit; True when this commit landed.
 
         The first commit per chunk wins, atomically: the payload is
@@ -436,6 +436,10 @@ class SpoolRun:
         (the pre-check plus deterministic payloads keep that safe in
         practice), and a run directory the broker already tore down
         reads as a plain late duplicate, not a worker crash.
+
+        ``faults`` (a :class:`~repro.resilience.faults.WorkerFaults`)
+        damages the written bytes before they become visible, so a
+        reader can never see the intact frame first.
         """
         path = self.result_path(chunk)
         if os.path.exists(path):
@@ -445,6 +449,8 @@ class SpoolRun:
         try:
             with open(tmp, "wb") as fh:
                 fh.write(pack_record(payload))
+            if faults is not None:
+                faults.corrupt_result(tmp, chunk)
         except OSError:
             # results/ vanished: the broker finished (or failed) and
             # removed the run while we were evaluating.
@@ -660,13 +666,8 @@ class SpoolWorker:
             self.stats["errors"] += 1
         else:
             self.stats["points"] += len(payload["values"])
-        if not run.commit(chunk, payload, self.worker_id):
+        if not run.commit(chunk, payload, self.worker_id, self.faults):
             self.stats["duplicate_commits"] += 1
-        elif self.faults is not None:
-            # Post-commit damage (torn-write / truncated-result fault
-            # kinds): the commit landed atomically, then the bytes
-            # rotted — the case only read-side digests can catch.
-            self.faults.corrupt_result(run.result_path(chunk), chunk)
         run.clear_claim(claim_path)
         self.stats["chunks"] += 1
         _flush_kernel_store()

@@ -52,13 +52,6 @@ class SweepResult:
         """Yield ``(params, value)`` pairs in spec order."""
         return iter(zip(self.spec.points(), self.values))
 
-    def value_at(self, **params):
-        """The value whose point matches every given axis value."""
-        for point, value in self:
-            if all(point.get(k) == v for k, v in params.items()):
-                return value
-        raise ParameterError(f"no sweep point matches {params!r}")
-
     def values_array(self, dtype=None):
         """Values as a numpy array reshaped to the spec's grid shape.
 
@@ -74,26 +67,6 @@ class SweepResult:
             arr[:] = self.values
         lead = arr.shape[1:]
         return arr.reshape(self.spec.shape + lead)
-
-    def to_rows(self, value_columns=None):
-        """``(headers, rows)``: one row per point, axes then value(s).
-
-        ``value_columns`` names the value part: a single column for
-        scalar values, or one column per entry when each value is a
-        tuple/list.
-        """
-        headers = list(self.spec.names)
-        rows = []
-        first = self.values[0] if self.values else None
-        multi = isinstance(first, (tuple, list))
-        if value_columns is None:
-            value_columns = ([f"value{i}" for i in range(len(first))]
-                             if multi else ["value"])
-        headers += list(value_columns)
-        for point, value in self:
-            tail = tuple(value) if multi else (value,)
-            rows.append(tuple(point[n] for n in self.spec.names) + tail)
-        return headers, rows
 
     def describe(self) -> Dict:
         """Run metadata (for logs and experiment extras)."""

@@ -21,9 +21,6 @@ import math
 #: A/m per oersted: 1 Oe = 1000/(4*pi) A/m.
 AM_PER_OE = 1.0e3 / (4.0 * math.pi)
 
-#: A/m per emu/cc: 1 emu/cc = 1000 A/m.
-AM_PER_EMU_CC = 1.0e3
-
 
 def oe_to_am(field_oe):
     """Convert a magnetic field from oersted to A/m."""
@@ -33,36 +30,6 @@ def oe_to_am(field_oe):
 def am_to_oe(field_am):
     """Convert a magnetic field from A/m to oersted."""
     return field_am / AM_PER_OE
-
-
-def koe_to_am(field_koe):
-    """Convert a magnetic field from kilo-oersted to A/m."""
-    return field_koe * 1.0e3 * AM_PER_OE
-
-
-def am_to_koe(field_am):
-    """Convert a magnetic field from A/m to kilo-oersted."""
-    return field_am / (1.0e3 * AM_PER_OE)
-
-
-def emu_cc_to_am(ms_emu_cc):
-    """Convert a magnetization from emu/cc to A/m."""
-    return ms_emu_cc * AM_PER_EMU_CC
-
-
-def am_to_emu_cc(ms_am):
-    """Convert a magnetization from A/m to emu/cc."""
-    return ms_am / AM_PER_EMU_CC
-
-
-def ohm_um2_to_ohm_m2(ra_ohm_um2):
-    """Convert a resistance-area product from Ohm*um^2 to Ohm*m^2."""
-    return ra_ohm_um2 * 1.0e-12
-
-
-def ohm_m2_to_ohm_um2(ra_ohm_m2):
-    """Convert a resistance-area product from Ohm*m^2 to Ohm*um^2."""
-    return ra_ohm_m2 * 1.0e12
 
 
 def nm_to_m(length_nm):
@@ -78,26 +45,6 @@ def m_to_nm(length_m):
 def celsius_to_kelvin(temp_c):
     """Convert a temperature from degrees Celsius to kelvin."""
     return temp_c + 273.15
-
-
-def kelvin_to_celsius(temp_k):
-    """Convert a temperature from kelvin to degrees Celsius."""
-    return temp_k - 273.15
-
-
-def ua_to_a(current_ua):
-    """Convert a current from microampere to ampere."""
-    return current_ua * 1.0e-6
-
-
-def a_to_ua(current_a):
-    """Convert a current from ampere to microampere."""
-    return current_a * 1.0e6
-
-
-def ns_to_s(time_ns):
-    """Convert a time from nanoseconds to seconds."""
-    return time_ns * 1.0e-9
 
 
 def s_to_ns(time_s):

@@ -90,23 +90,3 @@ class TestReadVoltageSizing:
         loose = analysis.max_read_voltage(MTJState.P, 1e-9,
                                           hz_stray=hz_intra)
         assert loose >= tight
-
-
-class TestPatternSensitivity:
-    def test_np0_worse_for_p_state(self, analysis, eval_device):
-        pitch = 1.5 * eval_device.params.ecd
-        p_np0, p_np255 = analysis.pattern_sensitivity(
-            MTJState.P, 0.35, pitch)
-        # NP8=0 lowers Delta_P -> easier disturb out of P.
-        assert p_np0 >= p_np255
-
-    def test_sensitivity_shrinks_with_pitch(self, analysis,
-                                            eval_device):
-        ecd = eval_device.params.ecd
-        dense = analysis.pattern_sensitivity(MTJState.P, 0.35,
-                                             1.5 * ecd)
-        sparse = analysis.pattern_sensitivity(MTJState.P, 0.35,
-                                              3.0 * ecd)
-        spread_dense = dense[0] - dense[1]
-        spread_sparse = sparse[0] - sparse[1]
-        assert spread_dense >= spread_sparse >= 0

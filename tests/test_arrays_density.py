@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.arrays import areal_density_gbit_per_mm2, cell_area, density_table
-from repro.arrays.density import density_gain
 
 
 class TestDensityMath:
@@ -22,10 +21,6 @@ class TestDensityMath:
         rows = density_table([70e-9, 90e-9])
         assert len(rows) == 2
         assert rows[0][2] > rows[1][2]
-
-    def test_gain_quadratic(self):
-        assert density_gain(105e-9, 52.5e-9) == pytest.approx(4.0)
-        assert density_gain(70e-9, 70e-9) == pytest.approx(1.0)
 
     def test_smaller_pitch_denser(self):
         assert (areal_density_gbit_per_mm2(52.5e-9)

@@ -71,11 +71,6 @@ class TestExtendedNeighborhood:
         with pytest.raises(ParameterError):
             hood.hz_inter({(1, 0): 0})
 
-    def test_summary_structure(self, hood):
-        summary = hood.summary_oe()
-        assert summary["order"] == 2
-        assert summary["rings"][1]["fl_abs_oe"] > 0
-
 
 class TestFastArrayFieldMap:
     @pytest.fixture(scope="class")

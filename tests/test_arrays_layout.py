@@ -47,24 +47,11 @@ class TestNeighborhood3x3:
     def test_direct_distances(self):
         hood = Neighborhood3x3(pitch=90e-9)
         for i in range(4):
-            assert hood.aggressor_distance(i) == pytest.approx(90e-9)
-            assert hood.is_direct(i)
+            assert math.hypot(*hood.aggressor_positions()[i]) == \
+                pytest.approx(90e-9)
 
     def test_diagonal_distances(self):
         hood = Neighborhood3x3(pitch=90e-9)
         for i in range(4, 8):
-            assert hood.aggressor_distance(i) == pytest.approx(
-                90e-9 * math.sqrt(2))
-            assert not hood.is_direct(i)
-
-    def test_from_pitch_ratio(self):
-        hood = Neighborhood3x3.from_pitch_ratio(35e-9, 1.5)
-        assert hood.pitch == pytest.approx(52.5e-9)
-
-    def test_victim_at_origin(self):
-        assert Neighborhood3x3(pitch=90e-9).victim_position == (0.0, 0.0)
-
-    def test_index_validation(self):
-        hood = Neighborhood3x3(pitch=90e-9)
-        with pytest.raises(ParameterError):
-            hood.aggressor_distance(8)
+            assert math.hypot(*hood.aggressor_positions()[i]) == \
+                pytest.approx(90e-9 * math.sqrt(2))

@@ -35,7 +35,6 @@ class TestNeighborhoodPattern:
         pattern = NeighborhoodPattern((1, 1, 0, 0, 1, 0, 0, 0))
         assert pattern.direct_ones == 2
         assert pattern.diagonal_ones == 1
-        assert pattern.class_key == (2, 1)
 
     def test_extremes(self):
         assert ALL_P.to_int() == 0
@@ -52,14 +51,9 @@ class TestNeighborhoodPattern:
             pattern.signs(), [1, -1, 1, -1, 1, -1, 1, -1])
 
     @given(NP8_INTS)
-    def test_inversion_involution(self, value):
-        pattern = NeighborhoodPattern.from_int(value)
-        assert pattern.inverted().inverted() == pattern
-
-    @given(NP8_INTS)
     def test_inversion_complements_counts(self, value):
         pattern = NeighborhoodPattern.from_int(value)
-        inv = pattern.inverted()
+        inv = NeighborhoodPattern.from_int(255 - value)
         assert pattern.direct_ones + inv.direct_ones == 4
         assert pattern.diagonal_ones + inv.diagonal_ones == 4
 

@@ -30,7 +30,7 @@ class TestRetentionMap:
         # (storing 1s) are the stable corner under the negative field.
         weak = retention_map(eval_device, 70e-9, solid(6, 6, 0))
         strong = retention_map(eval_device, 70e-9, solid(6, 6, 1))
-        assert weak.weakest_delta < strong.weakest_delta
+        assert np.nanmin(weak.delta) < np.nanmin(strong.delta)
 
     def test_checkerboard_has_two_levels(self, eval_device):
         rmap = retention_map(eval_device, 70e-9, checkerboard(7, 7))
@@ -38,29 +38,11 @@ class TestRetentionMap:
         unique = np.unique(np.round(interior, 6))
         assert unique.size == 2  # P cells and AP cells.
 
-    def test_weakest_cell_coordinates(self, eval_device):
-        rmap = retention_map(eval_device, 70e-9, checkerboard(7, 7))
-        row, col = rmap.weakest_cell
-        assert rmap.delta[row, col] == pytest.approx(
-            rmap.weakest_delta)
-
-    def test_cells_below_spec(self, eval_device):
-        rmap = retention_map(eval_device, 52.5e-9, solid(6, 6, 0))
-        n_all = rmap.cells_below(1000.0)
-        assert n_all == 16  # every interior cell of a 6x6.
-        assert rmap.cells_below(1.0) == 0
-
     def test_temperature_lowers_map(self, eval_device):
         cold = retention_map(eval_device, 70e-9, solid(6, 6, 0))
         hot = retention_map(eval_device, 70e-9, solid(6, 6, 0),
                             temperature=celsius_to_kelvin(125.0))
-        assert hot.weakest_delta < cold.weakest_delta
-
-    def test_statistics(self, eval_device):
-        rmap = retention_map(eval_device, 70e-9, checkerboard(8, 8))
-        mean, std, lo, hi = rmap.interior_statistics()
-        assert lo <= mean <= hi
-        assert std > 0
+        assert np.nanmin(hot.delta) < np.nanmin(cold.delta)
 
     def test_rejects_non_device(self):
         with pytest.raises(ParameterError):

@@ -60,12 +60,6 @@ class TestFieldDistribution:
                  for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(means, means[1:]))
 
-    def test_cdf_bounds(self, coupling):
-        dist = pattern_field_distribution(coupling)
-        lo, hi = dist.support
-        assert dist.cdf(lo - 1.0) == 0.0
-        assert dist.cdf(hi + 1.0) == pytest.approx(1.0)
-
     def test_expectation_of_constant(self, coupling):
         dist = pattern_field_distribution(coupling)
         assert dist.expectation(lambda _: 3.0) == pytest.approx(3.0)

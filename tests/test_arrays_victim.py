@@ -53,8 +53,6 @@ class TestFiguresOfMerit:
     def test_spreads_ordered(self, victim):
         lo, hi = victim.ic_spread("AP->P")
         assert lo < hi
-        lo_t, hi_t = victim.tw_spread(0.9)
-        assert lo_t < hi_t
 
     def test_summary_keys(self, victim):
         summary = victim.summary()

@@ -51,7 +51,7 @@ class TestInterCellModel:
         model = InterCellModel(nm_to_m(35.0))
         pitches = np.array([nm_to_m(p) for p in (52.5, 70.0, 105.0,
                                                  200.0)])
-        variations = model.variation_vs_pitch(pitches)
+        variations = [model.coupling(p).max_variation() for p in pitches]
         assert np.all(np.diff(variations) < 0)
 
 

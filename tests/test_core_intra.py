@@ -17,8 +17,8 @@ def model():
 
 class TestCenterField:
     def test_eval_anchor(self, model):
-        assert model.hz_at_center_oe(nm_to_m(35.0)) == pytest.approx(
-            -325.0, abs=25.0)
+        assert am_to_oe(model.hz_at_center(nm_to_m(35.0))) == \
+            pytest.approx(-325.0, abs=25.0)
 
     def test_negative_for_all_sizes(self, model):
         for ecd_nm in (20.0, 35.0, 55.0, 90.0, 175.0):
@@ -32,10 +32,8 @@ class TestCenterField:
 
     def test_steeper_below_100nm(self, model):
         # Slope (per nm) between 35-55 exceeds slope between 120-175.
-        h35 = model.hz_at_center_oe(nm_to_m(35.0))
-        h55 = model.hz_at_center_oe(nm_to_m(55.0))
-        h120 = model.hz_at_center_oe(nm_to_m(120.0))
-        h175 = model.hz_at_center_oe(nm_to_m(175.0))
+        h35, h55, h120, h175 = (am_to_oe(model.hz_at_center(nm_to_m(e)))
+                                for e in (35.0, 55.0, 120.0, 175.0))
         slope_small = abs(h35 - h55) / 20.0
         slope_large = abs(h120 - h175) / 55.0
         assert slope_small > 2 * slope_large
@@ -62,22 +60,6 @@ class TestRadialProfile:
         positions, _ = model.radial_profile(nm_to_m(55.0), n_points=11,
                                             margin=0.9)
         assert positions[0] == pytest.approx(-0.9 * 27.5e-9)
-
-
-class TestLayerContributions:
-    def test_rl_positive_hl_negative(self, model):
-        hz_rl, hz_hl = model.layer_contributions(nm_to_m(55.0))
-        assert hz_rl > 0  # RL points +z, field at FL follows it.
-        assert hz_hl < 0  # HL points -z.
-
-    def test_sum_equals_total(self, model):
-        hz_rl, hz_hl = model.layer_contributions(nm_to_m(55.0))
-        assert hz_rl + hz_hl == pytest.approx(
-            model.hz_at_center(nm_to_m(55.0)), rel=1e-9)
-
-    def test_hl_dominates(self, model):
-        hz_rl, hz_hl = model.layer_contributions(nm_to_m(55.0))
-        assert abs(hz_hl) > abs(hz_rl)
 
 
 class TestFieldMap:

@@ -11,7 +11,7 @@ from repro.device import (
     PAPER_EVAL_DEVICE,
     WritePath,
 )
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ParameterError
 
 
 @pytest.fixture
@@ -43,12 +43,6 @@ class TestOperatingPoint:
         assert ideal.mtj_voltage(1.0, MTJState.AP) == pytest.approx(
             1.0, abs=1e-5)
 
-    def test_current_continuity(self, path, eval_device):
-        v_cell = 1.2
-        i = path.write_current(v_cell, MTJState.AP)
-        v_mtj = path.mtj_voltage(v_cell, MTJState.AP)
-        assert i == pytest.approx((v_cell - v_mtj) / 3000.0, rel=1e-4)
-
 
 class TestWriteTiming:
     def test_access_device_slows_write(self, path, eval_device):
@@ -56,16 +50,6 @@ class TestWriteTiming:
         tw_direct = eval_device.switching_time(1.1, h)
         tw_through = path.switching_time(1.1, h)
         assert tw_through > tw_direct
-
-    def test_required_cell_voltage_roundtrip(self, path):
-        v_cell = path.required_cell_voltage(0.9, MTJState.AP)
-        assert path.mtj_voltage(v_cell, MTJState.AP) == pytest.approx(
-            0.9, abs=1e-6)
-
-    def test_unreachable_target(self, eval_device):
-        starved = WritePath(eval_device, AccessTransistor(r_on=1e6))
-        with pytest.raises(SimulationError):
-            starved.required_cell_voltage(0.9, MTJState.AP, v_max=1.2)
 
 
 class TestValidation:

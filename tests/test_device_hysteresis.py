@@ -92,29 +92,3 @@ class TestLoopSimulation:
         with pytest.raises(ParameterError):
             RHLoopSimulator(delta0=45.0, hk=3e5, rp=2000.0, rap=4000.0,
                             protocol=None)
-
-
-class TestQuantiles:
-    def test_median_matches_monte_carlo(self):
-        sim = make_simulator()
-        median = sim.switching_field_quantile("AP", 0.5)
-        rng = np.random.default_rng(17)
-        samples = [sim.simulate(rng=rng).hsw_p for _ in range(30)]
-        assert np.median(samples) == pytest.approx(
-            median, abs=oe_to_am(120.0))
-
-    def test_quantiles_ordered(self):
-        sim = make_simulator()
-        q25 = sim.switching_field_quantile("AP", 0.25)
-        q75 = sim.switching_field_quantile("AP", 0.75)
-        assert q25 < q75
-
-    def test_p_branch_negative(self):
-        sim = make_simulator()
-        median_n = sim.switching_field_quantile("P", 0.5)
-        assert median_n < 0
-
-    def test_unreachable_quantile(self):
-        sim = make_simulator(delta0=100.0, hk_oe=50000.0)
-        with pytest.raises(MeasurementError):
-            sim.switching_field_quantile("AP", 0.5)

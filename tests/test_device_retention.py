@@ -16,7 +16,6 @@ from repro.device.retention import (
     SECONDS_PER_YEAR,
     array_retention_failure_probability,
     flip_rate,
-    required_delta,
 )
 
 
@@ -37,11 +36,6 @@ class TestRatesAndTimes:
         # Delta ~ 60 gives >10 years at f0 = 1 GHz, Delta ~ 40 does not.
         assert retention_time(60.0) > 10 * SECONDS_PER_YEAR
         assert retention_time(40.0) < 10 * SECONDS_PER_YEAR
-
-    def test_required_delta_roundtrip(self):
-        delta = required_delta(10 * SECONDS_PER_YEAR)
-        assert retention_time(delta) == pytest.approx(
-            10 * SECONDS_PER_YEAR, rel=1e-9)
 
 
 class TestFailureProbability:

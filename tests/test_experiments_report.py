@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments.base import Comparison, ExperimentResult
-from repro.experiments.report import build_report, write_report
+from repro.experiments.report import build_report
 
 
 def make_results():
@@ -57,12 +55,3 @@ class TestBuildReport:
         assert table_lines
         for line in table_lines:
             assert line.endswith("|")
-
-
-class TestWriteReport:
-    def test_writes_file(self, tmp_path):
-        path = str(tmp_path / "sub" / "report.md")
-        out = write_report(path, results=make_results())
-        assert os.path.exists(out)
-        with open(out) as handle:
-            assert "# Reproduction report" in handle.read()

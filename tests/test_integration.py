@@ -43,7 +43,7 @@ class TestCalibrateThenExtrapolate:
 
         # 2. The calibrated model reproduces the eval-device anchor.
         intra = IntraCellModel(stack_builder=calibration.stack_builder)
-        hz35 = intra.hz_at_center_oe(nm_to_m(35.0))
+        hz35 = am_to_oe(intra.hz_at_center(nm_to_m(35.0)))
         assert hz35 == pytest.approx(-325.0, abs=40.0)
 
         # 3. Extrapolate to the 3x3 array and check the coupling anchors.

@@ -256,8 +256,9 @@ class TestSpoolAudit:
 
 class TestManifestObject:
     def test_round_trip(self, tmp_path):
-        manifest = RunManifest("spool-run", identity={"seed": 3})
-        manifest.add_entry("chunk-000000", values_sha256="ab" * 32)
+        manifest = RunManifest(
+            "spool-run", identity={"seed": 3},
+            entries={"chunk-000000": {"values_sha256": "ab" * 32}})
         path = manifest.write(str(tmp_path / "manifest.json"))
         loaded = RunManifest.load(path)
         assert loaded.kind == "spool-run"

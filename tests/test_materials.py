@@ -10,8 +10,6 @@ from repro.materials import (
     COPT_HARD_EFF,
     MGO,
     Material,
-    get_material,
-    registered_materials,
 )
 
 
@@ -64,17 +62,3 @@ class TestBlochLaw:
         temps = [200.0, 300.0, 400.0, 500.0, 600.0]
         values = [COPT_HARD_EFF.bloch_factor(t) for t in temps]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-
-class TestRegistry:
-    def test_lookup_known(self):
-        assert get_material("MgO") is MGO
-
-    def test_lookup_unknown_lists_names(self):
-        with pytest.raises(ParameterError, match="MgO"):
-            get_material("unobtainium")
-
-    def test_registry_sorted(self):
-        names = registered_materials()
-        assert names == sorted(names)
-        assert "CoFeB-FL" in names

@@ -369,16 +369,6 @@ class TestExpectationMode:
         rates = engine.expected_rates(rng=0)
         assert rates["uber"] == pytest.approx(rates["raw_ber"])
 
-    def test_result_renders_as_experiment(self, device):
-        engine = build_engine(device, pitch=70e-9, rows=16, cols=16)
-        result = engine.run(2000, rng=1)
-        exp = result.to_experiment_result()
-        assert exp.experiment_id == "memsys"
-        assert exp.extras["uber"] == result.uber
-        from repro.experiments.runner import render
-        text = render(exp, plot=False)
-        assert "raw BER" in text
-
 
 class TestPhaseProfile:
     def _counters(self, result):

@@ -77,12 +77,12 @@ class TestBitPlane:
         assert np.array_equal(plane.to_bits(72, 2 * 72), bits[0])
         assert plane.to_bits(0, 72).sum() == 0
 
-    def test_toggle_and_get_cells_mapped_and_tail(self):
+    def test_toggle_cells_mapped_and_tail(self):
         flat = np.zeros(100, dtype=np.int8)
         plane = BitPlane.from_bits(flat, n_words=1, code_bits=72)
         idx = np.array([0, 63, 64, 71, 72, 99])  # lanes 0/1 + tail
         plane.toggle_cells(idx)
-        assert np.array_equal(plane.get_cells(idx), np.ones(6, np.int8))
+        assert np.array_equal(plane.to_bits()[idx], np.ones(6, np.int8))
         ref = flat.copy()
         ref[idx] ^= 1
         assert np.array_equal(plane.to_bits(), ref)
@@ -115,8 +115,8 @@ class TestBitPlane:
     def test_toggle_repeated_index_semantics(self):
         plane = BitPlane.from_bits(np.zeros(72, np.int8), 1, 72)
         plane.toggle_cells(np.array([3, 3, 5]))  # 3 toggles twice
-        assert plane.get_cells(np.array([3]))[0] == 0
-        assert plane.get_cells(np.array([5]))[0] == 1
+        assert plane.to_bits()[3] == 0
+        assert plane.to_bits()[5] == 1
 
     def test_diff_counts_matches_dense(self):
         rng = np.random.default_rng(3)

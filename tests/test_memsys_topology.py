@@ -3,22 +3,18 @@
 The parity matrix at the core: a seeded 1x1 banked run is
 *byte-identical* to the flat engine across topology x scrub,
 sharded runs are statistically equivalent and deterministic across
-executors, and the hierarchical address map round-trips exactly
-(hypothesis-driven). Also the regression home of the profile-merge fix:
+executors. Also the regression home of the profile-merge fix:
 ``extras["profile"]`` survives :func:`repro.memsys.merge_results`.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from memsys_reference import per_cell_reference
 
 from repro.errors import ParameterError
 from repro.memsys import (
     ArrayTopology,
-    HierarchicalAddressMap,
     MemsysResult,
     ScrubPolicy,
     TOPOLOGIES,
@@ -27,6 +23,7 @@ from repro.memsys import (
     merge_results,
     normalize_topology,
 )
+from repro.memsys.engine import _PackedState
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +57,6 @@ class TestArrayTopology:
                              rows=128, cols=64)
         assert topo.n_shards == 8
         assert (topo.sub_rows, topo.sub_cols) == (32, 32)
-        assert topo.shard_index(3, 1) == 7
-        assert topo.shard_coords(7) == (3, 1)
 
     def test_cross_point_dash_normalizes(self):
         topo = ArrayTopology("cross-point", banks=2, subarrays=2,
@@ -91,100 +86,6 @@ class TestArrayTopology:
         assert described["n_shards"] == 8
         assert described["sub_rows"] == 32
         assert described["sub_cols"] == 32
-
-
-class TestHierarchicalAddressMap:
-    def test_word_counts(self):
-        topo = ArrayTopology("banked", banks=2, subarrays=2,
-                             rows=48, cols=48)
-        amap = topo.address_map(code_bits=72)
-        assert amap.words_per_shard == (24 * 24) // 72
-        assert amap.n_words == 4 * amap.words_per_shard
-
-    def test_explicit_round_trip(self):
-        topo = ArrayTopology("banked", banks=2, subarrays=3,
-                             rows=36, cols=36)
-        amap = HierarchicalAddressMap(topo, code_bits=12)
-        bank, subarray, local = amap.decompose(0)
-        assert (bank, subarray, local) == (0, 0, 0)
-        last = amap.n_words - 1
-        assert amap.compose(*amap.decompose(last)) == last
-        assert amap.shard_of(last) == topo.n_shards - 1
-
-    def test_vectorized_round_trip(self):
-        topo = ArrayTopology("banked", banks=4, subarrays=2,
-                             rows=64, cols=64)
-        amap = topo.address_map(code_bits=72)
-        words = np.arange(amap.n_words)
-        bank, subarray, local = amap.decompose(words)
-        np.testing.assert_array_equal(
-            amap.compose(bank, subarray, local), words)
-
-    def test_out_of_range_rejected(self):
-        amap = ArrayTopology("banked", banks=2, rows=32,
-                             cols=32).address_map(code_bits=8)
-        with pytest.raises(ParameterError):
-            amap.decompose(amap.n_words)
-        with pytest.raises(ParameterError):
-            amap.decompose(-1)
-        with pytest.raises(ParameterError):
-            amap.compose(2, 0, 0)
-
-    def test_too_small_subarray_rejected(self):
-        topo = ArrayTopology("banked", banks=8, subarrays=8,
-                             rows=16, cols=16)
-        with pytest.raises(ParameterError):
-            topo.address_map(code_bits=72)
-
-    def test_shard_cells_partition_small(self):
-        topo = ArrayTopology("banked", banks=2, subarrays=2,
-                             rows=4, cols=4)
-        amap = topo.address_map(code_bits=4)
-        np.testing.assert_array_equal(amap.shard_cells(0, 0),
-                                      [0, 1, 4, 5])
-        np.testing.assert_array_equal(amap.shard_cells(1, 1),
-                                      [10, 11, 14, 15])
-
-
-#: Small divisible geometries for the hypothesis properties.
-_topologies = st.builds(
-    ArrayTopology,
-    st.sampled_from(["banked", "cross_point"]),
-    banks=st.integers(min_value=1, max_value=4),
-    subarrays=st.integers(min_value=1, max_value=4),
-    rows=st.sampled_from([12, 24, 48]).map(lambda r: r),
-    cols=st.sampled_from([12, 24, 48]),
-).filter(lambda t: t.rows % t.banks == 0
-         and t.cols % t.subarrays == 0)
-
-
-class TestAddressMapProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(_topologies, st.sampled_from([3, 8, 12]),
-           st.data())
-    def test_round_trip_exact(self, topo, code_bits, data):
-        if topo.sub_rows * topo.sub_cols < code_bits:
-            return
-        amap = HierarchicalAddressMap(topo, code_bits)
-        word = data.draw(st.integers(min_value=0,
-                                     max_value=amap.n_words - 1))
-        bank, subarray, local = amap.decompose(word)
-        assert 0 <= bank < topo.banks
-        assert 0 <= subarray < topo.subarrays
-        assert 0 <= local < amap.words_per_shard
-        assert amap.compose(bank, subarray, local) == word
-
-    @settings(max_examples=40, deadline=None)
-    @given(_topologies)
-    def test_shards_partition_the_array(self, topo):
-        amap = HierarchicalAddressMap(topo, code_bits=1)
-        pieces = [amap.shard_cells(b, s)
-                  for b in range(topo.banks)
-                  for s in range(topo.subarrays)]
-        union = np.concatenate(pieces)
-        assert union.size == topo.rows * topo.cols
-        np.testing.assert_array_equal(np.sort(union),
-                                      np.arange(topo.rows * topo.cols))
 
 
 class TestFlatBankedParity:
@@ -302,12 +203,17 @@ class TestShardedRuns:
         assert result.config["sub_rows"] == 16
         assert result.config["n_shards"] == 4
 
-    def test_address_map_matches_engine_words(self, device):
+    def test_stacked_state_gives_each_shard_its_words(self, device):
+        # Shard s owns the stacked state's global words s * W + local,
+        # W codewords per sub_rows x sub_cols subarray.
         engine = build_engine(device, pitch=70e-9, rows=48, cols=48,
                               topology="banked", banks=2, subarrays=2)
-        amap = engine.address_map()
-        assert amap.words_per_shard == engine.controller.words.n_words
-        assert amap.n_words == 4 * engine.controller.words.n_words
+        ctl = engine.controller
+        words = ctl.words.n_words
+        assert words == (24 * 24) // ctl.ecc.n_code
+        state = _PackedState.stacked(engine.template, 4)
+        assert state.actual.n_words == 4 * words
+        assert [plane.n_words for _, plane in state.shards] == [words] * 4
 
 
 class TestCrossPoint:

@@ -21,7 +21,7 @@ class TestReferenceStack:
 
     def test_fl_midplane_at_origin(self, stack35):
         fl = stack35.free_layer
-        assert fl.z_center == pytest.approx(0.0, abs=1e-15)
+        assert fl.z_bottom + fl.z_top == pytest.approx(0.0, abs=1e-15)
 
     def test_vertical_order(self, stack35):
         # Bottom-pinned: HL below SAF spacer below RL below TB below FL.

@@ -83,20 +83,6 @@ class TestSweepResult:
         result = SweepResult(spec=spec, values=[(1.0, 2.0), (3.0, 4.0)])
         assert result.values_array(dtype=float).shape == (2, 2)
 
-    def test_to_rows(self):
-        spec = SweepSpec.product(a=(1, 2), b=(5,))
-        result = run_sweep(require_positive_product, spec)
-        headers, rows = result.to_rows(value_columns=["prod"])
-        assert headers == ["a", "b", "prod"]
-        assert rows == [(1, 5, 5), (2, 5, 10)]
-
-    def test_value_at(self):
-        spec = SweepSpec.product(a=(1, 2), b=(5, 7))
-        result = run_sweep(require_positive_product, spec)
-        assert result.value_at(a=2, b=7) == 14
-        with pytest.raises(ParameterError):
-            result.value_at(a=99)
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             SweepResult(spec=SweepSpec.product(a=(1, 2)), values=[1])
