@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,15 @@ class TestYieldAnalysis:
         r_wide = wide.run(n_samples=60, rng=5)
         assert r_wide.worst_delta_std > r_tight.worst_delta_std
 
+    def test_yield_vs_pitch_runs(self):
+        """One seed at two pitches isolates the coupling effect: the
+        denser array has the weaker worst-case Delta."""
+        dense, sparse = (
+            ArrayYieldAnalysis(PAPER_EVAL_DEVICE, pitch).run(
+                n_samples=30, rng=2)
+            for pitch in (52.5e-9, 105e-9))
+        assert dense.worst_delta_mean < sparse.worst_delta_mean
+
     def test_rejects_bad_base(self):
         with pytest.raises(ParameterError):
             ArrayYieldAnalysis("params", 70e-9)
@@ -118,6 +129,24 @@ class TestRetentionBudget:
         assert classify_retention(SECONDS_PER_YEAR / 2.0) == "embedded"
         assert classify_retention(10.0) == "cache"
         assert classify_retention(1e-6) == "unusable"
+
+    def test_sampled_failures_match_closed_form(self):
+        """At the planned scrub interval a period loses a bit with about
+        the budgeted probability, 1 - (1 - p_flip)^n_bits, and binomial
+        per-period draws reproduce that closed form."""
+        device = MTJDevice(PAPER_EVAL_DEVICE)
+        planner = RetentionBudgetPlanner(device, pitch=70e-9,
+                                         n_bits=4096)
+        hot = celsius_to_kelvin(125.0)
+        interval = planner.scrub_interval(hot, 0.05)
+        p_flip = planner.flip_probability(hot, interval)
+        closed = -math.expm1(planner.n_bits * math.log1p(-p_flip))
+        assert closed == pytest.approx(0.05, rel=0.03)
+        n_periods = 20_000
+        flips = np.random.default_rng(2).binomial(
+            planner.n_bits, p_flip, size=n_periods)
+        se = math.sqrt(closed * (1.0 - closed) / n_periods)
+        assert abs(np.mean(flips > 0) - closed) < 6.0 * se
 
     def test_flip_probability_rejects_negative_interval(self):
         device = MTJDevice(PAPER_EVAL_DEVICE)

@@ -57,6 +57,17 @@ class TestStressPatterns:
         with pytest.raises(ParameterError, match="write_margin"):
             analyzer.sensitizing_background("bitflip")
 
+    def test_stress_data_pattern(self, analyzer):
+        """Each fault type's background fills a whole array: every
+        interior cell then sees the sensitizing neighborhood at once."""
+        from repro.arrays.pattern import solid
+        for fault_type in ("write_margin", "retention"):
+            name, pattern = analyzer.sensitizing_background(fault_type)
+            array = solid(8, 8, 0 if name == "solid-0" else 1)
+            for row in range(1, 7):
+                for col in range(1, 7):
+                    assert array.neighborhood_of(row, col) == pattern
+
     def test_stress_background_is_worst_case(self, analyzer,
                                              eval_device):
         """The solid-0 background must indeed maximize tw(AP->P)."""
@@ -82,3 +93,13 @@ class TestMarchTest:
     def test_pause_bounded(self, analyzer):
         pause = analyzer._retention_pause()
         assert 1.0 <= pause <= 1.0e4
+
+    def test_sweep_pitches(self, eval_device):
+        assessments = [
+            CouplingFaultAnalyzer(eval_device, pitch).assess(
+                15e-9, 0.9, 35.0)
+            for pitch in (52.5e-9, 70e-9, 105e-9)]
+        margins = [a.retention_margin for a in assessments]
+        assert margins[0] < margins[1] < margins[2]
+        write = [a.write_margin_ns for a in assessments]
+        assert write[0] < write[1] < write[2]

@@ -7,6 +7,8 @@ import math
 import pytest
 
 from repro.apps import ReadDisturbAnalysis
+from repro.arrays import VictimAnalysis
+from repro.arrays.pattern import ALL_AP, ALL_P
 from repro.device import MTJState
 from repro.errors import ParameterError
 
@@ -90,3 +92,29 @@ class TestReadVoltageSizing:
         loose = analysis.max_read_voltage(MTJState.P, 1e-9,
                                           hz_stray=hz_intra)
         assert loose >= tight
+
+
+def pattern_sensitivity(analysis, pitch, t_read=10e-9):
+    """Disturb probability of a P victim at 0.35 V under NP8=0 and 255."""
+    victim = VictimAnalysis(analysis.device, pitch)
+    return tuple(
+        analysis.disturb_probability(MTJState.P, 0.35, t_read,
+                                     victim.hz_total(pattern))
+        for pattern in (ALL_P, ALL_AP))
+
+
+class TestPatternSensitivity:
+    def test_np0_worse_for_p_state(self, analysis, eval_device):
+        p_np0, p_np255 = pattern_sensitivity(
+            analysis, 1.5 * eval_device.params.ecd)
+        # NP8=0 lowers Delta_P -> easier disturb out of P.
+        assert p_np0 > p_np255
+
+    def test_sensitivity_shrinks_with_pitch(self, analysis,
+                                            eval_device):
+        ecd = eval_device.params.ecd
+        dense = pattern_sensitivity(analysis, 1.5 * ecd)
+        sparse = pattern_sensitivity(analysis, 3.0 * ecd)
+        spread_dense = dense[0] - dense[1]
+        spread_sparse = sparse[0] - sparse[1]
+        assert spread_dense > spread_sparse > 0

@@ -139,6 +139,21 @@ class TestPatternAlgebra:
             assert values[v] == pytest.approx(
                 table[pattern.direct_ones, pattern.diagonal_ones])
 
+    def test_batch_matches_per_pattern(self, coupling55):
+        patterns = np.arange(256).reshape(16, 16)
+        batch = coupling55.hz_inter_batch(patterns)
+        assert batch.shape == (16, 16)
+        np.testing.assert_allclose(batch.reshape(-1),
+                                   coupling55.hz_inter_all(), rtol=1e-12)
+
+    def test_batch_rejects_bad_patterns(self, coupling55):
+        with pytest.raises(ParameterError, match="integers"):
+            coupling55.hz_inter_batch(np.array([0.0, 1.0]))
+        with pytest.raises(ParameterError, match="0, 255"):
+            coupling55.hz_inter_batch(np.array([0, 256]))
+        with pytest.raises(ParameterError, match="0, 255"):
+            coupling55.hz_inter_batch(np.array([-1]))
+
     def test_complement_symmetry(self, coupling55):
         # Flipping every neighbor mirrors the FL term around the fixed
         # baseline.

@@ -17,6 +17,11 @@ class TestDensityMath:
         density = areal_density_gbit_per_mm2(90e-9)
         assert density == pytest.approx(1 / 8.1e-15 / 1e6 / 1e9)
 
+    def test_gain_quadratic(self):
+        """Halving the pitch quadruples the density."""
+        assert (areal_density_gbit_per_mm2(52.5e-9)
+                / areal_density_gbit_per_mm2(105e-9)) == pytest.approx(4.0)
+
     def test_density_table_rows(self):
         rows = density_table([70e-9, 90e-9])
         assert len(rows) == 2

@@ -50,6 +50,14 @@ class TestNeighborhood3x3:
             assert math.hypot(*hood.aggressor_positions()[i]) == \
                 pytest.approx(90e-9)
 
+    def test_victim_at_origin(self):
+        """The aggressors surround the victim at (0, 0): C0-C3 and C4-C7
+        each form two opposite pairs, so every ring sums to zero."""
+        positions = Neighborhood3x3(pitch=90e-9).aggressor_positions()
+        for ring in (positions[:4], positions[4:]):
+            assert sum(x for x, _ in ring) == pytest.approx(0.0, abs=1e-24)
+            assert sum(y for _, y in ring) == pytest.approx(0.0, abs=1e-24)
+
     def test_diagonal_distances(self):
         hood = Neighborhood3x3(pitch=90e-9)
         for i in range(4, 8):

@@ -38,6 +38,20 @@ class TestRetentionMap:
         unique = np.unique(np.round(interior, 6))
         assert unique.size == 2  # P cells and AP cells.
 
+    def test_cells_below_spec(self, eval_device):
+        rmap = retention_map(eval_device, 52.5e-9, solid(6, 6, 0))
+        # The NaN border compares False: only the 16 interior cells of
+        # a 6x6 are counted.
+        assert np.sum(rmap.delta < 1000.0) == 16
+        assert np.sum(rmap.delta < 1.0) == 0
+
+    def test_statistics(self, eval_device):
+        rmap = retention_map(eval_device, 70e-9, checkerboard(8, 8))
+        interior = rmap.delta[np.isfinite(rmap.delta)]
+        assert interior.size == 36
+        assert interior.min() < interior.mean() < interior.max()
+        assert interior.std() > 0
+
     def test_temperature_lowers_map(self, eval_device):
         cold = retention_map(eval_device, 70e-9, solid(6, 6, 0))
         hot = retention_map(eval_device, 70e-9, solid(6, 6, 0),

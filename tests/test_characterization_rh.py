@@ -15,7 +15,11 @@ from repro.characterization import (
 from repro.device import MTJDevice
 from repro.errors import MeasurementError, ParameterError
 from repro.experiments.data import (
+    EVAL_ECD,
+    WAFER_DELTA0_35NM,
+    WAFER_DELTA0_CAP,
     WAFER_RESISTANCE,
+    wafer_delta0,
     wafer_device_parameters,
 )
 from repro.units import am_to_oe, nm_to_m
@@ -56,6 +60,30 @@ class TestRHMeasurement:
     def test_rejects_non_device(self):
         with pytest.raises(ParameterError):
             RHMeasurement("device")
+
+    def test_offset_and_coercivity_split_the_switching_fields(
+            self, stats55):
+        assert stats55.hoffset == pytest.approx(
+            0.5 * (stats55.hsw_p_mean + stats55.hsw_n_mean))
+        assert stats55.stray_field == -stats55.hoffset
+        assert stats55.hoffset + stats55.hc == pytest.approx(
+            stats55.hsw_p_mean)
+        assert stats55.hoffset - stats55.hc == pytest.approx(
+            stats55.hsw_n_mean)
+
+
+class TestWaferDelta0:
+    def test_anchor_at_eval_size(self):
+        assert wafer_delta0(EVAL_ECD) == pytest.approx(WAFER_DELTA0_35NM)
+
+    def test_scales_with_area_then_caps(self):
+        assert wafer_delta0(2.0 * EVAL_ECD) == pytest.approx(
+            min(4.0 * WAFER_DELTA0_35NM, WAFER_DELTA0_CAP))
+        assert wafer_delta0(0.5 * EVAL_ECD) == pytest.approx(
+            0.25 * WAFER_DELTA0_35NM)
+        assert wafer_delta0(nm_to_m(175.0)) == WAFER_DELTA0_CAP
+        device = wafer_device_parameters(nm_to_m(55.0))
+        assert device.delta0 == wafer_delta0(nm_to_m(55.0))
 
 
 class TestLoopLevelExtraction:

@@ -146,3 +146,33 @@ class TestRetentionAnalysis:
         strict = retention.retention_margin(temp, nm_to_m(70.0),
                                             target_delta=60.0)
         assert generous > 0 > strict
+
+    def test_delta0_curve_anchors_at_reference_temperature(
+            self, retention, eval_device):
+        curve = retention.delta0_vs_temperature(
+            [eval_device.params.temperature])
+        assert curve[0] == pytest.approx(eval_device.params.delta0)
+
+    @pytest.mark.parametrize("state", [MTJState.P, MTJState.AP])
+    def test_ideal_case_follows_delta0(self, retention, state):
+        temps = celsius_to_kelvin(np.array([0.0, 75.0, 150.0]))
+        np.testing.assert_allclose(
+            retention.delta_vs_temperature(temps, state, "ideal"),
+            retention.delta0_vs_temperature(temps), rtol=1e-12)
+
+    @pytest.mark.parametrize("state", [MTJState.P, MTJState.AP])
+    def test_delta_falls_with_temperature(self, retention, state):
+        temps = celsius_to_kelvin(np.linspace(0.0, 150.0, 4))
+        delta = retention.delta_vs_temperature(temps, state, "np0",
+                                               nm_to_m(52.5))
+        assert np.all(np.diff(delta) < 0)
+
+    def test_negative_stray_field_splits_the_states(self, retention):
+        """Hz_s < 0 lowers Delta_P and raises Delta_AP at every T."""
+        temps = celsius_to_kelvin(np.array([0.0, 75.0, 150.0]))
+        pitch = nm_to_m(52.5)
+        ideal = retention.delta0_vs_temperature(temps)
+        p = retention.delta_vs_temperature(temps, MTJState.P, "np0", pitch)
+        ap = retention.delta_vs_temperature(temps, MTJState.AP, "np0",
+                                            pitch)
+        assert np.all(p < ideal) and np.all(ideal < ap)

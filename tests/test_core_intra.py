@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import IntraCellModel
 from repro.errors import ParameterError
+from repro.fields import LoopCollection, layer_to_loops
 from repro.units import am_to_oe, nm_to_m
 
 
@@ -60,6 +61,31 @@ class TestRadialProfile:
         positions, _ = model.radial_profile(nm_to_m(55.0), n_points=11,
                                             margin=0.9)
         assert positions[0] == pytest.approx(-0.9 * 27.5e-9)
+
+
+def layer_contributions(model, ecd):
+    """Center fields [A/m] of the RL and of the HL alone."""
+    stack = model.stack_builder(ecd)
+    return tuple(
+        float(LoopCollection(layer_to_loops(layer, stack.radius))
+              .field((0.0, 0.0, 0.0))[2])
+        for layer in (stack.reference_layer, stack.hard_layer))
+
+
+class TestLayerContributions:
+    def test_rl_positive_hl_negative(self, model):
+        hz_rl, hz_hl = layer_contributions(model, nm_to_m(55.0))
+        assert hz_rl > 0  # RL points +z, field at FL follows it.
+        assert hz_hl < 0  # HL points -z.
+
+    def test_sum_equals_total(self, model):
+        hz_rl, hz_hl = layer_contributions(model, nm_to_m(55.0))
+        assert hz_rl + hz_hl == pytest.approx(
+            model.hz_at_center(nm_to_m(55.0)), rel=1e-9)
+
+    def test_hl_dominates(self, model):
+        hz_rl, hz_hl = layer_contributions(model, nm_to_m(55.0))
+        assert abs(hz_hl) > abs(hz_rl)
 
 
 class TestFieldMap:

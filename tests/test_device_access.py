@@ -32,6 +32,14 @@ class TestOperatingPoint:
         expected = v_cell * r_mtj / (r_mtj + 3000.0)
         assert v_mtj == pytest.approx(expected, abs=1e-6)
 
+    def test_current_continuity(self, path, eval_device):
+        """The MTJ and the access device carry the same current."""
+        v_cell = 1.2
+        v_mtj = path.mtj_voltage(v_cell, MTJState.AP)
+        i_mtj = v_mtj / eval_device.params.resistance.resistance(
+            eval_device.params.ecd, "AP", v_mtj)
+        assert i_mtj == pytest.approx((v_cell - v_mtj) / 3000.0, rel=1e-4)
+
     def test_p_state_drops_more(self, path):
         # RP < RAP: the access device eats a larger share in P state.
         v_ap = path.mtj_voltage(1.2, MTJState.AP)

@@ -92,3 +92,28 @@ class TestLoopSimulation:
         with pytest.raises(ParameterError):
             RHLoopSimulator(delta0=45.0, hk=3e5, rp=2000.0, rap=4000.0,
                             protocol=None)
+
+
+class TestBarrier:
+    def test_zero_field_is_delta0(self):
+        sim = make_simulator()
+        assert sim.barrier_to_leave("AP", 0.0) == pytest.approx(100.0)
+        assert sim.barrier_to_leave("P", 0.0) == pytest.approx(100.0)
+
+    def test_destabilizing_field_lowers_barrier(self):
+        sim = make_simulator()
+        h = 0.5 * sim.hk
+        # +z pushes AP toward P; -z pushes P toward AP.
+        assert sim.barrier_to_leave("AP", h) == pytest.approx(25.0)
+        assert sim.barrier_to_leave("P", -h) == pytest.approx(25.0)
+        assert sim.barrier_to_leave("P", h) == pytest.approx(225.0)
+
+    def test_barrier_vanishes_at_hk(self):
+        sim = make_simulator()
+        assert sim.barrier_to_leave("AP", sim.hk) == 0.0
+        assert sim.barrier_to_leave("P", -2.0 * sim.hk) == 0.0
+
+    def test_stabilizing_field_capped(self):
+        sim = make_simulator()
+        assert sim.barrier_to_leave("AP", -5.0 * sim.hk) == \
+            pytest.approx(400.0)

@@ -123,3 +123,27 @@ class TestDeviceBehaviour:
         sim = eval_device.rh_simulator()
         assert sim.hz_stray == pytest.approx(
             eval_device.intra_stray_field())
+
+    def test_fixed_layer_loops_give_the_intra_field(self, eval_device):
+        hx, hy, hz = eval_device.fixed_layer_loops().field((0.0, 0.0, 0.0))
+        assert hx == pytest.approx(0.0, abs=1e-6)
+        assert hy == pytest.approx(0.0, abs=1e-6)
+        assert hz == pytest.approx(eval_device.intra_stray_field())
+
+    def test_sun_model_bound_to_device(self, eval_device):
+        sun = eval_device.sun_model()
+        params = eval_device.params
+        assert sun.ms == eval_device.stack.free_layer.material.ms
+        assert sun.fl_volume == eval_device.fl_volume
+        assert (sun.polarization, sun.delta0, sun.ecd) == (
+            params.polarization, params.delta0, params.ecd)
+        ic = eval_device.ic("AP->P")
+        assert eval_device.switching_time(0.9) == sun.switching_time(
+            0.9, ic, initial_state="AP")
+
+    def test_thermal_model_scales_delta0(self, eval_device):
+        thermal = eval_device.thermal_model
+        delta0 = eval_device.params.delta0
+        t_ref = eval_device.params.temperature
+        assert thermal.delta0_at(delta0, t_ref) == pytest.approx(delta0)
+        assert thermal.delta0_at(delta0, t_ref + 100.0) < delta0

@@ -32,6 +32,13 @@ class TestRatesAndTimes:
         assert retention_time(41.0) / retention_time(40.0) == (
             pytest.approx(math.e))
 
+    def test_required_delta_roundtrip(self):
+        """Delta = ln(t * f0) sizes a cell for a mean retention of t."""
+        from repro.constants import ATTEMPT_FREQUENCY
+        delta = math.log(10 * SECONDS_PER_YEAR * ATTEMPT_FREQUENCY)
+        assert retention_time(delta) == pytest.approx(
+            10 * SECONDS_PER_YEAR, rel=1e-9)
+
     def test_storage_class_rule(self):
         # Delta ~ 60 gives >10 years at f0 = 1 GHz, Delta ~ 40 does not.
         assert retention_time(60.0) > 10 * SECONDS_PER_YEAR

@@ -132,3 +132,18 @@ class TestPolarizationCalibration:
             calibrate_polarization(1e-15, 0.9, 61.7e-6, 1.1e6,
                                    area * 2e-9, 45.5, eval_resistance,
                                    35e-9)
+
+
+class TestRateCoefficient:
+    def test_inverse_time_is_rate_times_overdrive(self, sun):
+        ic = 61.7e-6
+        im = sun.overdrive_current(0.9, ic)
+        assert 1.0 / sun.switching_time(0.9, ic) == pytest.approx(
+            sun.rate_coefficient * im, rel=1e-9)
+
+    def test_larger_moment_switches_slower(self, sun, eval_resistance):
+        thick = SunModel(ms=sun.ms, fl_volume=2.0 * sun.fl_volume,
+                         polarization=sun.polarization, delta0=sun.delta0,
+                         resistance_model=eval_resistance, ecd=sun.ecd)
+        assert thick.rate_coefficient == pytest.approx(
+            0.5 * sun.rate_coefficient, rel=1e-12)

@@ -89,6 +89,11 @@ class TestLoopCollection:
         with pytest.raises(ParameterError):
             LoopCollection([42])
 
+    def test_total_moment(self, loop):
+        col = LoopCollection([loop, loop.scaled(-1.0)])
+        assert sum(lp.moment for lp in col.loops) == pytest.approx(
+            0.0, abs=1e-30)
+
     def test_opposite_currents_cancel(self, loop):
         cancel = LoopCollection([loop, loop.scaled(-1.0)])
         pts = np.array([[12e-9, 7e-9, 3e-9]])

@@ -29,6 +29,7 @@ from repro.integrity import (
     audit_checkpoint_dir,
     audit_spool_run,
     blob_digest,
+    identity_diff,
     fsck_spool,
     list_quarantine,
     load_sealed,
@@ -682,3 +683,32 @@ class TestPlumbing:
     def test_results_cache_rejects_bad_clock(self):
         with pytest.raises(ParameterError):
             ResultsCache(clock=object())
+
+
+# ---------------------------------------------------------------------------
+# identity diffs (the RunIdentityError message)
+
+
+class TestIdentityDiff:
+    def test_equal_identities_have_no_diff(self):
+        identity = {"seed": 1, "shape": [64, 64], "config": {"a": 1.0}}
+        assert identity_diff(identity, dict(identity)) == []
+
+    def test_names_each_moved_field_in_order(self):
+        current = {"seed": 1, "shape": [64, 64], "topology": "flat"}
+        stored = {"seed": 2, "shape": [64, 64], "extra": True}
+        assert identity_diff(current, stored) == [
+            "extra: run='<absent>' != stored=True",
+            "seed: run=1.0 != stored=2.0",  # canonical number spelling
+            "topology: run='flat' != stored='<absent>'",
+        ]
+
+    def test_canonical_spellings_compare_equal(self):
+        assert identity_diff({"pitch": 1.0, "cfg": {"b": 2, "a": 1}},
+                             {"pitch": 1, "cfg": {"a": 1, "b": 2}}) == []
+
+    @pytest.mark.parametrize("stored", [None, {}, "legacy"])
+    def test_pre_identity_runs_say_so(self, stored):
+        lines = identity_diff({"seed": 1}, stored)
+        assert lines == [
+            "stored run predates identity records (no fields to compare)"]

@@ -49,6 +49,14 @@ class TestClassMap:
         with pytest.raises(ParameterError):
             neighborhood_class_map(np.zeros(9, dtype=np.int8))
 
+    def test_controller_class_maps_are_flat_row_major(self, controller):
+        bits = random_pattern(16, 16, rng=5).bits
+        nd, ng = controller.class_maps(bits.reshape(-1))
+        ref_nd, ref_ng = neighborhood_class_map(bits)
+        assert nd.shape == ng.shape == (256,)
+        assert np.array_equal(nd, ref_nd.reshape(-1))
+        assert np.array_equal(ng, ref_ng.reshape(-1))
+
 
 class TestWordMap:
     def test_capacity(self):

@@ -254,6 +254,20 @@ class TestRun:
         assert result.simulated_time == pytest.approx(
             5000 * engine.cycle_time)
 
+    def test_summary_rows_report_the_counters(self, device):
+        result = build_engine(device, pitch=70e-9, rows=16,
+                              cols=16).run(2000, rng=3)
+        headers, rows = result.summary_rows()
+        assert headers == ["metric", "value"]
+        table = dict(rows)
+        assert len(table) == len(rows) == 13
+        assert table["transactions"] == 2000
+        assert table["reads / writes"] == \
+            f"{result.n_reads} / {result.n_writes}"
+        assert float(table["post-ECC UBER"]) == pytest.approx(
+            result.uber, rel=1e-3)
+        assert table["words silently corrupt"] == result.words_silent
+
     def test_deterministic_with_seed(self, device):
         runs = [build_engine(device, pitch=70e-9, rows=16,
                              cols=16).run(3000, rng=7)

@@ -89,6 +89,43 @@ class TestBitPlane:
         plane.toggle_cells(idx)  # toggling back restores zeros
         assert plane.to_bits().sum() == 0
 
+    def test_word_bytes_layout(self):
+        """Codeword bit b of word w is bit b % 8 of byte b // 8 of row
+        w, and the bytes are a view of the lanes."""
+        rng = np.random.default_rng(3)
+        bits = (rng.random((4, 72)) < 0.5).astype(np.int8)
+        plane = BitPlane.from_bits(bits.reshape(-1), n_words=4,
+                                   code_bits=72)
+        raw = plane.word_bytes()
+        assert raw.shape == (4, 16)
+        b = np.arange(72)
+        assert np.array_equal((raw[:, b // 8] >> (b % 8)) & 1, bits)
+        raw[2, 0] ^= 1
+        assert plane.to_bits(2 * 72, 2 * 72 + 1)[0] == 1 - bits[2, 0]
+
+    def test_word_items_move_whole_codewords(self):
+        rng = np.random.default_rng(4)
+        flat = (rng.random(3 * 130) < 0.5).astype(np.int8)
+        source = BitPlane.from_bits(flat, n_words=3, code_bits=130)
+        target = BitPlane(n_words=3, code_bits=130, n_cells=3 * 130)
+        items = target.word_items()
+        assert items.shape == (3,)
+        items[[2, 0]] = source.word_items()[[0, 2]]
+        assert np.array_equal(target.lanes[2], source.lanes[0])
+        assert np.array_equal(target.lanes[0], source.lanes[2])
+        assert not target.lanes[1].any()
+
+    def test_lane_masks_and_xor_masks_flip_cells(self):
+        plane = BitPlane(n_words=2, code_bits=72, n_cells=2 * 72)
+        cells = np.array([0, 65, 72 + 71, 65])
+        word, lane, mask = plane.lane_masks(cells)
+        assert word.tolist() == [0, 0, 1, 0]
+        assert lane.tolist() == [0, 1, 1, 1]
+        assert mask.tolist() == [1, 1 << 1, 1 << 7, 1 << 1]
+        plane.xor_masks(word, lane, mask)
+        # The repeated cell 65 toggles twice and ends where it began.
+        assert np.flatnonzero(plane.to_bits()).tolist() == [0, 143]
+
     def test_toggle_returns_mapped_masks_for_diff_bits(self):
         plane = BitPlane.from_bits(np.zeros(100, np.int8), 1, 72)
         other = plane.copy()

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import IntegrityError, ParameterError
+from repro.integrity import record_digest
 from repro.service.results_cache import RESULTS_SUBDIR, ResultsCache
 
 KEY_A = "a" * 32
@@ -88,6 +89,31 @@ class TestDiskTier:
         stats = second.stats()
         assert stats["disk_hits"] == 1
         assert stats["hits"] == 1
+
+    def test_disk_keys_list_envelopes_only(self, tmp_path):
+        cache = ResultsCache(capacity=4, directory=str(tmp_path))
+        cache.put(KEY_B, {"v": 2})
+        cache.put(KEY_A, {"v": 1})
+        (tmp_path / f".{KEY_C}.json").write_text("{}")  # in-flight temp
+        (tmp_path / "notes.txt").write_text("x")
+        assert sorted(cache.disk_keys()) == [KEY_A, KEY_B]
+
+    def test_read_envelope_verifies_each_field(self, tmp_path):
+        cache = ResultsCache(capacity=4, directory=str(tmp_path))
+        cache.put(KEY_A, {"uber": 1e-9})
+        payload, stored_at, digest = cache.read_envelope(KEY_A)
+        assert payload == {"uber": 1e-9}
+        assert stored_at > 0 and digest == record_digest(payload)
+        with pytest.raises(FileNotFoundError):
+            cache.read_envelope(KEY_B)
+        envelope = json.loads((tmp_path / f"{KEY_A}.json").read_text())
+        (tmp_path / f"{KEY_B}.json").write_text(json.dumps(envelope))
+        with pytest.raises(IntegrityError, match="fingerprint"):
+            cache.read_envelope(KEY_B)
+        envelope["payload"]["uber"] = 2e-9
+        (tmp_path / f"{KEY_A}.json").write_text(json.dumps(envelope))
+        with pytest.raises(IntegrityError, match="digest"):
+            cache.read_envelope(KEY_A)
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         ResultsCache(capacity=4, directory=str(tmp_path)).put(

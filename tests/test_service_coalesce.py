@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.errors import ParameterError, RunAborted
-from repro.service.coalesce import Coalescer
+from repro.service.coalesce import Coalescer, SharedRun
 
 KEY = "f" * 32
 
@@ -188,5 +188,28 @@ class TestErrorPropagation:
                                            return_exceptions=True)
             assert all(isinstance(r, ParameterError)
                        for r in results)
+
+        asyncio.run(main())
+
+
+class TestListeners:
+    def test_progress_reaches_only_current_listeners(self):
+        async def main():
+            run = SharedRun(KEY, asyncio.get_running_loop())
+            seen = {"a": [], "b": []}
+            a = run.add_listener(lambda d, t: seen["a"].append((d, t)))
+            b = run.add_listener(lambda d, t: seen["b"].append((d, t)))
+            assert a != b
+            run.publish(1, 4)
+            await asyncio.sleep(0)
+            run.remove_listener(a)
+            run.remove_listener(a)  # leaving twice is harmless
+            # Progress may be published from the worker thread.
+            worker = threading.Thread(target=run.publish, args=(2, 4))
+            worker.start()
+            worker.join()
+            await _wait_for(lambda: len(seen["b"]) == 2)
+            assert seen == {"a": [(1, 4)], "b": [(1, 4), (2, 4)]}
+            run.done.cancel()
 
         asyncio.run(main())

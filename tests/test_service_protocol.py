@@ -425,3 +425,44 @@ class TestPayloadsAreJsonSafe:
         for op in QUERY_TYPES:
             query = parse_request({"op": op})
             json.dumps(dataclasses.asdict(query))
+
+
+class TestRunners:
+    """The blocking runners the server dispatches, called directly."""
+
+    def test_json_safe_coerces_numpy_values(self):
+        import numpy as np
+        from repro.service.runners import json_safe
+        value = {1: np.int64(3), "x": (np.float32(0.5), np.arange(2)),
+                 "flag": True, "none": None, "obj": PROTOCOL_VERSION}
+        safe = json_safe(value)
+        assert safe == {"1": 3, "x": [0.5, [0, 1]], "flag": True,
+                        "none": None, "obj": PROTOCOL_VERSION}
+        assert type(safe["1"]) is int and type(safe["x"][0]) is float
+        assert json.loads(json.dumps(safe)) == safe
+        assert json_safe(object).startswith("<class")
+
+    def test_wer_sizes_the_worst_corner(self):
+        import threading
+        from repro.service.runners import run_wer
+        published = []
+        out = run_wer(parse_request({"op": "wer", "n_samples": 2000}),
+                      threading.Event(),
+                      lambda d, t: published.append((d, t)))
+        assert published == [(1, 1)]
+        # NP8=0 slows the AP->P write: the worst corner needs a longer
+        # pulse than the all-AP neighborhood.
+        assert out["pattern_penalty_ns"] > 0
+        assert out["pulse_ns"] > out["pattern_penalty_ns"]
+        assert out["sampled_wer"] < 10 * out["target_wer"] + 2 / 2000
+        assert out["pitch_nm"] == pytest.approx(2.0 * 35.0)
+
+    def test_design_rows_follow_the_headers(self):
+        import threading
+        from repro.service.runners import run_design
+        query = parse_request({"op": "design", "ecds_nm": [35.0],
+                               "pitch_ratios": [1.5, 3.0]})
+        out = run_design(query, threading.Event(), lambda d, t: None)
+        assert out["n_points"] == 2 and len(out["rows"]) == 2
+        assert all(len(row) == len(out["headers"]) for row in out["rows"])
+        assert json.loads(json.dumps(out)) == out

@@ -499,6 +499,58 @@ class TestRetryBudgetAndQuarantine:
                               on_poison="shrug")
 
 
+class TestSpoolRunLifecycle:
+    """The spool-run file protocol, one step at a time."""
+
+    def test_open_then_done_flags(self, tmp_path):
+        run = SpoolRun.create(str(tmp_path), product_point)
+        assert not run.is_open() and not run.is_done()
+        run.open()
+        assert run.is_open() and not run.is_done()
+        run.mark_done()
+        assert run.is_done() and not run.is_open()
+
+    def test_task_round_trips(self, tmp_path):
+        run = SpoolRun.create(str(tmp_path), product_point)
+        assert pickle.loads(run.task_bytes()) is product_point
+        assert run.load_func()(a=2, b=3) == 6
+
+    def test_archived_points_replay(self, tmp_path):
+        run = SpoolRun.create(str(tmp_path), product_point)
+        points = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
+        run.archive_points(7, points)
+        assert run.replay_points(7) == points
+        assert SpoolRun.chunk_name(7) == "chunk-000007"
+        assert run.result_path(7).endswith(
+            os.path.join("results", SpoolRun.chunk_name(7, ".pkl")))
+
+    def test_commit_is_at_most_once_until_discarded(self, tmp_path):
+        run = SpoolRun.create(str(tmp_path), product_point)
+        assert run.commit(0, {"values": [1]}, "w1")
+        assert not run.commit(0, {"values": [2]}, "w2")
+        assert list(run.collect()) == [(0, {"values": [1]})]
+        run.discard_result(0)
+        run.discard_result(0)  # already gone: harmless
+        assert list(run.collect()) == []
+        assert run.commit(0, {"values": [2]}, "w2")
+        assert list(run.collect()) == [(0, {"values": [2]})]
+
+    def test_requeue_returns_a_claim_to_the_queue(self, tmp_path):
+        run = SpoolRun.create(str(tmp_path), product_point)
+        run.enqueue(4, [{"a": 1, "b": 1}])
+        run.open()
+        _, _, claim_path = run.claim("slow-worker")
+        assert run.queued_jobs() == []
+        assert run.requeue(claim_path) == 4
+        assert run.requeue(claim_path) is None  # already moved
+        chunk, points, claim_path = run.claim("next-worker")
+        assert (chunk, points) == (4, [{"a": 1, "b": 1}])
+        assert [c[:2] for c in run.claimed_jobs()] == [(4, "next-worker")]
+        run.clear_claim(claim_path)
+        run.clear_claim(claim_path)
+        assert run.claimed_jobs() == []
+
+
 class TestSpoolWorker:
     def test_rejects_reserved_worker_id_characters(self, tmp_path):
         with pytest.raises(ParameterError):

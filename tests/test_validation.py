@@ -108,6 +108,28 @@ class TestValidatorSemantics:
             v.require_int_in_range(bad, "n", 0, 10)
 
 
+class TestJobsArgument:
+    def test_accepts_positive_counts(self):
+        assert v.jobs_argument("4") == 4
+        assert v.jobs_argument(1) == 1
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_rejects_non_positive(self, bad):
+        import argparse
+        with pytest.raises(argparse.ArgumentTypeError, match="--jobs"):
+            v.jobs_argument(bad)
+
+    def test_argparse_reports_bad_counts(self, capsys):
+        import argparse
+        parser = argparse.ArgumentParser(prog="tool")
+        parser.add_argument("--jobs", type=v.jobs_argument, default=1)
+        assert parser.parse_args(["--jobs", "3"]).jobs == 3
+        for bad in ("0", "two"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--jobs", bad])
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestPointArray:
     def test_single_point_promoted(self):
         out = v.as_point_array((1.0, 2.0, 3.0))
